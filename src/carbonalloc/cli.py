@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -36,7 +34,7 @@ from .errors import (
     ValidationFailure,
 )
 from .history import HistoryStore
-from .ingest import RawData, load_input_dir
+from .ingest import ID_PATTERN, RawData, load_input_dir
 from .power import (
     fit_server_weights,
     read_calibration_samples,
@@ -76,10 +74,6 @@ class RunConfig:
     output_dir: Path
     l_share_override: Share | None = None
     trend_thresholds: tuple[float, float] = DEFAULT_TREND_THRESHOLDS
-    jobs: int = 0
-
-    def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
 def _err(message: str) -> None:
@@ -150,19 +144,13 @@ def _load_for_compute(config: RunConfig):
     return raw, models, factors
 
 
-def _render_pair(fp: Footprint, factors: EquivalencyFactors,
-                 thresholds: tuple[float, float]):
-    return (render_json(fp, factors),
-            render_onepage(fp, factors, trend_thresholds=thresholds))
-
-
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
                    config: RunConfig, history: HistoryStore) -> list[Path]:
-    """Render in parallel, write serialized in deterministic order."""
-    with ThreadPoolExecutor(max_workers=config.effective_jobs()) as pool:
-        rendered = list(pool.map(
-            lambda fp: _render_pair(fp, factors, config.trend_thresholds),
-            footprints))
+    """Render every report, then write them in deterministic order, so a
+    render failure writes nothing."""
+    rendered = [(render_json(fp, factors),
+                 render_onepage(fp, factors, trend_thresholds=config.trend_thresholds))
+                for fp in footprints]
     written: list[Path] = []
     reports_root = config.output_dir / "reports"
     for fp, (json_doc, html_doc) in zip(footprints, rendered):
@@ -309,6 +297,10 @@ def cmd_report(report_file: Path, out_dir: Path,
     except (OSError, ReportError, UnitError) as exc:
         _err(f"cannot re-render {report_file}: {exc}")
         return EXIT_VALIDATION
+    if ID_PATTERN.fullmatch(fp.tenant_id) is None:
+        _err(f"cannot re-render {report_file}: tenant id {fp.tenant_id!r} "
+             "cannot name a report directory")
+        return EXIT_VALIDATION
 
     tenant_dir = out_dir / "reports" / fp.tenant_id
     tenant_dir.mkdir(parents=True, exist_ok=True)
@@ -398,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="history store root (default: <out-dir>/history)")
     p.add_argument("--l-share", type=_parse_share, default=None,
                    help="override every tenant's load share (0..1)")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="parallel rendering workers (default: CPU count)")
     p.add_argument("--trend-thresholds", type=_parse_thresholds,
                    default=DEFAULT_TREND_THRESHOLDS, metavar="IMP,WRS",
                    help="improving/worsening badge cutoffs in percent "
@@ -455,7 +445,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 output_dir=args.out_dir,
                 l_share_override=args.l_share,
                 trend_thresholds=args.trend_thresholds,
-                jobs=args.jobs,
             )
             return cmd_compute(config)
         if args.command == "report":

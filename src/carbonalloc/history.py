@@ -19,6 +19,8 @@ __all__ = ["HistoryStore"]
 
 log = logging.getLogger(__name__)
 
+_EARLIEST = Period(1, 1)
+
 
 class HistoryStore:
     """Filesystem-backed store of per-tenant, per-period report JSON."""
@@ -57,11 +59,14 @@ class HistoryStore:
 
         Only consecutive prior months are considered: a gap in the store ends
         the lookback (comparing against a stale non-adjacent month would be
-        presented as if it were last month).
+        presented as if it were last month), and so does the earliest
+        representable month, 0001-01.
         """
         entries: list[HistoryEntry] = []
         cursor = period
         for _ in range(limit):
+            if cursor == _EARLIEST:
+                break
             cursor = cursor.prev()
             entry = self.load_entry(tenant_id, cursor)
             if entry is None:

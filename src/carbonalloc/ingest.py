@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -65,6 +66,7 @@ __all__ = [
     "assemble_raw_data",
     "load_input_dir",
     "INPUT_FILE_NAMES",
+    "ID_PATTERN",
 ]
 
 SCHEMA_LINE = "# schema_version=1"
@@ -76,6 +78,16 @@ INPUT_FILE_NAMES = {
     "datacenters": "datacenters.csv",
     "tenants": "tenants.csv",
 }
+
+# Tenant and data center ids name report and history paths, so they may not
+# contain a path separator or be "." or "..".
+ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+# Device byte counters are 64-bit; the bound also keeps network energy finite.
+_BYTE_COUNT_LIMIT = 2**64
+
+# Every whole number below 2**53 is exactly representable as a float.
+_FLOAT_EXACT_LIMIT = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +262,35 @@ def _parse_nonneg(text: str, source: str, line_no: int, column: str) -> float:
 
 
 def _parse_byte_count(text: str, source: str, line_no: int, column: str) -> int:
-    value = _parse_nonneg(text, source, line_no, column)
-    if value != int(value):
-        raise RangeError(source, line_no, column, value, "whole numbers")
-    return int(value)
+    """A whole byte count in [0, 2**64), never rounded.
+
+    Digit-only cells are parsed as int. Other spellings (``1e12``, ``5.0``)
+    go through float, so they must stay below 2**53 to be exact.
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() converts
+            value = math.inf
+        if value >= _BYTE_COUNT_LIMIT:
+            raise RangeError(source, line_no, column, value, "[0, 2**64)")
+        return value
+    number = _parse_nonneg(text, source, line_no, column)
+    if number != int(number):
+        raise RangeError(source, line_no, column, number, "whole numbers")
+    if number >= _FLOAT_EXACT_LIMIT:
+        raise RangeError(source, line_no, column, number,
+                         "[0, 2**53) unless written as plain digits")
+    return int(number)
+
+
+def _parse_id(text: str, source: str, line_no: int, column: str) -> str:
+    if ID_PATTERN.fullmatch(text) is None:
+        raise MalformedRow(
+            source, line_no,
+            f"{column}: {text!r} is not a valid id (letters, digits, '_', '.' "
+            "and '-', starting with a letter or digit)")
+    return text
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -285,10 +322,12 @@ def read_servers(path: Path | str, source: str | None = None) -> tuple[ServerUsa
         if not 0.0 <= util <= 1.0:
             raise RangeError(source, line_no, "cpu_utilization", util, "[0, 1]")
         out.append(ServerUsage(
-            datacenter_id=header.get(cells, line_no, "datacenter_id"),
+            datacenter_id=_parse_id(header.get(cells, line_no, "datacenter_id"),
+                                    source, line_no, "datacenter_id"),
             device_id=header.get(cells, line_no, "device_id"),
             device_model=header.get(cells, line_no, "device_model"),
-            tenant_id=header.get(cells, line_no, "tenant_id"),
+            tenant_id=_parse_id(header.get(cells, line_no, "tenant_id"),
+                                source, line_no, "tenant_id"),
             cpu_utilization=util,
             cache_moved=_parse_nonneg(header.get(cells, line_no, "cache_moved"),
                                       source, line_no, "cache_moved"),
@@ -314,10 +353,12 @@ def read_network(path: Path | str, source: str | None = None) -> tuple[NetworkUs
     out: list[NetworkUsage] = []
     for line_no, cells in rows:
         out.append(NetworkUsage(
-            datacenter_id=header.get(cells, line_no, "datacenter_id"),
+            datacenter_id=_parse_id(header.get(cells, line_no, "datacenter_id"),
+                                    source, line_no, "datacenter_id"),
             device_id=header.get(cells, line_no, "device_id"),
             device_type=header.get(cells, line_no, "device_type"),
-            tenant_id=header.get(cells, line_no, "tenant_id"),
+            tenant_id=_parse_id(header.get(cells, line_no, "tenant_id"),
+                                source, line_no, "tenant_id"),
             bytes_sent=_parse_byte_count(header.get(cells, line_no, "bytes_sent"),
                                          source, line_no, "bytes_sent"),
             bytes_received=_parse_byte_count(
@@ -388,7 +429,8 @@ def read_datacenters(path: Path | str,
     )
     out: dict[str, DataCenter] = {}
     for line_no, cells in rows:
-        dc_id = header.get(cells, line_no, "datacenter_id")
+        dc_id = _parse_id(header.get(cells, line_no, "datacenter_id"),
+                          source, line_no, "datacenter_id")
         if dc_id in out:
             raise DuplicateId(source, line_no, "data center", dc_id)
         cooling = _parse_shared_devices(
@@ -439,7 +481,8 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
     )
     out: dict[str, Tenant] = {}
     for line_no, cells in rows:
-        tenant_id = header.get(cells, line_no, "tenant_id")
+        tenant_id = _parse_id(header.get(cells, line_no, "tenant_id"),
+                              source, line_no, "tenant_id")
         if tenant_id in out:
             raise DuplicateId(source, line_no, "tenant", tenant_id)
         agents = _parse_float(header.get(cells, line_no, "agent_count"),
@@ -452,7 +495,7 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
         if not 0.0 <= l_share <= 1.0:
             raise RangeError(source, line_no, "l_share", l_share, "[0, 1]")
         dc_ids = tuple(
-            part.strip()
+            _parse_id(part.strip(), source, line_no, "datacenter_ids")
             for part in header.get(cells, line_no, "datacenter_ids").split(";")
             if part.strip()
         )

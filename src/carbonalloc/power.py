@@ -190,14 +190,13 @@ def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> Energ
 def estimate_network_energy(row: NetworkUsage) -> EnergyWh:
     """Energy for traffic through a network device at 6e-8 Wh per byte.
 
-    Computed as ``6.0 * total / 1e8`` rather than ``6e-8 * total``: the two
-    are the same real number, but scaling the integer byte count first keeps
-    the result exact for whole-number totals (6 * total is an exact float for
-    realistic byte counts, and 1e8 is exactly representable), whereas
+    Computed as ``6 * total / 100_000_000`` rather than ``6e-8 * total``: the
+    two are the same real number, but with integer byte counts this is one
+    int/int true division, which Python rounds correctly at any size, whereas
     multiplying by the rounded literal 6e-8 introduces one ulp of error.
     """
     total = row.bytes_sent + row.bytes_received
-    return EnergyWh(6.0 * total / 1e8)
+    return EnergyWh(6 * total / 100_000_000)
 
 
 def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) -> EnergyWh:

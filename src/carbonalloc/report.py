@@ -18,6 +18,7 @@ import html
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -163,101 +164,158 @@ def _scope2_energy(breakdown: ScopeBreakdown) -> float:
             + c["cooling"].energy.value + c["other"].energy.value)
 
 
-def _device_entry(dev: DeviceShare) -> dict[str, Any]:
+def _number(value: float) -> str:
+    """A float as ``json.dumps`` writes it, non-finite values included."""
+    if math.isfinite(value):
+        return repr(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+# Each template below is one object exactly as ``json.dumps(tree, indent=2,
+# ensure_ascii=False)`` lays it out at its nesting depth: key order fixed,
+# strings through ``_string``, finite numbers through ``repr`` (which is what
+# the encoder calls), and ``{}`` / ``[]`` for empty maps and lists.
+
+
+def _device_json(device_id: str, dev: DeviceShare) -> str:
+    """One device entry, at the depth of a ``devices.<map>`` member."""
+    head = f"              {_string(device_id)}: {{\n"
     if isinstance(dev, ServerDeviceShare):
-        return {
-            "type": "ServerDevice",
-            "isAggregate": False,
-            "deviceModel": dev.device_model,
-            "energy": dev.energy.value,
-            "emissions": dev.emissions.value,
-            "utilization": dev.utilization,
-            "cacheMoved": dev.cache_moved,
-            "dramAccessed": dev.dram_accessed,
-            "diskMoved": dev.disk_moved,
-        }
+        return (f'{head}'
+                f'                "type": "ServerDevice",\n'
+                f'                "isAggregate": false,\n'
+                f'                "deviceModel": {_string(dev.device_model)},\n'
+                f'                "energy": {dev.energy.value!r},\n'
+                f'                "emissions": {dev.emissions.value!r},\n'
+                f'                "utilization": {dev.utilization!r},\n'
+                f'                "cacheMoved": {dev.cache_moved!r},\n'
+                f'                "dramAccessed": {dev.dram_accessed!r},\n'
+                f'                "diskMoved": {dev.disk_moved!r}\n'
+                f'              }}')
     if isinstance(dev, NetworkDeviceShare):
-        return {
-            "type": "NetworkDevice",
-            "isAggregate": False,
-            "deviceType": dev.device_type,
-            "energy": dev.energy.value,
-            "emissions": dev.emissions.value,
-            "bytesSent": dev.bytes_sent,
-            "bytesReceived": dev.bytes_received,
-        }
-    return {
-        "type": "SharedDevice",
-        "isAggregate": False,
-        "energy": dev.energy.value,
-        "emissions": dev.emissions.value,
-    }
+        return (f'{head}'
+                f'                "type": "NetworkDevice",\n'
+                f'                "isAggregate": false,\n'
+                f'                "deviceType": {_string(dev.device_type)},\n'
+                f'                "energy": {dev.energy.value!r},\n'
+                f'                "emissions": {dev.emissions.value!r},\n'
+                f'                "bytesSent": {dev.bytes_sent!r},\n'
+                f'                "bytesReceived": {dev.bytes_received!r}\n'
+                f'              }}')
+    return (f'{head}'
+            f'                "type": "SharedDevice",\n'
+            f'                "isAggregate": false,\n'
+            f'                "energy": {dev.energy.value!r},\n'
+            f'                "emissions": {dev.emissions.value!r}\n'
+            f'              }}')
 
 
-def _dc_tree(dc: DcFootprint) -> dict[str, Any]:
-    devices: dict[str, dict[str, Any]] = {
-        "servers": {}, "network": {}, "cooling": {}, "other": {},
-    }
-    category_to_map = {"server": "servers", "network": "network",
-                       "cooling": "cooling", "other": "other"}
+def _device_map(devices: dict[str, DeviceShare]) -> str:
+    if not devices:
+        return "{}"
+    entries = ",\n".join(_device_json(device_id, devices[device_id])
+                         for device_id in sorted(devices))
+    return f"{{\n{entries}\n            }}"
+
+
+def _component_json(name: str, comp: ScopeComponent) -> str:
+    return (f'            "{name}": {{\n'
+            f'              "energy": {comp.energy.value!r},\n'
+            f'              "emissions": {comp.emissions.value!r}\n'
+            f'            }}')
+
+
+def _dc_json(dc_id: str, dc: DcFootprint) -> str:
+    """One ``datacenters`` member: shares, totals, offsets and scopes."""
+    maps: dict[str, dict[str, DeviceShare]] = {
+        "server": {}, "network": {}, "cooling": {}, "other": {}}
     for dev in dc.devices:
-        devices[category_to_map[dev.category]][dev.device_id] = _device_entry(dev)
-    for name in devices:
-        devices[name] = {k: devices[name][k] for k in sorted(devices[name])}
-
-    components = {
-        name: {
-            "energy": comp.energy.value,
-            "emissions": comp.emissions.value,
-        }
-        for name, comp in (
-            ("server", dc.breakdown.scope2_components["server"]),
-            ("network", dc.breakdown.scope2_components["network"]),
-            ("cooling", dc.breakdown.scope2_components["cooling"]),
-            ("other", dc.breakdown.scope2_components["other"]),
-        )
-    }
-
-    return {
-        "name": dc.name,
-        "region": dc.region,
-        "gridIntensity": dc.grid_intensity.value,
-        "scope2Share": dc.responsibility.scope2_share.value,
-        "lShare": dc.responsibility.l_share.value,
-        "responsibility": dc.responsibility.ratio.value,
-        "grossEmissions": dc.gross.value,
-        "netEmissions": dc.net.value,
-        "overOffset": dc.over_offset,
-        "offsets": {
-            "greenEnergyOffset": dc.green_offset.value,
-            "recOffset": dc.rec_offset.value,
-        },
-        "scopes": {
-            "scope1": {
-                "type": "Scope1",
-                "isAggregate": False,
-                "energy": 0.0,
-                "emissions": dc.breakdown.scope1.value,
-            },
-            "scope2": {
-                "type": "Scope2",
-                "isAggregate": False,
-                "energy": _scope2_energy(dc.breakdown),
-                "emissions": dc.breakdown.scope2.value,
-                "components": components,
-                "devices": devices,
-            },
-            "scope3": {
-                "type": "Scope3",
-                "isAggregate": False,
-                "energy": 0.0,
-                "emissions": dc.breakdown.scope3.value,
-            },
-        },
-    }
+        maps[dev.category][dev.device_id] = dev
+    b = dc.breakdown
+    c = b.scope2_components
+    r = dc.responsibility
+    return (f'    {_string(dc_id)}: {{\n'
+            f'      "name": {_string(dc.name)},\n'
+            f'      "region": {_string(dc.region)},\n'
+            f'      "gridIntensity": {dc.grid_intensity.value!r},\n'
+            f'      "scope2Share": {r.scope2_share.value!r},\n'
+            f'      "lShare": {r.l_share.value!r},\n'
+            f'      "responsibility": {r.ratio.value!r},\n'
+            f'      "grossEmissions": {dc.gross.value!r},\n'
+            f'      "netEmissions": {dc.net.value!r},\n'
+            f'      "overOffset": {_bool(dc.over_offset)},\n'
+            f'      "offsets": {{\n'
+            f'        "greenEnergyOffset": {dc.green_offset.value!r},\n'
+            f'        "recOffset": {dc.rec_offset.value!r}\n'
+            f'      }},\n'
+            f'      "scopes": {{\n'
+            f'        "scope1": {{\n'
+            f'          "type": "Scope1",\n'
+            f'          "isAggregate": false,\n'
+            f'          "energy": 0.0,\n'
+            f'          "emissions": {b.scope1.value!r}\n'
+            f'        }},\n'
+            f'        "scope2": {{\n'
+            f'          "type": "Scope2",\n'
+            f'          "isAggregate": false,\n'
+            f'          "energy": {_scope2_energy(b)!r},\n'
+            f'          "emissions": {b.scope2.value!r},\n'
+            f'          "components": {{\n'
+            f'{_component_json("server", c["server"])},\n'
+            f'{_component_json("network", c["network"])},\n'
+            f'{_component_json("cooling", c["cooling"])},\n'
+            f'{_component_json("other", c["other"])}\n'
+            f'          }},\n'
+            f'          "devices": {{\n'
+            f'            "servers": {_device_map(maps["server"])},\n'
+            f'            "network": {_device_map(maps["network"])},\n'
+            f'            "cooling": {_device_map(maps["cooling"])},\n'
+            f'            "other": {_device_map(maps["other"])}\n'
+            f'          }}\n'
+            f'        }},\n'
+            f'        "scope3": {{\n'
+            f'          "type": "Scope3",\n'
+            f'          "isAggregate": false,\n'
+            f'          "energy": 0.0,\n'
+            f'          "emissions": {b.scope3.value!r}\n'
+            f'        }}\n'
+            f'      }}\n'
+            f'    }}')
 
 
-def _json_tree(fp: Footprint, factors: EquivalencyFactors) -> dict[str, Any]:
+def _history_json(deltas: list[TrendDelta]) -> str:
+    if not deltas:
+        return "[]"
+    entries = ",\n".join(
+        f'      {{\n'
+        f'        "period": "{delta.period}",\n'
+        f'        "grossEmissions": {delta.gross.value!r},\n'
+        f'        "netEmissions": {delta.net.value!r},\n'
+        f'        "pctChange": '
+        f'{"null" if delta.pct_change is None else _number(delta.pct_change)}\n'
+        f'      }}'
+        for delta in deltas)
+    return f"[\n{entries}\n    ]"
+
+
+def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
+    """Render the detailed JSON report with deterministic bytes.
+
+    The text is written straight from the Footprint and is byte for byte what
+    ``json.dumps(tree, indent=2, ensure_ascii=False) + "\\n"`` gives for the
+    equivalent tree; ``audit`` checks every stored report against that
+    reference. Key order is fixed, data center maps keep ``fp.per_dc`` order,
+    device maps iterate in sorted id order, and numbers use shortest
+    round-trip notation, so the same Footprint always yields the same bytes.
+    Numbers must be Python ints and floats, as the engine and
+    ``footprint_from_json`` produce them.
+    """
     scope1_total = 0.0
     scope2_total = 0.0
     scope3_total = 0.0
@@ -272,81 +330,70 @@ def _json_tree(fp: Footprint, factors: EquivalencyFactors) -> dict[str, Any]:
         green_total += dc.green_offset.value
         rec_total += dc.rec_offset.value
 
+    # A repeated data center id keeps its first position and its last value,
+    # as a dict built in per_dc order would.
+    dcs = {dc.datacenter_id: dc for dc in fp.per_dc}
+    if dcs:
+        dc_entries = ",\n".join(_dc_json(dc_id, dc) for dc_id, dc in dcs.items())
+        datacenters = f"{{\n{dc_entries}\n  }}"
+    else:
+        datacenters = "{}"
     equivalents = compute_equivalencies(fp.gross_total, factors)
-    history = [
-        {
-            "period": str(delta.period),
-            "grossEmissions": delta.gross.value,
-            "netEmissions": delta.net.value,
-            "pctChange": delta.pct_change,
-        }
-        for delta in compute_trend(fp)
-    ]
+    net = fp.net_total.value
 
-    return {
-        "schemaVersion": JSON_SCHEMA_VERSION,
-        "tenant": {
-            "tenantId": fp.tenant_id,
-            "displayName": fp.display_name,
-            "agentCount": fp.agent_count,
-        },
-        "period": str(fp.period),
-        "summary": {
-            "grossEmissions": fp.gross_total.value,
-            "netEmissions": fp.net_total.value,
-            "perAgentEmissions": fp.per_agent.value,
-            "scopes": {
-                "scope1": {
-                    "type": "Scope1",
-                    "isAggregate": True,
-                    "energy": 0.0,
-                    "emissions": scope1_total,
-                },
-                "scope2": {
-                    "type": "Scope2",
-                    "isAggregate": True,
-                    "energy": scope2_energy_total,
-                    "emissions": scope2_total,
-                },
-                "scope3": {
-                    "type": "Scope3",
-                    "isAggregate": True,
-                    "energy": 0.0,
-                    "emissions": scope3_total,
-                },
-            },
-            "history": history,
-        },
-        "equivalencies": {
-            "flightsAmsNyc": equivalents["flights"],
-            "carKm": equivalents["car_km"],
-            "smartphoneCharges": equivalents["charges"],
-            "factors": {
-                "flightAmsNycG": factors.flight_ams_nyc.value,
-                "carKmG": factors.car_km.value,
-                "smartphoneChargeG": factors.smartphone_charge.value,
-            },
-            "sourceNote": factors.source_note,
-        },
-        "offsets": {
-            "greenEnergyOffset": green_total,
-            "recOffset": rec_total,
-            "netEmissions": fp.net_total.value,
-            "overOffset": fp.net_total.value < 0.0,
-        },
-        "datacenters": {dc.datacenter_id: _dc_tree(dc) for dc in fp.per_dc},
-    }
-
-
-def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
-    """Render the detailed JSON report with deterministic bytes.
-
-    Key order is fixed by construction, data center and device maps iterate
-    in sorted id order, and numbers use shortest round-trip notation, so the
-    same Footprint always yields the same bytes.
-    """
-    tree = _json_tree(fp, factors)
-    text = json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    text = (f'{{\n'
+            f'  "schemaVersion": {JSON_SCHEMA_VERSION!r},\n'
+            f'  "tenant": {{\n'
+            f'    "tenantId": {_string(fp.tenant_id)},\n'
+            f'    "displayName": {_string(fp.display_name)},\n'
+            f'    "agentCount": {fp.agent_count!r}\n'
+            f'  }},\n'
+            f'  "period": "{fp.period}",\n'
+            f'  "summary": {{\n'
+            f'    "grossEmissions": {fp.gross_total.value!r},\n'
+            f'    "netEmissions": {net!r},\n'
+            f'    "perAgentEmissions": {fp.per_agent.value!r},\n'
+            f'    "scopes": {{\n'
+            f'      "scope1": {{\n'
+            f'        "type": "Scope1",\n'
+            f'        "isAggregate": true,\n'
+            f'        "energy": 0.0,\n'
+            f'        "emissions": {scope1_total!r}\n'
+            f'      }},\n'
+            f'      "scope2": {{\n'
+            f'        "type": "Scope2",\n'
+            f'        "isAggregate": true,\n'
+            f'        "energy": {scope2_energy_total!r},\n'
+            f'        "emissions": {scope2_total!r}\n'
+            f'      }},\n'
+            f'      "scope3": {{\n'
+            f'        "type": "Scope3",\n'
+            f'        "isAggregate": true,\n'
+            f'        "energy": 0.0,\n'
+            f'        "emissions": {scope3_total!r}\n'
+            f'      }}\n'
+            f'    }},\n'
+            f'    "history": {_history_json(compute_trend(fp))}\n'
+            f'  }},\n'
+            f'  "equivalencies": {{\n'
+            f'    "flightsAmsNyc": {_number(equivalents["flights"])},\n'
+            f'    "carKm": {_number(equivalents["car_km"])},\n'
+            f'    "smartphoneCharges": {_number(equivalents["charges"])},\n'
+            f'    "factors": {{\n'
+            f'      "flightAmsNycG": {factors.flight_ams_nyc.value!r},\n'
+            f'      "carKmG": {factors.car_km.value!r},\n'
+            f'      "smartphoneChargeG": {factors.smartphone_charge.value!r}\n'
+            f'    }},\n'
+            f'    "sourceNote": {_string(factors.source_note)}\n'
+            f'  }},\n'
+            f'  "offsets": {{\n'
+            f'    "greenEnergyOffset": {green_total!r},\n'
+            f'    "recOffset": {rec_total!r},\n'
+            f'    "netEmissions": {net!r},\n'
+            f'    "overOffset": {_bool(net < 0.0)}\n'
+            f'  }},\n'
+            f'  "datacenters": {datacenters}\n'
+            f'}}\n')
     return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
                           format="json", content=text.encode("utf-8"))
 
@@ -386,6 +433,16 @@ def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactor
         raise ReportError(f"report lacks equivalency factors: {exc}") from exc
 
 
+def _counter(entry: dict[str, Any], key: str) -> int | float:
+    """A device usage counter, which the writer emits with ``repr``."""
+    value = entry[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ReportError(f"malformed report JSON: {key} must be a finite "
+                          f"number, got {value!r}")
+    return value
+
+
 def _device_from_entry(device_id: str, category: str,
                        entry: dict[str, Any]) -> DeviceShare:
     energy = EnergyWh(entry["energy"])
@@ -394,14 +451,17 @@ def _device_from_entry(device_id: str, category: str,
         return ServerDeviceShare(
             device_id=device_id, category=category, energy=energy,
             emissions=emissions, device_model=str(entry["deviceModel"]),
-            utilization=entry["utilization"], cache_moved=entry["cacheMoved"],
-            dram_accessed=entry["dramAccessed"], disk_moved=entry["diskMoved"],
+            utilization=_counter(entry, "utilization"),
+            cache_moved=_counter(entry, "cacheMoved"),
+            dram_accessed=_counter(entry, "dramAccessed"),
+            disk_moved=_counter(entry, "diskMoved"),
         )
     if category == "network":
         return NetworkDeviceShare(
             device_id=device_id, category=category, energy=energy,
             emissions=emissions, device_type=str(entry["deviceType"]),
-            bytes_sent=entry["bytesSent"], bytes_received=entry["bytesReceived"],
+            bytes_sent=_counter(entry, "bytesSent"),
+            bytes_received=_counter(entry, "bytesReceived"),
         )
     return DeviceShare(device_id=device_id, category=category,
                        energy=energy, emissions=emissions)

@@ -168,6 +168,69 @@ class TestReadNetwork:
             read_network(path)
         assert exc.value.field == "bytes_sent"
 
+    def test_digit_only_counts_are_exact_above_2_53(self, tmp_path):
+        row = GOOD_NETWORK.replace("1000000000000,1000000000000",
+                                   "9007199254740993,18446744073709551615")
+        path = csv_file(tmp_path, "network.csv", NETWORK_HEADER, row)
+        (parsed,) = read_network(path)
+        assert parsed.bytes_sent == 2**53 + 1
+        assert parsed.bytes_received == 2**64 - 1
+
+    @pytest.mark.parametrize("cell", ["9.007199254740992e15", "9007199254740993.0"])
+    def test_float_spelled_count_at_2_53_rejected(self, tmp_path, cell):
+        row = GOOD_NETWORK.replace("1000000000000,1000000000000", f"{cell},0")
+        path = csv_file(tmp_path, "network.csv", NETWORK_HEADER, row)
+        with pytest.raises(RangeError, match=r"^network\.csv:3: bytes_sent="):
+            read_network(path)
+
+    @pytest.mark.parametrize("cell", [str(2**64),
+                                      pytest.param("9" * 5000, id="5000-digits")])
+    def test_count_at_2_64_rejected(self, tmp_path, cell):
+        row = GOOD_NETWORK.replace("1000000000000,1000000000000", f"0,{cell}")
+        path = csv_file(tmp_path, "network.csv", NETWORK_HEADER, row)
+        with pytest.raises(RangeError, match=r"^network\.csv:3: bytes_received="):
+            read_network(path)
+
+
+class TestIds:
+    @pytest.mark.parametrize("good", ["TENANT_X", "t", "0", "a.b-c_9", "Acme.."])
+    def test_allowed_tenant_ids(self, tmp_path, good):
+        row = GOOD_TENANT.replace("TENANT_X", good)
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
+        assert list(read_tenants(path)) == [good]
+
+    @pytest.mark.parametrize("bad", ["../../escape", "..", ".", "a/b", "a\\b",
+                                     "_x", "-x", "T X", "TENANT_É"])
+    def test_path_unsafe_tenant_id_rejected(self, tmp_path, bad):
+        row = GOOD_TENANT.replace("TENANT_X", f'"{bad}"')
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
+        with pytest.raises(MalformedRow, match=r"^tenants\.csv:3: tenant_id: "):
+            read_tenants(path)
+
+    @pytest.mark.parametrize("name, row, column", [
+        ("servers.csv", GOOD_SERVER.replace("TENANT_X", "../x"), "tenant_id"),
+        ("servers.csv", GOOD_SERVER.replace("DC_EU1", "DC/EU1"), "datacenter_id"),
+        ("network.csv", GOOD_NETWORK.replace("TENANT_X", ".."), "tenant_id"),
+        ("network.csv", GOOD_NETWORK.replace("DC_EU1", ".DC"), "datacenter_id"),
+        ("datacenters.csv", GOOD_DC.replace("DC_EU1", "../DC_EU1"),
+         "datacenter_id"),
+        ("tenants.csv", GOOD_TENANT.replace(",DC_EU1,", ',"DC_EU1;../up",'),
+         "datacenter_ids"),
+    ], ids=["servers-tenant", "servers-dc", "network-tenant", "network-dc",
+            "datacenters-dc", "tenants-dc-list"])
+    def test_path_unsafe_ids_rejected_in_every_file(self, tmp_path, name, row,
+                                                    column):
+        header, reader = {
+            "servers.csv": (SERVER_HEADER, read_servers),
+            "network.csv": (NETWORK_HEADER, read_network),
+            "datacenters.csv": (DC_HEADER, read_datacenters),
+            "tenants.csv": (TENANT_HEADER, read_tenants),
+        }[name]
+        path = csv_file(tmp_path, name, header, row)
+        with pytest.raises(MalformedRow) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{name}:3: {column}: ")
+
 
 class TestReadDatacenters:
     def test_parses_multi_value_cells(self, tmp_path):

@@ -1,0 +1,147 @@
+"""The report JSON writer against ``json.dumps``, on generated footprints.
+
+The writer lays the text out itself; these properties pin it to the
+reference encoding (``json.dumps(indent=2, ensure_ascii=False)``) and to the
+parse direction, over inputs the engine never produces: text with quotes,
+backslashes, control and non-ASCII characters, empty device maps,
+over-offset nets, and trend percentages that are undefined or overflow.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from carbonalloc.allocation import (
+    DcFootprint,
+    DeviceShare,
+    Footprint,
+    HistoryEntry,
+    NetworkDeviceShare,
+    ResponsibilityRatio,
+    ServerDeviceShare,
+)
+from carbonalloc.report import (
+    EquivalencyFactors,
+    factors_from_json,
+    footprint_from_json,
+    render_json,
+)
+from carbonalloc.units import (
+    SCOPE2_COMPONENTS,
+    CarbonIntensity,
+    EmissionsG,
+    EnergyWh,
+    Period,
+    ScopeBreakdown,
+    ScopeComponent,
+    Share,
+)
+
+texts = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀'),
+                          st.characters(exclude_categories=("Cs",))),
+                max_size=10)
+amounts = st.one_of(st.floats(min_value=0.0, max_value=1e15),
+                    st.integers(min_value=0, max_value=10**6))
+fractions = st.floats(min_value=0.0, max_value=1.0)
+counters = st.one_of(st.floats(min_value=0.0, max_value=1e12),
+                     st.integers(min_value=0, max_value=2**64))
+# Large enough, often enough, to push the net below zero (over-offset).
+offsets = st.one_of(amounts, st.floats(min_value=1e15, max_value=1e17))
+periods = st.builds(Period, st.integers(1, 9999), st.integers(1, 12))
+
+
+@st.composite
+def devices(draw, category):
+    device_id = draw(texts)
+    energy, emissions = EnergyWh(draw(amounts)), EmissionsG(draw(amounts))
+    if category == "server":
+        return ServerDeviceShare(
+            device_id=device_id, category=category, energy=energy,
+            emissions=emissions, device_model=draw(texts),
+            utilization=draw(fractions), cache_moved=draw(counters),
+            dram_accessed=draw(counters), disk_moved=draw(counters))
+    if category == "network":
+        return NetworkDeviceShare(
+            device_id=device_id, category=category, energy=energy,
+            emissions=emissions, device_type=draw(texts),
+            bytes_sent=draw(st.integers(0, 2**64)),
+            bytes_received=draw(st.integers(0, 2**64)))
+    return DeviceShare(device_id=device_id, category=category, energy=energy,
+                       emissions=emissions)
+
+
+@st.composite
+def dc_footprints(draw, tenant_id, dc_id):
+    components = {name: ScopeComponent(EnergyWh(draw(amounts)),
+                                       EmissionsG(draw(amounts)))
+                  for name in SCOPE2_COMPONENTS}
+    scope2 = 0.0
+    for name in SCOPE2_COMPONENTS:
+        scope2 += components[name].emissions.value
+    scope1, scope3 = draw(amounts), draw(amounts)
+    gross = scope1 + scope2 + scope3
+    green, rec = draw(offsets), draw(offsets)
+    net = gross - green - rec
+    scope2_share, l_share = draw(fractions), draw(fractions)
+    shares = []
+    for category in SCOPE2_COMPONENTS:
+        # Unique ids within a map; an empty map is a common draw.
+        shares += draw(st.lists(devices(category), max_size=2,
+                                unique_by=lambda d: d.device_id))
+    return DcFootprint(
+        datacenter_id=dc_id, name=draw(texts), region=draw(texts),
+        grid_intensity=CarbonIntensity(draw(amounts)),
+        responsibility=ResponsibilityRatio(
+            tenant_id=tenant_id, datacenter_id=dc_id,
+            scope2_share=Share(scope2_share), l_share=Share(l_share),
+            ratio=Share(scope2_share * l_share)),
+        breakdown=ScopeBreakdown(EmissionsG(scope1), EmissionsG(scope2),
+                                 EmissionsG(scope3), components),
+        gross=EmissionsG(gross), net=EmissionsG(net, allow_negative=True),
+        green_offset=EmissionsG(green), rec_offset=EmissionsG(rec),
+        over_offset=net < 0.0, devices=tuple(shares))
+
+
+# A prior gross of 0 leaves the percentage undefined (null); 1e-300 makes it
+# overflow to infinity.
+prior_gross = st.one_of(st.just(0.0), st.just(1e-300), amounts)
+
+
+@st.composite
+def footprints(draw):
+    tenant_id = draw(texts)
+    dc_ids = draw(st.lists(texts, max_size=2, unique=True))
+    per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
+    gross, net = 0.0, 0.0
+    for dc in per_dc:
+        gross += dc.gross.value
+        net += dc.net.value
+    agents = draw(st.integers(1, 10**6))
+    history = draw(st.lists(
+        st.builds(HistoryEntry, periods, st.builds(EmissionsG, prior_gross),
+                  st.builds(EmissionsG, st.floats(-1e15, 1e15),
+                            allow_negative=st.just(True))),
+        max_size=2))
+    return Footprint(
+        tenant_id=tenant_id, display_name=draw(texts), agent_count=agents,
+        period=draw(periods), per_dc=per_dc, gross_total=EmissionsG(gross),
+        net_total=EmissionsG(net, allow_negative=True),
+        per_agent=EmissionsG(gross / agents), history=tuple(history))
+
+
+factor_sets = st.builds(
+    EquivalencyFactors,
+    *(st.builds(EmissionsG, st.floats(min_value=1e-300, max_value=1e9))
+      for _ in range(3)),
+    source_note=texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(footprints(), factor_sets)
+def test_writer_matches_json_dumps_and_round_trips(fp, factors):
+    content = render_json(fp, factors).content
+    reference = json.dumps(json.loads(content), indent=2, ensure_ascii=False)
+    assert content == (reference + "\n").encode()
+    again = footprint_from_json(content)
+    assert render_json(again, factors_from_json(content)).content == content

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,12 @@ class TestEstimateNetworkEnergy:
 
     def test_zero_traffic(self):
         assert estimate_network_energy(network_row(0, 0)).value == 0.0
+
+    def test_correctly_rounded_above_2_53(self):
+        total = 2**53 + 1
+        got = estimate_network_energy(network_row(total, 0)).value
+        assert got == 540431955.2844596
+        assert got == float(Fraction(6 * total, 10**8))
 
     def test_nominal_constant_matches_implementation(self):
         got = estimate_network_energy(network_row(1, 0)).value

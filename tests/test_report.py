@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from carbonalloc.allocation import compute_footprints
+from carbonalloc.allocation import HistoryEntry, compute_footprints
 from carbonalloc.history import HistoryStore
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -115,6 +115,23 @@ class TestRenderJson:
                 comp_sum = sum(c["emissions"] for c in s2["components"].values())
                 assert math.isclose(s2["emissions"], comp_sum,
                                     rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_overflowing_pct_change_renders_as_infinity(self, fixture_footprint,
+                                                        factors):
+        prior = HistoryEntry(Period(2025, 5), EmissionsG(1e-300), EmissionsG(0.0))
+        fp = dataclasses.replace(fixture_footprint, history=(prior,))
+        content = render_json(fp, factors).content
+        assert b'"pctChange": Infinity\n' in content
+        assert render_json(footprint_from_json(content), factors).content == content
+
+    @pytest.mark.parametrize("value", [True, "1", None, float("nan")])
+    def test_non_numeric_device_counter_rejected(self, fixture_doc, value):
+        doc = json.loads(fixture_doc.content)
+        dc = doc["datacenters"]["DC_EU1"]
+        dc["scopes"]["scope2"]["devices"]["network"]["NETWORK_DEVICE_1234"][
+            "bytesSent"] = value
+        with pytest.raises(ReportError, match="bytesSent"):
+            footprint_from_json(doc)
 
     def test_different_footprints_render_differently(self, factors):
         fleet_a = generate_fleet(seed=1, n_tenants=3, n_dcs=2)
@@ -331,3 +348,10 @@ class TestHistoryStore:
             store.save("TENANT_X", Period(2025, month), fixture_doc.content)
         entries = store.prior_entries("TENANT_X", Period(2025, 6), limit=2)
         assert [str(e.period) for e in entries] == ["2025-05", "2025-04"]
+
+    def test_lookback_stops_at_earliest_period(self, tmp_path, fixture_doc):
+        store = HistoryStore(tmp_path)
+        assert store.prior_entries("TENANT_X", Period(1, 1)) == ()
+        store.save("TENANT_X", Period(1, 1), fixture_doc.content)
+        entries = store.prior_entries("TENANT_X", Period(1, 2))
+        assert [str(e.period) for e in entries] == ["0001-01"]

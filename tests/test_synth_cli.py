@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from carbonalloc import cli
 from carbonalloc.cli import (
     EXIT_AUDIT_MISMATCH,
     EXIT_COMPUTATION,
@@ -15,6 +16,7 @@ from carbonalloc.cli import (
     main,
 )
 from carbonalloc.ingest import load_input_dir
+from carbonalloc.report import ReportError
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import Period
 
@@ -169,6 +171,38 @@ class TestComputeCommand:
         assert entry["period"] == "2025-05"
         assert entry["pctChange"] == 0.0  # identical inputs both months
 
+    def test_path_escaping_tenant_id_exits_1_and_writes_nothing(self, workspace,
+                                                                capsys):
+        for name in ("tenants.csv", "servers.csv", "network.csv"):
+            path = workspace["fleet"] / name
+            path.write_text(path.read_text().replace("TENANT_01", "../../escape"))
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert "tenants.csv:3: tenant_id: '../../escape'" in capsys.readouterr().err
+        assert not workspace["out"].exists()
+        assert not (workspace["root"] / "escape").exists()
+
+    def test_earliest_period_has_no_lookback(self, workspace):
+        assert run_compute(workspace, period="0001-01") == EXIT_OK
+        doc = json.loads((workspace["out"] / "reports" / "TENANT_01" /
+                          "0001-01.json").read_text())
+        assert doc["summary"]["history"] == []
+
+    def test_render_failure_writes_nothing(self, workspace, monkeypatch):
+        real = cli.render_onepage
+        calls = []
+
+        def fail_on_third(fp, *args, **kwargs):
+            calls.append(fp.tenant_id)
+            if len(calls) == 3:
+                raise ReportError("rendering failed")
+            return real(fp, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_onepage", fail_on_third)
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert len(calls) == 3
+        assert not (workspace["out"] / "reports").exists()
+        assert not (workspace["out"] / "history").exists()
+
     def test_l_share_override_scales_scope2(self, workspace):
         assert run_compute(workspace) == EXIT_OK
         full = json.loads((workspace["out"] / "reports" / "TENANT_01" /
@@ -239,6 +273,19 @@ class TestReportCommand:
         copy = rerender_dir / "reports" / "TENANT_03" / "2025-06.json"
         assert copy.read_bytes() == original.read_bytes()
         assert (rerender_dir / "reports" / "TENANT_03" / "2025-06.html").exists()
+
+    def test_path_escaping_tenant_id_exits_1(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["tenant"]["tenantId"] = "../../escape"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
+        assert "'../../escape'" in capsys.readouterr().err
+        assert not rerender_dir.exists()
+        assert not (workspace["root"] / "escape").exists()
 
 
 class TestCalibrateCommand:
