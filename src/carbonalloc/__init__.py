@@ -19,18 +19,13 @@ from .allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    NetTcf,
     NetworkDeviceShare,
     ResponsibilityRatio,
     ServerDeviceShare,
     TenantDcScope2,
     compute_footprints,
-    compute_gross_tcf,
-    compute_net_tcf,
     compute_responsibility_ratios,
-    compute_scope1,
     compute_scope2,
-    compute_scope3,
     conservation_audit,
 )
 from .errors import (

@@ -13,16 +13,17 @@ The computation is a strict pipeline with an acyclic dependency order:
    minus the tenant's share of green-energy and certificate offsets.
 
 All sums iterate in sorted key order so identical inputs reproduce identical
-floats, which the conservation audit and report auditing rely on.
+floats, which the conservation audit and report auditing rely on. The engine
+reads no files: prior months are attached by the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MissingModel, ZeroDcScope2
-from .ingest import DataCenter, RawData, Tenant
+from .ingest import DataCenter, RawData
 from .power import (
     ServerPowerModel,
     allocate_shared_energy,
@@ -40,25 +41,17 @@ from .units import (
     UnitError,
 )
 
-if TYPE_CHECKING:
-    from .history import HistoryStore
-
 __all__ = [
     "DeviceShare",
     "ServerDeviceShare",
     "NetworkDeviceShare",
     "TenantDcScope2",
     "ResponsibilityRatio",
-    "NetTcf",
     "HistoryEntry",
     "DcFootprint",
     "Footprint",
     "compute_scope2",
     "compute_responsibility_ratios",
-    "compute_scope1",
-    "compute_scope3",
-    "compute_gross_tcf",
-    "compute_net_tcf",
     "compute_footprints",
     "conservation_audit",
     "AuditCheck",
@@ -156,10 +149,6 @@ class TenantDcScope2:
                     f"category total is {total.value!r}")
 
     @property
-    def direct_energy(self) -> EnergyWh:
-        return EnergyWh(self.e_server.value + self.e_network.value)
-
-    @property
     def total_energy(self) -> EnergyWh:
         return EnergyWh(self.e_server.value + self.e_network.value
                         + self.e_cooling.value + self.e_other.value)
@@ -185,16 +174,6 @@ class ResponsibilityRatio:
         if self.ratio.value != expected:
             raise UnitError(
                 f"ratio {self.ratio.value!r} != scope2_share x l_share = {expected!r}")
-
-
-@dataclass(frozen=True)
-class NetTcf:
-    """Net footprint for one (tenant, data center): gross minus offsets."""
-
-    net: EmissionsG
-    green_offset: EmissionsG
-    rec_offset: EmissionsG
-    over_offset: bool
 
 
 @dataclass(frozen=True)
@@ -250,6 +229,9 @@ class Footprint:
     history: tuple[HistoryEntry, ...] = ()
 
     def __post_init__(self) -> None:
+        dc_ids = [dc.datacenter_id for dc in self.per_dc]
+        if len(set(dc_ids)) != len(dc_ids):
+            raise UnitError(f"per_dc repeats a datacenter_id: {dc_ids}")
         gross = 0.0
         net = 0.0
         for dc in self.per_dc:
@@ -394,106 +376,60 @@ def compute_scope2(raw: RawData,
 
 def compute_responsibility_ratios(
         scope2: Sequence[TenantDcScope2],
-        tenants: Mapping[str, Tenant],
-        datacenters: Mapping[str, DataCenter] | None = None,
-) -> list[ResponsibilityRatio]:
+        datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
     """Each tenant's fraction of each data center's Scope 2, times load share.
 
     When a data center's Scope 2 total is zero the fraction is undefined; if
     that data center also has Scope 1 fuel or a Scope 3 total to distribute
     the computation fails with :class:`ZeroDcScope2` (an invented equal split
     would be unauditable), otherwise every tenant's share is simply zero.
-    Passing ``datacenters`` enables that check; without it a zero total
-    silently yields zero shares.
     """
     dc_total: dict[str, float] = {}
     for entry in scope2:
         dc_total[entry.datacenter_id] = (dc_total.get(entry.datacenter_id, 0.0)
                                          + entry.emissions.value)
 
-    if datacenters is not None:
-        for dc_id, total in sorted(dc_total.items()):
-            if total == 0.0:
-                dc = datacenters[dc_id]
-                has_scope1 = any(f.amount * f.emission_factor > 0 for f in dc.fuel_log)
-                if has_scope1 or dc.scope3_total.value > 0:
-                    raise ZeroDcScope2(dc_id)
+    for dc_id, total in sorted(dc_total.items()):
+        if total == 0.0:
+            dc = datacenters[dc_id]
+            has_scope1 = any(f.amount * f.emission_factor > 0 for f in dc.fuel_log)
+            if has_scope1 or dc.scope3_total.value > 0:
+                raise ZeroDcScope2(dc_id)
 
     out: list[ResponsibilityRatio] = []
     for entry in scope2:
         total = dc_total[entry.datacenter_id]
         lam = entry.emissions.value / total if total > 0.0 else 0.0
-        l_share = tenants[entry.tenant_id].l_share
         out.append(ResponsibilityRatio(
             tenant_id=entry.tenant_id,
             datacenter_id=entry.datacenter_id,
             scope2_share=Share(lam),
-            l_share=l_share,
-            ratio=Share(lam * l_share.value),
+            l_share=entry.l_share,
+            ratio=Share(lam * entry.l_share.value),
         ))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Stages 3-4: Scopes 1 and 3, gross and net
+# Stages 3-4: Scopes 1 and 3, gross and net, per tenant
 # ---------------------------------------------------------------------------
 
 
-def compute_scope1(dc: DataCenter, responsibility: ResponsibilityRatio) -> EmissionsG:
-    """The tenant's share of on-site fuel emissions (generators and the like)."""
-    total = 0.0
-    for entry in sorted(dc.fuel_log, key=lambda f: f.device_id):
-        total += entry.amount * entry.emission_factor * responsibility.ratio.value
-    return EmissionsG(total)
+def compute_footprints(raw: RawData,
+                       models: Mapping[str, ServerPowerModel]) -> list[Footprint]:
+    """Run the full pipeline for every tenant in the period.
 
-
-def compute_scope3(dc: DataCenter, responsibility: ResponsibilityRatio) -> EmissionsG:
-    """The tenant's share of the data center's indirect emissions total."""
-    return EmissionsG(dc.scope3_total.value * responsibility.ratio.value)
-
-
-def compute_gross_tcf(breakdown: ScopeBreakdown) -> EmissionsG:
-    """Total carbon footprint: the three scopes summed."""
-    return EmissionsG(breakdown.scope1.value + breakdown.scope2.value
-                      + breakdown.scope3.value)
-
-
-def compute_net_tcf(gross: EmissionsG, dc: DataCenter,
-                    responsibility: ResponsibilityRatio) -> NetTcf:
-    """Gross minus the tenant's share of green energy and certificate offsets.
+    Output order is deterministic (tenant id ascending, data center id
+    ascending within each tenant). The result depends on ``raw`` and
+    ``models`` alone, so every footprint's ``history`` is empty; callers
+    attach prior months with ``dataclasses.replace``.
 
     Offsets scale by the tenant's responsibility ratio, so no tenant's net
     changes when another tenant's figures do. Net may be negative when a data
     center is over-offset; that is flagged, not clamped.
     """
-    r = responsibility.ratio.value
-    green = dc.green_energy.value * dc.grid_intensity.value * r
-    rec = dc.rec_offset.value * r
-    net = gross.value - green - rec
-    return NetTcf(
-        net=EmissionsG(net, allow_negative=True),
-        green_offset=EmissionsG(green),
-        rec_offset=EmissionsG(rec),
-        over_offset=net < 0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Orchestration
-# ---------------------------------------------------------------------------
-
-
-def compute_footprints(raw: RawData,
-                       models: Mapping[str, ServerPowerModel],
-                       history_store: "HistoryStore | None" = None) -> list[Footprint]:
-    """Run the full pipeline for every tenant in the period.
-
-    Output order is deterministic (tenant id ascending, data center id
-    ascending within each tenant). Up to two prior periods are attached from
-    the history store when present.
-    """
     scope2 = compute_scope2(raw, models)
-    ratios = compute_responsibility_ratios(scope2, raw.tenants, raw.datacenters)
+    ratios = compute_responsibility_ratios(scope2, raw.datacenters)
     scope2_by_key = {(s.tenant_id, s.datacenter_id): s for s in scope2}
     ratio_by_key = {(r.tenant_id, r.datacenter_id): r for r in ratios}
 
@@ -507,12 +443,21 @@ def compute_footprints(raw: RawData,
             dc = raw.datacenters[dc_id]
             s2 = scope2_by_key[(tenant_id, dc_id)]
             resp = ratio_by_key[(tenant_id, dc_id)]
+            r = resp.ratio.value
             c = dc.grid_intensity.value
             l = tenant.l_share.value
+            scope1 = 0.0
+            for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
+                scope1 += fuel.amount * fuel.emission_factor * r
+            scope3 = dc.scope3_total.value * r
+            gross = scope1 + s2.emissions.value + scope3
+            green = dc.green_energy.value * c * r
+            rec = dc.rec_offset.value * r
+            net = gross - green - rec
             breakdown = ScopeBreakdown(
-                scope1=compute_scope1(dc, resp),
+                scope1=EmissionsG(scope1),
                 scope2=s2.emissions,
-                scope3=compute_scope3(dc, resp),
+                scope3=EmissionsG(scope3),
                 scope2_components={
                     "server": ScopeComponent(
                         s2.e_server, EmissionsG(s2.e_server.value * c * l)),
@@ -524,8 +469,6 @@ def compute_footprints(raw: RawData,
                         s2.e_other, EmissionsG(s2.e_other.value * c * l)),
                 },
             )
-            gross = compute_gross_tcf(breakdown)
-            net = compute_net_tcf(gross, dc, resp)
             per_dc.append(DcFootprint(
                 datacenter_id=dc_id,
                 name=dc.name,
@@ -533,19 +476,15 @@ def compute_footprints(raw: RawData,
                 grid_intensity=dc.grid_intensity,
                 responsibility=resp,
                 breakdown=breakdown,
-                gross=gross,
-                net=net.net,
-                green_offset=net.green_offset,
-                rec_offset=net.rec_offset,
-                over_offset=net.over_offset,
+                gross=EmissionsG(gross),
+                net=EmissionsG(net, allow_negative=True),
+                green_offset=EmissionsG(green),
+                rec_offset=EmissionsG(rec),
+                over_offset=net < 0.0,
                 devices=s2.per_device,
             ))
-            gross_total += gross.value
-            net_total += net.net.value
-
-        history: tuple[HistoryEntry, ...] = ()
-        if history_store is not None:
-            history = history_store.prior_entries(tenant_id, raw.period, limit=2)
+            gross_total += gross
+            net_total += net
 
         footprints.append(Footprint(
             tenant_id=tenant_id,
@@ -556,7 +495,6 @@ def compute_footprints(raw: RawData,
             gross_total=EmissionsG(gross_total),
             net_total=EmissionsG(net_total, allow_negative=True),
             per_agent=EmissionsG(gross_total / tenant.agent_count),
-            history=history,
         ))
     return footprints
 

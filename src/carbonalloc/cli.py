@@ -27,7 +27,6 @@ from .allocation import (
     conservation_audit,
 )
 from .errors import (
-    AllocationError,
     CarbonAllocError,
     IngestError,
     PowerModelError,
@@ -45,6 +44,7 @@ from .report import (
     DEFAULT_TREND_THRESHOLDS,
     EquivalencyFactors,
     ReportError,
+    _load_doc,
     factors_from_json,
     footprint_from_json,
     load_equivalency_factors,
@@ -136,14 +136,6 @@ def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
     return EXIT_COMPUTATION if failures else EXIT_OK
 
 
-def _load_for_compute(config: RunConfig):
-    raw = load_input_dir(config.input_dir, config.period)
-    raw = _apply_l_share(raw, config.l_share_override)
-    models = read_models(config.models_file)
-    factors = load_equivalency_factors(config.equivalency_file)
-    return raw, models, factors
-
-
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
                    config: RunConfig, history: HistoryStore) -> list[Path]:
     """Render every report, then write them in deterministic order, so a
@@ -167,21 +159,11 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
 
 def cmd_compute(config: RunConfig) -> int:
     """Run the full monthly pipeline: ingest, compute, audit, render."""
-    try:
-        raw, models, factors = _load_for_compute(config)
-    except ValidationFailure as exc:
-        _print_validation_failure(exc)
-        return EXIT_VALIDATION
-    except (IngestError, ReportError, UnitError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-
-    history = HistoryStore(config.history_dir)
-    try:
-        footprints = compute_footprints(raw, models, history)
-    except (PowerModelError, AllocationError) as exc:
-        _err(f"computation failed: {exc}")
-        return EXIT_COMPUTATION
+    raw = _apply_l_share(load_input_dir(config.input_dir, config.period),
+                         config.l_share_override)
+    models = read_models(config.models_file)
+    factors = load_equivalency_factors(config.equivalency_file)
+    footprints = compute_footprints(raw, models)
 
     audit = conservation_audit(footprints, raw, models)
     _print_audit_summary(audit)
@@ -189,6 +171,9 @@ def cmd_compute(config: RunConfig) -> int:
         _err("conservation audit failed; no reports written")
         return EXIT_AUDIT_MISMATCH
 
+    history = HistoryStore(config.history_dir)
+    footprints = [replace(fp, history=history.prior_entries(fp.tenant_id, fp.period))
+                  for fp in footprints]
     _write_reports(footprints, factors, config, history)
 
     print(f"{'tenant':<16} {'gross_g':>18} {'net_g':>18} {'per_agent_g':>14}")
@@ -232,39 +217,25 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               l_share_override: Share | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
-        stored_text = report_file.read_text(encoding="utf-8")
-        stored_doc = json.loads(stored_text)
+        stored_doc = _load_doc(report_file.read_bytes())
         tenant_id = str(stored_doc["tenant"]["tenantId"])
         period = Period.parse(stored_doc["period"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, UnitError) as exc:
+    except (OSError, ReportError, KeyError, TypeError, UnitError) as exc:
         _err(f"cannot read report under audit: {exc!r}")
         return EXIT_VALIDATION
 
-    try:
-        raw = load_input_dir(input_dir, period)
-        raw = _apply_l_share(raw, l_share_override)
-        models = read_models(models_file)
-        factors = (load_equivalency_factors(equivalency_file)
-                   if equivalency_file is not None
-                   else factors_from_json(stored_doc))
-    except ValidationFailure as exc:
-        _print_validation_failure(exc)
-        return EXIT_VALIDATION
-    except (IngestError, ReportError, UnitError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-
-    history = HistoryStore(history_dir) if history_dir is not None else None
-    try:
-        footprints = compute_footprints(raw, models, history)
-    except (PowerModelError, AllocationError) as exc:
-        _err(f"recomputation failed: {exc}")
-        return EXIT_COMPUTATION
-
-    fp = next((f for f in footprints if f.tenant_id == tenant_id), None)
+    raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
+    models = read_models(models_file)
+    factors = (load_equivalency_factors(equivalency_file)
+               if equivalency_file is not None else factors_from_json(stored_doc))
+    fp = next((f for f in compute_footprints(raw, models)
+               if f.tenant_id == tenant_id), None)
     if fp is None:
         _err(f"tenant {tenant_id!r} not present in the provided inputs")
         return EXIT_COMPUTATION
+    if history_dir is not None:
+        fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
+            tenant_id, period))
 
     expected = render_json(fp, factors).content
     canonical_stored = (json.dumps(stored_doc, indent=2, ensure_ascii=False)
@@ -274,8 +245,14 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               f"({tenant_id}, {period})")
         return EXIT_OK
 
+    expected_doc = json.loads(expected)
     diffs: list[tuple[str, Any, Any]] = []
-    _diff_json(json.loads(expected.decode("utf-8")), stored_doc, "", diffs)
+    _diff_json(expected_doc, stored_doc, "", diffs)
+    if not diffs and (json.dumps(expected_doc, sort_keys=True)
+                      == json.dumps(stored_doc, sort_keys=True)):
+        _err(f"audit FAIL: {report_file} has the recomputed values, but its "
+             "key order differs from the canonical report")
+        return EXIT_AUDIT_MISMATCH
     _err(f"audit FAIL: {report_file} differs from recomputation "
          f"in {len(diffs)} field(s):")
     for field_path, exp, act in diffs:
@@ -464,9 +441,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IngestError, ReportError, UnitError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
-    except (PowerModelError, AllocationError) as exc:
-        _err(str(exc))
-        return EXIT_COMPUTATION
     except CarbonAllocError as exc:
         _err(str(exc))
         return EXIT_COMPUTATION

@@ -8,11 +8,11 @@ is carried for auditability.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 
 from .allocation import HistoryEntry
+from .report import ReportError, _load_doc
 from .units import EmissionsG, Period
 
 __all__ = ["HistoryStore"]
@@ -42,20 +42,18 @@ class HistoryStore:
         if not path.is_file():
             return None
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            summary = doc["summary"]
+            summary = _load_doc(path.read_bytes())["summary"]
             return HistoryEntry(
                 period=period,
                 gross=EmissionsG(float(summary["grossEmissions"])),
                 net=EmissionsG(float(summary["netEmissions"]), allow_negative=True),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (ReportError, KeyError, TypeError, ValueError) as exc:
             log.warning("unreadable history file %s: %s", path, exc)
             return None
 
-    def prior_entries(self, tenant_id: str, period: Period,
-                      limit: int = 2) -> tuple[HistoryEntry, ...]:
-        """The up-to-``limit`` immediately preceding months, most recent first.
+    def prior_entries(self, tenant_id: str, period: Period) -> tuple[HistoryEntry, ...]:
+        """The up to two immediately preceding months, most recent first.
 
         Only consecutive prior months are considered: a gap in the store ends
         the lookback (comparing against a stale non-adjacent month would be
@@ -64,7 +62,7 @@ class HistoryStore:
         """
         entries: list[HistoryEntry] = []
         cursor = period
-        for _ in range(limit):
+        for _ in range(2):
             if cursor == _EARLIEST:
                 break
             cursor = cursor.prev()

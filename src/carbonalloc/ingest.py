@@ -209,10 +209,10 @@ def _iter_csv(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str
 
 
 class _Header:
-    """Case-insensitive header with required/optional column lookup."""
+    """Case-insensitive header lookup; every ``required`` column must exist."""
 
     def __init__(self, source: str, line_no: int, cells: list[str],
-                 required: tuple[str, ...], optional: tuple[str, ...] = ()):
+                 required: tuple[str, ...]):
         self.source = source
         self._index: dict[str, int] = {}
         for i, name in enumerate(cells):
@@ -225,8 +225,6 @@ class _Header:
             raise MalformedRow(
                 source, line_no, "missing required column(s): " + ", ".join(missing)
             )
-        self._required = required
-        self._optional = optional
 
     def get(self, cells: list[str], line_no: int, column: str,
             default: str | None = None) -> str:
@@ -425,7 +423,6 @@ def read_datacenters(path: Path | str,
         source, header_line, header_cells,
         required=("datacenter_id", "name", "region", "grid_intensity",
                   "cooling_devices", "other_devices", "fuel_log"),
-        optional=("scope3_total", "green_energy", "rec_offset"),
     )
     out: dict[str, DataCenter] = {}
     for line_no, cells in rows:
@@ -477,7 +474,6 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
     header = _Header(
         source, header_line, header_cells,
         required=("tenant_id", "display_name", "agent_count", "datacenter_ids"),
-        optional=("l_share",),
     )
     out: dict[str, Tenant] = {}
     for line_no, cells in rows:

@@ -11,7 +11,6 @@ sent or received.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -82,8 +81,8 @@ class CalibrationSample:
 class ServerPowerModel:
     """Fitted per-device-model energy weights.
 
-    ``estimate`` applies the weights in a fixed term order so a given model
-    and usage row always reproduce the identical float result.
+    ``estimate_server_energy`` applies the weights in a fixed term order so a
+    given model and usage row always reproduce the identical float result.
     """
 
     device_model: str
@@ -93,9 +92,6 @@ class ServerPowerModel:
     w_dram: float
     w_disk: float
     adjusted_r2: float
-
-    def estimate(self, usage: ServerUsage) -> EnergyWh:
-        return estimate_server_energy(self, usage)
 
 
 def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSample, ...],

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 from .allocation import (
     DcFootprint,
@@ -87,11 +87,10 @@ class EquivalencyFactors:
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """A rendered report: tenant, period, format tag, and the bytes."""
+    """A rendered report: tenant, period, and the bytes."""
 
     tenant_id: str
     period: Period
-    format: str
     content: bytes
 
 
@@ -136,12 +135,10 @@ def compute_equivalencies(gross: EmissionsG,
     }
 
 
-def compute_trend(current: Footprint,
-                  history: Sequence[HistoryEntry] | None = None) -> list[TrendDelta]:
-    """Month-over-month deltas against up to two prior periods."""
-    entries = current.history if history is None else tuple(history)
+def compute_trend(current: Footprint) -> list[TrendDelta]:
+    """Month-over-month deltas against the footprint's prior periods."""
     deltas: list[TrendDelta] = []
-    for prior in entries:
+    for prior in current.history:
         if prior.gross.value == 0.0:
             pct: float | None = None
         else:
@@ -231,7 +228,7 @@ def _component_json(name: str, comp: ScopeComponent) -> str:
             f'            }}')
 
 
-def _dc_json(dc_id: str, dc: DcFootprint) -> str:
+def _dc_json(dc: DcFootprint) -> str:
     """One ``datacenters`` member: shares, totals, offsets and scopes."""
     maps: dict[str, dict[str, DeviceShare]] = {
         "server": {}, "network": {}, "cooling": {}, "other": {}}
@@ -240,7 +237,7 @@ def _dc_json(dc_id: str, dc: DcFootprint) -> str:
     b = dc.breakdown
     c = b.scope2_components
     r = dc.responsibility
-    return (f'    {_string(dc_id)}: {{\n'
+    return (f'    {_string(dc.datacenter_id)}: {{\n'
             f'      "name": {_string(dc.name)},\n'
             f'      "region": {_string(dc.region)},\n'
             f'      "gridIntensity": {dc.grid_intensity.value!r},\n'
@@ -330,11 +327,8 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
         green_total += dc.green_offset.value
         rec_total += dc.rec_offset.value
 
-    # A repeated data center id keeps its first position and its last value,
-    # as a dict built in per_dc order would.
-    dcs = {dc.datacenter_id: dc for dc in fp.per_dc}
-    if dcs:
-        dc_entries = ",\n".join(_dc_json(dc_id, dc) for dc_id, dc in dcs.items())
+    if fp.per_dc:
+        dc_entries = ",\n".join(_dc_json(dc) for dc in fp.per_dc)
         datacenters = f"{{\n{dc_entries}\n  }}"
     else:
         datacenters = "{}"
@@ -395,7 +389,7 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
             f'  "datacenters": {datacenters}\n'
             f'}}\n')
     return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
-                          format="json", content=text.encode("utf-8"))
+                          content=text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +397,31 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
 # ---------------------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ReportError(f"report JSON repeats the key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _load_doc(source: bytes | str | dict[str, Any]) -> dict[str, Any]:
+    """Parse a report strictly: UTF-8, valid JSON, an object, no repeated key.
+
+    ``json.loads`` keeps the last of two equal keys, while a reader of the
+    file (or another parser) may take the first, so a repeated key could
+    make a report say two different things; it is refused.
+    """
     if isinstance(source, dict):
         return source
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        doc = json.loads(source, object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ReportError("report JSON must be an object")
@@ -833,4 +844,4 @@ certificates. Total energy attributed this period:
 </html>
 """
     return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
-                          format="onepage", content=doc.encode("utf-8"))
+                          content=doc.encode("utf-8"))

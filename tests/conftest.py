@@ -9,6 +9,9 @@ exactly 1800000 g.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from carbonalloc.ingest import (
@@ -25,6 +28,16 @@ from carbonalloc.report import EquivalencyFactors
 from carbonalloc.units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
 
 FIXTURE_PERIOD = Period(2025, 6)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with ``src/`` on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def intercept_model(name: str, wh: float) -> ServerPowerModel:

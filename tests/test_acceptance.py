@@ -16,7 +16,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -42,6 +41,7 @@ from carbonalloc.units import (
     Period,
     emissions_from_energy,
 )
+from conftest import src_env
 
 REL_TOL_CONSERVATION = 1e-9   # residual bound for all conservation sums
 REL_TOL_WEIGHTS = 1e-6        # OLS weight recovery
@@ -143,8 +143,7 @@ def test_conservation_suite(criterion):
             )
             raw, models = fleet.raw, fleet.models
             scope2 = compute_scope2(raw, models)
-            ratios = compute_responsibility_ratios(scope2, raw.tenants,
-                                                   raw.datacenters)
+            ratios = compute_responsibility_ratios(scope2, raw.datacenters)
             share_sums: dict[str, float] = {}
             for r in ratios:
                 share_sums[r.datacenter_id] = (share_sums.get(r.datacenter_id, 0.0)
@@ -241,14 +240,14 @@ def test_scale_invariance(criterion):
         assert all(row.bytes_sent % 2 == 0 and row.bytes_received % 2 == 0
                    for row in raw.network)
         base = compute_responsibility_ratios(
-            compute_scope2(raw, models), raw.tenants, raw.datacenters)
+            compute_scope2(raw, models), raw.datacenters)
         baseline = {(r.tenant_id, r.datacenter_id):
                     (r.scope2_share.value, r.ratio.value) for r in base}
         for k in (0.5, 3.0, 10.0):
             scaled_raw, scaled_models = scale_fleet(raw, models, k)
             scaled = compute_responsibility_ratios(
                 compute_scope2(scaled_raw, scaled_models),
-                scaled_raw.tenants, scaled_raw.datacenters)
+                scaled_raw.datacenters)
             for r in scaled:
                 share0, ratio0 = baseline[(r.tenant_id, r.datacenter_id)]
                 assert math.isclose(r.scope2_share.value, share0,
@@ -309,7 +308,7 @@ def test_end_to_end_audit(criterion, tmp_path):
         def cli(*args: str) -> subprocess.CompletedProcess:
             return subprocess.run(
                 [sys.executable, "-m", "carbonalloc.cli", *args],
-                capture_output=True, text=True, timeout=60)
+                capture_output=True, text=True, timeout=60, env=src_env())
 
         fleet_dir = tmp_path / "fleet"
         out_dir = tmp_path / "out"

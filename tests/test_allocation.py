@@ -13,12 +13,8 @@ from carbonalloc.allocation import (
     ServerDeviceShare,
     TenantDcScope2,
     compute_footprints,
-    compute_gross_tcf,
-    compute_net_tcf,
     compute_responsibility_ratios,
-    compute_scope1,
     compute_scope2,
-    compute_scope3,
     conservation_audit,
 )
 from carbonalloc.errors import MissingModel, UnitError, ZeroDcScope2
@@ -32,7 +28,6 @@ from carbonalloc.ingest import (
     Tenant,
     assemble_raw_data,
 )
-from carbonalloc.power import ServerPowerModel
 from carbonalloc.report import render_json
 from carbonalloc.synth import generate_fleet
 from carbonalloc.units import (
@@ -163,7 +158,7 @@ class TestComputeScope2:
 class TestResponsibilityRatios:
     def test_sole_tenant_owns_everything(self, fictitious_raw, fictitious_models):
         scope2 = compute_scope2(fictitious_raw, fictitious_models)
-        (ratio,) = compute_responsibility_ratios(scope2, fictitious_raw.tenants,
+        (ratio,) = compute_responsibility_ratios(scope2,
                                                  fictitious_raw.datacenters)
         assert ratio.scope2_share.value == 1.0
         assert ratio.ratio.value == 1.0
@@ -172,17 +167,18 @@ class TestResponsibilityRatios:
         raw = two_tenant_raw()  # intensity 0.5: emissions 1250 and 3750
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
         ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
-            scope2, raw.tenants, raw.datacenters)}
+            scope2, raw.datacenters)}
         assert ratios["TENANT_A"].scope2_share.value == 0.25
         assert ratios["TENANT_B"].scope2_share.value == 0.75
 
     def test_ratio_is_share_times_load_share(self):
         raw = two_tenant_raw()
-        tenants = {tid: dataclasses.replace(t, l_share=Share(0.5))
-                   for tid, t in raw.tenants.items()}
+        raw = dataclasses.replace(raw, tenants={
+            tid: dataclasses.replace(t, l_share=Share(0.5))
+            for tid, t in raw.tenants.items()})
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
         ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
-            scope2, tenants)}
+            scope2, raw.datacenters)}
         assert ratios["TENANT_A"].ratio.value == 0.25 * 0.5
         assert ratios["TENANT_B"].ratio.value == 0.75 * 0.5
 
@@ -190,8 +186,7 @@ class TestResponsibilityRatios:
         fleet = generate_fleet(seed=5, n_tenants=9, n_dcs=2)
         scope2 = compute_scope2(fleet.raw, fleet.models)
         by_dc: dict[str, float] = {}
-        for r in compute_responsibility_ratios(scope2, fleet.raw.tenants,
-                                               fleet.raw.datacenters):
+        for r in compute_responsibility_ratios(scope2, fleet.raw.datacenters):
             by_dc[r.datacenter_id] = by_dc.get(r.datacenter_id, 0.0) + r.scope2_share.value
         for total in by_dc.values():
             assert math.isclose(total, 1.0, rel_tol=1e-9)
@@ -205,7 +200,7 @@ class TestResponsibilityRatios:
         )
         scope2 = compute_scope2(raw, {})
         with pytest.raises(ZeroDcScope2):
-            compute_responsibility_ratios(scope2, raw.tenants, raw.datacenters)
+            compute_responsibility_ratios(scope2, raw.datacenters)
 
     def test_zero_scope2_with_nothing_to_distribute_is_all_zero(self):
         dc = make_dc()
@@ -215,8 +210,7 @@ class TestResponsibilityRatios:
             servers=(), network=(),
         )
         scope2 = compute_scope2(raw, {})
-        (ratio,) = compute_responsibility_ratios(scope2, raw.tenants,
-                                                 raw.datacenters)
+        (ratio,) = compute_responsibility_ratios(scope2, raw.datacenters)
         assert ratio.scope2_share.value == 0.0
         assert ratio.ratio.value == 0.0
 
@@ -227,78 +221,73 @@ class TestResponsibilityRatios:
                                 ratio=Share(0.3))
 
 
-def quarter_ratio() -> ResponsibilityRatio:
-    return ResponsibilityRatio(tenant_id="TENANT_A", datacenter_id="DC_EU1",
-                               scope2_share=Share(0.25), l_share=Share(1.0),
-                               ratio=Share(0.25))
+def tenant_a_dc(**dc_kwargs) -> DcFootprint:
+    """TENANT_A's footprint in ``two_tenant_raw``, where its ratio is 0.25.
+
+    A shared cooling device of 4(x - 2500) Wh raises TENANT_A's Scope 2
+    energy to x Wh and TENANT_B's to 3x Wh, so the ratio stays 0.25.
+    """
+    fp = compute_footprints(two_tenant_raw(**dc_kwargs), TWO_TENANT_MODELS)[0]
+    (dc,) = fp.per_dc
+    assert (fp.tenant_id, dc.responsibility.ratio.value) == ("TENANT_A", 0.25)
+    return dc
 
 
 class TestScope1:
     def test_fuel_share_is_exact(self):
-        dc = make_dc(fuel=(("GEN_1", 1000.0, 2.5),))
-        assert compute_scope1(dc, quarter_ratio()).value == 625.0
+        dc = tenant_a_dc(fuel=(("GEN_1", 1000.0, 2.5),))
+        assert dc.breakdown.scope1.value == 625.0
 
     def test_multiple_devices_summed(self):
-        dc = make_dc(fuel=(("GEN_2", 500.0, 2.0), ("GEN_1", 1000.0, 2.5)))
-        assert compute_scope1(dc, quarter_ratio()).value == 625.0 + 250.0
+        dc = tenant_a_dc(fuel=(("GEN_2", 500.0, 2.0), ("GEN_1", 1000.0, 2.5)))
+        assert dc.breakdown.scope1.value == 625.0 + 250.0
 
     def test_no_fuel_is_zero(self):
-        assert compute_scope1(make_dc(), quarter_ratio()).value == 0.0
+        assert tenant_a_dc().breakdown.scope1.value == 0.0
 
 
 class TestScope3:
     def test_share_of_total_is_exact(self):
-        dc = make_dc(scope3=500000.0)
-        assert compute_scope3(dc, quarter_ratio()).value == 125000.0
+        assert tenant_a_dc(scope3=500000.0).breakdown.scope3.value == 125000.0
 
     def test_zero_total(self):
-        assert compute_scope3(make_dc(), quarter_ratio()).value == 0.0
+        assert tenant_a_dc().breakdown.scope3.value == 0.0
 
 
 class TestGrossAndNet:
-    @staticmethod
-    def _breakdown(scope1, scope2_energy, scope3, c=0.5):
-        scope2 = EmissionsG(scope2_energy * c)
-        components = {
-            "server": ScopeComponent(EnergyWh(scope2_energy), scope2),
-            "network": ScopeComponent(EnergyWh(0.0), EmissionsG(0.0)),
-            "cooling": ScopeComponent(EnergyWh(0.0), EmissionsG(0.0)),
-            "other": ScopeComponent(EnergyWh(0.0), EmissionsG(0.0)),
-        }
-        return ScopeBreakdown(EmissionsG(scope1), scope2, EmissionsG(scope3),
-                              scope2_components=components)
-
     def test_gross_is_scope_sum(self):
-        bd = self._breakdown(625.0, 1440000.0, 125000.0)  # scope2 = 720000 g
-        assert compute_gross_tcf(bd).value == 845625.0
+        dc = tenant_a_dc(cooling=(("CRAC_1", 5750000.0),),  # scope2 = 720000 g
+                         fuel=(("GEN_1", 1000.0, 2.5),), scope3=500000.0)
+        assert dc.breakdown.scope2.value == 720000.0
+        assert dc.gross.value == 845625.0
 
     def test_net_subtracts_scaled_offsets(self):
-        dc = make_dc(intensity=0.4, green=1000000.0, rec=200000.0)
-        full = ResponsibilityRatio("T", "D", Share(1.0), Share(1.0), Share(1.0))
-        result = compute_net_tcf(EmissionsG(1800000.0), dc, full)
-        assert result.green_offset.value == 400000.0
-        assert result.rec_offset.value == 200000.0
-        assert result.net.value == 1200000.0
-        assert not result.over_offset
+        dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 17990000.0),),
+                         green=4000000.0, rec=800000.0)
+        assert dc.gross.value == 1800000.0
+        assert dc.green_offset.value == 400000.0
+        assert dc.rec_offset.value == 200000.0
+        assert dc.net.value == 1200000.0
+        assert not dc.over_offset
 
     def test_offsets_scale_by_responsibility(self):
-        dc = make_dc(intensity=0.4, green=1000000.0, rec=200000.0)
-        result = compute_net_tcf(EmissionsG(450000.0), dc, quarter_ratio())
-        assert result.green_offset.value == 100000.0
-        assert result.rec_offset.value == 50000.0
-        assert result.net.value == 300000.0
+        dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 4490000.0),),
+                         green=1000000.0, rec=200000.0)
+        assert dc.gross.value == 450000.0
+        assert dc.green_offset.value == 100000.0
+        assert dc.rec_offset.value == 50000.0
+        assert dc.net.value == 300000.0
 
     def test_zero_offsets_leave_gross_untouched(self):
-        result = compute_net_tcf(EmissionsG(1800000.0), make_dc(), quarter_ratio())
-        assert result.net.value == 1800000.0
-        assert not result.over_offset
+        dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 17990000.0),))
+        assert dc.net.value == 1800000.0
+        assert not dc.over_offset
 
     def test_over_offset_goes_negative_and_is_flagged(self):
-        dc = make_dc(rec=500.0)
-        full = ResponsibilityRatio("T", "D", Share(1.0), Share(1.0), Share(1.0))
-        result = compute_net_tcf(EmissionsG(100.0), dc, full)
-        assert result.net.value == -400.0
-        assert result.over_offset
+        dc = tenant_a_dc(intensity=0.04, rec=2000.0)
+        assert dc.gross.value == 100.0
+        assert dc.net.value == -400.0
+        assert dc.over_offset
 
 
 class TestComputeFootprints:
@@ -408,8 +397,9 @@ class TestComputeFootprints:
             (fp,) = compute_footprints(raw, fictitious_models)
             doc = render_json(fp, factors)
             store.save(fp.tenant_id, fp.period, doc.content)
-        (fp,) = compute_footprints(fictitious_raw, fictitious_models,
-                                   history_store=store)
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        fp = dataclasses.replace(
+            fp, history=store.prior_entries(fp.tenant_id, fp.period))
         assert [str(h.period) for h in fp.history] == ["2025-05", "2025-04"]
         assert fp.history[0].gross.value == 1800000.0
 
@@ -420,9 +410,22 @@ class TestComputeFootprints:
             raw = dataclasses.replace(fictitious_raw, period=Period(2025, month))
             (fp,) = compute_footprints(raw, fictitious_models)
             store.save(fp.tenant_id, fp.period, render_json(fp, factors).content)
-        (fp,) = compute_footprints(fictitious_raw, fictitious_models,
-                                   history_store=store)
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        fp = dataclasses.replace(
+            fp, history=store.prior_entries(fp.tenant_id, fp.period))
         assert [str(h.period) for h in fp.history] == ["2025-05"]
+
+    def test_repeated_datacenter_id_rejected(self, fictitious_raw,
+                                             fictitious_models):
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        (dc,) = fp.per_dc
+        gross = dc.gross.value + dc.gross.value
+        with pytest.raises(UnitError, match="DC_EU1"):
+            dataclasses.replace(
+                fp, per_dc=(dc, dc), gross_total=EmissionsG(gross),
+                net_total=EmissionsG(dc.net.value + dc.net.value,
+                                     allow_negative=True),
+                per_agent=EmissionsG(gross / fp.agent_count))
 
     def test_no_history_store_means_no_history(self, fictitious_raw,
                                                fictitious_models):

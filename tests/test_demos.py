@@ -5,11 +5,12 @@ entries, HTML pages and the fleet CSVs. Any change to what the program writes
 shows up here as a named file.
 """
 
-import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -23,9 +24,7 @@ def tree(root: Path) -> dict[str, bytes]:
 def test_demos_reproduce_tracked_output(tmp_path):
     demos = tmp_path / "demos"
     shutil.copytree(DEMOS, demos, ignore=shutil.ignore_patterns("output"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = src_env()
     scripts = sorted(demos.glob("[0-9][0-9]_*.py"))
     assert len(scripts) == 4
     for script in scripts:

@@ -124,6 +124,15 @@ class TestRenderJson:
         assert b'"pctChange": Infinity\n' in content
         assert render_json(footprint_from_json(content), factors).content == content
 
+    def test_duplicate_key_rejected_naming_it(self, fixture_doc):
+        text = fixture_doc.content.decode("utf-8")
+        forged = text.replace('"summary": {\n',
+                              '"summary": {\n    "grossEmissions": 1.0,\n', 1)
+        with pytest.raises(ReportError, match="grossEmissions"):
+            footprint_from_json(forged)
+        with pytest.raises(ReportError, match="grossEmissions"):
+            factors_from_json(forged.encode("utf-8"))
+
     @pytest.mark.parametrize("value", [True, "1", None, float("nan")])
     def test_non_numeric_device_counter_rejected(self, fixture_doc, value):
         doc = json.loads(fixture_doc.content)
@@ -149,8 +158,9 @@ class TestRenderJson:
         (prior,) = compute_footprints(prior_raw, fictitious_models)
         store.save(prior.tenant_id, prior.period,
                    render_json(prior, factors).content)
-        (fp,) = compute_footprints(fictitious_raw, fictitious_models,
-                                   history_store=store)
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        fp = dataclasses.replace(
+            fp, history=store.prior_entries(fp.tenant_id, fp.period))
         doc = json.loads(render_json(fp, factors).content)
         (entry,) = doc["summary"]["history"]
         assert entry["period"] == "2025-05"
@@ -201,14 +211,16 @@ class TestTrend:
         from carbonalloc.allocation import HistoryEntry
         history = (HistoryEntry(Period(2025, 5), EmissionsG(2000000.0),
                                 EmissionsG(2000000.0)),)
-        (delta,) = compute_trend(fixture_footprint, history)
+        fp = dataclasses.replace(fixture_footprint, history=history)
+        (delta,) = compute_trend(fp)
         assert delta.pct_change == pytest.approx(-10.0)
 
     def test_zero_prior_yields_no_percentage(self, fixture_footprint):
         from carbonalloc.allocation import HistoryEntry
         history = (HistoryEntry(Period(2025, 5), EmissionsG(0.0),
                                 EmissionsG(0.0)),)
-        (delta,) = compute_trend(fixture_footprint, history)
+        fp = dataclasses.replace(fixture_footprint, history=history)
+        (delta,) = compute_trend(fp)
         assert delta.pct_change is None
 
     def test_no_history_no_deltas(self, fixture_footprint):
@@ -342,11 +354,23 @@ class TestHistoryStore:
             assert store.load_entry("TENANT_X", Period(2025, 5)) is None
         assert any("2025-05" in rec.message for rec in caplog.records)
 
+    def test_duplicate_key_entry_skipped_with_warning(self, tmp_path, caplog,
+                                                      fixture_doc):
+        store = HistoryStore(tmp_path)
+        text = fixture_doc.content.decode("utf-8")
+        store.save("TENANT_X", Period(2025, 5), text.replace(
+            '"summary": {\n', '"summary": {\n    "grossEmissions": 1.0,\n',
+            1).encode("utf-8"))
+        import logging
+        with caplog.at_level(logging.WARNING, logger="carbonalloc.history"):
+            assert store.load_entry("TENANT_X", Period(2025, 5)) is None
+        assert any("grossEmissions" in rec.getMessage() for rec in caplog.records)
+
     def test_prior_entries_limit_two(self, tmp_path, fixture_doc):
         store = HistoryStore(tmp_path)
         for month in (2, 3, 4, 5):
             store.save("TENANT_X", Period(2025, month), fixture_doc.content)
-        entries = store.prior_entries("TENANT_X", Period(2025, 6), limit=2)
+        entries = store.prior_entries("TENANT_X", Period(2025, 6))
         assert [str(e.period) for e in entries] == ["2025-05", "2025-04"]
 
     def test_lookback_stops_at_earliest_period(self, tmp_path, fixture_doc):

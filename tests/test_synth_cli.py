@@ -15,10 +15,12 @@ from carbonalloc.cli import (
     EXIT_VALIDATION,
     main,
 )
+from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import load_input_dir
 from carbonalloc.report import ReportError
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import Period
+from conftest import src_env
 
 
 def write_factors(tmp_path: Path) -> Path:
@@ -262,6 +264,66 @@ class TestAuditCommand:
         bad.write_text("{", encoding="utf-8")
         assert run_audit(workspace, bad) == EXIT_VALIDATION
 
+    def test_non_utf8_report_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"tenant": "\xff"}')
+        assert run_audit(workspace, bad) == EXIT_VALIDATION
+        assert "cannot read report under audit" in capsys.readouterr().err
+
+    def test_duplicate_key_exits_1_naming_it(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        text = report.read_text(encoding="utf-8")
+        forged = text.replace('"summary": {\n',
+                              '"summary": {\n    "grossEmissions": 1.0,\n', 1)
+        assert forged != text
+        report.write_text(forged, encoding="utf-8")
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "cannot read report under audit" in err
+        assert "grossEmissions" in err
+
+    def test_reordered_keys_fail_naming_key_order(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        report.write_text(json.dumps(dict(reversed(doc.items())), indent=2),
+                          encoding="utf-8")
+        assert run_audit(workspace, report) == EXIT_AUDIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "key order differs from the canonical report" in err
+        assert "0 field(s)" not in err
+
+    def test_missing_model_exits_2(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        models = workspace["models"]
+        lines = models.read_text().splitlines()
+        models.write_text("\n".join(ln for ln in lines
+                                    if not ln.startswith("MODEL_A")) + "\n")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_COMPUTATION
+        assert "MODEL_A" in capsys.readouterr().err
+
+    def test_reads_only_the_audited_tenants_history(self, workspace,
+                                                     monkeypatch):
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        assert run_compute(workspace, period="2025-06") == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        real = HistoryStore.load_entry
+        reads = []
+
+        def counting(self, tenant_id, period):
+            reads.append((tenant_id, str(period)))
+            return real(self, tenant_id, period)
+
+        monkeypatch.setattr(HistoryStore, "load_entry", counting)
+        assert run_audit(workspace, report,
+                         extra=["--history-dir",
+                                str(workspace["out"] / "history")]) == EXIT_OK
+        assert len(reads) <= 2
+        assert {tenant for tenant, _ in reads} == {"TENANT_02"}
+
 
 class TestReportCommand:
     def test_rerender_reproduces_json_byte_for_byte(self, workspace):
@@ -286,6 +348,19 @@ class TestReportCommand:
         assert "'../../escape'" in capsys.readouterr().err
         assert not rerender_dir.exists()
         assert not (workspace["root"] / "escape").exists()
+
+    def test_duplicate_key_exits_1(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+        text = report.read_text(encoding="utf-8")
+        report.write_text(text.replace('"summary": {\n',
+                                       '"summary": {\n    "grossEmissions": 1.0,\n',
+                                       1), encoding="utf-8")
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
+        assert "grossEmissions" in capsys.readouterr().err
+        assert not rerender_dir.exists()
 
 
 class TestCalibrateCommand:
@@ -338,7 +413,7 @@ class TestCalibrateCommand:
 
 def test_console_script_is_wired():
     proc = subprocess.run([sys.executable, "-m", "carbonalloc.cli", "--help"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=src_env())
     assert proc.returncode == 0
     for command in ("calibrate", "compute", "report", "audit", "synth"):
         assert command in proc.stdout
