@@ -26,7 +26,8 @@ class IngestError(CarbonAllocError):
 
 
 class MalformedRow(IngestError):
-    """A CSV line could not be parsed (column count, bad number, bad header)."""
+    """A CSV line could not be parsed (column count, bad number, bad header)
+    or written (a value the format cannot carry)."""
 
     def __init__(self, source: str, line_no: int, reason: str):
         self.source = source

@@ -1,9 +1,22 @@
-"""CSV ingestion for the four period input files.
+"""CSV ingestion: the table format of every CSV, and the four period input files.
 
 Every input file is a UTF-8 CSV whose first line must be the literal comment
 ``# schema_version=1``. Headers are matched case-insensitively and unknown
 columns are ignored, so exports may carry extra operator columns without
-breaking ingestion. Blank lines and ``#`` comment lines are skipped.
+breaking ingestion. :func:`read_table` reads every such file, including the
+power models and calibration samples, by these rules:
+
+* RFC 4180 quoting: a quoted cell may hold ``,``, a doubled ``"`` and line
+  breaks. Only CR and LF end a line (U+2028 and the like are cell text).
+* Blank records, and records whose first cell starts with ``#``, are
+  skipped.
+* Surrounding whitespace is stripped from every cell.
+* Line numbers name the record's first line.
+* Undecodable or oversized input, and a quote left open, are a
+  ``file:line`` :class:`MalformedRow`.
+
+:func:`write_table` writes the same format and refuses a value it cannot
+carry (a first cell starting with ``#``, or surrounding whitespace).
 
 Files and their required columns:
 
@@ -32,11 +45,13 @@ collected in bulk by :func:`assemble_raw_data` and raised together as one
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateDevice,
@@ -67,6 +82,8 @@ __all__ = [
     "load_input_dir",
     "INPUT_FILE_NAMES",
     "ID_PATTERN",
+    "read_table",
+    "write_table",
 ]
 
 SCHEMA_LINE = "# schema_version=1"
@@ -183,119 +200,201 @@ class RawData:
 
 
 # ---------------------------------------------------------------------------
-# Low-level CSV plumbing
+# The CSV table format
 # ---------------------------------------------------------------------------
 
 
-def _iter_csv(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, cells) for content rows, enforcing the schema line."""
-    it = iter(lines)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise MalformedRow(source, 1, "empty file; expected schema comment "
-                                      f"{SCHEMA_LINE!r}") from None
-    if first.strip().replace(" ", "") != SCHEMA_LINE.replace(" ", ""):
-        raise MalformedRow(
-            source, 1,
-            f"first line must be {SCHEMA_LINE!r}, got {first.strip()!r}",
-        )
-    for line_no, raw in enumerate(it, start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = next(csv.reader([raw]))
-        yield line_no, [c.strip() for c in cells]
+class _Row:
+    """One record of a table, with getters that parse a named column.
 
+    Every error a getter raises carries the record's file and first line.
+    """
 
-class _Header:
-    """Case-insensitive header lookup; every ``required`` column must exist."""
+    __slots__ = ("source", "line_no", "_cells", "_index")
 
     def __init__(self, source: str, line_no: int, cells: list[str],
-                 required: tuple[str, ...]):
+                 index: dict[str, int]):
         self.source = source
-        self._index: dict[str, int] = {}
-        for i, name in enumerate(cells):
-            key = name.lower()
-            if key in self._index:
-                raise MalformedRow(source, line_no, f"duplicate column {name!r}")
-            self._index[key] = i
-        missing = [c for c in required if c not in self._index]
-        if missing:
-            raise MalformedRow(
-                source, line_no, "missing required column(s): " + ", ".join(missing)
-            )
+        self.line_no = line_no
+        self._cells = cells
+        self._index = index
 
-    def get(self, cells: list[str], line_no: int, column: str,
-            default: str | None = None) -> str:
-        i = self._index.get(column)
-        if i is None or i >= len(cells):
-            if default is not None:
-                return default
-            raise MalformedRow(self.source, line_no, f"missing value for {column!r}")
-        text = cells[i]
-        if not text and default is not None:
+    @property
+    def ref(self) -> str:
+        return f"{self.source}:{self.line_no}"
+
+    def error(self, reason: str) -> MalformedRow:
+        return MalformedRow(self.source, self.line_no, reason)
+
+    def out_of_range(self, label: str, value: float, bounds: str) -> RangeError:
+        return RangeError(self.source, self.line_no, label, value, bounds)
+
+    def text(self, column: str, default: str | None = None) -> str:
+        """The stripped cell; ``default`` stands in for an absent or empty one."""
+        try:
+            text = self._cells[self._index[column]]
+        except (KeyError, IndexError):
+            if default is None:
+                raise self.error(f"missing value for {column!r}") from None
             return default
-        if not text:
-            raise MalformedRow(self.source, line_no, f"empty value for {column!r}")
+        if text:
+            return text
+        if default is None:
+            raise self.error(f"empty value for {column!r}")
+        return default
+
+    def number(self, column: str, default: str | None = None) -> float:
+        return self.parse_number(self.text(column, default), column)
+
+    def nonneg(self, column: str, default: str | None = None) -> float:
+        return self.parse_nonneg(self.text(column, default), column)
+
+    def id(self, column: str) -> str:
+        return self.parse_id(self.text(column), column)
+
+    def byte_count(self, column: str) -> int:
+        """A whole byte count in [0, 2**64), never rounded.
+
+        Digit-only cells are parsed as int. Other spellings (``1e12``,
+        ``5.0``) go through float, so they must stay below 2**53 to be exact.
+        """
+        text = self.text(column)
+        if text.isascii() and text.isdigit():
+            try:
+                value = int(text)
+            except ValueError:  # more digits than int() converts
+                value = math.inf
+            if value >= _BYTE_COUNT_LIMIT:
+                raise self.out_of_range(column, value, "[0, 2**64)")
+            return value
+        number = self.parse_nonneg(text, column)
+        if number != int(number):
+            raise self.out_of_range(column, number, "whole numbers")
+        if number >= _FLOAT_EXACT_LIMIT:
+            raise self.out_of_range(column, number,
+                                    "[0, 2**53) unless written as plain digits")
+        return int(number)
+
+    # Parsers for the parts of a multi-value cell, labelled by the caller.
+
+    def parse_number(self, text: str, label: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise self.error(f"{label}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise self.error(f"{label}: non-finite value {text!r}")
+        return value
+
+    def parse_nonneg(self, text: str, label: str) -> float:
+        value = self.parse_number(text, label)
+        if value < 0:
+            raise self.out_of_range(label, value, "[0, inf)")
+        return value
+
+    def parse_id(self, text: str, label: str) -> str:
+        if ID_PATTERN.fullmatch(text) is None:
+            raise self.error(
+                f"{label}: {text!r} is not a valid id (letters, digits, '_', '.' "
+                "and '-', starting with a letter or digit)")
         return text
 
 
-def _parse_float(text: str, source: str, line_no: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(source, line_no,
-                           f"{column}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(source, line_no, f"{column}: non-finite value {text!r}")
-    return value
+def read_table(path: Path | str, source: str | None,
+               required: tuple[str, ...]) -> Iterator[_Row]:
+    """Yield the records after a table's schema line and header.
 
-
-def _parse_nonneg(text: str, source: str, line_no: int, column: str) -> float:
-    value = _parse_float(text, source, line_no, column)
-    if value < 0:
-        raise RangeError(source, line_no, column, value, "[0, inf)")
-    return value
-
-
-def _parse_byte_count(text: str, source: str, line_no: int, column: str) -> int:
-    """A whole byte count in [0, 2**64), never rounded.
-
-    Digit-only cells are parsed as int. Other spellings (``1e12``, ``5.0``)
-    go through float, so they must stay below 2**53 to be exact.
+    The file is decoded once and parsed as described in the module
+    docstring. Every ``required`` column must appear in the header; other
+    columns are ignored. Errors are :class:`MalformedRow` at the first line
+    of the offending record, labelled ``source`` (default: the file name).
     """
-    if text.isascii() and text.isdigit():
-        try:
-            value = int(text)
-        except ValueError:  # more digits than int() converts
-            value = math.inf
-        if value >= _BYTE_COUNT_LIMIT:
-            raise RangeError(source, line_no, column, value, "[0, 2**64)")
-        return value
-    number = _parse_nonneg(text, source, line_no, column)
-    if number != int(number):
-        raise RangeError(source, line_no, column, number, "whole numbers")
-    if number >= _FLOAT_EXACT_LIMIT:
-        raise RangeError(source, line_no, column, number,
-                         "[0, 2**53) unless written as plain digits")
-    return int(number)
-
-
-def _parse_id(text: str, source: str, line_no: int, column: str) -> str:
-    if ID_PATTERN.fullmatch(text) is None:
-        raise MalformedRow(
-            source, line_no,
-            f"{column}: {text!r} is not a valid id (letters, digits, '_', '.' "
-            "and '-', starting with a letter or digit)")
-    return text
-
-
-def _read_lines(path: Path) -> list[str]:
+    path = Path(path)
+    source = source or path.name
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         raise MalformedRow(str(path), 0, f"cannot read file: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(source, data.count(b"\n", 0, exc.start) + 1,
+                           f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+                           ) from None
+    # newline="" hands csv every line break untouched; only CR and LF end a
+    # line, where str.splitlines would also split on U+2028, U+0085, ...
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    index: dict[str, int] | None = None
+    end = 0  # last line of the previous record
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise MalformedRow(source, 1, "empty file; expected schema comment "
+                                          f"{SCHEMA_LINE!r}")
+        schema = ",".join(first).strip()
+        if schema.replace(" ", "") != SCHEMA_LINE.replace(" ", ""):
+            raise MalformedRow(
+                source, 1, f"first line must be {SCHEMA_LINE!r}, got {schema!r}")
+        end = reader.line_num
+        for cells in reader:
+            line_no, end = end + 1, reader.line_num
+            cells = [*map(str.strip, cells)]
+            if not cells or cells[0].startswith("#") or cells == [""]:
+                continue
+            if index is not None:
+                yield _Row(source, line_no, cells, index)
+                continue
+            index = {}
+            for i, name in enumerate(cells):
+                if name.lower() in index:
+                    raise MalformedRow(source, line_no, f"duplicate column {name!r}")
+                index[name.lower()] = i
+            missing = [c for c in required if c not in index]
+            if missing:
+                raise MalformedRow(source, line_no, "missing required column(s): "
+                                   + ", ".join(missing))
+    except csv.Error as exc:
+        raise MalformedRow(source, end + 1, f"malformed CSV: {exc}") from None
+    if index is None:
+        raise MalformedRow(source, end + 1,
+                           f"no header row after {SCHEMA_LINE!r}")
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def write_table(path: Path | str, header: Sequence[str],
+                rows: Iterable[Sequence[str]]) -> None:
+    """Write a table that :func:`read_table` reads back cell for cell.
+
+    Cells holding ``,``, ``"``, CR or LF are quoted. A value the format
+    cannot carry raises :class:`MalformedRow` and nothing is written: a
+    first cell starting with ``#`` (it would read back as a comment) and a
+    cell with surrounding whitespace (the reader strips it).
+    """
+    path = Path(path)
+    lines = [SCHEMA_LINE]
+    for line_no, cells in enumerate(itertools.chain((header,), rows), start=2):
+        line = ",".join(cells)
+        # Only a line with a comma inside a cell, a '#', a quote or any
+        # whitespace (CR and LF included) needs a look at each cell.
+        if (line.count(",") >= len(cells) or line.startswith("#")
+                or '"' in line or line.split() != [line]):
+            if line.startswith("#"):
+                raise MalformedRow(path.name, line_no, f"{header[0]}: {cells[0]!r} "
+                                   "cannot be written: it would read as a comment")
+            quoted = []
+            for column, cell in zip(header, cells, strict=True):
+                if cell != cell.strip():
+                    raise MalformedRow(path.name, line_no, f"{column}: {cell!r} "
+                                       "cannot be written: surrounding whitespace "
+                                       "is not kept")
+                if _NEEDS_QUOTES.search(cell):
+                    cell = '"' + cell.replace('"', '""') + '"'
+                quoted.append(cell)
+            line = ",".join(quoted)
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -305,204 +404,128 @@ def _read_lines(path: Path) -> list[str]:
 
 def read_servers(path: Path | str, source: str | None = None) -> tuple[ServerUsage, ...]:
     """Parse servers.csv into usage records. Fails fast on the first bad row."""
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(source, header_line, header_cells, required=(
-        "datacenter_id", "device_id", "device_model", "tenant_id",
-        "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved",
-    ))
     out: list[ServerUsage] = []
-    for line_no, cells in rows:
-        util = _parse_float(header.get(cells, line_no, "cpu_utilization"),
-                            source, line_no, "cpu_utilization")
+    for row in read_table(path, source, (
+            "datacenter_id", "device_id", "device_model", "tenant_id",
+            "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved")):
+        util = row.number("cpu_utilization")
         if not 0.0 <= util <= 1.0:
-            raise RangeError(source, line_no, "cpu_utilization", util, "[0, 1]")
+            raise row.out_of_range("cpu_utilization", util, "[0, 1]")
         out.append(ServerUsage(
-            datacenter_id=_parse_id(header.get(cells, line_no, "datacenter_id"),
-                                    source, line_no, "datacenter_id"),
-            device_id=header.get(cells, line_no, "device_id"),
-            device_model=header.get(cells, line_no, "device_model"),
-            tenant_id=_parse_id(header.get(cells, line_no, "tenant_id"),
-                                source, line_no, "tenant_id"),
+            datacenter_id=row.id("datacenter_id"),
+            device_id=row.text("device_id"),
+            device_model=row.text("device_model"),
+            tenant_id=row.id("tenant_id"),
             cpu_utilization=util,
-            cache_moved=_parse_nonneg(header.get(cells, line_no, "cache_moved"),
-                                      source, line_no, "cache_moved"),
-            dram_accessed=_parse_nonneg(header.get(cells, line_no, "dram_accessed"),
-                                        source, line_no, "dram_accessed"),
-            disk_moved=_parse_nonneg(header.get(cells, line_no, "disk_moved"),
-                                     source, line_no, "disk_moved"),
-            source_ref=f"{source}:{line_no}",
+            cache_moved=row.nonneg("cache_moved"),
+            dram_accessed=row.nonneg("dram_accessed"),
+            disk_moved=row.nonneg("disk_moved"),
+            source_ref=row.ref,
         ))
     return tuple(out)
 
 
 def read_network(path: Path | str, source: str | None = None) -> tuple[NetworkUsage, ...]:
     """Parse network.csv into per-tenant traffic records."""
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(source, header_line, header_cells, required=(
-        "datacenter_id", "device_id", "device_type", "tenant_id",
-        "bytes_sent", "bytes_received",
-    ))
     out: list[NetworkUsage] = []
-    for line_no, cells in rows:
+    for row in read_table(path, source, (
+            "datacenter_id", "device_id", "device_type", "tenant_id",
+            "bytes_sent", "bytes_received")):
         out.append(NetworkUsage(
-            datacenter_id=_parse_id(header.get(cells, line_no, "datacenter_id"),
-                                    source, line_no, "datacenter_id"),
-            device_id=header.get(cells, line_no, "device_id"),
-            device_type=header.get(cells, line_no, "device_type"),
-            tenant_id=_parse_id(header.get(cells, line_no, "tenant_id"),
-                                source, line_no, "tenant_id"),
-            bytes_sent=_parse_byte_count(header.get(cells, line_no, "bytes_sent"),
-                                         source, line_no, "bytes_sent"),
-            bytes_received=_parse_byte_count(
-                header.get(cells, line_no, "bytes_received"),
-                source, line_no, "bytes_received"),
-            source_ref=f"{source}:{line_no}",
+            datacenter_id=row.id("datacenter_id"),
+            device_id=row.text("device_id"),
+            device_type=row.text("device_type"),
+            tenant_id=row.id("tenant_id"),
+            bytes_sent=row.byte_count("bytes_sent"),
+            bytes_received=row.byte_count("bytes_received"),
+            source_ref=row.ref,
         ))
     return tuple(out)
 
 
-def _parse_shared_devices(cell: str, source: str, line_no: int,
-                          column: str) -> tuple[SharedDevice, ...]:
-    if not cell:
-        return ()
-    devices: list[SharedDevice] = []
-    for entry in cell.split(";"):
+def _entries(row: _Row, column: str, spelling: str) -> Iterator[list[str]]:
+    """The ``;``-separated entries of a multi-value cell, split on ``:`` into
+    as many parts as ``spelling`` has."""
+    for entry in row.text(column, default="").split(";"):
         entry = entry.strip()
         if not entry:
             continue
-        parts = entry.split(":")
-        if len(parts) != 2:
-            raise MalformedRow(
-                source, line_no,
-                f"{column}: expected DEVICE_ID:ENERGY_WH, got {entry!r}")
-        device_id, energy_text = parts[0].strip(), parts[1].strip()
-        if not device_id:
-            raise MalformedRow(source, line_no, f"{column}: empty device id in {entry!r}")
-        energy = _parse_nonneg(energy_text, source, line_no, f"{column} energy")
-        devices.append(SharedDevice(device_id, EnergyWh(energy)))
-    return tuple(devices)
+        parts = [part.strip() for part in entry.split(":")]
+        if len(parts) != spelling.count(":") + 1:
+            raise row.error(f"{column}: expected {spelling}, got {entry!r}")
+        if not parts[0]:
+            raise row.error(f"{column}: empty device id in {entry!r}")
+        yield parts
 
 
-def _parse_fuel_log(cell: str, source: str, line_no: int) -> tuple[FuelEntry, ...]:
-    if not cell:
-        return ()
-    entries: list[FuelEntry] = []
-    for entry in cell.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = entry.split(":")
-        if len(parts) != 3:
-            raise MalformedRow(
-                source, line_no,
-                f"fuel_log: expected DEVICE_ID:AMOUNT:EMISSION_FACTOR, got {entry!r}")
-        device_id = parts[0].strip()
-        if not device_id:
-            raise MalformedRow(source, line_no, f"fuel_log: empty device id in {entry!r}")
-        amount = _parse_nonneg(parts[1].strip(), source, line_no, "fuel_log amount")
-        factor = _parse_nonneg(parts[2].strip(), source, line_no,
-                               "fuel_log emission_factor")
-        entries.append(FuelEntry(device_id, amount, factor))
-    return tuple(entries)
+def _shared_devices(row: _Row, column: str) -> tuple[SharedDevice, ...]:
+    return tuple(
+        SharedDevice(device_id, EnergyWh(row.parse_nonneg(energy, f"{column} energy")))
+        for device_id, energy in _entries(row, column, "DEVICE_ID:ENERGY_WH"))
 
 
 def read_datacenters(path: Path | str,
                      source: str | None = None) -> dict[str, DataCenter]:
     """Parse datacenters.csv keyed by datacenter_id."""
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(
-        source, header_line, header_cells,
-        required=("datacenter_id", "name", "region", "grid_intensity",
-                  "cooling_devices", "other_devices", "fuel_log"),
-    )
     out: dict[str, DataCenter] = {}
-    for line_no, cells in rows:
-        dc_id = _parse_id(header.get(cells, line_no, "datacenter_id"),
-                          source, line_no, "datacenter_id")
+    for row in read_table(path, source, (
+            "datacenter_id", "name", "region", "grid_intensity",
+            "cooling_devices", "other_devices", "fuel_log")):
+        dc_id = row.id("datacenter_id")
         if dc_id in out:
-            raise DuplicateId(source, line_no, "data center", dc_id)
-        cooling = _parse_shared_devices(
-            header.get(cells, line_no, "cooling_devices", default=""),
-            source, line_no, "cooling_devices")
-        other = _parse_shared_devices(
-            header.get(cells, line_no, "other_devices", default=""),
-            source, line_no, "other_devices")
+            raise DuplicateId(row.source, row.line_no, "data center", dc_id)
+        cooling = _shared_devices(row, "cooling_devices")
+        other = _shared_devices(row, "other_devices")
         seen: set[str] = set()
         for dev in (*cooling, *other):
             if dev.device_id in seen:
-                raise DuplicateId(source, line_no, "shared device", dev.device_id)
+                raise DuplicateId(row.source, row.line_no, "shared device",
+                                  dev.device_id)
             seen.add(dev.device_id)
         out[dc_id] = DataCenter(
             datacenter_id=dc_id,
-            name=header.get(cells, line_no, "name"),
-            region=header.get(cells, line_no, "region"),
-            grid_intensity=CarbonIntensity(_parse_nonneg(
-                header.get(cells, line_no, "grid_intensity"),
-                source, line_no, "grid_intensity")),
+            name=row.text("name"),
+            region=row.text("region"),
+            grid_intensity=CarbonIntensity(row.nonneg("grid_intensity")),
             cooling_devices=cooling,
             other_devices=other,
-            fuel_log=_parse_fuel_log(
-                header.get(cells, line_no, "fuel_log", default=""), source, line_no),
-            scope3_total=EmissionsG(_parse_nonneg(
-                header.get(cells, line_no, "scope3_total", default="0"),
-                source, line_no, "scope3_total")),
-            green_energy=EnergyWh(_parse_nonneg(
-                header.get(cells, line_no, "green_energy", default="0"),
-                source, line_no, "green_energy")),
-            rec_offset=EmissionsG(_parse_nonneg(
-                header.get(cells, line_no, "rec_offset", default="0"),
-                source, line_no, "rec_offset")),
+            fuel_log=tuple(
+                FuelEntry(device_id,
+                          row.parse_nonneg(amount, "fuel_log amount"),
+                          row.parse_nonneg(factor, "fuel_log emission_factor"))
+                for device_id, amount, factor in _entries(
+                    row, "fuel_log", "DEVICE_ID:AMOUNT:EMISSION_FACTOR")),
+            scope3_total=EmissionsG(row.nonneg("scope3_total", default="0")),
+            green_energy=EnergyWh(row.nonneg("green_energy", default="0")),
+            rec_offset=EmissionsG(row.nonneg("rec_offset", default="0")),
         )
     return out
 
 
 def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(
-        source, header_line, header_cells,
-        required=("tenant_id", "display_name", "agent_count", "datacenter_ids"),
-    )
     out: dict[str, Tenant] = {}
-    for line_no, cells in rows:
-        tenant_id = _parse_id(header.get(cells, line_no, "tenant_id"),
-                              source, line_no, "tenant_id")
+    for row in read_table(path, source, (
+            "tenant_id", "display_name", "agent_count", "datacenter_ids")):
+        tenant_id = row.id("tenant_id")
         if tenant_id in out:
-            raise DuplicateId(source, line_no, "tenant", tenant_id)
-        agents = _parse_float(header.get(cells, line_no, "agent_count"),
-                              source, line_no, "agent_count")
+            raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
+        agents = row.number("agent_count")
         if agents != int(agents) or agents < 1:
-            raise RangeError(source, line_no, "agent_count", agents,
-                             "whole numbers >= 1")
-        l_share = _parse_float(header.get(cells, line_no, "l_share", default="1.0"),
-                               source, line_no, "l_share")
+            raise row.out_of_range("agent_count", agents, "whole numbers >= 1")
+        l_share = row.number("l_share", default="1.0")
         if not 0.0 <= l_share <= 1.0:
-            raise RangeError(source, line_no, "l_share", l_share, "[0, 1]")
-        dc_ids = tuple(
-            _parse_id(part.strip(), source, line_no, "datacenter_ids")
-            for part in header.get(cells, line_no, "datacenter_ids").split(";")
-            if part.strip()
-        )
+            raise row.out_of_range("l_share", l_share, "[0, 1]")
+        dc_ids = tuple(row.parse_id(part.strip(), "datacenter_ids")
+                       for part in row.text("datacenter_ids").split(";")
+                       if part.strip())
         if not dc_ids:
-            raise MalformedRow(source, line_no, "datacenter_ids: empty list")
+            raise row.error("datacenter_ids: empty list")
         if len(set(dc_ids)) != len(dc_ids):
-            raise MalformedRow(source, line_no,
-                               f"datacenter_ids: duplicate entries in {dc_ids}")
+            raise row.error(f"datacenter_ids: duplicate entries in {dc_ids}")
         out[tenant_id] = Tenant(
             tenant_id=tenant_id,
-            display_name=header.get(cells, line_no, "display_name"),
+            display_name=row.text("display_name"),
             agent_count=int(agents),
             datacenter_ids=dc_ids,
             l_share=Share(l_share),

@@ -20,21 +20,16 @@ import numpy as np
 
 from .errors import (
     InsufficientSamples,
-    MalformedRow,
     ModelMismatch,
     SingularDesign,
     ZeroDenominator,
 )
 from .ingest import (
-    SCHEMA_LINE,
     NetworkUsage,
     ServerUsage,
     SharedDevice,
-    _Header,
-    _iter_csv,
-    _parse_float,
-    _parse_nonneg,
-    _read_lines,
+    read_table,
+    write_table,
 )
 from .units import EnergyWh
 
@@ -237,47 +232,29 @@ _MODEL_COLUMNS = ("device_model", "intercept", "w_cpu", "w_cache", "w_dram",
 
 def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
     """Write fitted models as CSV, one row per device model, sorted by name."""
-    path = Path(path)
-    lines = [SCHEMA_LINE, ",".join(_MODEL_COLUMNS)]
-    for name in sorted(models):
-        m = models[name]
-        lines.append(",".join([
-            m.device_model,
-            repr(m.intercept), repr(m.w_cpu), repr(m.w_cache),
-            repr(m.w_dram), repr(m.w_disk), repr(m.adjusted_r2),
-        ]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, _MODEL_COLUMNS, (
+        [m.device_model, repr(m.intercept), repr(m.w_cpu), repr(m.w_cache),
+         repr(m.w_dram), repr(m.w_disk), repr(m.adjusted_r2)]
+        for _, m in sorted(models.items())))
 
 
 def read_models(path: Path | str, source: str | None = None) -> dict[str, ServerPowerModel]:
     """Read a fitted-models CSV keyed by device model."""
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(source, header_line, header_cells, required=_MODEL_COLUMNS)
     out: dict[str, ServerPowerModel] = {}
-    for line_no, cells in rows:
-        name = header.get(cells, line_no, "device_model")
+    for row in read_table(path, source, _MODEL_COLUMNS):
+        name = row.text("device_model")
         if name in out:
-            raise MalformedRow(source, line_no, f"duplicate device model {name!r}")
-        r2 = _parse_float(header.get(cells, line_no, "adjusted_r2"),
-                          source, line_no, "adjusted_r2")
+            raise row.error(f"duplicate device model {name!r}")
+        r2 = row.number("adjusted_r2")
         if r2 > 1.0 or math.isnan(r2):
-            raise MalformedRow(source, line_no,
-                               f"adjusted_r2 must be <= 1, got {r2!r}")
+            raise row.error(f"adjusted_r2 must be <= 1, got {r2!r}")
         out[name] = ServerPowerModel(
             device_model=name,
-            intercept=_parse_float(header.get(cells, line_no, "intercept"),
-                                   source, line_no, "intercept"),
-            w_cpu=_parse_float(header.get(cells, line_no, "w_cpu"),
-                               source, line_no, "w_cpu"),
-            w_cache=_parse_float(header.get(cells, line_no, "w_cache"),
-                                 source, line_no, "w_cache"),
-            w_dram=_parse_float(header.get(cells, line_no, "w_dram"),
-                                source, line_no, "w_dram"),
-            w_disk=_parse_float(header.get(cells, line_no, "w_disk"),
-                                source, line_no, "w_disk"),
+            intercept=row.number("intercept"),
+            w_cpu=row.number("w_cpu"),
+            w_cache=row.number("w_cache"),
+            w_dram=row.number("w_dram"),
+            w_disk=row.number("w_disk"),
             adjusted_r2=r2,
         )
     return out
@@ -291,29 +268,15 @@ def read_calibration_samples(path: Path | str,
     Expected columns: device_model, cpu_utilization, cache_moved,
     dram_accessed, disk_moved, measured_energy_wh.
     """
-    path = Path(path)
-    source = source or path.name
-    rows = _iter_csv(_read_lines(path), source)
-    header_line, header_cells = next(rows)
-    header = _Header(source, header_line, header_cells, required=(
-        "device_model", "cpu_utilization", "cache_moved", "dram_accessed",
-        "disk_moved", "measured_energy_wh",
-    ))
     out: dict[str, list[CalibrationSample]] = {}
-    for line_no, cells in rows:
-        name = header.get(cells, line_no, "device_model")
-        out.setdefault(name, []).append(CalibrationSample(
-            cpu_utilization=_parse_float(
-                header.get(cells, line_no, "cpu_utilization"),
-                source, line_no, "cpu_utilization"),
-            cache_moved=_parse_nonneg(header.get(cells, line_no, "cache_moved"),
-                                      source, line_no, "cache_moved"),
-            dram_accessed=_parse_nonneg(header.get(cells, line_no, "dram_accessed"),
-                                        source, line_no, "dram_accessed"),
-            disk_moved=_parse_nonneg(header.get(cells, line_no, "disk_moved"),
-                                     source, line_no, "disk_moved"),
-            measured_energy=EnergyWh(_parse_nonneg(
-                header.get(cells, line_no, "measured_energy_wh"),
-                source, line_no, "measured_energy_wh")),
+    for row in read_table(path, source, (
+            "device_model", "cpu_utilization", "cache_moved", "dram_accessed",
+            "disk_moved", "measured_energy_wh")):
+        out.setdefault(row.text("device_model"), []).append(CalibrationSample(
+            cpu_utilization=row.number("cpu_utilization"),
+            cache_moved=row.nonneg("cache_moved"),
+            dram_accessed=row.nonneg("dram_accessed"),
+            disk_moved=row.nonneg("disk_moved"),
+            measured_energy=EnergyWh(row.nonneg("measured_energy_wh")),
         ))
     return out

@@ -110,7 +110,7 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot read equivalency config {path}: {exc}") from exc
     try:
         return EquivalencyFactors(
@@ -545,10 +545,15 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
             )
             for entry in doc["summary"]["history"]
         )
+        agent_count = tenant["agentCount"]
+        if (isinstance(agent_count, bool) or not isinstance(agent_count, int)
+                or agent_count < 1):
+            raise ReportError("malformed report JSON: agentCount must be a whole "
+                              f"number >= 1, got {agent_count!r}")
         return Footprint(
             tenant_id=tenant_id,
             display_name=str(tenant["displayName"]),
-            agent_count=int(tenant["agentCount"]),
+            agent_count=agent_count,
             period=period,
             per_dc=tuple(per_dc),
             gross_total=EmissionsG(doc["summary"]["grossEmissions"]),

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .ingest import (
     INPUT_FILE_NAMES,
-    SCHEMA_LINE,
     DataCenter,
     FuelEntry,
     NetworkUsage,
@@ -26,6 +25,7 @@ from .ingest import (
     SharedDevice,
     Tenant,
     assemble_raw_data,
+    write_table,
 )
 from .power import ServerPowerModel, write_models
 from .units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
@@ -184,63 +184,46 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = fleet.raw
+    tables = {
+        "servers": (
+            ("datacenter_id", "device_id", "device_model", "tenant_id",
+             "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved"),
+            ([row.datacenter_id, row.device_id, row.device_model, row.tenant_id,
+              _num(row.cpu_utilization), _num(row.cache_moved),
+              _num(row.dram_accessed), _num(row.disk_moved)]
+             for row in raw.servers)),
+        "network": (
+            ("datacenter_id", "device_id", "device_type", "tenant_id",
+             "bytes_sent", "bytes_received"),
+            ([row.datacenter_id, row.device_id, row.device_type, row.tenant_id,
+              str(row.bytes_sent), str(row.bytes_received)]
+             for row in raw.network)),
+        "datacenters": (
+            ("datacenter_id", "name", "region", "grid_intensity",
+             "cooling_devices", "other_devices", "fuel_log", "scope3_total",
+             "green_energy", "rec_offset"),
+            ([dc.datacenter_id, dc.name, dc.region, _num(dc.grid_intensity.value),
+              ";".join(f"{d.device_id}:{_num(d.energy.value)}"
+                       for d in dc.cooling_devices),
+              ";".join(f"{d.device_id}:{_num(d.energy.value)}"
+                       for d in dc.other_devices),
+              ";".join(f"{f.device_id}:{_num(f.amount)}:{_num(f.emission_factor)}"
+                       for f in dc.fuel_log),
+              _num(dc.scope3_total.value), _num(dc.green_energy.value),
+              _num(dc.rec_offset.value)]
+             for _, dc in sorted(raw.datacenters.items()))),
+        "tenants": (
+            ("tenant_id", "display_name", "agent_count", "datacenter_ids",
+             "l_share"),
+            ([t.tenant_id, t.display_name, str(t.agent_count),
+              ";".join(t.datacenter_ids), _num(t.l_share.value)]
+             for _, t in sorted(raw.tenants.items()))),
+    }
     written: list[Path] = []
-
-    lines = [SCHEMA_LINE,
-             "datacenter_id,device_id,device_model,tenant_id,"
-             "cpu_utilization,cache_moved,dram_accessed,disk_moved"]
-    for row in raw.servers:
-        lines.append(",".join([
-            row.datacenter_id, row.device_id, row.device_model, row.tenant_id,
-            _num(row.cpu_utilization), _num(row.cache_moved),
-            _num(row.dram_accessed), _num(row.disk_moved),
-        ]))
-    path = out_dir / INPUT_FILE_NAMES["servers"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = [SCHEMA_LINE,
-             "datacenter_id,device_id,device_type,tenant_id,bytes_sent,bytes_received"]
-    for row in raw.network:
-        lines.append(",".join([
-            row.datacenter_id, row.device_id, row.device_type, row.tenant_id,
-            str(row.bytes_sent), str(row.bytes_received),
-        ]))
-    path = out_dir / INPUT_FILE_NAMES["network"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = [SCHEMA_LINE,
-             "datacenter_id,name,region,grid_intensity,cooling_devices,"
-             "other_devices,fuel_log,scope3_total,green_energy,rec_offset"]
-    for dc_id in sorted(raw.datacenters):
-        dc = raw.datacenters[dc_id]
-        cooling = ";".join(f"{d.device_id}:{_num(d.energy.value)}"
-                           for d in dc.cooling_devices)
-        other = ";".join(f"{d.device_id}:{_num(d.energy.value)}"
-                         for d in dc.other_devices)
-        fuel = ";".join(f"{f.device_id}:{_num(f.amount)}:{_num(f.emission_factor)}"
-                        for f in dc.fuel_log)
-        lines.append(",".join([
-            dc.datacenter_id, dc.name, dc.region, _num(dc.grid_intensity.value),
-            cooling, other, fuel, _num(dc.scope3_total.value),
-            _num(dc.green_energy.value), _num(dc.rec_offset.value),
-        ]))
-    path = out_dir / INPUT_FILE_NAMES["datacenters"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = [SCHEMA_LINE,
-             "tenant_id,display_name,agent_count,datacenter_ids,l_share"]
-    for tenant_id in sorted(raw.tenants):
-        t = raw.tenants[tenant_id]
-        lines.append(",".join([
-            t.tenant_id, t.display_name, str(t.agent_count),
-            ";".join(t.datacenter_ids), _num(t.l_share.value),
-        ]))
-    path = out_dir / INPUT_FILE_NAMES["tenants"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
+    for kind, (header, rows) in tables.items():
+        path = out_dir / INPUT_FILE_NAMES[kind]
+        write_table(path, header, rows)
+        written.append(path)
 
     path = out_dir / MODELS_FILE_NAME
     write_models(path, fleet.models)

@@ -1,8 +1,12 @@
 """CSV ingestion: parsing, row-level failures, and cross-reference checks."""
 
+import dataclasses
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonalloc.errors import (
     DuplicateDevice,
@@ -23,6 +27,8 @@ from carbonalloc.ingest import (
     read_servers,
     read_tenants,
 )
+from carbonalloc.power import ServerPowerModel, read_models, write_models
+from carbonalloc.synth import SynthFleet, generate_fleet, write_fleet
 from carbonalloc.units import Period
 
 PERIOD = Period(2025, 6)
@@ -82,6 +88,46 @@ class TestSchemaLine:
                         schema="# schema_version=2")
         with pytest.raises(MalformedRow):
             read_servers(path)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cell, name", [
+        ('"Acme\nCorp"', "Acme\nCorp"),
+        ('"Acme\r\nCorp"', "Acme\r\nCorp"),
+        ('"Acme, ""the"" Corp"', 'Acme, "the" Corp'),
+        ("Acme\u2028Corp", "Acme\u2028Corp"),
+        ("Acme\x85Corp", "Acme\x85Corp"),
+        ("Acme\x0cCorp", "Acme\x0cCorp"),
+    ], ids=["quoted-lf", "quoted-crlf", "quoted-comma-quote", "u2028", "u0085",
+            "form-feed"])
+    def test_cell_text_is_not_split(self, tmp_path, cell, name):
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER,
+                        GOOD_TENANT.replace("Fictitious Co", cell),
+                        GOOD_TENANT.replace("TENANT_X", "TENANT_Y"))
+        tenants = read_tenants(path)
+        assert tenants["TENANT_X"].display_name == name
+        assert tenants["TENANT_Y"].display_name == "Fictitious Co"
+
+    def test_line_numbers_name_the_records_first_line(self, tmp_path):
+        bad = GOOD_SERVER.replace("SERVER_1234", "SERVER_2").replace(",0.10,",
+                                                                     ",1.5,")
+        path = csv_file(tmp_path, "servers.csv", SERVER_HEADER,
+                        GOOD_SERVER.replace("ABC_987", '"ABC\n987"'), bad)
+        with pytest.raises(RangeError, match=r"^servers\.csv:5: cpu_utilization"):
+            read_servers(path)
+
+    def test_comment_records_may_span_lines(self, tmp_path):
+        path = csv_file(tmp_path, "servers.csv", SERVER_HEADER,
+                        '# a comment,"quoting a\nsecond line"', GOOD_SERVER)
+        (row,) = read_servers(path)
+        assert row.source_ref == "servers.csv:5"
+
+    def test_unterminated_quote_rejected_at_its_record(self, tmp_path):
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, GOOD_TENANT,
+                        GOOD_TENANT.replace("TENANT_X,Fictitious Co",
+                                            'TENANT_Y,"Fictitious Co'))
+        with pytest.raises(MalformedRow, match=r"^tenants\.csv:4: malformed CSV"):
+            read_tenants(path)
 
 
 class TestReadServers:
@@ -459,3 +505,89 @@ def test_assemble_raw_data_rejects_same_errors_in_memory(fictitious_raw):
             servers=fictitious_raw.servers + (stray,),
             network=fictitious_raw.network,
         )
+
+
+# Cell text for the round trips: the format's own delimiters and line breaks,
+# the separators str.splitlines would split on, and any other character.
+# Values with surrounding whitespace or a leading '#' are kept in: the writer
+# must refuse them, as the reader would strip them or skip their record.
+cell_texts = st.text(st.one_of(st.sampled_from(',"\n\r\u2028\u2029\x85\x0c #;:'),
+                               st.characters(exclude_categories=("Cs",))),
+                     min_size=1, max_size=8)
+
+
+def unwritable(value: str, first_cell: bool = False) -> bool:
+    return value != value.strip() or (first_cell and value.startswith("#"))
+
+
+@st.composite
+def text_fleets(draw) -> SynthFleet:
+    """A synthetic fleet whose free-text cells hold drawn text.
+
+    The first tenant's display name is drawn as is; every other text is
+    wrapped in letters, so it is writable whatever it holds inside.
+    """
+    fleet = generate_fleet(draw(st.integers(0, 2**16)), draw(st.integers(1, 3)),
+                           draw(st.integers(1, 2)))
+    raw = fleet.raw
+    wrapped = cell_texts.map("x{}x".format)
+    return SynthFleet(raw=assemble_raw_data(
+        period=raw.period,
+        datacenters={k: dataclasses.replace(dc, name=draw(wrapped),
+                                            region=draw(wrapped))
+                     for k, dc in raw.datacenters.items()},
+        tenants={k: dataclasses.replace(
+                     t, display_name=draw(cell_texts if i == 0 else wrapped))
+                 for i, (k, t) in enumerate(raw.tenants.items())},
+        servers=tuple(dataclasses.replace(
+            r, device_id=r.device_id + draw(wrapped),
+            device_model=draw(wrapped))
+            for r in raw.servers),
+        network=tuple(dataclasses.replace(r, device_type=draw(wrapped))
+                      for r in raw.network),
+    ), models=fleet.models)
+
+
+class TestTableRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(fleet=text_fleets())
+    def test_write_fleet_then_load_returns_the_fleet(self, fleet):
+        raw = fleet.raw
+        with tempfile.TemporaryDirectory() as tmp:
+            if unwritable(raw.tenants["TENANT_01"].display_name):
+                with pytest.raises(MalformedRow, match="cannot be written"):
+                    write_fleet(fleet, tmp)
+                return
+            write_fleet(fleet, tmp)
+            assert load_input_dir(tmp, raw.period) == raw
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.one_of(cell_texts, cell_texts.map("#".__add__)),
+                          min_size=1, max_size=4, unique=True),
+           weights=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=5, max_size=5),
+           r2=st.floats(max_value=1.0, allow_nan=False, allow_infinity=False))
+    def test_write_models_then_read_returns_the_models(self, names, weights, r2):
+        models = {name: ServerPowerModel(name, *weights, adjusted_r2=r2)
+                  for name in names}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "models.csv"
+            if any(unwritable(name, first_cell=True) for name in names):
+                with pytest.raises(MalformedRow, match="cannot be written"):
+                    write_models(path, models)
+                assert not path.exists()
+                return
+            write_models(path, models)
+            assert read_models(path) == models
+
+    @pytest.mark.parametrize("name, reason", [
+        ("#X", "it would read as a comment"),
+        (" X", "surrounding whitespace"),
+        ("X\u2028", "surrounding whitespace"),
+    ])
+    def test_writer_refuses_what_would_read_back_differently(self, tmp_path, name,
+                                                             reason):
+        model = ServerPowerModel(name, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(MalformedRow, match=f"^models\\.csv:3: device_model: "
+                                               f".* cannot be written: {reason}"):
+            write_models(tmp_path / "models.csv", {name: model})

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from carbonalloc.allocation import HistoryEntry, compute_footprints
+from carbonalloc.cli import EXIT_VALIDATION, main
 from carbonalloc.history import HistoryStore
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -141,6 +142,17 @@ class TestRenderJson:
             "bytesSent"] = value
         with pytest.raises(ReportError, match="bytesSent"):
             footprint_from_json(doc)
+
+    @pytest.mark.parametrize("value", ["0", '"abc"', "1e400"])
+    def test_report_refuses_bad_agent_count(self, tmp_path, capsys, fixture_doc,
+                                            value):
+        report = tmp_path / "report.json"
+        report.write_text(fixture_doc.content.decode("utf-8").replace(
+            '"agentCount": 250', f'"agentCount": {value}', 1), encoding="utf-8")
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "agentCount" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_different_footprints_render_differently(self, factors):
         fleet_a = generate_fleet(seed=1, n_tenants=3, n_dcs=2)

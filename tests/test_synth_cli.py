@@ -225,6 +225,69 @@ class TestComputeCommand:
         assert half_s2 == pytest.approx(full_s2 * 0.5, rel=1e-12)
 
 
+class TestMalformedInputs:
+    """Every unreadable CSV exits 1 naming its file and line, never a traceback."""
+
+    SAMPLES = ("# schema_version=1\n"
+               "device_model,cpu_utilization,cache_moved,dram_accessed,"
+               "disk_moved,measured_energy_wh\n"
+               "ABC_987,0.1,1e6,1e9,1e10,120.5\n")
+
+    @staticmethod
+    def _mutate(valid: bytes, case: str) -> tuple[bytes, int]:
+        """The mutated file and the line its error must name."""
+        lines = valid.split(b"\n")
+        if case == "empty":
+            return b"", 1
+        if case == "schema-only":
+            return lines[0] + b"\n", 2
+        if case == "0xff":
+            lines[2] = b"\xff" + lines[2]
+        else:
+            lines[2] += b"9" * 200_000
+        return b"\n".join(lines), 3
+
+    @pytest.mark.parametrize("case", ["empty", "schema-only", "0xff",
+                                      "200000-char-cell"])
+    @pytest.mark.parametrize("name", ["servers.csv", "network.csv",
+                                      "datacenters.csv", "tenants.csv",
+                                      "models.csv", "samples.csv"])
+    def test_exits_1_naming_file_and_line(self, workspace, capsys, name, case):
+        if name == "samples.csv":
+            path = workspace["root"] / name
+            path.write_text(self.SAMPLES, encoding="utf-8")
+        else:
+            path = workspace["fleet"] / name
+        content, line = self._mutate(path.read_bytes(), case)
+        path.write_bytes(content)
+        if name == "samples.csv":
+            code = main(["calibrate", "--samples", str(path),
+                         "--models-out", str(workspace["root"] / "fitted.csv")])
+        else:
+            code = run_compute(workspace)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"{name}:{line}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell, name", [('"Acme\nCorp"', "Acme\nCorp"),
+                                            ("Acme\u2028Corp", "Acme\u2028Corp")],
+                             ids=["quoted-newline", "u2028"])
+    def test_display_name_with_line_break_computes(self, workspace, cell, name):
+        tenants = workspace["fleet"] / "tenants.csv"
+        tenants.write_text(tenants.read_text(encoding="utf-8").replace(
+            "Synthetic Tenant 1", cell), encoding="utf-8")
+        assert run_compute(workspace) == EXIT_OK
+        doc = json.loads((workspace["out"] / "reports" / "TENANT_01" /
+                          "2025-06.json").read_text(encoding="utf-8"))
+        assert doc["tenant"]["displayName"] == name
+
+    def test_non_utf8_equivalencies_exits_1(self, workspace, capsys):
+        workspace["factors"].write_bytes(b"\xff")
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert "cannot read equivalency config" in capsys.readouterr().err
+
+
 class TestAuditCommand:
     def test_clean_report_passes(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
