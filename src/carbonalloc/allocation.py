@@ -547,27 +547,34 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
     """Verify that per-tenant figures add back up to data center totals.
 
     Expected values are recomputed from the raw inputs with plain loops (no
-    engine code paths): per-device energies straight from the models,
-    proportional shares from the direct-energy ratios, fuel and Scope 3
-    totals straight from the data center records. Failures are returned as
-    data, never raised: an audit's job is to report.
+    engine code paths): per-device energies from the model weights and the
+    per-byte network cost, proportional shares from the direct-energy
+    ratios, fuel and Scope 3 totals straight from the data center records.
+    Failures are returned as data, never raised: an audit's job is to report.
     """
     stored: dict[tuple[str, str], DcFootprint] = {}
     for fp in footprints:
         for dc_fp in fp.per_dc:
             stored[(fp.tenant_id, dc_fp.datacenter_id)] = dc_fp
 
-    # Brute-force recomputation of direct energy per (tenant, DC).
+    # Brute-force recomputation of direct energy per (tenant, DC), with the
+    # terms in the engine's order so the floats match. A negative estimate
+    # is clamped to zero silently: the engine has already warned about it.
     direct: dict[tuple[str, str], float] = {}
     for row in raw.servers:
         model = models[row.device_model]
+        energy = (model.intercept
+                  + model.w_cpu * row.cpu_utilization
+                  + model.w_cache * row.cache_moved
+                  + model.w_dram * row.dram_accessed
+                  + model.w_disk * row.disk_moved)
         direct[(row.tenant_id, row.datacenter_id)] = (
             direct.get((row.tenant_id, row.datacenter_id), 0.0)
-            + estimate_server_energy(model, row).value)
+            + (0.0 if energy < 0.0 else energy))
     for row in raw.network:
         direct[(row.tenant_id, row.datacenter_id)] = (
             direct.get((row.tenant_id, row.datacenter_id), 0.0)
-            + estimate_network_energy(row).value)
+            + 6 * (row.bytes_sent + row.bytes_received) / 100_000_000)
 
     checks: list[AuditCheck] = []
     for dc_id in sorted(raw.datacenters):

@@ -6,9 +6,9 @@ Subcommands: ``calibrate`` (fit server power models from benchmark samples),
 ``audit`` (independently recompute a report and diff it), and ``synth``
 (generate a deterministic synthetic fleet).
 
-Exit codes: 0 success, 1 validation failure (bad inputs), 2 computation
-failure, 3 audit mismatch. Diagnostics go to standard error; summary tables
-to standard output.
+Exit codes: 0 success, 1 validation failure (bad inputs or an output path
+that cannot be written), 2 computation failure, 3 audit mismatch.
+Diagnostics go to standard error; summary tables to standard output.
 """
 
 from __future__ import annotations
@@ -444,6 +444,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CarbonAllocError as exc:
         _err(str(exc))
         return EXIT_COMPUTATION
+    except OSError as exc:
+        # Inputs are read where they are parsed, which turns an OSError into
+        # an IngestError or ReportError; what arrives here is an output path.
+        _err(f"cannot write {exc.filename or 'output'}: {exc.strerror}")
+        return EXIT_VALIDATION
 
 
 def entrypoint() -> None:

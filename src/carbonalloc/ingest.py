@@ -15,8 +15,9 @@ power models and calibration samples, by these rules:
 * Undecodable or oversized input, and a quote left open, are a
   ``file:line`` :class:`MalformedRow`.
 
-:func:`write_table` writes the same format and refuses a value it cannot
-carry (a first cell starting with ``#``, or surrounding whitespace).
+:func:`format_table` formats the same text and refuses a value it cannot
+carry (a first cell starting with ``#``, or surrounding whitespace);
+:func:`write_table` writes it.
 
 Files and their required columns:
 
@@ -83,6 +84,7 @@ __all__ = [
     "INPUT_FILE_NAMES",
     "ID_PATTERN",
     "read_table",
+    "format_table",
     "write_table",
 ]
 
@@ -363,16 +365,15 @@ def read_table(path: Path | str, source: str | None,
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def write_table(path: Path | str, header: Sequence[str],
-                rows: Iterable[Sequence[str]]) -> None:
-    """Write a table that :func:`read_table` reads back cell for cell.
+def format_table(name: str, header: Sequence[str],
+                 rows: Iterable[Sequence[str]]) -> str:
+    """The text of a table that :func:`read_table` reads back cell for cell.
 
     Cells holding ``,``, ``"``, CR or LF are quoted. A value the format
-    cannot carry raises :class:`MalformedRow` and nothing is written: a
-    first cell starting with ``#`` (it would read back as a comment) and a
-    cell with surrounding whitespace (the reader strips it).
+    cannot carry raises :class:`MalformedRow` naming file ``name``: a first
+    cell starting with ``#`` (it would read back as a comment) and a cell
+    with surrounding whitespace (the reader strips it).
     """
-    path = Path(path)
     lines = [SCHEMA_LINE]
     for line_no, cells in enumerate(itertools.chain((header,), rows), start=2):
         line = ",".join(cells)
@@ -381,12 +382,12 @@ def write_table(path: Path | str, header: Sequence[str],
         if (line.count(",") >= len(cells) or line.startswith("#")
                 or '"' in line or line.split() != [line]):
             if line.startswith("#"):
-                raise MalformedRow(path.name, line_no, f"{header[0]}: {cells[0]!r} "
+                raise MalformedRow(name, line_no, f"{header[0]}: {cells[0]!r} "
                                    "cannot be written: it would read as a comment")
             quoted = []
             for column, cell in zip(header, cells, strict=True):
                 if cell != cell.strip():
-                    raise MalformedRow(path.name, line_no, f"{column}: {cell!r} "
+                    raise MalformedRow(name, line_no, f"{column}: {cell!r} "
                                        "cannot be written: surrounding whitespace "
                                        "is not kept")
                 if _NEEDS_QUOTES.search(cell):
@@ -394,7 +395,14 @@ def write_table(path: Path | str, header: Sequence[str],
                 quoted.append(cell)
             line = ",".join(quoted)
         lines.append(line)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_table(path: Path | str, header: Sequence[str],
+                rows: Iterable[Sequence[str]]) -> None:
+    """Write :func:`format_table`'s text; a value it refuses writes nothing."""
+    path = Path(path)
+    path.write_text(format_table(path.name, header, rows), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

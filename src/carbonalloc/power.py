@@ -15,8 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import Iterator
 
 from .errors import (
     InsufficientSamples,
@@ -100,6 +99,9 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
     Raises :class:`InsufficientSamples` below six samples and
     :class:`SingularDesign` when a regressor is constant or collinear.
     """
+    # Only calibration needs numpy; importing it here keeps it out of start-up.
+    import numpy as np
+
     n = len(samples)
     if n < MIN_CALIBRATION_SAMPLES:
         raise InsufficientSamples(n, MIN_CALIBRATION_SAMPLES)
@@ -230,12 +232,18 @@ _MODEL_COLUMNS = ("device_model", "intercept", "w_cpu", "w_cache", "w_dram",
                   "w_disk", "adjusted_r2")
 
 
-def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
-    """Write fitted models as CSV, one row per device model, sorted by name."""
-    write_table(path, _MODEL_COLUMNS, (
+def _models_table(models: dict[str, ServerPowerModel]
+                  ) -> tuple[tuple[str, ...], Iterator[list[str]]]:
+    """The header and rows of a models file, one row per model, by name."""
+    return _MODEL_COLUMNS, (
         [m.device_model, repr(m.intercept), repr(m.w_cpu), repr(m.w_cache),
          repr(m.w_dram), repr(m.w_disk), repr(m.adjusted_r2)]
-        for _, m in sorted(models.items())))
+        for _, m in sorted(models.items()))
+
+
+def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
+    """Write fitted models as CSV, one row per device model, sorted by name."""
+    write_table(path, *_models_table(models))
 
 
 def read_models(path: Path | str, source: str | None = None) -> dict[str, ServerPowerModel]:

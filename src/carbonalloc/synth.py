@@ -25,9 +25,9 @@ from .ingest import (
     SharedDevice,
     Tenant,
     assemble_raw_data,
-    write_table,
+    format_table,
 )
-from .power import ServerPowerModel, write_models
+from .power import ServerPowerModel, _models_table
 from .units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
 
 __all__ = ["SynthFleet", "generate_fleet", "write_fleet", "MODELS_FILE_NAME"]
@@ -179,26 +179,25 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
 
     Output is deterministic: rows are ordered as generated (already sorted by
     tenant, then data center) and floats use shortest round-trip notation, so
-    one seed always produces byte-identical files.
+    one seed always produces byte-identical files. Every file is formatted
+    before the first is written, so a value the format refuses writes none.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = fleet.raw
     tables = {
-        "servers": (
+        INPUT_FILE_NAMES["servers"]: (
             ("datacenter_id", "device_id", "device_model", "tenant_id",
              "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved"),
             ([row.datacenter_id, row.device_id, row.device_model, row.tenant_id,
               _num(row.cpu_utilization), _num(row.cache_moved),
               _num(row.dram_accessed), _num(row.disk_moved)]
              for row in raw.servers)),
-        "network": (
+        INPUT_FILE_NAMES["network"]: (
             ("datacenter_id", "device_id", "device_type", "tenant_id",
              "bytes_sent", "bytes_received"),
             ([row.datacenter_id, row.device_id, row.device_type, row.tenant_id,
               str(row.bytes_sent), str(row.bytes_received)]
              for row in raw.network)),
-        "datacenters": (
+        INPUT_FILE_NAMES["datacenters"]: (
             ("datacenter_id", "name", "region", "grid_intensity",
              "cooling_devices", "other_devices", "fuel_log", "scope3_total",
              "green_energy", "rec_offset"),
@@ -212,20 +211,22 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
               _num(dc.scope3_total.value), _num(dc.green_energy.value),
               _num(dc.rec_offset.value)]
              for _, dc in sorted(raw.datacenters.items()))),
-        "tenants": (
+        INPUT_FILE_NAMES["tenants"]: (
             ("tenant_id", "display_name", "agent_count", "datacenter_ids",
              "l_share"),
             ([t.tenant_id, t.display_name, str(t.agent_count),
               ";".join(t.datacenter_ids), _num(t.l_share.value)]
              for _, t in sorted(raw.tenants.items()))),
+        MODELS_FILE_NAME: _models_table(fleet.models),
     }
-    written: list[Path] = []
-    for kind, (header, rows) in tables.items():
-        path = out_dir / INPUT_FILE_NAMES[kind]
-        write_table(path, header, rows)
-        written.append(path)
+    texts = {name: format_table(name, header, rows)
+             for name, (header, rows) in tables.items()}
 
-    path = out_dir / MODELS_FILE_NAME
-    write_models(path, fleet.models)
-    written.append(path)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for name, text in texts.items():
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
     return written

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from carbonalloc.cli import (
     EXIT_VALIDATION,
     main,
 )
+from carbonalloc.errors import MalformedRow
 from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import load_input_dir
 from carbonalloc.report import ReportError
@@ -30,6 +33,12 @@ def write_factors(tmp_path: Path) -> Path:
         "smartphone_charge_g": 8.22, "source_note": "test factors",
     }), encoding="utf-8")
     return path
+
+
+def write_samples(path: Path) -> Path:
+    """A calibration samples file from which one model, ABC_987, fits."""
+    calibrate = TestCalibrateCommand()
+    return calibrate._write_samples(path, calibrate._noiseless_rows("ABC_987", 20))
 
 
 @pytest.fixture
@@ -116,6 +125,15 @@ class TestGenerateFleet:
         loaded = load_input_dir(tmp_path, fleet.raw.period)
         assert loaded == fleet.raw
 
+    def test_refused_value_writes_no_file(self, tmp_path):
+        fleet = generate_fleet(seed=42, n_tenants=4, n_dcs=2)
+        tenants = dict(fleet.raw.tenants)
+        tenants["TENANT_04"] = replace(tenants["TENANT_04"], display_name=" padded")
+        fleet = replace(fleet, raw=replace(fleet.raw, tenants=tenants))
+        with pytest.raises(MalformedRow, match="tenants.csv:6: display_name"):
+            write_fleet(fleet, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestComputeCommand:
     def test_writes_report_pair_per_tenant(self, workspace, capsys):
@@ -163,6 +181,20 @@ class TestComputeCommand:
         models.write_text("\n".join(kept) + "\n")
         assert run_compute(workspace) == EXIT_COMPUTATION
         assert "MODEL_A" in capsys.readouterr().err
+
+    def test_negative_estimate_warns_once_per_device(self, workspace, caplog):
+        models = workspace["models"]
+        models.write_text("\n".join(
+            "MODEL_A,-1e9," + line.split(",", 2)[2] if line.startswith("MODEL_A")
+            else line for line in models.read_text().splitlines()) + "\n")
+        clamped = [line.split(",")[1] for line in
+                   (workspace["fleet"] / "servers.csv").read_text().splitlines()
+                   if ",MODEL_A," in line]
+        assert clamped, "fleet should use MODEL_A"
+        assert run_compute(workspace) == EXIT_OK
+        warned = Counter(record.args[1] for record in caplog.records
+                         if record.msg.startswith("negative energy estimate"))
+        assert warned == Counter(clamped)
 
     def test_subsequent_month_reports_trend(self, workspace):
         assert run_compute(workspace, period="2025-05") == EXIT_OK
@@ -286,6 +318,46 @@ class TestMalformedInputs:
         workspace["factors"].write_bytes(b"\xff")
         assert run_compute(workspace) == EXIT_VALIDATION
         assert "cannot read equivalency config" in capsys.readouterr().err
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written exits 1 naming it, never a traceback."""
+
+    @staticmethod
+    def _argv(ws, case: str) -> tuple[list[str], Path]:
+        """The command line for ``case`` and the path its error must name."""
+        blocker = ws["root"] / "a-file"
+        blocker.write_text("not a directory\n")
+        compute = ["compute", "--period", "2025-06", "--input-dir", str(ws["fleet"]),
+                   "--models", str(ws["models"]),
+                   "--equivalencies", str(ws["factors"])]
+        if case == "synth-out-dir":
+            return (["synth", "--seed", "1", "--out-dir", str(blocker)], blocker)
+        if case == "report-out-dir":
+            assert run_compute(ws) == EXIT_OK
+            report = ws["out"] / "reports" / "TENANT_01" / "2025-06.json"
+            return (["report", "--report", str(report), "--out-dir", str(blocker)],
+                    blocker)
+        if case == "compute-out-dir":
+            return ([*compute, "--out-dir", str(blocker)], blocker)
+        if case == "compute-history-dir":
+            return ([*compute, "--out-dir", str(ws["out"]),
+                     "--history-dir", str(blocker)], blocker)
+        samples = write_samples(ws["root"] / "samples.csv")
+        missing = ws["root"] / "missing" / "models.csv"
+        return (["calibrate", "--samples", str(samples),
+                 "--models-out", str(missing)], missing)
+
+    @pytest.mark.parametrize("case", ["synth-out-dir", "report-out-dir",
+                                      "compute-out-dir", "compute-history-dir",
+                                      "calibrate-models-out"])
+    def test_exits_1_naming_the_path(self, workspace, capsys, case):
+        argv, path = self._argv(workspace, case)
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"cannot write {path}" in err
+        assert "Traceback" not in err
 
 
 class TestAuditCommand:
@@ -485,3 +557,40 @@ def test_console_script_is_wired():
 def test_synth_default_period_is_stable():
     fleet = generate_fleet(seed=1, n_tenants=2, n_dcs=1)
     assert fleet.raw.period == Period(2025, 1)
+
+
+_NUMPY_PROBE = """
+import json, sys
+import carbonalloc.cli
+loaded = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = carbonalloc.cli.main(argv)
+    loaded.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_calibrate_imports_numpy(tmp_path):
+    """numpy is imported to fit models and nowhere else, so the other
+    commands do not pay for it at start-up; calibrate shows the probe works."""
+    fleet, out = tmp_path / "fleet", tmp_path / "out"
+    report = out / "reports" / "TENANT_01" / "2025-06.json"
+    samples = write_samples(tmp_path / "samples.csv")
+    commands = [
+        ["synth", "--seed", "42", "--tenants", "3", "--dcs", "2",
+         "--out-dir", str(fleet)],
+        ["compute", "--period", "2025-06", "--input-dir", str(fleet),
+         "--models", str(fleet / "models.csv"),
+         "--equivalencies", str(write_factors(tmp_path)), "--out-dir", str(out)],
+        ["audit", "--report", str(report), "--input-dir", str(fleet),
+         "--models", str(fleet / "models.csv")],
+        ["report", "--report", str(report), "--out-dir", str(tmp_path / "again")],
+        ["calibrate", "--samples", str(samples),
+         "--models-out", str(tmp_path / "fitted.csv")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import", 0, False], ["synth", 0, False], ["compute", 0, False],
+        ["audit", 0, False], ["report", 0, False], ["calibrate", 0, True]]
