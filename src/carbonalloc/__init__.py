@@ -7,8 +7,9 @@ per-tenant reports. The pipeline:
 1. ingest: parse and cross-validate the period's CSV exports.
 2. power: estimate per-device energy (calibrated server models, fixed
    per-byte network cost) and split shared energy proportionally.
-3. allocation: per-tenant Scope 2, responsibility ratios, Scopes 1 and 3,
-   gross and net footprints, plus a conservation audit.
+3. allocation: fleet-wide totals, then per-tenant Scope 2, responsibility
+   ratios, Scopes 1 and 3, gross and net footprints, plus a conservation
+   audit.
 4. report: deterministic JSON plus a one-page human-readable document.
 """
 
@@ -17,6 +18,7 @@ from .allocation import (
     AuditReport,
     DcFootprint,
     DeviceShare,
+    FleetTotals,
     Footprint,
     HistoryEntry,
     NetworkDeviceShare,
@@ -27,6 +29,8 @@ from .allocation import (
     compute_responsibility_ratios,
     compute_scope2,
     conservation_audit,
+    fleet_totals,
+    tenant_footprint,
 )
 from .errors import (
     AllocationError,

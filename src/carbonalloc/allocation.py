@@ -12,6 +12,16 @@ The computation is a strict pipeline with an acyclic dependency order:
 4. Gross total carbon footprint = Scope 1 + Scope 2 + Scope 3; net = gross
    minus the tenant's share of green-energy and certificate offsets.
 
+Scope 2 runs in two phases. Phase 1, :func:`fleet_totals`, sums plain floats
+over the whole fleet: each data center's direct energy, its cooling and
+other shared totals, and its Scope 2 total, which are the denominators of
+every tenant's shares. It raises the fleet's missing-model, zero-denominator
+and non-finite-energy errors. Phase 2 builds one pair's
+:class:`TenantDcScope2`, with its device shares, from those totals.
+:func:`compute_footprints` runs phase 2 for every pair; :func:`tenant_footprint`
+runs it for one tenant's pairs only, which is what checking a single report
+needs.
+
 All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
 reads no files: prior months are attached by the caller.
@@ -19,16 +29,20 @@ reads no files: prior months are attached by the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import MissingModel, ZeroDcScope2
-from .ingest import DataCenter, RawData
+from .errors import MissingModel, UnknownTenant, ZeroDcScope2
+from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage
 from .power import (
     ServerPowerModel,
-    allocate_shared_energy,
     estimate_network_energy,
     estimate_server_energy,
+    network_energy_wh,
+    server_energy_wh,
+    shared_energy_total,
+    split_shared_wh,
 )
 from .units import (
     CarbonIntensity,
@@ -50,9 +64,12 @@ __all__ = [
     "HistoryEntry",
     "DcFootprint",
     "Footprint",
+    "FleetTotals",
+    "fleet_totals",
     "compute_scope2",
     "compute_responsibility_ratios",
     "compute_footprints",
+    "tenant_footprint",
     "conservation_audit",
     "AuditCheck",
     "AuditReport",
@@ -251,8 +268,174 @@ class Footprint:
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: Scope 2
+# Phase 1: fleet totals
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FleetTotals:
+    """Phase 1's result: the per-data-center sums every share is divided by.
+
+    Each map is keyed by data center id, covering every data center some
+    tenant declares, in the order the (tenant, data center) pairs first
+    reach it. ``rows`` holds each pair's usage rows in device-id order, for
+    phase 2 to build device detail from without regrouping the fleet.
+    """
+
+    direct: dict[str, float]
+    cooling: dict[str, float]
+    other: dict[str, float]
+    scope2: dict[str, float]
+    rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]]
+
+
+def _check_finite(value: float, unit: type) -> None:
+    """Raise the UnitError ``unit(value)`` raises when ``value`` is not finite.
+
+    Phase 1 keeps plain floats; this keeps the checks the unit objects made,
+    with their messages, so the totals every share is divided by are finite.
+    """
+    if not math.isfinite(value):
+        unit(value)
+
+
+def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetTotals:
+    """Phase 1: direct, shared and Scope 2 totals per data center, as floats.
+
+    Pairs are visited sorted by tenant, then data center, and devices by id
+    within a pair, which is the order phase 2 sums in, so every float is the
+    one the per-pair detail reproduces. Raises :class:`MissingModel`,
+    :class:`ModelMismatch`, :class:`ZeroDenominator` and the unit errors of
+    non-finite energies for the whole fleet, whichever tenant is asked for afterwards. Negative
+    server estimates are clamped to zero silently: phase 2 warns about the
+    devices it builds.
+    """
+    missing = {row.device_model for row in raw.servers if row.device_model not in models}
+    if missing:
+        raise MissingModel(tuple(missing))
+
+    server_rows: dict[tuple[str, str], list[ServerUsage]] = {}
+    for row in raw.servers:
+        server_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
+    network_rows: dict[tuple[str, str], list[NetworkUsage]] = {}
+    for row in raw.network:
+        network_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
+
+    rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]] = {}
+    pair_direct: dict[tuple[str, str], float] = {}
+    direct: dict[str, float] = {}
+    for tenant_id in sorted(raw.tenants):
+        for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids):
+            key = (tenant_id, dc_id)
+            servers = sorted(server_rows.get(key, ()), key=lambda r: r.device_id)
+            network = sorted(network_rows.get(key, ()), key=lambda r: r.device_id)
+            rows[key] = (servers, network)
+            e_server = 0.0
+            for row in servers:
+                energy = server_energy_wh(models[row.device_model], row)
+                e_server += 0.0 if energy < 0.0 else energy
+            e_network = 0.0
+            for row in network:
+                e_network += network_energy_wh(row)
+            pair = e_server + e_network
+            _check_finite(pair, EnergyWh)
+            pair_direct[key] = pair
+            direct[dc_id] = direct.get(dc_id, 0.0) + pair
+
+    cooling: dict[str, float] = {}
+    other: dict[str, float] = {}
+    for dc_id in direct:
+        dc = raw.datacenters[dc_id]
+        cooling[dc_id] = shared_energy_total(dc.cooling_devices).value
+        other[dc_id] = shared_energy_total(dc.other_devices).value
+
+    scope2: dict[str, float] = {}
+    for (tenant_id, dc_id), pair in pair_direct.items():
+        all_direct = direct[dc_id]
+        _check_finite(all_direct, EnergyWh)
+        e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
+                                    f"cooling devices of {dc_id}")
+        e_other = split_shared_wh(other[dc_id], pair, all_direct,
+                                  f"other devices of {dc_id}")
+        emissions = ((pair + e_cooling + e_other)
+                     * raw.datacenters[dc_id].grid_intensity.value
+                     * raw.tenants[tenant_id].l_share.value)
+        _check_finite(emissions, EmissionsG)
+        scope2[dc_id] = scope2.get(dc_id, 0.0) + emissions
+    return FleetTotals(direct=direct, cooling=cooling, other=other,
+                       scope2=scope2, rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# Phase 2: per-pair detail
+# ---------------------------------------------------------------------------
+
+
+def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
+                 totals: FleetTotals, tenant_id: str, dc_id: str) -> TenantDcScope2:
+    """One tenant's Scope 2 in one data center, with its device shares.
+
+    Sums in phase 1's order, so the energies and emissions equal the floats
+    phase 1 added into ``totals``, which has already raised any
+    :class:`ZeroDenominator`.
+    """
+    dc = raw.datacenters[dc_id]
+    c_dc = dc.grid_intensity
+    l_share = raw.tenants[tenant_id].l_share
+    servers, network = totals.rows[(tenant_id, dc_id)]
+    devices: list[DeviceShare] = []
+    e_server = 0.0
+    for row in servers:
+        energy = estimate_server_energy(models[row.device_model], row)
+        e_server += energy.value
+        devices.append(ServerDeviceShare(
+            device_id=row.device_id, category="server", energy=energy,
+            emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
+            device_model=row.device_model, utilization=row.cpu_utilization,
+            cache_moved=row.cache_moved, dram_accessed=row.dram_accessed,
+            disk_moved=row.disk_moved,
+        ))
+    e_network = 0.0
+    for row in network:
+        energy = estimate_network_energy(row)
+        e_network += energy.value
+        devices.append(NetworkDeviceShare(
+            device_id=row.device_id, category="network", energy=energy,
+            emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
+            device_type=row.device_type, bytes_sent=row.bytes_sent,
+            bytes_received=row.bytes_received,
+        ))
+
+    tenant_direct = e_server + e_network
+    all_direct = totals.direct[dc_id]
+    e_cooling = split_shared_wh(totals.cooling[dc_id], tenant_direct, all_direct)
+    e_other = split_shared_wh(totals.other[dc_id], tenant_direct, all_direct)
+    if all_direct > 0.0:
+        ratio = tenant_direct / all_direct
+        for category, shared in (("cooling", dc.cooling_devices),
+                                 ("other", dc.other_devices)):
+            for dev in sorted(shared, key=lambda d: d.device_id):
+                share_energy = EnergyWh(dev.energy.value * ratio)
+                devices.append(DeviceShare(
+                    device_id=dev.device_id, category=category,
+                    energy=share_energy,
+                    emissions=EmissionsG(
+                        share_energy.value * c_dc.value * l_share.value),
+                ))
+
+    total_energy = tenant_direct + e_cooling + e_other
+    return TenantDcScope2(
+        tenant_id=tenant_id,
+        datacenter_id=dc_id,
+        e_server=EnergyWh(e_server),
+        e_network=EnergyWh(e_network),
+        e_cooling=EnergyWh(e_cooling),
+        e_other=EnergyWh(e_other),
+        emissions=EmissionsG(total_energy * c_dc.value * l_share.value),
+        per_device=tuple(devices),
+        c_dc=c_dc,
+        l_share=l_share,
+    )
 
 
 def compute_scope2(raw: RawData,
@@ -263,132 +446,23 @@ def compute_scope2(raw: RawData,
     with no usage rows (all-zero), so downstream stages and reports cover the
     tenant's whole declared infrastructure.
     """
-    missing = {row.device_model for row in raw.servers if row.device_model not in models}
-    if missing:
-        raise MissingModel(tuple(missing))
-
-    server_rows: dict[tuple[str, str], list] = {}
-    for row in raw.servers:
-        server_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
-    network_rows: dict[tuple[str, str], list] = {}
-    for row in raw.network:
-        network_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
-
-    # First pass: direct (server + network) energy and device detail.
-    direct: dict[tuple[str, str], EnergyWh] = {}
-    detail: dict[tuple[str, str], list[DeviceShare]] = {}
-    server_energy: dict[tuple[str, str], EnergyWh] = {}
-    network_energy: dict[tuple[str, str], EnergyWh] = {}
-
-    pairs = [
-        (tenant_id, dc_id)
-        for tenant_id in sorted(raw.tenants)
-        for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)
-    ]
-    for key in pairs:
-        tenant_id, dc_id = key
-        c_dc = raw.datacenters[dc_id].grid_intensity
-        l_share = raw.tenants[tenant_id].l_share
-        devices: list[DeviceShare] = []
-        e_server = 0.0
-        for row in sorted(server_rows.get(key, []), key=lambda r: r.device_id):
-            energy = estimate_server_energy(models[row.device_model], row)
-            e_server += energy.value
-            devices.append(ServerDeviceShare(
-                device_id=row.device_id, category="server", energy=energy,
-                emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
-                device_model=row.device_model, utilization=row.cpu_utilization,
-                cache_moved=row.cache_moved, dram_accessed=row.dram_accessed,
-                disk_moved=row.disk_moved,
-            ))
-        e_network = 0.0
-        for row in sorted(network_rows.get(key, []), key=lambda r: r.device_id):
-            energy = estimate_network_energy(row)
-            e_network += energy.value
-            devices.append(NetworkDeviceShare(
-                device_id=row.device_id, category="network", energy=energy,
-                emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
-                device_type=row.device_type, bytes_sent=row.bytes_sent,
-                bytes_received=row.bytes_received,
-            ))
-        server_energy[key] = EnergyWh(e_server)
-        network_energy[key] = EnergyWh(e_network)
-        direct[key] = EnergyWh(e_server + e_network)
-        detail[key] = devices
-
-    dc_direct_total: dict[str, float] = {}
-    for (tenant_id, dc_id), energy in direct.items():
-        dc_direct_total[dc_id] = dc_direct_total.get(dc_id, 0.0) + energy.value
-
-    # Second pass: shared allocations and the Scope 2 product.
-    out: list[TenantDcScope2] = []
-    for key in pairs:
-        tenant_id, dc_id = key
-        dc = raw.datacenters[dc_id]
-        c_dc = dc.grid_intensity
-        l_share = raw.tenants[tenant_id].l_share
-        tenant_direct = direct[key]
-        all_direct = EnergyWh(dc_direct_total[dc_id])
-        devices = list(detail[key])
-
-        category_energy: dict[str, EnergyWh] = {}
-        for category, shared in (("cooling", dc.cooling_devices),
-                                 ("other", dc.other_devices)):
-            category_energy[category] = allocate_shared_energy(
-                shared, tenant_direct, all_direct,
-                context=f"{category} devices of {dc_id}")
-            if all_direct.value > 0.0:
-                ratio = tenant_direct.value / all_direct.value
-                for dev in sorted(shared, key=lambda d: d.device_id):
-                    share_energy = EnergyWh(dev.energy.value * ratio)
-                    devices.append(DeviceShare(
-                        device_id=dev.device_id, category=category,
-                        energy=share_energy,
-                        emissions=EmissionsG(
-                            share_energy.value * c_dc.value * l_share.value),
-                    ))
-
-        e_server = server_energy[key]
-        e_network = network_energy[key]
-        e_cooling = category_energy["cooling"]
-        e_other = category_energy["other"]
-        total_energy = (e_server.value + e_network.value
-                        + e_cooling.value + e_other.value)
-        out.append(TenantDcScope2(
-            tenant_id=tenant_id,
-            datacenter_id=dc_id,
-            e_server=e_server,
-            e_network=e_network,
-            e_cooling=e_cooling,
-            e_other=e_other,
-            emissions=EmissionsG(total_energy * c_dc.value * l_share.value),
-            per_device=tuple(devices),
-            c_dc=c_dc,
-            l_share=l_share,
-        ))
-    return out
+    totals = fleet_totals(raw, models)
+    return [_pair_scope2(raw, models, totals, tenant_id, dc_id)
+            for tenant_id, dc_id in totals.rows]
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: responsibility ratios
+# Responsibility ratios
 # ---------------------------------------------------------------------------
 
 
-def compute_responsibility_ratios(
-        scope2: Sequence[TenantDcScope2],
-        datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
-    """Each tenant's fraction of each data center's Scope 2, times load share.
+def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
+            datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
+    """The ratio of each entry against its data center's Scope 2 total.
 
-    When a data center's Scope 2 total is zero the fraction is undefined; if
-    that data center also has Scope 1 fuel or a Scope 3 total to distribute
-    the computation fails with :class:`ZeroDcScope2` (an invented equal split
-    would be unauditable), otherwise every tenant's share is simply zero.
+    Every data center in ``dc_total`` is checked for :class:`ZeroDcScope2`,
+    whether or not ``scope2`` holds an entry for it.
     """
-    dc_total: dict[str, float] = {}
-    for entry in scope2:
-        dc_total[entry.datacenter_id] = (dc_total.get(entry.datacenter_id, 0.0)
-                                         + entry.emissions.value)
-
     for dc_id, total in sorted(dc_total.items()):
         if total == 0.0:
             dc = datacenters[dc_id]
@@ -410,9 +484,93 @@ def compute_responsibility_ratios(
     return out
 
 
+def compute_responsibility_ratios(
+        scope2: Sequence[TenantDcScope2],
+        datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
+    """Each tenant's fraction of each data center's Scope 2, times load share.
+
+    When a data center's Scope 2 total is zero the fraction is undefined; if
+    that data center also has Scope 1 fuel or a Scope 3 total to distribute
+    the computation fails with :class:`ZeroDcScope2` (an invented equal split
+    would be unauditable), otherwise every tenant's share is simply zero.
+    """
+    dc_total: dict[str, float] = {}
+    for entry in scope2:
+        dc_total[entry.datacenter_id] = (dc_total.get(entry.datacenter_id, 0.0)
+                                         + entry.emissions.value)
+    return _ratios(scope2, dc_total, datacenters)
+
+
 # ---------------------------------------------------------------------------
-# Stages 3-4: Scopes 1 and 3, gross and net, per tenant
+# Scopes 1 and 3, gross and net, per tenant
 # ---------------------------------------------------------------------------
+
+
+def _footprint(raw: RawData, tenant_id: str,
+               scope2: Mapping[tuple[str, str], TenantDcScope2],
+               ratios: Mapping[tuple[str, str], ResponsibilityRatio]) -> Footprint:
+    """Assemble one tenant's footprint from its Scope 2 entries and ratios."""
+    tenant = raw.tenants[tenant_id]
+    per_dc: list[DcFootprint] = []
+    gross_total = 0.0
+    net_total = 0.0
+    for dc_id in sorted(tenant.datacenter_ids):
+        dc = raw.datacenters[dc_id]
+        s2 = scope2[(tenant_id, dc_id)]
+        resp = ratios[(tenant_id, dc_id)]
+        r = resp.ratio.value
+        c = dc.grid_intensity.value
+        l = tenant.l_share.value
+        scope1 = 0.0
+        for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
+            scope1 += fuel.amount * fuel.emission_factor * r
+        scope3 = dc.scope3_total.value * r
+        gross = scope1 + s2.emissions.value + scope3
+        green = dc.green_energy.value * c * r
+        rec = dc.rec_offset.value * r
+        net = gross - green - rec
+        breakdown = ScopeBreakdown(
+            scope1=EmissionsG(scope1),
+            scope2=s2.emissions,
+            scope3=EmissionsG(scope3),
+            scope2_components={
+                "server": ScopeComponent(
+                    s2.e_server, EmissionsG(s2.e_server.value * c * l)),
+                "network": ScopeComponent(
+                    s2.e_network, EmissionsG(s2.e_network.value * c * l)),
+                "cooling": ScopeComponent(
+                    s2.e_cooling, EmissionsG(s2.e_cooling.value * c * l)),
+                "other": ScopeComponent(
+                    s2.e_other, EmissionsG(s2.e_other.value * c * l)),
+            },
+        )
+        per_dc.append(DcFootprint(
+            datacenter_id=dc_id,
+            name=dc.name,
+            region=dc.region,
+            grid_intensity=dc.grid_intensity,
+            responsibility=resp,
+            breakdown=breakdown,
+            gross=EmissionsG(gross),
+            net=EmissionsG(net, allow_negative=True),
+            green_offset=EmissionsG(green),
+            rec_offset=EmissionsG(rec),
+            over_offset=net < 0.0,
+            devices=s2.per_device,
+        ))
+        gross_total += gross
+        net_total += net
+
+    return Footprint(
+        tenant_id=tenant_id,
+        display_name=tenant.display_name,
+        agent_count=tenant.agent_count,
+        period=raw.period,
+        per_dc=tuple(per_dc),
+        gross_total=EmissionsG(gross_total),
+        net_total=EmissionsG(net_total, allow_negative=True),
+        per_agent=EmissionsG(gross_total / tenant.agent_count),
+    )
 
 
 def compute_footprints(raw: RawData,
@@ -432,71 +590,27 @@ def compute_footprints(raw: RawData,
     ratios = compute_responsibility_ratios(scope2, raw.datacenters)
     scope2_by_key = {(s.tenant_id, s.datacenter_id): s for s in scope2}
     ratio_by_key = {(r.tenant_id, r.datacenter_id): r for r in ratios}
+    return [_footprint(raw, tenant_id, scope2_by_key, ratio_by_key)
+            for tenant_id in sorted(raw.tenants)]
 
-    footprints: list[Footprint] = []
-    for tenant_id in sorted(raw.tenants):
-        tenant = raw.tenants[tenant_id]
-        per_dc: list[DcFootprint] = []
-        gross_total = 0.0
-        net_total = 0.0
-        for dc_id in sorted(tenant.datacenter_ids):
-            dc = raw.datacenters[dc_id]
-            s2 = scope2_by_key[(tenant_id, dc_id)]
-            resp = ratio_by_key[(tenant_id, dc_id)]
-            r = resp.ratio.value
-            c = dc.grid_intensity.value
-            l = tenant.l_share.value
-            scope1 = 0.0
-            for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
-                scope1 += fuel.amount * fuel.emission_factor * r
-            scope3 = dc.scope3_total.value * r
-            gross = scope1 + s2.emissions.value + scope3
-            green = dc.green_energy.value * c * r
-            rec = dc.rec_offset.value * r
-            net = gross - green - rec
-            breakdown = ScopeBreakdown(
-                scope1=EmissionsG(scope1),
-                scope2=s2.emissions,
-                scope3=EmissionsG(scope3),
-                scope2_components={
-                    "server": ScopeComponent(
-                        s2.e_server, EmissionsG(s2.e_server.value * c * l)),
-                    "network": ScopeComponent(
-                        s2.e_network, EmissionsG(s2.e_network.value * c * l)),
-                    "cooling": ScopeComponent(
-                        s2.e_cooling, EmissionsG(s2.e_cooling.value * c * l)),
-                    "other": ScopeComponent(
-                        s2.e_other, EmissionsG(s2.e_other.value * c * l)),
-                },
-            )
-            per_dc.append(DcFootprint(
-                datacenter_id=dc_id,
-                name=dc.name,
-                region=dc.region,
-                grid_intensity=dc.grid_intensity,
-                responsibility=resp,
-                breakdown=breakdown,
-                gross=EmissionsG(gross),
-                net=EmissionsG(net, allow_negative=True),
-                green_offset=EmissionsG(green),
-                rec_offset=EmissionsG(rec),
-                over_offset=net < 0.0,
-                devices=s2.per_device,
-            ))
-            gross_total += gross
-            net_total += net
 
-        footprints.append(Footprint(
-            tenant_id=tenant_id,
-            display_name=tenant.display_name,
-            agent_count=tenant.agent_count,
-            period=raw.period,
-            per_dc=tuple(per_dc),
-            gross_total=EmissionsG(gross_total),
-            net_total=EmissionsG(net_total, allow_negative=True),
-            per_agent=EmissionsG(gross_total / tenant.agent_count),
-        ))
-    return footprints
+def tenant_footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
+                     tenant_id: str) -> Footprint:
+    """One tenant's footprint, equal to its entry in :func:`compute_footprints`.
+
+    Runs phase 1 for the whole fleet, so a data center anywhere in it fails
+    with the error :func:`compute_footprints` would raise, then builds device
+    detail for this tenant's pairs only. Raises :class:`UnknownTenant` when
+    the inputs do not declare ``tenant_id``.
+    """
+    totals = fleet_totals(raw, models)
+    if tenant_id not in raw.tenants:
+        raise UnknownTenant(tenant_id)
+    scope2 = {(tenant_id, dc_id): _pair_scope2(raw, models, totals, tenant_id, dc_id)
+              for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)}
+    ratios = _ratios(list(scope2.values()), totals.scope2, raw.datacenters)
+    return _footprint(raw, tenant_id, scope2,
+                      {(r.tenant_id, r.datacenter_id): r for r in ratios})
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ from .allocation import (
     Footprint,
     compute_footprints,
     conservation_audit,
+    tenant_footprint,
 )
 from .errors import (
     CarbonAllocError,
     IngestError,
     PowerModelError,
+    UnknownTenant,
     ValidationFailure,
 )
 from .history import HistoryStore
@@ -228,9 +230,9 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
     models = read_models(models_file)
     factors = (load_equivalency_factors(equivalency_file)
                if equivalency_file is not None else factors_from_json(stored_doc))
-    fp = next((f for f in compute_footprints(raw, models)
-               if f.tenant_id == tenant_id), None)
-    if fp is None:
+    try:
+        fp = tenant_footprint(raw, models, tenant_id)
+    except UnknownTenant:
         _err(f"tenant {tenant_id!r} not present in the provided inputs")
         return EXIT_COMPUTATION
     if history_dir is not None:

@@ -60,7 +60,8 @@ class DuplicateId(IngestError):
 
 
 class UnknownTenant(IngestError):
-    """A usage row references a tenant that is not in the tenant file."""
+    """A tenant the tenant file does not declare, named by a usage row or
+    asked of :func:`carbonalloc.allocation.tenant_footprint`."""
 
     def __init__(self, tenant_id: str, locations: tuple[str, ...] = ()):
         self.tenant_id = tenant_id

@@ -36,7 +36,8 @@ class HistoryStore:
 
         A corrupt history file degrades the trend section of the next report,
         which is not worth failing a whole monthly run over; it is logged and
-        skipped.
+        skipped. Figures must be JSON numbers, as in a report: a string or a
+        boolean is corrupt, not converted.
         """
         path = self.path_for(tenant_id, period)
         if not path.is_file():
@@ -45,10 +46,10 @@ class HistoryStore:
             summary = _load_doc(path.read_bytes())["summary"]
             return HistoryEntry(
                 period=period,
-                gross=EmissionsG(float(summary["grossEmissions"])),
-                net=EmissionsG(float(summary["netEmissions"]), allow_negative=True),
+                gross=EmissionsG(summary["grossEmissions"]),
+                net=EmissionsG(summary["netEmissions"], allow_negative=True),
             )
-        except (ReportError, KeyError, TypeError, ValueError) as exc:
+        except (ReportError, KeyError, TypeError, ValueError, OverflowError) as exc:
             log.warning("unreadable history file %s: %s", path, exc)
             return None
 

@@ -36,9 +36,12 @@ __all__ = [
     "CalibrationSample",
     "ServerPowerModel",
     "fit_server_weights",
+    "server_energy_wh",
     "estimate_server_energy",
+    "network_energy_wh",
     "estimate_network_energy",
     "shared_energy_total",
+    "split_shared_wh",
     "allocate_shared_energy",
     "read_models",
     "write_models",
@@ -158,21 +161,29 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
     )
 
 
-def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> EnergyWh:
-    """Apply a fitted model to one usage row.
+def server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
+    """A fitted model's raw estimate for one usage row, in Wh, unclamped.
 
     Terms are summed left to right in a fixed order (intercept, CPU, cache,
-    DRAM, disk) so results are bit-for-bit reproducible. A fit against noisy
-    data can produce slightly negative estimates near idle; those are clamped
-    to zero with a warning rather than propagated as unphysical energy.
+    DRAM, disk) so results are bit-for-bit reproducible.
     """
     if model.device_model and usage.device_model and model.device_model != usage.device_model:
         raise ModelMismatch(model.device_model, usage.device_model)
-    value = (model.intercept
-             + model.w_cpu * usage.cpu_utilization
-             + model.w_cache * usage.cache_moved
-             + model.w_dram * usage.dram_accessed
-             + model.w_disk * usage.disk_moved)
+    return (model.intercept
+            + model.w_cpu * usage.cpu_utilization
+            + model.w_cache * usage.cache_moved
+            + model.w_dram * usage.dram_accessed
+            + model.w_disk * usage.disk_moved)
+
+
+def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> EnergyWh:
+    """Apply a fitted model to one usage row.
+
+    A fit against noisy data can produce slightly negative estimates near
+    idle; those are clamped to zero with a warning rather than propagated as
+    unphysical energy.
+    """
+    value = server_energy_wh(model, usage)
     if value < 0.0:
         log.warning("negative energy estimate %.6g Wh for device %s (model %s); "
                     "clamping to 0", value, usage.device_id, model.device_model)
@@ -180,7 +191,7 @@ def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> Energ
     return EnergyWh(value)
 
 
-def estimate_network_energy(row: NetworkUsage) -> EnergyWh:
+def network_energy_wh(row: NetworkUsage) -> float:
     """Energy for traffic through a network device at 6e-8 Wh per byte.
 
     Computed as ``6 * total / 100_000_000`` rather than ``6e-8 * total``: the
@@ -188,8 +199,12 @@ def estimate_network_energy(row: NetworkUsage) -> EnergyWh:
     int/int true division, which Python rounds correctly at any size, whereas
     multiplying by the rounded literal 6e-8 introduces one ulp of error.
     """
-    total = row.bytes_sent + row.bytes_received
-    return EnergyWh(6 * total / 100_000_000)
+    return 6 * (row.bytes_sent + row.bytes_received) / 100_000_000
+
+
+def estimate_network_energy(row: NetworkUsage) -> EnergyWh:
+    """:func:`network_energy_wh` as a unit value."""
+    return EnergyWh(network_energy_wh(row))
 
 
 def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) -> EnergyWh:
@@ -204,6 +219,21 @@ def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) 
     return EnergyWh(total)
 
 
+def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: float,
+                    context: str = "") -> float:
+    """A tenant's slice of a shared energy total, by direct-energy ratio.
+
+    With no shared energy the answer is zero regardless of the denominator;
+    shared energy with a zero denominator is unallocatable and raises
+    :class:`ZeroDenominator`.
+    """
+    if total == 0.0:
+        return 0.0
+    if all_tenants_direct == 0.0:
+        raise ZeroDenominator(context)
+    return total * tenant_direct / all_tenants_direct
+
+
 def allocate_shared_energy(shared_devices: tuple[SharedDevice, ...] | list[SharedDevice],
                            tenant_direct: EnergyWh,
                            all_tenants_direct: EnergyWh,
@@ -211,17 +241,12 @@ def allocate_shared_energy(shared_devices: tuple[SharedDevice, ...] | list[Share
     """Split shared (cooling/facility) energy by direct-energy ratio.
 
     A tenant's slice of the metered shared total is proportional to its share
-    of direct IT energy (servers plus network) in the same data center. With
-    no shared energy the answer is zero regardless of the denominator; shared
-    energy with a zero denominator is unallocatable and raises
-    :class:`ZeroDenominator`.
+    of direct IT energy (servers plus network) in the same data center; see
+    :func:`split_shared_wh`.
     """
-    total = shared_energy_total(shared_devices)
-    if total.value == 0.0:
-        return EnergyWh(0.0)
-    if all_tenants_direct.value == 0.0:
-        raise ZeroDenominator(context)
-    return EnergyWh(total.value * tenant_direct.value / all_tenants_direct.value)
+    return EnergyWh(split_shared_wh(shared_energy_total(shared_devices).value,
+                                    tenant_direct.value, all_tenants_direct.value,
+                                    context))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from carbonalloc.allocation import (
     compute_responsibility_ratios,
     compute_scope2,
     conservation_audit,
+    fleet_totals,
+    tenant_footprint,
 )
-from carbonalloc.errors import MissingModel, UnitError, ZeroDcScope2
+from carbonalloc.errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
 from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import (
     DataCenter,
@@ -456,6 +458,56 @@ def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:
         fp, per_dc=per_dc, gross_total=EmissionsG(gross_total),
         net_total=EmissionsG(net_total, allow_negative=True),
         per_agent=EmissionsG(gross_total / fp.agent_count))
+
+
+def _over_offset(raw: RawData) -> RawData:
+    """The fleet with its first data center's certificates worth 1e12 g."""
+    dc_id = min(raw.datacenters)
+    return dataclasses.replace(raw, datacenters={
+        **raw.datacenters,
+        dc_id: dataclasses.replace(raw.datacenters[dc_id],
+                                   rec_offset=EmissionsG(1e12))})
+
+
+class TestTenantFootprint:
+    @pytest.mark.parametrize("seed, kwargs, transform", [
+        (11, {}, None),
+        (12, {"l_share": 0.6}, None),
+        (13, {"with_offsets": False}, None),
+        (14, {}, _over_offset),
+    ], ids=["default", "l_share", "no_offsets", "over_offset"])
+    def test_renders_as_compute_footprints_for_every_tenant(
+            self, factors, seed, kwargs, transform):
+        fleet = generate_fleet(seed=seed, n_tenants=7, n_dcs=3, **kwargs)
+        raw = fleet.raw if transform is None else transform(fleet.raw)
+        footprints = compute_footprints(raw, fleet.models)
+        if transform is _over_offset:
+            assert any(dc.over_offset for fp in footprints for dc in fp.per_dc)
+        for fp in footprints:
+            scoped = tenant_footprint(raw, fleet.models, fp.tenant_id)
+            assert (render_json(scoped, factors).content
+                    == render_json(fp, factors).content)
+
+    def test_fleet_totals_match_scope2_bit_for_bit(self):
+        fleet = generate_fleet(seed=15, n_tenants=9, n_dcs=4)
+        scope2_total: dict[str, float] = {}
+        direct: dict[str, float] = {}
+        for entry in compute_scope2(fleet.raw, fleet.models):
+            dc_id = entry.datacenter_id
+            scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + entry.emissions.value
+            direct[dc_id] = (direct.get(dc_id, 0.0)
+                             + (entry.e_server.value + entry.e_network.value))
+        totals = fleet_totals(fleet.raw, fleet.models)
+        assert totals.scope2 == scope2_total
+        assert totals.direct == direct
+
+    def test_unknown_tenant_raises_after_checking_the_fleet(self):
+        raw = two_tenant_raw()
+        with pytest.raises(UnknownTenant):
+            tenant_footprint(raw, TWO_TENANT_MODELS, "TENANT_Z")
+        with pytest.raises(MissingModel):
+            tenant_footprint(raw, {"M_2500": TWO_TENANT_MODELS["M_2500"]},
+                             "TENANT_Z")
 
 
 class TestConservationAudit:

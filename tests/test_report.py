@@ -378,6 +378,25 @@ class TestHistoryStore:
             assert store.load_entry("TENANT_X", Period(2025, 5)) is None
         assert any("grossEmissions" in rec.getMessage() for rec in caplog.records)
 
+    @pytest.mark.parametrize("figure", ['"123"', '"1e3"', "true", "null",
+                                        "1" + "0" * 400])
+    @pytest.mark.parametrize("field", ["grossEmissions", "netEmissions"])
+    def test_non_number_figure_skipped_with_warning(self, tmp_path, caplog,
+                                                     fixture_doc, field, figure):
+        doc = json.loads(fixture_doc.content)
+        head, summary = fixture_doc.content.decode("utf-8").split('"summary": {', 1)
+        stored = f'"{field}": {doc["summary"][field]!r},'
+        assert stored in summary
+        store = HistoryStore(tmp_path)
+        store.save("TENANT_X", Period(2025, 5), (
+            head + '"summary": {'
+            + summary.replace(stored, f'"{field}": {figure},', 1)).encode("utf-8"))
+        import logging
+        with caplog.at_level(logging.WARNING, logger="carbonalloc.history"):
+            assert store.load_entry("TENANT_X", Period(2025, 5)) is None
+        assert any("unreadable history file" in rec.getMessage()
+                   for rec in caplog.records)
+
     def test_prior_entries_limit_two(self, tmp_path, fixture_doc):
         store = HistoryStore(tmp_path)
         for month in (2, 3, 4, 5):

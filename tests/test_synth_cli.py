@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from carbonalloc import cli
+from carbonalloc import allocation, cli
 from carbonalloc.cli import (
     EXIT_AUDIT_MISMATCH,
     EXIT_COMPUTATION,
@@ -195,6 +195,21 @@ class TestComputeCommand:
         warned = Counter(record.args[1] for record in caplog.records
                          if record.msg.startswith("negative energy estimate"))
         assert warned == Counter(clamped)
+
+        # audit builds device detail for the audited tenant only, so it warns
+        # about that tenant's devices and no others.
+        tenant_of = {line.split(",")[1]: line.split(",")[3] for line in
+                     (workspace["fleet"] / "servers.csv").read_text().splitlines()
+                     if ",MODEL_A," in line}
+        tenants = sorted(p.name for p in (workspace["out"] / "reports").iterdir())
+        assert set(tenant_of.values()) < set(tenants)
+        for tenant in tenants:
+            caplog.clear()
+            report = workspace["out"] / "reports" / tenant / "2025-06.json"
+            assert run_audit(workspace, report) == EXIT_OK
+            warned = Counter(record.args[1] for record in caplog.records
+                             if record.msg.startswith("negative energy estimate"))
+            assert warned == Counter(d for d in clamped if tenant_of[d] == tenant)
 
     def test_subsequent_month_reports_trend(self, workspace):
         assert run_compute(workspace, period="2025-05") == EXIT_OK
@@ -439,6 +454,83 @@ class TestAuditCommand:
         capsys.readouterr()
         assert run_audit(workspace, report) == EXIT_COMPUTATION
         assert "MODEL_A" in capsys.readouterr().err
+
+    # Each case adds DC_99, declared only by a new tenant TENANT_99, after
+    # the audited report is written: the audited tenant's figures do not
+    # change, but the fleet can no longer be computed.
+    BROKEN_ELSEWHERE = {
+        "missing-model": (
+            "DC_99,Elsewhere,eu-west,0.3,CRAC_99:1000.0,,,,,",
+            "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0", None,
+            EXIT_COMPUTATION, "MODEL_Z"),
+        "zero-denominator": (
+            "DC_99,Elsewhere,eu-west,0.3,CRAC_99:1000.0,,,,,", None, None,
+            EXIT_COMPUTATION, "cooling devices of DC_99"),
+        "zero-dc-scope2": (
+            "DC_99,Elsewhere,eu-west,0.0,,,GEN_99:10.0:2.5,,,",
+            "DC_99,SRV_99,MODEL_A,TENANT_99,0.5,0.0,0.0,0.0", None,
+            EXIT_COMPUTATION, "'DC_99' has Scope 1 or Scope 3"),
+        "non-finite-energy": (
+            "DC_99,Elsewhere,eu-west,0.3,,,,,,",
+            "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0",
+            "MODEL_Z,1.5e308,1e308,0.0,0.0,0.0,1.0",
+            EXIT_VALIDATION, "must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_ELSEWHERE))
+    def test_failure_in_another_datacenter_fails_as_compute(self, workspace,
+                                                             capsys, case):
+        dc_row, server_row, model_row, code, message = self.BROKEN_ELSEWHERE[case]
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        for name, row in (("datacenters.csv", dc_row),
+                          ("tenants.csv", "TENANT_99,Elsewhere,1,DC_99,1.0"),
+                          ("servers.csv", server_row)):
+            if row is not None:
+                with open(workspace["fleet"] / name, "a", encoding="utf-8") as f:
+                    f.write(row + "\n")
+        if model_row is not None:
+            with open(workspace["models"], "a", encoding="utf-8") as f:
+                f.write(model_row + "\n")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == code
+        audit_err = capsys.readouterr().err
+        assert message in audit_err
+        workspace["out"] = workspace["root"] / "out_broken"
+        assert run_compute(workspace) == code
+        assert capsys.readouterr().err == audit_err
+
+    def test_absent_tenant_exits_2(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["tenant"]["tenantId"] = "TENANT_77"
+        report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_COMPUTATION
+        assert ("tenant 'TENANT_77' not present in the provided inputs"
+                in capsys.readouterr().err)
+
+    def test_estimates_only_the_audited_tenants_devices(self, workspace,
+                                                        monkeypatch):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        calls = Counter()
+        for name in ("estimate_server_energy", "estimate_network_energy"):
+            real = getattr(allocation, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(allocation, name, counting)
+        assert run_audit(workspace, report) == EXIT_OK
+        rows = {name: sum(line.split(",")[3:4] == ["TENANT_02"] for line in
+                          (workspace["fleet"] / name).read_text().splitlines())
+                for name in ("servers.csv", "network.csv")}
+        assert rows["servers.csv"] > 0
+        assert calls == Counter(estimate_server_energy=rows["servers.csv"],
+                                estimate_network_energy=rows["network.csv"])
 
     def test_reads_only_the_audited_tenants_history(self, workspace,
                                                      monkeypatch):
