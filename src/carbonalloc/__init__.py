@@ -21,9 +21,7 @@ from .allocation import (
     FleetTotals,
     Footprint,
     HistoryEntry,
-    NetworkDeviceShare,
     ResponsibilityRatio,
-    ServerDeviceShare,
     TenantDcScope2,
     compute_footprints,
     compute_responsibility_ratios,

@@ -25,20 +25,26 @@ needs.
 All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
 reads no files: prior months are attached by the caller.
+
+Unit invariants are checked where values enter or leave a stage: the stage
+results (:class:`TenantDcScope2`, :class:`DcFootprint`, :class:`Footprint`)
+hold unit objects, while per-device detail (:class:`DeviceShare`) is plain
+floats. Each device's energy is non-negative and no larger than its pair's
+direct energy, and its emissions no larger than its pair's Scope 2, both of
+which phase 1 has checked to be finite for the whole fleet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnknownTenant, ZeroDcScope2
 from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage
 from .power import (
     ServerPowerModel,
-    estimate_network_energy,
-    estimate_server_energy,
+    clamped_server_energy_wh,
     network_energy_wh,
     server_energy_wh,
     shared_energy_total,
@@ -57,8 +63,6 @@ from .units import (
 
 __all__ = [
     "DeviceShare",
-    "ServerDeviceShare",
-    "NetworkDeviceShare",
     "TenantDcScope2",
     "ResponsibilityRatio",
     "HistoryEntry",
@@ -90,34 +94,36 @@ def _close(actual: float, expected: float, tol: float = AUDIT_TOLERANCE) -> bool
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeviceShare:
-    """One device's contribution to a tenant's Scope 2 in one data center."""
+class DeviceShare(NamedTuple):
+    """One device's contribution to a tenant's Scope 2 in one data center.
+
+    ``energy_wh`` and ``emissions_g`` are plain floats, checked through the
+    totals they are bounded by rather than one by one (see the module
+    docstring). A server keeps the usage counters its estimate came from, a
+    network device its byte counters; the other kind's counters stay at
+    their defaults, and a cooling or other share carries none.
+    """
 
     device_id: str
     category: str
-    energy: EnergyWh
-    emissions: EmissionsG
-
-
-@dataclass(frozen=True)
-class ServerDeviceShare(DeviceShare):
-    """Server contribution, keeping the usage counters the estimate came from."""
-
+    energy_wh: float
+    emissions_g: float
     device_model: str = ""
     utilization: float = 0.0
     cache_moved: float = 0.0
     dram_accessed: float = 0.0
     disk_moved: float = 0.0
-
-
-@dataclass(frozen=True)
-class NetworkDeviceShare(DeviceShare):
-    """Network contribution, keeping the byte counters behind the estimate."""
-
     device_type: str = ""
     bytes_sent: int = 0
     bytes_received: int = 0
+
+    @property
+    def energy(self) -> EnergyWh:
+        return EnergyWh(self.energy_wh)
+
+    @property
+    def emissions(self) -> EmissionsG:
+        return EmissionsG(self.emissions_g)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +163,7 @@ class TenantDcScope2:
         for dev in self.per_device:
             if dev.category not in by_category:
                 raise UnitError(f"unknown device category {dev.category!r}")
-            by_category[dev.category] += dev.energy.value
+            by_category[dev.category] += dev.energy_wh
         for category, total in (("server", self.e_server), ("network", self.e_network),
                                 ("cooling", self.e_cooling), ("other", self.e_other)):
             if not _close(by_category[category], total.value):
@@ -382,29 +388,25 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     dc = raw.datacenters[dc_id]
     c_dc = dc.grid_intensity
     l_share = raw.tenants[tenant_id].l_share
+    c, l = c_dc.value, l_share.value
     servers, network = totals.rows[(tenant_id, dc_id)]
     devices: list[DeviceShare] = []
     e_server = 0.0
     for row in servers:
-        energy = estimate_server_energy(models[row.device_model], row)
-        e_server += energy.value
-        devices.append(ServerDeviceShare(
-            device_id=row.device_id, category="server", energy=energy,
-            emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
-            device_model=row.device_model, utilization=row.cpu_utilization,
-            cache_moved=row.cache_moved, dram_accessed=row.dram_accessed,
-            disk_moved=row.disk_moved,
-        ))
+        energy = clamped_server_energy_wh(models[row.device_model], row)
+        e_server += energy
+        devices.append(DeviceShare(
+            row.device_id, "server", energy, energy * c * l,
+            row.device_model, row.cpu_utilization, row.cache_moved,
+            row.dram_accessed, row.disk_moved))
     e_network = 0.0
     for row in network:
-        energy = estimate_network_energy(row)
-        e_network += energy.value
-        devices.append(NetworkDeviceShare(
-            device_id=row.device_id, category="network", energy=energy,
-            emissions=EmissionsG(energy.value * c_dc.value * l_share.value),
+        energy = network_energy_wh(row)
+        e_network += energy
+        devices.append(DeviceShare(
+            row.device_id, "network", energy, energy * c * l,
             device_type=row.device_type, bytes_sent=row.bytes_sent,
-            bytes_received=row.bytes_received,
-        ))
+            bytes_received=row.bytes_received))
 
     tenant_direct = e_server + e_network
     all_direct = totals.direct[dc_id]
@@ -415,13 +417,9 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
         for category, shared in (("cooling", dc.cooling_devices),
                                  ("other", dc.other_devices)):
             for dev in sorted(shared, key=lambda d: d.device_id):
-                share_energy = EnergyWh(dev.energy.value * ratio)
-                devices.append(DeviceShare(
-                    device_id=dev.device_id, category=category,
-                    energy=share_energy,
-                    emissions=EmissionsG(
-                        share_energy.value * c_dc.value * l_share.value),
-                ))
+                energy = dev.energy.value * ratio
+                devices.append(DeviceShare(dev.device_id, category, energy,
+                                           energy * c * l))
 
     total_energy = tenant_direct + e_cooling + e_other
     return TenantDcScope2(
@@ -431,7 +429,7 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
         e_network=EnergyWh(e_network),
         e_cooling=EnergyWh(e_cooling),
         e_other=EnergyWh(e_other),
-        emissions=EmissionsG(total_energy * c_dc.value * l_share.value),
+        emissions=EmissionsG(total_energy * c * l),
         per_device=tuple(devices),
         c_dc=c_dc,
         l_share=l_share,

@@ -14,6 +14,7 @@ Diagnostics go to standard error; summary tables to standard output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -165,18 +166,26 @@ def cmd_compute(config: RunConfig) -> int:
                          config.l_share_override)
     models = read_models(config.models_file)
     factors = load_equivalency_factors(config.equivalency_file)
-    footprints = compute_footprints(raw, models)
+    # The ingested inputs live until the run ends: freezing them keeps every
+    # later collection from traversing them again. Unfrozen afterwards so an
+    # in-process caller does not accumulate frozen objects.
+    gc.freeze()
+    try:
+        footprints = compute_footprints(raw, models)
 
-    audit = conservation_audit(footprints, raw, models)
-    _print_audit_summary(audit)
-    if not audit.passed:
-        _err("conservation audit failed; no reports written")
-        return EXIT_AUDIT_MISMATCH
+        audit = conservation_audit(footprints, raw, models)
+        _print_audit_summary(audit)
+        if not audit.passed:
+            _err("conservation audit failed; no reports written")
+            return EXIT_AUDIT_MISMATCH
 
-    history = HistoryStore(config.history_dir)
-    footprints = [replace(fp, history=history.prior_entries(fp.tenant_id, fp.period))
-                  for fp in footprints]
-    _write_reports(footprints, factors, config, history)
+        history = HistoryStore(config.history_dir)
+        footprints = [replace(fp, history=history.prior_entries(fp.tenant_id,
+                                                                fp.period))
+                      for fp in footprints]
+        _write_reports(footprints, factors, config, history)
+    finally:
+        gc.unfreeze()
 
     print(f"{'tenant':<16} {'gross_g':>18} {'net_g':>18} {'per_agent_g':>14}")
     for fp in footprints:

@@ -49,7 +49,7 @@ class HistoryStore:
                 gross=EmissionsG(summary["grossEmissions"]),
                 net=EmissionsG(summary["netEmissions"], allow_negative=True),
             )
-        except (ReportError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (ReportError, KeyError, TypeError, ValueError) as exc:
             log.warning("unreadable history file %s: %s", path, exc)
             return None
 

@@ -37,6 +37,7 @@ __all__ = [
     "ServerPowerModel",
     "fit_server_weights",
     "server_energy_wh",
+    "clamped_server_energy_wh",
     "estimate_server_energy",
     "network_energy_wh",
     "estimate_network_energy",
@@ -176,8 +177,8 @@ def server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
             + model.w_disk * usage.disk_moved)
 
 
-def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> EnergyWh:
-    """Apply a fitted model to one usage row.
+def clamped_server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
+    """A fitted model's estimate for one usage row, in Wh, never negative.
 
     A fit against noisy data can produce slightly negative estimates near
     idle; those are clamped to zero with a warning rather than propagated as
@@ -187,8 +188,13 @@ def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> Energ
     if value < 0.0:
         log.warning("negative energy estimate %.6g Wh for device %s (model %s); "
                     "clamping to 0", value, usage.device_id, model.device_model)
-        return EnergyWh(0.0)
-    return EnergyWh(value)
+        return 0.0
+    return value
+
+
+def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> EnergyWh:
+    """:func:`clamped_server_energy_wh` as a unit value."""
+    return EnergyWh(clamped_server_energy_wh(model, usage))
 
 
 def network_energy_wh(row: NetworkUsage) -> float:

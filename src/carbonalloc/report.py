@@ -27,9 +27,7 @@ from .allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    NetworkDeviceShare,
     ResponsibilityRatio,
-    ServerDeviceShare,
 )
 from .errors import CarbonAllocError
 from .units import (
@@ -40,6 +38,7 @@ from .units import (
     ScopeBreakdown,
     ScopeComponent,
     Share,
+    is_finite,
 )
 
 __all__ = [
@@ -183,33 +182,33 @@ def _bool(value: bool) -> str:
 def _device_json(device_id: str, dev: DeviceShare) -> str:
     """One device entry, at the depth of a ``devices.<map>`` member."""
     head = f"              {_string(device_id)}: {{\n"
-    if isinstance(dev, ServerDeviceShare):
+    if dev.category == "server":
         return (f'{head}'
                 f'                "type": "ServerDevice",\n'
                 f'                "isAggregate": false,\n'
                 f'                "deviceModel": {_string(dev.device_model)},\n'
-                f'                "energy": {dev.energy.value!r},\n'
-                f'                "emissions": {dev.emissions.value!r},\n'
+                f'                "energy": {dev.energy_wh!r},\n'
+                f'                "emissions": {dev.emissions_g!r},\n'
                 f'                "utilization": {dev.utilization!r},\n'
                 f'                "cacheMoved": {dev.cache_moved!r},\n'
                 f'                "dramAccessed": {dev.dram_accessed!r},\n'
                 f'                "diskMoved": {dev.disk_moved!r}\n'
                 f'              }}')
-    if isinstance(dev, NetworkDeviceShare):
+    if dev.category == "network":
         return (f'{head}'
                 f'                "type": "NetworkDevice",\n'
                 f'                "isAggregate": false,\n'
                 f'                "deviceType": {_string(dev.device_type)},\n'
-                f'                "energy": {dev.energy.value!r},\n'
-                f'                "emissions": {dev.emissions.value!r},\n'
+                f'                "energy": {dev.energy_wh!r},\n'
+                f'                "emissions": {dev.emissions_g!r},\n'
                 f'                "bytesSent": {dev.bytes_sent!r},\n'
                 f'                "bytesReceived": {dev.bytes_received!r}\n'
                 f'              }}')
     return (f'{head}'
             f'                "type": "SharedDevice",\n'
             f'                "isAggregate": false,\n'
-            f'                "energy": {dev.energy.value!r},\n'
-            f'                "emissions": {dev.emissions.value!r}\n'
+            f'                "energy": {dev.energy_wh!r},\n'
+            f'                "emissions": {dev.emissions_g!r}\n'
             f'              }}')
 
 
@@ -421,7 +420,7 @@ def _load_doc(source: bytes | str | dict[str, Any]) -> dict[str, Any]:
         if isinstance(source, bytes):
             source = source.decode("utf-8")
         doc = json.loads(source, object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to parse
         raise ReportError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ReportError("report JSON must be an object")
@@ -448,7 +447,7 @@ def _counter(entry: dict[str, Any], key: str) -> int | float:
     """A device usage counter, which the writer emits with ``repr``."""
     value = entry[key]
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not is_finite(value)):
         raise ReportError(f"malformed report JSON: {key} must be a finite "
                           f"number, got {value!r}")
     return value
@@ -456,26 +455,30 @@ def _counter(entry: dict[str, Any], key: str) -> int | float:
 
 def _device_from_entry(device_id: str, category: str,
                        entry: dict[str, Any]) -> DeviceShare:
-    energy = EnergyWh(entry["energy"])
-    emissions = EmissionsG(entry["emissions"])
+    """One stored device entry as a record.
+
+    A stored report is outside input, so each figure is checked as a unit
+    value before it is kept as a float.
+    """
+    energy = EnergyWh(entry["energy"]).value
+    emissions = EmissionsG(entry["emissions"]).value
     if category == "server":
-        return ServerDeviceShare(
-            device_id=device_id, category=category, energy=energy,
-            emissions=emissions, device_model=str(entry["deviceModel"]),
+        return DeviceShare(
+            device_id, category, energy, emissions,
+            device_model=str(entry["deviceModel"]),
             utilization=_counter(entry, "utilization"),
             cache_moved=_counter(entry, "cacheMoved"),
             dram_accessed=_counter(entry, "dramAccessed"),
             disk_moved=_counter(entry, "diskMoved"),
         )
     if category == "network":
-        return NetworkDeviceShare(
-            device_id=device_id, category=category, energy=energy,
-            emissions=emissions, device_type=str(entry["deviceType"]),
+        return DeviceShare(
+            device_id, category, energy, emissions,
+            device_type=str(entry["deviceType"]),
             bytes_sent=_counter(entry, "bytesSent"),
             bytes_received=_counter(entry, "bytesReceived"),
         )
-    return DeviceShare(device_id=device_id, category=category,
-                       energy=energy, emissions=emissions)
+    return DeviceShare(device_id, category, energy, emissions)
 
 
 def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
@@ -547,9 +550,9 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
         )
         agent_count = tenant["agentCount"]
         if (isinstance(agent_count, bool) or not isinstance(agent_count, int)
-                or agent_count < 1):
+                or agent_count < 1 or not is_finite(agent_count)):
             raise ReportError("malformed report JSON: agentCount must be a whole "
-                              f"number >= 1, got {agent_count!r}")
+                              f"number >= 1 within float range, got {agent_count!r}")
         return Footprint(
             tenant_id=tenant_id,
             display_name=str(tenant["displayName"]),

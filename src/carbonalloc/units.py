@@ -6,6 +6,11 @@ kWh? grams or kilograms?) is the classic source of silent unit errors in
 sustainability tooling, so the wrappers are deliberately kept cheap: a single
 ``value`` slot plus validation.
 
+The wrappers guard the boundaries: values read at ingest, the results each
+allocation stage hands to the next, and figures parsed from a stored report.
+Per-device detail inside the engine is plain floats instead, bounded by its
+(tenant, data center) pair's totals, which are checked.
+
 Canonical units:
 
 * energy: watt-hours (Wh)
@@ -31,6 +36,7 @@ __all__ = [
     "ScopeComponent",
     "ScopeBreakdown",
     "emissions_from_energy",
+    "is_finite",
     "SCOPE2_COMPONENTS",
 ]
 
@@ -38,10 +44,22 @@ __all__ = [
 SCOPE2_COMPONENTS = ("server", "network", "cooling", "other")
 
 
+def is_finite(value: int | float) -> bool:
+    """``math.isfinite`` that answers False for an int beyond float range.
+
+    ``math.isfinite`` raises ``OverflowError`` on such an int, and a number
+    parsed from JSON can be one.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_finite(value: float, what: str) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    if not is_finite(value):
         raise UnitError(f"{what} must be finite, got {value!r}")
 
 

@@ -7,10 +7,9 @@ import pytest
 
 from carbonalloc.allocation import (
     DcFootprint,
+    DeviceShare,
     Footprint,
-    NetworkDeviceShare,
     ResponsibilityRatio,
-    ServerDeviceShare,
     TenantDcScope2,
     compute_footprints,
     compute_responsibility_ratios,
@@ -106,13 +105,14 @@ class TestComputeScope2:
         (entry,) = compute_scope2(fictitious_raw, fictitious_models)
         by_id = {d.device_id: d for d in entry.per_device}
         srv = by_id["SERVER_1234"]
-        assert isinstance(srv, ServerDeviceShare)
+        assert isinstance(srv, DeviceShare)
         assert srv.category == "server"
         assert srv.device_model == "ABC_987"
         assert (srv.utilization, srv.cache_moved) == (0.10, 2e7)
         assert srv.emissions.value == 40000.0
         net = by_id["NETWORK_DEVICE_1234"]
-        assert isinstance(net, NetworkDeviceShare)
+        assert isinstance(net, DeviceShare)
+        assert net.category == "network"
         assert net.bytes_sent == 10**12
         assert net.emissions.value == 48000.0  # 120000 Wh x 0.4 g/Wh
         assert by_id["CRAC_1"].category == "cooling"

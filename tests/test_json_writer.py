@@ -17,9 +17,7 @@ from carbonalloc.allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    NetworkDeviceShare,
     ResponsibilityRatio,
-    ServerDeviceShare,
 )
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -54,21 +52,18 @@ periods = st.builds(Period, st.integers(1, 9999), st.integers(1, 12))
 @st.composite
 def devices(draw, category):
     device_id = draw(texts)
-    energy, emissions = EnergyWh(draw(amounts)), EmissionsG(draw(amounts))
+    energy, emissions = draw(amounts), draw(amounts)
     if category == "server":
-        return ServerDeviceShare(
-            device_id=device_id, category=category, energy=energy,
-            emissions=emissions, device_model=draw(texts),
+        return DeviceShare(
+            device_id, category, energy, emissions, device_model=draw(texts),
             utilization=draw(fractions), cache_moved=draw(counters),
             dram_accessed=draw(counters), disk_moved=draw(counters))
     if category == "network":
-        return NetworkDeviceShare(
-            device_id=device_id, category=category, energy=energy,
-            emissions=emissions, device_type=draw(texts),
+        return DeviceShare(
+            device_id, category, energy, emissions, device_type=draw(texts),
             bytes_sent=draw(st.integers(0, 2**64)),
             bytes_received=draw(st.integers(0, 2**64)))
-    return DeviceShare(device_id=device_id, category=category, energy=energy,
-                       emissions=emissions)
+    return DeviceShare(device_id, category, energy, emissions)
 
 
 @st.composite

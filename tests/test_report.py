@@ -143,7 +143,8 @@ class TestRenderJson:
         with pytest.raises(ReportError, match="bytesSent"):
             footprint_from_json(doc)
 
-    @pytest.mark.parametrize("value", ["0", '"abc"', "1e400"])
+    @pytest.mark.parametrize("value", [
+        "0", '"abc"', "1e400", pytest.param("1" + "0" * 400, id="401-digits")])
     def test_report_refuses_bad_agent_count(self, tmp_path, capsys, fixture_doc,
                                             value):
         report = tmp_path / "report.json"

@@ -475,6 +475,13 @@ class TestAuditCommand:
             "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0",
             "MODEL_Z,1.5e308,1e308,0.0,0.0,0.0,1.0",
             EXIT_VALIDATION, "must be finite"),
+        # Every energy is finite; only the emissions overflow. Device detail
+        # is not checked one by one, so the pair's Scope 2 check must catch it.
+        "non-finite-emissions": (
+            "DC_99,Elsewhere,eu-west,1e10,,,,,,",
+            "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0",
+            "MODEL_Z,1e300,0.0,0.0,0.0,0.0,1.0",
+            EXIT_VALIDATION, "emissions (gCO2e) must be finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(BROKEN_ELSEWHERE))
@@ -515,22 +522,22 @@ class TestAuditCommand:
                                                         monkeypatch):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
-        calls = Counter()
-        for name in ("estimate_server_energy", "estimate_network_energy"):
-            real = getattr(allocation, name)
+        built = Counter()
+        real = allocation.DeviceShare
 
-            def counting(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counting(*args, **kwargs):
+            share = real(*args, **kwargs)
+            built[share.category] += 1
+            return share
 
-            monkeypatch.setattr(allocation, name, counting)
+        monkeypatch.setattr(allocation, "DeviceShare", counting)
         assert run_audit(workspace, report) == EXIT_OK
         rows = {name: sum(line.split(",")[3:4] == ["TENANT_02"] for line in
                           (workspace["fleet"] / name).read_text().splitlines())
                 for name in ("servers.csv", "network.csv")}
         assert rows["servers.csv"] > 0
-        assert calls == Counter(estimate_server_energy=rows["servers.csv"],
-                                estimate_network_energy=rows["network.csv"])
+        assert (built["server"], built["network"]) == (rows["servers.csv"],
+                                                       rows["network.csv"])
 
     def test_reads_only_the_audited_tenants_history(self, workspace,
                                                      monkeypatch):
@@ -589,6 +596,39 @@ class TestReportCommand:
         assert "grossEmissions" in capsys.readouterr().err
         assert not rerender_dir.exists()
 
+    # A stored number must fit a float. 401 digits parse as a Python int
+    # beyond float range; 5000 digits exceed what ``json`` will parse.
+    @pytest.mark.parametrize("field,digits,audit_code", [
+        ("grossEmissions", 401, EXIT_AUDIT_MISMATCH),
+        ("bytesSent", 401, EXIT_AUDIT_MISMATCH),
+        ("grossEmissions", 5000, EXIT_VALIDATION),
+    ])
+    def test_number_beyond_float_range_exits_1(self, workspace, capsys, field,
+                                               digits, audit_code):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        if field == "bytesSent":
+            holder = next(dev for dc in doc["datacenters"].values()
+                          for dev in dc["scopes"]["scope2"]["devices"]["network"]
+                          .values())
+        else:
+            holder = doc["summary"]
+        holder[field] = "HUGE"
+        report.write_text(json.dumps(doc, indent=2).replace(
+            '"HUGE"', "9" * digits), encoding="utf-8")
+        rerender_dir = workspace["root"] / "rerender"
+        proc = subprocess.run(
+            [sys.executable, "-m", "carbonalloc.cli", "report", "--report",
+             str(report), "--out-dir", str(rerender_dir)],
+            capture_output=True, text=True, timeout=60, env=src_env())
+        assert proc.returncode == EXIT_VALIDATION
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not rerender_dir.exists()
+        capsys.readouterr()
+        assert run_audit(workspace, report) == audit_code
+
 
 class TestCalibrateCommand:
     SAMPLES_HEADER = ("device_model,cpu_utilization,cache_moved,dram_accessed,"
@@ -644,6 +684,31 @@ def test_console_script_is_wired():
     assert proc.returncode == 0
     for command in ("calibrate", "compute", "report", "audit", "synth"):
         assert command in proc.stdout
+
+
+def test_output_is_independent_of_hash_seed(tmp_path):
+    """``compute`` writes the same bytes whatever the interpreter's string
+    hash seed, so no output depends on set or dict-of-str iteration order."""
+    fleet = tmp_path / "fleet"
+    assert main(["synth", "--seed", "5", "--tenants", "5", "--dcs", "3",
+                 "--out-dir", str(fleet)]) == EXIT_OK
+    trees = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out_{seed}"
+        env = src_env()
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "carbonalloc.cli", "compute", "--period",
+             "2025-06", "--input-dir", str(fleet),
+             "--models", str(fleet / "models.csv"),
+             "--equivalencies", str(write_factors(tmp_path)),
+             "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 5 * 3  # a JSON and an HTML report, plus history
+    assert trees[0] == trees[1]
 
 
 def test_synth_default_period_is_stable():
