@@ -67,19 +67,17 @@ for fp in footprints:
     print(f"{fp.tenant_id} ({fp.display_name}), {fp.agent_count} agents")
     for per_dc in fp.per_dc:
         resp = per_dc.responsibility
-        comps = per_dc.breakdown.scope2_components
         print(f"  {per_dc.datacenter_id} @ {per_dc.grid_intensity.value} g/Wh")
         for name in ("server", "network", "cooling", "other"):
-            c = comps[name]
-            print(f"    {name:<8} {c.energy.value:>12.1f} Wh"
-                  f"  -> {c.emissions.value:>12.1f} g")
+            print(f"    {name:<8} {per_dc.component_energy[name]:>12.1f} Wh"
+                  f"  -> {per_dc.component_emissions[name]:>12.1f} g")
         print(f"    scope2 share = {resp.scope2_share.value:.6f},"
               f" responsibility r = {resp.ratio.value:.6f}")
-        print(f"    scope1 {per_dc.breakdown.scope1.value:.1f} g,"
-              f" scope2 {per_dc.breakdown.scope2.value:.1f} g,"
-              f" scope3 {per_dc.breakdown.scope3.value:.1f} g")
-        print(f"    green offset {per_dc.green_offset.value:.1f} g,"
-              f" REC offset {per_dc.rec_offset.value:.1f} g")
+        print(f"    scope1 {per_dc.scope1:.1f} g,"
+              f" scope2 {per_dc.scope2:.1f} g,"
+              f" scope3 {per_dc.scope3:.1f} g")
+        print(f"    green offset {per_dc.green_offset:.1f} g,"
+              f" REC offset {per_dc.rec_offset:.1f} g")
     print(f"  gross {fp.gross_total.value:.1f} g,"
           f" net {fp.net_total.value:.1f} g,"
           f" per agent {fp.per_agent.value:.2f} g")

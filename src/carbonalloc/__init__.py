@@ -96,8 +96,6 @@ from .units import (
     EmissionsG,
     EnergyWh,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
     emissions_from_energy,
 )

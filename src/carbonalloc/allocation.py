@@ -26,12 +26,16 @@ All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
 reads no files: prior months are attached by the caller.
 
-Unit invariants are checked where values enter or leave a stage: the stage
-results (:class:`TenantDcScope2`, :class:`DcFootprint`, :class:`Footprint`)
-hold unit objects, while per-device detail (:class:`DeviceShare`) is plain
-floats. Each device's energy is non-negative and no larger than its pair's
-direct energy, and its emissions no larger than its pair's Scope 2, both of
-which phase 1 has checked to be finite for the whole fleet.
+Unit invariants are checked where values enter or leave a stage. The
+Scope 2 and ratio results (:class:`TenantDcScope2`,
+:class:`ResponsibilityRatio`) and a tenant's :class:`Footprint` totals hold
+unit objects. The records built per tenant and data center hold plain
+floats. Per-device detail (:class:`DeviceShare`) is bounded by its pair's
+totals: each device's energy is non-negative and no larger than the pair's
+direct energy, and its emissions no larger than the pair's Scope 2, both of
+which phase 1 has checked to be finite for the whole fleet. A
+:class:`DcFootprint` checks its own figures once, when it is built, with the
+messages the unit types give.
 """
 
 from __future__ import annotations
@@ -51,12 +55,11 @@ from .power import (
     split_shared_wh,
 )
 from .units import (
+    SCOPE2_COMPONENTS,
     CarbonIntensity,
     EmissionsG,
     EnergyWh,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
     UnitError,
 )
@@ -87,6 +90,16 @@ AUDIT_TOLERANCE = 1e-9
 def _close(actual: float, expected: float, tol: float = AUDIT_TOLERANCE) -> bool:
     scale = max(abs(actual), abs(expected), 1.0)
     return abs(actual - expected) <= tol * scale
+
+
+def _check_unit(value: float, unit: type) -> None:
+    """Raise the UnitError ``unit(value)`` raises unless ``0 <= value < inf``.
+
+    Plain-float figures keep the checks the unit objects made, with their
+    messages, at the cost of one comparison while they pass.
+    """
+    if not 0.0 <= value < math.inf:
+        unit(value)
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +223,62 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class DcFootprint:
-    """One tenant's full footprint within a single data center."""
+    """One tenant's full footprint within a single data center.
+
+    Emissions are gCO2e and energies Wh, as plain floats. ``component_energy``
+    and ``component_emissions`` split Scope 2 into the four energy categories
+    of ``SCOPE2_COMPONENTS``; the component emissions must sum to ``scope2``
+    (the components are the definition of Scope 2, not an annotation on it).
+    Only ``net`` may be negative, when the data center's offsets exceed the
+    tenant's gross there.
+    """
 
     datacenter_id: str
     name: str
     region: str
     grid_intensity: CarbonIntensity
     responsibility: ResponsibilityRatio
-    breakdown: ScopeBreakdown
-    gross: EmissionsG
-    net: EmissionsG
-    green_offset: EmissionsG
-    rec_offset: EmissionsG
-    over_offset: bool
+    scope1: float
+    scope2: float
+    scope3: float
+    component_energy: dict[str, float]
+    component_emissions: dict[str, float]
+    gross: float
+    net: float
+    green_offset: float
+    rec_offset: float
     devices: tuple[DeviceShare, ...]
 
     def __post_init__(self) -> None:
-        expected_gross = (self.breakdown.scope1.value + self.breakdown.scope2.value
-                          + self.breakdown.scope3.value)
-        if not _close(self.gross.value, expected_gross):
+        for value in (self.scope1, self.scope2, self.scope3,
+                      *self.component_emissions.values(), self.gross):
+            _check_unit(value, EmissionsG)
+        if not math.isfinite(self.net):
+            EmissionsG(self.net, allow_negative=True)
+        _check_unit(self.green_offset, EmissionsG)
+        _check_unit(self.rec_offset, EmissionsG)
+        for value in self.component_energy.values():
+            _check_unit(value, EnergyWh)
+
+        for components in (self.component_energy, self.component_emissions):
+            keys = tuple(components)
+            if sorted(keys) != sorted(SCOPE2_COMPONENTS):
+                raise UnitError("scope2_components must have exactly the keys "
+                                f"{SCOPE2_COMPONENTS}, got {keys}")
+        total = sum(self.component_emissions.values())
+        if not _close(total, self.scope2):
             raise UnitError(
-                f"gross {self.gross.value!r} != scope sum {expected_gross!r}")
-        expected_net = (self.gross.value - self.green_offset.value
-                        - self.rec_offset.value)
-        if not _close(self.net.value, expected_net):
-            raise UnitError(f"net {self.net.value!r} != gross - offsets {expected_net!r}")
+                f"scope2 components sum to {total!r}, expected {self.scope2!r}")
+        expected_gross = self.scope1 + self.scope2 + self.scope3
+        if not _close(self.gross, expected_gross):
+            raise UnitError(f"gross {self.gross!r} != scope sum {expected_gross!r}")
+        expected_net = self.gross - self.green_offset - self.rec_offset
+        if not _close(self.net, expected_net):
+            raise UnitError(f"net {self.net!r} != gross - offsets {expected_net!r}")
+
+    @property
+    def over_offset(self) -> bool:
+        return self.net < 0.0
 
 
 @dataclass(frozen=True)
@@ -258,8 +302,8 @@ class Footprint:
         gross = 0.0
         net = 0.0
         for dc in self.per_dc:
-            gross += dc.gross.value
-            net += dc.net.value
+            gross += dc.gross
+            net += dc.net
         if gross != self.gross_total.value:
             raise UnitError(f"gross_total {self.gross_total.value!r} != "
                             f"sum of per-DC gross {gross!r}")
@@ -293,16 +337,6 @@ class FleetTotals:
     other: dict[str, float]
     scope2: dict[str, float]
     rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]]
-
-
-def _check_finite(value: float, unit: type) -> None:
-    """Raise the UnitError ``unit(value)`` raises when ``value`` is not finite.
-
-    Phase 1 keeps plain floats; this keeps the checks the unit objects made,
-    with their messages, so the totals every share is divided by are finite.
-    """
-    if not math.isfinite(value):
-        unit(value)
 
 
 def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetTotals:
@@ -344,7 +378,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             for row in network:
                 e_network += network_energy_wh(row)
             pair = e_server + e_network
-            _check_finite(pair, EnergyWh)
+            _check_unit(pair, EnergyWh)
             pair_direct[key] = pair
             direct[dc_id] = direct.get(dc_id, 0.0) + pair
 
@@ -358,7 +392,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     scope2: dict[str, float] = {}
     for (tenant_id, dc_id), pair in pair_direct.items():
         all_direct = direct[dc_id]
-        _check_finite(all_direct, EnergyWh)
+        _check_unit(all_direct, EnergyWh)
         e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
                                     f"cooling devices of {dc_id}")
         e_other = split_shared_wh(other[dc_id], pair, all_direct,
@@ -366,7 +400,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
         emissions = ((pair + e_cooling + e_other)
                      * raw.datacenters[dc_id].grid_intensity.value
                      * raw.tenants[tenant_id].l_share.value)
-        _check_finite(emissions, EmissionsG)
+        _check_unit(emissions, EmissionsG)
         scope2[dc_id] = scope2.get(dc_id, 0.0) + emissions
     return FleetTotals(direct=direct, cooling=cooling, other=other,
                        scope2=scope2, rows=rows)
@@ -527,33 +561,23 @@ def _footprint(raw: RawData, tenant_id: str,
         green = dc.green_energy.value * c * r
         rec = dc.rec_offset.value * r
         net = gross - green - rec
-        breakdown = ScopeBreakdown(
-            scope1=EmissionsG(scope1),
-            scope2=s2.emissions,
-            scope3=EmissionsG(scope3),
-            scope2_components={
-                "server": ScopeComponent(
-                    s2.e_server, EmissionsG(s2.e_server.value * c * l)),
-                "network": ScopeComponent(
-                    s2.e_network, EmissionsG(s2.e_network.value * c * l)),
-                "cooling": ScopeComponent(
-                    s2.e_cooling, EmissionsG(s2.e_cooling.value * c * l)),
-                "other": ScopeComponent(
-                    s2.e_other, EmissionsG(s2.e_other.value * c * l)),
-            },
-        )
+        energy = {"server": s2.e_server.value, "network": s2.e_network.value,
+                  "cooling": s2.e_cooling.value, "other": s2.e_other.value}
         per_dc.append(DcFootprint(
             datacenter_id=dc_id,
             name=dc.name,
             region=dc.region,
             grid_intensity=dc.grid_intensity,
             responsibility=resp,
-            breakdown=breakdown,
-            gross=EmissionsG(gross),
-            net=EmissionsG(net, allow_negative=True),
-            green_offset=EmissionsG(green),
-            rec_offset=EmissionsG(rec),
-            over_offset=net < 0.0,
+            scope1=scope1,
+            scope2=s2.emissions.value,
+            scope3=scope3,
+            component_energy=energy,
+            component_emissions={name: e * c * l for name, e in energy.items()},
+            gross=gross,
+            net=net,
+            green_offset=green,
+            rec_offset=rec,
             devices=s2.per_device,
         ))
         gross_total += gross
@@ -724,15 +748,13 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         # alone would look plausible.
         if dc_scope2_total > 0.0:
             share_sum = stored_sum(
-                lambda e: e.breakdown.scope2.value / dc_scope2_total)
+                lambda e: e.scope2 / dc_scope2_total)
             checks.append(AuditCheck("scope2_share_sum", dc_id, 1.0, share_sum))
 
         # Shared-energy conservation: tenant cooling/other allocations must
         # reproduce the metered totals.
-        stored_cooling = stored_sum(
-            lambda e: e.breakdown.scope2_components["cooling"].energy.value)
-        stored_other = stored_sum(
-            lambda e: e.breakdown.scope2_components["other"].energy.value)
+        stored_cooling = stored_sum(lambda e: e.component_energy["cooling"])
+        stored_other = stored_sum(lambda e: e.component_energy["other"])
         checks.append(AuditCheck("cooling_energy_total", dc_id,
                                  cooling_total if all_direct > 0 else 0.0,
                                  stored_cooling))
@@ -750,8 +772,8 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
                 * raw.tenants[t].l_share.value
                 for t in tenant_ids)
         fuel_total = sum(f.amount * f.emission_factor for f in dc.fuel_log)
-        stored_scope1 = stored_sum(lambda e: e.breakdown.scope1.value)
-        stored_scope3 = stored_sum(lambda e: e.breakdown.scope3.value)
+        stored_scope1 = stored_sum(lambda e: e.scope1)
+        stored_scope3 = stored_sum(lambda e: e.scope3)
         checks.append(AuditCheck("scope1_total", dc_id,
                                  fuel_total * ratio_sum, stored_scope1))
         checks.append(AuditCheck("scope3_total", dc_id,
@@ -761,7 +783,7 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         # independently recomputed data center footprint.
         expected_gross = (fuel_total * ratio_sum + dc_scope2_total
                           + dc.scope3_total.value * ratio_sum)
-        stored_gross = stored_sum(lambda e: e.gross.value)
+        stored_gross = stored_sum(lambda e: e.gross)
         checks.append(AuditCheck("gross_total", dc_id, expected_gross, stored_gross))
 
     return AuditReport(checks=tuple(checks))

@@ -223,6 +223,38 @@ def _diff_json(expected: Any, actual: Any, path: str,
         out.append((path, expected, actual))
 
 
+def _differs_from_stored(rendered: bytes, stored_doc: dict[str, Any],
+                         headline: str, source: str, label: str) -> bool:
+    """Whether ``rendered`` differs from a stored report; if so, say how.
+
+    The stored document is laid out with ``json.dumps(indent=2,
+    ensure_ascii=False)``, independently of the writer, so it compares equal
+    only when its keys, values and key order are those of ``rendered``. The
+    differences go to stderr: a first line starting with ``headline`` (the
+    file under check), then one line per differing dotted path. ``source``
+    names what ``rendered`` was made from and ``label`` its values.
+    """
+    canonical_stored = (json.dumps(stored_doc, indent=2, ensure_ascii=False)
+                        + "\n").encode("utf-8")
+    if rendered == canonical_stored:
+        return False
+
+    rendered_doc = json.loads(rendered)
+    diffs: list[tuple[str, Any, Any]] = []
+    _diff_json(rendered_doc, stored_doc, "", diffs)
+    if not diffs and (json.dumps(rendered_doc, sort_keys=True)
+                      == json.dumps(stored_doc, sort_keys=True)):
+        _err(f"{headline} has the {label} values, but its key order differs "
+             "from the canonical report")
+        return True
+    _err(f"{headline} differs from {source} in {len(diffs)} field(s):")
+    for field_path, exp, act in diffs:
+        _err(f"  {field_path}: {label} {exp!r}, report has {act!r}")
+    if not diffs:
+        _err("  (byte-level difference only; values are equal after parsing)")
+    return True
+
+
 def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               equivalency_file: Path | None, history_dir: Path | None,
               l_share_override: Share | None) -> int:
@@ -248,46 +280,41 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
         fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
 
-    expected = render_json(fp, factors).content
-    canonical_stored = (json.dumps(stored_doc, indent=2, ensure_ascii=False)
-                        + "\n").encode("utf-8")
-    if expected == canonical_stored:
-        print(f"audit PASS: {report_file} matches recomputation "
-              f"({tenant_id}, {period})")
-        return EXIT_OK
-
-    expected_doc = json.loads(expected)
-    diffs: list[tuple[str, Any, Any]] = []
-    _diff_json(expected_doc, stored_doc, "", diffs)
-    if not diffs and (json.dumps(expected_doc, sort_keys=True)
-                      == json.dumps(stored_doc, sort_keys=True)):
-        _err(f"audit FAIL: {report_file} has the recomputed values, but its "
-             "key order differs from the canonical report")
+    if _differs_from_stored(render_json(fp, factors).content, stored_doc,
+                            f"audit FAIL: {report_file}", "recomputation",
+                            "recomputed"):
         return EXIT_AUDIT_MISMATCH
-    _err(f"audit FAIL: {report_file} differs from recomputation "
-         f"in {len(diffs)} field(s):")
-    for field_path, exp, act in diffs:
-        _err(f"  {field_path}: recomputed {exp!r}, report has {act!r}")
-    if not diffs:
-        _err("  (byte-level difference only; values are equal after parsing)")
-    return EXIT_AUDIT_MISMATCH
+    print(f"audit PASS: {report_file} matches recomputation "
+          f"({tenant_id}, {period})")
+    return EXIT_OK
 
 
 def cmd_report(report_file: Path, out_dir: Path,
                equivalency_file: Path | None,
                trend_thresholds: tuple[float, float]) -> int:
-    """Re-render both formats from an existing report JSON."""
+    """Re-render both formats from an existing report JSON.
+
+    The file must be exactly what the writer writes for the figures it
+    holds: rendered again with its own factors, it must equal the file's
+    canonical layout. Anything else exits 1 naming each differing field, and
+    nothing is written.
+    """
     try:
-        content = report_file.read_bytes()
-        fp = footprint_from_json(content)
+        stored_doc = _load_doc(report_file.read_bytes())
+        fp = footprint_from_json(stored_doc)
+        own_factors = factors_from_json(stored_doc)
         factors = (load_equivalency_factors(equivalency_file)
-                   if equivalency_file is not None else factors_from_json(content))
+                   if equivalency_file is not None else own_factors)
     except (OSError, ReportError, UnitError) as exc:
         _err(f"cannot re-render {report_file}: {exc}")
         return EXIT_VALIDATION
     if ID_PATTERN.fullmatch(fp.tenant_id) is None:
         _err(f"cannot re-render {report_file}: tenant id {fp.tenant_id!r} "
              "cannot name a report directory")
+        return EXIT_VALIDATION
+    if _differs_from_stored(render_json(fp, own_factors).content, stored_doc,
+                            f"cannot re-render {report_file}: the file",
+                            "its re-rendering", "re-rendered"):
         return EXIT_VALIDATION
 
     tenant_dir = out_dir / "reports" / fp.tenant_id

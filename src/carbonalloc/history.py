@@ -36,14 +36,21 @@ class HistoryStore:
 
         A corrupt history file degrades the trend section of the next report,
         which is not worth failing a whole monthly run over; it is logged and
-        skipped. Figures must be JSON numbers, as in a report: a string or a
-        boolean is corrupt, not converted.
+        skipped. So is a report of another tenant or month than its path
+        names, whose figures would pass for this tenant's. Figures must be
+        JSON numbers, as in a report: a string or a boolean is corrupt, not
+        converted.
         """
         path = self.path_for(tenant_id, period)
         if not path.is_file():
             return None
         try:
-            summary = _load_doc(path.read_bytes())["summary"]
+            doc = _load_doc(path.read_bytes())
+            held = (doc["tenant"]["tenantId"], doc["period"])
+            if held != (tenant_id, str(period)):
+                raise ReportError(f"it holds the report of tenant {held[0]!r} "
+                                  f"for period {held[1]!r}")
+            summary = doc["summary"]
             return HistoryEntry(
                 period=period,
                 gross=EmissionsG(summary["grossEmissions"]),

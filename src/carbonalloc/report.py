@@ -35,8 +35,6 @@ from .units import (
     EmissionsG,
     EnergyWh,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
     is_finite,
 )
@@ -153,11 +151,10 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 # ---------------------------------------------------------------------------
 
 
-def _scope2_energy(breakdown: ScopeBreakdown) -> float:
+def _scope2_energy(dc: DcFootprint) -> float:
     """Total Scope 2 energy, summed in the fixed category order."""
-    c = breakdown.scope2_components
-    return (c["server"].energy.value + c["network"].energy.value
-            + c["cooling"].energy.value + c["other"].energy.value)
+    e = dc.component_energy
+    return e["server"] + e["network"] + e["cooling"] + e["other"]
 
 
 def _number(value: float) -> str:
@@ -220,10 +217,10 @@ def _device_map(devices: dict[str, DeviceShare]) -> str:
     return f"{{\n{entries}\n            }}"
 
 
-def _component_json(name: str, comp: ScopeComponent) -> str:
+def _component_json(dc: DcFootprint, name: str) -> str:
     return (f'            "{name}": {{\n'
-            f'              "energy": {comp.energy.value!r},\n'
-            f'              "emissions": {comp.emissions.value!r}\n'
+            f'              "energy": {dc.component_energy[name]!r},\n'
+            f'              "emissions": {dc.component_emissions[name]!r}\n'
             f'            }}')
 
 
@@ -233,8 +230,6 @@ def _dc_json(dc: DcFootprint) -> str:
         "server": {}, "network": {}, "cooling": {}, "other": {}}
     for dev in dc.devices:
         maps[dev.category][dev.device_id] = dev
-    b = dc.breakdown
-    c = b.scope2_components
     r = dc.responsibility
     return (f'    {_string(dc.datacenter_id)}: {{\n'
             f'      "name": {_string(dc.name)},\n'
@@ -243,30 +238,30 @@ def _dc_json(dc: DcFootprint) -> str:
             f'      "scope2Share": {r.scope2_share.value!r},\n'
             f'      "lShare": {r.l_share.value!r},\n'
             f'      "responsibility": {r.ratio.value!r},\n'
-            f'      "grossEmissions": {dc.gross.value!r},\n'
-            f'      "netEmissions": {dc.net.value!r},\n'
+            f'      "grossEmissions": {dc.gross!r},\n'
+            f'      "netEmissions": {dc.net!r},\n'
             f'      "overOffset": {_bool(dc.over_offset)},\n'
             f'      "offsets": {{\n'
-            f'        "greenEnergyOffset": {dc.green_offset.value!r},\n'
-            f'        "recOffset": {dc.rec_offset.value!r}\n'
+            f'        "greenEnergyOffset": {dc.green_offset!r},\n'
+            f'        "recOffset": {dc.rec_offset!r}\n'
             f'      }},\n'
             f'      "scopes": {{\n'
             f'        "scope1": {{\n'
             f'          "type": "Scope1",\n'
             f'          "isAggregate": false,\n'
             f'          "energy": 0.0,\n'
-            f'          "emissions": {b.scope1.value!r}\n'
+            f'          "emissions": {dc.scope1!r}\n'
             f'        }},\n'
             f'        "scope2": {{\n'
             f'          "type": "Scope2",\n'
             f'          "isAggregate": false,\n'
-            f'          "energy": {_scope2_energy(b)!r},\n'
-            f'          "emissions": {b.scope2.value!r},\n'
+            f'          "energy": {_scope2_energy(dc)!r},\n'
+            f'          "emissions": {dc.scope2!r},\n'
             f'          "components": {{\n'
-            f'{_component_json("server", c["server"])},\n'
-            f'{_component_json("network", c["network"])},\n'
-            f'{_component_json("cooling", c["cooling"])},\n'
-            f'{_component_json("other", c["other"])}\n'
+            f'{_component_json(dc, "server")},\n'
+            f'{_component_json(dc, "network")},\n'
+            f'{_component_json(dc, "cooling")},\n'
+            f'{_component_json(dc, "other")}\n'
             f'          }},\n'
             f'          "devices": {{\n'
             f'            "servers": {_device_map(maps["server"])},\n'
@@ -279,7 +274,7 @@ def _dc_json(dc: DcFootprint) -> str:
             f'          "type": "Scope3",\n'
             f'          "isAggregate": false,\n'
             f'          "energy": 0.0,\n'
-            f'          "emissions": {b.scope3.value!r}\n'
+            f'          "emissions": {dc.scope3!r}\n'
             f'        }}\n'
             f'      }}\n'
             f'    }}')
@@ -319,12 +314,12 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
     green_total = 0.0
     rec_total = 0.0
     for dc in fp.per_dc:
-        scope1_total += dc.breakdown.scope1.value
-        scope2_total += dc.breakdown.scope2.value
-        scope3_total += dc.breakdown.scope3.value
-        scope2_energy_total += _scope2_energy(dc.breakdown)
-        green_total += dc.green_offset.value
-        rec_total += dc.rec_offset.value
+        scope1_total += dc.scope1
+        scope2_total += dc.scope2
+        scope3_total += dc.scope3
+        scope2_energy_total += _scope2_energy(dc)
+        green_total += dc.green_offset
+        rec_total += dc.rec_offset
 
     if fp.per_dc:
         dc_entries = ",\n".join(_dc_json(dc) for dc in fp.per_dc)
@@ -485,8 +480,9 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
     """Rebuild a Footprint from a rendered JSON report.
 
     Every canonical field is restored exactly (floats round-trip losslessly);
-    derived values in the file (aggregates, equivalencies, trend percentages)
-    are recomputed at the next render and therefore reproduce identically.
+    derived values in the file (aggregates, equivalencies, trend percentages,
+    over-offset flags) are recomputed at the next render and therefore
+    reproduce identically.
     """
     doc = _load_doc(source)
     try:
@@ -500,19 +496,14 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
         per_dc: list[DcFootprint] = []
         for dc_id, dc_doc in doc["datacenters"].items():
             scopes = dc_doc["scopes"]
-            components = {
-                name: ScopeComponent(
-                    energy=EnergyWh(comp["energy"]),
-                    emissions=EmissionsG(comp["emissions"]),
-                )
-                for name, comp in scopes["scope2"]["components"].items()
-            }
-            breakdown = ScopeBreakdown(
-                scope1=EmissionsG(scopes["scope1"]["emissions"]),
-                scope2=EmissionsG(scopes["scope2"]["emissions"]),
-                scope3=EmissionsG(scopes["scope3"]["emissions"]),
-                scope2_components=components,
-            )
+            component_energy: dict[str, float] = {}
+            component_emissions: dict[str, float] = {}
+            for name, comp in scopes["scope2"]["components"].items():
+                component_energy[name] = EnergyWh(comp["energy"]).value
+                component_emissions[name] = EmissionsG(comp["emissions"]).value
+            scope1 = EmissionsG(scopes["scope1"]["emissions"]).value
+            scope2 = EmissionsG(scopes["scope2"]["emissions"]).value
+            scope3 = EmissionsG(scopes["scope3"]["emissions"]).value
             devices: list[DeviceShare] = []
             for map_name, category in (("servers", "server"), ("network", "network"),
                                        ("cooling", "cooling"), ("other", "other")):
@@ -531,12 +522,15 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
                 region=str(dc_doc["region"]),
                 grid_intensity=CarbonIntensity(dc_doc["gridIntensity"]),
                 responsibility=responsibility,
-                breakdown=breakdown,
-                gross=EmissionsG(dc_doc["grossEmissions"]),
-                net=EmissionsG(dc_doc["netEmissions"], allow_negative=True),
-                green_offset=EmissionsG(dc_doc["offsets"]["greenEnergyOffset"]),
-                rec_offset=EmissionsG(dc_doc["offsets"]["recOffset"]),
-                over_offset=bool(dc_doc["overOffset"]),
+                scope1=scope1,
+                scope2=scope2,
+                scope3=scope3,
+                component_energy=component_energy,
+                component_emissions=component_emissions,
+                gross=EmissionsG(dc_doc["grossEmissions"]).value,
+                net=EmissionsG(dc_doc["netEmissions"], allow_negative=True).value,
+                green_offset=EmissionsG(dc_doc["offsets"]["greenEnergyOffset"]).value,
+                rec_offset=EmissionsG(dc_doc["offsets"]["recOffset"]).value,
                 devices=tuple(devices),
             ))
 
@@ -702,11 +696,10 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     deltas = compute_trend(fp)
     equivalents = compute_equivalencies(fp.gross_total, factors)
 
-    scope1_total = sum(dc.breakdown.scope1.value for dc in fp.per_dc)
-    scope3_total = sum(dc.breakdown.scope3.value for dc in fp.per_dc)
+    scope1_total = sum(dc.scope1 for dc in fp.per_dc)
+    scope3_total = sum(dc.scope3 for dc in fp.per_dc)
     component_totals = {
-        name: sum(dc.breakdown.scope2_components[name].emissions.value
-                  for dc in fp.per_dc)
+        name: sum(dc.component_emissions[name] for dc in fp.per_dc)
         for name in ("server", "network", "cooling", "other")
     }
 
@@ -745,8 +738,8 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
         ("Scope 2: other", component_totals["other"], _SCOPE_COLORS["Scope 2: other"]),
         ("Scope 3", scope3_total, _SCOPE_COLORS["Scope 3"]),
     ]
-    green_total = sum(dc.green_offset.value for dc in fp.per_dc)
-    rec_total = sum(dc.rec_offset.value for dc in fp.per_dc)
+    green_total = sum(dc.green_offset for dc in fp.per_dc)
+    rec_total = sum(dc.rec_offset for dc in fp.per_dc)
     # The offsets chart decomposes gross into what each offset method covers
     # and what remains; an over-offset tenant has nothing remaining.
     offset_slices = [
@@ -762,7 +755,7 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
         f"<td>{dc.grid_intensity.value:g} g/Wh</td>"
         f"<td>{dc.responsibility.scope2_share.value * 100:.2f}%</td>"
         f"<td>{dc.responsibility.l_share.value * 100:.0f}%</td>"
-        f"<td>{_fmt_grams(dc.gross.value)}</td></tr>"
+        f"<td>{_fmt_grams(dc.gross)}</td></tr>"
         for dc in fp.per_dc
     )
 
@@ -843,7 +836,7 @@ emissions. Shared and indirect emissions are attributed by each tenant's
 share of data center Scope 2 emissions times its load share. Net emissions
 subtract the tenant's share of green energy and renewable energy
 certificates. Total energy attributed this period:
-{_fmt_wh(sum(_scope2_energy(dc.breakdown) for dc in fp.per_dc))}.</p>
+{_fmt_wh(sum(_scope2_energy(dc) for dc in fp.per_dc))}.</p>
 <p>Equivalency factors: {html.escape(factors.source_note)}</p>
 </footer>
 </section>

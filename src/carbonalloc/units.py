@@ -6,10 +6,13 @@ kWh? grams or kilograms?) is the classic source of silent unit errors in
 sustainability tooling, so the wrappers are deliberately kept cheap: a single
 ``value`` slot plus validation.
 
-The wrappers guard the boundaries: values read at ingest, the results each
-allocation stage hands to the next, and figures parsed from a stored report.
-Per-device detail inside the engine is plain floats instead, bounded by its
-(tenant, data center) pair's totals, which are checked.
+The wrappers guard the boundaries: values read at ingest, figures parsed
+from a stored report, and the results the Scope 2 and ratio stages hand on
+(``TenantDcScope2``, ``ResponsibilityRatio``) along with each tenant's
+``Footprint`` totals. The records built once per tenant and data center are
+plain floats instead: per-device detail (``DeviceShare``), bounded by its
+pair's checked totals, and the per-data-center footprint (``DcFootprint``),
+which checks its own figures through these types once, when it is built.
 
 Canonical units:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 from .errors import UnitError
 
@@ -33,8 +36,6 @@ __all__ = [
     "CarbonIntensity",
     "Share",
     "Period",
-    "ScopeComponent",
-    "ScopeBreakdown",
     "emissions_from_energy",
     "is_finite",
     "SCOPE2_COMPONENTS",
@@ -159,44 +160,3 @@ class Period:
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
-
-
-@dataclass(frozen=True, slots=True)
-class ScopeComponent:
-    """One Scope 2 energy category (server, network, cooling, other)."""
-
-    energy: EnergyWh
-    emissions: EmissionsG
-
-
-@dataclass(frozen=True, slots=True)
-class ScopeBreakdown:
-    """A tenant's emissions in one data center, split by GHG scope.
-
-    ``scope2_components`` decomposes Scope 2 into the four energy categories;
-    its emissions must sum to ``scope2`` (the components are the definition of
-    Scope 2, not an annotation on it).
-    """
-
-    scope1: EmissionsG
-    scope2: EmissionsG
-    scope3: EmissionsG
-    scope2_components: dict[str, ScopeComponent] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        keys = tuple(self.scope2_components.keys())
-        if sorted(keys) != sorted(SCOPE2_COMPONENTS):
-            raise UnitError(
-                "scope2_components must have exactly the keys "
-                f"{SCOPE2_COMPONENTS}, got {keys}"
-            )
-        total = sum(c.emissions.value for c in self.scope2_components.values())
-        scale = max(abs(total), abs(self.scope2.value), 1.0)
-        if abs(total - self.scope2.value) > 1e-9 * scale:
-            raise UnitError(
-                f"scope2 components sum to {total!r}, expected {self.scope2.value!r}"
-            )
-
-    @property
-    def total(self) -> EmissionsG:
-        return EmissionsG(self.scope1.value + self.scope2.value + self.scope3.value)

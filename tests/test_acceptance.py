@@ -161,10 +161,10 @@ def test_conservation_suite(criterion):
             for fp in footprints:
                 for dc in fp.per_dc:
                     bucket = got[dc.datacenter_id]
-                    comps = dc.breakdown.scope2_components
-                    bucket["cooling"] += comps["cooling"].energy.value
-                    bucket["other"] += comps["other"].energy.value
-                    bucket["gross"] += dc.gross.value
+                    comps = dc.component_energy
+                    bucket["cooling"] += comps["cooling"]
+                    bucket["other"] += comps["other"]
+                    bucket["gross"] += dc.gross
             for dc_id, expected in oracle.items():
                 for key in ("cooling", "other", "gross"):
                     assert rel_close(got[dc_id][key], expected[key],
@@ -270,9 +270,9 @@ def test_offset_monotonicity(criterion):
             for fp in compute_footprints(fleet.raw, fleet.models):
                 assert fp.net_total.value <= fp.gross_total.value
                 for dc in fp.per_dc:
-                    assert dc.green_offset.value >= 0.0
-                    assert dc.rec_offset.value >= 0.0
-                    assert dc.net.value <= dc.gross.value
+                    assert dc.green_offset >= 0.0
+                    assert dc.rec_offset >= 0.0
+                    assert dc.net <= dc.gross
         for _ in range(10):
             fleet = generate_fleet(seed=master.randrange(2**32),
                                    n_tenants=master.randint(2, 12),
@@ -281,7 +281,7 @@ def test_offset_monotonicity(criterion):
             for fp in compute_footprints(fleet.raw, fleet.models):
                 assert fp.net_total.value == fp.gross_total.value
                 for dc in fp.per_dc:
-                    assert dc.net.value == dc.gross.value
+                    assert dc.net == dc.gross
 
 
 def test_json_fidelity(criterion, fictitious_raw, fictitious_models, factors):

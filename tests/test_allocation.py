@@ -35,9 +35,8 @@ from carbonalloc.units import (
     CarbonIntensity,
     EmissionsG,
     EnergyWh,
+    SCOPE2_COMPONENTS,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
 )
 from conftest import intercept_model
@@ -238,58 +237,79 @@ def tenant_a_dc(**dc_kwargs) -> DcFootprint:
 class TestScope1:
     def test_fuel_share_is_exact(self):
         dc = tenant_a_dc(fuel=(("GEN_1", 1000.0, 2.5),))
-        assert dc.breakdown.scope1.value == 625.0
+        assert dc.scope1 == 625.0
 
     def test_multiple_devices_summed(self):
         dc = tenant_a_dc(fuel=(("GEN_2", 500.0, 2.0), ("GEN_1", 1000.0, 2.5)))
-        assert dc.breakdown.scope1.value == 625.0 + 250.0
+        assert dc.scope1 == 625.0 + 250.0
 
     def test_no_fuel_is_zero(self):
-        assert tenant_a_dc().breakdown.scope1.value == 0.0
+        assert tenant_a_dc().scope1 == 0.0
 
 
 class TestScope3:
     def test_share_of_total_is_exact(self):
-        assert tenant_a_dc(scope3=500000.0).breakdown.scope3.value == 125000.0
+        assert tenant_a_dc(scope3=500000.0).scope3 == 125000.0
 
     def test_zero_total(self):
-        assert tenant_a_dc().breakdown.scope3.value == 0.0
+        assert tenant_a_dc().scope3 == 0.0
 
 
 class TestGrossAndNet:
     def test_gross_is_scope_sum(self):
         dc = tenant_a_dc(cooling=(("CRAC_1", 5750000.0),),  # scope2 = 720000 g
                          fuel=(("GEN_1", 1000.0, 2.5),), scope3=500000.0)
-        assert dc.breakdown.scope2.value == 720000.0
-        assert dc.gross.value == 845625.0
+        assert dc.scope2 == 720000.0
+        assert dc.gross == 845625.0
 
     def test_net_subtracts_scaled_offsets(self):
         dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 17990000.0),),
                          green=4000000.0, rec=800000.0)
-        assert dc.gross.value == 1800000.0
-        assert dc.green_offset.value == 400000.0
-        assert dc.rec_offset.value == 200000.0
-        assert dc.net.value == 1200000.0
+        assert dc.gross == 1800000.0
+        assert dc.green_offset == 400000.0
+        assert dc.rec_offset == 200000.0
+        assert dc.net == 1200000.0
         assert not dc.over_offset
 
     def test_offsets_scale_by_responsibility(self):
         dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 4490000.0),),
                          green=1000000.0, rec=200000.0)
-        assert dc.gross.value == 450000.0
-        assert dc.green_offset.value == 100000.0
-        assert dc.rec_offset.value == 50000.0
-        assert dc.net.value == 300000.0
+        assert dc.gross == 450000.0
+        assert dc.green_offset == 100000.0
+        assert dc.rec_offset == 50000.0
+        assert dc.net == 300000.0
 
     def test_zero_offsets_leave_gross_untouched(self):
         dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 17990000.0),))
-        assert dc.net.value == 1800000.0
+        assert dc.net == 1800000.0
         assert not dc.over_offset
 
     def test_over_offset_goes_negative_and_is_flagged(self):
         dc = tenant_a_dc(intensity=0.04, rec=2000.0)
-        assert dc.gross.value == 100.0
-        assert dc.net.value == -400.0
+        assert dc.gross == 100.0
+        assert dc.net == -400.0
         assert dc.over_offset
+
+
+class TestDcFootprint:
+    def test_component_keys_must_match_exactly(self):
+        dc = tenant_a_dc()
+        for field in ("component_energy", "component_emissions"):
+            components = dict(getattr(dc, field))
+            del components["other"]
+            with pytest.raises(UnitError, match="must have exactly the keys"):
+                dataclasses.replace(dc, **{field: components})
+
+    def test_component_sum_must_match_scope2(self):
+        dc = tenant_a_dc()
+        scope2 = dc.scope2 * 0.9
+        gross = dc.scope1 + scope2 + dc.scope3
+        with pytest.raises(UnitError, match="scope2 components sum to"):
+            dataclasses.replace(dc, scope2=scope2, gross=gross,
+                                net=gross - dc.green_offset - dc.rec_offset)
+
+    def test_component_name_order_is_canonical(self):
+        assert SCOPE2_COMPONENTS == ("server", "network", "cooling", "other")
 
 
 class TestComputeFootprints:
@@ -300,11 +320,11 @@ class TestComputeFootprints:
         assert fp.net_total.value == 1800000.0  # no offsets configured
         assert fp.per_agent.value == 7200.0
         (dc,) = fp.per_dc
-        assert dc.breakdown.scope1.value == 0.0
-        assert dc.breakdown.scope2.value == 1800000.0
-        assert dc.breakdown.scope3.value == 0.0
-        assert dc.breakdown.scope2_components["server"].energy.value == 100000.0
-        assert dc.breakdown.scope2_components["network"].energy.value == 120000.0
+        assert dc.scope1 == 0.0
+        assert dc.scope2 == 1800000.0
+        assert dc.scope3 == 0.0
+        assert dc.component_energy["server"] == 100000.0
+        assert dc.component_energy["network"] == 120000.0
         assert len(dc.devices) == 4
 
     def test_output_order_is_deterministic(self):
@@ -389,7 +409,7 @@ class TestComputeFootprints:
                 assert (dc_after.responsibility.ratio.value
                         == dc_before.responsibility.ratio.value)
                 if dc_after.datacenter_id != target_dc:
-                    assert dc_after.net.value == dc_before.net.value
+                    assert dc_after.net == dc_before.net
 
     def test_history_attached_most_recent_first(self, tmp_path, fictitious_raw,
                                                 fictitious_models, factors):
@@ -421,11 +441,11 @@ class TestComputeFootprints:
                                              fictitious_models):
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
         (dc,) = fp.per_dc
-        gross = dc.gross.value + dc.gross.value
+        gross = dc.gross + dc.gross
         with pytest.raises(UnitError, match="DC_EU1"):
             dataclasses.replace(
                 fp, per_dc=(dc, dc), gross_total=EmissionsG(gross),
-                net_total=EmissionsG(dc.net.value + dc.net.value,
+                net_total=EmissionsG(dc.net + dc.net,
                                      allow_negative=True),
                 per_agent=EmissionsG(gross / fp.agent_count))
 
@@ -438,22 +458,19 @@ class TestComputeFootprints:
 def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:
     """Scale one tenant's Scope 2 while keeping object invariants satisfied."""
     dc = fp.per_dc[0]
-    bd = dc.breakdown
-    components = {
-        name: ScopeComponent(EnergyWh(c.energy.value * factor),
-                             EmissionsG(c.emissions.value * factor))
-        for name, c in bd.scope2_components.items()
-    }
-    new_bd = ScopeBreakdown(bd.scope1, EmissionsG(bd.scope2.value * factor),
-                            bd.scope3, scope2_components=components)
-    gross = new_bd.scope1.value + new_bd.scope2.value + new_bd.scope3.value
-    net = gross - dc.green_offset.value - dc.rec_offset.value
+    scope2 = dc.scope2 * factor
+    gross = dc.scope1 + scope2 + dc.scope3
+    net = gross - dc.green_offset - dc.rec_offset
     new_dc = dataclasses.replace(
-        dc, breakdown=new_bd, gross=EmissionsG(gross),
-        net=EmissionsG(net, allow_negative=True))
+        dc, scope2=scope2,
+        component_energy={name: e * factor
+                          for name, e in dc.component_energy.items()},
+        component_emissions={name: e * factor
+                             for name, e in dc.component_emissions.items()},
+        gross=gross, net=net)
     per_dc = (new_dc,) + fp.per_dc[1:]
-    gross_total = math.fsum(d.gross.value for d in per_dc)
-    net_total = math.fsum(d.net.value for d in per_dc)
+    gross_total = math.fsum(d.gross for d in per_dc)
+    net_total = math.fsum(d.net for d in per_dc)
     return dataclasses.replace(
         fp, per_dc=per_dc, gross_total=EmissionsG(gross_total),
         net_total=EmissionsG(net_total, allow_negative=True),

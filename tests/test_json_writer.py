@@ -29,10 +29,7 @@ from carbonalloc.units import (
     SCOPE2_COMPONENTS,
     CarbonIntensity,
     EmissionsG,
-    EnergyWh,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
 )
 
@@ -68,12 +65,13 @@ def devices(draw, category):
 
 @st.composite
 def dc_footprints(draw, tenant_id, dc_id):
-    components = {name: ScopeComponent(EnergyWh(draw(amounts)),
-                                       EmissionsG(draw(amounts)))
-                  for name in SCOPE2_COMPONENTS}
+    component_energy, component_emissions = {}, {}
+    for name in SCOPE2_COMPONENTS:
+        component_energy[name] = draw(amounts)
+        component_emissions[name] = draw(amounts)
     scope2 = 0.0
     for name in SCOPE2_COMPONENTS:
-        scope2 += components[name].emissions.value
+        scope2 += component_emissions[name]
     scope1, scope3 = draw(amounts), draw(amounts)
     gross = scope1 + scope2 + scope3
     green, rec = draw(offsets), draw(offsets)
@@ -91,11 +89,11 @@ def dc_footprints(draw, tenant_id, dc_id):
             tenant_id=tenant_id, datacenter_id=dc_id,
             scope2_share=Share(scope2_share), l_share=Share(l_share),
             ratio=Share(scope2_share * l_share)),
-        breakdown=ScopeBreakdown(EmissionsG(scope1), EmissionsG(scope2),
-                                 EmissionsG(scope3), components),
-        gross=EmissionsG(gross), net=EmissionsG(net, allow_negative=True),
-        green_offset=EmissionsG(green), rec_offset=EmissionsG(rec),
-        over_offset=net < 0.0, devices=tuple(shares))
+        scope1=scope1, scope2=scope2, scope3=scope3,
+        component_energy=component_energy,
+        component_emissions=component_emissions,
+        gross=gross, net=net, green_offset=green, rec_offset=rec,
+        devices=tuple(shares))
 
 
 # A prior gross of 0 leaves the percentage undefined (null); 1e-300 makes it
@@ -110,8 +108,8 @@ def footprints(draw):
     per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
     gross, net = 0.0, 0.0
     for dc in per_dc:
-        gross += dc.gross.value
-        net += dc.net.value
+        gross += dc.gross
+        net += dc.net
     agents = draw(st.integers(1, 10**6))
     history = draw(st.lists(
         st.builds(HistoryEntry, periods, st.builds(EmissionsG, prior_gross),

@@ -38,6 +38,11 @@ def fixture_doc(fixture_footprint, factors):
     return render_json(fixture_footprint, factors)
 
 
+def stored_for(fp, factors, period: Period) -> bytes:
+    """``fp``'s JSON report as the history store holds it for ``period``."""
+    return render_json(dataclasses.replace(fp, period=period), factors).content
+
+
 class TestRenderJson:
     def test_verbatim_field_names_present(self, fixture_doc):
         text = fixture_doc.content.decode("utf-8")
@@ -336,7 +341,7 @@ class TestRenderOnepage:
         fleet = generate_fleet(seed=15, n_tenants=3, n_dcs=2)
         fps = compute_footprints(fleet.raw, fleet.models)
         fp = next(f for f in fps
-                  if any(dc.breakdown.scope1.value > 0 for dc in f.per_dc))
+                  if any(dc.scope1 > 0 for dc in f.per_dc))
         html = render_onepage(fp, factors).content.decode("utf-8")
         section = html[html.index('id="scope-breakdown"'):html.index('id="offsets"')]
         for label in ("Scope 1", "Scope 2: servers", "Scope 2: network",
@@ -389,25 +394,45 @@ class TestHistoryStore:
         stored = f'"{field}": {doc["summary"][field]!r},'
         assert stored in summary
         store = HistoryStore(tmp_path)
-        store.save("TENANT_X", Period(2025, 5), (
+        store.save("TENANT_X", Period(2025, 6), (
             head + '"summary": {'
             + summary.replace(stored, f'"{field}": {figure},', 1)).encode("utf-8"))
         import logging
         with caplog.at_level(logging.WARNING, logger="carbonalloc.history"):
-            assert store.load_entry("TENANT_X", Period(2025, 5)) is None
+            assert store.load_entry("TENANT_X", Period(2025, 6)) is None
         assert any("unreadable history file" in rec.getMessage()
                    for rec in caplog.records)
 
-    def test_prior_entries_limit_two(self, tmp_path, fixture_doc):
+    # The fixture is TENANT_X's 2025-06 report, stored under another tenant's
+    # or another month's path.
+    @pytest.mark.parametrize("tenant_id, period", [
+        ("TENANT_Y", Period(2025, 6)), ("TENANT_X", Period(2025, 5))],
+        ids=["tenant", "period"])
+    def test_report_of_another_tenant_or_month_skipped(
+            self, tmp_path, caplog, fixture_doc, tenant_id, period):
+        store = HistoryStore(tmp_path)
+        store.save(tenant_id, period, fixture_doc.content)
+        import logging
+        with caplog.at_level(logging.WARNING, logger="carbonalloc.history"):
+            assert store.load_entry(tenant_id, period) is None
+        assert any("unreadable history file" in rec.getMessage()
+                   and "tenant 'TENANT_X' for period '2025-06'" in rec.getMessage()
+                   for rec in caplog.records)
+
+    def test_prior_entries_limit_two(self, tmp_path, fixture_footprint,
+                                     factors):
         store = HistoryStore(tmp_path)
         for month in (2, 3, 4, 5):
-            store.save("TENANT_X", Period(2025, month), fixture_doc.content)
+            store.save("TENANT_X", Period(2025, month),
+                       stored_for(fixture_footprint, factors, Period(2025, month)))
         entries = store.prior_entries("TENANT_X", Period(2025, 6))
         assert [str(e.period) for e in entries] == ["2025-05", "2025-04"]
 
-    def test_lookback_stops_at_earliest_period(self, tmp_path, fixture_doc):
+    def test_lookback_stops_at_earliest_period(self, tmp_path, fixture_footprint,
+                                               factors):
         store = HistoryStore(tmp_path)
         assert store.prior_entries("TENANT_X", Period(1, 1)) == ()
-        store.save("TENANT_X", Period(1, 1), fixture_doc.content)
+        store.save("TENANT_X", Period(1, 1),
+                   stored_for(fixture_footprint, factors, Period(1, 1)))
         entries = store.prior_entries("TENANT_X", Period(1, 2))
         assert [str(e.period) for e in entries] == ["0001-01"]

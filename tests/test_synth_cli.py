@@ -507,6 +507,39 @@ class TestAuditCommand:
         assert run_compute(workspace) == code
         assert capsys.readouterr().err == audit_err
 
+    # A figure of the audited tenant that overflows to infinity is caught by
+    # the data center footprint's own check: a fuel log of 1e300 x 1e300 g
+    # makes Scope 1 infinite, green energy of 1e308 Wh at 10 g/Wh makes the
+    # green offset infinite and so the net -inf.
+    @pytest.mark.parametrize("fuel_log, intensity, green, message", [
+        ("GEN_X:1e300:1e300", None, None,
+         "emissions (gCO2e) must be finite, got inf"),
+        (None, "10", "1e308", "emissions (gCO2e) must be finite, got -inf"),
+    ], ids=["scope1", "net"])
+    def test_overflowing_figure_fails_audit_as_compute(
+            self, workspace, capsys, fuel_log, intensity, green, message):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        dc_id = min(json.loads(report.read_text(encoding="utf-8"))["datacenters"])
+        path = workspace["fleet"] / "datacenters.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            if cells[0] == dc_id:
+                for column, value in ((3, intensity), (6, fuel_log), (8, green)):
+                    if value is not None:
+                        cells[column] = value
+                lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        audit_err = capsys.readouterr().err
+        assert audit_err == message + "\n"
+        workspace["out"] = workspace["root"] / "out_broken"
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == audit_err
+        assert not workspace["out"].exists()
+
     def test_absent_tenant_exits_2(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
@@ -594,6 +627,45 @@ class TestReportCommand:
         assert main(["report", "--report", str(report),
                      "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
         assert "grossEmissions" in capsys.readouterr().err
+        assert not rerender_dir.exists()
+
+    # Each case edits a stored report into one the writer cannot have
+    # written; re-rendering it would silently change or invent a figure.
+    FORGED = {
+        "extra-key": ("summary.injected",
+                      lambda doc, dc: doc["summary"].update(injected=1.0)),
+        "missing-key": ("equivalencies.carKm",
+                        lambda doc, dc: doc["equivalencies"].pop("carKm")),
+        "null-name": (".name", lambda doc, dc: dc.update(name=None)),
+        "number-display-name": (
+            "tenant.displayName",
+            lambda doc, dc: doc["tenant"].update(displayName=5)),
+        "string-over-offset": (".overOffset",
+                               lambda doc, dc: dc.update(overOffset="false")),
+        "key-order": ("key order differs",
+                      lambda doc, dc: doc.update(
+                          tenant=dict(reversed(doc["tenant"].items())))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_report_the_writer_cannot_have_written_exits_1(self, workspace,
+                                                           capsys, case):
+        named, forge = self.FORGED[case]
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        dc = next(iter(doc["datacenters"].values()))
+        assert dc["netEmissions"] > 0 and dc["overOffset"] is False
+        forge(doc, dc)
+        report.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
+        rerender_dir = workspace["root"] / "rerender"
+        capsys.readouterr()
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"cannot re-render {report}" in err
+        assert named in err
         assert not rerender_dir.exists()
 
     # A stored number must fit a float. 401 digits parse as a Python int

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from carbonalloc.errors import UnitError
 from carbonalloc.units import (
-    SCOPE2_COMPONENTS,
     CarbonIntensity,
     EmissionsG,
     EnergyWh,
     Period,
-    ScopeBreakdown,
-    ScopeComponent,
     Share,
     emissions_from_energy,
 )
@@ -105,39 +102,3 @@ class TestEmissionsFromEnergy:
         base = emissions_from_energy(EnergyWh(energy), CarbonIntensity(intensity)).value
         scaled = emissions_from_energy(EnergyWh(energy * k), CarbonIntensity(intensity)).value
         assert math.isclose(scaled, base * k, rel_tol=1e-12, abs_tol=1e-12)
-
-
-class TestScopeBreakdown:
-    @staticmethod
-    def _components(server, network, cooling, other):
-        return {
-            "server": ScopeComponent(EnergyWh(server), EmissionsG(server * 0.4)),
-            "network": ScopeComponent(EnergyWh(network), EmissionsG(network * 0.4)),
-            "cooling": ScopeComponent(EnergyWh(cooling), EmissionsG(cooling * 0.4)),
-            "other": ScopeComponent(EnergyWh(other), EmissionsG(other * 0.4)),
-        }
-
-    def test_total_sums_scopes(self):
-        bd = ScopeBreakdown(
-            scope1=EmissionsG(625.0),
-            scope2=EmissionsG(1800000.0),
-            scope3=EmissionsG(125000.0),
-            scope2_components=self._components(100000.0, 120000.0, 4000000.0, 280000.0),
-        )
-        assert bd.total.value == 625.0 + 1800000.0 + 125000.0
-
-    def test_component_keys_must_match_exactly(self):
-        comps = self._components(0.0, 0.0, 0.0, 0.0)
-        del comps["other"]
-        with pytest.raises(UnitError):
-            ScopeBreakdown(EmissionsG(0.0), EmissionsG(0.0), EmissionsG(0.0),
-                           scope2_components=comps)
-
-    def test_component_sum_must_match_scope2(self):
-        comps = self._components(100.0, 0.0, 0.0, 0.0)
-        with pytest.raises(UnitError):
-            ScopeBreakdown(EmissionsG(0.0), EmissionsG(90.0), EmissionsG(0.0),
-                           scope2_components=comps)
-
-    def test_component_name_order_is_canonical(self):
-        assert SCOPE2_COMPONENTS == ("server", "network", "cooling", "other")
