@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,12 +48,13 @@ from .report import (
     DEFAULT_TREND_THRESHOLDS,
     EquivalencyFactors,
     ReportError,
-    _load_doc,
     factors_from_json,
     footprint_from_json,
+    load_doc,
     load_equivalency_factors,
     render_json,
     render_onepage,
+    report_identity,
 )
 from .synth import generate_fleet, write_fleet
 from .units import Period, Share, UnitError
@@ -200,7 +202,10 @@ def _diff_json(expected: Any, actual: Any, path: str,
                out: list[tuple[str, Any, Any]]) -> None:
     """Collect value-level differences between two parsed JSON trees."""
     if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in expected.keys() | actual.keys():
+        # Expected keys in their order, then the keys only ``actual`` has in
+        # its order: the lines come out in document order, whatever the
+        # interpreter's hash seed.
+        for key in [*expected, *(k for k in actual if k not in expected)]:
             child = f"{path}.{key}" if path else str(key)
             if key not in expected:
                 out.append((child, "<absent>", actual[key]))
@@ -260,10 +265,9 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               l_share_override: Share | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
-        stored_doc = _load_doc(report_file.read_bytes())
-        tenant_id = str(stored_doc["tenant"]["tenantId"])
-        period = Period.parse(stored_doc["period"])
-    except (OSError, ReportError, KeyError, TypeError, UnitError) as exc:
+        stored_doc = load_doc(report_file.read_bytes())
+        tenant_id, period = report_identity(stored_doc)
+    except (OSError, ReportError) as exc:
         _err(f"cannot read report under audit: {exc!r}")
         return EXIT_VALIDATION
 
@@ -300,7 +304,7 @@ def cmd_report(report_file: Path, out_dir: Path,
     nothing is written.
     """
     try:
-        stored_doc = _load_doc(report_file.read_bytes())
+        stored_doc = load_doc(report_file.read_bytes())
         fp = footprint_from_json(stored_doc)
         own_factors = factors_from_json(stored_doc)
         factors = (load_equivalency_factors(equivalency_file)
@@ -370,8 +374,8 @@ def _parse_thresholds(text: str) -> tuple[float, float]:
         improve, worsen = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if improve < 0 or worsen < 0:
-        raise argparse.ArgumentTypeError("thresholds must be >= 0")
+    if not (0 <= improve < math.inf and 0 <= worsen < math.inf):
+        raise argparse.ArgumentTypeError("thresholds must be finite and >= 0")
     return improve, worsen
 
 

@@ -1,9 +1,10 @@
 """Prior-period storage for the month-over-month comparison.
 
 Layout: ``<root>/<tenant_id>/<YYYY-MM>.json``, each file being the tenant's
-full JSON report for that period. Only the headline figures are read back
-(``summary.grossEmissions`` / ``summary.netEmissions``); the rest of the file
-is carried for auditability.
+full JSON report for that period. Only the report's identity and headline
+figures are read back, through ``report.report_identity`` and
+``report.report_headline``; the rest of the file is carried for
+auditability.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import logging
 from pathlib import Path
 
 from .allocation import HistoryEntry
-from .report import ReportError, _load_doc
-from .units import EmissionsG, Period
+from .report import ReportError, load_doc, report_headline, report_identity
+from .units import Period
 
 __all__ = ["HistoryStore"]
 
@@ -45,18 +46,13 @@ class HistoryStore:
         if not path.is_file():
             return None
         try:
-            doc = _load_doc(path.read_bytes())
-            held = (doc["tenant"]["tenantId"], doc["period"])
-            if held != (tenant_id, str(period)):
+            doc = load_doc(path.read_bytes())
+            held = report_identity(doc)
+            if held != (tenant_id, period):
                 raise ReportError(f"it holds the report of tenant {held[0]!r} "
-                                  f"for period {held[1]!r}")
-            summary = doc["summary"]
-            return HistoryEntry(
-                period=period,
-                gross=EmissionsG(summary["grossEmissions"]),
-                net=EmissionsG(summary["netEmissions"], allow_negative=True),
-            )
-        except (ReportError, KeyError, TypeError, ValueError) as exc:
+                                  f"for period '{held[1]}'")
+            return HistoryEntry(period, *report_headline(doc))
+        except ReportError as exc:
             log.warning("unreadable history file %s: %s", path, exc)
             return None
 

@@ -3,9 +3,13 @@
 Both formats are pure functions of a Footprint plus the equivalency factors.
 The JSON format is the audit interchange surface: key order is fixed, floats
 use shortest round-trip notation, and ``footprint_from_json`` restores a
-Footprint that re-renders to the identical bytes. The one-page format is a
-self-contained HTML document (inline styles, inline SVG charts, no external
-assets) constrained to a single sheet of A4.
+Footprint that re-renders to the identical bytes. Its schema is described
+once, in the field table ``_REPORT`` below: the writer is generated from the
+table, the parser checks stored reports against it, and ``report_identity``
+and ``report_headline`` read single fields through it, so no other module
+names a report key. The one-page format is a self-contained HTML document
+(inline styles, inline SVG charts, no external assets) constrained to a
+single sheet of A4.
 
 Equivalency factors are configuration, not constants: the packaged sample
 config documents its sources in ``source_note`` and operators are expected
@@ -17,10 +21,12 @@ from __future__ import annotations
 import html
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .allocation import (
     DcFootprint,
@@ -31,12 +37,12 @@ from .allocation import (
 )
 from .errors import CarbonAllocError
 from .units import (
+    SCOPE2_COMPONENTS,
     CarbonIntensity,
     EmissionsG,
     EnergyWh,
     Period,
     Share,
-    is_finite,
 )
 
 __all__ = [
@@ -49,6 +55,9 @@ __all__ = [
     "compute_trend",
     "render_json",
     "footprint_from_json",
+    "load_doc",
+    "report_identity",
+    "report_headline",
     "render_onepage",
     "JSON_SCHEMA_VERSION",
     "DEFAULT_TREND_THRESHOLDS",
@@ -147,6 +156,160 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 
 
 # ---------------------------------------------------------------------------
+# The report schema: one field table for the JSON writer and parser
+# ---------------------------------------------------------------------------
+# A report object is a dict from each JSON key to a nested object's dict or
+# to ``(kind, accessor)``. The accessor is a Python expression over ``o``,
+# the object being written; a nested object is written from the same ``o``.
+# A kind's ``write`` is the value's f-string replacement field, ``@``
+# standing for the accessor, and its ``test`` accepts the stored values the
+# writer can have written. Derived values (aggregates, equivalencies, trend
+# percentages, over-offset flags) have no test: every render recomputes them.
+
+
+class _Kind(NamedTuple):
+    write: str
+    test: Callable[[Any], bool] | None = None
+    what: str = ""
+
+
+class _Items(NamedTuple):
+    """A map of ``(key, o)`` pairs when ``keyed``, else a list of ``o``."""
+
+    item: dict[str, Any]
+    keyed: bool
+
+
+def _const(value: Any) -> tuple[_Kind, None]:
+    text = json.dumps(value)
+    return _Kind(text, lambda v: type(v) is type(value) and v == value, text), None
+
+
+def _range(lo: float, hi: float, what: str) -> _Kind:
+    return _Kind("{@!r}", lambda v: type(v) in (int, float) and lo <= v <= hi, what)
+
+
+_MAX = sys.float_info.max
+_PERIOD_TEXT = re.compile(r"(?!0000)[0-9]{4}-(0[1-9]|1[0-2])")
+_STRING = _Kind("{_string(@)}", lambda v: type(v) is str, "a string")
+_PERIOD = _Kind('"{@}"', lambda v: type(v) is str and bool(_PERIOD_TEXT.fullmatch(v)),
+                "a YYYY-MM period")
+_ENERGY = _EMISSIONS = _INTENSITY = _range(0.0, _MAX, "a finite number >= 0")
+_NET = _COUNTER = _range(-_MAX, _MAX, "a finite number")
+_SHARE = _range(0.0, 1.0, "a number in [0, 1]")
+_AGENTS = _Kind("{@!r}", lambda v: type(v) is int and 1 <= v <= _MAX,
+                "a whole number >= 1 within float range")
+_DERIVED = _Kind("{_number(@)}")
+_OVER_OFFSET = _Kind('{"true" if @ < 0.0 else "false"}')  # from a net figure
+
+
+def _scope(name: str, aggregate: bool, energy: tuple, emissions: tuple,
+           **more: Any) -> dict[str, Any]:
+    return {"type": _const(name), "isAggregate": _const(aggregate),
+            "energy": energy, "emissions": emissions, **more}
+
+
+def _device(type_name: str, *label: tuple, **counters: tuple) -> dict[str, Any]:
+    """A device entry: its label (model or type) if it has one, its energy
+    and emissions, then its usage counters."""
+    return {"type": _const(type_name), "isAggregate": _const(False), **dict(label),
+            "energy": (_ENERGY, "o.energy_wh"),
+            "emissions": (_EMISSIONS, "o.emissions_g"), **counters}
+
+
+def _summed(figure: str) -> tuple[_Kind, str]:
+    """A derived total: ``figure``, an expression over ``dc``, summed over
+    the data centers."""
+    return _DERIVED, f"_total(o, lambda dc: {figure})"
+
+
+# Each device map's category and entry. An entry is read back as the
+# DeviceShare whose fields are the attributes its members are written from.
+_DEVICES = {
+    "servers": ("server", _device(
+        "ServerDevice", ("deviceModel", (_STRING, "o.device_model")),
+        utilization=(_COUNTER, "o.utilization"),
+        cacheMoved=(_COUNTER, "o.cache_moved"),
+        dramAccessed=(_COUNTER, "o.dram_accessed"),
+        diskMoved=(_COUNTER, "o.disk_moved"))),
+    "network": ("network", _device(
+        "NetworkDevice", ("deviceType", (_STRING, "o.device_type")),
+        bytesSent=(_COUNTER, "o.bytes_sent"),
+        bytesReceived=(_COUNTER, "o.bytes_received"))),
+    "cooling": ("cooling", _device("SharedDevice")),
+    "other": ("other", _device("SharedDevice")),
+}
+_DEVICE_FIELDS = {name: [(key, accessor[2:]) for key, (_, accessor) in item.items()
+                         if accessor] for name, (_, item) in _DEVICES.items()}
+
+_ZERO = _const(0.0)
+_DATACENTER = {
+    "name": (_STRING, "o.name"),
+    "region": (_STRING, "o.region"),
+    "gridIntensity": (_INTENSITY, "o.grid_intensity.value"),
+    "scope2Share": (_SHARE, "o.responsibility.scope2_share.value"),
+    "lShare": (_SHARE, "o.responsibility.l_share.value"),
+    "responsibility": (_SHARE, "o.responsibility.ratio.value"),
+    "grossEmissions": (_EMISSIONS, "o.gross"),
+    "netEmissions": (_NET, "o.net"),
+    "overOffset": (_OVER_OFFSET, "o.net"),
+    "offsets": {"greenEnergyOffset": (_EMISSIONS, "o.green_offset"),
+                "recOffset": (_EMISSIONS, "o.rec_offset")},
+    "scopes": {
+        "scope1": _scope("Scope1", False, _ZERO, (_EMISSIONS, "o.scope1")),
+        "scope2": _scope(
+            "Scope2", False, (_DERIVED, "_scope2_energy(o)"), (_EMISSIONS, "o.scope2"),
+            components={name: {
+                "energy": (_ENERGY, f'o.component_energy["{name}"]'),
+                "emissions": (_EMISSIONS, f'o.component_emissions["{name}"]')}
+                for name in SCOPE2_COMPONENTS},
+            devices={name: (_Items(item, True), f'_by_id(o, "{category}")')
+                     for name, (category, item) in _DEVICES.items()}),
+        "scope3": _scope("Scope3", False, _ZERO, (_EMISSIONS, "o.scope3"))},
+}
+
+
+# At the top level ``o`` is the Footprint, and ``factors`` and the
+# equivalencies ``eq`` are written from as well.
+_REPORT = {
+    "schemaVersion": _const(JSON_SCHEMA_VERSION),
+    "tenant": {"tenantId": (_STRING, "o.tenant_id"),
+               "displayName": (_STRING, "o.display_name"),
+               "agentCount": (_AGENTS, "o.agent_count")},
+    "period": (_PERIOD, "o.period"),
+    "summary": {
+        "grossEmissions": (_EMISSIONS, "o.gross_total.value"),
+        "netEmissions": (_NET, "o.net_total.value"),
+        "perAgentEmissions": (_EMISSIONS, "o.per_agent.value"),
+        "scopes": {
+            "scope1": _scope("Scope1", True, _ZERO, _summed("dc.scope1")),
+            "scope2": _scope("Scope2", True, _summed("_scope2_energy(dc)"),
+                             _summed("dc.scope2")),
+            "scope3": _scope("Scope3", True, _ZERO, _summed("dc.scope3"))},
+        "history": (_Items({"period": (_PERIOD, "o.period"),
+                            "grossEmissions": (_EMISSIONS, "o.gross.value"),
+                            "netEmissions": (_NET, "o.net.value"),
+                            "pctChange": (_DERIVED, "o.pct_change")}, False),
+                    "compute_trend(o)")},
+    "equivalencies": {
+        "flightsAmsNyc": (_DERIVED, 'eq["flights"]'),
+        "carKm": (_DERIVED, 'eq["car_km"]'),
+        "smartphoneCharges": (_DERIVED, 'eq["charges"]'),
+        "factors": {
+            "flightAmsNycG": (_EMISSIONS, "factors.flight_ams_nyc.value"),
+            "carKmG": (_EMISSIONS, "factors.car_km.value"),
+            "smartphoneChargeG": (_EMISSIONS, "factors.smartphone_charge.value")},
+        "sourceNote": (_STRING, "factors.source_note")},
+    "offsets": {"greenEnergyOffset": _summed("dc.green_offset"),
+                "recOffset": _summed("dc.rec_offset"),
+                "netEmissions": (_DERIVED, "o.net_total.value"),
+                "overOffset": (_OVER_OFFSET, "o.net_total.value")},
+    "datacenters": (_Items(_DATACENTER, True),
+                    "[(dc.datacenter_id, dc) for dc in o.per_dc]"),
+}
+
+
+# ---------------------------------------------------------------------------
 # JSON rendering
 # ---------------------------------------------------------------------------
 
@@ -157,231 +320,79 @@ def _scope2_energy(dc: DcFootprint) -> float:
     return e["server"] + e["network"] + e["cooling"] + e["other"]
 
 
-def _number(value: float) -> str:
-    """A float as ``json.dumps`` writes it, non-finite values included."""
-    if math.isfinite(value):
+def _total(fp: Footprint, figure: Callable[[DcFootprint], float]) -> float:
+    """One data center figure summed over ``fp.per_dc``, in order."""
+    total = 0.0
+    for dc in fp.per_dc:
+        total += figure(dc)
+    return total
+
+
+def _number(value: float | None) -> str:
+    """A derived number as ``json.dumps`` writes it, non-finite or None too;
+    a finite float goes straight to ``repr``, which is what it calls."""
+    if value is not None and math.isfinite(value):
         return repr(value)
-    if value != value:
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
+    return json.dumps(value)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _by_id(dc: DcFootprint, category: str) -> list[tuple[str, DeviceShare]]:
+    return sorted({d.device_id: d for d in dc.devices if d.category == category}.items())
 
 
-# Each template below is one object exactly as ``json.dumps(tree, indent=2,
-# ensure_ascii=False)`` lays it out at its nesting depth: key order fixed,
-# strings through ``_string``, finite numbers through ``repr`` (which is what
-# the encoder calls), and ``{}`` / ``[]`` for empty maps and lists.
+def _join(items: list, write: Callable[..., str], depth: int, keyed: bool) -> str:
+    if not items:
+        return "{}" if keyed else "[]"
+    text = ",\n".join([write(k, o) for k, o in items] if keyed else map(write, items))
+    return ("{\n%s\n%s}" if keyed else "[\n%s\n%s]") % (text, "  " * depth)
 
 
-def _device_json(device_id: str, dev: DeviceShare) -> str:
-    """One device entry, at the depth of a ``devices.<map>`` member."""
-    head = f"              {_string(device_id)}: {{\n"
-    if dev.category == "server":
-        return (f'{head}'
-                f'                "type": "ServerDevice",\n'
-                f'                "isAggregate": false,\n'
-                f'                "deviceModel": {_string(dev.device_model)},\n'
-                f'                "energy": {dev.energy_wh!r},\n'
-                f'                "emissions": {dev.emissions_g!r},\n'
-                f'                "utilization": {dev.utilization!r},\n'
-                f'                "cacheMoved": {dev.cache_moved!r},\n'
-                f'                "dramAccessed": {dev.dram_accessed!r},\n'
-                f'                "diskMoved": {dev.disk_moved!r}\n'
-                f'              }}')
-    if dev.category == "network":
-        return (f'{head}'
-                f'                "type": "NetworkDevice",\n'
-                f'                "isAggregate": false,\n'
-                f'                "deviceType": {_string(dev.device_type)},\n'
-                f'                "energy": {dev.energy_wh!r},\n'
-                f'                "emissions": {dev.emissions_g!r},\n'
-                f'                "bytesSent": {dev.bytes_sent!r},\n'
-                f'                "bytesReceived": {dev.bytes_received!r}\n'
-                f'              }}')
-    return (f'{head}'
-            f'                "type": "SharedDevice",\n'
-            f'                "isAggregate": false,\n'
-            f'                "energy": {dev.energy_wh!r},\n'
-            f'                "emissions": {dev.emissions_g!r}\n'
-            f'              }}')
+# The writer is generated from the table once, at import: one f-string per
+# object, laid out as ``json.dumps(tree, indent=2, ensure_ascii=False)`` lays
+# it out at its depth, and one function per map or list item. Strings go
+# through ``_string``, finite numbers through ``repr`` as in the encoder. The
+# generated source comes from the table alone, never from a report's content.
+_WRITERS: dict[str, Any] = {
+    "_string": _string, "_number": _number, "_join": _join, "_by_id": _by_id,
+    "_scope2_energy": _scope2_energy, "_total": _total,
+    "compute_trend": compute_trend}
 
 
-def _device_map(devices: dict[str, DeviceShare]) -> str:
-    if not devices:
-        return "{}"
-    entries = ",\n".join(_device_json(device_id, devices[device_id])
-                         for device_id in sorted(devices))
-    return f"{{\n{entries}\n            }}"
+def _text(spec: Any, depth: int) -> str:
+    """The f-string source of a value whose key sits at ``depth``."""
+    if type(spec) is dict:
+        pad = "  " * (depth + 1)
+        members = ",\n".join(f'{pad}"{key}": {_text(member, depth + 1)}'
+                             for key, member in spec.items())
+        return "{{\n" + members + "\n" + "  " * depth + "}}"
+    kind, accessor = spec
+    if type(kind) is _Kind:
+        return kind.write.replace("@", accessor or "")
+    head = "  " * (depth + 1) + ("{_string(k)}: " if kind.keyed else "")
+    writer = _define("k, o" if kind.keyed else "o", head + _text(kind.item, depth + 1))
+    return f"{{_join({accessor}, {writer}, {depth}, {kind.keyed})}}"
 
 
-def _component_json(dc: DcFootprint, name: str) -> str:
-    return (f'            "{name}": {{\n'
-            f'              "energy": {dc.component_energy[name]!r},\n'
-            f'              "emissions": {dc.component_emissions[name]!r}\n'
-            f'            }}')
+def _define(params: str, body: str) -> str:
+    name = f"_write_{len(_WRITERS)}"
+    exec(f"def {name}({params}):\n    return f'''{body}'''\n", _WRITERS)
+    return name
 
 
-def _dc_json(dc: DcFootprint) -> str:
-    """One ``datacenters`` member: shares, totals, offsets and scopes."""
-    maps: dict[str, dict[str, DeviceShare]] = {
-        "server": {}, "network": {}, "cooling": {}, "other": {}}
-    for dev in dc.devices:
-        maps[dev.category][dev.device_id] = dev
-    r = dc.responsibility
-    return (f'    {_string(dc.datacenter_id)}: {{\n'
-            f'      "name": {_string(dc.name)},\n'
-            f'      "region": {_string(dc.region)},\n'
-            f'      "gridIntensity": {dc.grid_intensity.value!r},\n'
-            f'      "scope2Share": {r.scope2_share.value!r},\n'
-            f'      "lShare": {r.l_share.value!r},\n'
-            f'      "responsibility": {r.ratio.value!r},\n'
-            f'      "grossEmissions": {dc.gross!r},\n'
-            f'      "netEmissions": {dc.net!r},\n'
-            f'      "overOffset": {_bool(dc.over_offset)},\n'
-            f'      "offsets": {{\n'
-            f'        "greenEnergyOffset": {dc.green_offset!r},\n'
-            f'        "recOffset": {dc.rec_offset!r}\n'
-            f'      }},\n'
-            f'      "scopes": {{\n'
-            f'        "scope1": {{\n'
-            f'          "type": "Scope1",\n'
-            f'          "isAggregate": false,\n'
-            f'          "energy": 0.0,\n'
-            f'          "emissions": {dc.scope1!r}\n'
-            f'        }},\n'
-            f'        "scope2": {{\n'
-            f'          "type": "Scope2",\n'
-            f'          "isAggregate": false,\n'
-            f'          "energy": {_scope2_energy(dc)!r},\n'
-            f'          "emissions": {dc.scope2!r},\n'
-            f'          "components": {{\n'
-            f'{_component_json(dc, "server")},\n'
-            f'{_component_json(dc, "network")},\n'
-            f'{_component_json(dc, "cooling")},\n'
-            f'{_component_json(dc, "other")}\n'
-            f'          }},\n'
-            f'          "devices": {{\n'
-            f'            "servers": {_device_map(maps["server"])},\n'
-            f'            "network": {_device_map(maps["network"])},\n'
-            f'            "cooling": {_device_map(maps["cooling"])},\n'
-            f'            "other": {_device_map(maps["other"])}\n'
-            f'          }}\n'
-            f'        }},\n'
-            f'        "scope3": {{\n'
-            f'          "type": "Scope3",\n'
-            f'          "isAggregate": false,\n'
-            f'          "energy": 0.0,\n'
-            f'          "emissions": {dc.scope3!r}\n'
-            f'        }}\n'
-            f'      }}\n'
-            f'    }}')
-
-
-def _history_json(deltas: list[TrendDelta]) -> str:
-    if not deltas:
-        return "[]"
-    entries = ",\n".join(
-        f'      {{\n'
-        f'        "period": "{delta.period}",\n'
-        f'        "grossEmissions": {delta.gross.value!r},\n'
-        f'        "netEmissions": {delta.net.value!r},\n'
-        f'        "pctChange": '
-        f'{"null" if delta.pct_change is None else _number(delta.pct_change)}\n'
-        f'      }}'
-        for delta in deltas)
-    return f"[\n{entries}\n    ]"
+_write_report = _WRITERS[_define("o, factors, eq", _text(_REPORT, 0) + "\n")]
 
 
 def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
     """Render the detailed JSON report with deterministic bytes.
 
-    The text is written straight from the Footprint and is byte for byte what
-    ``json.dumps(tree, indent=2, ensure_ascii=False) + "\\n"`` gives for the
-    equivalent tree; ``audit`` checks every stored report against that
-    reference. Key order is fixed, data center maps keep ``fp.per_dc`` order,
-    device maps iterate in sorted id order, and numbers use shortest
-    round-trip notation, so the same Footprint always yields the same bytes.
-    Numbers must be Python ints and floats, as the engine and
-    ``footprint_from_json`` produce them.
+    The text is byte for byte what ``json.dumps(tree, indent=2,
+    ensure_ascii=False) + "\\n"`` gives for the equivalent tree; ``audit``
+    checks every stored report against that reference. Data center maps
+    keep ``fp.per_dc`` order and device maps sorted id order. Numbers must
+    be Python ints and floats, as the engine and ``footprint_from_json``
+    produce them.
     """
-    scope1_total = 0.0
-    scope2_total = 0.0
-    scope3_total = 0.0
-    scope2_energy_total = 0.0
-    green_total = 0.0
-    rec_total = 0.0
-    for dc in fp.per_dc:
-        scope1_total += dc.scope1
-        scope2_total += dc.scope2
-        scope3_total += dc.scope3
-        scope2_energy_total += _scope2_energy(dc)
-        green_total += dc.green_offset
-        rec_total += dc.rec_offset
-
-    if fp.per_dc:
-        dc_entries = ",\n".join(_dc_json(dc) for dc in fp.per_dc)
-        datacenters = f"{{\n{dc_entries}\n  }}"
-    else:
-        datacenters = "{}"
-    equivalents = compute_equivalencies(fp.gross_total, factors)
-    net = fp.net_total.value
-
-    text = (f'{{\n'
-            f'  "schemaVersion": {JSON_SCHEMA_VERSION!r},\n'
-            f'  "tenant": {{\n'
-            f'    "tenantId": {_string(fp.tenant_id)},\n'
-            f'    "displayName": {_string(fp.display_name)},\n'
-            f'    "agentCount": {fp.agent_count!r}\n'
-            f'  }},\n'
-            f'  "period": "{fp.period}",\n'
-            f'  "summary": {{\n'
-            f'    "grossEmissions": {fp.gross_total.value!r},\n'
-            f'    "netEmissions": {net!r},\n'
-            f'    "perAgentEmissions": {fp.per_agent.value!r},\n'
-            f'    "scopes": {{\n'
-            f'      "scope1": {{\n'
-            f'        "type": "Scope1",\n'
-            f'        "isAggregate": true,\n'
-            f'        "energy": 0.0,\n'
-            f'        "emissions": {scope1_total!r}\n'
-            f'      }},\n'
-            f'      "scope2": {{\n'
-            f'        "type": "Scope2",\n'
-            f'        "isAggregate": true,\n'
-            f'        "energy": {scope2_energy_total!r},\n'
-            f'        "emissions": {scope2_total!r}\n'
-            f'      }},\n'
-            f'      "scope3": {{\n'
-            f'        "type": "Scope3",\n'
-            f'        "isAggregate": true,\n'
-            f'        "energy": 0.0,\n'
-            f'        "emissions": {scope3_total!r}\n'
-            f'      }}\n'
-            f'    }},\n'
-            f'    "history": {_history_json(compute_trend(fp))}\n'
-            f'  }},\n'
-            f'  "equivalencies": {{\n'
-            f'    "flightsAmsNyc": {_number(equivalents["flights"])},\n'
-            f'    "carKm": {_number(equivalents["car_km"])},\n'
-            f'    "smartphoneCharges": {_number(equivalents["charges"])},\n'
-            f'    "factors": {{\n'
-            f'      "flightAmsNycG": {factors.flight_ams_nyc.value!r},\n'
-            f'      "carKmG": {factors.car_km.value!r},\n'
-            f'      "smartphoneChargeG": {factors.smartphone_charge.value!r}\n'
-            f'    }},\n'
-            f'    "sourceNote": {_string(factors.source_note)}\n'
-            f'  }},\n'
-            f'  "offsets": {{\n'
-            f'    "greenEnergyOffset": {green_total!r},\n'
-            f'    "recOffset": {rec_total!r},\n'
-            f'    "netEmissions": {net!r},\n'
-            f'    "overOffset": {_bool(net < 0.0)}\n'
-            f'  }},\n'
-            f'  "datacenters": {datacenters}\n'
-            f'}}\n')
+    text = _write_report(fp, factors, compute_equivalencies(fp.gross_total, factors))
     return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
                           content=text.encode("utf-8"))
 
@@ -402,7 +413,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return doc
 
 
-def _load_doc(source: bytes | str | dict[str, Any]) -> dict[str, Any]:
+def load_doc(source: bytes | str | dict[str, Any]) -> dict[str, Any]:
     """Parse a report strictly: UTF-8, valid JSON, an object, no repeated key.
 
     ``json.loads`` keeps the last of two equal keys, while a reader of the
@@ -422,145 +433,121 @@ def _load_doc(source: bytes | str | dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactors:
-    """Recover the equivalency factors embedded in a rendered report."""
-    doc = _load_doc(source)
-    try:
-        eq = doc["equivalencies"]
-        f = eq["factors"]
-        return EquivalencyFactors(
-            flight_ams_nyc=EmissionsG(f["flightAmsNycG"]),
-            car_km=EmissionsG(f["carKmG"]),
-            smartphone_charge=EmissionsG(f["smartphoneChargeG"]),
-            source_note=str(eq["sourceNote"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ReportError(f"report lacks equivalency factors: {exc}") from exc
+def _malformed(path: str, problem: str) -> ReportError:
+    return ReportError(f"malformed report JSON: {path}: {problem}")
 
 
-def _counter(entry: dict[str, Any], key: str) -> int | float:
-    """A device usage counter, which the writer emits with ``repr``."""
-    value = entry[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not is_finite(value)):
-        raise ReportError(f"malformed report JSON: {key} must be a finite "
-                          f"number, got {value!r}")
+def _check(value: Any, spec: Any, path: str) -> None:
+    """Check a stored value, and an object's exact key set, against the
+    table; ``ReportError`` names the dotted path of the first fault."""
+    if type(spec) is dict:
+        if type(value) is not dict:
+            raise _malformed(path, "must be an object")
+        prefix = f"{path}." if path else ""
+        if value.keys() != spec.keys():
+            missing = [key for key in spec if key not in value]
+            if missing:
+                raise _malformed(prefix + missing[0], "missing key")
+            raise _malformed(prefix + next(k for k in value if k not in spec),
+                             "unknown key")
+        for key, member in spec.items():
+            kind = member[0] if type(member) is tuple else None
+            if type(kind) is _Kind and (kind.test is None or kind.test(value[key])):
+                continue  # a good leaf, checked without a call
+            _check(value[key], member, prefix + key)
+        return
+    kind = spec[0]
+    if type(kind) is _Kind:
+        if kind.test is not None and not kind.test(value):
+            raise _malformed(path, f"must be {kind.what}, got {value!r}")
+    elif type(value) is not (dict if kind.keyed else list):
+        raise _malformed(path, "must be an object" if kind.keyed else "must be a list")
+    else:
+        for k, item in value.items() if kind.keyed else enumerate(value):
+            _check(item, kind.item, f"{path}.{k}" if kind.keyed else f"{path}[{k}]")
+
+
+def _stored(doc: dict[str, Any], *keys: str) -> Any:
+    """The value at ``keys`` in a parsed report, checked through the table."""
+    value: Any = doc
+    spec: Any = _REPORT
+    for i, key in enumerate(keys):
+        if type(value) is not dict:
+            raise _malformed(".".join(keys[:i]), "must be an object")
+        if key not in value:
+            raise _malformed(".".join(keys[:i + 1]), "missing key")
+        value, spec = value[key], spec[key]
+    _check(value, spec, ".".join(keys))
     return value
 
 
-def _device_from_entry(device_id: str, category: str,
-                       entry: dict[str, Any]) -> DeviceShare:
-    """One stored device entry as a record.
+def report_identity(doc: dict[str, Any]) -> tuple[str, Period]:
+    """The tenant id and period a parsed report is for."""
+    return _stored(doc, "tenant", "tenantId"), Period.parse(_stored(doc, "period"))
 
-    A stored report is outside input, so each figure is checked as a unit
-    value before it is kept as a float.
-    """
-    energy = EnergyWh(entry["energy"]).value
-    emissions = EmissionsG(entry["emissions"]).value
-    if category == "server":
-        return DeviceShare(
-            device_id, category, energy, emissions,
-            device_model=str(entry["deviceModel"]),
-            utilization=_counter(entry, "utilization"),
-            cache_moved=_counter(entry, "cacheMoved"),
-            dram_accessed=_counter(entry, "dramAccessed"),
-            disk_moved=_counter(entry, "diskMoved"),
-        )
-    if category == "network":
-        return DeviceShare(
-            device_id, category, energy, emissions,
-            device_type=str(entry["deviceType"]),
-            bytes_sent=_counter(entry, "bytesSent"),
-            bytes_received=_counter(entry, "bytesReceived"),
-        )
-    return DeviceShare(device_id, category, energy, emissions)
+
+def report_headline(doc: dict[str, Any]) -> tuple[EmissionsG, EmissionsG]:
+    """The gross and net emissions of a parsed report's summary."""
+    return (EmissionsG(_stored(doc, "summary", "grossEmissions")),
+            EmissionsG(_stored(doc, "summary", "netEmissions"), allow_negative=True))
+
+
+def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactors:
+    """Recover the equivalency factors embedded in a rendered report."""
+    doc = load_doc(source)
+    f = _stored(doc, "equivalencies", "factors")
+    return EquivalencyFactors(
+        EmissionsG(f["flightAmsNycG"]), EmissionsG(f["carKmG"]),
+        EmissionsG(f["smartphoneChargeG"]), _stored(doc, "equivalencies", "sourceNote"))
+
+
+def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint:
+    scopes = dc["scopes"]
+    scope2 = scopes["scope2"]
+    components = scope2["components"]
+    return DcFootprint(
+        datacenter_id=dc_id, name=dc["name"], region=dc["region"],
+        grid_intensity=CarbonIntensity(dc["gridIntensity"]),
+        responsibility=ResponsibilityRatio(
+            tenant_id, dc_id, Share(dc["scope2Share"]), Share(dc["lShare"]),
+            Share(dc["responsibility"])),
+        scope1=scopes["scope1"]["emissions"], scope2=scope2["emissions"],
+        scope3=scopes["scope3"]["emissions"],
+        component_energy={name: c["energy"] for name, c in components.items()},
+        component_emissions={name: c["emissions"] for name, c in components.items()},
+        gross=dc["grossEmissions"], net=dc["netEmissions"],
+        green_offset=dc["offsets"]["greenEnergyOffset"],
+        rec_offset=dc["offsets"]["recOffset"],
+        devices=tuple(
+            DeviceShare(k, category, **{attr: entry[key]
+                                        for key, attr in _DEVICE_FIELDS[name]})
+            for name, (category, _) in _DEVICES.items()
+            for k, entry in scope2["devices"][name].items()))
 
 
 def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
     """Rebuild a Footprint from a rendered JSON report.
 
-    Every canonical field is restored exactly (floats round-trip losslessly);
-    derived values in the file (aggregates, equivalencies, trend percentages,
-    over-offset flags) are recomputed at the next render and therefore
-    reproduce identically.
+    The report is checked against the table first, so ``ReportError`` names
+    the dotted path of a missing or unknown key or of a value the writer
+    cannot have written. Floats round-trip losslessly and derived values are
+    recomputed, so the Footprint re-renders to the identical bytes.
     """
-    doc = _load_doc(source)
-    try:
-        if doc["schemaVersion"] != JSON_SCHEMA_VERSION:
-            raise ReportError(
-                f"unsupported report schemaVersion {doc['schemaVersion']!r}")
-        tenant = doc["tenant"]
-        tenant_id = str(tenant["tenantId"])
-        period = Period.parse(doc["period"])
-
-        per_dc: list[DcFootprint] = []
-        for dc_id, dc_doc in doc["datacenters"].items():
-            scopes = dc_doc["scopes"]
-            component_energy: dict[str, float] = {}
-            component_emissions: dict[str, float] = {}
-            for name, comp in scopes["scope2"]["components"].items():
-                component_energy[name] = EnergyWh(comp["energy"]).value
-                component_emissions[name] = EmissionsG(comp["emissions"]).value
-            scope1 = EmissionsG(scopes["scope1"]["emissions"]).value
-            scope2 = EmissionsG(scopes["scope2"]["emissions"]).value
-            scope3 = EmissionsG(scopes["scope3"]["emissions"]).value
-            devices: list[DeviceShare] = []
-            for map_name, category in (("servers", "server"), ("network", "network"),
-                                       ("cooling", "cooling"), ("other", "other")):
-                for device_id, entry in scopes["scope2"]["devices"][map_name].items():
-                    devices.append(_device_from_entry(device_id, category, entry))
-            responsibility = ResponsibilityRatio(
-                tenant_id=tenant_id,
-                datacenter_id=dc_id,
-                scope2_share=Share(dc_doc["scope2Share"]),
-                l_share=Share(dc_doc["lShare"]),
-                ratio=Share(dc_doc["responsibility"]),
-            )
-            per_dc.append(DcFootprint(
-                datacenter_id=dc_id,
-                name=str(dc_doc["name"]),
-                region=str(dc_doc["region"]),
-                grid_intensity=CarbonIntensity(dc_doc["gridIntensity"]),
-                responsibility=responsibility,
-                scope1=scope1,
-                scope2=scope2,
-                scope3=scope3,
-                component_energy=component_energy,
-                component_emissions=component_emissions,
-                gross=EmissionsG(dc_doc["grossEmissions"]).value,
-                net=EmissionsG(dc_doc["netEmissions"], allow_negative=True).value,
-                green_offset=EmissionsG(dc_doc["offsets"]["greenEnergyOffset"]).value,
-                rec_offset=EmissionsG(dc_doc["offsets"]["recOffset"]).value,
-                devices=tuple(devices),
-            ))
-
-        history = tuple(
-            HistoryEntry(
-                period=Period.parse(entry["period"]),
-                gross=EmissionsG(entry["grossEmissions"]),
-                net=EmissionsG(entry["netEmissions"], allow_negative=True),
-            )
-            for entry in doc["summary"]["history"]
-        )
-        agent_count = tenant["agentCount"]
-        if (isinstance(agent_count, bool) or not isinstance(agent_count, int)
-                or agent_count < 1 or not is_finite(agent_count)):
-            raise ReportError("malformed report JSON: agentCount must be a whole "
-                              f"number >= 1 within float range, got {agent_count!r}")
-        return Footprint(
-            tenant_id=tenant_id,
-            display_name=str(tenant["displayName"]),
-            agent_count=agent_count,
-            period=period,
-            per_dc=tuple(per_dc),
-            gross_total=EmissionsG(doc["summary"]["grossEmissions"]),
-            net_total=EmissionsG(doc["summary"]["netEmissions"],
-                                 allow_negative=True),
-            per_agent=EmissionsG(doc["summary"]["perAgentEmissions"]),
-            history=history,
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ReportError(f"malformed report JSON: {exc!r}") from exc
+    doc = load_doc(source)
+    _check(doc, _REPORT, "")
+    tenant, summary = doc["tenant"], doc["summary"]
+    return Footprint(
+        tenant_id=tenant["tenantId"], display_name=tenant["displayName"],
+        agent_count=tenant["agentCount"], period=Period.parse(doc["period"]),
+        per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
+                     for dc_id, dc in doc["datacenters"].items()),
+        gross_total=EmissionsG(summary["grossEmissions"]),
+        net_total=EmissionsG(summary["netEmissions"], allow_negative=True),
+        per_agent=EmissionsG(summary["perAgentEmissions"]),
+        history=tuple(HistoryEntry(Period.parse(entry["period"]),
+                                   EmissionsG(entry["grossEmissions"]),
+                                   EmissionsG(entry["netEmissions"], allow_negative=True))
+                      for entry in summary["history"]))
 
 
 # ---------------------------------------------------------------------------

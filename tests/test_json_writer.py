@@ -9,7 +9,8 @@ over-offset nets, and trend percentages that are undefined or overflow.
 
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carbonalloc.allocation import (
@@ -21,6 +22,7 @@ from carbonalloc.allocation import (
 )
 from carbonalloc.report import (
     EquivalencyFactors,
+    ReportError,
     factors_from_json,
     footprint_from_json,
     render_json,
@@ -138,3 +140,41 @@ def test_writer_matches_json_dumps_and_round_trips(fp, factors):
     assert content == (reference + "\n").encode()
     again = footprint_from_json(content)
     assert render_json(again, factors_from_json(content)).content == content
+
+
+def fixed_key_objects(node, path="", keys=()):
+    """Each object of a parsed report whose key set the schema fixes, with
+    its dotted path: every object but the data center and device maps."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from fixed_key_objects(item, f"{path}[{i}]", keys + (i,))
+    elif isinstance(node, dict):
+        # The maps: datacenters, and datacenters.<id>.scopes.scope2.devices.<map>.
+        if keys != ("datacenters",) and (len(keys), keys[4:5]) != (6, ("devices",)):
+            yield path, node
+        for key, value in node.items():
+            yield from fixed_key_objects(value, f"{path}.{key}" if path else key,
+                                         keys + (key,))
+
+
+# Shrinking a failure here runs for minutes and grows to hundreds of MB (the
+# drawn path moves as the report shrinks); the unshrunk example already
+# names the path that was not reported.
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(footprints(), factor_sets, st.data())
+def test_parser_names_an_added_or_removed_key(fp, factors, data):
+    doc = json.loads(render_json(fp, factors).content)
+    path, obj = data.draw(st.sampled_from(list(fixed_key_objects(doc))))
+    added = data.draw(st.booleans())
+    if added:
+        key = data.draw(texts.filter(lambda k: k not in obj))
+        obj[key] = 0.0
+    else:
+        key = data.draw(st.sampled_from(list(obj)))
+        del obj[key]
+    with pytest.raises(ReportError) as raised:
+        footprint_from_json(doc)
+    named = f"{path}.{key}" if path else key
+    assert str(raised.value) == (f"malformed report JSON: {named}: "
+                                 f"{'unknown' if added else 'missing'} key")

@@ -414,6 +414,20 @@ class TestAuditCommand:
         bad.write_text("{", encoding="utf-8")
         assert run_audit(workspace, bad) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("period", [202506, [2025, 6], None],
+                             ids=["number", "list", "null"])
+    def test_period_that_is_not_a_string_exits_1(self, workspace, capsys, period):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["period"] = period
+        report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read report under audit")
+        assert "period" in err and len(err.splitlines()) == 1
+
     def test_non_utf8_report_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"tenant": "\xff"}')
@@ -781,6 +795,84 @@ def test_output_is_independent_of_hash_seed(tmp_path):
                       for path in sorted(out.rglob("*")) if path.is_file()})
     assert len(trees[0]) == 5 * 3  # a JSON and an HTML report, plus history
     assert trees[0] == trees[1]
+
+
+def test_audit_lists_differences_in_document_order(tmp_path):
+    """The per-field lines of a failed audit follow the recomputed report's
+    key order, then the stored-only keys in stored order, whatever the
+    interpreter's string hash seed."""
+    fleet, out = tmp_path / "fleet", tmp_path / "out"
+    assert main(["synth", "--seed", "7", "--tenants", "3", "--dcs", "2",
+                 "--out-dir", str(fleet)]) == EXIT_OK
+    assert main(["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                 "--models", str(fleet / "models.csv"),
+                 "--equivalencies", str(write_factors(tmp_path)),
+                 "--out-dir", str(out)]) == EXIT_OK
+    report = out / "reports" / "TENANT_02" / "2025-06.json"
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    doc["tenant"]["displayName"] = "Tampered"
+    doc["tenant"]["zeta"] = 1
+    doc["tenant"]["alpha"] = 2
+    doc["summary"]["grossEmissions"] *= 2
+    doc["equivalencies"]["carKm"] += 1
+    report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    errs = []
+    for seed in ("0", "1"):
+        env = src_env()
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "carbonalloc.cli", "audit", "--report",
+             str(report), "--input-dir", str(fleet),
+             "--models", str(fleet / "models.csv")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_AUDIT_MISMATCH, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    fields = [line.split(":")[0].strip() for line in errs[0].splitlines()[1:]]
+    assert fields == ["tenant.displayName", "tenant.zeta", "tenant.alpha",
+                      "summary.grossEmissions", "equivalencies.carKm"]
+
+
+def test_output_is_independent_of_input_row_order(tmp_path):
+    """Shuffling the data rows of every input CSV, keeping the schema line
+    and the header, leaves every report and history byte unchanged."""
+    import random
+    fleet, shuffled = tmp_path / "fleet", tmp_path / "shuffled"
+    assert main(["synth", "--seed", "11", "--tenants", "6", "--dcs", "3",
+                 "--out-dir", str(fleet)]) == EXIT_OK
+    shuffled.mkdir()
+    rng = random.Random(5)
+    names = ("servers.csv", "network.csv", "datacenters.csv", "tenants.csv",
+             "models.csv")
+    for name in names:
+        schema, header, *rows = (fleet / name).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        assert schema.startswith("#") and len(rows) > 1
+        rng.shuffle(rows)
+        (shuffled / name).write_text("".join([schema, header, *rows]),
+                                     encoding="utf-8")
+        assert (shuffled / name).read_bytes() != (fleet / name).read_bytes()
+    trees = []
+    for inputs in (fleet, shuffled):
+        out = tmp_path / f"out_{inputs.name}"
+        assert main(["compute", "--period", "2025-06", "--input-dir", str(inputs),
+                     "--models", str(inputs / "models.csv"),
+                     "--equivalencies", str(write_factors(tmp_path)),
+                     "--out-dir", str(out)]) == EXIT_OK
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 6 * 3
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("value", ["nan,5", "5,inf", "-1,5"])
+def test_trend_thresholds_must_be_finite_and_non_negative(tmp_path, capsys,
+                                                           value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--report", str(tmp_path / "r.json"),
+              "--out-dir", str(tmp_path / "out"), f"--trend-thresholds={value}"])
+    assert exit_info.value.code == 2
+    assert "thresholds must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_synth_default_period_is_stable():
