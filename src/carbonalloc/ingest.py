@@ -15,6 +15,13 @@ power models and calibration samples, by these rules:
 * Undecodable or oversized input, and a quote left open, are a
   ``file:line`` :class:`MalformedRow`.
 
+:func:`read_table` returns a table that holds every data record in memory
+at once. The large usage files, servers.csv and network.csv, are checked a
+column at a time: each column is converted in one pass and checked with
+one expression (ids once per distinct id). Only when a check fails are the
+records parsed again row by row, by the getters that read the small files,
+to raise the error for the first bad row.
+
 :func:`format_table` formats the same text and refuses a value it cannot
 carry (a first cell starting with ``#``, or surrounding whitespace);
 :func:`write_table` writes it.
@@ -50,7 +57,9 @@ import io
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -302,11 +311,41 @@ class _Row:
         return text
 
 
-def read_table(path: Path | str, source: str | None,
-               required: tuple[str, ...]) -> Iterator[_Row]:
-    """Yield the records after a table's schema line and header.
+@dataclass(frozen=True, slots=True)
+class _Table:
+    """A table's data records: each one's stripped cells and first line.
 
-    The file is decoded once and parsed as described in the module
+    Iterating a table yields its records as :class:`_Row`, in file order.
+    """
+
+    source: str
+    index: dict[str, int]
+    line_nos: list[int]
+    records: list[list[str]]
+
+    def __iter__(self) -> Iterator[_Row]:
+        source, index = self.source, self.index
+        for line_no, cells in zip(self.line_nos, self.records):
+            yield _Row(source, line_no, cells, index)
+
+    def columns(self, names: tuple[str, ...]) -> list[list[str]] | None:
+        """The cells of each named column, in record order; None when the
+        table is empty or a record is too short to hold every one."""
+        at = [self.index[name] for name in names]
+        if not self.records or min(map(len, self.records)) <= max(at):
+            return None
+        return [[*map(itemgetter(i), self.records)] for i in at]
+
+    def refs(self) -> list[str]:
+        """Each record's ``file:line``, as :attr:`_Row.ref` spells it."""
+        return [*map(f"{self.source}:".__add__, map(str, self.line_nos))]
+
+
+def read_table(path: Path | str, source: str | None,
+               required: tuple[str, ...]) -> _Table:
+    """Read the records after a table's schema line and header.
+
+    The file is decoded and parsed whole, as described in the module
     docstring. Every ``required`` column must appear in the header; other
     columns are ignored. Errors are :class:`MalformedRow` at the first line
     of the offending record, labelled ``source`` (default: the file name).
@@ -327,6 +366,8 @@ def read_table(path: Path | str, source: str | None,
     # line, where str.splitlines would also split on U+2028, U+0085, ...
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     index: dict[str, int] | None = None
+    line_nos: list[int] = []
+    records: list[list[str]] = []
     end = 0  # last line of the previous record
     try:
         first = next(reader, None)
@@ -344,7 +385,8 @@ def read_table(path: Path | str, source: str | None,
             if not cells or cells[0].startswith("#") or cells == [""]:
                 continue
             if index is not None:
-                yield _Row(source, line_no, cells, index)
+                line_nos.append(line_no)
+                records.append(cells)
                 continue
             index = {}
             for i, name in enumerate(cells):
@@ -360,6 +402,7 @@ def read_table(path: Path | str, source: str | None,
     if index is None:
         raise MalformedRow(source, end + 1,
                            f"no header row after {SCHEMA_LINE!r}")
+    return _Table(source, index, line_nos, records)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -410,45 +453,108 @@ def write_table(path: Path | str, header: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
+_SERVER_COLUMNS = ("datacenter_id", "device_id", "device_model", "tenant_id",
+                   "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved")
+_NETWORK_COLUMNS = ("datacenter_id", "device_id", "device_type", "tenant_id",
+                    "bytes_sent", "bytes_received")
+
+
+def _server_from_row(row: _Row) -> ServerUsage:
+    """One servers.csv record, checked cell by cell: the reference that
+    :func:`read_servers`'s column checks must agree with."""
+    util = row.number("cpu_utilization")
+    if not 0.0 <= util <= 1.0:
+        raise row.out_of_range("cpu_utilization", util, "[0, 1]")
+    return ServerUsage(
+        datacenter_id=row.id("datacenter_id"),
+        device_id=row.text("device_id"),
+        device_model=row.text("device_model"),
+        tenant_id=row.id("tenant_id"),
+        cpu_utilization=util,
+        cache_moved=row.nonneg("cache_moved"),
+        dram_accessed=row.nonneg("dram_accessed"),
+        disk_moved=row.nonneg("disk_moved"),
+        source_ref=row.ref,
+    )
+
+
+def _network_from_row(row: _Row) -> NetworkUsage:
+    """One network.csv record, checked cell by cell: the reference that
+    :func:`read_network`'s column checks must agree with."""
+    return NetworkUsage(
+        datacenter_id=row.id("datacenter_id"),
+        device_id=row.text("device_id"),
+        device_type=row.text("device_type"),
+        tenant_id=row.id("tenant_id"),
+        bytes_sent=row.byte_count("bytes_sent"),
+        bytes_received=row.byte_count("bytes_received"),
+        source_ref=row.ref,
+    )
+
+
+def _ids_valid(*columns: list[str]) -> bool:
+    """Whether every cell of the id columns is a valid id, checking each
+    distinct id once."""
+    return all(map(ID_PATTERN.fullmatch, set().union(*columns)))
+
+
+def _nonneg_floats(column: list[str]) -> list[float] | None:
+    """The column as finite floats >= 0, or None if any cell is not one.
+
+    A NaN or infinity makes the sum non-finite; a sum that overflows from
+    finite cells only sends the table to the row-by-row check.
+    """
+    try:
+        values = [*map(float, column)]
+    except ValueError:
+        return None
+    if math.isfinite(sum(values)) and min(values) >= 0.0:
+        return values
+    return None
+
+
+def _byte_counts(column: list[str]) -> list[int] | None:
+    """The column as whole counts in [0, 2**64) when every cell is plain
+    digits, else None: other spellings are checked row by row."""
+    digits = "".join(column)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        values = [*map(int, column)]
+    except ValueError:  # an empty cell, or more digits than int() converts
+        return None
+    return values if max(values) < _BYTE_COUNT_LIMIT else None
+
+
 def read_servers(path: Path | str, source: str | None = None) -> tuple[ServerUsage, ...]:
-    """Parse servers.csv into usage records. Fails fast on the first bad row."""
-    out: list[ServerUsage] = []
-    for row in read_table(path, source, (
-            "datacenter_id", "device_id", "device_model", "tenant_id",
-            "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved")):
-        util = row.number("cpu_utilization")
-        if not 0.0 <= util <= 1.0:
-            raise row.out_of_range("cpu_utilization", util, "[0, 1]")
-        out.append(ServerUsage(
-            datacenter_id=row.id("datacenter_id"),
-            device_id=row.text("device_id"),
-            device_model=row.text("device_model"),
-            tenant_id=row.id("tenant_id"),
-            cpu_utilization=util,
-            cache_moved=row.nonneg("cache_moved"),
-            dram_accessed=row.nonneg("dram_accessed"),
-            disk_moved=row.nonneg("disk_moved"),
-            source_ref=row.ref,
-        ))
-    return tuple(out)
+    """Parse servers.csv into usage records, a column at a time; if any
+    check fails, row by row, raising the first bad row's error."""
+    table = read_table(path, source, _SERVER_COLUMNS)
+    columns = table.columns(_SERVER_COLUMNS)
+    if columns is not None:
+        dcs, devices, models, tenants, util, *counters = columns
+        util = _nonneg_floats(util)
+        counters = [*map(_nonneg_floats, counters)]
+        if (util is not None and max(util) <= 1.0 and None not in counters
+                and all(devices) and all(models) and _ids_valid(dcs, tenants)):
+            return tuple(map(ServerUsage, dcs, devices, models, tenants, util,
+                             *counters, table.refs()))
+    return tuple(map(_server_from_row, table))
 
 
 def read_network(path: Path | str, source: str | None = None) -> tuple[NetworkUsage, ...]:
-    """Parse network.csv into per-tenant traffic records."""
-    out: list[NetworkUsage] = []
-    for row in read_table(path, source, (
-            "datacenter_id", "device_id", "device_type", "tenant_id",
-            "bytes_sent", "bytes_received")):
-        out.append(NetworkUsage(
-            datacenter_id=row.id("datacenter_id"),
-            device_id=row.text("device_id"),
-            device_type=row.text("device_type"),
-            tenant_id=row.id("tenant_id"),
-            bytes_sent=row.byte_count("bytes_sent"),
-            bytes_received=row.byte_count("bytes_received"),
-            source_ref=row.ref,
-        ))
-    return tuple(out)
+    """Parse network.csv into per-tenant traffic records, checked as
+    :func:`read_servers` checks its table."""
+    table = read_table(path, source, _NETWORK_COLUMNS)
+    columns = table.columns(_NETWORK_COLUMNS)
+    if columns is not None:
+        dcs, devices, types, tenants, sent, received = columns
+        sent, received = _byte_counts(sent), _byte_counts(received)
+        if (sent is not None and received is not None and all(devices)
+                and all(types) and _ids_valid(dcs, tenants)):
+            return tuple(map(NetworkUsage, dcs, devices, types, tenants, sent,
+                             received, table.refs()))
+    return tuple(map(_network_from_row, table))
 
 
 def _entries(row: _Row, column: str, spelling: str) -> Iterator[list[str]]:
@@ -510,6 +616,32 @@ def read_datacenters(path: Path | str,
     return out
 
 
+def _agent_count(row: _Row) -> int:
+    """A whole agent count >= 1, never rounded.
+
+    Digit-only cells are parsed as int and may run up to the largest float,
+    which a per-agent figure divides by. Other spellings (``1e3``, ``250.0``)
+    go through float, so they must stay below 2**53 to be exact.
+    """
+    text = row.text("agent_count")
+    if text.isascii() and text.isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() converts
+            value = math.inf
+        if not 1 <= value <= sys.float_info.max:
+            raise row.out_of_range("agent_count", value,
+                                   "whole numbers >= 1 within float range")
+        return value
+    number = row.parse_number(text, "agent_count")
+    if number != int(number) or number < 1:
+        raise row.out_of_range("agent_count", number, "whole numbers >= 1")
+    if number >= _FLOAT_EXACT_LIMIT:
+        raise row.out_of_range("agent_count", number,
+                               "[1, 2**53) unless written as plain digits")
+    return int(number)
+
+
 def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
@@ -518,9 +650,7 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
-        agents = row.number("agent_count")
-        if agents != int(agents) or agents < 1:
-            raise row.out_of_range("agent_count", agents, "whole numbers >= 1")
+        agents = _agent_count(row)
         l_share = row.number("l_share", default="1.0")
         if not 0.0 <= l_share <= 1.0:
             raise row.out_of_range("l_share", l_share, "[0, 1]")
@@ -534,7 +664,7 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
         out[tenant_id] = Tenant(
             tenant_id=tenant_id,
             display_name=row.text("display_name"),
-            agent_count=int(agents),
+            agent_count=agents,
             datacenter_ids=dc_ids,
             l_share=Share(l_share),
         )
@@ -546,17 +676,41 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
 # ---------------------------------------------------------------------------
 
 
-def assemble_raw_data(period: Period,
-                      datacenters: dict[str, DataCenter],
+def _references_hold(datacenters: dict[str, DataCenter],
+                     tenants: dict[str, Tenant],
+                     servers: tuple[ServerUsage, ...],
+                     network: tuple[NetworkUsage, ...]) -> bool:
+    """Whether :func:`_reference_errors` would find nothing, by set algebra:
+    every usage row's (tenant, data center) pair is one the tenants declare,
+    every declared data center is known, and no server (dc, device) pair or
+    network (dc, device, tenant) triple repeats."""
+    declared = {(tenant_id, dc_id) for tenant_id, tenant in tenants.items()
+                for dc_id in tenant.datacenter_ids}
+    pair = attrgetter("tenant_id", "datacenter_id")
+    used = set(map(pair, servers))
+    used.update(map(pair, network))
+    return (used <= declared
+            and {dc_id for _, dc_id in declared} <= datacenters.keys()
+            and len(set(map(attrgetter("datacenter_id", "device_id"), servers)))
+            == len(servers)
+            and len(set(map(attrgetter("datacenter_id", "device_id", "tenant_id"),
+                            network))) == len(network))
+
+
+def _split_ref(ref: str) -> tuple[str, int]:
+    """The file and line of a ``file:line`` source ref (the file may itself
+    hold ``:``); line 0 when the ref has no line."""
+    source, sep, line = ref.rpartition(":")
+    if sep and line.isascii() and line.isdigit():
+        return source, int(line)
+    return ref, 0
+
+
+def _reference_errors(datacenters: dict[str, DataCenter],
                       tenants: dict[str, Tenant],
                       servers: tuple[ServerUsage, ...],
-                      network: tuple[NetworkUsage, ...]) -> RawData:
-    """Cross-validate the four inputs and bundle them for the engine.
-
-    All reference errors are collected and raised together as one
-    :class:`ValidationFailure`; nothing short-circuits, so operators get the
-    complete fix list in a single run.
-    """
+                      network: tuple[NetworkUsage, ...]) -> list[IngestError]:
+    """Every reference error, in a fixed order, each with its rows' refs."""
     errors: list[IngestError] = []
 
     unknown_tenants: dict[str, list[str]] = {}
@@ -592,9 +746,9 @@ def assemble_raw_data(period: Period,
     for row in network:
         key = (row.datacenter_id, row.device_id, row.tenant_id)
         if key in seen_network:
+            source, line_no = _split_ref(row.source_ref)
             errors.append(DuplicateId(
-                row.source_ref.split(":")[0] or "network",
-                int(row.source_ref.split(":")[1]) if ":" in row.source_ref else 0,
+                source or "network", line_no,
                 "network usage (device, tenant) pair",
                 f"{row.device_id}/{row.tenant_id}",
             ))
@@ -612,7 +766,23 @@ def assemble_raw_data(period: Period,
         errors.append(UnknownTenant(tenant_id, tuple(unknown_tenants[tenant_id])))
     for dc_id in sorted(unknown_dcs):
         errors.append(UnknownDataCenter(dc_id, tuple(unknown_dcs[dc_id])))
+    return errors
 
+
+def assemble_raw_data(period: Period,
+                      datacenters: dict[str, DataCenter],
+                      tenants: dict[str, Tenant],
+                      servers: tuple[ServerUsage, ...],
+                      network: tuple[NetworkUsage, ...]) -> RawData:
+    """Cross-validate the four inputs and bundle them for the engine.
+
+    All reference errors are collected and raised together as one
+    :class:`ValidationFailure`; nothing short-circuits, so operators get the
+    complete fix list in a single run. Set operations tell first whether
+    there is any error; only then are the rows walked to collect them.
+    """
+    errors = ([] if _references_hold(datacenters, tenants, servers, network)
+              else _reference_errors(datacenters, tenants, servers, network))
     if errors:
         raise ValidationFailure(errors)
     return RawData(period=period, servers=servers, network=network,

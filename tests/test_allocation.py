@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from carbonalloc.allocation import (
     DcFootprint,
@@ -28,9 +33,10 @@ from carbonalloc.ingest import (
     SharedDevice,
     Tenant,
     assemble_raw_data,
+    load_input_dir,
 )
 from carbonalloc.report import render_json
-from carbonalloc.synth import generate_fleet
+from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import (
     CarbonIntensity,
     EmissionsG,
@@ -410,6 +416,48 @@ class TestComputeFootprints:
                         == dc_before.responsibility.ratio.value)
                 if dc_after.datacenter_id != target_dc:
                     assert dc_after.net == dc_before.net
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), green=st.floats(1.0, 1e6),
+           rec=st.floats(1.0, 1e6))
+    def test_raising_one_datacenters_offsets_moves_only_its_tenants_nets(
+            self, seed, green, rec):
+        """Offsets come off net only: raising one data center's green energy
+        and REC offset in datacenters.csv leaves every gross, and the net of
+        every tenant outside it, bit for bit as they were."""
+        fleet = generate_fleet(seed, n_tenants=8, n_dcs=4)
+        users = Counter(dc for t in fleet.raw.tenants.values()
+                        for dc in t.datacenter_ids)
+        target = min(sorted(users), key=users.__getitem__)
+        outside = {tid for tid, t in fleet.raw.tenants.items()
+                   if target not in t.datacenter_ids}
+        assume(outside)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_fleet(fleet, tmp)
+            before = load_input_dir(tmp, fleet.raw.period)
+            path = Path(tmp) / "datacenters.csv"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            header = lines[1].split(",")
+            for i, line in enumerate(lines):
+                cells = line.split(",")
+                if cells[0] == target:
+                    for column, raise_by in (("green_energy", green),
+                                             ("rec_offset", rec)):
+                        at = header.index(column)
+                        cells[at] = repr(float(cells[at]) + raise_by)
+                    lines[i] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            after = load_input_dir(tmp, fleet.raw.period)
+        assert after.datacenters[target] != before.datacenters[target]
+        old = {fp.tenant_id: fp for fp in compute_footprints(before, fleet.models)}
+        new = {fp.tenant_id: fp for fp in compute_footprints(after, fleet.models)}
+        assert new.keys() == old.keys()
+        for tid, fp in new.items():
+            assert fp.gross_total.value.hex() == old[tid].gross_total.value.hex()
+            if tid in outside:
+                assert fp.net_total.value.hex() == old[tid].net_total.value.hex()
+        assert any(new[tid].net_total.value < old[tid].net_total.value
+                   for tid in new.keys() - outside)
 
     def test_history_attached_most_recent_first(self, tmp_path, fictitious_raw,
                                                 fictitious_models, factors):

@@ -2,15 +2,18 @@
 
 import dataclasses
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbonalloc import ingest
 from carbonalloc.errors import (
     DuplicateDevice,
     DuplicateId,
+    IngestError,
     MalformedRow,
     OrphanUsage,
     RangeError,
@@ -366,6 +369,23 @@ class TestReadTenants:
         with pytest.raises(RangeError):
             read_tenants(path)
 
+    def test_digit_only_agent_count_is_exact_above_2_53(self, tmp_path):
+        row = GOOD_TENANT.replace(",250,", ",12345678901234567890,")
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
+        agents = read_tenants(path)["TENANT_X"].agent_count
+        assert agents == 12345678901234567890 and type(agents) is int
+
+    @pytest.mark.parametrize("count", [
+        "1e20", "9.007199254740992e15", "9007199254740993.0",
+        pytest.param("9" * 400, id="400-digits"),
+        pytest.param("9" * 5000, id="5000-digits")])
+    def test_agent_count_that_would_round_or_overflow_rejected(self, tmp_path,
+                                                               count):
+        row = GOOD_TENANT.replace(",250,", f",{count},")
+        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
+        with pytest.raises(RangeError, match=r"^tenants\.csv:3: agent_count="):
+            read_tenants(path)
+
     def test_duplicate_tenant_id(self, tmp_path):
         path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, GOOD_TENANT, GOOD_TENANT)
         with pytest.raises(DuplicateId):
@@ -457,6 +477,20 @@ class TestAssemble:
             self._load(tmp_path, network=[GOOD_NETWORK, GOOD_NETWORK])
         assert any(isinstance(e, DuplicateId) for e in exc.value.errors)
 
+    def test_repeated_network_triple_named_when_the_label_holds_a_colon(
+            self, tmp_path):
+        path = csv_file(tmp_path, "network.csv", NETWORK_HEADER, GOOD_NETWORK,
+                        GOOD_NETWORK)
+        network = read_network(path, source="exports:network.csv")
+        with pytest.raises(ValidationFailure) as exc:
+            assemble_raw_data(PERIOD, read_datacenters(csv_file(
+                tmp_path, "datacenters.csv", DC_HEADER, GOOD_DC)), read_tenants(
+                csv_file(tmp_path, "tenants.csv", TENANT_HEADER, GOOD_TENANT)),
+                (), network)
+        (err,) = exc.value.errors
+        assert isinstance(err, DuplicateId)
+        assert (err.source, err.line_no) == ("exports:network.csv", 4)
+
     def test_all_reference_errors_reported_at_once(self, tmp_path):
         bad_server = GOOD_SERVER.replace("TENANT_X", "TENANT_GHOST").replace(
             "SERVER_1234", "SERVER_2")
@@ -505,6 +539,128 @@ def test_assemble_raw_data_rejects_same_errors_in_memory(fictitious_raw):
             servers=fictitious_raw.servers + (stray,),
             network=fictitious_raw.network,
         )
+
+
+# Faults a servers.csv or network.csv table may carry: a bad cell (the
+# columns that may hold it, the values it writes), a record too short for
+# the header, a comment and a blank record. A drawn table holds at most one
+# fault of each kind.
+_NUMBERS = {"non-finite": ("nan", "NaN", "inf", "Infinity"),
+            "negative": ("-1", "-5e-324", "-inf"),
+            "not-a-number": ("lots", "0x10", "1e", "")}
+_IDS = {"id": ("../x", "_x", "a b", "TENANT_\u00c9", "."),
+        "empty-id": ("",)}
+USAGE_FAULTS = {
+    "servers.csv": {
+        "empty-text": (("device_id", "device_model"), ("",)),
+        **{kind: (("cpu_utilization", "cache_moved", "dram_accessed",
+                   "disk_moved"), values) for kind, values in _NUMBERS.items()},
+        "utilization": (("cpu_utilization",), ("1.5", "1.0000000000000002")),
+        **{kind: (("datacenter_id", "tenant_id"), values)
+           for kind, values in _IDS.items()},
+    },
+    "network.csv": {
+        "empty-text": (("device_id", "device_type"), ("",)),
+        **{kind: (("bytes_sent", "bytes_received"), values)
+           for kind, values in _NUMBERS.items()},
+        "spelling": (("bytes_sent", "bytes_received"),
+                     ("1e3", "10.5", "-0", "+5", "5_0", "\u0663", "1e20")),
+        "non-ascii-digits": (("bytes_sent", "bytes_received"),
+                             ("\u0663" * 17, "\u0661\u0668" * 10)),
+        "huge": (("bytes_sent", "bytes_received"), (str(2**64), "9" * 5000)),
+        **{kind: (("datacenter_id", "tenant_id"), values)
+           for kind, values in _IDS.items()},
+    },
+}
+
+
+@st.composite
+def usage_tables(draw, name: str) -> str:
+    """The text of a servers.csv or network.csv: valid records in a drawn
+    column order, with at most one fault of each kind."""
+    header = (SERVER_HEADER if name == "servers.csv" else NETWORK_HEADER).split(",")
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        cells = dict(datacenter_id=draw(st.sampled_from(["DC_EU1", "dc.2-b"])),
+                     device_id=f"DEV_{i}", device_model="ABC_987",
+                     device_type="router",
+                     tenant_id=draw(st.sampled_from(["TENANT_X", "0", "t.y"])))
+        if name == "servers.csv":
+            cells["cpu_utilization"] = repr(draw(st.floats(0.0, 1.0)))
+            for column in ("cache_moved", "dram_accessed", "disk_moved"):
+                cells[column] = repr(draw(st.floats(0.0, 1e300)))
+        else:
+            for column in ("bytes_sent", "bytes_received"):
+                cells[column] = str(draw(st.integers(0, 2**64 - 1)))
+        records.append(cells)
+    faults = USAGE_FAULTS[name]
+    # Mostly one kind, so that each check is the only one a table can fail.
+    every_kind = [*faults, "short", "comment", "blank"]
+    kinds = {draw(st.sampled_from([None, *every_kind]))}
+    if draw(st.integers(0, 3)) == 0:
+        kinds |= draw(st.sets(st.sampled_from(every_kind), max_size=2))
+    for kind in kinds & faults.keys():
+        columns, values = faults[kind]
+        records[draw(st.integers(0, len(records) - 1))][
+            draw(st.sampled_from(columns))] = draw(st.sampled_from(values))
+    order = draw(st.permutations(header))
+    lines = [",".join(order) + ",batch"]
+    lines += [",".join([*(r[c] for c in order), "b"]) for r in records]
+    if "short" in kinds:  # may still hold every required column
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = ",".join(lines[at].split(",")[:draw(st.integers(1, len(order)))])
+    for kind, record in (("comment", "# a comment,x"), ("blank", "")):
+        if kind in kinds:
+            lines.insert(draw(st.integers(1, len(lines))), record)
+    return "\n".join((SCHEMA_LINE, *lines)) + "\n"
+
+
+def outcome(read):
+    """The records ``read()`` returns with their refs, or its error."""
+    try:
+        return [(record, record.source_ref) for record in read()]
+    except IngestError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnChecks:
+    """read_servers and read_network check a column at a time; the _Row
+    getters, run row by row, are the reference they must agree with."""
+
+    @pytest.mark.parametrize("name", ["servers.csv", "network.csv"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_row_getters(self, data, name):
+        text = data.draw(usage_tables(name))
+        read, from_row, columns = {
+            "servers.csv": (read_servers, ingest._server_from_row,
+                            ingest._SERVER_COLUMNS),
+            "network.csv": (read_network, ingest._network_from_row,
+                            ingest._NETWORK_COLUMNS),
+        }[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            expected = outcome(lambda: map(
+                from_row, ingest.read_table(path, None, columns)))
+            assert outcome(lambda: read(path)) == expected
+
+    def test_valid_fleet_builds_no_row_for_usage_files(self, tmp_path,
+                                                       monkeypatch):
+        fleet = generate_fleet(7, 200, 20)
+        write_fleet(fleet, tmp_path)
+        built: Counter[str] = Counter()
+        init = ingest._Row.__init__
+
+        def counting_init(row, source, *args):
+            built[source] += 1
+            init(row, source, *args)
+
+        monkeypatch.setattr(ingest._Row, "__init__", counting_init)
+        assert load_input_dir(tmp_path, fleet.raw.period) == fleet.raw
+        assert len(fleet.raw.servers) > 3000 and len(fleet.raw.network) > 1000
+        assert built["servers.csv"] == built["network.csv"] == 0
+        assert built["tenants.csv"] == 200
 
 
 # Cell text for the round trips: the format's own delimiters and line breaks,
