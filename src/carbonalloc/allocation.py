@@ -26,22 +26,22 @@ All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
 reads no files: prior months are attached by the caller.
 
-Unit invariants are checked where values enter or leave a stage. The
-Scope 2 and ratio results (:class:`TenantDcScope2`,
-:class:`ResponsibilityRatio`) and a tenant's :class:`Footprint` totals hold
-unit objects. The records built per tenant and data center hold plain
-floats. Per-device detail (:class:`DeviceShare`) is bounded by its pair's
-totals: each device's energy is non-negative and no larger than the pair's
-direct energy, and its emissions no larger than the pair's Scope 2, both of
-which phase 1 has checked to be finite for the whole fleet. A
-:class:`DcFootprint` checks its own figures once, when it is built, with the
-messages the unit types give.
+Figures that are functions of other fields of the same record are derived
+by the record, never passed in: a pair's Scope 2 ``emissions``, a ratio's
+``ratio``, a data center footprint's ``scope2``, ``component_emissions``,
+``gross`` and ``net``, and a tenant's totals. Records check only what their
+inputs cannot guarantee, with the unit types' messages: finiteness and sign
+of every figure, the component keys, unique data centers, the history
+length, and device energies adding up to their category totals. A stored
+report's copies of derived figures are compared where it is parsed. Device
+detail (:class:`DeviceShare`) is plain floats bounded by its pair's totals,
+which phase 1 has checked to be finite for the whole fleet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnknownTenant, ZeroDcScope2
@@ -148,9 +148,9 @@ class DeviceShare(NamedTuple):
 class TenantDcScope2:
     """One tenant's Scope 2 in one data center, split into energy categories.
 
-    ``emissions`` is the product (e_server + e_network + e_cooling + e_other)
-    x grid intensity x load share; the intensity and share are carried so the
-    invariant is checkable on the object alone.
+    ``emissions`` is derived: (e_server + e_network + e_cooling + e_other)
+    x grid intensity x load share. The device energies of each category must
+    add up to its total.
     """
 
     tenant_id: str
@@ -159,19 +159,14 @@ class TenantDcScope2:
     e_network: EnergyWh
     e_cooling: EnergyWh
     e_other: EnergyWh
-    emissions: EmissionsG
+    emissions: EmissionsG = field(init=False)
     per_device: tuple[DeviceShare, ...]
     c_dc: CarbonIntensity
     l_share: Share
 
     def __post_init__(self) -> None:
-        total_energy = (self.e_server.value + self.e_network.value
-                        + self.e_cooling.value + self.e_other.value)
-        expected = total_energy * self.c_dc.value * self.l_share.value
-        if not _close(self.emissions.value, expected):
-            raise UnitError(
-                f"scope2 emissions {self.emissions.value!r} != energy total "
-                f"x intensity x load share = {expected!r}")
+        object.__setattr__(self, "emissions", EmissionsG(
+            self.total_energy.value * self.c_dc.value * self.l_share.value))
         by_category = {"server": 0.0, "network": 0.0, "cooling": 0.0, "other": 0.0}
         for dev in self.per_device:
             if dev.category not in by_category:
@@ -195,21 +190,19 @@ class ResponsibilityRatio:
     """A tenant's share of one data center's attributable emissions.
 
     ``scope2_share`` is the tenant's fraction of the data center's total
-    Scope 2 emissions; ``ratio`` is that fraction times the tenant's load
-    share and is what Scope 1/3 and offsets scale by.
+    Scope 2 emissions; ``ratio``, derived, is that fraction times the
+    tenant's load share and is what Scope 1/3 and offsets scale by.
     """
 
     tenant_id: str
     datacenter_id: str
     scope2_share: Share
     l_share: Share
-    ratio: Share
+    ratio: Share = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = self.scope2_share.value * self.l_share.value
-        if self.ratio.value != expected:
-            raise UnitError(
-                f"ratio {self.ratio.value!r} != scope2_share x l_share = {expected!r}")
+        object.__setattr__(self, "ratio",
+                           Share(self.scope2_share.value * self.l_share.value))
 
 
 @dataclass(frozen=True)
@@ -226,11 +219,10 @@ class DcFootprint:
     """One tenant's full footprint within a single data center.
 
     Emissions are gCO2e and energies Wh, as plain floats. ``component_energy``
-    and ``component_emissions`` split Scope 2 into the four energy categories
-    of ``SCOPE2_COMPONENTS``; the component emissions must sum to ``scope2``
-    (the components are the definition of Scope 2, not an annotation on it).
-    Only ``net`` may be negative, when the data center's offsets exceed the
-    tenant's gross there.
+    splits Scope 2 energy into the four categories of ``SCOPE2_COMPONENTS``.
+    Derived, at the grid intensity and the tenant's load share: each
+    category's ``component_emissions``, ``scope2``, ``gross`` (the scopes'
+    sum) and ``net`` (gross minus offsets), which alone may be negative.
     """
 
     datacenter_id: str
@@ -239,17 +231,29 @@ class DcFootprint:
     grid_intensity: CarbonIntensity
     responsibility: ResponsibilityRatio
     scope1: float
-    scope2: float
+    scope2: float = field(init=False)
     scope3: float
     component_energy: dict[str, float]
-    component_emissions: dict[str, float]
-    gross: float
-    net: float
+    component_emissions: dict[str, float] = field(init=False)
+    gross: float = field(init=False)
+    net: float = field(init=False)
     green_offset: float
     rec_offset: float
     devices: tuple[DeviceShare, ...]
 
     def __post_init__(self) -> None:
+        keys = tuple(self.component_energy)
+        if sorted(keys) != sorted(SCOPE2_COMPONENTS):
+            raise UnitError("scope2_components must have exactly the keys "
+                            f"{SCOPE2_COMPONENTS}, got {keys}")
+        c, l = self.grid_intensity.value, self.responsibility.l_share.value
+        set_field = object.__setattr__
+        set_field(self, "scope2", self.scope2_energy * c * l)
+        set_field(self, "component_emissions",
+                  {name: e * c * l for name, e in self.component_energy.items()})
+        set_field(self, "gross", self.scope1 + self.scope2 + self.scope3)
+        set_field(self, "net", self.gross - self.green_offset - self.rec_offset)
+
         for value in (self.scope1, self.scope2, self.scope3,
                       *self.component_emissions.values(), self.gross):
             _check_unit(value, EmissionsG)
@@ -260,21 +264,11 @@ class DcFootprint:
         for value in self.component_energy.values():
             _check_unit(value, EnergyWh)
 
-        for components in (self.component_energy, self.component_emissions):
-            keys = tuple(components)
-            if sorted(keys) != sorted(SCOPE2_COMPONENTS):
-                raise UnitError("scope2_components must have exactly the keys "
-                                f"{SCOPE2_COMPONENTS}, got {keys}")
-        total = sum(self.component_emissions.values())
-        if not _close(total, self.scope2):
-            raise UnitError(
-                f"scope2 components sum to {total!r}, expected {self.scope2!r}")
-        expected_gross = self.scope1 + self.scope2 + self.scope3
-        if not _close(self.gross, expected_gross):
-            raise UnitError(f"gross {self.gross!r} != scope sum {expected_gross!r}")
-        expected_net = self.gross - self.green_offset - self.rec_offset
-        if not _close(self.net, expected_net):
-            raise UnitError(f"net {self.net!r} != gross - offsets {expected_net!r}")
+    @property
+    def scope2_energy(self) -> float:
+        """Total Scope 2 energy, summed in the fixed category order."""
+        e = self.component_energy
+        return e["server"] + e["network"] + e["cooling"] + e["other"]
 
     @property
     def over_offset(self) -> bool:
@@ -283,16 +277,17 @@ class DcFootprint:
 
 @dataclass(frozen=True)
 class Footprint:
-    """One tenant's footprint for one reporting period, across data centers."""
+    """One tenant's footprint for one reporting period, across data centers;
+    ``gross_total``, ``net_total`` and ``per_agent`` are derived from ``per_dc``."""
 
     tenant_id: str
     display_name: str
     agent_count: int
     period: Period
     per_dc: tuple[DcFootprint, ...]
-    gross_total: EmissionsG
-    net_total: EmissionsG
-    per_agent: EmissionsG
+    gross_total: EmissionsG = field(init=False)
+    net_total: EmissionsG = field(init=False)
+    per_agent: EmissionsG = field(init=False)
     history: tuple[HistoryEntry, ...] = ()
 
     def __post_init__(self) -> None:
@@ -304,15 +299,10 @@ class Footprint:
         for dc in self.per_dc:
             gross += dc.gross
             net += dc.net
-        if gross != self.gross_total.value:
-            raise UnitError(f"gross_total {self.gross_total.value!r} != "
-                            f"sum of per-DC gross {gross!r}")
-        if net != self.net_total.value:
-            raise UnitError(f"net_total {self.net_total.value!r} != "
-                            f"sum of per-DC net {net!r}")
-        if self.per_agent.value != self.gross_total.value / self.agent_count:
-            raise UnitError(f"per_agent {self.per_agent.value!r} != gross_total "
-                            f"/ agent_count = {self.gross_total.value / self.agent_count!r}")
+        set_field = object.__setattr__
+        set_field(self, "gross_total", EmissionsG(gross))
+        set_field(self, "net_total", EmissionsG(net, allow_negative=True))
+        set_field(self, "per_agent", EmissionsG(gross / self.agent_count))
         if len(self.history) > 2:
             raise UnitError("history holds at most the two prior periods")
 
@@ -455,7 +445,6 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
                 devices.append(DeviceShare(dev.device_id, category, energy,
                                            energy * c * l))
 
-    total_energy = tenant_direct + e_cooling + e_other
     return TenantDcScope2(
         tenant_id=tenant_id,
         datacenter_id=dc_id,
@@ -463,7 +452,6 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
         e_network=EnergyWh(e_network),
         e_cooling=EnergyWh(e_cooling),
         e_other=EnergyWh(e_other),
-        emissions=EmissionsG(total_energy * c * l),
         per_device=tuple(devices),
         c_dc=c_dc,
         l_share=l_share,
@@ -511,7 +499,6 @@ def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
             datacenter_id=entry.datacenter_id,
             scope2_share=Share(lam),
             l_share=entry.l_share,
-            ratio=Share(lam * entry.l_share.value),
         ))
     return out
 
@@ -544,25 +531,14 @@ def _footprint(raw: RawData, tenant_id: str,
     """Assemble one tenant's footprint from its Scope 2 entries and ratios."""
     tenant = raw.tenants[tenant_id]
     per_dc: list[DcFootprint] = []
-    gross_total = 0.0
-    net_total = 0.0
     for dc_id in sorted(tenant.datacenter_ids):
         dc = raw.datacenters[dc_id]
         s2 = scope2[(tenant_id, dc_id)]
         resp = ratios[(tenant_id, dc_id)]
         r = resp.ratio.value
-        c = dc.grid_intensity.value
-        l = tenant.l_share.value
         scope1 = 0.0
         for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
             scope1 += fuel.amount * fuel.emission_factor * r
-        scope3 = dc.scope3_total.value * r
-        gross = scope1 + s2.emissions.value + scope3
-        green = dc.green_energy.value * c * r
-        rec = dc.rec_offset.value * r
-        net = gross - green - rec
-        energy = {"server": s2.e_server.value, "network": s2.e_network.value,
-                  "cooling": s2.e_cooling.value, "other": s2.e_other.value}
         per_dc.append(DcFootprint(
             datacenter_id=dc_id,
             name=dc.name,
@@ -570,18 +546,15 @@ def _footprint(raw: RawData, tenant_id: str,
             grid_intensity=dc.grid_intensity,
             responsibility=resp,
             scope1=scope1,
-            scope2=s2.emissions.value,
-            scope3=scope3,
-            component_energy=energy,
-            component_emissions={name: e * c * l for name, e in energy.items()},
-            gross=gross,
-            net=net,
-            green_offset=green,
-            rec_offset=rec,
+            scope3=dc.scope3_total.value * r,
+            component_energy={"server": s2.e_server.value,
+                              "network": s2.e_network.value,
+                              "cooling": s2.e_cooling.value,
+                              "other": s2.e_other.value},
+            green_offset=dc.green_energy.value * dc.grid_intensity.value * r,
+            rec_offset=dc.rec_offset.value * r,
             devices=s2.per_device,
         ))
-        gross_total += gross
-        net_total += net
 
     return Footprint(
         tenant_id=tenant_id,
@@ -589,9 +562,6 @@ def _footprint(raw: RawData, tenant_id: str,
         agent_count=tenant.agent_count,
         period=raw.period,
         per_dc=tuple(per_dc),
-        gross_total=EmissionsG(gross_total),
-        net_total=EmissionsG(net_total, allow_negative=True),
-        per_agent=EmissionsG(gross_total / tenant.agent_count),
     )
 
 

@@ -197,6 +197,7 @@ class Tenant:
     agent_count: int
     datacenter_ids: tuple[str, ...]
     l_share: Share = Share(1.0)
+    source_ref: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -667,6 +668,7 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
             agent_count=agents,
             datacenter_ids=dc_ids,
             l_share=Share(l_share),
+            source_ref=row.ref,
         )
     return out
 
@@ -760,7 +762,7 @@ def _reference_errors(datacenters: dict[str, DataCenter],
         for dc_id in tenant.datacenter_ids:
             if dc_id not in datacenters:
                 unknown_dcs.setdefault(dc_id, []).append(
-                    f"tenants:{tenant.tenant_id}")
+                    tenant.source_ref or f"tenants:{tenant.tenant_id}")
 
     for tenant_id in sorted(unknown_tenants):
         errors.append(UnknownTenant(tenant_id, tuple(unknown_tenants[tenant_id])))

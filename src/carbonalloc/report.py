@@ -34,8 +34,9 @@ from .allocation import (
     Footprint,
     HistoryEntry,
     ResponsibilityRatio,
+    TenantDcScope2,
 )
-from .errors import CarbonAllocError
+from .errors import CarbonAllocError, UnitError
 from .units import (
     SCOPE2_COMPONENTS,
     CarbonIntensity,
@@ -163,8 +164,9 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 # the object being written; a nested object is written from the same ``o``.
 # A kind's ``write`` is the value's f-string replacement field, ``@``
 # standing for the accessor, and its ``test`` accepts the stored values the
-# writer can have written. Derived values (aggregates, equivalencies, trend
-# percentages, over-offset flags) have no test: every render recomputes them.
+# writer can have written. Aggregates, equivalencies, trend percentages and
+# over-offset flags have no test and are never read back; a record's derived
+# figures are, and must equal what the record derives.
 
 
 class _Kind(NamedTuple):
@@ -258,7 +260,7 @@ _DATACENTER = {
     "scopes": {
         "scope1": _scope("Scope1", False, _ZERO, (_EMISSIONS, "o.scope1")),
         "scope2": _scope(
-            "Scope2", False, (_DERIVED, "_scope2_energy(o)"), (_EMISSIONS, "o.scope2"),
+            "Scope2", False, (_DERIVED, "o.scope2_energy"), (_EMISSIONS, "o.scope2"),
             components={name: {
                 "energy": (_ENERGY, f'o.component_energy["{name}"]'),
                 "emissions": (_EMISSIONS, f'o.component_emissions["{name}"]')}
@@ -283,7 +285,7 @@ _REPORT = {
         "perAgentEmissions": (_EMISSIONS, "o.per_agent.value"),
         "scopes": {
             "scope1": _scope("Scope1", True, _ZERO, _summed("dc.scope1")),
-            "scope2": _scope("Scope2", True, _summed("_scope2_energy(dc)"),
+            "scope2": _scope("Scope2", True, _summed("dc.scope2_energy"),
                              _summed("dc.scope2")),
             "scope3": _scope("Scope3", True, _ZERO, _summed("dc.scope3"))},
         "history": (_Items({"period": (_PERIOD, "o.period"),
@@ -312,12 +314,6 @@ _REPORT = {
 # ---------------------------------------------------------------------------
 # JSON rendering
 # ---------------------------------------------------------------------------
-
-
-def _scope2_energy(dc: DcFootprint) -> float:
-    """Total Scope 2 energy, summed in the fixed category order."""
-    e = dc.component_energy
-    return e["server"] + e["network"] + e["cooling"] + e["other"]
 
 
 def _total(fp: Footprint, figure: Callable[[DcFootprint], float]) -> float:
@@ -354,8 +350,7 @@ def _join(items: list, write: Callable[..., str], depth: int, keyed: bool) -> st
 # generated source comes from the table alone, never from a report's content.
 _WRITERS: dict[str, Any] = {
     "_string": _string, "_number": _number, "_join": _join, "_by_id": _by_id,
-    "_scope2_energy": _scope2_energy, "_total": _total,
-    "compute_trend": compute_trend}
+    "_total": _total, "compute_trend": compute_trend}
 
 
 def _text(spec: Any, depth: int) -> str:
@@ -501,53 +496,86 @@ def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactor
         EmissionsG(f["smartphoneChargeG"]), _stored(doc, "equivalencies", "sourceNote"))
 
 
+def _same(stored: Any, derived: float, path: str) -> None:
+    """Refuse a stored copy of a derived figure unless it is exactly that figure."""
+    if stored != derived:
+        raise _malformed(path, f"stored {stored!r}, but the report's other "
+                               f"figures give {derived!r}")
+
+
 def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint:
+    """A data center entry's record, built from its independent figures,
+    whose device figures must add up as the engine's do."""
     scopes = dc["scopes"]
     scope2 = scopes["scope2"]
-    components = scope2["components"]
-    return DcFootprint(
+    energy = {name: c["energy"] for name, c in scope2["components"].items()}
+    intensity, l_share = CarbonIntensity(dc["gridIntensity"]), Share(dc["lShare"])
+    devices = tuple(
+        DeviceShare(k, category, **{attr: entry[key]
+                                    for key, attr in _DEVICE_FIELDS[name]})
+        for name, (category, _) in _DEVICES.items()
+        for k, entry in scope2["devices"][name].items())
+    at = f"datacenters.{dc_id}."
+    try:
+        TenantDcScope2(tenant_id, dc_id,
+                       *(EnergyWh(energy[name]) for name in SCOPE2_COMPONENTS),
+                       devices, intensity, l_share)
+    except UnitError as exc:
+        raise _malformed(at + "scopes.scope2.devices", str(exc)) from exc
+    for name in _DEVICES:
+        for k, entry in scope2["devices"][name].items():
+            _same(entry["emissions"], entry["energy"] * intensity.value * l_share.value,
+                  f"{at}scopes.scope2.devices.{name}.{k}.emissions")
+    record = DcFootprint(
         datacenter_id=dc_id, name=dc["name"], region=dc["region"],
-        grid_intensity=CarbonIntensity(dc["gridIntensity"]),
+        grid_intensity=intensity,
         responsibility=ResponsibilityRatio(
-            tenant_id, dc_id, Share(dc["scope2Share"]), Share(dc["lShare"]),
-            Share(dc["responsibility"])),
-        scope1=scopes["scope1"]["emissions"], scope2=scope2["emissions"],
-        scope3=scopes["scope3"]["emissions"],
-        component_energy={name: c["energy"] for name, c in components.items()},
-        component_emissions={name: c["emissions"] for name, c in components.items()},
-        gross=dc["grossEmissions"], net=dc["netEmissions"],
+            tenant_id, dc_id, Share(dc["scope2Share"]), l_share),
+        scope1=scopes["scope1"]["emissions"], scope3=scopes["scope3"]["emissions"],
+        component_energy=energy,
         green_offset=dc["offsets"]["greenEnergyOffset"],
         rec_offset=dc["offsets"]["recOffset"],
-        devices=tuple(
-            DeviceShare(k, category, **{attr: entry[key]
-                                        for key, attr in _DEVICE_FIELDS[name]})
-            for name, (category, _) in _DEVICES.items()
-            for k, entry in scope2["devices"][name].items()))
+        devices=devices)
+    _same(dc["responsibility"], record.responsibility.ratio.value, at + "responsibility")
+    _same(scope2["emissions"], record.scope2, at + "scopes.scope2.emissions")
+    for name, component in scope2["components"].items():
+        _same(component["emissions"], record.component_emissions[name],
+              f"{at}scopes.scope2.components.{name}.emissions")
+    _same(dc["grossEmissions"], record.gross, at + "grossEmissions")
+    _same(dc["netEmissions"], record.net, at + "netEmissions")
+    return record
 
 
 def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
     """Rebuild a Footprint from a rendered JSON report.
 
     The report is checked against the table first, so ``ReportError`` names
-    the dotted path of a missing or unknown key or of a value the writer
-    cannot have written. Floats round-trip losslessly and derived values are
-    recomputed, so the Footprint re-renders to the identical bytes.
+    the dotted path of a missing or unknown key, of a value the writer
+    cannot have written, or of a stored copy of a figure the Footprint derives
+    that is not exactly the derived figure. Floats round-trip losslessly, so
+    the Footprint re-renders to the identical bytes.
     """
     doc = load_doc(source)
     _check(doc, _REPORT, "")
     tenant, summary = doc["tenant"], doc["summary"]
-    return Footprint(
-        tenant_id=tenant["tenantId"], display_name=tenant["displayName"],
-        agent_count=tenant["agentCount"], period=Period.parse(doc["period"]),
-        per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
-                     for dc_id, dc in doc["datacenters"].items()),
-        gross_total=EmissionsG(summary["grossEmissions"]),
-        net_total=EmissionsG(summary["netEmissions"], allow_negative=True),
-        per_agent=EmissionsG(summary["perAgentEmissions"]),
-        history=tuple(HistoryEntry(Period.parse(entry["period"]),
-                                   EmissionsG(entry["grossEmissions"]),
-                                   EmissionsG(entry["netEmissions"], allow_negative=True))
-                      for entry in summary["history"]))
+    try:
+        fp = Footprint(
+            tenant_id=tenant["tenantId"], display_name=tenant["displayName"],
+            agent_count=tenant["agentCount"], period=Period.parse(doc["period"]),
+            per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
+                         for dc_id, dc in doc["datacenters"].items()),
+            history=tuple(HistoryEntry(Period.parse(entry["period"]),
+                                       EmissionsG(entry["grossEmissions"]),
+                                       EmissionsG(entry["netEmissions"],
+                                                  allow_negative=True))
+                          for entry in summary["history"]))
+    except OverflowError as exc:  # stored integers adding up beyond float range
+        raise ReportError(f"malformed report JSON: {exc}") from exc
+    for key, derived in (("grossEmissions", fp.gross_total),
+                         ("netEmissions", fp.net_total),
+                         ("perAgentEmissions", fp.per_agent)):
+        _same(summary[key], derived.value, f"summary.{key}")
+    return fp
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +851,7 @@ emissions. Shared and indirect emissions are attributed by each tenant's
 share of data center Scope 2 emissions times its load share. Net emissions
 subtract the tenant's share of green energy and renewable energy
 certificates. Total energy attributed this period:
-{_fmt_wh(sum(_scope2_energy(dc) for dc in fp.per_dc))}.</p>
+{_fmt_wh(sum(dc.scope2_energy for dc in fp.per_dc))}.</p>
 <p>Equivalency factors: {html.escape(factors.source_note)}</p>
 </footer>
 </section>

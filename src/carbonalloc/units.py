@@ -7,12 +7,12 @@ sustainability tooling, so the wrappers are deliberately kept cheap: a single
 ``value`` slot plus validation.
 
 The wrappers guard the boundaries: values read at ingest, figures parsed
-from a stored report, and the results the Scope 2 and ratio stages hand on
-(``TenantDcScope2``, ``ResponsibilityRatio``) along with each tenant's
-``Footprint`` totals. The records built once per tenant and data center are
-plain floats instead: per-device detail (``DeviceShare``), bounded by its
-pair's checked totals, and the per-data-center footprint (``DcFootprint``),
-which checks its own figures through these types once, when it is built.
+from a stored report, and the figures records derive from their own fields
+(a pair's Scope 2 emissions, its ratio, a tenant's ``Footprint`` totals),
+checked as they are derived. ``DeviceShare`` and ``DcFootprint`` hold plain
+floats; a ``DcFootprint`` checks its figures, derived ones too, through these
+types once, when it is built. A stored report's copies of derived figures
+are compared with them where the report is parsed.
 
 Canonical units:
 

@@ -153,13 +153,22 @@ class TestComputeScope2:
         assert "M_7500" in str(exc.value)
 
     def test_emissions_product_invariant_enforced_on_construction(self):
-        with pytest.raises(UnitError):
+        """Emissions are derived from the energies and cannot be passed in."""
+        with pytest.raises(TypeError):
             TenantDcScope2(
                 tenant_id="T", datacenter_id="D", e_server=EnergyWh(100.0),
                 e_network=EnergyWh(0.0), e_cooling=EnergyWh(0.0),
                 e_other=EnergyWh(0.0), emissions=EmissionsG(999.0),
                 per_device=(), c_dc=CarbonIntensity(0.5), l_share=Share(1.0),
             )
+        entry = TenantDcScope2(
+            tenant_id="T", datacenter_id="D", e_server=EnergyWh(100.0),
+            e_network=EnergyWh(0.0), e_cooling=EnergyWh(0.0),
+            e_other=EnergyWh(0.0), per_device=(DeviceShare("S", "server", 100.0, 50.0),),
+            c_dc=CarbonIntensity(0.5), l_share=Share(1.0))
+        assert entry.emissions.value == 50.0
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(entry, emissions=EmissionsG(999.0))
 
 
 class TestResponsibilityRatios:
@@ -222,10 +231,16 @@ class TestResponsibilityRatios:
         assert ratio.ratio.value == 0.0
 
     def test_ratio_consistency_enforced_on_construction(self):
-        with pytest.raises(UnitError):
+        """The ratio is derived from its two factors and cannot be passed in."""
+        with pytest.raises(TypeError):
             ResponsibilityRatio(tenant_id="T", datacenter_id="D",
                                 scope2_share=Share(0.5), l_share=Share(0.5),
                                 ratio=Share(0.3))
+        ratio = ResponsibilityRatio(tenant_id="T", datacenter_id="D",
+                                    scope2_share=Share(0.5), l_share=Share(0.5))
+        assert ratio.ratio.value == 0.25
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(ratio, ratio=Share(0.3))
 
 
 def tenant_a_dc(**dc_kwargs) -> DcFootprint:
@@ -300,19 +315,22 @@ class TestGrossAndNet:
 class TestDcFootprint:
     def test_component_keys_must_match_exactly(self):
         dc = tenant_a_dc()
-        for field in ("component_energy", "component_emissions"):
-            components = dict(getattr(dc, field))
-            del components["other"]
-            with pytest.raises(UnitError, match="must have exactly the keys"):
-                dataclasses.replace(dc, **{field: components})
+        components = dict(dc.component_energy)
+        del components["other"]
+        with pytest.raises(UnitError, match="must have exactly the keys"):
+            dataclasses.replace(dc, component_energy=components)
 
     def test_component_sum_must_match_scope2(self):
+        """Scope 2, its components, gross and net are derived and cannot be
+        passed in."""
         dc = tenant_a_dc()
-        scope2 = dc.scope2 * 0.9
-        gross = dc.scope1 + scope2 + dc.scope3
-        with pytest.raises(UnitError, match="scope2 components sum to"):
-            dataclasses.replace(dc, scope2=scope2, gross=gross,
-                                net=gross - dc.green_offset - dc.rec_offset)
+        arguments = {f.name: getattr(dc, f.name)
+                     for f in dataclasses.fields(dc) if f.init}
+        with pytest.raises(TypeError):
+            DcFootprint(**arguments, scope2=dc.scope2 * 0.9)
+        for name in ("scope2", "component_emissions", "gross", "net"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(dc, **{name: getattr(dc, name)})
 
     def test_component_name_order_is_canonical(self):
         assert SCOPE2_COMPONENTS == ("server", "network", "cooling", "other")
@@ -489,13 +507,8 @@ class TestComputeFootprints:
                                              fictitious_models):
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
         (dc,) = fp.per_dc
-        gross = dc.gross + dc.gross
         with pytest.raises(UnitError, match="DC_EU1"):
-            dataclasses.replace(
-                fp, per_dc=(dc, dc), gross_total=EmissionsG(gross),
-                net_total=EmissionsG(dc.net + dc.net,
-                                     allow_negative=True),
-                per_agent=EmissionsG(gross / fp.agent_count))
+            dataclasses.replace(fp, per_dc=(dc, dc))
 
     def test_no_history_store_means_no_history(self, fictitious_raw,
                                                fictitious_models):
@@ -504,25 +517,12 @@ class TestComputeFootprints:
 
 
 def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:
-    """Scale one tenant's Scope 2 while keeping object invariants satisfied."""
+    """Scale one tenant's Scope 2 energy; the records derive the rest."""
     dc = fp.per_dc[0]
-    scope2 = dc.scope2 * factor
-    gross = dc.scope1 + scope2 + dc.scope3
-    net = gross - dc.green_offset - dc.rec_offset
     new_dc = dataclasses.replace(
-        dc, scope2=scope2,
-        component_energy={name: e * factor
-                          for name, e in dc.component_energy.items()},
-        component_emissions={name: e * factor
-                             for name, e in dc.component_emissions.items()},
-        gross=gross, net=net)
-    per_dc = (new_dc,) + fp.per_dc[1:]
-    gross_total = math.fsum(d.gross for d in per_dc)
-    net_total = math.fsum(d.net for d in per_dc)
-    return dataclasses.replace(
-        fp, per_dc=per_dc, gross_total=EmissionsG(gross_total),
-        net_total=EmissionsG(net_total, allow_negative=True),
-        per_agent=EmissionsG(gross_total / fp.agent_count))
+        dc, component_energy={name: e * factor
+                              for name, e in dc.component_energy.items()})
+    return dataclasses.replace(fp, per_dc=(new_dc,) + fp.per_dc[1:])
 
 
 def _over_offset(raw: RawData) -> RawData:

@@ -444,6 +444,14 @@ class TestAssemble:
             self._load(tmp_path, tenants=[bad_tenant])
         assert any(isinstance(e, UnknownDataCenter) for e in exc.value.errors)
 
+    def test_unknown_datacenter_in_tenant_list_named_by_line(self, tmp_path):
+        other = GOOD_TENANT.replace("TENANT_X,Fictitious Co,250,DC_EU1",
+                                    'TENANT_Y,Other Co,40,"DC_EU1;DC_09"')
+        with pytest.raises(ValidationFailure) as exc:
+            self._load(tmp_path, tenants=[GOOD_TENANT, other])
+        (err,) = exc.value.errors
+        assert str(err) == "unknown data center 'DC_09' (at tenants.csv:4)"
+
     def test_orphan_usage_when_tenant_does_not_list_dc(self, tmp_path):
         dc2 = GOOD_DC.replace("DC_EU1", "DC_US2")
         stray = GOOD_SERVER.replace("DC_EU1", "DC_US2").replace("SERVER_1234",

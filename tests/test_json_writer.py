@@ -49,9 +49,10 @@ periods = st.builds(Period, st.integers(1, 9999), st.integers(1, 12))
 
 
 @st.composite
-def devices(draw, category):
+def devices(draw, category, intensity, l_share):
     device_id = draw(texts)
-    energy, emissions = draw(amounts), draw(amounts)
+    energy = draw(amounts)
+    emissions = energy * intensity * l_share
     if category == "server":
         return DeviceShare(
             device_id, category, energy, emissions, device_model=draw(texts),
@@ -67,34 +68,24 @@ def devices(draw, category):
 
 @st.composite
 def dc_footprints(draw, tenant_id, dc_id):
-    component_energy, component_emissions = {}, {}
-    for name in SCOPE2_COMPONENTS:
-        component_energy[name] = draw(amounts)
-        component_emissions[name] = draw(amounts)
-    scope2 = 0.0
-    for name in SCOPE2_COMPONENTS:
-        scope2 += component_emissions[name]
-    scope1, scope3 = draw(amounts), draw(amounts)
-    gross = scope1 + scope2 + scope3
-    green, rec = draw(offsets), draw(offsets)
-    net = gross - green - rec
-    scope2_share, l_share = draw(fractions), draw(fractions)
-    shares = []
+    intensity, l_share = draw(amounts), draw(fractions)
+    shares, component_energy = [], {}
     for category in SCOPE2_COMPONENTS:
-        # Unique ids within a map; an empty map is a common draw.
-        shares += draw(st.lists(devices(category), max_size=2,
-                                unique_by=lambda d: d.device_id))
+        # Unique ids within a map; an empty map is a common draw. A
+        # category's energy is what its devices add up to, as in the engine.
+        drawn = draw(st.lists(devices(category, intensity, l_share), max_size=2,
+                              unique_by=lambda d: d.device_id))
+        shares += drawn
+        component_energy[category] = sum(d.energy_wh for d in drawn)
     return DcFootprint(
         datacenter_id=dc_id, name=draw(texts), region=draw(texts),
-        grid_intensity=CarbonIntensity(draw(amounts)),
+        grid_intensity=CarbonIntensity(intensity),
         responsibility=ResponsibilityRatio(
             tenant_id=tenant_id, datacenter_id=dc_id,
-            scope2_share=Share(scope2_share), l_share=Share(l_share),
-            ratio=Share(scope2_share * l_share)),
-        scope1=scope1, scope2=scope2, scope3=scope3,
+            scope2_share=Share(draw(fractions)), l_share=Share(l_share)),
+        scope1=draw(amounts), scope3=draw(amounts),
         component_energy=component_energy,
-        component_emissions=component_emissions,
-        gross=gross, net=net, green_offset=green, rec_offset=rec,
+        green_offset=draw(offsets), rec_offset=draw(offsets),
         devices=tuple(shares))
 
 
@@ -108,10 +99,6 @@ def footprints(draw):
     tenant_id = draw(texts)
     dc_ids = draw(st.lists(texts, max_size=2, unique=True))
     per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
-    gross, net = 0.0, 0.0
-    for dc in per_dc:
-        gross += dc.gross
-        net += dc.net
     agents = draw(st.integers(1, 10**6))
     history = draw(st.lists(
         st.builds(HistoryEntry, periods, st.builds(EmissionsG, prior_gross),
@@ -120,9 +107,7 @@ def footprints(draw):
         max_size=2))
     return Footprint(
         tenant_id=tenant_id, display_name=draw(texts), agent_count=agents,
-        period=draw(periods), per_dc=per_dc, gross_total=EmissionsG(gross),
-        net_total=EmissionsG(net, allow_negative=True),
-        per_agent=EmissionsG(gross / agents), history=tuple(history))
+        period=draw(periods), per_dc=per_dc, history=tuple(history))
 
 
 factor_sets = st.builds(

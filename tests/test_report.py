@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from carbonalloc.report import (
     render_onepage,
 )
 from carbonalloc.synth import generate_fleet
-from carbonalloc.units import EmissionsG, Period
+from carbonalloc.units import SCOPE2_COMPONENTS, EmissionsG, Period
 
 VERBATIM_FIELDS = ("isAggregate", "cacheMoved", "dramAccessed", "diskMoved",
                    "bytesSent", "bytesReceived", "deviceModel", "deviceType")
@@ -36,6 +38,18 @@ def fixture_footprint(fictitious_raw, fictitious_models):
 @pytest.fixture
 def fixture_doc(fixture_footprint, factors):
     return render_json(fixture_footprint, factors)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "demos" / "output"
+
+# Every figure a report stores that its record derives from other figures.
+STORED_COPIES = ("summary.grossEmissions", "summary.netEmissions",
+                 "summary.perAgentEmissions",
+                 *(f"datacenters.DC_EU1.{key}" for key in (
+                     "responsibility", "scopes.scope2.emissions",
+                     *(f"scopes.scope2.components.{name}.emissions"
+                       for name in SCOPE2_COMPONENTS),
+                     "grossEmissions", "netEmissions")))
 
 
 def stored_for(fp, factors, period: Period) -> bytes:
@@ -160,6 +174,60 @@ class TestRenderJson:
         assert "agentCount" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("path", STORED_COPIES)
+    def test_stored_copy_one_ulp_off_refused(self, tmp_path, capsys, fixture_doc,
+                                             path):
+        doc = json.loads(fixture_doc.content)
+        *parents, key = path.split(".")
+        holder = doc
+        for part in parents:
+            holder = holder[part]
+        assert holder[key] != 0.0
+        holder[key] = math.nextafter(holder[key], 0.0)
+        with pytest.raises(ReportError, match=(
+                f"^malformed report JSON: {re.escape(path)}: stored .*, but the "
+                "report's other figures give ")):
+            footprint_from_json(doc)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("figure, factor, named", [
+        ("energy", 2.0, "scopes.scope2.devices: server device energies sum to"),
+        ("emissions", 3.0, "scopes.scope2.devices.servers.{}.emissions: "),
+    ])
+    def test_device_figures_that_do_not_add_up_refused(self, tmp_path, capsys,
+                                                       factors, figure, factor,
+                                                       named):
+        fleet = generate_fleet(seed=3, n_tenants=2, n_dcs=1)
+        fp = compute_footprints(fleet.raw, fleet.models)[0]
+        assert fp.tenant_id == "TENANT_01"
+        doc = json.loads(render_json(fp, factors).content)
+        (dc,) = doc["datacenters"].values()
+        device_id, server = next(iter(
+            dc["scopes"]["scope2"]["devices"]["servers"].items()))
+        server[figure] *= factor
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert named.format(device_id) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integers_adding_up_beyond_float_range_refused(self, fixture_doc):
+        doc = json.loads(fixture_doc.content)
+        scope2 = doc["datacenters"]["DC_EU1"]["scopes"]["scope2"]
+        for name, devices in (("server", "servers"), ("network", "network")):
+            scope2["components"][name]["energy"] = 10**308
+            for device in scope2["devices"][devices].values():
+                device["energy"] = 10**308
+                device["emissions"] = 10**308 * 0.4
+        with pytest.raises(ReportError, match="too large to convert to float"):
+            footprint_from_json(doc)
+
     def test_different_footprints_render_differently(self, factors):
         fleet_a = generate_fleet(seed=1, n_tenants=3, n_dcs=2)
         fleet_b = generate_fleet(seed=2, n_tenants=3, n_dcs=2)
@@ -184,6 +252,26 @@ class TestRenderJson:
         assert entry["period"] == "2025-05"
         assert entry["grossEmissions"] == 1800000.0
         assert entry["pctChange"] == 0.0
+
+
+def test_golden_reports_parse_and_re_render_identically():
+    """Every report the demos wrote parses and re-renders to its own bytes,
+    except the one demo 04 tampers with on purpose."""
+    tampered = GOLDEN / "audit_demo/out/reports/TENANT_01/2025-06.json"
+    reports = sorted(path for path in GOLDEN.rglob("*.json")
+                     if path.name != "equivalencies.json")
+    assert len(reports) == 18
+    assert sum("history" in path.parts for path in reports) == 9
+    for path in reports:
+        content = path.read_bytes()
+        if path == tampered:
+            with pytest.raises(ReportError, match=(
+                    "^malformed report JSON: summary.grossEmissions: ")):
+                footprint_from_json(content)
+        else:
+            rebuilt = footprint_from_json(content)
+            assert (render_json(rebuilt, factors_from_json(content)).content
+                    == content), path
 
 
 class TestFactors:
