@@ -10,7 +10,7 @@ truth, fits the model, and shows that the weights come back.
 
 import random
 
-from carbonalloc import CalibrationSample, EnergyWh, fit_server_weights
+from carbonalloc import CalibrationSample, fit_server_weights
 
 # Ground truth for a fictitious device model. The weights span ten orders
 # of magnitude (Wh per utilization point vs Wh per byte), which is exactly
@@ -29,7 +29,7 @@ for _ in range(50):
     dram = rng.uniform(0.0, 1e10)
     disk = rng.uniform(0.0, 5e10)
     energy = INTERCEPT + W_CPU * u + W_CACHE * cache + W_DRAM * dram + W_DISK * disk
-    samples.append(CalibrationSample(u, cache, dram, disk, EnergyWh(energy)))
+    samples.append(CalibrationSample(u, cache, dram, disk, energy))
 
 model = fit_server_weights(samples, device_model="ABC_987")
 
@@ -52,7 +52,7 @@ for _ in range(200):
     disk = rng.uniform(0.0, 5e10)
     energy = INTERCEPT + W_CPU * u + W_CACHE * cache + W_DRAM * dram + W_DISK * disk
     noisy.append(CalibrationSample(u, cache, dram, disk,
-                                   EnergyWh(max(energy + rng.gauss(0, 50), 0.0))))
+                                   max(energy + rng.gauss(0, 50), 0.0)))
 
 noisy_model = fit_server_weights(noisy, device_model="ABC_987")
 print("\nwith 50 Wh measurement noise (200 samples)")

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from carbonalloc import (
     EquivalencyFactors,
-    EmissionsG,
     HistoryStore,
     Period,
     compute_footprints,
@@ -31,9 +30,9 @@ out_root.mkdir(parents=True)
 # Equivalency factors give readers a sense of scale. These ballpark public
 # figures are configuration, not constants baked into the library.
 factors = EquivalencyFactors(
-    flight_ams_nyc=EmissionsG(500000.0),
-    car_km=EmissionsG(250.0),
-    smartphone_charge=EmissionsG(8.22),
+    flight_ams_nyc=500000.0,
+    car_km=250.0,
+    smartphone_charge=8.22,
     source_note="sample factors; see configs/equivalencies.sample.json",
 )
 

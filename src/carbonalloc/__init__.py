@@ -91,13 +91,6 @@ from .report import (
     render_onepage,
 )
 from .synth import SynthFleet, generate_fleet, write_fleet
-from .units import (
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
-    Period,
-    Share,
-    emissions_from_energy,
-)
+from .units import Period
 
 __version__ = "0.1.0"

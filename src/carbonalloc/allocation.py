@@ -26,25 +26,27 @@ All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
 reads no files: prior months are attached by the caller.
 
-Figures that are functions of other fields of the same record are derived
-by the record, never passed in: a pair's Scope 2 ``emissions``, a ratio's
-``ratio``, a data center footprint's ``scope2``, ``component_emissions``,
-``gross`` and ``net``, and a tenant's totals. Records check only what their
-inputs cannot guarantee, with the unit types' messages: finiteness and sign
-of every figure, the component keys, unique data centers, the history
-length, and device energies adding up to their category totals. A stored
-report's copies of derived figures are compared where it is parsed. Device
-detail (:class:`DeviceShare`) is plain floats bounded by its pair's totals,
-which phase 1 has checked to be finite for the whole fleet.
+Every figure is a plain float in the units of :mod:`.units`. Figures that
+are functions of other fields of the same record are derived by the record,
+never passed in: a pair's Scope 2 ``emissions``, a ratio's ``ratio``, a data
+center footprint's ``scope2``, ``component_emissions``, ``gross`` and
+``net``, and a tenant's totals. The record checks each figure it derives
+with its unit's check, and a :class:`DcFootprint` its stored figures too;
+records also check the component keys, unique data centers, the history
+length, and device energies adding up to their category totals. Their other
+inputs are checked where they enter: by ingest, by the report parser's field
+table, by phase 1, which checks every pair's and data center's energy and
+Scope 2 for the whole fleet, or, for a pair's Scope 2 share, where its
+ratio is built. Device detail (:class:`DeviceShare`) is not checked one
+device at a time: it is bounded by its pair's totals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import MissingModel, UnknownTenant, ZeroDcScope2
+from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
 from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage
 from .power import (
     ServerPowerModel,
@@ -56,12 +58,10 @@ from .power import (
 )
 from .units import (
     SCOPE2_COMPONENTS,
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
     Period,
-    Share,
-    UnitError,
+    check_emissions,
+    check_energy,
+    check_share,
 )
 
 __all__ = [
@@ -92,16 +92,6 @@ def _close(actual: float, expected: float, tol: float = AUDIT_TOLERANCE) -> bool
     return abs(actual - expected) <= tol * scale
 
 
-def _check_unit(value: float, unit: type) -> None:
-    """Raise the UnitError ``unit(value)`` raises unless ``0 <= value < inf``.
-
-    Plain-float figures keep the checks the unit objects made, with their
-    messages, at the cost of one comparison while they pass.
-    """
-    if not 0.0 <= value < math.inf:
-        unit(value)
-
-
 # ---------------------------------------------------------------------------
 # Per-device detail
 # ---------------------------------------------------------------------------
@@ -110,11 +100,11 @@ def _check_unit(value: float, unit: type) -> None:
 class DeviceShare(NamedTuple):
     """One device's contribution to a tenant's Scope 2 in one data center.
 
-    ``energy_wh`` and ``emissions_g`` are plain floats, checked through the
-    totals they are bounded by rather than one by one (see the module
-    docstring). A server keeps the usage counters its estimate came from, a
-    network device its byte counters; the other kind's counters stay at
-    their defaults, and a cooling or other share carries none.
+    ``energy_wh`` and ``emissions_g`` are checked through the totals they
+    are bounded by rather than one by one (see the module docstring). A
+    server keeps the usage counters its estimate came from, a network device
+    its byte counters; the other kind's counters stay at their defaults, and
+    a cooling or other share carries none.
     """
 
     device_id: str
@@ -129,14 +119,6 @@ class DeviceShare(NamedTuple):
     device_type: str = ""
     bytes_sent: int = 0
     bytes_received: int = 0
-
-    @property
-    def energy(self) -> EnergyWh:
-        return EnergyWh(self.energy_wh)
-
-    @property
-    def emissions(self) -> EmissionsG:
-        return EmissionsG(self.emissions_g)
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +137,18 @@ class TenantDcScope2:
 
     tenant_id: str
     datacenter_id: str
-    e_server: EnergyWh
-    e_network: EnergyWh
-    e_cooling: EnergyWh
-    e_other: EnergyWh
-    emissions: EmissionsG = field(init=False)
+    e_server: float
+    e_network: float
+    e_cooling: float
+    e_other: float
+    emissions: float = field(init=False)
     per_device: tuple[DeviceShare, ...]
-    c_dc: CarbonIntensity
-    l_share: Share
+    c_dc: float
+    l_share: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "emissions", EmissionsG(
-            self.total_energy.value * self.c_dc.value * self.l_share.value))
+        object.__setattr__(self, "emissions", check_emissions(
+            check_energy(self.total_energy) * self.c_dc * self.l_share))
         by_category = {"server": 0.0, "network": 0.0, "cooling": 0.0, "other": 0.0}
         for dev in self.per_device:
             if dev.category not in by_category:
@@ -174,15 +156,14 @@ class TenantDcScope2:
             by_category[dev.category] += dev.energy_wh
         for category, total in (("server", self.e_server), ("network", self.e_network),
                                 ("cooling", self.e_cooling), ("other", self.e_other)):
-            if not _close(by_category[category], total.value):
+            if not _close(by_category[category], total):
                 raise UnitError(
                     f"{category} device energies sum to {by_category[category]!r}, "
-                    f"category total is {total.value!r}")
+                    f"category total is {total!r}")
 
     @property
-    def total_energy(self) -> EnergyWh:
-        return EnergyWh(self.e_server.value + self.e_network.value
-                        + self.e_cooling.value + self.e_other.value)
+    def total_energy(self) -> float:
+        return self.e_server + self.e_network + self.e_cooling + self.e_other
 
 
 @dataclass(frozen=True)
@@ -196,13 +177,12 @@ class ResponsibilityRatio:
 
     tenant_id: str
     datacenter_id: str
-    scope2_share: Share
-    l_share: Share
-    ratio: Share = field(init=False)
+    scope2_share: float
+    l_share: float
+    ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio",
-                           Share(self.scope2_share.value * self.l_share.value))
+        object.__setattr__(self, "ratio", check_share(self.scope2_share * self.l_share))
 
 
 @dataclass(frozen=True)
@@ -210,15 +190,15 @@ class HistoryEntry:
     """A prior period's headline figures, for the two-month comparison."""
 
     period: Period
-    gross: EmissionsG
-    net: EmissionsG
+    gross: float
+    net: float
 
 
 @dataclass(frozen=True)
 class DcFootprint:
     """One tenant's full footprint within a single data center.
 
-    Emissions are gCO2e and energies Wh, as plain floats. ``component_energy``
+    Emissions are gCO2e and energies Wh. ``component_energy``
     splits Scope 2 energy into the four categories of ``SCOPE2_COMPONENTS``.
     Derived, at the grid intensity and the tenant's load share: each
     category's ``component_emissions``, ``scope2``, ``gross`` (the scopes'
@@ -228,7 +208,7 @@ class DcFootprint:
     datacenter_id: str
     name: str
     region: str
-    grid_intensity: CarbonIntensity
+    grid_intensity: float
     responsibility: ResponsibilityRatio
     scope1: float
     scope2: float = field(init=False)
@@ -246,7 +226,7 @@ class DcFootprint:
         if sorted(keys) != sorted(SCOPE2_COMPONENTS):
             raise UnitError("scope2_components must have exactly the keys "
                             f"{SCOPE2_COMPONENTS}, got {keys}")
-        c, l = self.grid_intensity.value, self.responsibility.l_share.value
+        c, l = self.grid_intensity, self.responsibility.l_share
         set_field = object.__setattr__
         set_field(self, "scope2", self.scope2_energy * c * l)
         set_field(self, "component_emissions",
@@ -256,13 +236,12 @@ class DcFootprint:
 
         for value in (self.scope1, self.scope2, self.scope3,
                       *self.component_emissions.values(), self.gross):
-            _check_unit(value, EmissionsG)
-        if not math.isfinite(self.net):
-            EmissionsG(self.net, allow_negative=True)
-        _check_unit(self.green_offset, EmissionsG)
-        _check_unit(self.rec_offset, EmissionsG)
+            check_emissions(value)
+        check_emissions(self.net, allow_negative=True)
+        check_emissions(self.green_offset)
+        check_emissions(self.rec_offset)
         for value in self.component_energy.values():
-            _check_unit(value, EnergyWh)
+            check_energy(value)
 
     @property
     def scope2_energy(self) -> float:
@@ -285,9 +264,9 @@ class Footprint:
     agent_count: int
     period: Period
     per_dc: tuple[DcFootprint, ...]
-    gross_total: EmissionsG = field(init=False)
-    net_total: EmissionsG = field(init=False)
-    per_agent: EmissionsG = field(init=False)
+    gross_total: float = field(init=False)
+    net_total: float = field(init=False)
+    per_agent: float = field(init=False)
     history: tuple[HistoryEntry, ...] = ()
 
     def __post_init__(self) -> None:
@@ -300,9 +279,9 @@ class Footprint:
             gross += dc.gross
             net += dc.net
         set_field = object.__setattr__
-        set_field(self, "gross_total", EmissionsG(gross))
-        set_field(self, "net_total", EmissionsG(net, allow_negative=True))
-        set_field(self, "per_agent", EmissionsG(gross / self.agent_count))
+        set_field(self, "gross_total", check_emissions(gross))
+        set_field(self, "net_total", check_emissions(net, allow_negative=True))
+        set_field(self, "per_agent", check_emissions(gross / self.agent_count))
         if len(self.history) > 2:
             raise UnitError("history holds at most the two prior periods")
 
@@ -334,15 +313,19 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
 
     Pairs are visited sorted by tenant, then data center, and devices by id
     within a pair, which is the order phase 2 sums in, so every float is the
-    one the per-pair detail reproduces. Raises :class:`MissingModel`,
-    :class:`ModelMismatch`, :class:`ZeroDenominator` and the unit errors of
-    non-finite energies for the whole fleet, whichever tenant is asked for afterwards. Negative
-    server estimates are clamped to zero silently: phase 2 warns about the
-    devices it builds.
+    one the per-pair detail reproduces. Raises :class:`MissingModel`, naming
+    the first servers.csv row of each missing model, :class:`ModelMismatch`,
+    :class:`ZeroDenominator` and the unit errors of non-finite energies for
+    the whole fleet, whichever tenant is asked for afterwards. Negative server
+    estimates are clamped to zero silently: phase 2 warns about the devices
+    it builds.
     """
-    missing = {row.device_model for row in raw.servers if row.device_model not in models}
+    missing: dict[str, str] = {}
+    for row in raw.servers:
+        if row.device_model not in models:
+            missing.setdefault(row.device_model, row.source_ref)
     if missing:
-        raise MissingModel(tuple(missing))
+        raise MissingModel(missing)
 
     server_rows: dict[tuple[str, str], list[ServerUsage]] = {}
     for row in raw.servers:
@@ -368,7 +351,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             for row in network:
                 e_network += network_energy_wh(row)
             pair = e_server + e_network
-            _check_unit(pair, EnergyWh)
+            check_energy(pair)
             pair_direct[key] = pair
             direct[dc_id] = direct.get(dc_id, 0.0) + pair
 
@@ -376,21 +359,20 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     other: dict[str, float] = {}
     for dc_id in direct:
         dc = raw.datacenters[dc_id]
-        cooling[dc_id] = shared_energy_total(dc.cooling_devices).value
-        other[dc_id] = shared_energy_total(dc.other_devices).value
+        cooling[dc_id] = shared_energy_total(dc.cooling_devices)
+        other[dc_id] = shared_energy_total(dc.other_devices)
 
     scope2: dict[str, float] = {}
     for (tenant_id, dc_id), pair in pair_direct.items():
         all_direct = direct[dc_id]
-        _check_unit(all_direct, EnergyWh)
+        check_energy(all_direct)
         e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
                                     f"cooling devices of {dc_id}")
         e_other = split_shared_wh(other[dc_id], pair, all_direct,
                                   f"other devices of {dc_id}")
-        emissions = ((pair + e_cooling + e_other)
-                     * raw.datacenters[dc_id].grid_intensity.value
-                     * raw.tenants[tenant_id].l_share.value)
-        _check_unit(emissions, EmissionsG)
+        emissions = check_emissions((pair + e_cooling + e_other)
+                                    * raw.datacenters[dc_id].grid_intensity
+                                    * raw.tenants[tenant_id].l_share)
         scope2[dc_id] = scope2.get(dc_id, 0.0) + emissions
     return FleetTotals(direct=direct, cooling=cooling, other=other,
                        scope2=scope2, rows=rows)
@@ -410,9 +392,7 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     :class:`ZeroDenominator`.
     """
     dc = raw.datacenters[dc_id]
-    c_dc = dc.grid_intensity
-    l_share = raw.tenants[tenant_id].l_share
-    c, l = c_dc.value, l_share.value
+    c, l = dc.grid_intensity, raw.tenants[tenant_id].l_share
     servers, network = totals.rows[(tenant_id, dc_id)]
     devices: list[DeviceShare] = []
     e_server = 0.0
@@ -441,20 +421,20 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
         for category, shared in (("cooling", dc.cooling_devices),
                                  ("other", dc.other_devices)):
             for dev in sorted(shared, key=lambda d: d.device_id):
-                energy = dev.energy.value * ratio
+                energy = dev.energy * ratio
                 devices.append(DeviceShare(dev.device_id, category, energy,
                                            energy * c * l))
 
     return TenantDcScope2(
         tenant_id=tenant_id,
         datacenter_id=dc_id,
-        e_server=EnergyWh(e_server),
-        e_network=EnergyWh(e_network),
-        e_cooling=EnergyWh(e_cooling),
-        e_other=EnergyWh(e_other),
+        e_server=e_server,
+        e_network=e_network,
+        e_cooling=e_cooling,
+        e_other=e_other,
         per_device=tuple(devices),
-        c_dc=c_dc,
-        l_share=l_share,
+        c_dc=c,
+        l_share=l,
     )
 
 
@@ -487,17 +467,17 @@ def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
         if total == 0.0:
             dc = datacenters[dc_id]
             has_scope1 = any(f.amount * f.emission_factor > 0 for f in dc.fuel_log)
-            if has_scope1 or dc.scope3_total.value > 0:
+            if has_scope1 or dc.scope3_total > 0:
                 raise ZeroDcScope2(dc_id)
 
     out: list[ResponsibilityRatio] = []
     for entry in scope2:
         total = dc_total[entry.datacenter_id]
-        lam = entry.emissions.value / total if total > 0.0 else 0.0
+        lam = entry.emissions / total if total > 0.0 else 0.0
         out.append(ResponsibilityRatio(
             tenant_id=entry.tenant_id,
             datacenter_id=entry.datacenter_id,
-            scope2_share=Share(lam),
+            scope2_share=check_share(lam),
             l_share=entry.l_share,
         ))
     return out
@@ -516,7 +496,7 @@ def compute_responsibility_ratios(
     dc_total: dict[str, float] = {}
     for entry in scope2:
         dc_total[entry.datacenter_id] = (dc_total.get(entry.datacenter_id, 0.0)
-                                         + entry.emissions.value)
+                                         + entry.emissions)
     return _ratios(scope2, dc_total, datacenters)
 
 
@@ -535,7 +515,7 @@ def _footprint(raw: RawData, tenant_id: str,
         dc = raw.datacenters[dc_id]
         s2 = scope2[(tenant_id, dc_id)]
         resp = ratios[(tenant_id, dc_id)]
-        r = resp.ratio.value
+        r = resp.ratio
         scope1 = 0.0
         for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
             scope1 += fuel.amount * fuel.emission_factor * r
@@ -546,13 +526,13 @@ def _footprint(raw: RawData, tenant_id: str,
             grid_intensity=dc.grid_intensity,
             responsibility=resp,
             scope1=scope1,
-            scope3=dc.scope3_total.value * r,
-            component_energy={"server": s2.e_server.value,
-                              "network": s2.e_network.value,
-                              "cooling": s2.e_cooling.value,
-                              "other": s2.e_other.value},
-            green_offset=dc.green_energy.value * dc.grid_intensity.value * r,
-            rec_offset=dc.rec_offset.value * r,
+            scope3=dc.scope3_total * r,
+            component_energy={"server": s2.e_server,
+                              "network": s2.e_network,
+                              "cooling": s2.e_cooling,
+                              "other": s2.e_other},
+            green_offset=dc.green_energy * dc.grid_intensity * r,
+            rec_offset=dc.rec_offset * r,
             devices=s2.per_device,
         ))
 
@@ -690,8 +670,8 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         if not tenant_ids:
             continue
         all_direct = sum(direct.get((t, dc_id), 0.0) for t in tenant_ids)
-        cooling_total = sum(d.energy.value for d in dc.cooling_devices)
-        other_total = sum(d.energy.value for d in dc.other_devices)
+        cooling_total = sum(d.energy for d in dc.cooling_devices)
+        other_total = sum(d.energy for d in dc.other_devices)
 
         # Expected per-tenant Scope 2 emissions, recomputed independently.
         expected_scope2: dict[str, float] = {}
@@ -700,8 +680,8 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
             shared = 0.0
             if all_direct > 0.0:
                 shared = (cooling_total + other_total) * d / all_direct
-            expected_scope2[t] = ((d + shared) * dc.grid_intensity.value
-                                  * raw.tenants[t].l_share.value)
+            expected_scope2[t] = ((d + shared) * dc.grid_intensity
+                                  * raw.tenants[t].l_share)
         dc_scope2_total = sum(expected_scope2.values())
 
         def stored_sum(value_of) -> float:
@@ -739,7 +719,7 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         if dc_scope2_total > 0.0:
             ratio_sum = sum(
                 (expected_scope2[t] / dc_scope2_total)
-                * raw.tenants[t].l_share.value
+                * raw.tenants[t].l_share
                 for t in tenant_ids)
         fuel_total = sum(f.amount * f.emission_factor for f in dc.fuel_log)
         stored_scope1 = stored_sum(lambda e: e.scope1)
@@ -747,12 +727,12 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         checks.append(AuditCheck("scope1_total", dc_id,
                                  fuel_total * ratio_sum, stored_scope1))
         checks.append(AuditCheck("scope3_total", dc_id,
-                                 dc.scope3_total.value * ratio_sum, stored_scope3))
+                                 dc.scope3_total * ratio_sum, stored_scope3))
 
         # Gross conservation: stored per-tenant gross must add up to the
         # independently recomputed data center footprint.
         expected_gross = (fuel_total * ratio_sum + dc_scope2_total
-                          + dc.scope3_total.value * ratio_sum)
+                          + dc.scope3_total * ratio_sum)
         stored_gross = stored_sum(lambda e: e.gross)
         checks.append(AuditCheck("gross_total", dc_id, expected_gross, stored_gross))
 

@@ -57,7 +57,7 @@ from .report import (
     report_identity,
 )
 from .synth import generate_fleet, write_fleet
-from .units import Period, Share, UnitError
+from .units import Period, UnitError, check_share
 
 __all__ = ["RunConfig", "main", "entrypoint"]
 
@@ -77,7 +77,7 @@ class RunConfig:
     equivalency_file: Path
     history_dir: Path
     output_dir: Path
-    l_share_override: Share | None = None
+    l_share_override: float | None = None
     trend_thresholds: tuple[float, float] = DEFAULT_TREND_THRESHOLDS
 
 
@@ -91,7 +91,7 @@ def _print_validation_failure(exc: ValidationFailure) -> None:
         _err(f"  {sub}")
 
 
-def _apply_l_share(raw: RawData, override: Share | None) -> RawData:
+def _apply_l_share(raw: RawData, override: float | None) -> RawData:
     if override is None:
         return raw
     tenants = {tid: replace(t, l_share=override) for tid, t in raw.tenants.items()}
@@ -191,8 +191,8 @@ def cmd_compute(config: RunConfig) -> int:
 
     print(f"{'tenant':<16} {'gross_g':>18} {'net_g':>18} {'per_agent_g':>14}")
     for fp in footprints:
-        print(f"{fp.tenant_id:<16} {fp.gross_total.value:>18.3f} "
-              f"{fp.net_total.value:>18.3f} {fp.per_agent.value:>14.6f}")
+        print(f"{fp.tenant_id:<16} {fp.gross_total:>18.3f} "
+              f"{fp.net_total:>18.3f} {fp.per_agent:>14.6f}")
     print(f"wrote {len(footprints)} tenant report pair(s) under "
           f"{config.output_dir / 'reports'}")
     return EXIT_OK
@@ -262,7 +262,7 @@ def _differs_from_stored(rendered: bytes, stored_doc: dict[str, Any],
 
 def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               equivalency_file: Path | None, history_dir: Path | None,
-              l_share_override: Share | None) -> int:
+              l_share_override: float | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
         stored_doc = load_doc(report_file.read_bytes())
@@ -358,9 +358,9 @@ def _parse_period(text: str) -> Period:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_share(text: str) -> Share:
+def _parse_share(text: str) -> float:
     try:
-        return Share(float(text))
+        return check_share(float(text))
     except (ValueError, UnitError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

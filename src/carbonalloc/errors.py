@@ -162,13 +162,18 @@ class ModelMismatch(PowerModelError):
 
 
 class MissingModel(PowerModelError):
-    """One or more device models have no calibrated power model."""
+    """One or more device models have no calibrated power model.
 
-    def __init__(self, device_models: tuple[str, ...]):
-        self.device_models = tuple(sorted(device_models))
+    ``first_rows`` maps each model to the ``file:line`` of the first usage
+    row that names it, or to "" when the row has none.
+    """
+
+    def __init__(self, first_rows: dict[str, str]):
+        self.device_models = tuple(sorted(first_rows))
         super().__init__(
             "no calibrated power model for device model(s): "
-            + ", ".join(self.device_models)
+            + ", ".join(f"{name} ({first_rows[name]})" if first_rows[name] else name
+                        for name in self.device_models)
         )
 
 

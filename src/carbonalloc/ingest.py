@@ -74,7 +74,7 @@ from .errors import (
     UnknownTenant,
     ValidationFailure,
 )
-from .units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
+from .units import Period, check_emissions
 
 __all__ = [
     "ServerUsage",
@@ -160,7 +160,7 @@ class SharedDevice:
     """A cooling or facility device with a metered per-period energy reading."""
 
     device_id: str
-    energy: EnergyWh
+    energy: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,8 +172,8 @@ class FuelEntry:
     emission_factor: float
 
     @property
-    def emissions(self) -> EmissionsG:
-        return EmissionsG(self.amount * self.emission_factor)
+    def emissions(self) -> float:
+        return check_emissions(self.amount * self.emission_factor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,13 +181,13 @@ class DataCenter:
     datacenter_id: str
     name: str
     region: str
-    grid_intensity: CarbonIntensity
+    grid_intensity: float
     cooling_devices: tuple[SharedDevice, ...]
     other_devices: tuple[SharedDevice, ...]
     fuel_log: tuple[FuelEntry, ...]
-    scope3_total: EmissionsG = EmissionsG(0.0)
-    green_energy: EnergyWh = EnergyWh(0.0)
-    rec_offset: EmissionsG = EmissionsG(0.0)
+    scope3_total: float = 0.0
+    green_energy: float = 0.0
+    rec_offset: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +196,7 @@ class Tenant:
     display_name: str
     agent_count: int
     datacenter_ids: tuple[str, ...]
-    l_share: Share = Share(1.0)
+    l_share: float = 1.0
     source_ref: str = field(default="", compare=False)
 
 
@@ -575,7 +575,7 @@ def _entries(row: _Row, column: str, spelling: str) -> Iterator[list[str]]:
 
 def _shared_devices(row: _Row, column: str) -> tuple[SharedDevice, ...]:
     return tuple(
-        SharedDevice(device_id, EnergyWh(row.parse_nonneg(energy, f"{column} energy")))
+        SharedDevice(device_id, row.parse_nonneg(energy, f"{column} energy"))
         for device_id, energy in _entries(row, column, "DEVICE_ID:ENERGY_WH"))
 
 
@@ -601,7 +601,7 @@ def read_datacenters(path: Path | str,
             datacenter_id=dc_id,
             name=row.text("name"),
             region=row.text("region"),
-            grid_intensity=CarbonIntensity(row.nonneg("grid_intensity")),
+            grid_intensity=row.nonneg("grid_intensity"),
             cooling_devices=cooling,
             other_devices=other,
             fuel_log=tuple(
@@ -610,9 +610,9 @@ def read_datacenters(path: Path | str,
                           row.parse_nonneg(factor, "fuel_log emission_factor"))
                 for device_id, amount, factor in _entries(
                     row, "fuel_log", "DEVICE_ID:AMOUNT:EMISSION_FACTOR")),
-            scope3_total=EmissionsG(row.nonneg("scope3_total", default="0")),
-            green_energy=EnergyWh(row.nonneg("green_energy", default="0")),
-            rec_offset=EmissionsG(row.nonneg("rec_offset", default="0")),
+            scope3_total=row.nonneg("scope3_total", default="0"),
+            green_energy=row.nonneg("green_energy", default="0"),
+            rec_offset=row.nonneg("rec_offset", default="0"),
         )
     return out
 
@@ -667,7 +667,7 @@ def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenan
             display_name=row.text("display_name"),
             agent_count=agents,
             datacenter_ids=dc_ids,
-            l_share=Share(l_share),
+            l_share=l_share,
             source_ref=row.ref,
         )
     return out

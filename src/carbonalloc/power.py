@@ -30,7 +30,7 @@ from .ingest import (
     read_table,
     write_table,
 )
-from .units import EnergyWh
+from .units import check_energy
 
 __all__ = [
     "CalibrationSample",
@@ -72,7 +72,7 @@ class CalibrationSample:
     cache_moved: float
     dram_accessed: float
     disk_moved: float
-    measured_energy: EnergyWh
+    measured_energy: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +110,7 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
     if n < MIN_CALIBRATION_SAMPLES:
         raise InsufficientSamples(n, MIN_CALIBRATION_SAMPLES)
 
-    y = np.array([s.measured_energy.value for s in samples], dtype=np.float64)
+    y = np.array([s.measured_energy for s in samples], dtype=np.float64)
     design = np.column_stack([
         np.ones(n),
         np.array([s.cpu_utilization for s in samples], dtype=np.float64),
@@ -192,9 +192,9 @@ def clamped_server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> flo
     return value
 
 
-def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> EnergyWh:
-    """:func:`clamped_server_energy_wh` as a unit value."""
-    return EnergyWh(clamped_server_energy_wh(model, usage))
+def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> float:
+    """:func:`clamped_server_energy_wh`, checked as an energy."""
+    return check_energy(clamped_server_energy_wh(model, usage))
 
 
 def network_energy_wh(row: NetworkUsage) -> float:
@@ -208,12 +208,12 @@ def network_energy_wh(row: NetworkUsage) -> float:
     return 6 * (row.bytes_sent + row.bytes_received) / 100_000_000
 
 
-def estimate_network_energy(row: NetworkUsage) -> EnergyWh:
-    """:func:`network_energy_wh` as a unit value."""
-    return EnergyWh(network_energy_wh(row))
+def estimate_network_energy(row: NetworkUsage) -> float:
+    """:func:`network_energy_wh`, checked as an energy."""
+    return check_energy(network_energy_wh(row))
 
 
-def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) -> EnergyWh:
+def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) -> float:
     """Sum metered shared-device energies in device-id order.
 
     The order is fixed so reruns over the same inputs sum in the same
@@ -221,8 +221,8 @@ def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) 
     """
     total = 0.0
     for dev in sorted(devices, key=lambda d: d.device_id):
-        total += dev.energy.value
-    return EnergyWh(total)
+        total += dev.energy
+    return check_energy(total)
 
 
 def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: float,
@@ -241,18 +241,17 @@ def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: floa
 
 
 def allocate_shared_energy(shared_devices: tuple[SharedDevice, ...] | list[SharedDevice],
-                           tenant_direct: EnergyWh,
-                           all_tenants_direct: EnergyWh,
-                           context: str = "") -> EnergyWh:
+                           tenant_direct: float,
+                           all_tenants_direct: float,
+                           context: str = "") -> float:
     """Split shared (cooling/facility) energy by direct-energy ratio.
 
     A tenant's slice of the metered shared total is proportional to its share
     of direct IT energy (servers plus network) in the same data center; see
     :func:`split_shared_wh`.
     """
-    return EnergyWh(split_shared_wh(shared_energy_total(shared_devices).value,
-                                    tenant_direct.value, all_tenants_direct.value,
-                                    context))
+    return check_energy(split_shared_wh(shared_energy_total(shared_devices),
+                                        tenant_direct, all_tenants_direct, context))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +315,6 @@ def read_calibration_samples(path: Path | str,
             cache_moved=row.nonneg("cache_moved"),
             dram_accessed=row.nonneg("dram_accessed"),
             disk_moved=row.nonneg("disk_moved"),
-            measured_energy=EnergyWh(row.nonneg("measured_energy_wh")),
+            measured_energy=row.nonneg("measured_energy_wh"),
         ))
     return out

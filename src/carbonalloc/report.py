@@ -11,6 +11,14 @@ names a report key. The one-page format is a self-contained HTML document
 (inline styles, inline SVG charts, no external assets) constrained to a
 single sheet of A4.
 
+Every figure is a plain float. Those of a stored report are checked once,
+by the field table, before any record is built, so the parser,
+``report_headline`` and ``factors_from_json`` pass them on unchecked; the
+records then check what they derive. ``footprint_from_json`` compares
+each stored copy of a derived figure with the record's, and each field
+never read back with the writer's text for it. An equivalency config is
+checked where it is loaded.
+
 Equivalency factors are configuration, not constants: the packaged sample
 config documents its sources in ``source_note`` and operators are expected
 to review the values.
@@ -37,14 +45,7 @@ from .allocation import (
     TenantDcScope2,
 )
 from .errors import CarbonAllocError, UnitError
-from .units import (
-    SCOPE2_COMPONENTS,
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
-    Period,
-    Share,
-)
+from .units import SCOPE2_COMPONENTS, Period, check_emissions
 
 __all__ = [
     "EquivalencyFactors",
@@ -78,18 +79,18 @@ class ReportError(CarbonAllocError):
 class EquivalencyFactors:
     """Emission equivalents used to put gross figures in perspective."""
 
-    flight_ams_nyc: EmissionsG
-    car_km: EmissionsG
-    smartphone_charge: EmissionsG
+    flight_ams_nyc: float
+    car_km: float
+    smartphone_charge: float
     source_note: str
 
     def __post_init__(self) -> None:
         for name, factor in (("flight_ams_nyc", self.flight_ams_nyc),
                              ("car_km", self.car_km),
                              ("smartphone_charge", self.smartphone_charge)):
-            if factor.value <= 0:
+            if factor <= 0:
                 raise ReportError(f"equivalency factor {name} must be > 0, "
-                                  f"got {factor.value!r}")
+                                  f"got {factor!r}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class TrendDelta:
     gross was zero (no meaningful percentage)."""
 
     period: Period
-    gross: EmissionsG
-    net: EmissionsG
+    gross: float
+    net: float
     pct_change: float | None
 
 
@@ -121,9 +122,9 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
         raise ReportError(f"cannot read equivalency config {path}: {exc}") from exc
     try:
         return EquivalencyFactors(
-            flight_ams_nyc=EmissionsG(float(doc["flight_ams_nyc_g"])),
-            car_km=EmissionsG(float(doc["car_km_g"])),
-            smartphone_charge=EmissionsG(float(doc["smartphone_charge_g"])),
+            flight_ams_nyc=check_emissions(float(doc["flight_ams_nyc_g"])),
+            car_km=check_emissions(float(doc["car_km_g"])),
+            smartphone_charge=check_emissions(float(doc["smartphone_charge_g"])),
             source_note=str(doc["source_note"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -132,13 +133,13 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
             f"car_km_g, smartphone_charge_g and a source_note: {exc}") from exc
 
 
-def compute_equivalencies(gross: EmissionsG,
+def compute_equivalencies(gross: float,
                           factors: EquivalencyFactors) -> dict[str, float]:
     """Gross emissions expressed as flights, car km, and phone charges."""
     return {
-        "flights": gross.value / factors.flight_ams_nyc.value,
-        "car_km": gross.value / factors.car_km.value,
-        "charges": gross.value / factors.smartphone_charge.value,
+        "flights": gross / factors.flight_ams_nyc,
+        "car_km": gross / factors.car_km,
+        "charges": gross / factors.smartphone_charge,
     }
 
 
@@ -146,11 +147,10 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
     """Month-over-month deltas against the footprint's prior periods."""
     deltas: list[TrendDelta] = []
     for prior in current.history:
-        if prior.gross.value == 0.0:
+        if prior.gross == 0.0:
             pct: float | None = None
         else:
-            pct = ((current.gross_total.value - prior.gross.value)
-                   / prior.gross.value * 100.0)
+            pct = (current.gross_total - prior.gross) / prior.gross * 100.0
         deltas.append(TrendDelta(period=prior.period, gross=prior.gross,
                                  net=prior.net, pct_change=pct))
     return deltas
@@ -165,8 +165,9 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 # A kind's ``write`` is the value's f-string replacement field, ``@``
 # standing for the accessor, and its ``test`` accepts the stored values the
 # writer can have written. Aggregates, equivalencies, trend percentages and
-# over-offset flags have no test and are never read back; a record's derived
-# figures are, and must equal what the record derives.
+# over-offset flags have no test and are never read back: each must be
+# spelled as the writer spells it for the parsed report. A record's derived
+# figures are read back, and must equal what the record derives.
 
 
 class _Kind(NamedTuple):
@@ -248,10 +249,10 @@ _ZERO = _const(0.0)
 _DATACENTER = {
     "name": (_STRING, "o.name"),
     "region": (_STRING, "o.region"),
-    "gridIntensity": (_INTENSITY, "o.grid_intensity.value"),
-    "scope2Share": (_SHARE, "o.responsibility.scope2_share.value"),
-    "lShare": (_SHARE, "o.responsibility.l_share.value"),
-    "responsibility": (_SHARE, "o.responsibility.ratio.value"),
+    "gridIntensity": (_INTENSITY, "o.grid_intensity"),
+    "scope2Share": (_SHARE, "o.responsibility.scope2_share"),
+    "lShare": (_SHARE, "o.responsibility.l_share"),
+    "responsibility": (_SHARE, "o.responsibility.ratio"),
     "grossEmissions": (_EMISSIONS, "o.gross"),
     "netEmissions": (_NET, "o.net"),
     "overOffset": (_OVER_OFFSET, "o.net"),
@@ -280,17 +281,17 @@ _REPORT = {
                "agentCount": (_AGENTS, "o.agent_count")},
     "period": (_PERIOD, "o.period"),
     "summary": {
-        "grossEmissions": (_EMISSIONS, "o.gross_total.value"),
-        "netEmissions": (_NET, "o.net_total.value"),
-        "perAgentEmissions": (_EMISSIONS, "o.per_agent.value"),
+        "grossEmissions": (_EMISSIONS, "o.gross_total"),
+        "netEmissions": (_NET, "o.net_total"),
+        "perAgentEmissions": (_EMISSIONS, "o.per_agent"),
         "scopes": {
             "scope1": _scope("Scope1", True, _ZERO, _summed("dc.scope1")),
             "scope2": _scope("Scope2", True, _summed("dc.scope2_energy"),
                              _summed("dc.scope2")),
             "scope3": _scope("Scope3", True, _ZERO, _summed("dc.scope3"))},
         "history": (_Items({"period": (_PERIOD, "o.period"),
-                            "grossEmissions": (_EMISSIONS, "o.gross.value"),
-                            "netEmissions": (_NET, "o.net.value"),
+                            "grossEmissions": (_EMISSIONS, "o.gross"),
+                            "netEmissions": (_NET, "o.net"),
                             "pctChange": (_DERIVED, "o.pct_change")}, False),
                     "compute_trend(o)")},
     "equivalencies": {
@@ -298,14 +299,14 @@ _REPORT = {
         "carKm": (_DERIVED, 'eq["car_km"]'),
         "smartphoneCharges": (_DERIVED, 'eq["charges"]'),
         "factors": {
-            "flightAmsNycG": (_EMISSIONS, "factors.flight_ams_nyc.value"),
-            "carKmG": (_EMISSIONS, "factors.car_km.value"),
-            "smartphoneChargeG": (_EMISSIONS, "factors.smartphone_charge.value")},
+            "flightAmsNycG": (_EMISSIONS, "factors.flight_ams_nyc"),
+            "carKmG": (_EMISSIONS, "factors.car_km"),
+            "smartphoneChargeG": (_EMISSIONS, "factors.smartphone_charge")},
         "sourceNote": (_STRING, "factors.source_note")},
     "offsets": {"greenEnergyOffset": _summed("dc.green_offset"),
                 "recOffset": _summed("dc.rec_offset"),
-                "netEmissions": (_DERIVED, "o.net_total.value"),
-                "overOffset": (_OVER_OFFSET, "o.net_total.value")},
+                "netEmissions": (_DERIVED, "o.net_total"),
+                "overOffset": (_OVER_OFFSET, "o.net_total")},
     "datacenters": (_Items(_DATACENTER, True),
                     "[(dc.datacenter_id, dc) for dc in o.per_dc]"),
 }
@@ -481,19 +482,18 @@ def report_identity(doc: dict[str, Any]) -> tuple[str, Period]:
     return _stored(doc, "tenant", "tenantId"), Period.parse(_stored(doc, "period"))
 
 
-def report_headline(doc: dict[str, Any]) -> tuple[EmissionsG, EmissionsG]:
+def report_headline(doc: dict[str, Any]) -> tuple[float, float]:
     """The gross and net emissions of a parsed report's summary."""
-    return (EmissionsG(_stored(doc, "summary", "grossEmissions")),
-            EmissionsG(_stored(doc, "summary", "netEmissions"), allow_negative=True))
+    return (_stored(doc, "summary", "grossEmissions"),
+            _stored(doc, "summary", "netEmissions"))
 
 
 def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactors:
     """Recover the equivalency factors embedded in a rendered report."""
     doc = load_doc(source)
     f = _stored(doc, "equivalencies", "factors")
-    return EquivalencyFactors(
-        EmissionsG(f["flightAmsNycG"]), EmissionsG(f["carKmG"]),
-        EmissionsG(f["smartphoneChargeG"]), _stored(doc, "equivalencies", "sourceNote"))
+    return EquivalencyFactors(f["flightAmsNycG"], f["carKmG"], f["smartphoneChargeG"],
+                              _stored(doc, "equivalencies", "sourceNote"))
 
 
 def _same(stored: Any, derived: float, path: str) -> None:
@@ -509,7 +509,7 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
     scopes = dc["scopes"]
     scope2 = scopes["scope2"]
     energy = {name: c["energy"] for name, c in scope2["components"].items()}
-    intensity, l_share = CarbonIntensity(dc["gridIntensity"]), Share(dc["lShare"])
+    intensity, l_share = dc["gridIntensity"], dc["lShare"]
     devices = tuple(
         DeviceShare(k, category, **{attr: entry[key]
                                     for key, attr in _DEVICE_FIELDS[name]})
@@ -518,25 +518,25 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
     at = f"datacenters.{dc_id}."
     try:
         TenantDcScope2(tenant_id, dc_id,
-                       *(EnergyWh(energy[name]) for name in SCOPE2_COMPONENTS),
+                       *(energy[name] for name in SCOPE2_COMPONENTS),
                        devices, intensity, l_share)
     except UnitError as exc:
         raise _malformed(at + "scopes.scope2.devices", str(exc)) from exc
     for name in _DEVICES:
         for k, entry in scope2["devices"][name].items():
-            _same(entry["emissions"], entry["energy"] * intensity.value * l_share.value,
+            _same(entry["emissions"], entry["energy"] * intensity * l_share,
                   f"{at}scopes.scope2.devices.{name}.{k}.emissions")
     record = DcFootprint(
         datacenter_id=dc_id, name=dc["name"], region=dc["region"],
         grid_intensity=intensity,
         responsibility=ResponsibilityRatio(
-            tenant_id, dc_id, Share(dc["scope2Share"]), l_share),
+            tenant_id, dc_id, dc["scope2Share"], l_share),
         scope1=scopes["scope1"]["emissions"], scope3=scopes["scope3"]["emissions"],
         component_energy=energy,
         green_offset=dc["offsets"]["greenEnergyOffset"],
         rec_offset=dc["offsets"]["recOffset"],
         devices=devices)
-    _same(dc["responsibility"], record.responsibility.ratio.value, at + "responsibility")
+    _same(dc["responsibility"], record.responsibility.ratio, at + "responsibility")
     _same(scope2["emissions"], record.scope2, at + "scopes.scope2.emissions")
     for name, component in scope2["components"].items():
         _same(component["emissions"], record.component_emissions[name],
@@ -546,14 +546,65 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
     return record
 
 
+def _compiled(expression: str) -> Callable[..., Any]:
+    """A table expression over ``o``, ``factors`` and ``eq`` as a function
+    of them, evaluated where the writer's are."""
+    return eval(f"lambda o, factors, eq: {expression}", _WRITERS)
+
+
+def _derived_only(spec: Any) -> Any:
+    """The part of ``spec`` that holds the fields never read back, or None.
+
+    Such a field becomes a function of ``(o, factors, eq)`` giving the text
+    the writer writes for it; a list or map becomes ``(_Items, items)``,
+    where ``items`` gives what the writer writes its entries from.
+    """
+    if type(spec) is dict:
+        kept = {key: part for key, member in spec.items()
+                if (part := _derived_only(member)) is not None}
+        return kept or None
+    kind, accessor = spec
+    if type(kind) is _Items:
+        item = _derived_only(kind.item)
+        return None if item is None else (_Items(item, kind.keyed), _compiled(accessor))
+    if kind.test is None:
+        return _compiled("f'''" + kind.write.replace("@", accessor) + "'''")
+    return None
+
+
+_DERIVED_ONLY = _derived_only(_REPORT)
+
+
+def _check_derived_only(stored: dict[str, Any], spec: dict[str, Any], o: Any,
+                        factors: EquivalencyFactors, eq: dict[str, float],
+                        path: str) -> None:
+    """Refuse a field of ``_DERIVED_ONLY`` unless it is stored as written."""
+    for key, member in spec.items():
+        at = f"{path}.{key}" if path else key
+        value = stored[key]
+        if type(member) is dict:
+            _check_derived_only(value, member, o, factors, eq, at)
+        elif type(member) is tuple:
+            kind, items = member
+            got = items(o, factors, eq)
+            for k, item in got if kind.keyed else enumerate(got):
+                _check_derived_only(value[k], kind.item, item, factors, eq,
+                                    f"{at}.{k}" if kind.keyed else f"{at}[{k}]")
+        elif (text := json.dumps(value)) != (written := member(o, factors, eq)):
+            raise _malformed(at, f"stored {text}, but the report's other "
+                                 f"figures give {written}")
+
+
 def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
     """Rebuild a Footprint from a rendered JSON report.
 
     The report is checked against the table first, so ``ReportError`` names
     the dotted path of a missing or unknown key, of a value the writer
     cannot have written, or of a stored copy of a figure the Footprint derives
-    that is not exactly the derived figure. Floats round-trip losslessly, so
-    the Footprint re-renders to the identical bytes.
+    that is not exactly the derived figure. Every field never read back must
+    be spelled as the writer writes it for the Footprint and the report's own
+    factors. Floats round-trip losslessly, so the Footprint re-renders to the
+    identical bytes.
     """
     doc = load_doc(source)
     _check(doc, _REPORT, "")
@@ -565,16 +616,17 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
             per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
                          for dc_id, dc in doc["datacenters"].items()),
             history=tuple(HistoryEntry(Period.parse(entry["period"]),
-                                       EmissionsG(entry["grossEmissions"]),
-                                       EmissionsG(entry["netEmissions"],
-                                                  allow_negative=True))
+                                       entry["grossEmissions"], entry["netEmissions"])
                           for entry in summary["history"]))
     except OverflowError as exc:  # stored integers adding up beyond float range
         raise ReportError(f"malformed report JSON: {exc}") from exc
     for key, derived in (("grossEmissions", fp.gross_total),
                          ("netEmissions", fp.net_total),
                          ("perAgentEmissions", fp.per_agent)):
-        _same(summary[key], derived.value, f"summary.{key}")
+        _same(summary[key], derived, f"summary.{key}")
+    factors = factors_from_json(doc)
+    _check_derived_only(doc, _DERIVED_ONLY, fp, factors,
+                        compute_equivalencies(fp.gross_total, factors), "")
     return fp
 
 
@@ -732,8 +784,8 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
                  f'{pct:+.1f}% vs {deltas[0].period}</span>')
 
     trend_rows = "".join(
-        f"<tr><td>{delta.period}</td><td>{_fmt_grams(delta.gross.value)}</td>"
-        f"<td>{_fmt_grams(delta.net.value)}</td>"
+        f"<tr><td>{delta.period}</td><td>{_fmt_grams(delta.gross)}</td>"
+        f"<td>{_fmt_grams(delta.net)}</td>"
         f"<td>{'n/a' if delta.pct_change is None else f'{delta.pct_change:+.1f}%'}"
         f"</td></tr>"
         for delta in deltas
@@ -760,24 +812,24 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     offset_slices = [
         ("Green energy offset", green_total, _OFFSET_COLORS["Green energy offset"]),
         ("REC offset", rec_total, _OFFSET_COLORS["REC offset"]),
-        ("Net (not offset)", max(fp.net_total.value, 0.0),
+        ("Net (not offset)", max(fp.net_total, 0.0),
          _OFFSET_COLORS["Net (not offset)"]),
     ]
 
     methodology_dcs = "".join(
         f"<tr><td>{html.escape(dc.datacenter_id)}</td>"
         f"<td>{html.escape(dc.name)}</td><td>{html.escape(dc.region)}</td>"
-        f"<td>{dc.grid_intensity.value:g} g/Wh</td>"
-        f"<td>{dc.responsibility.scope2_share.value * 100:.2f}%</td>"
-        f"<td>{dc.responsibility.l_share.value * 100:.0f}%</td>"
+        f"<td>{dc.grid_intensity:g} g/Wh</td>"
+        f"<td>{dc.responsibility.scope2_share * 100:.2f}%</td>"
+        f"<td>{dc.responsibility.l_share * 100:.0f}%</td>"
         f"<td>{_fmt_grams(dc.gross)}</td></tr>"
         for dc in fp.per_dc
     )
 
     over_note = ""
-    if fp.net_total.value < 0.0:
+    if fp.net_total < 0.0:
         over_note = ("<p><strong>Offsets exceed gross emissions this period "
-                     f"(net {_fmt_grams(fp.net_total.value)}).</strong></p>")
+                     f"(net {_fmt_grams(fp.net_total)}).</strong></p>")
 
     doc = f"""<!DOCTYPE html>
 <html lang="en">
@@ -798,11 +850,11 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 <h2>1. Summary</h2>
 <div class="figures">
 <div class="figure"><div class="label">Gross emissions</div>
-<div class="value">{_fmt_grams(fp.gross_total.value)}</div></div>
+<div class="value">{_fmt_grams(fp.gross_total)}</div></div>
 <div class="figure"><div class="label">Net emissions (after offsets)</div>
-<div class="value">{_fmt_grams(fp.net_total.value)}</div></div>
+<div class="value">{_fmt_grams(fp.net_total)}</div></div>
 <div class="figure"><div class="label">Per agent (gross)</div>
-<div class="value" id="per-agent">{_fmt_grams(fp.per_agent.value)}</div></div>
+<div class="value" id="per-agent">{_fmt_grams(fp.per_agent)}</div></div>
 </div>
 {over_note}
 <div id="trend">{badge}{trend_table}</div>
@@ -824,7 +876,7 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 <h2>3. Emissions by scope</h2>
 <div class="charts"><div class="chart">
 {_pie_svg(scope_slices, "scope-pie")}
-{_legend(scope_slices, fp.gross_total.value)}
+{_legend(scope_slices, fp.gross_total)}
 </div></div>
 </section>
 

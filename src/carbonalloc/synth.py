@@ -28,7 +28,7 @@ from .ingest import (
     format_table,
 )
 from .power import ServerPowerModel, _models_table
-from .units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
+from .units import Period, check_share
 
 __all__ = ["SynthFleet", "generate_fleet", "write_fleet", "MODELS_FILE_NAME"]
 
@@ -59,6 +59,7 @@ def generate_fleet(seed: int,
     """
     if n_tenants < 1 or n_dcs < 1:
         raise ValueError("need at least one tenant and one data center")
+    check_share(l_share)
     rng = random.Random(seed)
 
     model_names = ("MODEL_A", "MODEL_B", "MODEL_C")
@@ -79,29 +80,27 @@ def generate_fleet(seed: int,
     datacenters: dict[str, DataCenter] = {}
     for i, dc_id in enumerate(dc_ids):
         cooling = tuple(
-            SharedDevice(f"CRAC_{dc_id}_{j}", EnergyWh(rng.uniform(5e4, 5e5)))
+            SharedDevice(f"CRAC_{dc_id}_{j}", rng.uniform(5e4, 5e5))
             for j in range(1, rng.randint(1, 3) + 1)
         )
         other = tuple(
-            SharedDevice(f"PDU_{dc_id}_{j}", EnergyWh(rng.uniform(1e4, 1e5)))
+            SharedDevice(f"PDU_{dc_id}_{j}", rng.uniform(1e4, 1e5))
             for j in range(1, rng.randint(0, 2) + 1)
         )
         fuel: tuple[FuelEntry, ...] = ()
-        scope3 = EmissionsG(0.0)
-        green = EnergyWh(0.0)
-        rec = EmissionsG(0.0)
+        scope3 = green = rec = 0.0
         if with_offsets:
             if rng.random() < 0.6:
                 fuel = (FuelEntry(f"GEN_{dc_id}_1",
                                   rng.uniform(1e3, 5e4), rng.uniform(2.0, 3.0)),)
-            scope3 = EmissionsG(rng.uniform(0.0, 5e6))
-            green = EnergyWh(rng.uniform(0.0, 2e5))
-            rec = EmissionsG(rng.uniform(0.0, 1e5))
+            scope3 = rng.uniform(0.0, 5e6)
+            green = rng.uniform(0.0, 2e5)
+            rec = rng.uniform(0.0, 1e5)
         datacenters[dc_id] = DataCenter(
             datacenter_id=dc_id,
             name=f"Synthetic DC {i + 1}",
             region=_REGIONS[i % len(_REGIONS)],
-            grid_intensity=CarbonIntensity(rng.uniform(0.2, 0.6)),
+            grid_intensity=rng.uniform(0.2, 0.6),
             cooling_devices=cooling,
             other_devices=other,
             fuel_log=fuel,
@@ -127,7 +126,7 @@ def generate_fleet(seed: int,
             display_name=f"Synthetic Tenant {i + 1}",
             agent_count=rng.randint(10, 5000),
             datacenter_ids=tuple(assignments[tenant_id]),
-            l_share=Share(l_share),
+            l_share=l_share,
         )
         for i, tenant_id in enumerate(tenant_ids)
     }
@@ -201,21 +200,21 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
             ("datacenter_id", "name", "region", "grid_intensity",
              "cooling_devices", "other_devices", "fuel_log", "scope3_total",
              "green_energy", "rec_offset"),
-            ([dc.datacenter_id, dc.name, dc.region, _num(dc.grid_intensity.value),
-              ";".join(f"{d.device_id}:{_num(d.energy.value)}"
+            ([dc.datacenter_id, dc.name, dc.region, _num(dc.grid_intensity),
+              ";".join(f"{d.device_id}:{_num(d.energy)}"
                        for d in dc.cooling_devices),
-              ";".join(f"{d.device_id}:{_num(d.energy.value)}"
+              ";".join(f"{d.device_id}:{_num(d.energy)}"
                        for d in dc.other_devices),
               ";".join(f"{f.device_id}:{_num(f.amount)}:{_num(f.emission_factor)}"
                        for f in dc.fuel_log),
-              _num(dc.scope3_total.value), _num(dc.green_energy.value),
-              _num(dc.rec_offset.value)]
+              _num(dc.scope3_total), _num(dc.green_energy),
+              _num(dc.rec_offset)]
              for _, dc in sorted(raw.datacenters.items()))),
         INPUT_FILE_NAMES["tenants"]: (
             ("tenant_id", "display_name", "agent_count", "datacenter_ids",
              "l_share"),
             ([t.tenant_id, t.display_name, str(t.agent_count),
-              ";".join(t.datacenter_ids), _num(t.l_share.value)]
+              ";".join(t.datacenter_ids), _num(t.l_share)]
              for _, t in sorted(raw.tenants.items()))),
         MODELS_FILE_NAME: _models_table(fleet.models),
     }

@@ -1,42 +1,37 @@
-"""Unit-bearing value types used throughout the allocation pipeline.
+"""Canonical units, the checks that keep figures in them, and ``Period``.
 
-Every physical quantity is wrapped in a small frozen dataclass that validates
-its invariants at construction time. A bare float ambiguity (is this Wh or
-kWh? grams or kilograms?) is the classic source of silent unit errors in
-sustainability tooling, so the wrappers are deliberately kept cheap: a single
-``value`` slot plus validation.
-
-The wrappers guard the boundaries: values read at ingest, figures parsed
-from a stored report, and the figures records derive from their own fields
-(a pair's Scope 2 emissions, its ratio, a tenant's ``Footprint`` totals),
-checked as they are derived. ``DeviceShare`` and ``DcFootprint`` hold plain
-floats; a ``DcFootprint`` checks its figures, derived ones too, through these
-types once, when it is built. A stored report's copies of derived figures
-are compared with them where the report is parsed.
-
-Canonical units:
+Every figure is a plain ``float`` (or, for counters and ``agent_count``, an
+``int``) in one canonical unit:
 
 * energy: watt-hours (Wh)
 * emissions: grams of CO2-equivalent (gCO2e)
 * carbon intensity: grams of CO2-equivalent per watt-hour (gCO2e/Wh)
 * shares and ratios: dimensionless fractions in [0, 1]
+
+A figure is checked once, where it enters or is derived. Ingest's row
+getters check what the input files hold (grid intensities among them) and
+the report parser's field table what a stored report holds. Everywhere
+else a figure goes through the check of its unit below, which returns it
+unchanged or raises :class:`UnitError`: the records check what they derive
+(a pair's Scope 2 emissions, a ratio, a data center's scopes, a tenant's
+totals), as do phase 1 of the engine, the ``power`` helpers, ``--l-share``,
+``generate_fleet`` and the equivalency factors file.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import InitVar, dataclass
+import sys
+from dataclasses import dataclass
 
 from .errors import UnitError
 
 __all__ = [
-    "EnergyWh",
-    "EmissionsG",
-    "CarbonIntensity",
-    "Share",
     "Period",
-    "emissions_from_energy",
+    "check_energy",
+    "check_emissions",
+    "check_share",
     "is_finite",
     "SCOPE2_COMPONENTS",
 ]
@@ -57,77 +52,41 @@ def is_finite(value: int | float) -> bool:
         return False
 
 
-def _require_finite(value: float, what: str) -> None:
+_MAX = sys.float_info.max
+
+
+def _finite(value: float, what: str) -> float:
+    if type(value) is float and -_MAX <= value <= _MAX:
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got {type(value).__name__}")
     if not is_finite(value):
         raise UnitError(f"{what} must be finite, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyWh:
-    """An amount of energy in watt-hours. Never negative."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.value, "energy (Wh)")
-        if self.value < 0:
-            raise UnitError(f"energy must be >= 0 Wh, got {self.value!r}")
-
-    def __add__(self, other: "EnergyWh") -> "EnergyWh":
-        return EnergyWh(self.value + other.value)
+def check_energy(value: float) -> float:
+    """``value``, an amount of energy in Wh: finite and never negative."""
+    if _finite(value, "energy (Wh)") < 0:
+        raise UnitError(f"energy must be >= 0 Wh, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True, slots=True)
-class EmissionsG:
-    """A mass of emissions in grams of CO2-equivalent.
-
-    Gross figures are never negative. Net figures may be: a tenant whose
-    offsets exceed its gross footprint carries a negative net, which is
-    meaningful (over-offsetting) rather than an error. Construct those with
-    ``EmissionsG(x, allow_negative=True)``.
+def check_emissions(value: float, allow_negative: bool = False) -> float:
+    """``value``, a mass of emissions in gCO2e: finite and, unless
+    ``allow_negative``, never negative. Only a net figure may be negative:
+    a tenant whose offsets exceed its gross footprint is over-offset.
     """
-
-    value: float
-    allow_negative: InitVar[bool] = False
-
-    def __post_init__(self, allow_negative: bool) -> None:
-        _require_finite(self.value, "emissions (gCO2e)")
-        if self.value < 0 and not allow_negative:
-            raise UnitError(f"emissions must be >= 0 gCO2e, got {self.value!r}")
-
-    def __add__(self, other: "EmissionsG") -> "EmissionsG":
-        return EmissionsG(self.value + other.value, allow_negative=True)
+    if _finite(value, "emissions (gCO2e)") < 0 and not allow_negative:
+        raise UnitError(f"emissions must be >= 0 gCO2e, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True, slots=True)
-class CarbonIntensity:
-    """Grid carbon intensity in grams of CO2-equivalent per watt-hour."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.value, "carbon intensity (gCO2e/Wh)")
-        if self.value < 0:
-            raise UnitError(f"carbon intensity must be >= 0, got {self.value!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Share:
-    """A dimensionless fraction constrained to [0, 1]."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.value, "share")
-        if not 0.0 <= self.value <= 1.0:
-            raise UnitError(f"share must be within [0, 1], got {self.value!r}")
-
-
-def emissions_from_energy(energy: EnergyWh, intensity: CarbonIntensity) -> EmissionsG:
-    """Convert energy to emissions at a given grid carbon intensity."""
-    return EmissionsG(energy.value * intensity.value)
+def check_share(value: float) -> float:
+    """``value``, a dimensionless fraction within [0, 1]."""
+    if not 0.0 <= _finite(value, "share") <= 1.0:
+        raise UnitError(f"share must be within [0, 1], got {value!r}")
+    return value
 
 
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")

@@ -25,7 +25,7 @@ from carbonalloc.ingest import (
 )
 from carbonalloc.power import ServerPowerModel
 from carbonalloc.report import EquivalencyFactors
-from carbonalloc.units import CarbonIntensity, EmissionsG, EnergyWh, Period, Share
+from carbonalloc.units import Period
 
 FIXTURE_PERIOD = Period(2025, 6)
 
@@ -58,9 +58,9 @@ def fictitious_raw() -> RawData:
         datacenter_id="DC_EU1",
         name="Amsterdam South",
         region="eu-west",
-        grid_intensity=CarbonIntensity(0.4),
-        cooling_devices=(SharedDevice("CRAC_1", EnergyWh(4000000.0)),),
-        other_devices=(SharedDevice("PDU_1", EnergyWh(280000.0)),),
+        grid_intensity=0.4,
+        cooling_devices=(SharedDevice("CRAC_1", 4000000.0),),
+        other_devices=(SharedDevice("PDU_1", 280000.0),),
         fuel_log=(),
     )
     tenant = Tenant(
@@ -68,7 +68,7 @@ def fictitious_raw() -> RawData:
         display_name="Fictitious Co",
         agent_count=250,
         datacenter_ids=("DC_EU1",),
-        l_share=Share(1.0),
+        l_share=1.0,
     )
     servers = (ServerUsage(
         datacenter_id="DC_EU1", device_id="SERVER_1234", device_model="ABC_987",
@@ -92,8 +92,8 @@ def fictitious_raw() -> RawData:
 @pytest.fixture
 def factors() -> EquivalencyFactors:
     return EquivalencyFactors(
-        flight_ams_nyc=EmissionsG(500000.0),
-        car_km=EmissionsG(250.0),
-        smartphone_charge=EmissionsG(8.22),
+        flight_ams_nyc=500000.0,
+        car_km=250.0,
+        smartphone_charge=8.22,
         source_note="fixture factors for tests only",
     )

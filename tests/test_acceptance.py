@@ -34,13 +34,7 @@ from carbonalloc.power import (
 )
 from carbonalloc.report import footprint_from_json, render_json, render_onepage
 from carbonalloc.synth import generate_fleet
-from carbonalloc.units import (
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
-    Period,
-    emissions_from_energy,
-)
+from carbonalloc.units import Period
 from conftest import src_env
 
 REL_TOL_CONSERVATION = 1e-9   # residual bound for all conservation sums
@@ -80,22 +74,22 @@ def test_network_energy_exactness(criterion):
                            device_id="NETWORK_DEVICE_1234",
                            device_type="router", tenant_id="TENANT_X",
                            bytes_sent=10**12, bytes_received=10**12)
-        assert estimate_network_energy(row).value == 120000.0
+        assert estimate_network_energy(row) == 120000.0
 
 
 def test_intensity_consistency(criterion, fictitious_raw, fictitious_models):
     """At 0.4 g/Wh and full load share the published example figures are exact."""
     with criterion("intensity_consistency"):
-        c = CarbonIntensity(0.4)
-        assert emissions_from_energy(EnergyWh(100000.0), c).value == 40000.0
-        assert emissions_from_energy(EnergyWh(4500000.0), c).value == 1800000.0
-        # The same figures through the full pipeline, not just the helper.
+        c = 0.4
+        assert 100000.0 * c == 40000.0
+        assert 4500000.0 * c == 1800000.0
+        # The same figures through the full pipeline, not just the product.
         (entry,) = compute_scope2(fictitious_raw, fictitious_models)
         server = next(d for d in entry.per_device if d.device_id == "SERVER_1234")
-        assert server.energy.value == 100000.0
-        assert server.emissions.value == 40000.0
-        assert entry.total_energy.value == 4500000.0
-        assert entry.emissions.value == 1800000.0
+        assert server.energy_wh == 100000.0
+        assert server.emissions_g == 40000.0
+        assert entry.total_energy == 4500000.0
+        assert entry.emissions == 1800000.0
 
 
 def oracle_dc_totals(raw: RawData, models) -> dict[str, dict[str, float]]:
@@ -117,14 +111,14 @@ def oracle_dc_totals(raw: RawData, models) -> dict[str, dict[str, float]]:
         members = [t for t, ten in raw.tenants.items()
                    if dc_id in ten.datacenter_ids]
         dc_direct = math.fsum(direct.get((t, dc_id), 0.0) for t in members)
-        cooling = math.fsum(d.energy.value for d in dc.cooling_devices)
-        other = math.fsum(d.energy.value for d in dc.other_devices)
-        scope2 = (dc_direct + cooling + other) * dc.grid_intensity.value
+        cooling = math.fsum(d.energy for d in dc.cooling_devices)
+        other = math.fsum(d.energy for d in dc.other_devices)
+        scope2 = (dc_direct + cooling + other) * dc.grid_intensity
         fuel = math.fsum(f.amount * f.emission_factor for f in dc.fuel_log)
         totals[dc_id] = {
             "cooling": cooling,
             "other": other,
-            "gross": fuel + scope2 + dc.scope3_total.value,
+            "gross": fuel + scope2 + dc.scope3_total,
         }
     return totals
 
@@ -147,7 +141,7 @@ def test_conservation_suite(criterion):
             share_sums: dict[str, float] = {}
             for r in ratios:
                 share_sums[r.datacenter_id] = (share_sums.get(r.datacenter_id, 0.0)
-                                               + r.scope2_share.value)
+                                               + r.scope2_share)
             for dc_id, total in share_sums.items():
                 assert rel_close(total, 1.0, REL_TOL_CONSERVATION), \
                     f"share sum {total} in {dc_id}"
@@ -188,7 +182,7 @@ def test_ols_recovery(criterion):
             energy = (true[0] + true[1] * u + true[2] * cache
                       + true[3] * dram + true[4] * disk)
             samples.append(CalibrationSample(u, cache, dram, disk,
-                                             EnergyWh(energy)))
+                                             energy))
         started = time.perf_counter()
         model = fit_server_weights(samples, device_model="ABC_987")
         elapsed = time.perf_counter() - started
@@ -218,10 +212,10 @@ def scale_fleet(raw: RawData, models, k: float):
         dc_id: dataclasses.replace(
             dc,
             cooling_devices=tuple(
-                dataclasses.replace(d, energy=EnergyWh(d.energy.value * k))
+                dataclasses.replace(d, energy=d.energy * k)
                 for d in dc.cooling_devices),
             other_devices=tuple(
-                dataclasses.replace(d, energy=EnergyWh(d.energy.value * k))
+                dataclasses.replace(d, energy=d.energy * k)
                 for d in dc.other_devices),
         )
         for dc_id, dc in raw.datacenters.items()
@@ -242,7 +236,7 @@ def test_scale_invariance(criterion):
         base = compute_responsibility_ratios(
             compute_scope2(raw, models), raw.datacenters)
         baseline = {(r.tenant_id, r.datacenter_id):
-                    (r.scope2_share.value, r.ratio.value) for r in base}
+                    (r.scope2_share, r.ratio) for r in base}
         for k in (0.5, 3.0, 10.0):
             scaled_raw, scaled_models = scale_fleet(raw, models, k)
             scaled = compute_responsibility_ratios(
@@ -250,12 +244,12 @@ def test_scale_invariance(criterion):
                 scaled_raw.datacenters)
             for r in scaled:
                 share0, ratio0 = baseline[(r.tenant_id, r.datacenter_id)]
-                assert math.isclose(r.scope2_share.value, share0,
+                assert math.isclose(r.scope2_share, share0,
                                     rel_tol=REL_TOL_SCALE, abs_tol=1e-15), \
-                    f"k={k}: share {r.scope2_share.value} vs {share0}"
-                assert math.isclose(r.ratio.value, ratio0,
+                    f"k={k}: share {r.scope2_share} vs {share0}"
+                assert math.isclose(r.ratio, ratio0,
                                     rel_tol=REL_TOL_SCALE, abs_tol=1e-15), \
-                    f"k={k}: ratio {r.ratio.value} vs {ratio0}"
+                    f"k={k}: ratio {r.ratio} vs {ratio0}"
 
 
 def test_offset_monotonicity(criterion):
@@ -268,7 +262,7 @@ def test_offset_monotonicity(criterion):
                                    n_dcs=master.randint(1, 4),
                                    with_offsets=True)
             for fp in compute_footprints(fleet.raw, fleet.models):
-                assert fp.net_total.value <= fp.gross_total.value
+                assert fp.net_total <= fp.gross_total
                 for dc in fp.per_dc:
                     assert dc.green_offset >= 0.0
                     assert dc.rec_offset >= 0.0
@@ -279,7 +273,7 @@ def test_offset_monotonicity(criterion):
                                    n_dcs=master.randint(1, 4),
                                    with_offsets=False)
             for fp in compute_footprints(fleet.raw, fleet.models):
-                assert fp.net_total.value == fp.gross_total.value
+                assert fp.net_total == fp.gross_total
                 for dc in fp.per_dc:
                     assert dc.net == dc.gross
 
@@ -352,10 +346,8 @@ def test_onepage_structure(criterion, fictitious_raw, fictitious_models, factors
     with criterion("onepage_structure"):
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
         fp = dataclasses.replace(fp, history=(
-            HistoryEntry(Period(2025, 5), EmissionsG(2000000.0),
-                         EmissionsG(2000000.0)),
-            HistoryEntry(Period(2025, 4), EmissionsG(2200000.0),
-                         EmissionsG(2200000.0)),
+            HistoryEntry(Period(2025, 5), 2000000.0, 2000000.0),
+            HistoryEntry(Period(2025, 4), 2200000.0, 2200000.0),
         ))
         html = render_onepage(fp, factors).content.decode("utf-8")
 

@@ -37,14 +37,7 @@ from carbonalloc.ingest import (
 )
 from carbonalloc.report import render_json
 from carbonalloc.synth import generate_fleet, write_fleet
-from carbonalloc.units import (
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
-    SCOPE2_COMPONENTS,
-    Period,
-    Share,
-)
+from carbonalloc.units import SCOPE2_COMPONENTS, Period
 from conftest import intercept_model
 
 PERIOD = Period(2025, 6)
@@ -54,19 +47,18 @@ def make_dc(dc_id="DC_EU1", intensity=0.5, cooling=(), other=(), fuel=(),
             scope3=0.0, green=0.0, rec=0.0) -> DataCenter:
     return DataCenter(
         datacenter_id=dc_id, name=dc_id.replace("_", " ").title(), region="eu-west",
-        grid_intensity=CarbonIntensity(intensity),
-        cooling_devices=tuple(SharedDevice(i, EnergyWh(e)) for i, e in cooling),
-        other_devices=tuple(SharedDevice(i, EnergyWh(e)) for i, e in other),
+        grid_intensity=intensity,
+        cooling_devices=tuple(SharedDevice(i, e) for i, e in cooling),
+        other_devices=tuple(SharedDevice(i, e) for i, e in other),
         fuel_log=tuple(FuelEntry(i, a, f) for i, a, f in fuel),
-        scope3_total=EmissionsG(scope3), green_energy=EnergyWh(green),
-        rec_offset=EmissionsG(rec),
+        scope3_total=scope3, green_energy=green, rec_offset=rec,
     )
 
 
 def make_tenant(tenant_id, dc_ids, agents=100, l_share=1.0) -> Tenant:
     return Tenant(tenant_id=tenant_id, display_name=tenant_id.title(),
                   agent_count=agents, datacenter_ids=tuple(dc_ids),
-                  l_share=Share(l_share))
+                  l_share=l_share)
 
 
 def server(dc_id, device_id, model, tenant_id) -> ServerUsage:
@@ -98,12 +90,12 @@ class TestComputeScope2:
     def test_fixture_figures_are_exact(self, fictitious_raw, fictitious_models):
         (entry,) = compute_scope2(fictitious_raw, fictitious_models)
         assert entry.tenant_id == "TENANT_X"
-        assert entry.e_server.value == 100000.0
-        assert entry.e_network.value == 120000.0
-        assert entry.e_cooling.value == 4000000.0
-        assert entry.e_other.value == 280000.0
-        assert entry.total_energy.value == 4500000.0
-        assert entry.emissions.value == 1800000.0
+        assert entry.e_server == 100000.0
+        assert entry.e_network == 120000.0
+        assert entry.e_cooling == 4000000.0
+        assert entry.e_other == 280000.0
+        assert entry.total_energy == 4500000.0
+        assert entry.emissions == 1800000.0
 
     def test_per_device_detail_carries_source_figures(self, fictitious_raw,
                                                       fictitious_models):
@@ -114,12 +106,12 @@ class TestComputeScope2:
         assert srv.category == "server"
         assert srv.device_model == "ABC_987"
         assert (srv.utilization, srv.cache_moved) == (0.10, 2e7)
-        assert srv.emissions.value == 40000.0
+        assert srv.emissions_g == 40000.0
         net = by_id["NETWORK_DEVICE_1234"]
         assert isinstance(net, DeviceShare)
         assert net.category == "network"
         assert net.bytes_sent == 10**12
-        assert net.emissions.value == 48000.0  # 120000 Wh x 0.4 g/Wh
+        assert net.emissions_g == 48000.0  # 120000 Wh x 0.4 g/Wh
         assert by_id["CRAC_1"].category == "cooling"
         assert by_id["PDU_1"].category == "other"
 
@@ -127,10 +119,10 @@ class TestComputeScope2:
         raw = two_tenant_raw(cooling=(("CRAC_1", 10000.0),),
                              other=(("PDU_1", 400.0),))
         entries = {e.tenant_id: e for e in compute_scope2(raw, TWO_TENANT_MODELS)}
-        assert entries["TENANT_A"].e_cooling.value == 2500.0
-        assert entries["TENANT_B"].e_cooling.value == 7500.0
-        assert entries["TENANT_A"].e_other.value == 100.0
-        assert entries["TENANT_B"].e_other.value == 300.0
+        assert entries["TENANT_A"].e_cooling == 2500.0
+        assert entries["TENANT_B"].e_cooling == 7500.0
+        assert entries["TENANT_A"].e_other == 100.0
+        assert entries["TENANT_B"].e_other == 300.0
 
     def test_declared_dc_without_usage_gets_zero_entry(self):
         dc1, dc2 = make_dc("DC_1"), make_dc("DC_2")
@@ -142,8 +134,8 @@ class TestComputeScope2:
             network=(),
         )
         entries = {e.datacenter_id: e for e in compute_scope2(raw, TWO_TENANT_MODELS)}
-        assert entries["DC_2"].total_energy.value == 0.0
-        assert entries["DC_2"].emissions.value == 0.0
+        assert entries["DC_2"].total_energy == 0.0
+        assert entries["DC_2"].emissions == 0.0
         assert entries["DC_2"].per_device == ()
 
     def test_missing_model_fails_before_any_estimation(self):
@@ -156,19 +148,18 @@ class TestComputeScope2:
         """Emissions are derived from the energies and cannot be passed in."""
         with pytest.raises(TypeError):
             TenantDcScope2(
-                tenant_id="T", datacenter_id="D", e_server=EnergyWh(100.0),
-                e_network=EnergyWh(0.0), e_cooling=EnergyWh(0.0),
-                e_other=EnergyWh(0.0), emissions=EmissionsG(999.0),
-                per_device=(), c_dc=CarbonIntensity(0.5), l_share=Share(1.0),
+                tenant_id="T", datacenter_id="D", e_server=100.0,
+                e_network=0.0, e_cooling=0.0, e_other=0.0, emissions=999.0,
+                per_device=(), c_dc=0.5, l_share=1.0,
             )
         entry = TenantDcScope2(
-            tenant_id="T", datacenter_id="D", e_server=EnergyWh(100.0),
-            e_network=EnergyWh(0.0), e_cooling=EnergyWh(0.0),
-            e_other=EnergyWh(0.0), per_device=(DeviceShare("S", "server", 100.0, 50.0),),
-            c_dc=CarbonIntensity(0.5), l_share=Share(1.0))
-        assert entry.emissions.value == 50.0
+            tenant_id="T", datacenter_id="D", e_server=100.0,
+            e_network=0.0, e_cooling=0.0, e_other=0.0,
+            per_device=(DeviceShare("S", "server", 100.0, 50.0),),
+            c_dc=0.5, l_share=1.0)
+        assert entry.emissions == 50.0
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(entry, emissions=EmissionsG(999.0))
+            dataclasses.replace(entry, emissions=999.0)
 
 
 class TestResponsibilityRatios:
@@ -176,34 +167,34 @@ class TestResponsibilityRatios:
         scope2 = compute_scope2(fictitious_raw, fictitious_models)
         (ratio,) = compute_responsibility_ratios(scope2,
                                                  fictitious_raw.datacenters)
-        assert ratio.scope2_share.value == 1.0
-        assert ratio.ratio.value == 1.0
+        assert ratio.scope2_share == 1.0
+        assert ratio.ratio == 1.0
 
     def test_quarter_share_is_exact(self):
         raw = two_tenant_raw()  # intensity 0.5: emissions 1250 and 3750
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
         ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
             scope2, raw.datacenters)}
-        assert ratios["TENANT_A"].scope2_share.value == 0.25
-        assert ratios["TENANT_B"].scope2_share.value == 0.75
+        assert ratios["TENANT_A"].scope2_share == 0.25
+        assert ratios["TENANT_B"].scope2_share == 0.75
 
     def test_ratio_is_share_times_load_share(self):
         raw = two_tenant_raw()
         raw = dataclasses.replace(raw, tenants={
-            tid: dataclasses.replace(t, l_share=Share(0.5))
+            tid: dataclasses.replace(t, l_share=0.5)
             for tid, t in raw.tenants.items()})
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
         ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
             scope2, raw.datacenters)}
-        assert ratios["TENANT_A"].ratio.value == 0.25 * 0.5
-        assert ratios["TENANT_B"].ratio.value == 0.75 * 0.5
+        assert ratios["TENANT_A"].ratio == 0.25 * 0.5
+        assert ratios["TENANT_B"].ratio == 0.75 * 0.5
 
     def test_shares_sum_to_one_per_datacenter(self):
         fleet = generate_fleet(seed=5, n_tenants=9, n_dcs=2)
         scope2 = compute_scope2(fleet.raw, fleet.models)
         by_dc: dict[str, float] = {}
         for r in compute_responsibility_ratios(scope2, fleet.raw.datacenters):
-            by_dc[r.datacenter_id] = by_dc.get(r.datacenter_id, 0.0) + r.scope2_share.value
+            by_dc[r.datacenter_id] = by_dc.get(r.datacenter_id, 0.0) + r.scope2_share
         for total in by_dc.values():
             assert math.isclose(total, 1.0, rel_tol=1e-9)
 
@@ -227,20 +218,20 @@ class TestResponsibilityRatios:
         )
         scope2 = compute_scope2(raw, {})
         (ratio,) = compute_responsibility_ratios(scope2, raw.datacenters)
-        assert ratio.scope2_share.value == 0.0
-        assert ratio.ratio.value == 0.0
+        assert ratio.scope2_share == 0.0
+        assert ratio.ratio == 0.0
 
     def test_ratio_consistency_enforced_on_construction(self):
         """The ratio is derived from its two factors and cannot be passed in."""
         with pytest.raises(TypeError):
             ResponsibilityRatio(tenant_id="T", datacenter_id="D",
-                                scope2_share=Share(0.5), l_share=Share(0.5),
-                                ratio=Share(0.3))
+                                scope2_share=0.5, l_share=0.5,
+                                ratio=0.3)
         ratio = ResponsibilityRatio(tenant_id="T", datacenter_id="D",
-                                    scope2_share=Share(0.5), l_share=Share(0.5))
-        assert ratio.ratio.value == 0.25
+                                    scope2_share=0.5, l_share=0.5)
+        assert ratio.ratio == 0.25
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(ratio, ratio=Share(0.3))
+            dataclasses.replace(ratio, ratio=0.3)
 
 
 def tenant_a_dc(**dc_kwargs) -> DcFootprint:
@@ -251,7 +242,7 @@ def tenant_a_dc(**dc_kwargs) -> DcFootprint:
     """
     fp = compute_footprints(two_tenant_raw(**dc_kwargs), TWO_TENANT_MODELS)[0]
     (dc,) = fp.per_dc
-    assert (fp.tenant_id, dc.responsibility.ratio.value) == ("TENANT_A", 0.25)
+    assert (fp.tenant_id, dc.responsibility.ratio) == ("TENANT_A", 0.25)
     return dc
 
 
@@ -340,9 +331,9 @@ class TestComputeFootprints:
     def test_fixture_headline_figures(self, fictitious_raw, fictitious_models):
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
         assert fp.tenant_id == "TENANT_X"
-        assert fp.gross_total.value == 1800000.0
-        assert fp.net_total.value == 1800000.0  # no offsets configured
-        assert fp.per_agent.value == 7200.0
+        assert fp.gross_total == 1800000.0
+        assert fp.net_total == 1800000.0  # no offsets configured
+        assert fp.per_agent == 7200.0
         (dc,) = fp.per_dc
         assert dc.scope1 == 0.0
         assert dc.scope2 == 1800000.0
@@ -384,14 +375,14 @@ class TestComputeFootprints:
             members = [t for t, ten in raw.tenants.items()
                        if dc_id in ten.datacenter_ids]
             dc_direct = sum(direct.get((t, dc_id), 0.0) for t in members)
-            shared = (sum(d.energy.value for d in dc.cooling_devices)
-                      + sum(d.energy.value for d in dc.other_devices))
+            shared = (sum(d.energy for d in dc.cooling_devices)
+                      + sum(d.energy for d in dc.other_devices))
             for t in members:
                 mine = direct.get((t, dc_id), 0.0)
                 e_total = mine + (shared * mine / dc_direct if dc_direct else 0.0)
                 scope2_emissions[(t, dc_id)] = (
-                    e_total * dc.grid_intensity.value
-                    * raw.tenants[t].l_share.value)
+                    e_total * dc.grid_intensity
+                    * raw.tenants[t].l_share)
         for dc_id, dc in raw.datacenters.items():
             members = [t for t, ten in raw.tenants.items()
                        if dc_id in ten.datacenter_ids]
@@ -399,18 +390,18 @@ class TestComputeFootprints:
             fuel = sum(f.amount * f.emission_factor for f in dc.fuel_log)
             for t in members:
                 lam = scope2_emissions[(t, dc_id)] / dc_scope2 if dc_scope2 else 0.0
-                r = lam * raw.tenants[t].l_share.value
+                r = lam * raw.tenants[t].l_share
                 gross = (fuel * r + scope2_emissions[(t, dc_id)]
-                         + dc.scope3_total.value * r)
-                offsets = (dc.green_energy.value * dc.grid_intensity.value * r
-                           + dc.rec_offset.value * r)
+                         + dc.scope3_total * r)
+                offsets = (dc.green_energy * dc.grid_intensity * r
+                           + dc.rec_offset * r)
                 expected_gross[t] = expected_gross.get(t, 0.0) + gross
                 expected_net[t] = expected_net.get(t, 0.0) + gross - offsets
 
         for fp in compute_footprints(raw, models):
-            assert math.isclose(fp.gross_total.value, expected_gross[fp.tenant_id],
+            assert math.isclose(fp.gross_total, expected_gross[fp.tenant_id],
                                 rel_tol=1e-9)
-            assert math.isclose(fp.net_total.value, expected_net[fp.tenant_id],
+            assert math.isclose(fp.net_total, expected_net[fp.tenant_id],
                                 rel_tol=1e-9)
 
     def test_changing_rec_offset_leaves_gross_and_shares_alone(self):
@@ -420,18 +411,17 @@ class TestComputeFootprints:
         bumped = dict(raw.datacenters)
         bumped[target_dc] = dataclasses.replace(
             raw.datacenters[target_dc],
-            rec_offset=EmissionsG(raw.datacenters[target_dc].rec_offset.value
-                                  + 12345.0))
+            rec_offset=raw.datacenters[target_dc].rec_offset + 12345.0)
         raw2 = RawData(period=raw.period, servers=raw.servers,
                        network=raw.network, datacenters=bumped,
                        tenants=raw.tenants)
         before = {fp.tenant_id: fp for fp in compute_footprints(raw, fleet.models)}
         after = {fp.tenant_id: fp for fp in compute_footprints(raw2, fleet.models)}
         for tid, fp in after.items():
-            assert fp.gross_total.value == before[tid].gross_total.value
+            assert fp.gross_total == before[tid].gross_total
             for dc_after, dc_before in zip(fp.per_dc, before[tid].per_dc):
-                assert (dc_after.responsibility.ratio.value
-                        == dc_before.responsibility.ratio.value)
+                assert (dc_after.responsibility.ratio
+                        == dc_before.responsibility.ratio)
                 if dc_after.datacenter_id != target_dc:
                     assert dc_after.net == dc_before.net
 
@@ -471,10 +461,10 @@ class TestComputeFootprints:
         new = {fp.tenant_id: fp for fp in compute_footprints(after, fleet.models)}
         assert new.keys() == old.keys()
         for tid, fp in new.items():
-            assert fp.gross_total.value.hex() == old[tid].gross_total.value.hex()
+            assert fp.gross_total.hex() == old[tid].gross_total.hex()
             if tid in outside:
-                assert fp.net_total.value.hex() == old[tid].net_total.value.hex()
-        assert any(new[tid].net_total.value < old[tid].net_total.value
+                assert fp.net_total.hex() == old[tid].net_total.hex()
+        assert any(new[tid].net_total < old[tid].net_total
                    for tid in new.keys() - outside)
 
     def test_history_attached_most_recent_first(self, tmp_path, fictitious_raw,
@@ -489,7 +479,7 @@ class TestComputeFootprints:
         fp = dataclasses.replace(
             fp, history=store.prior_entries(fp.tenant_id, fp.period))
         assert [str(h.period) for h in fp.history] == ["2025-05", "2025-04"]
-        assert fp.history[0].gross.value == 1800000.0
+        assert fp.history[0].gross == 1800000.0
 
     def test_history_stops_at_gap(self, tmp_path, fictitious_raw,
                                   fictitious_models, factors):
@@ -531,7 +521,7 @@ def _over_offset(raw: RawData) -> RawData:
     return dataclasses.replace(raw, datacenters={
         **raw.datacenters,
         dc_id: dataclasses.replace(raw.datacenters[dc_id],
-                                   rec_offset=EmissionsG(1e12))})
+                                   rec_offset=1e12)})
 
 
 class TestTenantFootprint:
@@ -559,9 +549,9 @@ class TestTenantFootprint:
         direct: dict[str, float] = {}
         for entry in compute_scope2(fleet.raw, fleet.models):
             dc_id = entry.datacenter_id
-            scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + entry.emissions.value
+            scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + entry.emissions
             direct[dc_id] = (direct.get(dc_id, 0.0)
-                             + (entry.e_server.value + entry.e_network.value))
+                             + (entry.e_server + entry.e_network))
         totals = fleet_totals(fleet.raw, fleet.models)
         assert totals.scope2 == scope2_total
         assert totals.direct == direct

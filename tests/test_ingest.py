@@ -286,17 +286,17 @@ class TestReadDatacenters:
         path = csv_file(tmp_path, "datacenters.csv", DC_HEADER, GOOD_DC)
         dc = read_datacenters(path)["DC_EU1"]
         assert dc.name == "Amsterdam South"
-        assert dc.grid_intensity.value == 0.4
-        assert [(d.device_id, d.energy.value) for d in dc.cooling_devices] == [
+        assert dc.grid_intensity == 0.4
+        assert [(d.device_id, d.energy) for d in dc.cooling_devices] == [
             ("CRAC_1", 4000000.0)]
-        assert [(d.device_id, d.energy.value) for d in dc.other_devices] == [
+        assert [(d.device_id, d.energy) for d in dc.other_devices] == [
             ("PDU_1", 280000.0)]
         (fuel,) = dc.fuel_log
         assert (fuel.device_id, fuel.amount, fuel.emission_factor) == ("GEN_1", 1000.0, 2.5)
-        assert fuel.emissions.value == 2500.0
-        assert dc.scope3_total.value == 500000.0
-        assert dc.green_energy.value == 100000.0
-        assert dc.rec_offset.value == 20000.0
+        assert fuel.emissions == 2500.0
+        assert dc.scope3_total == 500000.0
+        assert dc.green_energy == 100000.0
+        assert dc.rec_offset == 20000.0
 
     def test_semicolon_lists_split(self, tmp_path):
         row = GOOD_DC.replace('"CRAC_1:4000000"', '"CRAC_1:10000; CRAC_2:5000"')
@@ -309,9 +309,9 @@ class TestReadDatacenters:
         row = 'DC_EU1,Amsterdam South,eu-west,0.4,"CRAC_1:1",,'
         path = csv_file(tmp_path, "datacenters.csv", header, row)
         dc = read_datacenters(path)["DC_EU1"]
-        assert dc.scope3_total.value == 0.0
-        assert dc.green_energy.value == 0.0
-        assert dc.rec_offset.value == 0.0
+        assert dc.scope3_total == 0.0
+        assert dc.green_energy == 0.0
+        assert dc.rec_offset == 0.0
         assert dc.other_devices == ()
         assert dc.fuel_log == ()
 
@@ -349,13 +349,13 @@ class TestReadTenants:
         assert tenant.display_name == "Fictitious Co"
         assert tenant.agent_count == 250
         assert tenant.datacenter_ids == ("DC_EU1",)
-        assert tenant.l_share.value == 1.0
+        assert tenant.l_share == 1.0
 
     def test_l_share_defaults_to_one(self, tmp_path):
         header = TENANT_HEADER.replace(",l_share", "")
         path = csv_file(tmp_path, "tenants.csv", header,
                         "TENANT_X,Fictitious Co,250,DC_EU1")
-        assert read_tenants(path)["TENANT_X"].l_share.value == 1.0
+        assert read_tenants(path)["TENANT_X"].l_share == 1.0
 
     def test_multi_datacenter_list(self, tmp_path):
         row = GOOD_TENANT.replace(",DC_EU1,", ',"DC_EU1; DC_US2",')

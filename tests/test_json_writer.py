@@ -27,13 +27,7 @@ from carbonalloc.report import (
     footprint_from_json,
     render_json,
 )
-from carbonalloc.units import (
-    SCOPE2_COMPONENTS,
-    CarbonIntensity,
-    EmissionsG,
-    Period,
-    Share,
-)
+from carbonalloc.units import SCOPE2_COMPONENTS, Period
 
 texts = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀'),
                           st.characters(exclude_categories=("Cs",))),
@@ -79,10 +73,10 @@ def dc_footprints(draw, tenant_id, dc_id):
         component_energy[category] = sum(d.energy_wh for d in drawn)
     return DcFootprint(
         datacenter_id=dc_id, name=draw(texts), region=draw(texts),
-        grid_intensity=CarbonIntensity(intensity),
+        grid_intensity=intensity,
         responsibility=ResponsibilityRatio(
             tenant_id=tenant_id, datacenter_id=dc_id,
-            scope2_share=Share(draw(fractions)), l_share=Share(l_share)),
+            scope2_share=draw(fractions), l_share=l_share),
         scope1=draw(amounts), scope3=draw(amounts),
         component_energy=component_energy,
         green_offset=draw(offsets), rec_offset=draw(offsets),
@@ -101,9 +95,7 @@ def footprints(draw):
     per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
     agents = draw(st.integers(1, 10**6))
     history = draw(st.lists(
-        st.builds(HistoryEntry, periods, st.builds(EmissionsG, prior_gross),
-                  st.builds(EmissionsG, st.floats(-1e15, 1e15),
-                            allow_negative=st.just(True))),
+        st.builds(HistoryEntry, periods, prior_gross, st.floats(-1e15, 1e15)),
         max_size=2))
     return Footprint(
         tenant_id=tenant_id, display_name=draw(texts), agent_count=agents,
@@ -112,8 +104,7 @@ def footprints(draw):
 
 factor_sets = st.builds(
     EquivalencyFactors,
-    *(st.builds(EmissionsG, st.floats(min_value=1e-300, max_value=1e9))
-      for _ in range(3)),
+    *(st.floats(min_value=1e-300, max_value=1e9) for _ in range(3)),
     source_note=texts)
 
 

@@ -31,7 +31,7 @@ from carbonalloc.power import (
     read_models,
     write_models,
 )
-from carbonalloc.units import EnergyWh
+from carbonalloc.units import check_energy
 
 TRUE_WEIGHTS = (10.0, 500.0, 1e-6, 2e-9, 5e-10)  # intercept, cpu, cache, dram, disk
 
@@ -51,7 +51,7 @@ def synth_samples(n: int, weights=TRUE_WEIGHTS, seed: int = 7,
         if noise:
             energy += rng.gauss(0.0, noise)
         out.append(CalibrationSample(u, cache, dram, disk,
-                                     EnergyWh(max(energy, 0.0))))
+                                     max(energy, 0.0)))
     return out
 
 
@@ -124,7 +124,7 @@ class TestFitServerWeights:
     def test_constant_energy_fits_with_unit_r2(self):
         samples = [CalibrationSample(s.cpu_utilization, s.cache_moved,
                                      s.dram_accessed, s.disk_moved,
-                                     EnergyWh(75.0))
+                                     75.0)
                    for s in synth_samples(20)]
         model = fit_server_weights(samples)
         assert math.isclose(model.intercept, 75.0, rel_tol=1e-9)
@@ -152,11 +152,11 @@ class TestEstimateServerEnergy:
     def test_known_row_is_exact(self):
         # 10 + 500*0.10 + 1e-6*2e7 + 2e-9*5e9 + 5e-10*2e10 evaluates to
         # exactly 100.0 in binary floating point with left-to-right addition.
-        assert estimate_server_energy(self.MODEL, server_row()).value == 100.0
+        assert estimate_server_energy(self.MODEL, server_row()) == 100.0
 
     def test_zero_usage_gives_intercept(self):
         row = server_row(util=0.0, cache=0.0, dram=0.0, disk=0.0)
-        assert estimate_server_energy(self.MODEL, row).value == 10.0
+        assert estimate_server_energy(self.MODEL, row) == 10.0
 
     def test_negative_prediction_clamped_and_logged(self, caplog):
         model = ServerPowerModel("ABC_987", intercept=-50.0, w_cpu=10.0,
@@ -165,7 +165,7 @@ class TestEstimateServerEnergy:
         row = server_row(util=0.1, cache=0.0, dram=0.0, disk=0.0)
         with caplog.at_level(logging.WARNING, logger="carbonalloc.power"):
             energy = estimate_server_energy(model, row)
-        assert energy.value == 0.0
+        assert energy == 0.0
         assert any("clamp" in rec.message.lower() for rec in caplog.records)
 
     def test_model_row_mismatch_rejected(self):
@@ -175,71 +175,69 @@ class TestEstimateServerEnergy:
 
 class TestEstimateNetworkEnergy:
     def test_terabyte_pair_is_exact(self):
-        assert estimate_network_energy(network_row(10**12, 10**12)).value == 120000.0
+        assert estimate_network_energy(network_row(10**12, 10**12)) == 120000.0
 
     def test_direction_totals_pool(self):
-        assert estimate_network_energy(network_row(2 * 10**12, 0)).value == 120000.0
+        assert estimate_network_energy(network_row(2 * 10**12, 0)) == 120000.0
 
     def test_zero_traffic(self):
-        assert estimate_network_energy(network_row(0, 0)).value == 0.0
+        assert estimate_network_energy(network_row(0, 0)) == 0.0
 
     def test_correctly_rounded_above_2_53(self):
         total = 2**53 + 1
-        got = estimate_network_energy(network_row(total, 0)).value
+        got = estimate_network_energy(network_row(total, 0))
         assert got == 540431955.2844596
         assert got == float(Fraction(6 * total, 10**8))
 
     def test_nominal_constant_matches_implementation(self):
-        got = estimate_network_energy(network_row(1, 0)).value
+        got = estimate_network_energy(network_row(1, 0))
         assert math.isclose(got, NETWORK_WH_PER_BYTE, rel_tol=1e-15)
 
     @given(st.integers(min_value=0, max_value=10**14),
            st.integers(min_value=0, max_value=10**14))
     def test_monotone_and_additive(self, sent, received):
-        total = estimate_network_energy(network_row(sent, received)).value
-        swapped = estimate_network_energy(network_row(received, sent)).value
+        total = estimate_network_energy(network_row(sent, received))
+        swapped = estimate_network_energy(network_row(received, sent))
         assert total == swapped
-        parts = (estimate_network_energy(network_row(sent, 0)).value
-                 + estimate_network_energy(network_row(0, received)).value)
+        parts = (estimate_network_energy(network_row(sent, 0))
+                 + estimate_network_energy(network_row(0, received)))
         assert math.isclose(total, parts, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestAllocateSharedEnergy:
-    COOLING = (SharedDevice("CRAC_1", EnergyWh(10000.0)),)
+    COOLING = (SharedDevice("CRAC_1", 10000.0),)
 
     def test_quarter_share_is_exact(self):
-        got = allocate_shared_energy(self.COOLING, EnergyWh(2500.0),
-                                     EnergyWh(10000.0))
-        assert got.value == 2500.0
+        got = allocate_shared_energy(self.COOLING, 2500.0, 10000.0)
+        assert got == 2500.0
 
     def test_sole_tenant_takes_all(self):
-        got = allocate_shared_energy(self.COOLING, EnergyWh(123.0),
-                                     EnergyWh(123.0))
-        assert got.value == 10000.0
+        got = allocate_shared_energy(self.COOLING, 123.0, 123.0)
+        assert got == 10000.0
 
     def test_no_shared_devices_is_zero_even_with_zero_direct(self):
-        got = allocate_shared_energy((), EnergyWh(0.0), EnergyWh(0.0))
-        assert got.value == 0.0
+        got = allocate_shared_energy((), 0.0, 0.0)
+        assert got == 0.0
 
     def test_zero_direct_total_with_shared_energy_raises(self):
         with pytest.raises(ZeroDenominator):
-            allocate_shared_energy(self.COOLING, EnergyWh(0.0), EnergyWh(0.0),
+            allocate_shared_energy(self.COOLING, 0.0, 0.0,
                                    context="DC_EU1 cooling")
 
     def test_sum_order_is_device_id_order(self):
-        devices = [SharedDevice("B", EnergyWh(0.1)), SharedDevice("A", EnergyWh(0.2))]
-        got = allocate_shared_energy(devices, EnergyWh(1.0), EnergyWh(1.0))
-        assert got.value == 0.2 + 0.1  # sorted ids: A then B
+        devices = [SharedDevice("B", 0.1), SharedDevice("A", 0.2)]
+        got = allocate_shared_energy(devices, 1.0, 1.0)
+        assert got == 0.2 + 0.1  # sorted ids: A then B
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=0.01, max_value=1e9), min_size=2,
                     max_size=50),
            st.floats(min_value=0.0, max_value=1e9))
     def test_allocations_conserve_shared_total(self, directs, shared_wh):
-        devices = (SharedDevice("CRAC_1", EnergyWh(shared_wh)),)
-        total_direct = EnergyWh(math.fsum(directs))
+        devices = (SharedDevice("CRAC_1", shared_wh),)
+        total_direct = math.fsum(directs)
         allocated = math.fsum(
-            allocate_shared_energy(devices, EnergyWh(d), total_direct).value
+            allocate_shared_energy(devices, d, total_direct)
             for d in directs)
         assert math.isclose(allocated, shared_wh, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -284,8 +282,8 @@ class TestModelFiles:
         groups = read_calibration_samples(path)
         assert sorted(groups) == ["ABC_987", "XYZ_123"]
         assert len(groups["ABC_987"]) == 2
-        assert groups["ABC_987"][0].measured_energy.value == 120.5
+        assert groups["ABC_987"][0].measured_energy == 120.5
 
     def test_measured_energy_must_be_nonnegative(self):
         with pytest.raises(UnitError):
-            CalibrationSample(0.1, 0.0, 0.0, 0.0, EnergyWh(-1.0))
+            CalibrationSample(0.1, 0.0, 0.0, 0.0, check_energy(-1.0))

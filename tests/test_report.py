@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from carbonalloc.allocation import HistoryEntry, compute_footprints
+from carbonalloc.allocation import (
+    DcFootprint,
+    DeviceShare,
+    Footprint,
+    HistoryEntry,
+    ResponsibilityRatio,
+    compute_footprints,
+)
 from carbonalloc.cli import EXIT_VALIDATION, main
 from carbonalloc.history import HistoryStore
 from carbonalloc.report import (
@@ -23,7 +30,7 @@ from carbonalloc.report import (
     render_onepage,
 )
 from carbonalloc.synth import generate_fleet
-from carbonalloc.units import SCOPE2_COMPONENTS, EmissionsG, Period
+from carbonalloc.units import SCOPE2_COMPONENTS, Period
 
 VERBATIM_FIELDS = ("isAggregate", "cacheMoved", "dramAccessed", "diskMoved",
                    "bytesSent", "bytesReceived", "deviceModel", "deviceType")
@@ -138,7 +145,7 @@ class TestRenderJson:
 
     def test_overflowing_pct_change_renders_as_infinity(self, fixture_footprint,
                                                         factors):
-        prior = HistoryEntry(Period(2025, 5), EmissionsG(1e-300), EmissionsG(0.0))
+        prior = HistoryEntry(Period(2025, 5), 1e-300, 0.0)
         fp = dataclasses.replace(fixture_footprint, history=(prior,))
         content = render_json(fp, factors).content
         assert b'"pctChange": Infinity\n' in content
@@ -274,6 +281,73 @@ def test_golden_reports_parse_and_re_render_identically():
                     == content), path
 
 
+# Fields the parser never reads back, each given a value the writer cannot
+# have written for the rest of its report.
+@pytest.mark.parametrize("report, path, value", [
+    ("audit_demo/out/reports/TENANT_05/2025-06.json",
+     "summary.scopes.scope1.emissions", 12345.0),
+    ("audit_demo/out/reports/TENANT_05/2025-06.json", "offsets.netEmissions", -1.0),
+    ("audit_demo/out/reports/TENANT_05/2025-06.json", "equivalencies.carKm", 1.0),
+    ("audit_demo/out/reports/TENANT_05/2025-06.json", "offsets.overOffset", True),
+    ("reports_demo/TENANT_01/2025-06.json", "summary.history[0].pctChange", 1.0),
+])
+def test_tampered_derived_only_field_refused(report, path, value):
+    doc = json.loads((GOLDEN / report).read_bytes())
+    footprint_from_json(doc)
+    *parents, key = re.findall(r"\w+", path)
+    holder = doc
+    for part in parents:
+        holder = holder[int(part) if part.isdigit() else part]
+    assert holder[key] != value
+    holder[key] = value
+    with pytest.raises(ReportError, match=(
+            f"^malformed report JSON: {re.escape(path)}: stored .*, but the "
+            "report's other figures give ")):
+        footprint_from_json(doc)
+
+
+# The records a footprint is made of; anything else in them is a value.
+RECORDS = (Footprint, DcFootprint, ResponsibilityRatio, HistoryEntry, DeviceShare,
+           Period)
+# Whole-number fields; every other value that is not text is a figure.
+COUNTS = {"agent_count", "bytes_sent", "bytes_received", "year", "month"}
+
+
+def values(record, name=""):
+    """Every (field name, value) held by ``record``, through the fields of
+    :data:`RECORDS` and through tuples, lists and dicts."""
+    if isinstance(record, RECORDS):
+        members = [(f, getattr(record, f)) for f in (
+            record._fields if isinstance(record, tuple) else
+            [f.name for f in dataclasses.fields(record)])]
+    elif isinstance(record, (tuple, list, dict)):
+        members = [(name, member) for member in
+                   (record.values() if isinstance(record, dict) else record)]
+    else:
+        return [(name, record)]
+    return [found for key, member in members for found in values(member, key)]
+
+
+def test_every_figure_is_a_built_in_float(tmp_path, factors):
+    fleet = generate_fleet(seed=3, n_tenants=3, n_dcs=2)
+    footprints = compute_footprints(fleet.raw, fleet.models)
+    assert footprints[0].period == Period(2025, 1)
+    store = HistoryStore(tmp_path)
+    for fp in footprints:
+        store.save(fp.tenant_id, fp.period, render_json(fp, factors).content)
+    # The same figures a month later, with this month read back as history.
+    later = [dataclasses.replace(fp, period=Period(2025, 2), history=(
+        store.prior_entries(fp.tenant_id, Period(2025, 2)))) for fp in footprints]
+    reread = [footprint_from_json(render_json(fp, factors).content) for fp in later]
+    found = [(name, value) for name, value in
+             values(footprints) + values(later) + values(reread)
+             if type(value) is not str]
+    assert {name for name, _ in found} >= COUNTS | {
+        "grid_intensity", "ratio", "scope2", "gross_total", "gross", "energy_wh"}
+    for name, value in found:
+        assert type(value) is (int if name in COUNTS else float), (name, value)
+
+
 class TestFactors:
     def test_load_valid_file(self, tmp_path):
         path = tmp_path / "eq.json"
@@ -282,7 +356,7 @@ class TestFactors:
             "smartphone_charge_g": 8.22, "source_note": "public factors",
         }), encoding="utf-8")
         factors = load_equivalency_factors(path)
-        assert factors.flight_ams_nyc.value == 500000.0
+        assert factors.flight_ams_nyc == 500000.0
         assert factors.source_note == "public factors"
 
     def test_missing_key_rejected(self, tmp_path):
@@ -293,8 +367,7 @@ class TestFactors:
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(Exception):
-            EquivalencyFactors(EmissionsG(0.0), EmissionsG(250.0),
-                               EmissionsG(8.22), "note")
+            EquivalencyFactors(0.0, 250.0, 8.22, "note")
 
     def test_factors_embedded_and_recoverable(self, fixture_doc, factors):
         assert factors_from_json(fixture_doc.content) == factors
@@ -302,29 +375,27 @@ class TestFactors:
 
 class TestEquivalencies:
     def test_simple_division(self, factors):
-        got = compute_equivalencies(EmissionsG(1800000.0), factors)
+        got = compute_equivalencies(1800000.0, factors)
         assert got["flights"] == 3.6
         assert got["car_km"] == 7200.0
         assert math.isclose(got["charges"], 1800000.0 / 8.22, rel_tol=1e-12)
 
     def test_zero_gross(self, factors):
-        got = compute_equivalencies(EmissionsG(0.0), factors)
+        got = compute_equivalencies(0.0, factors)
         assert got == {"flights": 0.0, "car_km": 0.0, "charges": 0.0}
 
 
 class TestTrend:
     def test_pct_change_against_prior(self, fixture_footprint):
         from carbonalloc.allocation import HistoryEntry
-        history = (HistoryEntry(Period(2025, 5), EmissionsG(2000000.0),
-                                EmissionsG(2000000.0)),)
+        history = (HistoryEntry(Period(2025, 5), 2000000.0, 2000000.0),)
         fp = dataclasses.replace(fixture_footprint, history=history)
         (delta,) = compute_trend(fp)
         assert delta.pct_change == pytest.approx(-10.0)
 
     def test_zero_prior_yields_no_percentage(self, fixture_footprint):
         from carbonalloc.allocation import HistoryEntry
-        history = (HistoryEntry(Period(2025, 5), EmissionsG(0.0),
-                                EmissionsG(0.0)),)
+        history = (HistoryEntry(Period(2025, 5), 0.0, 0.0),)
         fp = dataclasses.replace(fixture_footprint, history=history)
         (delta,) = compute_trend(fp)
         assert delta.pct_change is None
@@ -335,7 +406,7 @@ class TestTrend:
 
 def attach_history(fp, months_and_gross):
     from carbonalloc.allocation import HistoryEntry
-    entries = tuple(HistoryEntry(Period(2025, m), EmissionsG(g), EmissionsG(g))
+    entries = tuple(HistoryEntry(Period(2025, m), g, g)
                     for m, g in months_and_gross)
     return dataclasses.replace(fp, history=entries)
 
@@ -417,11 +488,11 @@ class TestRenderOnepage:
     def test_over_offset_notice(self, factors):
         fleet = generate_fleet(seed=3, n_tenants=3, n_dcs=2)
         raw = fleet.raw
-        bumped = {dc_id: dataclasses.replace(dc, rec_offset=EmissionsG(1e12))
+        bumped = {dc_id: dataclasses.replace(dc, rec_offset=1e12)
                   for dc_id, dc in raw.datacenters.items()}
         raw2 = dataclasses.replace(raw, datacenters=bumped)
         fp = compute_footprints(raw2, fleet.models)[0]
-        assert fp.net_total.value < 0
+        assert fp.net_total < 0
         html = render_onepage(fp, factors).content.decode("utf-8")
         assert "Offsets exceed gross emissions" in html
 
@@ -443,7 +514,7 @@ class TestHistoryStore:
         store.save("TENANT_X", Period(2025, 6), fixture_doc.content)
         entry = store.load_entry("TENANT_X", Period(2025, 6))
         assert entry is not None
-        assert entry.gross.value == 1800000.0
+        assert entry.gross == 1800000.0
         assert (tmp_path / "TENANT_X" / "2025-06.json").exists()
 
     def test_missing_entry_is_none(self, tmp_path):

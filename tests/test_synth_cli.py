@@ -104,9 +104,9 @@ class TestGenerateFleet:
         fleet = generate_fleet(seed=7, n_tenants=3, n_dcs=2, with_offsets=False)
         for dc in fleet.raw.datacenters.values():
             assert dc.fuel_log == ()
-            assert dc.scope3_total.value == 0.0
-            assert dc.green_energy.value == 0.0
-            assert dc.rec_offset.value == 0.0
+            assert dc.scope3_total == 0.0
+            assert dc.green_energy == 0.0
+            assert dc.rec_offset == 0.0
 
     def test_byte_counters_are_even(self):
         # Even counts keep 0.5x scaling exercises integral.
@@ -979,6 +979,40 @@ def test_trend_thresholds_must_be_finite_and_non_negative(tmp_path, capsys,
               "--out-dir", str(tmp_path / "out"), f"--trend-thresholds={value}"])
     assert exit_info.value.code == 2
     assert "thresholds must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute", "audit"])
+def test_missing_model_names_its_first_servers_row(tmp_path, capsys, command):
+    fleet = tmp_path / "fleet"
+    assert main(["synth", "--seed", "7", "--tenants", "3", "--dcs", "2",
+                 "--out-dir", str(fleet)]) == EXIT_OK
+    ws = {"fleet": fleet, "models": fleet / "models.csv",
+          "factors": write_factors(tmp_path), "out": tmp_path / "out"}
+    assert run_compute(ws) == EXIT_OK
+    servers = (fleet / "servers.csv").read_text(encoding="utf-8").splitlines()
+    uses = [i for i, line in enumerate(servers, 1) if ",MODEL_A," in line]
+    assert len(uses) > 1
+    line_no = uses[0]
+    models = ws["models"].read_text(encoding="utf-8").splitlines()
+    ws["models"].write_text("\n".join(line for line in models
+                                      if not line.startswith("MODEL_A")) + "\n",
+                            encoding="utf-8")
+    capsys.readouterr()
+    ws["out"] = tmp_path / "out_broken"
+    code = (run_compute(ws) if command == "compute" else
+            run_audit(ws, tmp_path / "out" / "reports" / "TENANT_01" / "2025-06.json"))
+    assert code == EXIT_COMPUTATION
+    assert capsys.readouterr().err == ("no calibrated power model for device "
+                                       f"model(s): MODEL_A (servers.csv:{line_no})\n")
+
+
+def test_synth_refuses_l_share_out_of_range(tmp_path, capsys):
+    out = tmp_path / "fleet"
+    assert main(["synth", "--seed", "3", "--tenants", "3", "--dcs", "2",
+                 "--out-dir", str(out), "--l-share", "1.5"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("cannot generate fleet: share must be "
+                                       "within [0, 1], got 1.5\n")
+    assert not out.exists()
 
 
 def test_synth_default_period_is_stable():

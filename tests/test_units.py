@@ -1,65 +1,87 @@
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from carbonalloc.errors import UnitError
 from carbonalloc.units import (
-    CarbonIntensity,
-    EmissionsG,
-    EnergyWh,
     Period,
-    Share,
-    emissions_from_energy,
+    check_emissions,
+    check_energy,
+    check_share,
 )
 
 
 class TestEnergyWh:
     def test_accepts_zero_and_positive(self):
-        assert EnergyWh(0.0).value == 0.0
-        assert EnergyWh(120000.0).value == 120000.0
+        assert check_energy(0.0) == 0.0
+        assert check_energy(120000.0) == 120000.0
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf"), True])
     def test_rejects(self, bad):
         with pytest.raises(UnitError):
-            EnergyWh(bad)
+            check_energy(bad)
 
-    def test_addition(self):
-        assert (EnergyWh(100000.0) + EnergyWh(20000.0)).value == 120000.0
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            EnergyWh(1.0).value = 2.0  # type: ignore[misc]
+    @pytest.mark.parametrize("bad, message", [
+        (-1.0, "energy must be >= 0 Wh, got -1.0"),
+        (float("nan"), "energy (Wh) must be finite, got nan"),
+        (float("-inf"), "energy (Wh) must be finite, got -inf"),
+        (True, "energy (Wh) must be a number, got bool"),
+        ("1", "energy (Wh) must be a number, got str"),
+    ])
+    def test_messages(self, bad, message):
+        with pytest.raises(UnitError) as raised:
+            check_energy(bad)
+        assert str(raised.value) == message
 
 
 class TestEmissionsG:
     def test_rejects_negative_by_default(self):
         with pytest.raises(UnitError):
-            EmissionsG(-5.0)
+            check_emissions(-5.0)
 
     def test_allow_negative_for_net_figures(self):
-        assert EmissionsG(-5.0, allow_negative=True).value == -5.0
+        assert check_emissions(-5.0, allow_negative=True) == -5.0
 
     def test_sum_of_nonnegatives_stays_valid(self):
-        total = EmissionsG(40000.0) + EmissionsG(1760000.0)
-        assert total.value == 1800000.0
+        total = check_emissions(check_emissions(40000.0) + check_emissions(1760000.0))
+        assert total == 1800000.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(UnitError):
-            EmissionsG(bad, allow_negative=True)
+            check_emissions(bad, allow_negative=True)
+
+    @pytest.mark.parametrize("bad, allow_negative, message", [
+        (-5.0, False, "emissions must be >= 0 gCO2e, got -5.0"),
+        (float("inf"), False, "emissions (gCO2e) must be finite, got inf"),
+        (float("inf"), True, "emissions (gCO2e) must be finite, got inf"),
+        (10**400, True, f"emissions (gCO2e) must be finite, got {10**400!r}"),
+        (None, False, "emissions (gCO2e) must be a number, got NoneType"),
+    ])
+    def test_messages(self, bad, allow_negative, message):
+        with pytest.raises(UnitError) as raised:
+            check_emissions(bad, allow_negative=allow_negative)
+        assert str(raised.value) == message
 
 
 class TestShare:
     @pytest.mark.parametrize("ok", [0.0, 0.25, 1.0])
     def test_bounds_inclusive(self, ok):
-        assert Share(ok).value == ok
+        assert check_share(ok) == ok
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0000001, float("nan")])
     def test_out_of_range(self, bad):
         with pytest.raises(UnitError):
-            Share(bad)
+            check_share(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.5, "share must be within [0, 1], got 1.5"),
+        (-0.1, "share must be within [0, 1], got -0.1"),
+        (float("nan"), "share must be finite, got nan"),
+        (float("inf"), "share must be finite, got inf"),
+    ])
+    def test_messages(self, bad, message):
+        with pytest.raises(UnitError) as raised:
+            check_share(bad)
+        assert str(raised.value) == message
 
 
 class TestPeriod:
@@ -81,24 +103,3 @@ class TestPeriod:
 
     def test_ordering(self):
         assert Period(2024, 12) < Period(2025, 1) < Period(2025, 2)
-
-
-class TestEmissionsFromEnergy:
-    def test_report_figures_are_exact(self):
-        # 100000 Wh at 0.4 g/Wh and 4500000 Wh at 0.4 g/Wh are both exactly
-        # representable products; no tolerance needed.
-        assert emissions_from_energy(EnergyWh(100000.0), CarbonIntensity(0.4)).value == 40000.0
-        assert emissions_from_energy(EnergyWh(4500000.0), CarbonIntensity(0.4)).value == 1800000.0
-
-    def test_zero_energy(self):
-        assert emissions_from_energy(EnergyWh(0.0), CarbonIntensity(0.4)).value == 0.0
-
-    @given(
-        energy=st.floats(min_value=0.0, max_value=1e12),
-        intensity=st.floats(min_value=0.0, max_value=10.0),
-        k=st.floats(min_value=0.001, max_value=1000.0),
-    )
-    def test_scales_linearly(self, energy, intensity, k):
-        base = emissions_from_energy(EnergyWh(energy), CarbonIntensity(intensity)).value
-        scaled = emissions_from_energy(EnergyWh(energy * k), CarbonIntensity(intensity)).value
-        assert math.isclose(scaled, base * k, rel_tol=1e-12, abs_tol=1e-12)
