@@ -36,9 +36,10 @@ records also check the component keys, unique data centers, the history
 length, and device energies adding up to their category totals. Their other
 inputs are checked where they enter: by ingest, by the report parser's field
 table, by phase 1, which checks every pair's and data center's energy and
-Scope 2 for the whole fleet, or, for a pair's Scope 2 share, where its
-ratio is built. Device detail (:class:`DeviceShare`) is not checked one
-device at a time: it is bounded by its pair's totals.
+Scope 2, and each data center's fuel total and green offset, for the whole
+fleet, or, for a pair's Scope 2 share, where its ratio is built. Device
+detail (:class:`DeviceShare`) is not checked one device at a time: it is
+bounded by its pair's totals.
 """
 
 from __future__ import annotations
@@ -316,7 +317,9 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     one the per-pair detail reproduces. Raises :class:`MissingModel`, naming
     the first servers.csv row of each missing model, :class:`ModelMismatch`,
     :class:`ZeroDenominator` and the unit errors of non-finite energies for
-    the whole fleet, whichever tenant is asked for afterwards. Negative server
+    the whole fleet, whichever tenant is asked for afterwards, as well as
+    the unit error of a data center whose fuel total or green offset
+    overflows, prefixed with its datacenters.csv row. Negative server
     estimates are clamped to zero silently: phase 2 warns about the devices
     it builds.
     """
@@ -361,6 +364,11 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
         dc = raw.datacenters[dc_id]
         cooling[dc_id] = shared_energy_total(dc.cooling_devices)
         other[dc_id] = shared_energy_total(dc.other_devices)
+        try:
+            check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
+            check_emissions(dc.green_energy * dc.grid_intensity)
+        except UnitError as exc:
+            raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
 
     scope2: dict[str, float] = {}
     for (tenant_id, dc_id), pair in pair_direct.items():

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from .allocation import (
     AuditReport,
@@ -54,6 +54,7 @@ from .report import (
     load_equivalency_factors,
     render_json,
     render_onepage,
+    report_differences,
     report_identity,
 )
 from .synth import generate_fleet, write_fleet
@@ -198,74 +199,13 @@ def cmd_compute(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _diff_json(expected: Any, actual: Any, path: str,
-               out: list[tuple[str, Any, Any]]) -> None:
-    """Collect value-level differences between two parsed JSON trees."""
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        # Expected keys in their order, then the keys only ``actual`` has in
-        # its order: the lines come out in document order, whatever the
-        # interpreter's hash seed.
-        for key in [*expected, *(k for k in actual if k not in expected)]:
-            child = f"{path}.{key}" if path else str(key)
-            if key not in expected:
-                out.append((child, "<absent>", actual[key]))
-            elif key not in actual:
-                out.append((child, expected[key], "<absent>"))
-            else:
-                _diff_json(expected[key], actual[key], child, out)
-        return
-    if isinstance(expected, list) and isinstance(actual, list):
-        for i in range(max(len(expected), len(actual))):
-            child = f"{path}[{i}]"
-            if i >= len(expected):
-                out.append((child, "<absent>", actual[i]))
-            elif i >= len(actual):
-                out.append((child, expected[i], "<absent>"))
-            else:
-                _diff_json(expected[i], actual[i], child, out)
-        return
-    if type(expected) is not type(actual) or expected != actual:
-        out.append((path, expected, actual))
-
-
-def _differs_from_stored(rendered: bytes, stored_doc: dict[str, Any],
-                         headline: str, source: str, label: str) -> bool:
-    """Whether ``rendered`` differs from a stored report; if so, say how.
-
-    The stored document is laid out with ``json.dumps(indent=2,
-    ensure_ascii=False)``, independently of the writer, so it compares equal
-    only when its keys, values and key order are those of ``rendered``. The
-    differences go to stderr: a first line starting with ``headline`` (the
-    file under check), then one line per differing dotted path. ``source``
-    names what ``rendered`` was made from and ``label`` its values.
-    """
-    canonical_stored = (json.dumps(stored_doc, indent=2, ensure_ascii=False)
-                        + "\n").encode("utf-8")
-    if rendered == canonical_stored:
-        return False
-
-    rendered_doc = json.loads(rendered)
-    diffs: list[tuple[str, Any, Any]] = []
-    _diff_json(rendered_doc, stored_doc, "", diffs)
-    if not diffs and (json.dumps(rendered_doc, sort_keys=True)
-                      == json.dumps(stored_doc, sort_keys=True)):
-        _err(f"{headline} has the {label} values, but its key order differs "
-             "from the canonical report")
-        return True
-    _err(f"{headline} differs from {source} in {len(diffs)} field(s):")
-    for field_path, exp, act in diffs:
-        _err(f"  {field_path}: {label} {exp!r}, report has {act!r}")
-    if not diffs:
-        _err("  (byte-level difference only; values are equal after parsing)")
-    return True
-
-
 def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
               equivalency_file: Path | None, history_dir: Path | None,
               l_share_override: float | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
-        stored_doc = load_doc(report_file.read_bytes())
+        content = report_file.read_bytes()
+        stored_doc = load_doc(content)
         tenant_id, period = report_identity(stored_doc)
     except (OSError, ReportError) as exc:
         _err(f"cannot read report under audit: {exc!r}")
@@ -284,10 +224,20 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
         fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
 
-    if _differs_from_stored(render_json(fp, factors).content, stored_doc,
-                            f"audit FAIL: {report_file}", "recomputation",
-                            "recomputed"):
-        return EXIT_AUDIT_MISMATCH
+    rendered = render_json(fp, factors).content
+    if rendered != content:
+        differences = list(report_differences(json.loads(rendered), stored_doc))
+        values = [d for d in differences if not d.key_order]
+        if values:
+            _err(f"audit FAIL: {report_file} differs from recomputation in "
+                 f"{len(values)} field(s):")
+            for d in values:
+                _err(f"  {d.path}: recomputed {d.written!r}, report has {d.stored!r}")
+            return EXIT_AUDIT_MISMATCH
+        if differences:
+            _err(f"audit FAIL: {report_file} has the recomputed values, but its "
+                 "key order differs from the canonical report")
+            return EXIT_AUDIT_MISMATCH
     print(f"audit PASS: {report_file} matches recomputation "
           f"({tenant_id}, {period})")
     return EXIT_OK
@@ -299,26 +249,21 @@ def cmd_report(report_file: Path, out_dir: Path,
     """Re-render both formats from an existing report JSON.
 
     The file must be exactly what the writer writes for the figures it
-    holds: rendered again with its own factors, it must equal the file's
-    canonical layout. Anything else exits 1 naming each differing field, and
-    nothing is written.
+    holds, which ``footprint_from_json`` checks by rendering it again with
+    its own factors. Anything else exits 1 naming the first differing
+    field, and nothing is written.
     """
     try:
-        stored_doc = load_doc(report_file.read_bytes())
-        fp = footprint_from_json(stored_doc)
-        own_factors = factors_from_json(stored_doc)
+        content = report_file.read_bytes()
+        fp = footprint_from_json(content)
         factors = (load_equivalency_factors(equivalency_file)
-                   if equivalency_file is not None else own_factors)
+                   if equivalency_file is not None else factors_from_json(content))
     except (OSError, ReportError, UnitError) as exc:
         _err(f"cannot re-render {report_file}: {exc}")
         return EXIT_VALIDATION
     if ID_PATTERN.fullmatch(fp.tenant_id) is None:
         _err(f"cannot re-render {report_file}: tenant id {fp.tenant_id!r} "
              "cannot name a report directory")
-        return EXIT_VALIDATION
-    if _differs_from_stored(render_json(fp, own_factors).content, stored_doc,
-                            f"cannot re-render {report_file}: the file",
-                            "its re-rendering", "re-rendered"):
         return EXIT_VALIDATION
 
     tenant_dir = out_dir / "reports" / fp.tenant_id

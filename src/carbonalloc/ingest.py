@@ -188,6 +188,7 @@ class DataCenter:
     scope3_total: float = 0.0
     green_energy: float = 0.0
     rec_offset: float = 0.0
+    source_ref: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -613,6 +614,7 @@ def read_datacenters(path: Path | str,
             scope3_total=row.nonneg("scope3_total", default="0"),
             green_energy=row.nonneg("green_energy", default="0"),
             rec_offset=row.nonneg("rec_offset", default="0"),
+            source_ref=row.ref,
         )
     return out
 

@@ -14,10 +14,11 @@ single sheet of A4.
 Every figure is a plain float. Those of a stored report are checked once,
 by the field table, before any record is built, so the parser,
 ``report_headline`` and ``factors_from_json`` pass them on unchecked; the
-records then check what they derive. ``footprint_from_json`` compares
-each stored copy of a derived figure with the record's, and each field
-never read back with the writer's text for it. An equivalency config is
-checked where it is loaded.
+records then check what they derive. A stored report is accepted by one
+rule: parse it, build the Footprint from its independent figures, render
+that once with the report's own factors, and compare the rendering with
+the report. ``report_differences`` names the first differing path. An
+equivalency config is checked where it is loaded.
 
 Equivalency factors are configuration, not constants: the packaged sample
 config documents its sources in ``source_note`` and operators are expected
@@ -34,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .allocation import (
     DcFootprint,
@@ -57,6 +58,8 @@ __all__ = [
     "compute_trend",
     "render_json",
     "footprint_from_json",
+    "report_differences",
+    "Difference",
     "load_doc",
     "report_identity",
     "report_headline",
@@ -165,9 +168,11 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 # A kind's ``write`` is the value's f-string replacement field, ``@``
 # standing for the accessor, and its ``test`` accepts the stored values the
 # writer can have written. Aggregates, equivalencies, trend percentages and
-# over-offset flags have no test and are never read back: each must be
-# spelled as the writer spells it for the parsed report. A record's derived
-# figures are read back, and must equal what the record derives.
+# over-offset flags have no test. They are never read back, and neither are
+# the figures a record derives (a data center's gross, say) or a device's
+# emissions. The parser renders the Footprint it builds and compares that
+# with the report, so each must be spelled as the writer spells it for the
+# other figures.
 
 
 class _Kind(NamedTuple):
@@ -227,7 +232,8 @@ def _summed(figure: str) -> tuple[_Kind, str]:
 
 
 # Each device map's category and entry. An entry is read back as the
-# DeviceShare whose fields are the attributes its members are written from.
+# DeviceShare whose fields are the attributes its members are written from,
+# but for its emissions, which the parser derives from its energy.
 _DEVICES = {
     "servers": ("server", _device(
         "ServerDevice", ("deviceModel", (_STRING, "o.device_model")),
@@ -243,7 +249,8 @@ _DEVICES = {
     "other": ("other", _device("SharedDevice")),
 }
 _DEVICE_FIELDS = {name: [(key, accessor[2:]) for key, (_, accessor) in item.items()
-                         if accessor] for name, (_, item) in _DEVICES.items()}
+                         if accessor and key != "emissions"]
+                  for name, (_, item) in _DEVICES.items()}
 
 _ZERO = _const(0.0)
 _DATACENTER = {
@@ -382,11 +389,11 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
     """Render the detailed JSON report with deterministic bytes.
 
     The text is byte for byte what ``json.dumps(tree, indent=2,
-    ensure_ascii=False) + "\\n"`` gives for the equivalent tree; ``audit``
-    checks every stored report against that reference. Data center maps
-    keep ``fp.per_dc`` order and device maps sorted id order. Numbers must
-    be Python ints and floats, as the engine and ``footprint_from_json``
-    produce them.
+    ensure_ascii=False) + "\\n"`` gives for the equivalent tree, so a stored
+    report in another layout can be compared through its parsed tree, as
+    ``report_differences`` does. Data center maps keep ``fp.per_dc`` order
+    and device maps sorted id order. Numbers must be Python ints and
+    floats, as the engine and ``footprint_from_json`` produce them.
     """
     text = _write_report(fp, factors, compute_equivalencies(fp.gross_total, factors))
     return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
@@ -496,37 +503,26 @@ def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactor
                               _stored(doc, "equivalencies", "sourceNote"))
 
 
-def _same(stored: Any, derived: float, path: str) -> None:
-    """Refuse a stored copy of a derived figure unless it is exactly that figure."""
-    if stored != derived:
-        raise _malformed(path, f"stored {stored!r}, but the report's other "
-                               f"figures give {derived!r}")
-
-
 def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint:
     """A data center entry's record, built from its independent figures,
-    whose device figures must add up as the engine's do."""
+    whose device energies must add up as the engine's do."""
     scopes = dc["scopes"]
     scope2 = scopes["scope2"]
     energy = {name: c["energy"] for name, c in scope2["components"].items()}
     intensity, l_share = dc["gridIntensity"], dc["lShare"]
     devices = tuple(
-        DeviceShare(k, category, **{attr: entry[key]
-                                    for key, attr in _DEVICE_FIELDS[name]})
+        DeviceShare(k, category, emissions_g=entry["energy"] * intensity * l_share,
+                    **{attr: entry[key] for key, attr in _DEVICE_FIELDS[name]})
         for name, (category, _) in _DEVICES.items()
         for k, entry in scope2["devices"][name].items())
-    at = f"datacenters.{dc_id}."
     try:
         TenantDcScope2(tenant_id, dc_id,
                        *(energy[name] for name in SCOPE2_COMPONENTS),
                        devices, intensity, l_share)
     except UnitError as exc:
-        raise _malformed(at + "scopes.scope2.devices", str(exc)) from exc
-    for name in _DEVICES:
-        for k, entry in scope2["devices"][name].items():
-            _same(entry["emissions"], entry["energy"] * intensity * l_share,
-                  f"{at}scopes.scope2.devices.{name}.{k}.emissions")
-    record = DcFootprint(
+        raise _malformed(f"datacenters.{dc_id}.scopes.scope2.devices",
+                         str(exc)) from exc
+    return DcFootprint(
         datacenter_id=dc_id, name=dc["name"], region=dc["region"],
         grid_intensity=intensity,
         responsibility=ResponsibilityRatio(
@@ -536,75 +532,69 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
         green_offset=dc["offsets"]["greenEnergyOffset"],
         rec_offset=dc["offsets"]["recOffset"],
         devices=devices)
-    _same(dc["responsibility"], record.responsibility.ratio, at + "responsibility")
-    _same(scope2["emissions"], record.scope2, at + "scopes.scope2.emissions")
-    for name, component in scope2["components"].items():
-        _same(component["emissions"], record.component_emissions[name],
-              f"{at}scopes.scope2.components.{name}.emissions")
-    _same(dc["grossEmissions"], record.gross, at + "grossEmissions")
-    _same(dc["netEmissions"], record.net, at + "netEmissions")
-    return record
 
 
-def _compiled(expression: str) -> Callable[..., Any]:
-    """A table expression over ``o``, ``factors`` and ``eq`` as a function
-    of them, evaluated where the writer's are."""
-    return eval(f"lambda o, factors, eq: {expression}", _WRITERS)
+class Difference(NamedTuple):
+    """One place where a stored report departs from the writer's: a value
+    whose JSON spelling differs, ``"<absent>"`` standing for a key that one
+    side lacks, or, when ``key_order`` is set, an object that holds the
+    writer's keys in another order."""
+
+    path: str
+    written: Any
+    stored: Any
+    key_order: bool = False
 
 
-def _derived_only(spec: Any) -> Any:
-    """The part of ``spec`` that holds the fields never read back, or None.
+def report_differences(written: Any, stored: Any,
+                       path: str = "") -> Iterator[Difference]:
+    """Each difference of a parsed report ``stored`` from ``written``, the
+    parsed text the writer writes for it, in document order.
 
-    Such a field becomes a function of ``(o, factors, eq)`` giving the text
-    the writer writes for it; a list or map becomes ``(_Items, items)``,
-    where ``items`` gives what the writer writes its entries from.
+    Leaves compare by their ``json.dumps`` spelling, so ``-0.0`` differs
+    from ``0.0`` and ``1`` from ``1.0``: two trees differ here exactly when
+    their ``json.dumps`` layouts do. An object's key order comes before its
+    members, and the keys only ``stored`` has after the written ones.
     """
-    if type(spec) is dict:
-        kept = {key: part for key, member in spec.items()
-                if (part := _derived_only(member)) is not None}
-        return kept or None
-    kind, accessor = spec
-    if type(kind) is _Items:
-        item = _derived_only(kind.item)
-        return None if item is None else (_Items(item, kind.keyed), _compiled(accessor))
-    if kind.test is None:
-        return _compiled("f'''" + kind.write.replace("@", accessor) + "'''")
-    return None
-
-
-_DERIVED_ONLY = _derived_only(_REPORT)
-
-
-def _check_derived_only(stored: dict[str, Any], spec: dict[str, Any], o: Any,
-                        factors: EquivalencyFactors, eq: dict[str, float],
-                        path: str) -> None:
-    """Refuse a field of ``_DERIVED_ONLY`` unless it is stored as written."""
-    for key, member in spec.items():
-        at = f"{path}.{key}" if path else key
-        value = stored[key]
-        if type(member) is dict:
-            _check_derived_only(value, member, o, factors, eq, at)
-        elif type(member) is tuple:
-            kind, items = member
-            got = items(o, factors, eq)
-            for k, item in got if kind.keyed else enumerate(got):
-                _check_derived_only(value[k], kind.item, item, factors, eq,
-                                    f"{at}.{k}" if kind.keyed else f"{at}[{k}]")
-        elif (text := json.dumps(value)) != (written := member(o, factors, eq)):
-            raise _malformed(at, f"stored {text}, but the report's other "
-                                 f"figures give {written}")
+    if type(written) is dict and type(stored) is dict:
+        if written.keys() == stored.keys() and list(written) != list(stored):
+            yield Difference(path, list(written), list(stored), key_order=True)
+        for key in [*written, *(k for k in stored if k not in written)]:
+            at = f"{path}.{key}" if path else key
+            if key not in stored:
+                yield Difference(at, written[key], "<absent>")
+            elif key not in written:
+                yield Difference(at, "<absent>", stored[key])
+            else:
+                yield from report_differences(written[key], stored[key], at)
+    elif type(written) is list and type(stored) is list:
+        for i in range(max(len(written), len(stored))):
+            at = f"{path}[{i}]"
+            if i >= len(stored):
+                yield Difference(at, written[i], "<absent>")
+            elif i >= len(written):
+                yield Difference(at, "<absent>", stored[i])
+            else:
+                yield from report_differences(written[i], stored[i], at)
+    elif json.dumps(written) != json.dumps(stored):
+        yield Difference(path, written, stored)
 
 
 def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
-    """Rebuild a Footprint from a rendered JSON report.
+    """Rebuild a Footprint from a rendered JSON report, accepting the report
+    only if the Footprint re-renders to it.
 
     The report is checked against the table first, so ``ReportError`` names
-    the dotted path of a missing or unknown key, of a value the writer
-    cannot have written, or of a stored copy of a figure the Footprint derives
-    that is not exactly the derived figure. Every field never read back must
-    be spelled as the writer writes it for the Footprint and the report's own
-    factors. Floats round-trip losslessly, so the Footprint re-renders to the
-    identical bytes.
+    the dotted path of a missing or unknown key or of a value the writer
+    cannot have written. The Footprint is built from the independent
+    figures alone, and rendered once with the report's own factors. That
+    rendering must equal the report's canonical layout, ``json.dumps(doc,
+    indent=2, ensure_ascii=False)`` plus a newline. Bytes the writer wrote
+    pass by one comparison, other bytes through their parsed tree, and a
+    dict is laid out first. Otherwise ``ReportError`` names the first
+    difference in document order: a stored value the other figures do not
+    give, such as a copy of a derived figure one ulp off or a ``-0.0`` the
+    writer writes as ``0.0``, or an object whose keys are out of order.
     """
     doc = load_doc(source)
     _check(doc, _REPORT, "")
@@ -620,13 +610,19 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
                           for entry in summary["history"]))
     except OverflowError as exc:  # stored integers adding up beyond float range
         raise ReportError(f"malformed report JSON: {exc}") from exc
-    for key, derived in (("grossEmissions", fp.gross_total),
-                         ("netEmissions", fp.net_total),
-                         ("perAgentEmissions", fp.per_agent)):
-        _same(summary[key], derived, f"summary.{key}")
-    factors = factors_from_json(doc)
-    _check_derived_only(doc, _DERIVED_ONLY, fp, factors,
-                        compute_equivalencies(fp.gross_total, factors), "")
+    rendered = render_json(fp, factors_from_json(doc)).content
+    if isinstance(source, dict):
+        source = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    if rendered != source:
+        for at, written, stored, key_order in report_differences(
+                json.loads(rendered), doc):
+            if key_order:
+                raise _malformed(at or "the report",
+                                 "key order differs from the canonical report")
+            raise _malformed(at, f"stored {json.dumps(stored)}, but the report's "
+                                 f"other figures give {json.dumps(written)}")
     return fp
 
 

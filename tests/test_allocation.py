@@ -467,6 +467,49 @@ class TestComputeFootprints:
         assert any(new[tid].net_total < old[tid].net_total
                    for tid in new.keys() - outside)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_tenants=st.integers(1, 5),
+           n_dcs=st.integers(1, 3), l_share=st.sampled_from([1.0, 0.75]))
+    def test_doubling_every_energy_doubles_scope2_and_keeps_every_share(
+            self, seed, n_tenants, n_dcs, l_share):
+        """Scale invariance: doubling every model coefficient and intercept,
+        every byte counter and every metered shared energy doubles each
+        energy and each pair's Scope 2 exactly, and leaves every share, and
+        so Scope 1 and Scope 3, bit for bit as they were. Doubling is exact
+        in binary floating point, so no tolerance is needed."""
+        fleet = generate_fleet(seed, n_tenants, n_dcs, l_share=l_share)
+        raw = fleet.raw
+
+        def doubled(devices):
+            return tuple(dataclasses.replace(d, energy=2 * d.energy) for d in devices)
+
+        scaled_raw = dataclasses.replace(
+            raw,
+            network=tuple(dataclasses.replace(r, bytes_sent=r.bytes_sent * 2,
+                                              bytes_received=r.bytes_received * 2)
+                          for r in raw.network),
+            datacenters={dc_id: dataclasses.replace(
+                dc, cooling_devices=doubled(dc.cooling_devices),
+                other_devices=doubled(dc.other_devices))
+                for dc_id, dc in raw.datacenters.items()})
+        scaled_models = {name: dataclasses.replace(
+            m, intercept=2 * m.intercept, w_cpu=2 * m.w_cpu, w_cache=2 * m.w_cache,
+            w_dram=2 * m.w_dram, w_disk=2 * m.w_disk)
+            for name, m in fleet.models.items()}
+        before = compute_footprints(raw, fleet.models)
+        after = compute_footprints(scaled_raw, scaled_models)
+        assert [fp.tenant_id for fp in after] == [fp.tenant_id for fp in before]
+        for old_fp, new_fp in zip(before, after):
+            for old, new in zip(old_fp.per_dc, new_fp.per_dc, strict=True):
+                for share in ("scope2_share", "ratio"):
+                    assert (getattr(new.responsibility, share).hex()
+                            == getattr(old.responsibility, share).hex())
+                for name in SCOPE2_COMPONENTS:
+                    assert new.component_energy[name] == 2 * old.component_energy[name]
+                assert new.scope2 == 2 * old.scope2
+                assert new.scope1.hex() == old.scope1.hex()
+                assert new.scope3.hex() == old.scope3.hex()
+
     def test_history_attached_most_recent_first(self, tmp_path, fictitious_raw,
                                                 fictitious_models, factors):
         store = HistoryStore(tmp_path)

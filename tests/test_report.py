@@ -1,5 +1,6 @@
 """Report rendering: canonical JSON, equivalencies, trend, one-page HTML."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from carbonalloc import report as report_module
 from carbonalloc.allocation import (
     DcFootprint,
     DeviceShare,
@@ -16,7 +18,7 @@ from carbonalloc.allocation import (
     ResponsibilityRatio,
     compute_footprints,
 )
-from carbonalloc.cli import EXIT_VALIDATION, main
+from carbonalloc.cli import EXIT_AUDIT_MISMATCH, EXIT_VALIDATION, main
 from carbonalloc.history import HistoryStore
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -304,6 +306,123 @@ def test_tampered_derived_only_field_refused(report, path, value):
             f"^malformed report JSON: {re.escape(path)}: stored .*, but the "
             "report's other figures give ")):
         footprint_from_json(doc)
+
+
+def canonical(doc):
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def one_leaf_edits(node):
+    """``(holder, key, value)`` for each one-leaf edit of a parsed report:
+    every number moved one ulp away from zero, every zero written as
+    ``-0.0`` and every boolean flipped."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from one_leaf_edits(value)
+        elif isinstance(value, bool):
+            yield node, key, not value
+        elif isinstance(value, (int, float)):
+            yield node, key, math.nextafter(value, math.copysign(math.inf, value))
+            if value == 0:
+                yield node, key, -0.0
+
+
+@pytest.mark.parametrize("report, edits", [
+    ("reports_demo/TENANT_01/2025-06.json", 150),
+    ("audit_demo/out/reports/TENANT_05/2025-06.json", 185),
+])
+def test_every_one_leaf_edit_is_refused_or_re_renders_to_itself(report, edits):
+    """No edit of one stored value passes the parser unless the parsed
+    report re-renders, with its own factors, to the edited bytes: nothing a
+    report holds can change silently on a re-render."""
+    doc = json.loads((GOLDEN / report).read_bytes())
+    made, silent = 0, []
+    for holder, key, value in list(one_leaf_edits(doc)):
+        original, holder[key] = holder[key], value
+        content = canonical(doc)
+        holder[key] = original
+        made += 1
+        try:
+            fp = footprint_from_json(content)
+        except ReportError:
+            continue
+        if render_json(fp, factors_from_json(content)).content != content:
+            silent.append((key, original, value))
+    assert made == edits
+    assert silent == []
+
+
+# A stored -0.0 where the writer writes 0.0: equal as numbers, so only a
+# comparison of JSON spellings can name it.
+NEGATIVE_ZERO = "datacenters.DC_01.scopes.scope2.components.network.emissions"
+
+
+def test_negative_zero_named_by_audit_and_report(tmp_path, capsys):
+    demo = GOLDEN / "audit_demo"
+    doc = json.loads((demo / "out/reports/TENANT_05/2025-06.json").read_bytes())
+    network = doc["datacenters"]["DC_01"]["scopes"]["scope2"]["components"]["network"]
+    assert network["emissions"] == 0.0
+    network["emissions"] = -0.0
+    report = tmp_path / "report.json"
+    report.write_bytes(canonical(doc))
+    capsys.readouterr()
+    assert main(["audit", "--report", str(report), "--input-dir", str(demo / "fleet"),
+                 "--models", str(demo / "fleet" / "models.csv"),
+                 "--history-dir", str(demo / "out" / "history")]) == EXIT_AUDIT_MISMATCH
+    assert capsys.readouterr().err == (
+        f"audit FAIL: {report} differs from recomputation in 1 field(s):\n"
+        f"  {NEGATIVE_ZERO}: recomputed 0.0, report has -0.0\n")
+    assert main(["report", "--report", str(report),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"cannot re-render {report}: malformed report JSON: {NEGATIVE_ZERO}: "
+        "stored -0.0, but the report's other figures give 0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+KEY_ORDER_REPORT = GOLDEN / "reports_demo/TENANT_01/2025-06.json"
+
+
+@pytest.mark.parametrize("path", [
+    "tenant", "datacenters.DC_01.scopes.scope2.devices.servers",
+    "datacenters.DC_02.scopes.scope2.devices.servers"])
+def test_keys_out_of_order_refused_naming_the_object(path):
+    doc = json.loads(KEY_ORDER_REPORT.read_bytes())
+    *parents, key = path.split(".")
+    holder = doc
+    for part in parents:
+        holder = holder[part]
+    assert len(holder[key]) > 1
+    holder[key] = dict(reversed(holder[key].items()))
+    for source in (doc, canonical(doc)):
+        with pytest.raises(ReportError, match=(
+                f"^malformed report JSON: {re.escape(path)}: key order differs "
+                "from the canonical report$")):
+            footprint_from_json(source)
+
+
+def camel_case_keys(spec):
+    """Every camelCase key of the report schema table."""
+    if isinstance(spec, dict):
+        for key, member in spec.items():
+            if re.fullmatch(r"[a-z][a-z0-9]*[A-Z]\w*", key):
+                yield key
+            yield from camel_case_keys(member)
+    elif isinstance(spec, tuple) and isinstance(spec[0], report_module._Items):
+        yield from camel_case_keys(spec[0].item)
+
+
+def test_no_other_module_spells_a_report_key():
+    """The schema lives in one place: no module but report.py names a
+    report key as a string literal."""
+    keys = set(camel_case_keys(report_module._REPORT))
+    assert len(keys) == 29
+    package = Path(report_module.__file__).parent
+    spelled = [(path.name, node.value)
+               for path in sorted(package.glob("*.py")) if path.name != "report.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and node.value in keys]
+    assert spelled == []
 
 
 # The records a footprint is made of; anything else in them is a value.

@@ -627,14 +627,15 @@ class TestAuditCommand:
         assert run_compute(workspace) == code
         assert capsys.readouterr().err == audit_err
 
-    # A figure of the audited tenant that overflows to infinity is caught by
-    # the data center footprint's own check: a fuel log of 1e300 x 1e300 g
-    # makes Scope 1 infinite, green energy of 1e308 Wh at 10 g/Wh makes the
-    # green offset infinite and so the net -inf.
+    # A data center figure that overflows to infinity is caught by phase 1,
+    # naming its datacenters.csv row: a fuel log of 1e300 x 1e300 g makes the
+    # fuel total infinite, green energy of 1e308 Wh at 10 g/Wh the green
+    # offset.
     @pytest.mark.parametrize("fuel_log, intensity, green, message", [
         ("GEN_X:1e300:1e300", None, None,
-         "emissions (gCO2e) must be finite, got inf"),
-        (None, "10", "1e308", "emissions (gCO2e) must be finite, got -inf"),
+         "datacenters.csv:3: emissions (gCO2e) must be finite, got inf"),
+        (None, "10", "1e308",
+         "datacenters.csv:3: emissions (gCO2e) must be finite, got inf"),
     ], ids=["scope1", "net"])
     def test_overflowing_figure_fails_audit_as_compute(
             self, workspace, capsys, fuel_log, intensity, green, message):
@@ -655,6 +656,35 @@ class TestAuditCommand:
         assert run_audit(workspace, report) == EXIT_VALIDATION
         audit_err = capsys.readouterr().err
         assert audit_err == message + "\n"
+        workspace["out"] = workspace["root"] / "out_broken"
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == audit_err
+        assert not workspace["out"].exists()
+
+    @pytest.mark.parametrize("dc_row", [
+        "DC_99,Elsewhere,eu-west,0.3,,,GEN_99:1e300:1e300,,,",
+        "DC_99,Elsewhere,eu-west,10,,,,,1e308,",
+    ], ids=["fuel", "green-offset"])
+    def test_overflow_only_another_tenant_reaches_fails_audit_as_compute(
+            self, workspace, capsys, dc_row):
+        """Phase 1 bounds every data center's fuel total and green offset, so
+        an overflow in a data center the audited tenant does not use fails
+        the audit as it fails compute, naming the row."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        for name, row in (("datacenters.csv", dc_row),
+                          ("tenants.csv", "TENANT_99,Elsewhere,1,DC_99,1.0"),
+                          ("servers.csv",
+                           "DC_99,SRV_99,MODEL_A,TENANT_99,0.5,0.0,0.0,0.0")):
+            with open(workspace["fleet"] / name, "a", encoding="utf-8") as f:
+                f.write(row + "\n")
+        line = len((workspace["fleet"] / "datacenters.csv").read_text(
+            encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        audit_err = capsys.readouterr().err
+        assert audit_err == (f"datacenters.csv:{line}: emissions (gCO2e) must be "
+                             "finite, got inf\n")
         workspace["out"] = workspace["root"] / "out_broken"
         assert run_compute(workspace) == EXIT_VALIDATION
         assert capsys.readouterr().err == audit_err
