@@ -16,7 +16,7 @@ Scope 2 runs in two phases. Phase 1, :func:`fleet_totals`, sums plain floats
 over the whole fleet: each data center's direct energy, its cooling and
 other shared totals, and its Scope 2 total, which are the denominators of
 every tenant's shares. It raises the fleet's missing-model, zero-denominator
-and non-finite-energy errors. Phase 2 builds one pair's
+and overflow errors. Phase 2 builds one pair's
 :class:`TenantDcScope2`, with its device shares, from those totals.
 :func:`compute_footprints` runs phase 2 for every pair; :func:`tenant_footprint`
 runs it for one tenant's pairs only, which is what checking a single report
@@ -30,16 +30,16 @@ Every figure is a plain float in the units of :mod:`.units`. Figures that
 are functions of other fields of the same record are derived by the record,
 never passed in: a pair's Scope 2 ``emissions``, a ratio's ``ratio``, a data
 center footprint's ``scope2``, ``component_emissions``, ``gross`` and
-``net``, and a tenant's totals. The record checks each figure it derives
-with its unit's check, and a :class:`DcFootprint` its stored figures too;
-records also check the component keys, unique data centers, the history
-length, and device energies adding up to their category totals. Their other
-inputs are checked where they enter: by ingest, by the report parser's field
-table, by phase 1, which checks every pair's and data center's energy and
-Scope 2, and each data center's fuel total and green offset, for the whole
-fleet, or, for a pair's Scope 2 share, where its ratio is built. Device
-detail (:class:`DeviceShare`) is not checked one device at a time: it is
-bounded by its pair's totals.
+``net``, and a tenant's totals.
+
+Figures are checked in two places. Phase 1 bounds each data center's totals,
+naming its datacenters.csv row: direct, cooling and other energy, the fuel
+total, the green offset and Scope 2. :class:`Footprint` checks a tenant's
+``gross_total`` and ``net_total``. Every other figure is derived from
+non-negative inputs by monotone float operations, as a sum of bounded terms
+or as a ratio r <= 1 times a bounded figure, so one that overflows makes a
+tenant total inf or nan. The records check only their structure: the
+component keys, unique data centers and the history length.
 """
 
 from __future__ import annotations
@@ -57,13 +57,7 @@ from .power import (
     shared_energy_total,
     split_shared_wh,
 )
-from .units import (
-    SCOPE2_COMPONENTS,
-    Period,
-    check_emissions,
-    check_energy,
-    check_share,
-)
+from .units import SCOPE2_COMPONENTS, Period, check_emissions, check_energy
 
 __all__ = [
     "DeviceShare",
@@ -88,11 +82,6 @@ __all__ = [
 AUDIT_TOLERANCE = 1e-9
 
 
-def _close(actual: float, expected: float, tol: float = AUDIT_TOLERANCE) -> bool:
-    scale = max(abs(actual), abs(expected), 1.0)
-    return abs(actual - expected) <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # Per-device detail
 # ---------------------------------------------------------------------------
@@ -101,11 +90,11 @@ def _close(actual: float, expected: float, tol: float = AUDIT_TOLERANCE) -> bool
 class DeviceShare(NamedTuple):
     """One device's contribution to a tenant's Scope 2 in one data center.
 
-    ``energy_wh`` and ``emissions_g`` are checked through the totals they
-    are bounded by rather than one by one (see the module docstring). A
-    server keeps the usage counters its estimate came from, a network device
-    its byte counters; the other kind's counters stay at their defaults, and
-    a cooling or other share carries none.
+    ``energy_wh`` and ``emissions_g`` are bounded by their pair's totals
+    (see the module docstring). A server keeps the usage counters its
+    estimate came from, a network device its byte counters; the other kind's
+    counters stay at their defaults, and a cooling or other share carries
+    none.
     """
 
     device_id: str
@@ -132,8 +121,7 @@ class TenantDcScope2:
     """One tenant's Scope 2 in one data center, split into energy categories.
 
     ``emissions`` is derived: (e_server + e_network + e_cooling + e_other)
-    x grid intensity x load share. The device energies of each category must
-    add up to its total.
+    x grid intensity x load share.
     """
 
     tenant_id: str
@@ -148,19 +136,8 @@ class TenantDcScope2:
     l_share: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "emissions", check_emissions(
-            check_energy(self.total_energy) * self.c_dc * self.l_share))
-        by_category = {"server": 0.0, "network": 0.0, "cooling": 0.0, "other": 0.0}
-        for dev in self.per_device:
-            if dev.category not in by_category:
-                raise UnitError(f"unknown device category {dev.category!r}")
-            by_category[dev.category] += dev.energy_wh
-        for category, total in (("server", self.e_server), ("network", self.e_network),
-                                ("cooling", self.e_cooling), ("other", self.e_other)):
-            if not _close(by_category[category], total):
-                raise UnitError(
-                    f"{category} device energies sum to {by_category[category]!r}, "
-                    f"category total is {total!r}")
+        object.__setattr__(self, "emissions",
+                           self.total_energy * self.c_dc * self.l_share)
 
     @property
     def total_energy(self) -> float:
@@ -183,7 +160,7 @@ class ResponsibilityRatio:
     ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", check_share(self.scope2_share * self.l_share))
+        object.__setattr__(self, "ratio", self.scope2_share * self.l_share)
 
 
 @dataclass(frozen=True)
@@ -235,15 +212,6 @@ class DcFootprint:
         set_field(self, "gross", self.scope1 + self.scope2 + self.scope3)
         set_field(self, "net", self.gross - self.green_offset - self.rec_offset)
 
-        for value in (self.scope1, self.scope2, self.scope3,
-                      *self.component_emissions.values(), self.gross):
-            check_emissions(value)
-        check_emissions(self.net, allow_negative=True)
-        check_emissions(self.green_offset)
-        check_emissions(self.rec_offset)
-        for value in self.component_energy.values():
-            check_energy(value)
-
     @property
     def scope2_energy(self) -> float:
         """Total Scope 2 energy, summed in the fixed category order."""
@@ -257,8 +225,13 @@ class DcFootprint:
 
 @dataclass(frozen=True)
 class Footprint:
-    """One tenant's footprint for one reporting period, across data centers;
-    ``gross_total``, ``net_total`` and ``per_agent`` are derived from ``per_dc``."""
+    """One tenant's footprint for one reporting period, across data centers.
+
+    ``gross_total``, ``net_total`` and ``per_agent`` are derived from
+    ``per_dc``. The two totals are checked: a figure of any data center that
+    overflows makes one of them inf or nan (see the module docstring), and
+    ``per_agent`` is at most ``gross_total``.
+    """
 
     tenant_id: str
     display_name: str
@@ -282,7 +255,7 @@ class Footprint:
         set_field = object.__setattr__
         set_field(self, "gross_total", check_emissions(gross))
         set_field(self, "net_total", check_emissions(net, allow_negative=True))
-        set_field(self, "per_agent", check_emissions(gross / self.agent_count))
+        set_field(self, "per_agent", gross / self.agent_count)
         if len(self.history) > 2:
             raise UnitError("history holds at most the two prior periods")
 
@@ -314,14 +287,14 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
 
     Pairs are visited sorted by tenant, then data center, and devices by id
     within a pair, which is the order phase 2 sums in, so every float is the
-    one the per-pair detail reproduces. Raises :class:`MissingModel`, naming
+    one the per-pair detail reproduces. Raises, for the whole fleet,
+    whichever tenant is asked for afterwards: :class:`MissingModel`, naming
     the first servers.csv row of each missing model, :class:`ModelMismatch`,
-    :class:`ZeroDenominator` and the unit errors of non-finite energies for
-    the whole fleet, whichever tenant is asked for afterwards, as well as
-    the unit error of a data center whose fuel total or green offset
-    overflows, prefixed with its datacenters.csv row. Negative server
-    estimates are clamped to zero silently: phase 2 warns about the devices
-    it builds.
+    :class:`ZeroDenominator`, and the unit error of a data center whose
+    direct, cooling or other energy, fuel total, green offset or Scope 2
+    total is not finite, prefixed with its datacenters.csv row. Each pair's
+    figures are bounded by these totals. Negative server estimates are
+    clamped to zero silently: phase 2 warns about the devices it builds.
     """
     missing: dict[str, str] = {}
     for row in raw.servers:
@@ -338,8 +311,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
         network_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
 
     rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]] = {}
-    pair_direct: dict[tuple[str, str], float] = {}
-    direct: dict[str, float] = {}
+    pair_direct: dict[str, list[tuple[str, float]]] = {}
     for tenant_id in sorted(raw.tenants):
         for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids):
             key = (tenant_id, dc_id)
@@ -353,35 +325,34 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             e_network = 0.0
             for row in network:
                 e_network += network_energy_wh(row)
-            pair = e_server + e_network
-            check_energy(pair)
-            pair_direct[key] = pair
-            direct[dc_id] = direct.get(dc_id, 0.0) + pair
+            pair_direct.setdefault(dc_id, []).append((tenant_id, e_server + e_network))
 
+    direct: dict[str, float] = {}
     cooling: dict[str, float] = {}
     other: dict[str, float] = {}
-    for dc_id in direct:
+    scope2: dict[str, float] = {}
+    for dc_id, pairs in pair_direct.items():
         dc = raw.datacenters[dc_id]
-        cooling[dc_id] = shared_energy_total(dc.cooling_devices)
-        other[dc_id] = shared_energy_total(dc.other_devices)
         try:
+            all_direct = 0.0
+            for _, pair in pairs:
+                all_direct += pair
+            direct[dc_id] = check_energy(all_direct)
+            cooling[dc_id] = shared_energy_total(dc.cooling_devices)
+            other[dc_id] = shared_energy_total(dc.other_devices)
             check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
             check_emissions(dc.green_energy * dc.grid_intensity)
+            total = 0.0
+            for tenant_id, pair in pairs:
+                e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
+                                            f"cooling devices of {dc_id}")
+                e_other = split_shared_wh(other[dc_id], pair, all_direct,
+                                          f"other devices of {dc_id}")
+                total += ((pair + e_cooling + e_other) * dc.grid_intensity
+                          * raw.tenants[tenant_id].l_share)
+            scope2[dc_id] = check_emissions(total)
         except UnitError as exc:
             raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
-
-    scope2: dict[str, float] = {}
-    for (tenant_id, dc_id), pair in pair_direct.items():
-        all_direct = direct[dc_id]
-        check_energy(all_direct)
-        e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
-                                    f"cooling devices of {dc_id}")
-        e_other = split_shared_wh(other[dc_id], pair, all_direct,
-                                  f"other devices of {dc_id}")
-        emissions = check_emissions((pair + e_cooling + e_other)
-                                    * raw.datacenters[dc_id].grid_intensity
-                                    * raw.tenants[tenant_id].l_share)
-        scope2[dc_id] = scope2.get(dc_id, 0.0) + emissions
     return FleetTotals(direct=direct, cooling=cooling, other=other,
                        scope2=scope2, rows=rows)
 
@@ -485,7 +456,7 @@ def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
         out.append(ResponsibilityRatio(
             tenant_id=entry.tenant_id,
             datacenter_id=entry.datacenter_id,
-            scope2_share=check_share(lam),
+            scope2_share=lam,
             l_share=entry.l_share,
         ))
     return out
@@ -516,7 +487,11 @@ def compute_responsibility_ratios(
 def _footprint(raw: RawData, tenant_id: str,
                scope2: Mapping[tuple[str, str], TenantDcScope2],
                ratios: Mapping[tuple[str, str], ResponsibilityRatio]) -> Footprint:
-    """Assemble one tenant's footprint from its Scope 2 entries and ratios."""
+    """Assemble one tenant's footprint from its Scope 2 entries and ratios.
+
+    A total that overflows raises the unit error prefixed with the tenant's
+    tenants.csv row.
+    """
     tenant = raw.tenants[tenant_id]
     per_dc: list[DcFootprint] = []
     for dc_id in sorted(tenant.datacenter_ids):
@@ -544,13 +519,16 @@ def _footprint(raw: RawData, tenant_id: str,
             devices=s2.per_device,
         ))
 
-    return Footprint(
-        tenant_id=tenant_id,
-        display_name=tenant.display_name,
-        agent_count=tenant.agent_count,
-        period=raw.period,
-        per_dc=tuple(per_dc),
-    )
+    try:
+        return Footprint(
+            tenant_id=tenant_id,
+            display_name=tenant.display_name,
+            agent_count=tenant.agent_count,
+            period=raw.period,
+            per_dc=tuple(per_dc),
+        )
+    except UnitError as exc:
+        raise UnitError(f"{tenant.source_ref or 'tenants:' + tenant_id}: {exc}") from exc
 
 
 def compute_footprints(raw: RawData,

@@ -38,14 +38,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .allocation import (
+    AUDIT_TOLERANCE,
     DcFootprint,
     DeviceShare,
     Footprint,
     HistoryEntry,
     ResponsibilityRatio,
-    TenantDcScope2,
 )
-from .errors import CarbonAllocError, UnitError
+from .errors import CarbonAllocError
 from .units import SCOPE2_COMPONENTS, Period, check_emissions
 
 __all__ = [
@@ -124,7 +124,7 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportError(f"cannot read equivalency config {path}: {exc}") from exc
     try:
-        return EquivalencyFactors(
+        factors = EquivalencyFactors(
             flight_ams_nyc=check_emissions(float(doc["flight_ams_nyc_g"])),
             car_km=check_emissions(float(doc["car_km_g"])),
             smartphone_charge=check_emissions(float(doc["smartphone_charge_g"])),
@@ -134,6 +134,10 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
         raise ReportError(
             f"equivalency config {path} needs numeric flight_ams_nyc_g, "
             f"car_km_g, smartphone_charge_g and a source_note: {exc}") from exc
+    if not _STRING.test(factors.source_note):
+        raise ReportError(f"equivalency config {path}: source_note must be "
+                          f"{_STRING.what}, got {factors.source_note!r}")
+    return factors
 
 
 def compute_equivalencies(gross: float,
@@ -199,7 +203,9 @@ def _range(lo: float, hi: float, what: str) -> _Kind:
 
 _MAX = sys.float_info.max
 _PERIOD_TEXT = re.compile(r"(?!0000)[0-9]{4}-(0[1-9]|1[0-2])")
-_STRING = _Kind("{_string(@)}", lambda v: type(v) is str, "a string")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a str that UTF-8 cannot encode
+_STRING = _Kind("{_string(@)}", lambda v: type(v) is str and not _SURROGATE.search(v),
+                "a string UTF-8 can encode")
 _PERIOD = _Kind('"{@}"', lambda v: type(v) is str and bool(_PERIOD_TEXT.fullmatch(v)),
                 "a YYYY-MM period")
 _ENERGY = _EMISSIONS = _INTENSITY = _range(0.0, _MAX, "a finite number >= 0")
@@ -515,13 +521,15 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
                     **{attr: entry[key] for key, attr in _DEVICE_FIELDS[name]})
         for name, (category, _) in _DEVICES.items()
         for k, entry in scope2["devices"][name].items())
-    try:
-        TenantDcScope2(tenant_id, dc_id,
-                       *(energy[name] for name in SCOPE2_COMPONENTS),
-                       devices, intensity, l_share)
-    except UnitError as exc:
-        raise _malformed(f"datacenters.{dc_id}.scopes.scope2.devices",
-                         str(exc)) from exc
+    by_category = dict.fromkeys(SCOPE2_COMPONENTS, 0.0)
+    for device in devices:
+        by_category[device.category] += device.energy_wh
+    for category, total in by_category.items():
+        if not math.isclose(total, energy[category], rel_tol=AUDIT_TOLERANCE,
+                            abs_tol=AUDIT_TOLERANCE):
+            raise _malformed(f"datacenters.{dc_id}.scopes.scope2.devices",
+                             f"{category} device energies sum to {total!r}, "
+                             f"category total is {energy[category]!r}")
     return DcFootprint(
         datacenter_id=dc_id, name=dc["name"], region=dc["region"],
         grid_intensity=intensity,

@@ -8,14 +8,14 @@ Every figure is a plain ``float`` (or, for counters and ``agent_count``, an
 * carbon intensity: grams of CO2-equivalent per watt-hour (gCO2e/Wh)
 * shares and ratios: dimensionless fractions in [0, 1]
 
-A figure is checked once, where it enters or is derived. Ingest's row
-getters check what the input files hold (grid intensities among them) and
-the report parser's field table what a stored report holds. Everywhere
-else a figure goes through the check of its unit below, which returns it
-unchanged or raises :class:`UnitError`: the records check what they derive
-(a pair's Scope 2 emissions, a ratio, a data center's scopes, a tenant's
-totals), as do phase 1 of the engine, the ``power`` helpers, ``--l-share``,
-``generate_fleet`` and the equivalency factors file.
+A figure is checked once, where it enters a stage. Ingest's row getters
+check what the input files hold (grid intensities among them), and the
+report parser's field table what a stored report holds. The engine checks
+the figures it derives in two places only: phase 1 bounds each data
+center's totals, and a tenant's ``Footprint`` its two totals (see
+:mod:`.allocation`). The checks below return a figure unchanged or raise
+:class:`UnitError`; the ``power`` helpers, ``--l-share``,
+``generate_fleet`` and the equivalency factors file use them too.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
 """Allocation engine: scope computations, ratios, footprints, conservation."""
 
+import ast
 import dataclasses
+import json
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from carbonalloc import allocation
 from carbonalloc.allocation import (
     DcFootprint,
     DeviceShare,
@@ -35,7 +39,7 @@ from carbonalloc.ingest import (
     assemble_raw_data,
     load_input_dir,
 )
-from carbonalloc.report import render_json
+from carbonalloc.report import EquivalencyFactors, render_json
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import SCOPE2_COMPONENTS, Period
 from conftest import intercept_model
@@ -632,3 +636,87 @@ class TestConservationAudit:
         report = conservation_audit([], raw, {})
         assert report.passed
         assert len(report.checks) == 0
+
+
+# Figures for an in-memory fleet, from 1 up to the largest float's order.
+MAGNITUDES = st.sampled_from([1.0, 1e150, 1e300, 1e307, 1e308])
+# An engine error names its data center's or tenant's row; in-memory records
+# have none, so it names the record.
+ROW_REF = re.compile(r"(datacenters|tenants)(\.csv)?:\w+: ")
+FACTORS = EquivalencyFactors(500000.0, 250.0, 8.22, "test factors")
+
+
+@st.composite
+def extreme_fleets(draw):
+    """One or two data centers and up to three tenants, each running one
+    server in each data center it declares, with the grid intensity, fuel,
+    Scope 3, green energy, REC and model intercepts drawn from MAGNITUDES."""
+    dc_ids = ["DC_1", "DC_2"][:draw(st.integers(1, 2))]
+    datacenters = {dc_id: make_dc(
+        dc_id, intensity=draw(MAGNITUDES),
+        fuel=(("GEN_1", draw(MAGNITUDES), draw(MAGNITUDES)),),
+        scope3=draw(MAGNITUDES), green=draw(MAGNITUDES), rec=draw(MAGNITUDES))
+        for dc_id in dc_ids}
+    tenants, servers, models = {}, [], {}
+    for n in range(draw(st.integers(1, 3))):
+        tenant_id, model = f"TENANT_{n}", f"M_{n}"
+        declared = draw(st.lists(st.sampled_from(dc_ids), min_size=1, unique=True))
+        tenants[tenant_id] = make_tenant(tenant_id, declared)
+        models[model] = intercept_model(model, draw(MAGNITUDES))
+        servers.extend(server(dc_id, f"SRV_{n}_{dc_id}", model, tenant_id)
+                       for dc_id in declared)
+    raw = assemble_raw_data(period=PERIOD, datacenters=datacenters,
+                            tenants=tenants, servers=tuple(servers), network=())
+    return raw, models
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+class TestWhereFiguresAreChecked:
+    # Shrinking a failing fleet of floats near the largest float's order
+    # takes longer than the search, so the shrink phase is skipped.
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(fleet=extreme_fleets())
+    def test_engine_never_writes_inf_or_nan(self, fleet):
+        """Either the engine refuses the fleet, naming a data center's or a
+        tenant's row, or every report it renders is strict JSON: ``repr``
+        spells an overflow ``inf``, which ``json.loads`` refuses, and
+        ``json.dumps`` spells it ``Infinity``, which ``parse_constant``
+        refuses here."""
+        raw, models = fleet
+        try:
+            footprints = compute_footprints(raw, models)
+        except UnitError as exc:
+            assert ROW_REF.match(str(exc)), str(exc)
+            return
+        for fp in footprints:
+            json.loads(render_json(fp, FACTORS).content,
+                       parse_constant=_refuse_constant)
+
+    def test_checks_live_in_phase_1_and_a_tenants_totals(self):
+        """The unit checks are called only by ``fleet_totals``, which bounds
+        each data center's totals, and by ``Footprint.__post_init__``, which
+        checks a tenant's two totals; every other figure is bounded by
+        those."""
+        checks = {"check_energy", "check_emissions", "check_share"}
+        allowed = {"fleet_totals", "Footprint.__post_init__"}
+        calls = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{scope}.{child.name}" if scope else child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in checks:
+                        calls.append((scope, child.lineno))
+                visit(child, scope)
+
+        visit(ast.parse(Path(allocation.__file__).read_text(encoding="utf-8")), "")
+        assert calls
+        assert [call for call in calls if call[0] not in allowed] == []

@@ -380,6 +380,34 @@ def test_negative_zero_named_by_audit_and_report(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# A lone surrogate is valid JSON as a \ud800 escape, but UTF-8 cannot
+# encode it, so the writer cannot have written it. ``report`` checks the
+# whole report, ``audit`` without --equivalencies the factors it reads.
+@pytest.mark.parametrize("path, command", [
+    ("tenant.displayName", "report"), ("equivalencies.sourceNote", "report"),
+    ("equivalencies.sourceNote", "audit")])
+def test_lone_surrogate_refused_naming_its_path(tmp_path, capsys, path, command):
+    demo = GOLDEN / "audit_demo"
+    doc = json.loads((demo / "out/reports/TENANT_05/2025-06.json").read_bytes())
+    parent, key = path.split(".")
+    doc[parent][key] = "\ud800"
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+    capsys.readouterr()
+    if command == "report":
+        argv = ["report", "--report", str(report), "--out-dir", str(tmp_path / "out")]
+        prefix = f"cannot re-render {report}: "
+    else:
+        argv = ["audit", "--report", str(report), "--input-dir", str(demo / "fleet"),
+                "--models", str(demo / "fleet" / "models.csv")]
+        prefix = ""
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{prefix}malformed report JSON: {path}: must be a string UTF-8 can "
+        "encode, got '\\ud800'\n")
+    assert not (tmp_path / "out").exists()
+
+
 KEY_ORDER_REPORT = GOLDEN / "reports_demo/TENANT_01/2025-06.json"
 
 
@@ -483,6 +511,26 @@ class TestFactors:
         path.write_text('{"flight_ams_nyc_g": 500000}', encoding="utf-8")
         with pytest.raises(ReportError):
             load_equivalency_factors(path)
+
+    def test_lone_surrogate_source_note_refused_by_compute(self, tmp_path, capsys):
+        """A factors file whose source note UTF-8 cannot encode exits 1
+        naming the file, before anything is computed or written."""
+        fleet = tmp_path / "fleet"
+        assert main(["synth", "--seed", "3", "--tenants", "2", "--dcs", "1",
+                     "--out-dir", str(fleet)]) == 0
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps({
+            "flight_ams_nyc_g": 500000, "car_km_g": 250,
+            "smartphone_charge_g": 8.22, "source_note": "\ud800",
+        }), encoding="ascii")
+        capsys.readouterr()
+        assert main(["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                     "--models", str(fleet / "models.csv"), "--equivalencies",
+                     str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"equivalency config {path}: source_note must be a string UTF-8 "
+            "can encode, got '\\ud800'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(Exception):

@@ -62,6 +62,11 @@ def workspace(tmp_path):
     }
 
 
+def append_rows(path: Path, *rows: str) -> None:
+    with open(path, "a", encoding="utf-8") as f:
+        f.writelines(row + "\n" for row in rows)
+
+
 def run_compute(ws, period="2025-06", extra=()):
     return main(["compute", "--period", period,
                  "--input-dir", str(ws["fleet"]),
@@ -688,6 +693,58 @@ class TestAuditCommand:
         workspace["out"] = workspace["root"] / "out_broken"
         assert run_compute(workspace) == EXIT_VALIDATION
         assert capsys.readouterr().err == audit_err
+        assert not workspace["out"].exists()
+
+    def test_scope2_total_overflow_fails_audit_as_compute(self, workspace,
+                                                          capsys):
+        """TENANT_98's and TENANT_99's Scope 2 in DC_99 are each finite,
+        1.25e308 g, but their sum is not. Phase 1 bounds each data center's
+        Scope 2 total, so the audit of a tenant outside DC_99 fails as
+        compute does, naming DC_99's row, and compute writes nothing."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        fleet = workspace["fleet"]
+        append_rows(fleet / "datacenters.csv", "DC_99,Elsewhere,eu-west,2.5,,,,,,")
+        append_rows(fleet / "tenants.csv", "TENANT_98,Elsewhere,1,DC_99,1.0",
+                    "TENANT_99,Elsewhere,1,DC_99,1.0")
+        append_rows(fleet / "servers.csv",
+                    "DC_99,SRV_98,MODEL_Z,TENANT_98,0.5,0.0,0.0,0.0",
+                    "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0")
+        append_rows(workspace["models"], "MODEL_Z,5e307,0.0,0.0,0.0,0.0,1.0")
+        line = len((fleet / "datacenters.csv").read_text(
+            encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        audit_err = capsys.readouterr().err
+        assert audit_err == (f"datacenters.csv:{line}: emissions (gCO2e) must be "
+                             "finite, got inf\n")
+        workspace["out"] = workspace["root"] / "out_broken"
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == audit_err
+        assert not workspace["out"].exists()
+
+    def test_tenant_total_overflow_names_its_row(self, workspace, capsys):
+        """TENANT_99 alone uses DC_99, so its Scope 1 and Scope 3 there are
+        the data center's fuel total and Scope 3 total, each a finite 1e308
+        g, but its gross is not: compute names its tenants.csv row and
+        writes nothing. The audit of another tenant does not build
+        TENANT_99's footprint, so it passes."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        fleet = workspace["fleet"]
+        append_rows(fleet / "datacenters.csv",
+                    "DC_99,Elsewhere,eu-west,0.3,,,GEN_99:1e308:1,1e308,,")
+        append_rows(fleet / "tenants.csv", "TENANT_99,Elsewhere,1,DC_99,1.0")
+        append_rows(fleet / "servers.csv",
+                    "DC_99,SRV_99,MODEL_A,TENANT_99,0.5,0.0,0.0,0.0")
+        line = len((fleet / "tenants.csv").read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_OK
+        workspace["out"] = workspace["root"] / "out_broken"
+        capsys.readouterr()
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tenants.csv:{line}: emissions (gCO2e) must be finite, got inf\n")
         assert not workspace["out"].exists()
 
     def test_absent_tenant_exits_2(self, workspace, capsys):
