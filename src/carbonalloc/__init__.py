@@ -39,7 +39,6 @@ from .errors import (
     InsufficientSamples,
     MalformedRow,
     MissingModel,
-    ModelMismatch,
     OrphanUsage,
     PowerModelError,
     RangeError,
@@ -70,7 +69,6 @@ from .ingest import (
 from .power import (
     CalibrationSample,
     ServerPowerModel,
-    allocate_shared_energy,
     estimate_network_energy,
     estimate_server_energy,
     fit_server_weights,

@@ -35,11 +35,14 @@ center footprint's ``scope2``, ``component_emissions``, ``gross`` and
 Figures are checked in two places. Phase 1 bounds each data center's totals,
 naming its datacenters.csv row: direct, cooling and other energy, the fuel
 total, the green offset and Scope 2. :class:`Footprint` checks a tenant's
-``gross_total`` and ``net_total``. Every other figure is derived from
-non-negative inputs by monotone float operations, as a sum of bounded terms
-or as a ratio r <= 1 times a bounded figure, so one that overflows makes a
-tenant total inf or nan. The records check only their structure: the
-component keys, unique data centers and the history length.
+``gross_total`` and ``net_total``, and the three sums over its data
+centers that these do not bound: its Scope 2 energy, at a grid intensity
+below 1 g/Wh, and its two offsets, whose sums a finite net does not bound
+either. Every other figure is derived from non-negative inputs by monotone
+float operations, as a sum of bounded terms or as a ratio r <= 1 times a
+bounded figure, so one that overflows makes a tenant total inf or nan. The
+records check only their structure: the component keys, unique data
+centers and the history length.
 """
 
 from __future__ import annotations
@@ -230,7 +233,9 @@ class Footprint:
     ``gross_total``, ``net_total`` and ``per_agent`` are derived from
     ``per_dc``. The two totals are checked: a figure of any data center that
     overflows makes one of them inf or nan (see the module docstring), and
-    ``per_agent`` is at most ``gross_total``.
+    ``per_agent`` is at most ``gross_total``. The report also writes the
+    Scope 2 energy and the two offsets summed in ``per_dc`` order; no total
+    bounds those sums, so they are checked too.
     """
 
     tenant_id: str
@@ -247,14 +252,19 @@ class Footprint:
         dc_ids = [dc.datacenter_id for dc in self.per_dc]
         if len(set(dc_ids)) != len(dc_ids):
             raise UnitError(f"per_dc repeats a datacenter_id: {dc_ids}")
-        gross = 0.0
-        net = 0.0
+        gross = net = energy = green = rec = 0.0
         for dc in self.per_dc:
             gross += dc.gross
             net += dc.net
+            energy += dc.scope2_energy
+            green += dc.green_offset
+            rec += dc.rec_offset
         set_field = object.__setattr__
         set_field(self, "gross_total", check_emissions(gross))
         set_field(self, "net_total", check_emissions(net, allow_negative=True))
+        check_energy(energy)
+        check_emissions(green)
+        check_emissions(rec)
         set_field(self, "per_agent", gross / self.agent_count)
         if len(self.history) > 2:
             raise UnitError("history holds at most the two prior periods")
@@ -289,10 +299,10 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     within a pair, which is the order phase 2 sums in, so every float is the
     one the per-pair detail reproduces. Raises, for the whole fleet,
     whichever tenant is asked for afterwards: :class:`MissingModel`, naming
-    the first servers.csv row of each missing model, :class:`ModelMismatch`,
-    :class:`ZeroDenominator`, and the unit error of a data center whose
-    direct, cooling or other energy, fuel total, green offset or Scope 2
-    total is not finite, prefixed with its datacenters.csv row. Each pair's
+    the first servers.csv row of each missing model, :class:`ZeroDenominator`,
+    and the unit error of a data center whose direct, cooling or other
+    energy, fuel total, green offset or Scope 2 total is not finite,
+    prefixed with its datacenters.csv row. Each pair's
     figures are bounded by these totals. Negative server estimates are
     clamped to zero silently: phase 2 warns about the devices it builds.
     """

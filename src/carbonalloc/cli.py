@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,13 +28,7 @@ from .allocation import (
     conservation_audit,
     tenant_footprint,
 )
-from .errors import (
-    CarbonAllocError,
-    IngestError,
-    PowerModelError,
-    UnknownTenant,
-    ValidationFailure,
-)
+from .errors import CarbonAllocError, IngestError, PowerModelError, UnknownTenant
 from .history import HistoryStore
 from .ingest import ID_PATTERN, RawData, load_input_dir
 from .power import (
@@ -60,7 +53,7 @@ from .report import (
 from .synth import generate_fleet, write_fleet
 from .units import Period, UnitError, check_share
 
-__all__ = ["RunConfig", "main", "entrypoint"]
+__all__ = ["main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,28 +61,8 @@ EXIT_COMPUTATION = 2
 EXIT_AUDIT_MISMATCH = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a monthly compute run needs."""
-
-    period: Period
-    input_dir: Path
-    models_file: Path
-    equivalency_file: Path
-    history_dir: Path
-    output_dir: Path
-    l_share_override: float | None = None
-    trend_thresholds: tuple[float, float] = DEFAULT_TREND_THRESHOLDS
-
-
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _print_validation_failure(exc: ValidationFailure) -> None:
-    _err(f"{len(exc.errors)} validation error(s):")
-    for sub in exc.errors:
-        _err(f"  {sub}")
 
 
 def _apply_l_share(raw: RawData, override: float | None) -> RawData:
@@ -143,14 +116,15 @@ def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
 
 
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
-                   config: RunConfig, history: HistoryStore) -> list[Path]:
+                   out_dir: Path, trend_thresholds: tuple[float, float],
+                   history: HistoryStore) -> list[Path]:
     """Render every report, then write them in deterministic order, so a
     render failure writes nothing."""
     rendered = [(render_json(fp, factors),
-                 render_onepage(fp, factors, trend_thresholds=config.trend_thresholds))
+                 render_onepage(fp, factors, trend_thresholds=trend_thresholds))
                 for fp in footprints]
     written: list[Path] = []
-    reports_root = config.output_dir / "reports"
+    reports_root = out_dir / "reports"
     for fp, (json_doc, html_doc) in zip(footprints, rendered):
         tenant_dir = reports_root / fp.tenant_id
         tenant_dir.mkdir(parents=True, exist_ok=True)
@@ -163,12 +137,14 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
     return written
 
 
-def cmd_compute(config: RunConfig) -> int:
+def cmd_compute(period: Period, input_dir: Path, models_file: Path,
+                equivalency_file: Path, out_dir: Path, history_dir: Path,
+                l_share_override: float | None,
+                trend_thresholds: tuple[float, float]) -> int:
     """Run the full monthly pipeline: ingest, compute, audit, render."""
-    raw = _apply_l_share(load_input_dir(config.input_dir, config.period),
-                         config.l_share_override)
-    models = read_models(config.models_file)
-    factors = load_equivalency_factors(config.equivalency_file)
+    raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
+    models = read_models(models_file)
+    factors = load_equivalency_factors(equivalency_file)
     # The ingested inputs live until the run ends: freezing them keeps every
     # later collection from traversing them again. Unfrozen afterwards so an
     # in-process caller does not accumulate frozen objects.
@@ -182,11 +158,11 @@ def cmd_compute(config: RunConfig) -> int:
             _err("conservation audit failed; no reports written")
             return EXIT_AUDIT_MISMATCH
 
-        history = HistoryStore(config.history_dir)
+        history = HistoryStore(history_dir)
         footprints = [replace(fp, history=history.prior_entries(fp.tenant_id,
                                                                 fp.period))
                       for fp in footprints]
-        _write_reports(footprints, factors, config, history)
+        _write_reports(footprints, factors, out_dir, trend_thresholds, history)
     finally:
         gc.unfreeze()
 
@@ -195,7 +171,7 @@ def cmd_compute(config: RunConfig) -> int:
         print(f"{fp.tenant_id:<16} {fp.gross_total:>18.3f} "
               f"{fp.net_total:>18.3f} {fp.per_agent:>14.6f}")
     print(f"wrote {len(footprints)} tenant report pair(s) under "
-          f"{config.output_dir / 'reports'}")
+          f"{out_dir / 'reports'}")
     return EXIT_OK
 
 
@@ -224,20 +200,18 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
         fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
 
-    rendered = render_json(fp, factors).content
-    if rendered != content:
-        differences = list(report_differences(json.loads(rendered), stored_doc))
-        values = [d for d in differences if not d.key_order]
-        if values:
-            _err(f"audit FAIL: {report_file} differs from recomputation in "
-                 f"{len(values)} field(s):")
-            for d in values:
-                _err(f"  {d.path}: recomputed {d.written!r}, report has {d.stored!r}")
-            return EXIT_AUDIT_MISMATCH
-        if differences:
-            _err(f"audit FAIL: {report_file} has the recomputed values, but its "
-                 "key order differs from the canonical report")
-            return EXIT_AUDIT_MISMATCH
+    differences = report_differences(render_json(fp, factors).content, content)
+    values = [d for d in differences if not d.key_order]
+    if values:
+        _err(f"audit FAIL: {report_file} differs from recomputation in "
+             f"{len(values)} field(s):")
+        for d in values:
+            _err(f"  {d.path}: recomputed {d.written!r}, report has {d.stored!r}")
+        return EXIT_AUDIT_MISMATCH
+    if differences:
+        _err(f"audit FAIL: {report_file} has the recomputed values, but its "
+             "key order differs from the canonical report")
+        return EXIT_AUDIT_MISMATCH
     print(f"audit PASS: {report_file} matches recomputation "
           f"({tenant_id}, {period})")
     return EXIT_OK
@@ -400,17 +374,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "calibrate":
             return cmd_calibrate(args.samples, args.models_out)
         if args.command == "compute":
-            config = RunConfig(
-                period=args.period,
-                input_dir=args.input_dir,
-                models_file=args.models,
-                equivalency_file=args.equivalencies,
-                history_dir=args.history_dir or args.out_dir / "history",
-                output_dir=args.out_dir,
-                l_share_override=args.l_share,
-                trend_thresholds=args.trend_thresholds,
-            )
-            return cmd_compute(config)
+            return cmd_compute(args.period, args.input_dir, args.models,
+                               args.equivalencies, args.out_dir,
+                               args.history_dir or args.out_dir / "history",
+                               args.l_share, args.trend_thresholds)
         if args.command == "report":
             return cmd_report(args.report, args.out_dir, args.equivalencies,
                               args.trend_thresholds)
@@ -422,9 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              with_offsets=not args.no_offsets,
                              l_share=args.l_share)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ValidationFailure as exc:
-        _print_validation_failure(exc)
-        return EXIT_VALIDATION
     except (IngestError, ReportError, UnitError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION

@@ -152,15 +152,6 @@ class SingularDesign(PowerModelError):
         super().__init__(f"singular calibration design: {detail}")
 
 
-class ModelMismatch(PowerModelError):
-    """A usage row was estimated with a model for a different device model."""
-
-    def __init__(self, expected: str, actual: str):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(f"power model is for {expected!r}, row is for {actual!r}")
-
-
 class MissingModel(PowerModelError):
     """One or more device models have no calibrated power model.
 

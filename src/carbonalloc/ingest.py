@@ -11,7 +11,8 @@ power models and calibration samples, by these rules:
 * Blank records, and records whose first cell starts with ``#``, are
   skipped.
 * Surrounding whitespace is stripped from every cell.
-* Line numbers name the record's first line.
+* A record's ``file:line`` ref, and every error about it, names the
+  file's name and the record's first line.
 * Undecodable or oversized input, and a quote left open, are a
   ``file:line`` :class:`MalformedRow`.
 
@@ -74,7 +75,7 @@ from .errors import (
     UnknownTenant,
     ValidationFailure,
 )
-from .units import Period, check_emissions
+from .units import Period
 
 __all__ = [
     "ServerUsage",
@@ -170,10 +171,6 @@ class FuelEntry:
     device_id: str
     amount: float
     emission_factor: float
-
-    @property
-    def emissions(self) -> float:
-        return check_emissions(self.amount * self.emission_factor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,17 +340,17 @@ class _Table:
         return [*map(f"{self.source}:".__add__, map(str, self.line_nos))]
 
 
-def read_table(path: Path | str, source: str | None,
-               required: tuple[str, ...]) -> _Table:
+def read_table(path: Path | str, required: tuple[str, ...]) -> _Table:
     """Read the records after a table's schema line and header.
 
     The file is decoded and parsed whole, as described in the module
     docstring. Every ``required`` column must appear in the header; other
     columns are ignored. Errors are :class:`MalformedRow` at the first line
-    of the offending record, labelled ``source`` (default: the file name).
+    of the offending record, labelled with the file name, as every record's
+    ``file:line`` ref is; a file that cannot be read is named by its path.
     """
     path = Path(path)
-    source = source or path.name
+    source = path.name
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -528,10 +525,10 @@ def _byte_counts(column: list[str]) -> list[int] | None:
     return values if max(values) < _BYTE_COUNT_LIMIT else None
 
 
-def read_servers(path: Path | str, source: str | None = None) -> tuple[ServerUsage, ...]:
+def read_servers(path: Path | str) -> tuple[ServerUsage, ...]:
     """Parse servers.csv into usage records, a column at a time; if any
     check fails, row by row, raising the first bad row's error."""
-    table = read_table(path, source, _SERVER_COLUMNS)
+    table = read_table(path, _SERVER_COLUMNS)
     columns = table.columns(_SERVER_COLUMNS)
     if columns is not None:
         dcs, devices, models, tenants, util, *counters = columns
@@ -544,10 +541,10 @@ def read_servers(path: Path | str, source: str | None = None) -> tuple[ServerUsa
     return tuple(map(_server_from_row, table))
 
 
-def read_network(path: Path | str, source: str | None = None) -> tuple[NetworkUsage, ...]:
+def read_network(path: Path | str) -> tuple[NetworkUsage, ...]:
     """Parse network.csv into per-tenant traffic records, checked as
     :func:`read_servers` checks its table."""
-    table = read_table(path, source, _NETWORK_COLUMNS)
+    table = read_table(path, _NETWORK_COLUMNS)
     columns = table.columns(_NETWORK_COLUMNS)
     if columns is not None:
         dcs, devices, types, tenants, sent, received = columns
@@ -580,11 +577,10 @@ def _shared_devices(row: _Row, column: str) -> tuple[SharedDevice, ...]:
         for device_id, energy in _entries(row, column, "DEVICE_ID:ENERGY_WH"))
 
 
-def read_datacenters(path: Path | str,
-                     source: str | None = None) -> dict[str, DataCenter]:
+def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     """Parse datacenters.csv keyed by datacenter_id."""
     out: dict[str, DataCenter] = {}
-    for row in read_table(path, source, (
+    for row in read_table(path, (
             "datacenter_id", "name", "region", "grid_intensity",
             "cooling_devices", "other_devices", "fuel_log")):
         dc_id = row.id("datacenter_id")
@@ -645,10 +641,10 @@ def _agent_count(row: _Row) -> int:
     return int(number)
 
 
-def read_tenants(path: Path | str, source: str | None = None) -> dict[str, Tenant]:
+def read_tenants(path: Path | str) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
-    for row in read_table(path, source, (
+    for row in read_table(path, (
             "tenant_id", "display_name", "agent_count", "datacenter_ids")):
         tenant_id = row.id("tenant_id")
         if tenant_id in out:

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import (
-    InsufficientSamples,
-    ModelMismatch,
-    SingularDesign,
-    ZeroDenominator,
-)
+from .errors import InsufficientSamples, SingularDesign, ZeroDenominator
 from .ingest import (
     NetworkUsage,
     ServerUsage,
@@ -43,7 +38,6 @@ __all__ = [
     "estimate_network_energy",
     "shared_energy_total",
     "split_shared_wh",
-    "allocate_shared_energy",
     "read_models",
     "write_models",
     "read_calibration_samples",
@@ -168,8 +162,6 @@ def server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
     Terms are summed left to right in a fixed order (intercept, CPU, cache,
     DRAM, disk) so results are bit-for-bit reproducible.
     """
-    if model.device_model and usage.device_model and model.device_model != usage.device_model:
-        raise ModelMismatch(model.device_model, usage.device_model)
     return (model.intercept
             + model.w_cpu * usage.cpu_utilization
             + model.w_cache * usage.cache_moved
@@ -240,20 +232,6 @@ def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: floa
     return total * tenant_direct / all_tenants_direct
 
 
-def allocate_shared_energy(shared_devices: tuple[SharedDevice, ...] | list[SharedDevice],
-                           tenant_direct: float,
-                           all_tenants_direct: float,
-                           context: str = "") -> float:
-    """Split shared (cooling/facility) energy by direct-energy ratio.
-
-    A tenant's slice of the metered shared total is proportional to its share
-    of direct IT energy (servers plus network) in the same data center; see
-    :func:`split_shared_wh`.
-    """
-    return check_energy(split_shared_wh(shared_energy_total(shared_devices),
-                                        tenant_direct, all_tenants_direct, context))
-
-
 # ---------------------------------------------------------------------------
 # Model and calibration file I/O
 # ---------------------------------------------------------------------------
@@ -276,10 +254,10 @@ def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
     write_table(path, *_models_table(models))
 
 
-def read_models(path: Path | str, source: str | None = None) -> dict[str, ServerPowerModel]:
+def read_models(path: Path | str) -> dict[str, ServerPowerModel]:
     """Read a fitted-models CSV keyed by device model."""
     out: dict[str, ServerPowerModel] = {}
-    for row in read_table(path, source, _MODEL_COLUMNS):
+    for row in read_table(path, _MODEL_COLUMNS):
         name = row.text("device_model")
         if name in out:
             raise row.error(f"duplicate device model {name!r}")
@@ -298,16 +276,14 @@ def read_models(path: Path | str, source: str | None = None) -> dict[str, Server
     return out
 
 
-def read_calibration_samples(path: Path | str,
-                             source: str | None = None
-                             ) -> dict[str, list[CalibrationSample]]:
+def read_calibration_samples(path: Path | str) -> dict[str, list[CalibrationSample]]:
     """Read calibration observations grouped by device model.
 
     Expected columns: device_model, cpu_utilization, cache_moved,
     dram_accessed, disk_moved, measured_energy_wh.
     """
     out: dict[str, list[CalibrationSample]] = {}
-    for row in read_table(path, source, (
+    for row in read_table(path, (
             "device_model", "cpu_utilization", "cache_moved", "dram_accessed",
             "disk_moved", "measured_energy_wh")):
         out.setdefault(row.text("device_model"), []).append(CalibrationSample(

@@ -17,8 +17,8 @@ by the field table, before any record is built, so the parser,
 records then check what they derive. A stored report is accepted by one
 rule: parse it, build the Footprint from its independent figures, render
 that once with the report's own factors, and compare the rendering with
-the report. ``report_differences`` names the first differing path. An
-equivalency config is checked where it is loaded.
+the report by ``report_differences``, the rule ``audit`` applies too. An
+equivalency config is checked where it is loaded, by the same kinds.
 
 Equivalency factors are configuration, not constants: the packaged sample
 config documents its sources in ``source_note`` and operators are expected
@@ -45,8 +45,8 @@ from .allocation import (
     HistoryEntry,
     ResponsibilityRatio,
 )
-from .errors import CarbonAllocError
-from .units import SCOPE2_COMPONENTS, Period, check_emissions
+from .errors import CarbonAllocError, UnitError
+from .units import SCOPE2_COMPONENTS, Period
 
 __all__ = [
     "EquivalencyFactors",
@@ -88,12 +88,10 @@ class EquivalencyFactors:
     source_note: str
 
     def __post_init__(self) -> None:
-        for name, factor in (("flight_ams_nyc", self.flight_ams_nyc),
-                             ("car_km", self.car_km),
-                             ("smartphone_charge", self.smartphone_charge)):
-            if factor <= 0:
-                raise ReportError(f"equivalency factor {name} must be > 0, "
-                                  f"got {factor!r}")
+        for name in ("flight_ams_nyc", "car_km", "smartphone_charge"):
+            if not getattr(self, name) >= 1.0:  # so gross / factor stays finite
+                raise ReportError(f"equivalency factor {name} must be >= 1 g, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -117,27 +115,26 @@ class TrendDelta:
 
 
 def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
-    """Load the three factors and their source note from a small JSON file."""
+    """Load the three factors and their source note from a small JSON file,
+    each checked by the field table's kind for its copy in a report."""
     path = Path(path)
+    keys = ("flight_ams_nyc_g", "car_km_g", "smartphone_charge_g", "source_note")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        values = [doc[key] for key in keys]
+    except (OSError, ValueError) as exc:
         raise ReportError(f"cannot read equivalency config {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ReportError(f"equivalency config {path} needs {', '.join(keys)}: "
+                          f"{exc}") from exc
     try:
-        factors = EquivalencyFactors(
-            flight_ams_nyc=check_emissions(float(doc["flight_ams_nyc_g"])),
-            car_km=check_emissions(float(doc["car_km_g"])),
-            smartphone_charge=check_emissions(float(doc["smartphone_charge_g"])),
-            source_note=str(doc["source_note"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportError(
-            f"equivalency config {path} needs numeric flight_ams_nyc_g, "
-            f"car_km_g, smartphone_charge_g and a source_note: {exc}") from exc
-    if not _STRING.test(factors.source_note):
-        raise ReportError(f"equivalency config {path}: source_note must be "
-                          f"{_STRING.what}, got {factors.source_note!r}")
-    return factors
+        for key, value, kind in zip(keys, values, (_EMISSIONS,) * 3 + (_STRING,)):
+            if not kind.test(value):
+                raise ReportError(f"{key} must be {kind.what}, got {value!r}")
+        *numbers, note = values
+        return EquivalencyFactors(*map(float, numbers), note)
+    except ReportError as exc:
+        raise ReportError(f"equivalency config {path}: {exc}") from exc
 
 
 def compute_equivalencies(gross: float,
@@ -202,12 +199,10 @@ def _range(lo: float, hi: float, what: str) -> _Kind:
 
 
 _MAX = sys.float_info.max
-_PERIOD_TEXT = re.compile(r"(?!0000)[0-9]{4}-(0[1-9]|1[0-2])")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a str that UTF-8 cannot encode
 _STRING = _Kind("{_string(@)}", lambda v: type(v) is str and not _SURROGATE.search(v),
                 "a string UTF-8 can encode")
-_PERIOD = _Kind('"{@}"', lambda v: type(v) is str and bool(_PERIOD_TEXT.fullmatch(v)),
-                "a YYYY-MM period")
+_PERIOD = _Kind('"{@}"', lambda v: type(v) is str and _is_period(v), "a YYYY-MM period")
 _ENERGY = _EMISSIONS = _INTENSITY = _range(0.0, _MAX, "a finite number >= 0")
 _NET = _COUNTER = _range(-_MAX, _MAX, "a finite number")
 _SHARE = _range(0.0, 1.0, "a number in [0, 1]")
@@ -215,6 +210,13 @@ _AGENTS = _Kind("{@!r}", lambda v: type(v) is int and 1 <= v <= _MAX,
                 "a whole number >= 1 within float range")
 _DERIVED = _Kind("{_number(@)}")
 _OVER_OFFSET = _Kind('{"true" if @ < 0.0 else "false"}')  # from a net figure
+
+
+def _is_period(text: str) -> bool:
+    try:
+        return Period.parse(text) is not None
+    except UnitError:
+        return False
 
 
 def _scope(name: str, aggregate: bool, energy: tuple, emissions: tuple,
@@ -554,16 +556,21 @@ class Difference(NamedTuple):
     key_order: bool = False
 
 
-def report_differences(written: Any, stored: Any,
-                       path: str = "") -> Iterator[Difference]:
-    """Each difference of a parsed report ``stored`` from ``written``, the
-    parsed text the writer writes for it, in document order.
+def report_differences(written: bytes,
+                       stored: bytes | str | dict[str, Any]) -> list[Difference]:
+    """Each difference of a stored report from ``written``, the bytes the
+    writer writes for it, in document order: none if the bytes are equal,
+    else those of the parsed trees. Leaves compare by their ``json.dumps``
+    spelling, so ``-0.0`` differs from ``0.0`` and ``1`` from ``1.0``: the
+    trees differ exactly when their ``json.dumps`` layouts do. An object's
+    key order comes before its members, and the keys only the stored report
+    has after the written ones."""
+    if stored == written:
+        return []
+    return list(_differences(json.loads(written), load_doc(stored), ""))
 
-    Leaves compare by their ``json.dumps`` spelling, so ``-0.0`` differs
-    from ``0.0`` and ``1`` from ``1.0``: two trees differ here exactly when
-    their ``json.dumps`` layouts do. An object's key order comes before its
-    members, and the keys only ``stored`` has after the written ones.
-    """
+
+def _differences(written: Any, stored: Any, path: str) -> Iterator[Difference]:
     if type(written) is dict and type(stored) is dict:
         if written.keys() == stored.keys() and list(written) != list(stored):
             yield Difference(path, list(written), list(stored), key_order=True)
@@ -574,7 +581,7 @@ def report_differences(written: Any, stored: Any,
             elif key not in written:
                 yield Difference(at, "<absent>", stored[key])
             else:
-                yield from report_differences(written[key], stored[key], at)
+                yield from _differences(written[key], stored[key], at)
     elif type(written) is list and type(stored) is list:
         for i in range(max(len(written), len(stored))):
             at = f"{path}[{i}]"
@@ -583,7 +590,7 @@ def report_differences(written: Any, stored: Any,
             elif i >= len(written):
                 yield Difference(at, "<absent>", stored[i])
             else:
-                yield from report_differences(written[i], stored[i], at)
+                yield from _differences(written[i], stored[i], at)
     elif json.dumps(written) != json.dumps(stored):
         yield Difference(path, written, stored)
 
@@ -596,13 +603,11 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
     the dotted path of a missing or unknown key or of a value the writer
     cannot have written. The Footprint is built from the independent
     figures alone, and rendered once with the report's own factors. That
-    rendering must equal the report's canonical layout, ``json.dumps(doc,
-    indent=2, ensure_ascii=False)`` plus a newline. Bytes the writer wrote
-    pass by one comparison, other bytes through their parsed tree, and a
-    dict is laid out first. Otherwise ``ReportError`` names the first
-    difference in document order: a stored value the other figures do not
-    give, such as a copy of a derived figure one ulp off or a ``-0.0`` the
-    writer writes as ``0.0``, or an object whose keys are out of order.
+    rendering must equal the report by :func:`report_differences`.
+    Otherwise ``ReportError`` names the first difference in document order:
+    a stored value the other figures do not give, such as a copy of a
+    derived figure one ulp off or a ``-0.0`` the writer writes as ``0.0``,
+    or an object whose keys are out of order.
     """
     doc = load_doc(source)
     _check(doc, _REPORT, "")
@@ -618,19 +623,13 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
                           for entry in summary["history"]))
     except OverflowError as exc:  # stored integers adding up beyond float range
         raise ReportError(f"malformed report JSON: {exc}") from exc
-    rendered = render_json(fp, factors_from_json(doc)).content
-    if isinstance(source, dict):
-        source = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    if isinstance(source, str):
-        source = source.encode("utf-8")
-    if rendered != source:
-        for at, written, stored, key_order in report_differences(
-                json.loads(rendered), doc):
-            if key_order:
-                raise _malformed(at or "the report",
-                                 "key order differs from the canonical report")
-            raise _malformed(at, f"stored {json.dumps(stored)}, but the report's "
-                                 f"other figures give {json.dumps(written)}")
+    for at, written, stored, key_order in report_differences(
+            render_json(fp, factors_from_json(doc)).content, source):
+        if key_order:
+            raise _malformed(at or "the report",
+                             "key order differs from the canonical report")
+        raise _malformed(at, f"stored {json.dumps(stored)}, but the report's "
+                             f"other figures give {json.dumps(written)}")
     return fp
 
 

@@ -12,15 +12,16 @@ A figure is checked once, where it enters a stage. Ingest's row getters
 check what the input files hold (grid intensities among them), and the
 report parser's field table what a stored report holds. The engine checks
 the figures it derives in two places only: phase 1 bounds each data
-center's totals, and a tenant's ``Footprint`` its two totals (see
-:mod:`.allocation`). The checks below return a figure unchanged or raise
-:class:`UnitError`; the ``power`` helpers, ``--l-share``,
-``generate_fleet`` and the equivalency factors file use them too.
+center's totals, and a tenant's ``Footprint`` its two totals and the sums
+its report writes that these do not bound (see :mod:`.allocation`). The
+checks below return a figure unchanged or raise :class:`UnitError`; the
+``power`` helpers, ``--l-share`` and ``generate_fleet`` use them too. A
+number is finite when it lies within float range, so an int too large to
+convert to a float is not.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -32,24 +33,11 @@ __all__ = [
     "check_energy",
     "check_emissions",
     "check_share",
-    "is_finite",
     "SCOPE2_COMPONENTS",
 ]
 
 # Scope 2 is always decomposed into exactly these energy categories.
 SCOPE2_COMPONENTS = ("server", "network", "cooling", "other")
-
-
-def is_finite(value: int | float) -> bool:
-    """``math.isfinite`` that answers False for an int beyond float range.
-
-    ``math.isfinite`` raises ``OverflowError`` on such an int, and a number
-    parsed from JSON can be one.
-    """
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 _MAX = sys.float_info.max
@@ -60,7 +48,7 @@ def _finite(value: float, what: str) -> float:
         return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got {type(value).__name__}")
-    if not is_finite(value):
+    if not -_MAX <= value <= _MAX:  # exact for an int, False for nan
         raise UnitError(f"{what} must be finite, got {value!r}")
     return value
 
@@ -89,7 +77,7 @@ def check_share(value: float) -> float:
     return value
 
 
-_PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_PERIOD_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -107,7 +95,9 @@ class Period:
 
     @classmethod
     def parse(cls, text: str) -> "Period":
-        m = _PERIOD_RE.match(text.strip())
+        """The period ``text`` spells exactly: ASCII ``YYYY-MM``, nothing
+        around it."""
+        m = _PERIOD_RE.fullmatch(text)
         if not m:
             raise UnitError(f"period must look like YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from carbonalloc import allocation
@@ -39,7 +39,7 @@ from carbonalloc.ingest import (
     assemble_raw_data,
     load_input_dir,
 )
-from carbonalloc.report import EquivalencyFactors, render_json
+from carbonalloc.report import EquivalencyFactors, ReportError, render_json
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import SCOPE2_COMPONENTS, Period
 from conftest import intercept_model
@@ -640,20 +640,23 @@ class TestConservationAudit:
 
 # Figures for an in-memory fleet, from 1 up to the largest float's order.
 MAGNITUDES = st.sampled_from([1.0, 1e150, 1e300, 1e307, 1e308])
+# A grid intensity below 1 g/Wh lets energies sum past float range while
+# every emissions figure stays finite.
+INTENSITIES = st.sampled_from([0.3, 1.0, 1e150, 1e300, 1e307, 1e308])
 # An engine error names its data center's or tenant's row; in-memory records
 # have none, so it names the record.
 ROW_REF = re.compile(r"(datacenters|tenants)(\.csv)?:\w+: ")
-FACTORS = EquivalencyFactors(500000.0, 250.0, 8.22, "test factors")
 
 
 @st.composite
 def extreme_fleets(draw):
     """One or two data centers and up to three tenants, each running one
-    server in each data center it declares, with the grid intensity, fuel,
-    Scope 3, green energy, REC and model intercepts drawn from MAGNITUDES."""
+    server in each data center it declares, with the grid intensity drawn
+    from INTENSITIES and the fuel, Scope 3, green energy, REC and model
+    intercepts from MAGNITUDES."""
     dc_ids = ["DC_1", "DC_2"][:draw(st.integers(1, 2))]
     datacenters = {dc_id: make_dc(
-        dc_id, intensity=draw(MAGNITUDES),
+        dc_id, intensity=draw(INTENSITIES),
         fuel=(("GEN_1", draw(MAGNITUDES), draw(MAGNITUDES)),),
         scope3=draw(MAGNITUDES), green=draw(MAGNITUDES), rec=draw(MAGNITUDES))
         for dc_id in dc_ids}
@@ -670,6 +673,20 @@ def extreme_fleets(draw):
     return raw, models
 
 
+def one_tenant_on_two_dcs(intensity, intercepts, greens):
+    """TENANT_0 alone on DC_1 and DC_2, with one server in each."""
+    dc_ids = ("DC_1", "DC_2")
+    models = {f"M_{dc_id}": intercept_model(f"M_{dc_id}", wh)
+              for dc_id, wh in zip(dc_ids, intercepts)}
+    raw = assemble_raw_data(
+        period=PERIOD, tenants={"TENANT_0": make_tenant("TENANT_0", dc_ids)},
+        datacenters={dc_id: make_dc(dc_id, intensity=intensity, green=green)
+                     for dc_id, green in zip(dc_ids, greens)},
+        servers=tuple(server(dc_id, f"SRV_{dc_id}", f"M_{dc_id}", "TENANT_0")
+                      for dc_id in dc_ids), network=())
+    return raw, models
+
+
 def _refuse_constant(name):
     raise ValueError(f"report holds {name}")
 
@@ -679,21 +696,34 @@ class TestWhereFiguresAreChecked:
     # takes longer than the search, so the shrink phase is skipped.
     @settings(max_examples=150, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(fleet=extreme_fleets())
-    def test_engine_never_writes_inf_or_nan(self, fleet):
+    @given(fleet=extreme_fleets(), charge=st.sampled_from([0.5, 8.22]))
+    # Each report figure finite, but the Scope 2 energy summed over the two
+    # data centers is not; then the green offsets' sum, with gross and net
+    # finite.
+    @example(fleet=one_tenant_on_two_dcs(0.3, (1e308, 1e308), (0.0, 0.0)),
+             charge=8.22)
+    @example(fleet=one_tenant_on_two_dcs(1.0, (0.9e308, 1.0), (1e308, 0.9e308)),
+             charge=8.22)
+    def test_engine_never_writes_inf_or_nan(self, fleet, charge):
         """Either the engine refuses the fleet, naming a data center's or a
         tenant's row, or every report it renders is strict JSON: ``repr``
         spells an overflow ``inf``, which ``json.loads`` refuses, and
         ``json.dumps`` spells it ``Infinity``, which ``parse_constant``
-        refuses here."""
+        refuses here. An equivalency factor below 1 g, which could divide a
+        finite gross past float range, is refused."""
         raw, models = fleet
         try:
             footprints = compute_footprints(raw, models)
         except UnitError as exc:
             assert ROW_REF.match(str(exc)), str(exc)
             return
+        if charge < 1.0:
+            with pytest.raises(ReportError, match="must be >= 1 g"):
+                EquivalencyFactors(500000.0, 250.0, charge, "test factors")
+            return
+        factors = EquivalencyFactors(500000.0, 250.0, charge, "test factors")
         for fp in footprints:
-            json.loads(render_json(fp, FACTORS).content,
+            json.loads(render_json(fp, factors).content,
                        parse_constant=_refuse_constant)
 
     def test_checks_live_in_phase_1_and_a_tenants_totals(self):

@@ -293,7 +293,6 @@ class TestReadDatacenters:
             ("PDU_1", 280000.0)]
         (fuel,) = dc.fuel_log
         assert (fuel.device_id, fuel.amount, fuel.emission_factor) == ("GEN_1", 1000.0, 2.5)
-        assert fuel.emissions == 2500.0
         assert dc.scope3_total == 500000.0
         assert dc.green_energy == 100000.0
         assert dc.rec_offset == 20000.0
@@ -487,9 +486,9 @@ class TestAssemble:
 
     def test_repeated_network_triple_named_when_the_label_holds_a_colon(
             self, tmp_path):
-        path = csv_file(tmp_path, "network.csv", NETWORK_HEADER, GOOD_NETWORK,
-                        GOOD_NETWORK)
-        network = read_network(path, source="exports:network.csv")
+        path = csv_file(tmp_path, "exports:network.csv", NETWORK_HEADER,
+                        GOOD_NETWORK, GOOD_NETWORK)
+        network = read_network(path)
         with pytest.raises(ValidationFailure) as exc:
             assemble_raw_data(PERIOD, read_datacenters(csv_file(
                 tmp_path, "datacenters.csv", DC_HEADER, GOOD_DC)), read_tenants(
@@ -650,7 +649,7 @@ class TestColumnChecks:
             path = Path(tmp) / name
             path.write_text(text, encoding="utf-8")
             expected = outcome(lambda: map(
-                from_row, ingest.read_table(path, None, columns)))
+                from_row, ingest.read_table(path, columns)))
             assert outcome(lambda: read(path)) == expected
 
     def test_valid_fleet_builds_no_row_for_usage_files(self, tmp_path,

@@ -104,7 +104,7 @@ def footprints(draw):
 
 factor_sets = st.builds(
     EquivalencyFactors,
-    *(st.floats(min_value=1e-300, max_value=1e9) for _ in range(3)),
+    *(st.floats(min_value=1.0, max_value=1e9) for _ in range(3)),
     source_note=texts)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from carbonalloc.errors import (
     IngestError,
     InsufficientSamples,
-    ModelMismatch,
     SingularDesign,
     UnitError,
     ZeroDenominator,
@@ -23,12 +22,13 @@ from carbonalloc.power import (
     NETWORK_WH_PER_BYTE,
     CalibrationSample,
     ServerPowerModel,
-    allocate_shared_energy,
     estimate_network_energy,
     estimate_server_energy,
     fit_server_weights,
     read_calibration_samples,
     read_models,
+    shared_energy_total,
+    split_shared_wh,
     write_models,
 )
 from carbonalloc.units import check_energy
@@ -168,10 +168,6 @@ class TestEstimateServerEnergy:
         assert energy == 0.0
         assert any("clamp" in rec.message.lower() for rec in caplog.records)
 
-    def test_model_row_mismatch_rejected(self):
-        with pytest.raises(ModelMismatch):
-            estimate_server_energy(self.MODEL, server_row(model="XYZ_123"))
-
 
 class TestEstimateNetworkEnergy:
     def test_terabyte_pair_is_exact(self):
@@ -208,25 +204,25 @@ class TestAllocateSharedEnergy:
     COOLING = (SharedDevice("CRAC_1", 10000.0),)
 
     def test_quarter_share_is_exact(self):
-        got = allocate_shared_energy(self.COOLING, 2500.0, 10000.0)
+        got = split_shared_wh(shared_energy_total(self.COOLING), 2500.0, 10000.0)
         assert got == 2500.0
 
     def test_sole_tenant_takes_all(self):
-        got = allocate_shared_energy(self.COOLING, 123.0, 123.0)
+        got = split_shared_wh(shared_energy_total(self.COOLING), 123.0, 123.0)
         assert got == 10000.0
 
     def test_no_shared_devices_is_zero_even_with_zero_direct(self):
-        got = allocate_shared_energy((), 0.0, 0.0)
+        got = split_shared_wh(shared_energy_total(()), 0.0, 0.0)
         assert got == 0.0
 
     def test_zero_direct_total_with_shared_energy_raises(self):
         with pytest.raises(ZeroDenominator):
-            allocate_shared_energy(self.COOLING, 0.0, 0.0,
-                                   context="DC_EU1 cooling")
+            split_shared_wh(shared_energy_total(self.COOLING), 0.0, 0.0,
+                            context="DC_EU1 cooling")
 
     def test_sum_order_is_device_id_order(self):
         devices = [SharedDevice("B", 0.1), SharedDevice("A", 0.2)]
-        got = allocate_shared_energy(devices, 1.0, 1.0)
+        got = split_shared_wh(shared_energy_total(devices), 1.0, 1.0)
         assert got == 0.2 + 0.1  # sorted ids: A then B
 
     @settings(max_examples=50, deadline=None)
@@ -237,7 +233,7 @@ class TestAllocateSharedEnergy:
         devices = (SharedDevice("CRAC_1", shared_wh),)
         total_direct = math.fsum(directs)
         allocated = math.fsum(
-            allocate_shared_energy(devices, d, total_direct)
+            split_shared_wh(shared_energy_total(devices), d, total_direct)
             for d in directs)
         assert math.isclose(allocated, shared_wh, rel_tol=1e-9, abs_tol=1e-9)
 

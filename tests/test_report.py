@@ -532,6 +532,41 @@ class TestFactors:
             "can encode, got '\\ud800'\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("car_km_g", "true", "car_km_g must be a finite number >= 0, got True"),
+        ("car_km_g", '"250"', "car_km_g must be a finite number >= 0, got '250'"),
+        ("source_note", "5", "source_note must be a string UTF-8 can encode, got 5"),
+        ("flight_ams_nyc_g", "1" + "0" * 400,
+         f"flight_ams_nyc_g must be a finite number >= 0, got {10**400}"),
+        ("smartphone_charge_g", "0.5",
+         "equivalency factor smartphone_charge must be >= 1 g, got 0.5"),
+    ], ids=["boolean", "string", "number-note", "401-digits", "below-1g"])
+    def test_value_a_report_cannot_store_refused_by_compute(self, tmp_path, capsys,
+                                                           key, value, problem):
+        """Each value must be one the report's field table accepts for its
+        copy in a report, and each factor at least 1 g."""
+        fleet = tmp_path / "fleet"
+        assert main(["synth", "--seed", "3", "--tenants", "2", "--dcs", "1",
+                     "--out-dir", str(fleet)]) == 0
+        values = {"flight_ams_nyc_g": "500000", "car_km_g": "250",
+                  "smartphone_charge_g": "8.22", "source_note": '"test factors"',
+                  key: value}
+        path = tmp_path / "eq.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in values.items())
+                        + "}", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                     "--models", str(fleet / "models.csv"), "--equivalencies",
+                     str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"equivalency config {path}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_too_long_to_parse_refused(self, tmp_path):
+        path = tmp_path / "eq.json"
+        path.write_text('{"flight_ams_nyc_g": 1' + "0" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ReportError, match="^cannot read equivalency config "):
+            load_equivalency_factors(path)
+
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(Exception):
             EquivalencyFactors(0.0, 250.0, 8.22, "note")

@@ -1,5 +1,6 @@
 """Synthetic fleet generator and the command-line workflow around it."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -1091,6 +1092,89 @@ def test_missing_model_names_its_first_servers_row(tmp_path, capsys, command):
     assert code == EXIT_COMPUTATION
     assert capsys.readouterr().err == ("no calibrated power model for device "
                                        f"model(s): MODEL_A (servers.csv:{line_no})\n")
+
+
+def write_inputs(root: Path, servers: list[str], datacenters: list[str],
+                 tenants: list[str], models: list[str]) -> dict:
+    """A hand-written fleet: the data rows of each file, no network rows."""
+    fleet = root / "fleet"
+    fleet.mkdir()
+    for name, header, rows in (
+            ("servers.csv", "datacenter_id,device_id,device_model,tenant_id,"
+             "cpu_utilization,cache_moved,dram_accessed,disk_moved", servers),
+            ("network.csv", "datacenter_id,device_id,device_type,tenant_id,"
+             "bytes_sent,bytes_received", []),
+            ("datacenters.csv", "datacenter_id,name,region,grid_intensity,"
+             "cooling_devices,other_devices,fuel_log,scope3_total,green_energy,"
+             "rec_offset", datacenters),
+            ("tenants.csv", "tenant_id,display_name,agent_count,datacenter_ids",
+             tenants),
+            ("models.csv", "device_model,intercept,w_cpu,w_cache,w_dram,w_disk,"
+             "adjusted_r2", models)):
+        (fleet / name).write_text("\n".join(("# schema_version=1", header, *rows))
+                                  + "\n", encoding="utf-8")
+    return {"root": root, "fleet": fleet, "models": fleet / "models.csv",
+            "factors": write_factors(root), "out": root / "out"}
+
+
+def test_validation_failure_prints_every_error(tmp_path, capsys):
+    ws = write_inputs(
+        tmp_path,
+        servers=["DC_1,S1,M,TENANT_1,0.5,0,0,0", "DC_2,S2,M,TENANT_1,0.5,0,0,0",
+                 "DC_1,S3,M,TENANT_7,0.5,0,0,0"],
+        datacenters=["DC_1,One,eu,0.3,,,", "DC_2,Two,eu,0.3,,,"],
+        tenants=["TENANT_1,One,1,DC_1;DC_9"], models=["M,10,0,0,0,0,1"])
+    assert run_compute(ws) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "3 validation error(s):\n"
+        "  usage for device 'S2': tenant 'TENANT_1' does not use data center "
+        "'DC_2' (at servers.csv:4)\n"
+        "  unknown tenant 'TENANT_7' (at servers.csv:5)\n"
+        "  unknown data center 'DC_9' (at tenants.csv:3)\n")
+    assert not ws["out"].exists()
+
+
+@pytest.mark.parametrize("intensity, intercepts, greens, message", [
+    ("0.3", ("1e308", "1e308"), ("0", "0"), "energy (Wh) must be finite, got inf"),
+    ("1", ("0.9e308", "1"), ("1e308", "0.9e308"),
+     "emissions (gCO2e) must be finite, got inf"),
+], ids=["scope2-energy", "green-offset"])
+def test_summed_figure_overflow_names_the_tenants_row(tmp_path, capsys, intensity,
+                                                      intercepts, greens, message):
+    """Every figure of each data center, and the tenant's gross and net, are
+    finite, but a figure the report sums over the two data centers is not:
+    compute names the tenant's row and writes nothing."""
+    ws = write_inputs(
+        tmp_path,
+        servers=[f"DC_{i},S{i},M{i},TENANT_1,0.5,0,0,0" for i in (1, 2)],
+        datacenters=[f"DC_{i},Dc,eu,{intensity},,,,0,{green},0"
+                     for i, green in zip((1, 2), greens)],
+        tenants=["TENANT_1,One,1,DC_1;DC_2"],
+        models=[f"M{i},{wh},0,0,0,0,1" for i, wh in zip((1, 2), intercepts)])
+    assert run_compute(ws) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"tenants.csv:3: {message}\n"
+    assert not ws["out"].exists()
+
+
+def test_each_subcommand_has_its_pinned_options():
+    """Adding an option is a decision that this list records."""
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert {name: [option for action in command._actions if action.dest != "help"
+                   for option in action.option_strings]
+            for name, command in commands.items()} == {
+        "calibrate": ["--samples", "--models-out"],
+        "compute": ["--period", "--input-dir", "--models", "--equivalencies",
+                    "--out-dir", "--history-dir", "--l-share", "--trend-thresholds"],
+        "report": ["--report", "--out-dir", "--equivalencies", "--trend-thresholds"],
+        "audit": ["--report", "--input-dir", "--models", "--equivalencies",
+                  "--history-dir", "--l-share"],
+        "synth": ["--seed", "--tenants", "--dcs", "--out-dir", "--no-offsets",
+                  "--l-share"],
+    }
+    assert [action.dest for action in parser._actions
+            if action.option_strings] == ["help"]
 
 
 def test_synth_refuses_l_share_out_of_range(tmp_path, capsys):

@@ -90,7 +90,9 @@ class TestPeriod:
         assert (p.year, p.month) == (2025, 6)
         assert str(p) == "2025-06"
 
-    @pytest.mark.parametrize("bad", ["2025-13", "2025-00", "2025-6", "202506", "2025/06", ""])
+    @pytest.mark.parametrize("bad", ["2025-13", "2025-00", "2025-6", "202506", "2025/06", "",
+                                     " 2025-06 ", "\u0662\u0660\u0662\u0665-\u0660\u0666",
+                                     "2025-06\n"])
     def test_parse_rejects(self, bad):
         with pytest.raises(UnitError):
             Period.parse(bad)
