@@ -30,7 +30,10 @@ Every figure is a plain float in the units of :mod:`.units`. Figures that
 are functions of other fields of the same record are derived by the record,
 never passed in: a pair's Scope 2 ``emissions``, a ratio's ``ratio``, a data
 center footprint's ``scope2``, ``component_emissions``, ``gross`` and
-``net``, and a tenant's totals.
+``net``, and a tenant's totals: its three scopes, Scope 2 energy, component
+emissions, two offsets, gross and net, each summed once over its data
+centers in ``per_dc`` order, and its per-agent figure. No other module adds
+figures across data centers, so both reports show the floats checked here.
 
 Figures are checked in two places. Phase 1 bounds each data center's totals,
 naming its datacenters.csv row: direct, cooling and other energy, the fuel
@@ -230,12 +233,14 @@ class DcFootprint:
 class Footprint:
     """One tenant's footprint for one reporting period, across data centers.
 
-    ``gross_total``, ``net_total`` and ``per_agent`` are derived from
-    ``per_dc``. The two totals are checked: a figure of any data center that
-    overflows makes one of them inf or nan (see the module docstring), and
-    ``per_agent`` is at most ``gross_total``. The report also writes the
-    Scope 2 energy and the two offsets summed in ``per_dc`` order; no total
-    bounds those sums, so they are checked too.
+    Derived from ``per_dc``: ``scope1``, ``scope2``, ``scope3``,
+    ``scope2_energy``, ``component_emissions``, ``green_offset`` and
+    ``rec_offset``, each its data centers' figure of that name summed in
+    ``per_dc`` order, ``gross_total`` and ``net_total`` summed alike from
+    ``gross`` and ``net``, and ``per_agent``. Both reports read these and sum
+    nothing. The two totals are checked (see the module docstring), and so
+    are the Scope 2 energy and the two offsets, which no total bounds; the
+    scope and component sums are at most ``gross_total``.
     """
 
     tenant_id: str
@@ -243,6 +248,13 @@ class Footprint:
     agent_count: int
     period: Period
     per_dc: tuple[DcFootprint, ...]
+    scope1: float = field(init=False)
+    scope2: float = field(init=False)
+    scope3: float = field(init=False)
+    scope2_energy: float = field(init=False)
+    component_emissions: dict[str, float] = field(init=False)
+    green_offset: float = field(init=False)
+    rec_offset: float = field(init=False)
     gross_total: float = field(init=False)
     net_total: float = field(init=False)
     per_agent: float = field(init=False)
@@ -252,19 +264,29 @@ class Footprint:
         dc_ids = [dc.datacenter_id for dc in self.per_dc]
         if len(set(dc_ids)) != len(dc_ids):
             raise UnitError(f"per_dc repeats a datacenter_id: {dc_ids}")
-        gross = net = energy = green = rec = 0.0
+        scope1 = scope2 = scope3 = energy = green = rec = gross = net = 0.0
+        components = dict.fromkeys(SCOPE2_COMPONENTS, 0.0)
         for dc in self.per_dc:
-            gross += dc.gross
-            net += dc.net
+            scope1 += dc.scope1
+            scope2 += dc.scope2
+            scope3 += dc.scope3
             energy += dc.scope2_energy
+            for name in components:
+                components[name] += dc.component_emissions[name]
             green += dc.green_offset
             rec += dc.rec_offset
+            gross += dc.gross
+            net += dc.net
         set_field = object.__setattr__
         set_field(self, "gross_total", check_emissions(gross))
         set_field(self, "net_total", check_emissions(net, allow_negative=True))
-        check_energy(energy)
-        check_emissions(green)
-        check_emissions(rec)
+        set_field(self, "scope2_energy", check_energy(energy))
+        set_field(self, "green_offset", check_emissions(green))
+        set_field(self, "rec_offset", check_emissions(rec))
+        set_field(self, "scope1", scope1)
+        set_field(self, "scope2", scope2)
+        set_field(self, "scope3", scope3)
+        set_field(self, "component_emissions", components)
         set_field(self, "per_agent", gross / self.agent_count)
         if len(self.history) > 2:
             raise UnitError("history holds at most the two prior periods")

@@ -117,24 +117,19 @@ def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
 
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
                    out_dir: Path, trend_thresholds: tuple[float, float],
-                   history: HistoryStore) -> list[Path]:
+                   history: HistoryStore) -> None:
     """Render every report, then write them in deterministic order, so a
     render failure writes nothing."""
     rendered = [(render_json(fp, factors),
                  render_onepage(fp, factors, trend_thresholds=trend_thresholds))
                 for fp in footprints]
-    written: list[Path] = []
     reports_root = out_dir / "reports"
     for fp, (json_doc, html_doc) in zip(footprints, rendered):
         tenant_dir = reports_root / fp.tenant_id
         tenant_dir.mkdir(parents=True, exist_ok=True)
-        json_path = tenant_dir / f"{fp.period}.json"
-        json_path.write_bytes(json_doc.content)
-        html_path = tenant_dir / f"{fp.period}.html"
-        html_path.write_bytes(html_doc.content)
+        (tenant_dir / f"{fp.period}.json").write_bytes(json_doc.content)
+        (tenant_dir / f"{fp.period}.html").write_bytes(html_doc.content)
         history.save(fp.tenant_id, fp.period, json_doc.content)
-        written.extend([json_path, html_path])
-    return written
 
 
 def cmd_compute(period: Period, input_dir: Path, models_file: Path,

@@ -113,6 +113,22 @@ class DuplicateDevice(IngestError):
         )
 
 
+class MissingModel(IngestError):
+    """Usage rows name one or more device models models.csv does not define.
+
+    ``first_rows`` maps each model to the ``file:line`` of the first usage
+    row that names it, or to "" when the row has none.
+    """
+
+    def __init__(self, first_rows: dict[str, str]):
+        self.device_models = tuple(sorted(first_rows))
+        super().__init__(
+            "no calibrated power model for device model(s): "
+            + ", ".join(f"{name} ({first_rows[name]})" if first_rows[name] else name
+                        for name in self.device_models)
+        )
+
+
 class ValidationFailure(IngestError):
     """Aggregate of every cross-reference error found while assembling a period.
 
@@ -150,22 +166,6 @@ class SingularDesign(PowerModelError):
     def __init__(self, detail: str):
         self.detail = detail
         super().__init__(f"singular calibration design: {detail}")
-
-
-class MissingModel(PowerModelError):
-    """One or more device models have no calibrated power model.
-
-    ``first_rows`` maps each model to the ``file:line`` of the first usage
-    row that names it, or to "" when the row has none.
-    """
-
-    def __init__(self, first_rows: dict[str, str]):
-        self.device_models = tuple(sorted(first_rows))
-        super().__init__(
-            "no calibrated power model for device model(s): "
-            + ", ".join(f"{name} ({first_rows[name]})" if first_rows[name] else name
-                        for name in self.device_models)
-        )
 
 
 # ---------------------------------------------------------------------------

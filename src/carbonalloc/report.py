@@ -171,9 +171,10 @@ def compute_trend(current: Footprint) -> list[TrendDelta]:
 # writer can have written. Aggregates, equivalencies, trend percentages and
 # over-offset flags have no test. They are never read back, and neither are
 # the figures a record derives (a data center's gross, say) or a device's
-# emissions. The parser renders the Footprint it builds and compares that
-# with the report, so each must be spelled as the writer spells it for the
-# other figures.
+# emissions. The summary and offsets aggregates are totals the Footprint
+# derives once from its data centers; the table only reads them. The parser
+# renders the Footprint it builds and compares that with the report, so each
+# must be spelled as the writer spells it for the other figures.
 
 
 class _Kind(NamedTuple):
@@ -231,12 +232,6 @@ def _device(type_name: str, *label: tuple, **counters: tuple) -> dict[str, Any]:
     return {"type": _const(type_name), "isAggregate": _const(False), **dict(label),
             "energy": (_ENERGY, "o.energy_wh"),
             "emissions": (_EMISSIONS, "o.emissions_g"), **counters}
-
-
-def _summed(figure: str) -> tuple[_Kind, str]:
-    """A derived total: ``figure``, an expression over ``dc``, summed over
-    the data centers."""
-    return _DERIVED, f"_total(o, lambda dc: {figure})"
 
 
 # Each device map's category and entry. An entry is read back as the
@@ -300,10 +295,10 @@ _REPORT = {
         "netEmissions": (_NET, "o.net_total"),
         "perAgentEmissions": (_EMISSIONS, "o.per_agent"),
         "scopes": {
-            "scope1": _scope("Scope1", True, _ZERO, _summed("dc.scope1")),
-            "scope2": _scope("Scope2", True, _summed("dc.scope2_energy"),
-                             _summed("dc.scope2")),
-            "scope3": _scope("Scope3", True, _ZERO, _summed("dc.scope3"))},
+            "scope1": _scope("Scope1", True, _ZERO, (_DERIVED, "o.scope1")),
+            "scope2": _scope("Scope2", True, (_DERIVED, "o.scope2_energy"),
+                             (_DERIVED, "o.scope2")),
+            "scope3": _scope("Scope3", True, _ZERO, (_DERIVED, "o.scope3"))},
         "history": (_Items({"period": (_PERIOD, "o.period"),
                             "grossEmissions": (_EMISSIONS, "o.gross"),
                             "netEmissions": (_NET, "o.net"),
@@ -318,8 +313,8 @@ _REPORT = {
             "carKmG": (_EMISSIONS, "factors.car_km"),
             "smartphoneChargeG": (_EMISSIONS, "factors.smartphone_charge")},
         "sourceNote": (_STRING, "factors.source_note")},
-    "offsets": {"greenEnergyOffset": _summed("dc.green_offset"),
-                "recOffset": _summed("dc.rec_offset"),
+    "offsets": {"greenEnergyOffset": (_DERIVED, "o.green_offset"),
+                "recOffset": (_DERIVED, "o.rec_offset"),
                 "netEmissions": (_DERIVED, "o.net_total"),
                 "overOffset": (_OVER_OFFSET, "o.net_total")},
     "datacenters": (_Items(_DATACENTER, True),
@@ -330,14 +325,6 @@ _REPORT = {
 # ---------------------------------------------------------------------------
 # JSON rendering
 # ---------------------------------------------------------------------------
-
-
-def _total(fp: Footprint, figure: Callable[[DcFootprint], float]) -> float:
-    """One data center figure summed over ``fp.per_dc``, in order."""
-    total = 0.0
-    for dc in fp.per_dc:
-        total += figure(dc)
-    return total
 
 
 def _number(value: float | None) -> str:
@@ -366,7 +353,7 @@ def _join(items: list, write: Callable[..., str], depth: int, keyed: bool) -> st
 # generated source comes from the table alone, never from a report's content.
 _WRITERS: dict[str, Any] = {
     "_string": _string, "_number": _number, "_join": _join, "_by_id": _by_id,
-    "_total": _total, "compute_trend": compute_trend}
+    "compute_trend": compute_trend}
 
 
 def _text(spec: Any, depth: int) -> str:
@@ -766,13 +753,6 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     deltas = compute_trend(fp)
     equivalents = compute_equivalencies(fp.gross_total, factors)
 
-    scope1_total = sum(dc.scope1 for dc in fp.per_dc)
-    scope3_total = sum(dc.scope3 for dc in fp.per_dc)
-    component_totals = {
-        name: sum(dc.component_emissions[name] for dc in fp.per_dc)
-        for name in ("server", "network", "cooling", "other")
-    }
-
     # Trend badge against the most recent prior month, when comparable.
     badge = ""
     if deltas and deltas[0].pct_change is not None:
@@ -800,21 +780,20 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
         if deltas else "<p>No prior months on record yet.</p>"
     )
 
+    components = fp.component_emissions
     scope_slices = [
-        ("Scope 1", scope1_total, _SCOPE_COLORS["Scope 1"]),
-        ("Scope 2: servers", component_totals["server"], _SCOPE_COLORS["Scope 2: servers"]),
-        ("Scope 2: network", component_totals["network"], _SCOPE_COLORS["Scope 2: network"]),
-        ("Scope 2: cooling", component_totals["cooling"], _SCOPE_COLORS["Scope 2: cooling"]),
-        ("Scope 2: other", component_totals["other"], _SCOPE_COLORS["Scope 2: other"]),
-        ("Scope 3", scope3_total, _SCOPE_COLORS["Scope 3"]),
+        ("Scope 1", fp.scope1, _SCOPE_COLORS["Scope 1"]),
+        ("Scope 2: servers", components["server"], _SCOPE_COLORS["Scope 2: servers"]),
+        ("Scope 2: network", components["network"], _SCOPE_COLORS["Scope 2: network"]),
+        ("Scope 2: cooling", components["cooling"], _SCOPE_COLORS["Scope 2: cooling"]),
+        ("Scope 2: other", components["other"], _SCOPE_COLORS["Scope 2: other"]),
+        ("Scope 3", fp.scope3, _SCOPE_COLORS["Scope 3"]),
     ]
-    green_total = sum(dc.green_offset for dc in fp.per_dc)
-    rec_total = sum(dc.rec_offset for dc in fp.per_dc)
     # The offsets chart decomposes gross into what each offset method covers
     # and what remains; an over-offset tenant has nothing remaining.
     offset_slices = [
-        ("Green energy offset", green_total, _OFFSET_COLORS["Green energy offset"]),
-        ("REC offset", rec_total, _OFFSET_COLORS["REC offset"]),
+        ("Green energy offset", fp.green_offset, _OFFSET_COLORS["Green energy offset"]),
+        ("REC offset", fp.rec_offset, _OFFSET_COLORS["REC offset"]),
         ("Net (not offset)", max(fp.net_total, 0.0),
          _OFFSET_COLORS["Net (not offset)"]),
     ]
@@ -906,7 +885,7 @@ emissions. Shared and indirect emissions are attributed by each tenant's
 share of data center Scope 2 emissions times its load share. Net emissions
 subtract the tenant's share of green energy and renewable energy
 certificates. Total energy attributed this period:
-{_fmt_wh(sum(dc.scope2_energy for dc in fp.per_dc))}.</p>
+{_fmt_wh(fp.scope2_energy)}.</p>
 <p>Equivalency factors: {html.escape(factors.source_note)}</p>
 </footer>
 </section>

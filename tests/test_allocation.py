@@ -553,6 +553,88 @@ class TestComputeFootprints:
         assert fp.history == ()
 
 
+def figures(record, name=""):
+    """Each float ``record`` holds, as (field name, ``float.hex()``), through
+    records, tuples and dicts in order: bit-exact, so ``-0.0`` is not ``0.0``."""
+    if type(record) is float:
+        return [(name, record.hex())]
+    if dataclasses.is_dataclass(record):
+        members = [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
+    elif isinstance(record, tuple) and hasattr(record, "_fields"):
+        members = list(zip(record._fields, record))
+    elif isinstance(record, (tuple, dict)):
+        members = [(name, member) for member in
+                   (record.values() if isinstance(record, dict) else record)]
+    else:
+        return []
+    return [found for key, member in members for found in figures(member, key)]
+
+
+# Small in-memory fleets, at full and partial load shares.
+small_fleets = st.builds(
+    generate_fleet, seed=st.integers(0, 2**16), n_tenants=st.integers(1, 5),
+    n_dcs=st.integers(1, 3), l_share=st.sampled_from([1.0, 0.75]))
+
+
+class TestFairness:
+    """The allocation treats tenants alike: a tenant's figures depend on its
+    own usage and on the fleet totals, never on its id or on who else holds
+    no usage."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(fleet=small_fleets, data=st.data())
+    def test_a_cloned_tenant_gets_bit_identical_figures(self, fleet, data):
+        """Symmetry: a tenant added under another id with the same rows and
+        data centers gets the original's figures bit for bit. A server
+        (dc, device) pair may appear only once, so the clone's server ids
+        gain a ``Z`` prefix, which keeps their order; network rows keep
+        their ids."""
+        raw = fleet.raw
+        original = data.draw(st.sampled_from(sorted(raw.tenants)), label="original")
+        clone = f"{original}_CLONE"
+        cloned = dataclasses.replace(
+            raw,
+            tenants={**raw.tenants,
+                     clone: dataclasses.replace(raw.tenants[original], tenant_id=clone)},
+            servers=raw.servers + tuple(
+                dataclasses.replace(row, tenant_id=clone, device_id="Z" + row.device_id)
+                for row in raw.servers if row.tenant_id == original),
+            network=raw.network + tuple(
+                dataclasses.replace(row, tenant_id=clone)
+                for row in raw.network if row.tenant_id == original))
+        by_id = {fp.tenant_id: fp for fp in compute_footprints(cloned, fleet.models)}
+        assert ([dc.datacenter_id for dc in by_id[clone].per_dc]
+                == [dc.datacenter_id for dc in by_id[original].per_dc])
+        assert by_id[clone].gross_total > 0.0
+        assert figures(by_id[clone]) == figures(by_id[original])
+
+    @settings(max_examples=25, deadline=None)
+    @given(fleet=small_fleets, data=st.data())
+    def test_a_tenant_without_usage_gets_zero_and_moves_no_one(self, fleet, data):
+        """Null tenant: tenants that declare data centers but have no usage
+        rows there, one on every data center and one on a subset at load
+        share 0.5, get zero for every figure but the grid intensity and
+        their load share, and every other tenant's figures stay bit for bit
+        as they were."""
+        raw = fleet.raw
+        dc_ids = sorted(raw.datacenters)
+        subset = data.draw(st.lists(st.sampled_from(dc_ids), min_size=1, unique=True),
+                           label="subset")
+        nulls = {"NULL_ALL": make_tenant("NULL_ALL", dc_ids),
+                 "NULL_SOME": make_tenant("NULL_SOME", subset, l_share=0.5)}
+        with_nulls = dataclasses.replace(raw, tenants={**raw.tenants, **nulls})
+        before = {fp.tenant_id: fp for fp in compute_footprints(raw, fleet.models)}
+        after = {fp.tenant_id: fp for fp in compute_footprints(with_nulls, fleet.models)}
+        assert after.keys() == before.keys() | nulls.keys()
+        for tenant_id, fp in before.items():
+            assert figures(after[tenant_id]) == figures(fp)
+        for tenant_id in nulls:
+            zeros = [(name, value) for name, value in figures(after[tenant_id])
+                     if name not in ("grid_intensity", "l_share")]
+            assert zeros
+            assert {value for _, value in zeros} == {(0.0).hex()}, zeros
+
+
 def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:
     """Scale one tenant's Scope 2 energy; the records derive the rest."""
     dc = fp.per_dc[0]

@@ -23,9 +23,11 @@ from carbonalloc.allocation import (
 from carbonalloc.report import (
     EquivalencyFactors,
     ReportError,
+    _fmt_wh,
     factors_from_json,
     footprint_from_json,
     render_json,
+    render_onepage,
 )
 from carbonalloc.units import SCOPE2_COMPONENTS, Period
 
@@ -116,6 +118,49 @@ def test_writer_matches_json_dumps_and_round_trips(fp, factors):
     assert content == (reference + "\n").encode()
     again = footprint_from_json(content)
     assert render_json(again, factors_from_json(content)).content == content
+
+
+# Each tenant total a report shows, as the Footprint field and the data
+# center field it sums, and where the JSON report writes it.
+TENANT_TOTALS = {
+    "scope1": ("summary", "scopes", "scope1", "emissions"),
+    "scope2": ("summary", "scopes", "scope2", "emissions"),
+    "scope3": ("summary", "scopes", "scope3", "emissions"),
+    "scope2_energy": ("summary", "scopes", "scope2", "energy"),
+    "green_offset": ("offsets", "greenEnergyOffset"),
+    "rec_offset": ("offsets", "recOffset"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(footprints(), factor_sets)
+def test_reports_show_the_tenant_totals_the_footprint_sums(fp, factors):
+    """Footprint sums each tenant total once, in ``per_dc`` order, also when
+    ``footprint_from_json`` builds it, and both reports only read it: the
+    JSON summary and offsets write its ``repr``, and the one-page footer
+    its Scope 2 energy."""
+    content = render_json(fp, factors).content
+    for built in (fp, footprint_from_json(content)):
+        for name in TENANT_TOTALS:
+            total = 0.0
+            for dc in built.per_dc:
+                total += getattr(dc, name)
+            assert getattr(built, name).hex() == total.hex(), name
+        assert list(built.component_emissions) == list(SCOPE2_COMPONENTS)
+        for name in SCOPE2_COMPONENTS:
+            total = 0.0
+            for dc in built.per_dc:
+                total += dc.component_emissions[name]
+            assert built.component_emissions[name].hex() == total.hex(), name
+        doc = json.loads(render_json(built, factors).content, parse_float=str)
+        for name, path in TENANT_TOTALS.items():
+            value = doc
+            for key in path:
+                value = value[key]
+            assert value == repr(getattr(built, name)), path
+        page = render_onepage(built, factors).content.decode("utf-8")
+        assert (f"Total energy attributed this period:\n{_fmt_wh(built.scope2_energy)}."
+                in page)
 
 
 def fixed_key_objects(node, path="", keys=()):

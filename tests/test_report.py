@@ -453,6 +453,23 @@ def test_no_other_module_spells_a_report_key():
     assert spelled == []
 
 
+def test_report_module_sums_nothing_over_per_dc():
+    """A tenant total is summed once, by ``Footprint``, and the reports only
+    read it: the one ``.per_dc`` read in report.py is the loop over the
+    one-page methodology table's rows, one per data center."""
+    tree = ast.parse(Path(report_module.__file__).read_text(encoding="utf-8"))
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "per_dc"]
+    onepage = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "render_onepage")
+    (rows,) = [node.value for node in ast.walk(onepage) if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["methodology_dcs"]]
+    loops = [loop.iter for node in ast.walk(rows)
+             if isinstance(node, ast.GeneratorExp) for loop in node.generators]
+    assert [ast.unparse(node) for node in loops] == ["fp.per_dc"]
+    assert [node.lineno for node in reads] == [node.lineno for node in loops]
+
+
 # The records a footprint is made of; anything else in them is a value.
 RECORDS = (Footprint, DcFootprint, ResponsibilityRatio, HistoryEntry, DeviceShare,
            Period)

@@ -185,13 +185,13 @@ class TestComputeCommand:
         assert run_compute(workspace) == EXIT_VALIDATION
         assert "cannot read file" in capsys.readouterr().err
 
-    def test_missing_model_exits_2(self, workspace, capsys):
+    def test_missing_model_exits_1(self, workspace, capsys):
         models = workspace["models"]
         lines = models.read_text().splitlines()
         kept = [ln for ln in lines if not ln.startswith("MODEL_A")]
         assert len(kept) < len(lines), "fleet should use MODEL_A"
         models.write_text("\n".join(kept) + "\n")
-        assert run_compute(workspace) == EXIT_COMPUTATION
+        assert run_compute(workspace) == EXIT_VALIDATION
         assert "MODEL_A" in capsys.readouterr().err
 
     def test_negative_estimate_warns_once_per_device(self, workspace, caplog):
@@ -420,11 +420,7 @@ def fuzz_fleet(tmp_path_factory):
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_mutated_input_exits_cleanly_naming_file_and_line(fuzz_fleet, name, data):
-    """A byte-mutated input computes or exits 1 naming a file and line.
-
-    The one exit 2 a mutation reaches is a device model that models.csv
-    does not define, which is a computation failure by the exit codes.
-    """
+    """A byte-mutated input computes or exits 1 naming a file and line."""
     files, factors = fuzz_fleet
     content = data.draw(mutated(files[name]), label=name)
     with tempfile.TemporaryDirectory() as tmp:
@@ -439,9 +435,6 @@ def test_mutated_input_exits_cleanly_naming_file_and_line(fuzz_fleet, name, data
                          str(fleet), "--models", str(fleet / "models.csv"),
                          "--equivalencies", str(factors),
                          "--out-dir", str(Path(tmp) / "out")])
-    if code == EXIT_COMPUTATION:
-        assert err.getvalue().startswith("no calibrated power model for ")
-        return
     assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
     if code == EXIT_VALIDATION:
         assert FILE_LINE.search(err.getvalue()), err.getvalue()
@@ -570,7 +563,7 @@ class TestAuditCommand:
         assert "key order differs from the canonical report" in err
         assert "0 field(s)" not in err
 
-    def test_missing_model_exits_2(self, workspace, capsys):
+    def test_missing_model_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
         models = workspace["models"]
@@ -578,7 +571,7 @@ class TestAuditCommand:
         models.write_text("\n".join(ln for ln in lines
                                     if not ln.startswith("MODEL_A")) + "\n")
         capsys.readouterr()
-        assert run_audit(workspace, report) == EXIT_COMPUTATION
+        assert run_audit(workspace, report) == EXIT_VALIDATION
         assert "MODEL_A" in capsys.readouterr().err
 
     # Each case adds DC_99, declared only by a new tenant TENANT_99, after
@@ -588,7 +581,7 @@ class TestAuditCommand:
         "missing-model": (
             "DC_99,Elsewhere,eu-west,0.3,CRAC_99:1000.0,,,,,",
             "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0", None,
-            EXIT_COMPUTATION, "MODEL_Z"),
+            EXIT_VALIDATION, "MODEL_Z"),
         "zero-denominator": (
             "DC_99,Elsewhere,eu-west,0.3,CRAC_99:1000.0,,,,,", None, None,
             EXIT_COMPUTATION, "cooling devices of DC_99"),
@@ -1089,7 +1082,7 @@ def test_missing_model_names_its_first_servers_row(tmp_path, capsys, command):
     ws["out"] = tmp_path / "out_broken"
     code = (run_compute(ws) if command == "compute" else
             run_audit(ws, tmp_path / "out" / "reports" / "TENANT_01" / "2025-06.json"))
-    assert code == EXIT_COMPUTATION
+    assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == ("no calibrated power model for device "
                                        f"model(s): MODEL_A (servers.csv:{line_no})\n")
 
