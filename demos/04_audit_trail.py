@@ -7,7 +7,8 @@ them. This walkthrough drives the command-line interface end to end:
 generate a fleet, compute reports, audit one successfully, then flip a
 single number in the report and watch the audit pinpoint it.
 
-Exit codes: 0 ok, 1 invalid input, 2 computation failure, 3 audit mismatch.
+Exit codes: 0 ok, 1 invalid input, 2 a power model cannot be fitted,
+3 audit mismatch.
 """
 
 import json

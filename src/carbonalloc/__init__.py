@@ -31,7 +31,6 @@ from .allocation import (
     tenant_footprint,
 )
 from .errors import (
-    AllocationError,
     CarbonAllocError,
     DuplicateDevice,
     DuplicateId,

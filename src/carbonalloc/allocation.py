@@ -479,7 +479,7 @@ def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
             dc = datacenters[dc_id]
             has_scope1 = any(f.amount * f.emission_factor > 0 for f in dc.fuel_log)
             if has_scope1 or dc.scope3_total > 0:
-                raise ZeroDcScope2(dc_id)
+                raise ZeroDcScope2(dc_id, dc.source_ref)
 
     out: list[ResponsibilityRatio] = []
     for entry in scope2:

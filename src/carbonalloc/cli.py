@@ -6,8 +6,9 @@ Subcommands: ``calibrate`` (fit server power models from benchmark samples),
 ``audit`` (independently recompute a report and diff it), and ``synth``
 (generate a deterministic synthetic fleet).
 
-Exit codes: 0 success, 1 validation failure (bad inputs or an output path
-that cannot be written), 2 computation failure, 3 audit mismatch.
+Exit codes: 0 success, 1 validation failure (any input fault, named by its
+file and row, or an output path that cannot be written), 2 a power model
+cannot be fitted (and argparse usage errors), 3 audit mismatch.
 Diagnostics go to standard error; summary tables to standard output.
 """
 
@@ -28,7 +29,7 @@ from .allocation import (
     conservation_audit,
     tenant_footprint,
 )
-from .errors import CarbonAllocError, IngestError, PowerModelError, UnknownTenant
+from .errors import CarbonAllocError, PowerModelError, UnknownTenant
 from .history import HistoryStore
 from .ingest import ID_PATTERN, RawData, load_input_dir
 from .power import (
@@ -89,13 +90,9 @@ def _print_audit_summary(audit: AuditReport) -> None:
 
 def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
     """Fit one power model per device model and write the models file."""
-    try:
-        grouped = read_calibration_samples(samples_file)
-    except IngestError as exc:
-        _err(f"cannot read calibration samples: {exc}")
-        return EXIT_VALIDATION
+    grouped = read_calibration_samples(samples_file)
     if not grouped:
-        _err("calibration samples file has no rows")
+        _err(f"calibration samples file {samples_file} has no rows")
         return EXIT_VALIDATION
 
     models = {}
@@ -179,7 +176,8 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
         stored_doc = load_doc(content)
         tenant_id, period = report_identity(stored_doc)
     except (OSError, ReportError) as exc:
-        _err(f"cannot read report under audit: {exc!r}")
+        _err(f"cannot read report under audit: {report_file}: "
+             f"{getattr(exc, 'strerror', None) or exc}")
         return EXIT_VALIDATION
 
     raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
@@ -189,8 +187,7 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
     try:
         fp = tenant_footprint(raw, models, tenant_id)
     except UnknownTenant:
-        _err(f"tenant {tenant_id!r} not present in the provided inputs")
-        return EXIT_COMPUTATION
+        raise UnknownTenant(tenant_id, (str(report_file),)) from None
     if history_dir is not None:
         fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
@@ -384,12 +381,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                              with_offsets=not args.no_offsets,
                              l_share=args.l_share)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (IngestError, ReportError, UnitError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
     except CarbonAllocError as exc:
         _err(str(exc))
-        return EXIT_COMPUTATION
+        return EXIT_VALIDATION
     except OSError as exc:
         # Inputs are read where they are parsed, which turns an OSError into
         # an IngestError or ReportError; what arrives here is an output path.

@@ -1,8 +1,8 @@
 """Exception types raised across the pipeline.
 
-Ingestion errors carry enough location detail (file label, line number) for
-an operator to fix the offending export; engine errors carry the tenant and
-data center context they occurred in.
+Every error an input can cause names where to fix it: ingestion errors
+carry the file label and line number, and the engine's faults the
+datacenters.csv or tenants.csv row of the record they occurred in.
 """
 
 from __future__ import annotations
@@ -173,12 +173,9 @@ class SingularDesign(PowerModelError):
 # ---------------------------------------------------------------------------
 
 
-class AllocationError(CarbonAllocError):
-    """Base class for footprint allocation errors."""
-
-
-class ZeroDenominator(AllocationError):
-    """Shared energy exists but no tenant consumed any direct energy."""
+class ZeroDenominator(UnitError):
+    """Shared energy exists but no tenant consumed any direct energy; phase 1
+    prefixes it, as any unit error, with the data center's row."""
 
     def __init__(self, context: str = ""):
         self.context = context
@@ -188,12 +185,14 @@ class ZeroDenominator(AllocationError):
         )
 
 
-class ZeroDcScope2(AllocationError):
-    """A data center has Scope 1/3 to distribute but zero Scope 2 emissions."""
+class ZeroDcScope2(CarbonAllocError):
+    """A data center, at ``location`` (its datacenters.csv row, if any), has
+    Scope 1/3 to distribute but zero Scope 2 emissions."""
 
-    def __init__(self, datacenter_id: str):
+    def __init__(self, datacenter_id: str, location: str = ""):
         self.datacenter_id = datacenter_id
+        where = f"{location}: " if location else ""
         super().__init__(
-            f"data center {datacenter_id!r} has Scope 1 or Scope 3 emissions to "
+            f"{where}data center {datacenter_id!r} has Scope 1 or Scope 3 emissions to "
             "distribute but zero Scope 2 emissions; responsibility shares are undefined"
         )

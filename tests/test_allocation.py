@@ -579,7 +579,8 @@ small_fleets = st.builds(
 class TestFairness:
     """The allocation treats tenants alike: a tenant's figures depend on its
     own usage and on the fleet totals, never on its id or on who else holds
-    no usage."""
+    no usage; splitting a tenant keeps its sum, and more usage never means
+    a smaller share."""
 
     @settings(max_examples=25, deadline=None)
     @given(fleet=small_fleets, data=st.data())
@@ -633,6 +634,78 @@ class TestFairness:
                      if name not in ("grid_intensity", "l_share")]
             assert zeros
             assert {value for _, value in zeros} == {(0.0).hex()}, zeros
+
+    @settings(max_examples=25, deadline=None)
+    @given(fleet=small_fleets, data=st.data())
+    def test_splitting_a_tenant_keeps_its_sum_and_moves_no_one(self, fleet, data):
+        """Split: every second of one tenant's server rows, by data center
+        and device id, moved to a new tenant with the same data centers and
+        load share, gives two grosses that sum to the original's, and leaves
+        every other tenant's gross as it was. Both hold to a relative
+        8 * 2**-52, not bit for bit: the new tenant sorts into phase 1's
+        summation order, and the moved energies are summed apart, so each
+        sum rounds differently."""
+        raw = fleet.raw
+        original = data.draw(st.sampled_from(sorted(raw.tenants)), label="original")
+        part = f"{original}_SPLIT"
+        own = sorted((row for row in raw.servers if row.tenant_id == original),
+                     key=lambda row: (row.datacenter_id, row.device_id))
+        moved = {(row.datacenter_id, row.device_id) for row in own[::2]}
+        split = dataclasses.replace(
+            raw,
+            tenants={**raw.tenants,
+                     part: dataclasses.replace(raw.tenants[original], tenant_id=part)},
+            servers=tuple(
+                dataclasses.replace(row, tenant_id=part)
+                if (row.datacenter_id, row.device_id) in moved else row
+                for row in raw.servers))
+        before = {fp.tenant_id: fp.gross_total
+                  for fp in compute_footprints(raw, fleet.models)}
+        after = {fp.tenant_id: fp.gross_total
+                 for fp in compute_footprints(split, fleet.models)}
+        bound = 8 * 2**-52
+        whole = before.pop(original)
+        assert abs(after.pop(original) + after.pop(part) - whole) <= bound * whole
+        assert after.keys() == before.keys()
+        for tenant_id, gross in before.items():
+            assert abs(after[tenant_id] - gross) <= bound * gross
+
+    COUNTER_WEIGHTS = {"cache_moved": "w_cache", "disk_moved": "w_disk",
+                       "cpu_utilization": "w_cpu"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(fleet=small_fleets, data=st.data())
+    def test_a_raised_counter_never_lowers_its_tenants_share(self, fleet, data):
+        """Monotonicity: one server's counter raised (cache x1.5, disk
+        x(1 + 1e-7), or CPU +0.01 up to 1) never lowers its tenant's Scope 2
+        share in its data center, nor raises any other tenant's there. The
+        premise is that the counter's model weight is >= 0, as every synth
+        weight is."""
+        raw = fleet.raw
+        index = data.draw(st.integers(0, len(raw.servers) - 1), label="server")
+        counter = data.draw(st.sampled_from(sorted(self.COUNTER_WEIGHTS)),
+                            label="counter")
+        row = raw.servers[index]
+        value = getattr(row, counter)
+        raised = {"cache_moved": value * 1.5, "disk_moved": value * (1 + 1e-7),
+                  "cpu_utilization": value + 0.01}[counter]
+        assume(counter != "cpu_utilization" or raised <= 1.0)
+        assert getattr(fleet.models[row.device_model], self.COUNTER_WEIGHTS[counter]) >= 0.0
+        servers = list(raw.servers)
+        servers[index] = dataclasses.replace(row, **{counter: raised})
+
+        def shares(fleet_raw):
+            return {r.tenant_id: r.scope2_share for r in compute_responsibility_ratios(
+                        compute_scope2(fleet_raw, fleet.models), fleet_raw.datacenters)
+                    if r.datacenter_id == row.datacenter_id}
+
+        before = shares(raw)
+        after = shares(dataclasses.replace(raw, servers=tuple(servers)))
+        assert after.keys() == before.keys()
+        assert after[row.tenant_id] >= before[row.tenant_id]
+        for tenant_id, share in before.items():
+            if tenant_id != row.tenant_id:
+                assert after[tenant_id] <= share, tenant_id
 
 
 def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:

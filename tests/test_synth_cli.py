@@ -1,6 +1,7 @@
 """Synthetic fleet generator and the command-line workflow around it."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from carbonalloc.cli import (
     EXIT_VALIDATION,
     main,
 )
-from carbonalloc.errors import MalformedRow
+from carbonalloc.errors import CarbonAllocError, MalformedRow
 from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import load_input_dir
 from carbonalloc.report import ReportError
@@ -519,6 +520,20 @@ class TestAuditCommand:
         bad.write_text("{", encoding="utf-8")
         assert run_audit(workspace, bad) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("content, detail", [
+        (None, "No such file or directory"),
+        ("{", "report is not valid JSON: "),
+    ], ids=["missing", "not-json"])
+    def test_unreadable_report_names_it_and_the_fault(self, workspace, tmp_path,
+                                                      capsys, content, detail):
+        report = tmp_path / "report.json"
+        if content is not None:
+            report.write_text(content, encoding="utf-8")
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read report under audit: {report}: {detail}")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("period", [202506, [2025, 6], None],
                              ids=["number", "list", "null"])
     def test_period_that_is_not_a_string_exits_1(self, workspace, capsys, period):
@@ -584,11 +599,11 @@ class TestAuditCommand:
             EXIT_VALIDATION, "MODEL_Z"),
         "zero-denominator": (
             "DC_99,Elsewhere,eu-west,0.3,CRAC_99:1000.0,,,,,", None, None,
-            EXIT_COMPUTATION, "cooling devices of DC_99"),
+            EXIT_VALIDATION, "cooling devices of DC_99"),
         "zero-dc-scope2": (
             "DC_99,Elsewhere,eu-west,0.0,,,GEN_99:10.0:2.5,,,",
             "DC_99,SRV_99,MODEL_A,TENANT_99,0.5,0.0,0.0,0.0", None,
-            EXIT_COMPUTATION, "'DC_99' has Scope 1 or Scope 3"),
+            EXIT_VALIDATION, "'DC_99' has Scope 1 or Scope 3"),
         "non-finite-energy": (
             "DC_99,Elsewhere,eu-west,0.3,,,,,,",
             "DC_99,SRV_99,MODEL_Z,TENANT_99,0.5,0.0,0.0,0.0",
@@ -622,6 +637,7 @@ class TestAuditCommand:
         assert run_audit(workspace, report) == code
         audit_err = capsys.readouterr().err
         assert message in audit_err
+        assert FILE_LINE.search(audit_err)
         workspace["out"] = workspace["root"] / "out_broken"
         assert run_compute(workspace) == code
         assert capsys.readouterr().err == audit_err
@@ -741,16 +757,16 @@ class TestAuditCommand:
             f"tenants.csv:{line}: emissions (gCO2e) must be finite, got inf\n")
         assert not workspace["out"].exists()
 
-    def test_absent_tenant_exits_2(self, workspace, capsys):
+    def test_absent_tenant_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
         doc = json.loads(report.read_text(encoding="utf-8"))
         doc["tenant"]["tenantId"] = "TENANT_77"
         report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
         capsys.readouterr()
-        assert run_audit(workspace, report) == EXIT_COMPUTATION
-        assert ("tenant 'TENANT_77' not present in the provided inputs"
-                in capsys.readouterr().err)
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"unknown tenant 'TENANT_77' (at {report})\n")
 
     def test_estimates_only_the_audited_tenants_devices(self, workspace,
                                                         monkeypatch):
@@ -943,12 +959,43 @@ class TestCalibrateCommand:
                      "--models-out", str(tmp_path / "m.csv")]) == EXIT_COMPUTATION
         assert "cpu_utilization" in capsys.readouterr().err
 
+    def test_samples_without_rows_exit_1_naming_the_file(self, tmp_path, capsys):
+        samples = self._write_samples(tmp_path / "samples.csv", [])
+        assert main(["calibrate", "--samples", str(samples),
+                     "--models-out", str(tmp_path / "m.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"calibration samples file {samples} has no rows\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_too_few_samples_exits_2(self, tmp_path, capsys):
         samples = self._write_samples(tmp_path / "samples.csv",
                                       self._noiseless_rows("ABC_987", 3))
         assert main(["calibrate", "--samples", str(samples),
                      "--models-out", str(tmp_path / "m.csv")]) == EXIT_COMPUTATION
         assert "3" in capsys.readouterr().err
+
+
+def test_only_calibrate_exits_2_and_main_has_one_package_handler():
+    """Exit 2 means only that a power model could not be fitted: no function
+    but ``cmd_calibrate`` reads ``EXIT_COMPUTATION``, and every package error
+    reaches the one ``except`` in ``main`` that names one, which exits 1."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    readers = {name for name, function in functions.items()
+               for node in ast.walk(function)
+               if isinstance(node, ast.Name) and node.id == "EXIT_COMPUTATION"}
+    assert readers == {"cmd_calibrate"}
+
+    def is_package_error(expr):
+        named = getattr(cli, ast.unparse(expr), None)
+        return isinstance(named, type) and issubclass(named, CarbonAllocError)
+
+    handlers = [node for node in ast.walk(functions["main"])
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and any(map(is_package_error, node.type.elts
+                            if isinstance(node.type, ast.Tuple) else [node.type]))]
+    assert len(handlers) == 1
 
 
 def test_console_script_is_wired():
