@@ -41,7 +41,7 @@ history = HistoryStore(out_root / "history")
 
 # Month one: same fleet, May. Saving each JSON report into the history
 # store is what makes June's trend section possible.
-may = dataclasses.replace(fleet.raw, period=Period.parse("2025-05"))
+may = fleet.raw._replace(period=Period.parse("2025-05"))
 for fp in compute_footprints(may, fleet.models):
     history.save(fp.tenant_id, fp.period, render_json(fp, factors).content)
 
@@ -49,13 +49,13 @@ for fp in compute_footprints(may, fleet.models):
 # actually moves.
 double_for = "TENANT_02"
 june_network = tuple(
-    dataclasses.replace(row, bytes_sent=row.bytes_sent * 2,
-                        bytes_received=row.bytes_received * 2)
+    row._replace(bytes_sent=row.bytes_sent * 2,
+                 bytes_received=row.bytes_received * 2)
     if row.tenant_id == double_for else row
     for row in fleet.raw.network
 )
-june = dataclasses.replace(fleet.raw, period=Period.parse("2025-06"),
-                           network=june_network)
+june = fleet.raw._replace(period=Period.parse("2025-06"),
+                          network=june_network)
 
 for fp in compute_footprints(june, fleet.models):
     # The engine reads no files; the trend comes from the history store.

@@ -169,8 +169,7 @@ class ResponsibilityRatio:
         object.__setattr__(self, "ratio", self.scope2_share * self.l_share)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     """A prior period's headline figures, for the two-month comparison."""
 
     period: Period
@@ -297,8 +296,7 @@ class Footprint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FleetTotals:
+class FleetTotals(NamedTuple):
     """Phase 1's result: the per-data-center sums every share is divided by.
 
     Each map is keyed by data center id, covering every data center some
@@ -608,8 +606,7 @@ def tenant_footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     """One conservation check: an expected total against the engine's output."""
 
     name: str
@@ -627,8 +624,7 @@ class AuditCheck:
         return self.residual < AUDIT_TOLERANCE
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """All conservation checks for one computed period."""
 
     checks: tuple[AuditCheck, ...]

@@ -69,8 +69,8 @@ def _err(message: str) -> None:
 def _apply_l_share(raw: RawData, override: float | None) -> RawData:
     if override is None:
         return raw
-    tenants = {tid: replace(t, l_share=override) for tid, t in raw.tenants.items()}
-    return replace(raw, tenants=tenants)
+    tenants = {tid: t._replace(l_share=override) for tid, t in raw.tenants.items()}
+    return raw._replace(tenants=tenants)
 
 
 def _print_audit_summary(audit: AuditReport) -> None:

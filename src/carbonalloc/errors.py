@@ -27,7 +27,11 @@ class IngestError(CarbonAllocError):
 
 class MalformedRow(IngestError):
     """A CSV line could not be parsed (column count, bad number, bad header)
-    or written (a value the format cannot carry)."""
+    or written (a value the format cannot carry).
+
+    Line 0 stands for the file as a whole: one that cannot be read, or an
+    input directory missing some of its files.
+    """
 
     def __init__(self, source: str, line_no: int, reason: str):
         self.source = source

@@ -59,10 +59,10 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateDevice,
@@ -124,9 +124,26 @@ _FLOAT_EXACT_LIMIT = 2**53
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ServerUsage:
-    """One server's per-period usage counters, attributed to a single tenant."""
+def _eq_but_source(self, other: object) -> bool:
+    """Equal when ``other`` is a record of the same type whose fields match,
+    ``source_ref`` (the last field) aside."""
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def _ne_but_source(self, other: object) -> bool:
+    return not _eq_but_source(self, other)
+
+
+def _hash_but_source(self) -> int:
+    return hash(self[:-1])
+
+
+class ServerUsage(NamedTuple):
+    """One server's per-period usage counters, attributed to a single tenant.
+
+    Equality and hash ignore ``source_ref``, as for every record that
+    carries one.
+    """
 
     datacenter_id: str
     device_id: str
@@ -136,11 +153,12 @@ class ServerUsage:
     cache_moved: float
     dram_accessed: float
     disk_moved: float
-    source_ref: str = field(default="", compare=False)
+    source_ref: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_but_source, _ne_but_source, _hash_but_source
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkUsage:
+class NetworkUsage(NamedTuple):
     """One tenant's per-period traffic through one network device.
 
     The same device may appear in several rows (one per tenant); byte
@@ -153,19 +171,19 @@ class NetworkUsage:
     tenant_id: str
     bytes_sent: int
     bytes_received: int
-    source_ref: str = field(default="", compare=False)
+    source_ref: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_but_source, _ne_but_source, _hash_but_source
 
 
-@dataclass(frozen=True, slots=True)
-class SharedDevice:
+class SharedDevice(NamedTuple):
     """A cooling or facility device with a metered per-period energy reading."""
 
     device_id: str
     energy: float
 
 
-@dataclass(frozen=True, slots=True)
-class FuelEntry:
+class FuelEntry(NamedTuple):
     """On-site fuel burned by one device: amount times factor is gCO2e."""
 
     device_id: str
@@ -173,8 +191,7 @@ class FuelEntry:
     emission_factor: float
 
 
-@dataclass(frozen=True, slots=True)
-class DataCenter:
+class DataCenter(NamedTuple):
     datacenter_id: str
     name: str
     region: str
@@ -185,21 +202,23 @@ class DataCenter:
     scope3_total: float = 0.0
     green_energy: float = 0.0
     rec_offset: float = 0.0
-    source_ref: str = field(default="", compare=False)
+    source_ref: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_but_source, _ne_but_source, _hash_but_source
 
 
-@dataclass(frozen=True, slots=True)
-class Tenant:
+class Tenant(NamedTuple):
     tenant_id: str
     display_name: str
     agent_count: int
     datacenter_ids: tuple[str, ...]
     l_share: float = 1.0
-    source_ref: str = field(default="", compare=False)
+    source_ref: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_but_source, _ne_but_source, _hash_but_source
 
 
-@dataclass(frozen=True)
-class RawData:
+class RawData(NamedTuple):
     """All ingested inputs for one reporting period, cross-validated."""
 
     period: Period
@@ -347,14 +366,16 @@ def read_table(path: Path | str, required: tuple[str, ...]) -> _Table:
     docstring. Every ``required`` column must appear in the header; other
     columns are ignored. Errors are :class:`MalformedRow` at the first line
     of the offending record, labelled with the file name, as every record's
-    ``file:line`` ref is; a file that cannot be read is named by its path.
+    ``file:line`` ref is; a file that cannot be read is named by its path,
+    at line 0.
     """
     path = Path(path)
     source = path.name
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise MalformedRow(str(path), 0, f"cannot read file: {exc}") from exc
+        raise MalformedRow(str(path), 0,
+                           f"cannot read file: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -536,8 +557,8 @@ def read_servers(path: Path | str) -> tuple[ServerUsage, ...]:
         counters = [*map(_nonneg_floats, counters)]
         if (util is not None and max(util) <= 1.0 and None not in counters
                 and all(devices) and all(models) and _ids_valid(dcs, tenants)):
-            return tuple(map(ServerUsage, dcs, devices, models, tenants, util,
-                             *counters, table.refs()))
+            return tuple(map(ServerUsage._make, zip(
+                dcs, devices, models, tenants, util, *counters, table.refs())))
     return tuple(map(_server_from_row, table))
 
 
@@ -551,8 +572,8 @@ def read_network(path: Path | str) -> tuple[NetworkUsage, ...]:
         sent, received = _byte_counts(sent), _byte_counts(received)
         if (sent is not None and received is not None and all(devices)
                 and all(types) and _ids_valid(dcs, tenants)):
-            return tuple(map(NetworkUsage, dcs, devices, types, tenants, sent,
-                             received, table.refs()))
+            return tuple(map(NetworkUsage._make, zip(
+                dcs, devices, types, tenants, sent, received, table.refs())))
     return tuple(map(_network_from_row, table))
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InsufficientSamples, SingularDesign, ZeroDenominator
 from .ingest import (
@@ -58,8 +57,7 @@ MIN_CALIBRATION_SAMPLES = 6
 REGRESSOR_NAMES = ("cpu_utilization", "cache_moved", "dram_accessed", "disk_moved")
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationSample:
+class CalibrationSample(NamedTuple):
     """One metered observation pairing usage counters with energy drawn."""
 
     cpu_utilization: float
@@ -69,11 +67,10 @@ class CalibrationSample:
     measured_energy: float
 
 
-@dataclass(frozen=True, slots=True)
-class ServerPowerModel:
+class ServerPowerModel(NamedTuple):
     """Fitted per-device-model energy weights.
 
-    ``estimate_server_energy`` applies the weights in a fixed term order so a
+    :func:`server_energy_wh` applies the weights in a fixed term order so a
     given model and usage row always reproduce the identical float result.
     """
 

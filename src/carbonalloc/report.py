@@ -94,8 +94,7 @@ class EquivalencyFactors:
                                   f"got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """A rendered report: tenant, period, and the bytes."""
 
     tenant_id: str
@@ -103,8 +102,7 @@ class ReportDocument:
     content: bytes
 
 
-@dataclass(frozen=True)
-class TrendDelta:
+class TrendDelta(NamedTuple):
     """Comparison against one prior month; pct_change is None when the prior
     gross was zero (no meaningful percentage)."""
 

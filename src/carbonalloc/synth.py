@@ -12,8 +12,8 @@ still have whole-number traffic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .ingest import (
     INPUT_FILE_NAMES,
@@ -37,8 +37,7 @@ MODELS_FILE_NAME = "models.csv"
 _REGIONS = ("eu-west", "us-east", "ap-south", "eu-north", "sa-east")
 
 
-@dataclass(frozen=True)
-class SynthFleet:
+class SynthFleet(NamedTuple):
     """A generated input set plus the power models that go with it."""
 
     raw: RawData

@@ -204,24 +204,23 @@ def scale_fleet(raw: RawData, models, k: float):
         for name, m in models.items()
     }
     scaled_network = tuple(
-        dataclasses.replace(row, bytes_sent=int(row.bytes_sent * k),
-                            bytes_received=int(row.bytes_received * k))
+        row._replace(bytes_sent=int(row.bytes_sent * k),
+                     bytes_received=int(row.bytes_received * k))
         for row in raw.network
     )
     scaled_dcs = {
-        dc_id: dataclasses.replace(
-            dc,
+        dc_id: dc._replace(
             cooling_devices=tuple(
-                dataclasses.replace(d, energy=d.energy * k)
+                d._replace(energy=d.energy * k)
                 for d in dc.cooling_devices),
             other_devices=tuple(
-                dataclasses.replace(d, energy=d.energy * k)
+                d._replace(energy=d.energy * k)
                 for d in dc.other_devices),
         )
         for dc_id, dc in raw.datacenters.items()
     }
-    scaled_raw = dataclasses.replace(raw, network=scaled_network,
-                                     datacenters=scaled_dcs)
+    scaled_raw = raw._replace(network=scaled_network,
+                              datacenters=scaled_dcs)
     return scaled_raw, scaled_models
 
 

@@ -184,8 +184,8 @@ class TestResponsibilityRatios:
 
     def test_ratio_is_share_times_load_share(self):
         raw = two_tenant_raw()
-        raw = dataclasses.replace(raw, tenants={
-            tid: dataclasses.replace(t, l_share=0.5)
+        raw = raw._replace(tenants={
+            tid: t._replace(l_share=0.5)
             for tid, t in raw.tenants.items()})
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
         ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
@@ -413,8 +413,7 @@ class TestComputeFootprints:
         raw = fleet.raw
         target_dc = sorted(raw.datacenters)[0]
         bumped = dict(raw.datacenters)
-        bumped[target_dc] = dataclasses.replace(
-            raw.datacenters[target_dc],
+        bumped[target_dc] = raw.datacenters[target_dc]._replace(
             rec_offset=raw.datacenters[target_dc].rec_offset + 12345.0)
         raw2 = RawData(period=raw.period, servers=raw.servers,
                        network=raw.network, datacenters=bumped,
@@ -485,19 +484,18 @@ class TestComputeFootprints:
         raw = fleet.raw
 
         def doubled(devices):
-            return tuple(dataclasses.replace(d, energy=2 * d.energy) for d in devices)
+            return tuple(d._replace(energy=2 * d.energy) for d in devices)
 
-        scaled_raw = dataclasses.replace(
-            raw,
-            network=tuple(dataclasses.replace(r, bytes_sent=r.bytes_sent * 2,
-                                              bytes_received=r.bytes_received * 2)
+        scaled_raw = raw._replace(
+            network=tuple(r._replace(bytes_sent=r.bytes_sent * 2,
+                                     bytes_received=r.bytes_received * 2)
                           for r in raw.network),
-            datacenters={dc_id: dataclasses.replace(
-                dc, cooling_devices=doubled(dc.cooling_devices),
+            datacenters={dc_id: dc._replace(
+                cooling_devices=doubled(dc.cooling_devices),
                 other_devices=doubled(dc.other_devices))
                 for dc_id, dc in raw.datacenters.items()})
-        scaled_models = {name: dataclasses.replace(
-            m, intercept=2 * m.intercept, w_cpu=2 * m.w_cpu, w_cache=2 * m.w_cache,
+        scaled_models = {name: m._replace(
+            intercept=2 * m.intercept, w_cpu=2 * m.w_cpu, w_cache=2 * m.w_cache,
             w_dram=2 * m.w_dram, w_disk=2 * m.w_disk)
             for name, m in fleet.models.items()}
         before = compute_footprints(raw, fleet.models)
@@ -518,7 +516,7 @@ class TestComputeFootprints:
                                                 fictitious_models, factors):
         store = HistoryStore(tmp_path)
         for month in (4, 5):
-            raw = dataclasses.replace(fictitious_raw, period=Period(2025, month))
+            raw = fictitious_raw._replace(period=Period(2025, month))
             (fp,) = compute_footprints(raw, fictitious_models)
             doc = render_json(fp, factors)
             store.save(fp.tenant_id, fp.period, doc.content)
@@ -532,7 +530,7 @@ class TestComputeFootprints:
                                   fictitious_models, factors):
         store = HistoryStore(tmp_path)
         for month in (3, 5):  # 2025-04 missing
-            raw = dataclasses.replace(fictitious_raw, period=Period(2025, month))
+            raw = fictitious_raw._replace(period=Period(2025, month))
             (fp,) = compute_footprints(raw, fictitious_models)
             store.save(fp.tenant_id, fp.period, render_json(fp, factors).content)
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
@@ -593,15 +591,14 @@ class TestFairness:
         raw = fleet.raw
         original = data.draw(st.sampled_from(sorted(raw.tenants)), label="original")
         clone = f"{original}_CLONE"
-        cloned = dataclasses.replace(
-            raw,
+        cloned = raw._replace(
             tenants={**raw.tenants,
-                     clone: dataclasses.replace(raw.tenants[original], tenant_id=clone)},
+                     clone: raw.tenants[original]._replace(tenant_id=clone)},
             servers=raw.servers + tuple(
-                dataclasses.replace(row, tenant_id=clone, device_id="Z" + row.device_id)
+                row._replace(tenant_id=clone, device_id="Z" + row.device_id)
                 for row in raw.servers if row.tenant_id == original),
             network=raw.network + tuple(
-                dataclasses.replace(row, tenant_id=clone)
+                row._replace(tenant_id=clone)
                 for row in raw.network if row.tenant_id == original))
         by_id = {fp.tenant_id: fp for fp in compute_footprints(cloned, fleet.models)}
         assert ([dc.datacenter_id for dc in by_id[clone].per_dc]
@@ -623,7 +620,7 @@ class TestFairness:
                            label="subset")
         nulls = {"NULL_ALL": make_tenant("NULL_ALL", dc_ids),
                  "NULL_SOME": make_tenant("NULL_SOME", subset, l_share=0.5)}
-        with_nulls = dataclasses.replace(raw, tenants={**raw.tenants, **nulls})
+        with_nulls = raw._replace(tenants={**raw.tenants, **nulls})
         before = {fp.tenant_id: fp for fp in compute_footprints(raw, fleet.models)}
         after = {fp.tenant_id: fp for fp in compute_footprints(with_nulls, fleet.models)}
         assert after.keys() == before.keys() | nulls.keys()
@@ -651,12 +648,11 @@ class TestFairness:
         own = sorted((row for row in raw.servers if row.tenant_id == original),
                      key=lambda row: (row.datacenter_id, row.device_id))
         moved = {(row.datacenter_id, row.device_id) for row in own[::2]}
-        split = dataclasses.replace(
-            raw,
+        split = raw._replace(
             tenants={**raw.tenants,
-                     part: dataclasses.replace(raw.tenants[original], tenant_id=part)},
+                     part: raw.tenants[original]._replace(tenant_id=part)},
             servers=tuple(
-                dataclasses.replace(row, tenant_id=part)
+                row._replace(tenant_id=part)
                 if (row.datacenter_id, row.device_id) in moved else row
                 for row in raw.servers))
         before = {fp.tenant_id: fp.gross_total
@@ -692,7 +688,7 @@ class TestFairness:
         assume(counter != "cpu_utilization" or raised <= 1.0)
         assert getattr(fleet.models[row.device_model], self.COUNTER_WEIGHTS[counter]) >= 0.0
         servers = list(raw.servers)
-        servers[index] = dataclasses.replace(row, **{counter: raised})
+        servers[index] = row._replace(**{counter: raised})
 
         def shares(fleet_raw):
             return {r.tenant_id: r.scope2_share for r in compute_responsibility_ratios(
@@ -700,7 +696,7 @@ class TestFairness:
                     if r.datacenter_id == row.datacenter_id}
 
         before = shares(raw)
-        after = shares(dataclasses.replace(raw, servers=tuple(servers)))
+        after = shares(raw._replace(servers=tuple(servers)))
         assert after.keys() == before.keys()
         assert after[row.tenant_id] >= before[row.tenant_id]
         for tenant_id, share in before.items():
@@ -720,10 +716,9 @@ def corrupt_scope2(fp: Footprint, factor: float = 2.0) -> Footprint:
 def _over_offset(raw: RawData) -> RawData:
     """The fleet with its first data center's certificates worth 1e12 g."""
     dc_id = min(raw.datacenters)
-    return dataclasses.replace(raw, datacenters={
+    return raw._replace(datacenters={
         **raw.datacenters,
-        dc_id: dataclasses.replace(raw.datacenters[dc_id],
-                                   rec_offset=1e12)})
+        dc_id: raw.datacenters[dc_id]._replace(rec_offset=1e12)})
 
 
 class TestTenantFootprint:

@@ -1,6 +1,6 @@
 """CSV ingestion: parsing, row-level failures, and cross-reference checks."""
 
-import dataclasses
+import collections
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -531,6 +531,29 @@ def test_direct_assembly_matches_file_loading(tmp_path, fictitious_raw):
     assert loaded.network == fictitious_raw.network
 
 
+@pytest.mark.parametrize("kind", ["servers", "network", "datacenters", "tenants"])
+def test_rows_compare_and_hash_without_their_source_ref(fictitious_raw, kind):
+    """Two rows that differ only in ``source_ref`` are equal and hash alike;
+    ``!=`` agrees with ``==``; a row never equals a plain tuple or a record
+    of another type holding the same values."""
+    records = getattr(fictitious_raw, kind)
+    row = next(iter(records.values() if isinstance(records, dict) else records))
+    moved = row._replace(source_ref="elsewhere.csv:99")
+    assert row == moved and not row != moved
+    assert hash(row) == hash(moved)
+    changed = row._replace(**{row._fields[0]: "OTHER_ID"})
+    assert row != changed and not row == changed
+
+    class Subtype(type(row)):
+        __slots__ = ()
+
+    for other in (tuple(row), Subtype(*row)):
+        assert not row == other and row != other
+        assert not other == row and other != row
+    twin = collections.namedtuple("Twin", row._fields)(*row)
+    assert not row == twin and row != twin
+
+
 def test_assemble_raw_data_rejects_same_errors_in_memory(fictitious_raw):
     stray = fictitious_raw.servers[0]
     stray = type(stray)(
@@ -696,17 +719,17 @@ def text_fleets(draw) -> SynthFleet:
     wrapped = cell_texts.map("x{}x".format)
     return SynthFleet(raw=assemble_raw_data(
         period=raw.period,
-        datacenters={k: dataclasses.replace(dc, name=draw(wrapped),
-                                            region=draw(wrapped))
+        datacenters={k: dc._replace(name=draw(wrapped),
+                                    region=draw(wrapped))
                      for k, dc in raw.datacenters.items()},
-        tenants={k: dataclasses.replace(
-                     t, display_name=draw(cell_texts if i == 0 else wrapped))
+        tenants={k: t._replace(
+                     display_name=draw(cell_texts if i == 0 else wrapped))
                  for i, (k, t) in enumerate(raw.tenants.items())},
-        servers=tuple(dataclasses.replace(
-            r, device_id=r.device_id + draw(wrapped),
+        servers=tuple(r._replace(
+            device_id=r.device_id + draw(wrapped),
             device_model=draw(wrapped))
             for r in raw.servers),
-        network=tuple(dataclasses.replace(r, device_type=draw(wrapped))
+        network=tuple(r._replace(device_type=draw(wrapped))
                       for r in raw.network),
     ), models=fleet.models)
 

@@ -249,7 +249,7 @@ class TestRenderJson:
     def test_history_and_pct_change_serialized(self, tmp_path, fictitious_raw,
                                                fictitious_models, factors):
         store = HistoryStore(tmp_path)
-        prior_raw = dataclasses.replace(fictitious_raw, period=Period(2025, 5))
+        prior_raw = fictitious_raw._replace(period=Period(2025, 5))
         (prior,) = compute_footprints(prior_raw, fictitious_models)
         store.save(prior.tenant_id, prior.period,
                    render_json(prior, factors).content)
@@ -707,9 +707,9 @@ class TestRenderOnepage:
     def test_over_offset_notice(self, factors):
         fleet = generate_fleet(seed=3, n_tenants=3, n_dcs=2)
         raw = fleet.raw
-        bumped = {dc_id: dataclasses.replace(dc, rec_offset=1e12)
+        bumped = {dc_id: dc._replace(rec_offset=1e12)
                   for dc_id, dc in raw.datacenters.items()}
-        raw2 = dataclasses.replace(raw, datacenters=bumped)
+        raw2 = raw._replace(datacenters=bumped)
         fp = compute_footprints(raw2, fleet.models)[0]
         assert fp.net_total < 0
         html = render_onepage(fp, factors).content.decode("utf-8")

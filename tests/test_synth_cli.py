@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -141,8 +140,8 @@ class TestGenerateFleet:
     def test_refused_value_writes_no_file(self, tmp_path):
         fleet = generate_fleet(seed=42, n_tenants=4, n_dcs=2)
         tenants = dict(fleet.raw.tenants)
-        tenants["TENANT_04"] = replace(tenants["TENANT_04"], display_name=" padded")
-        fleet = replace(fleet, raw=replace(fleet.raw, tenants=tenants))
+        tenants["TENANT_04"] = tenants["TENANT_04"]._replace(display_name=" padded")
+        fleet = fleet._replace(raw=fleet.raw._replace(tenants=tenants))
         with pytest.raises(MalformedRow, match="tenants.csv:6: display_name"):
             write_fleet(fleet, tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -184,7 +183,8 @@ class TestComputeCommand:
     def test_missing_models_file_exits_1(self, workspace, capsys):
         workspace["models"].unlink()
         assert run_compute(workspace) == EXIT_VALIDATION
-        assert "cannot read file" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"{workspace['models']}:0: cannot read file: No such file or directory\n")
 
     def test_missing_model_exits_1(self, workspace, capsys):
         models = workspace["models"]
@@ -967,6 +967,17 @@ class TestCalibrateCommand:
             f"calibration samples file {samples} has no rows\n")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_missing_samples_file_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A file that cannot be read is named once, at line 0 (the file as
+        a whole), with the system's reason and no errno or repeated path."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--samples", "nope.csv",
+                     "--models-out", "m.csv"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "nope.csv:0: cannot read file: No such file or directory\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_too_few_samples_exits_2(self, tmp_path, capsys):
         samples = self._write_samples(tmp_path / "samples.csv",
                                       self._noiseless_rows("ABC_987", 3))
@@ -996,6 +1007,49 @@ def test_only_calibrate_exits_2_and_main_has_one_package_handler():
                 and any(map(is_package_error, node.type.elts
                             if isinstance(node.type, ast.Tuple) else [node.type]))]
     assert len(handlers) == 1
+
+
+_RECORD_PROBE = """
+import dataclasses, json, sys
+import carbonalloc.cli
+kinds = {}
+for name, module in sorted(sys.modules.items()):
+    if name != "carbonalloc" and not name.startswith("carbonalloc."):
+        continue
+    for cls in vars(module).values():
+        if not (isinstance(cls, type) and cls.__module__ == name):
+            continue
+        if dataclasses.is_dataclass(cls):
+            derives = ("__post_init__" in vars(cls)
+                       or any(not f.init for f in dataclasses.fields(cls)))
+            kinds[cls.__qualname__] = "derives" if derives else "holds"
+        elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+            kinds[cls.__qualname__] = "NamedTuple"
+print(json.dumps(kinds))
+"""
+
+
+def test_only_records_that_derive_a_field_are_dataclasses():
+    """A public record class is a dataclass only if it derives or checks a
+    field (a ``field(init=False)`` or a ``__post_init__``); every other one is
+    a NamedTuple, whose class costs a tenth of a frozen dataclass's to build
+    at start-up and whose rows are built without per-field ``__setattr__``."""
+    proc = subprocess.run([sys.executable, "-c", _RECORD_PROBE],
+                          capture_output=True, text=True, timeout=120, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    kinds = json.loads(proc.stdout.splitlines()[-1])
+    dataclasses_built = sorted(name for name, kind in kinds.items()
+                               if kind != "NamedTuple")
+    assert dataclasses_built == [
+        "DcFootprint", "EquivalencyFactors", "Footprint", "Period",
+        "ResponsibilityRatio", "TenantDcScope2", "_Table"]
+    assert [name for name in dataclasses_built
+            if kinds[name] == "holds" and not name.startswith("_")] == []
+    assert {name for name, kind in kinds.items() if kind == "NamedTuple"} >= {
+        "ServerUsage", "NetworkUsage", "SharedDevice", "FuelEntry", "DataCenter",
+        "Tenant", "RawData", "CalibrationSample", "ServerPowerModel",
+        "DeviceShare", "HistoryEntry", "FleetTotals", "AuditCheck",
+        "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet"}
 
 
 def test_console_script_is_wired():
