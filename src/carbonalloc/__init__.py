@@ -87,7 +87,15 @@ from .report import (
     render_json,
     render_onepage,
 )
-from .synth import SynthFleet, generate_fleet, write_fleet
 from .units import Period
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``synth`` is loaded on first use, so that a run of any other command
+    # does not pay for it at start-up.
+    if name in ("SynthFleet", "generate_fleet", "write_fleet"):
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

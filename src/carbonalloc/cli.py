@@ -51,7 +51,6 @@ from .report import (
     report_differences,
     report_identity,
 )
-from .synth import generate_fleet, write_fleet
 from .units import Period, UnitError, check_share
 
 __all__ = ["main", "entrypoint"]
@@ -137,26 +136,19 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
     raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
     models = read_models(models_file)
     factors = load_equivalency_factors(equivalency_file)
-    # The ingested inputs live until the run ends: freezing them keeps every
-    # later collection from traversing them again. Unfrozen afterwards so an
-    # in-process caller does not accumulate frozen objects.
-    gc.freeze()
-    try:
-        footprints = compute_footprints(raw, models)
+    footprints = compute_footprints(raw, models)
 
-        audit = conservation_audit(footprints, raw, models)
-        _print_audit_summary(audit)
-        if not audit.passed:
-            _err("conservation audit failed; no reports written")
-            return EXIT_AUDIT_MISMATCH
+    audit = conservation_audit(footprints, raw, models)
+    _print_audit_summary(audit)
+    if not audit.passed:
+        _err("conservation audit failed; no reports written")
+        return EXIT_AUDIT_MISMATCH
 
-        history = HistoryStore(history_dir)
-        footprints = [replace(fp, history=history.prior_entries(fp.tenant_id,
-                                                                fp.period))
-                      for fp in footprints]
-        _write_reports(footprints, factors, out_dir, trend_thresholds, history)
-    finally:
-        gc.unfreeze()
+    history = HistoryStore(history_dir)
+    footprints = [replace(fp, history=history.prior_entries(fp.tenant_id,
+                                                            fp.period))
+                  for fp in footprints]
+    _write_reports(footprints, factors, out_dir, trend_thresholds, history)
 
     print(f"{'tenant':<16} {'gross_g':>18} {'net_g':>18} {'per_agent_g':>14}")
     for fp in footprints:
@@ -245,6 +237,8 @@ def cmd_report(report_file: Path, out_dir: Path,
 def cmd_synth(seed: int, n_tenants: int, n_dcs: int, out_dir: Path,
               with_offsets: bool, l_share: float) -> int:
     """Write a deterministic synthetic fleet plus its models file."""
+    from .synth import generate_fleet, write_fleet
+
     try:
         fleet = generate_fleet(seed, n_tenants, n_dcs,
                                with_offsets=with_offsets, l_share=l_share)
@@ -392,6 +386,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # The records a run builds hold no reference cycles (a test pins this),
+    # so reference counting alone frees them, and the collector's passes
+    # would only traverse the live inputs and footprints again and again.
+    # The process exits when main returns, so nothing turns it back on.
+    gc.disable()
     sys.exit(main())
 
 

@@ -1,4 +1,4 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the one warning helper.
 
 Every error an input can cause names where to fix it: ingestion errors
 carry the file label and line number, and the engine's faults the
@@ -200,3 +200,13 @@ class ZeroDcScope2(CarbonAllocError):
             f"{where}data center {datacenter_id!r} has Scope 1 or Scope 3 emissions to "
             "distribute but zero Scope 2 emissions; responsibility shares are undefined"
         )
+
+
+def warn(logger_name: str, message: str, *args: object) -> None:
+    """Log a warning on the named logger.
+
+    ``logging`` is imported here, on the first warning, rather than at
+    module level: a run that warns about nothing never loads it.
+    """
+    import logging
+    logging.getLogger(logger_name).warning(message, *args)

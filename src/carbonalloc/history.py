@@ -9,16 +9,14 @@ auditability.
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 from .allocation import HistoryEntry
+from .errors import warn
 from .report import ReportError, load_doc, report_headline, report_identity
 from .units import Period
 
 __all__ = ["HistoryStore"]
-
-log = logging.getLogger(__name__)
 
 _EARLIEST = Period(1, 1)
 
@@ -35,12 +33,12 @@ class HistoryStore:
     def load_entry(self, tenant_id: str, period: Period) -> HistoryEntry | None:
         """Read one period's headline figures, or None when absent/unreadable.
 
-        A corrupt history file degrades the trend section of the next report,
-        which is not worth failing a whole monthly run over; it is logged and
-        skipped. So is a report of another tenant or month than its path
-        names, whose figures would pass for this tenant's. Figures must be
-        JSON numbers, as in a report: a string or a boolean is corrupt, not
-        converted.
+        A corrupt or unreadable history file degrades the trend section of the
+        next report, which is not worth failing a whole monthly run over; it
+        is logged and skipped. So is a report of another tenant or month than
+        its path names, whose figures would pass for this tenant's. Figures
+        must be JSON numbers, as in a report: a string or a boolean is
+        corrupt, not converted.
         """
         path = self.path_for(tenant_id, period)
         if not path.is_file():
@@ -52,8 +50,9 @@ class HistoryStore:
                 raise ReportError(f"it holds the report of tenant {held[0]!r} "
                                   f"for period '{held[1]}'")
             return HistoryEntry(period, *report_headline(doc))
-        except ReportError as exc:
-            log.warning("unreadable history file %s: %s", path, exc)
+        except (OSError, ReportError) as exc:
+            warn(__name__, "unreadable history file %s: %s", path,
+                 getattr(exc, "strerror", None) or exc)
             return None
 
     def prior_entries(self, tenant_id: str, period: Period) -> tuple[HistoryEntry, ...]:

@@ -11,12 +11,11 @@ sent or received.
 
 from __future__ import annotations
 
-import logging
 import math
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import InsufficientSamples, SingularDesign, ZeroDenominator
+from .errors import InsufficientSamples, SingularDesign, ZeroDenominator, warn
 from .ingest import (
     NetworkUsage,
     ServerUsage,
@@ -44,8 +43,6 @@ __all__ = [
     "MIN_CALIBRATION_SAMPLES",
     "REGRESSOR_NAMES",
 ]
-
-log = logging.getLogger(__name__)
 
 # Nominal energy cost per byte crossing a network device, in Wh.
 NETWORK_WH_PER_BYTE = 6e-8
@@ -175,8 +172,8 @@ def clamped_server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> flo
     """
     value = server_energy_wh(model, usage)
     if value < 0.0:
-        log.warning("negative energy estimate %.6g Wh for device %s (model %s); "
-                    "clamping to 0", value, usage.device_id, model.device_model)
+        warn(__name__, "negative energy estimate %.6g Wh for device %s (model %s); "
+             "clamping to 0", value, usage.device_id, model.device_model)
         return 0.0
     return value
 

@@ -27,7 +27,6 @@ to review the values.
 
 from __future__ import annotations
 
-import html
 import json
 import math
 import re
@@ -637,6 +636,15 @@ _OFFSET_COLORS = {
     "Net (not offset)": "#7f7f7f",
 }
 
+# The replacements of ``html.escape(text, quote=True)`` as one translation
+# table: importing ``html`` would also load ``html.entities`` on every start.
+_HTML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               '"': "&quot;", "'": "&#x27;"})
+
+
+def _escape(text: str) -> str:
+    return text.translate(_HTML_ESCAPES)
+
 
 def _fmt_grams(value: float) -> str:
     magnitude = abs(value)
@@ -674,7 +682,7 @@ def _pie_svg(slices: list[tuple[str, float, str]], chart_id: str) -> str:
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#dddddd"/>')
     elif len(visible) == 1:
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" '
-                     f'fill="{visible[0][2]}"><title>{html.escape(visible[0][0])}'
+                     f'fill="{visible[0][2]}"><title>{_escape(visible[0][0])}'
                      f'</title></circle>')
     else:
         angle = -math.pi / 2
@@ -688,7 +696,7 @@ def _pie_svg(slices: list[tuple[str, float, str]], chart_id: str) -> str:
             parts.append(
                 f'<path d="M{cx:.3f},{cy:.3f} L{x1:.3f},{y1:.3f} '
                 f'A{r:.3f},{r:.3f} 0 {large} 1 {x2:.3f},{y2:.3f} Z" '
-                f'fill="{color}"><title>{html.escape(label)}</title></path>')
+                f'fill="{color}"><title>{_escape(label)}</title></path>')
             angle += span
     parts.append("</svg>")
     return "".join(parts)
@@ -700,7 +708,7 @@ def _legend(slices: list[tuple[str, float, str]], total: float) -> str:
         pct = f"{value / total * 100:.1f}%" if total > 0 else "-"
         rows.append(
             f'<li><span class="swatch" style="background:{color}"></span>'
-            f'{html.escape(label)}: {_fmt_grams(value)} ({pct})</li>')
+            f'{_escape(label)}: {_fmt_grams(value)} ({pct})</li>')
     return '<ul class="legend">' + "".join(rows) + "</ul>"
 
 
@@ -797,8 +805,8 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     ]
 
     methodology_dcs = "".join(
-        f"<tr><td>{html.escape(dc.datacenter_id)}</td>"
-        f"<td>{html.escape(dc.name)}</td><td>{html.escape(dc.region)}</td>"
+        f"<tr><td>{_escape(dc.datacenter_id)}</td>"
+        f"<td>{_escape(dc.name)}</td><td>{_escape(dc.region)}</td>"
         f"<td>{dc.grid_intensity:g} g/Wh</td>"
         f"<td>{dc.responsibility.scope2_share * 100:.2f}%</td>"
         f"<td>{dc.responsibility.l_share * 100:.0f}%</td>"
@@ -815,14 +823,14 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>Carbon footprint {html.escape(fp.tenant_id)} {fp.period}</title>
+<title>Carbon footprint {_escape(fp.tenant_id)} {fp.period}</title>
 <style>{_ONEPAGE_CSS}</style>
 </head>
 <body>
 <main class="page">
 <header>
-<h1>Carbon footprint report: {html.escape(fp.display_name)}</h1>
-<p>Tenant {html.escape(fp.tenant_id)} &middot; reporting period {fp.period} &middot;
+<h1>Carbon footprint report: {_escape(fp.display_name)}</h1>
+<p>Tenant {_escape(fp.tenant_id)} &middot; reporting period {fp.period} &middot;
 {fp.agent_count:,} agents</p>
 </header>
 
@@ -884,7 +892,7 @@ share of data center Scope 2 emissions times its load share. Net emissions
 subtract the tenant's share of green energy and renewable energy
 certificates. Total energy attributed this period:
 {_fmt_wh(fp.scope2_energy)}.</p>
-<p>Equivalency factors: {html.escape(factors.source_note)}</p>
+<p>Equivalency factors: {_escape(factors.source_note)}</p>
 </footer>
 </section>
 </main>

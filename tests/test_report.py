@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from html import escape as html_escape
 from pathlib import Path
 
 import pytest
@@ -688,6 +689,12 @@ class TestRenderOnepage:
         fp = attach_history(fixture_footprint, [(5, 2000000.0), (4, 2200000.0)])
         html = render_onepage(fp, factors).content.decode("utf-8")
         assert "2025-05" in html and "2025-04" in html
+
+    @pytest.mark.parametrize("text", [
+        "", "&<>\"'", "&amp; &lt;b&gt; \"q\" 'a'", "<&>" * 3,
+        "Ünïcødé CO₂e — 東京 \U0001f331", "".join(map(chr, range(128)))])
+    def test_escape_matches_html_escape(self, text):
+        assert report_module._escape(text) == html_escape(text, quote=True)
 
     def test_methodology_lists_every_datacenter(self, factors):
         fleet = generate_fleet(seed=21, n_tenants=4, n_dcs=3)

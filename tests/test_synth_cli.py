@@ -3,6 +3,8 @@
 import argparse
 import ast
 import contextlib
+import errno
+import gc
 import io
 import json
 import re
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,14 @@ from carbonalloc.cli import (
 from carbonalloc.errors import CarbonAllocError, MalformedRow
 from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import load_input_dir
-from carbonalloc.report import ReportError
+from carbonalloc.power import read_models
+from carbonalloc.report import (
+    ReportError,
+    footprint_from_json,
+    load_equivalency_factors,
+    render_json,
+    render_onepage,
+)
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import Period
 from conftest import src_env
@@ -232,6 +242,32 @@ class TestComputeCommand:
         (entry,) = doc["summary"]["history"]
         assert entry["period"] == "2025-05"
         assert entry["pctChange"] == 0.0  # identical inputs both months
+
+    def test_unreadable_history_file_is_skipped_with_warning(
+            self, workspace, monkeypatch, caplog):
+        """A history file that cannot be read ends that tenant's lookback, as
+        a corrupt one does; the month is still computed and written. The read
+        fails by patch, because file modes do not stop root."""
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        unreadable = workspace["out"] / "history" / "TENANT_01" / "2025-05.json"
+        real = Path.read_bytes
+
+        def read_bytes(path):
+            if path == unreadable:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        assert run_compute(workspace, period="2025-06") == EXIT_OK
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "carbonalloc.history"] == [
+            f"unreadable history file {unreadable}: Permission denied"]
+        reports = workspace["out"] / "reports"
+        trends = {tenant: json.loads((reports / tenant / "2025-06.json")
+                                     .read_text())["summary"]["history"]
+                  for tenant in ("TENANT_01", "TENANT_02")}
+        assert trends["TENANT_01"] == []
+        assert [entry["period"] for entry in trends["TENANT_02"]] == ["2025-05"]
 
     def test_path_escaping_tenant_id_exits_1_and_writes_nothing(self, workspace,
                                                                 capsys):
@@ -1012,6 +1048,7 @@ def test_only_calibrate_exits_2_and_main_has_one_package_handler():
 _RECORD_PROBE = """
 import dataclasses, json, sys
 import carbonalloc.cli
+import carbonalloc.synth
 kinds = {}
 for name, module in sorted(sys.modules.items()):
     if name != "carbonalloc" and not name.startswith("carbonalloc."):
@@ -1050,6 +1087,44 @@ def test_only_records_that_derive_a_field_are_dataclasses():
         "Tenant", "RawData", "CalibrationSample", "ServerPowerModel",
         "DeviceShare", "HistoryEntry", "FleetTotals", "AuditCheck",
         "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet"}
+
+
+def test_a_run_leaves_no_cyclic_garbage(tmp_path):
+    """``entrypoint`` turns the cyclic collector off, which is safe only while
+    reference counting alone frees what a run builds. A record that held a
+    reference cycle would pile up for the whole run and fail here instead."""
+    fleet_dir = tmp_path / "fleet"
+    write_fleet(generate_fleet(seed=11, n_tenants=4, n_dcs=3), fleet_dir)
+    factors = load_equivalency_factors(write_factors(tmp_path))
+    store = HistoryStore(tmp_path / "history")
+
+    def run_two_months():
+        for period in (Period(2025, 5), Period(2025, 6)):
+            raw = load_input_dir(fleet_dir, period)
+            models = read_models(fleet_dir / "models.csv")
+            footprints = allocation.compute_footprints(raw, models)
+            assert allocation.conservation_audit(footprints, raw, models).passed
+            assert allocation.tenant_footprint(raw, models, "TENANT_02") == footprints[1]
+            footprints = [replace(fp, history=store.prior_entries(fp.tenant_id,
+                                                                  fp.period))
+                          for fp in footprints]
+            for fp in footprints:
+                render_onepage(fp, factors)
+                doc = render_json(fp, factors).content
+                assert footprint_from_json(doc) == fp
+                store.save(fp.tenant_id, fp.period, doc)
+            # Spoil one stored month, so the next month reads a corrupt file.
+            store.path_for("TENANT_01", period).write_text("{not json")
+        return [len(fp.history) for fp in footprints]
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_two_months() == [0, 1, 1, 1]
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_console_script_is_wired():
@@ -1285,20 +1360,26 @@ def test_synth_default_period_is_stable():
     assert fleet.raw.period == Period(2025, 1)
 
 
-_NUMPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
+watched = ("carbonalloc.synth", "html", "logging", "numpy")
+def loaded():
+    return [name for name in watched if name in sys.modules]
 import carbonalloc.cli
-loaded = [["import", 0, "numpy" in sys.modules]]
+steps = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     code = carbonalloc.cli.main(argv)
-    loaded.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(loaded))
+    steps.append([argv[0], code, loaded()])
+print(json.dumps(steps))
 """
 
 
 def test_only_calibrate_imports_numpy(tmp_path):
-    """numpy is imported to fit models and nowhere else, so the other
-    commands do not pay for it at start-up; calibrate shows the probe works."""
+    """Each command loads only what it runs, so the others do not pay for it
+    at start-up: numpy is imported to fit models and nowhere else, ``synth``
+    only by its command, and ``logging`` and ``html`` by none of them when
+    nothing is warned about. Each module appearing where expected shows the
+    probe works."""
     fleet, out = tmp_path / "fleet", tmp_path / "out"
     report = out / "reports" / "TENANT_01" / "2025-06.json"
     samples = write_samples(tmp_path / "samples.csv")
@@ -1314,9 +1395,11 @@ def test_only_calibrate_imports_numpy(tmp_path):
         ["calibrate", "--samples", str(samples),
          "--models-out", str(tmp_path / "fitted.csv")],
     ]
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
+    synth = "carbonalloc.synth"
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        ["import", 0, False], ["synth", 0, False], ["compute", 0, False],
-        ["audit", 0, False], ["report", 0, False], ["calibrate", 0, True]]
+        ["import", 0, []], ["synth", 0, [synth]], ["compute", 0, [synth]],
+        ["audit", 0, [synth]], ["report", 0, [synth]],
+        ["calibrate", 0, [synth, "numpy"]]]
