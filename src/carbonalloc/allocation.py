@@ -51,6 +51,7 @@ centers and the history length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
@@ -86,6 +87,8 @@ __all__ = [
 
 # Relative tolerance for conservation checks and breakdown invariants.
 AUDIT_TOLERANCE = 1e-9
+
+_BY_DEVICE_ID = attrgetter("device_id")
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +348,8 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     for tenant_id in sorted(raw.tenants):
         for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids):
             key = (tenant_id, dc_id)
-            servers = sorted(server_rows.get(key, ()), key=lambda r: r.device_id)
-            network = sorted(network_rows.get(key, ()), key=lambda r: r.device_id)
+            servers = sorted(server_rows.get(key, ()), key=_BY_DEVICE_ID)
+            network = sorted(network_rows.get(key, ()), key=_BY_DEVICE_ID)
             rows[key] = (servers, network)
             e_server = 0.0
             for row in servers:
@@ -372,12 +375,14 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             other[dc_id] = shared_energy_total(dc.other_devices)
             check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
             check_emissions(dc.green_energy * dc.grid_intensity)
+            cooling_label = f"cooling devices of {dc_id}"
+            other_label = f"other devices of {dc_id}"
             total = 0.0
             for tenant_id, pair in pairs:
                 e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
-                                            f"cooling devices of {dc_id}")
+                                            cooling_label)
                 e_other = split_shared_wh(other[dc_id], pair, all_direct,
-                                          f"other devices of {dc_id}")
+                                          other_label)
                 total += ((pair + e_cooling + e_other) * dc.grid_intensity
                           * raw.tenants[tenant_id].l_share)
             scope2[dc_id] = check_emissions(total)
@@ -429,7 +434,7 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
         ratio = tenant_direct / all_direct
         for category, shared in (("cooling", dc.cooling_devices),
                                  ("other", dc.other_devices)):
-            for dev in sorted(shared, key=lambda d: d.device_id):
+            for dev in sorted(shared, key=_BY_DEVICE_ID):
                 energy = dev.energy * ratio
                 devices.append(DeviceShare(dev.device_id, category, energy,
                                            energy * c * l))
@@ -530,7 +535,7 @@ def _footprint(raw: RawData, tenant_id: str,
         resp = ratios[(tenant_id, dc_id)]
         r = resp.ratio
         scope1 = 0.0
-        for fuel in sorted(dc.fuel_log, key=lambda f: f.device_id):
+        for fuel in sorted(dc.fuel_log, key=_BY_DEVICE_ID):
             scope1 += fuel.amount * fuel.emission_factor * r
         per_dc.append(DcFootprint(
             datacenter_id=dc_id,

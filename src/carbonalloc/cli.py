@@ -10,6 +10,12 @@ Exit codes: 0 success, 1 validation failure (any input fault, named by its
 file and row, or an output path that cannot be written), 2 a power model
 cannot be fitted (and argparse usage errors), 3 audit mismatch.
 Diagnostics go to standard error; summary tables to standard output.
+
+The console script, :func:`entrypoint`, turns the cyclic garbage collector
+off for the run and, once :func:`main` returns, flushes the standard
+streams and ends the process without interpreter teardown. Standard output
+that cannot be written counts as an output path: a run that would have
+exited 0 exits 1. :func:`main` called in-process does neither.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -391,7 +398,26 @@ def entrypoint() -> None:
     # would only traverse the live inputs and footprints again and again.
     # The process exits when main returns, so nothing turns it back on.
     gc.disable()
-    sys.exit(main())
+    code = main()
+    # Interpreter teardown does nothing a finished run needs: every file is
+    # closed before main returns, and warnings are flushed as they are
+    # logged. Only the standard streams may still hold output, so flush
+    # them and exit at once. Usage errors, uncaught exceptions and
+    # interrupts never reach this point and exit the usual way.
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:
+            code = EXIT_VALIDATION
+            try:
+                _err(f"cannot write output: {exc.strerror}")
+            except OSError:
+                pass
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

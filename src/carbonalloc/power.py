@@ -12,6 +12,7 @@ sent or received.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -206,7 +207,7 @@ def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) 
     sequence and reproduce identical floats.
     """
     total = 0.0
-    for dev in sorted(devices, key=lambda d: d.device_id):
+    for dev in sorted(devices, key=attrgetter("device_id")):
         total += dev.energy
     return check_energy(total)
 

@@ -33,8 +33,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def src_env() -> dict[str, str]:
-    """The environment with ``src/`` on PYTHONPATH, for child interpreters."""
+    """The environment with ``src/`` on PYTHONPATH, for child interpreters.
+
+    PYTHONUNBUFFERED is dropped, so a child buffers standard output as it
+    would under a user's shell, and a lost final flush shows.
+    """
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env

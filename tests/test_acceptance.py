@@ -329,6 +329,15 @@ def test_end_to_end_audit(criterion, tmp_path):
         clean = cli(*audit_args)
         assert clean.returncode == 0, clean.stdout + clean.stderr
 
+        # A corrupt prior month only drops the trend, which this report
+        # never had, and its warning reaches standard error.
+        corrupt = out_dir / "history" / "TENANT_01" / "2025-05.json"
+        corrupt.write_text("{not json", encoding="utf-8")
+        warned = cli(*audit_args)
+        assert warned.returncode == 0, warned.stdout + warned.stderr
+        assert warned.stdout == clean.stdout
+        assert warned.stderr.startswith(f"unreadable history file {corrupt}: ")
+
         doc = json.loads(report.read_text(encoding="utf-8"))
         doc["summary"]["grossEmissions"] = doc["summary"]["grossEmissions"] * 1.001
         report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -7,6 +7,7 @@ import errno
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -50,6 +51,18 @@ def write_factors(tmp_path: Path) -> Path:
         "smartphone_charge_g": 8.22, "source_note": "test factors",
     }), encoding="utf-8")
     return path
+
+
+def run_with_closed_stdout(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the console script with standard output a pipe nobody reads."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "carbonalloc.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120, env=src_env())
+    finally:
+        os.close(write_end)
 
 
 def write_samples(path: Path) -> Path:
@@ -1021,6 +1034,19 @@ class TestCalibrateCommand:
                      "--models-out", str(tmp_path / "m.csv")]) == EXIT_COMPUTATION
         assert "3" in capsys.readouterr().err
 
+    def test_closed_stdout_keeps_exit_2(self, tmp_path):
+        """A run that already failed keeps its code when its standard output
+        cannot be written either, and nothing names the closed pipe."""
+        samples = self._write_samples(
+            tmp_path / "samples.csv",
+            self._noiseless_rows("ABC_987", 20) + self._noiseless_rows("XYZ_1", 3))
+        proc = run_with_closed_stdout(["calibrate", "--samples", str(samples),
+                                       "--models-out", str(tmp_path / "m.csv")])
+        assert proc.returncode == EXIT_COMPUTATION
+        assert proc.stderr.startswith("calibration failed for XYZ_1: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert (tmp_path / "m.csv").exists()
+
 
 def test_only_calibrate_exits_2_and_main_has_one_package_handler():
     """Exit 2 means only that a power model could not be fitted: no function
@@ -1133,11 +1159,38 @@ def test_console_script_is_wired():
     assert proc.returncode == 0
     for command in ("calibrate", "compute", "report", "audit", "synth"):
         assert command in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "carbonalloc.cli", "compute",
+                           "--period", "2025-13"],
+                          capture_output=True, text=True, timeout=60, env=src_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: carbonalloc compute")
+    assert "argument --period" in proc.stderr
 
 
-def test_output_is_independent_of_hash_seed(tmp_path):
+@pytest.mark.parametrize("n_tenants", [2, 130])
+def test_closed_stdout_exits_1_naming_it_once(tmp_path, n_tenants):
+    """Standard output is an output path. Two tenants' summary fits the
+    stream's buffer, so only the console script's final flush meets the
+    closed pipe; 130 tenants' summary overflows it inside ``main``, whose
+    own handler names it, and the final flush must not name it again.
+    Every report is written either way."""
+    fleet, out = tmp_path / "fleet", tmp_path / "out"
+    assert main(["synth", "--seed", "3", "--tenants", str(n_tenants),
+                 "--dcs", "1", "--out-dir", str(fleet)]) == EXIT_OK
+    proc = run_with_closed_stdout([
+        "compute", "--period", "2025-06", "--input-dir", str(fleet),
+        "--models", str(fleet / "models.csv"),
+        "--equivalencies", str(write_factors(tmp_path)), "--out-dir", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == "cannot write output: Broken pipe\n"
+    assert len(list((out / "reports").glob("*/2025-06.json"))) == n_tenants
+
+
+def test_output_is_independent_of_hash_seed(tmp_path, capsys):
     """``compute`` writes the same bytes whatever the interpreter's string
-    hash seed, so no output depends on set or dict-of-str iteration order."""
+    hash seed, so no output depends on set or dict-of-str iteration order.
+    The console script prints what ``main`` prints in-process."""
     fleet = tmp_path / "fleet"
     assert main(["synth", "--seed", "5", "--tenants", "5", "--dcs", "3",
                  "--out-dir", str(fleet)]) == EXIT_OK
@@ -1146,24 +1199,28 @@ def test_output_is_independent_of_hash_seed(tmp_path):
         out = tmp_path / f"out_{seed}"
         env = src_env()
         env["PYTHONHASHSEED"] = seed
-        proc = subprocess.run(
-            [sys.executable, "-m", "carbonalloc.cli", "compute", "--period",
-             "2025-06", "--input-dir", str(fleet),
-             "--models", str(fleet / "models.csv"),
-             "--equivalencies", str(write_factors(tmp_path)),
-             "--out-dir", str(out)],
-            capture_output=True, text=True, timeout=120, env=env)
+        args = ["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                "--models", str(fleet / "models.csv"),
+                "--equivalencies", str(write_factors(tmp_path)),
+                "--out-dir", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "carbonalloc.cli", *args],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
         assert proc.returncode == EXIT_OK, proc.stderr
         trees.append({path.relative_to(out): path.read_bytes()
                       for path in sorted(out.rglob("*")) if path.is_file()})
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
     assert len(trees[0]) == 5 * 3  # a JSON and an HTML report, plus history
     assert trees[0] == trees[1]
 
 
-def test_audit_lists_differences_in_document_order(tmp_path):
+def test_audit_lists_differences_in_document_order(tmp_path, capsys):
     """The per-field lines of a failed audit follow the recomputed report's
     key order, then the stored-only keys in stored order, whatever the
-    interpreter's string hash seed."""
+    interpreter's string hash seed. The console script prints what ``main``
+    prints in-process."""
     fleet, out = tmp_path / "fleet", tmp_path / "out"
     assert main(["synth", "--seed", "7", "--tenants", "3", "--dcs", "2",
                  "--out-dir", str(fleet)]) == EXIT_OK
@@ -1179,18 +1236,21 @@ def test_audit_lists_differences_in_document_order(tmp_path):
     doc["summary"]["grossEmissions"] *= 2
     doc["equivalencies"]["carKm"] += 1
     report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    args = ["audit", "--report", str(report), "--input-dir", str(fleet),
+            "--models", str(fleet / "models.csv")]
     errs = []
     for seed in ("0", "1"):
         env = src_env()
         env["PYTHONHASHSEED"] = seed
-        proc = subprocess.run(
-            [sys.executable, "-m", "carbonalloc.cli", "audit", "--report",
-             str(report), "--input-dir", str(fleet),
-             "--models", str(fleet / "models.csv")],
-            capture_output=True, text=True, timeout=120, env=env)
+        proc = subprocess.run([sys.executable, "-m", "carbonalloc.cli", *args],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
         assert proc.returncode == EXIT_AUDIT_MISMATCH, proc.stderr
         errs.append(proc.stderr)
     assert errs[0] == errs[1]
+    capsys.readouterr()
+    assert main(args) == EXIT_AUDIT_MISMATCH
+    assert (proc.stdout, proc.stderr) == tuple(capsys.readouterr())
     fields = [line.split(":")[0].strip() for line in errs[0].splitlines()[1:]]
     assert fields == ["tenant.displayName", "tenant.zeta", "tenant.alpha",
                       "summary.grossEmissions", "equivalencies.carKm"]
