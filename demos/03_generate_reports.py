@@ -7,7 +7,6 @@ second month's reports carry a trend section, then writes both report
 formats under demos/output/.
 """
 
-import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -59,8 +58,7 @@ june = fleet.raw._replace(period=Period.parse("2025-06"),
 
 for fp in compute_footprints(june, fleet.models):
     # The engine reads no files; the trend comes from the history store.
-    fp = dataclasses.replace(
-        fp, history=history.prior_entries(fp.tenant_id, fp.period))
+    fp = fp._replace(history=history.prior_entries(fp.tenant_id, fp.period))
     tenant_dir = out_root / fp.tenant_id
     tenant_dir.mkdir()
     json_doc = render_json(fp, factors)

@@ -50,7 +50,6 @@ centers and the history length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -64,7 +63,13 @@ from .power import (
     shared_energy_total,
     split_shared_wh,
 )
-from .units import SCOPE2_COMPONENTS, Period, check_emissions, check_energy
+from .units import (
+    SCOPE2_COMPONENTS,
+    CheckedRecord,
+    Period,
+    check_emissions,
+    check_energy,
+)
 
 __all__ = [
     "DeviceShare",
@@ -125,36 +130,52 @@ class DeviceShare(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TenantDcScope2:
-    """One tenant's Scope 2 in one data center, split into energy categories.
-
-    ``emissions`` is derived: (e_server + e_network + e_cooling + e_other)
-    x grid intensity x load share.
-    """
-
+class _TenantDcScope2(NamedTuple):
     tenant_id: str
     datacenter_id: str
     e_server: float
     e_network: float
     e_cooling: float
     e_other: float
-    emissions: float = field(init=False)
+    emissions: float
     per_device: tuple[DeviceShare, ...]
     c_dc: float
     l_share: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "emissions",
-                           self.total_energy * self.c_dc * self.l_share)
+
+class TenantDcScope2(CheckedRecord, _TenantDcScope2):
+    """One tenant's Scope 2 in one data center, split into energy categories.
+
+    ``emissions`` is derived: (e_server + e_network + e_cooling + e_other)
+    x grid intensity x load share.
+    """
+
+    __slots__ = ()
+    _derived = ("emissions",)
+
+    def __new__(cls, tenant_id: str, datacenter_id: str, e_server: float,
+                e_network: float, e_cooling: float, e_other: float,
+                per_device: tuple[DeviceShare, ...], c_dc: float,
+                l_share: float) -> "TenantDcScope2":
+        emissions = (e_server + e_network + e_cooling + e_other) * c_dc * l_share
+        return super().__new__(cls, tenant_id, datacenter_id, e_server, e_network,
+                               e_cooling, e_other, emissions, per_device, c_dc,
+                               l_share)
 
     @property
     def total_energy(self) -> float:
         return self.e_server + self.e_network + self.e_cooling + self.e_other
 
 
-@dataclass(frozen=True)
-class ResponsibilityRatio:
+class _ResponsibilityRatio(NamedTuple):
+    tenant_id: str
+    datacenter_id: str
+    scope2_share: float
+    l_share: float
+    ratio: float
+
+
+class ResponsibilityRatio(CheckedRecord, _ResponsibilityRatio):
     """A tenant's share of one data center's attributable emissions.
 
     ``scope2_share`` is the tenant's fraction of the data center's total
@@ -162,14 +183,13 @@ class ResponsibilityRatio:
     tenant's load share and is what Scope 1/3 and offsets scale by.
     """
 
-    tenant_id: str
-    datacenter_id: str
-    scope2_share: float
-    l_share: float
-    ratio: float = field(init=False)
+    __slots__ = ()
+    _derived = ("ratio",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", self.scope2_share * self.l_share)
+    def __new__(cls, tenant_id: str, datacenter_id: str, scope2_share: float,
+                l_share: float) -> "ResponsibilityRatio":
+        return super().__new__(cls, tenant_id, datacenter_id, scope2_share,
+                               l_share, scope2_share * l_share)
 
 
 class HistoryEntry(NamedTuple):
@@ -180,8 +200,25 @@ class HistoryEntry(NamedTuple):
     net: float
 
 
-@dataclass(frozen=True)
-class DcFootprint:
+class _DcFootprint(NamedTuple):
+    datacenter_id: str
+    name: str
+    region: str
+    grid_intensity: float
+    responsibility: ResponsibilityRatio
+    scope1: float
+    scope2: float
+    scope3: float
+    component_energy: dict[str, float]
+    component_emissions: dict[str, float]
+    gross: float
+    net: float
+    green_offset: float
+    rec_offset: float
+    devices: tuple[DeviceShare, ...]
+
+
+class DcFootprint(CheckedRecord, _DcFootprint):
     """One tenant's full footprint within a single data center.
 
     Emissions are gCO2e and energies Wh. ``component_energy``
@@ -191,34 +228,28 @@ class DcFootprint:
     sum) and ``net`` (gross minus offsets), which alone may be negative.
     """
 
-    datacenter_id: str
-    name: str
-    region: str
-    grid_intensity: float
-    responsibility: ResponsibilityRatio
-    scope1: float
-    scope2: float = field(init=False)
-    scope3: float
-    component_energy: dict[str, float]
-    component_emissions: dict[str, float] = field(init=False)
-    gross: float = field(init=False)
-    net: float = field(init=False)
-    green_offset: float
-    rec_offset: float
-    devices: tuple[DeviceShare, ...]
+    __slots__ = ()
+    _derived = ("scope2", "component_emissions", "gross", "net")
 
-    def __post_init__(self) -> None:
-        keys = tuple(self.component_energy)
+    def __new__(cls, datacenter_id: str, name: str, region: str,
+                grid_intensity: float, responsibility: ResponsibilityRatio,
+                scope1: float, scope3: float, component_energy: dict[str, float],
+                green_offset: float, rec_offset: float,
+                devices: tuple[DeviceShare, ...]) -> "DcFootprint":
+        keys = tuple(component_energy)
         if sorted(keys) != sorted(SCOPE2_COMPONENTS):
             raise UnitError("scope2_components must have exactly the keys "
                             f"{SCOPE2_COMPONENTS}, got {keys}")
-        c, l = self.grid_intensity, self.responsibility.l_share
-        set_field = object.__setattr__
-        set_field(self, "scope2", self.scope2_energy * c * l)
-        set_field(self, "component_emissions",
-                  {name: e * c * l for name, e in self.component_energy.items()})
-        set_field(self, "gross", self.scope1 + self.scope2 + self.scope3)
-        set_field(self, "net", self.gross - self.green_offset - self.rec_offset)
+        c, l = grid_intensity, responsibility.l_share
+        energy = component_energy
+        scope2 = (energy["server"] + energy["network"] + energy["cooling"]
+                  + energy["other"]) * c * l
+        emissions = {key: e * c * l for key, e in component_energy.items()}
+        gross = scope1 + scope2 + scope3
+        return super().__new__(
+            cls, datacenter_id, name, region, grid_intensity, responsibility,
+            scope1, scope2, scope3, component_energy, emissions, gross,
+            gross - green_offset - rec_offset, green_offset, rec_offset, devices)
 
     @property
     def scope2_energy(self) -> float:
@@ -231,8 +262,26 @@ class DcFootprint:
         return self.net < 0.0
 
 
-@dataclass(frozen=True)
-class Footprint:
+class _Footprint(NamedTuple):
+    tenant_id: str
+    display_name: str
+    agent_count: int
+    period: Period
+    per_dc: tuple[DcFootprint, ...]
+    scope1: float
+    scope2: float
+    scope3: float
+    scope2_energy: float
+    component_emissions: dict[str, float]
+    green_offset: float
+    rec_offset: float
+    gross_total: float
+    net_total: float
+    per_agent: float
+    history: tuple[HistoryEntry, ...]
+
+
+class Footprint(CheckedRecord, _Footprint):
     """One tenant's footprint for one reporting period, across data centers.
 
     Derived from ``per_dc``: ``scope1``, ``scope2``, ``scope3``,
@@ -245,30 +294,20 @@ class Footprint:
     scope and component sums are at most ``gross_total``.
     """
 
-    tenant_id: str
-    display_name: str
-    agent_count: int
-    period: Period
-    per_dc: tuple[DcFootprint, ...]
-    scope1: float = field(init=False)
-    scope2: float = field(init=False)
-    scope3: float = field(init=False)
-    scope2_energy: float = field(init=False)
-    component_emissions: dict[str, float] = field(init=False)
-    green_offset: float = field(init=False)
-    rec_offset: float = field(init=False)
-    gross_total: float = field(init=False)
-    net_total: float = field(init=False)
-    per_agent: float = field(init=False)
-    history: tuple[HistoryEntry, ...] = ()
+    __slots__ = ()
+    _derived = ("scope1", "scope2", "scope3", "scope2_energy",
+                "component_emissions", "green_offset", "rec_offset",
+                "gross_total", "net_total", "per_agent")
 
-    def __post_init__(self) -> None:
-        dc_ids = [dc.datacenter_id for dc in self.per_dc]
+    def __new__(cls, tenant_id: str, display_name: str, agent_count: int,
+                period: Period, per_dc: tuple[DcFootprint, ...],
+                history: tuple[HistoryEntry, ...] = ()) -> "Footprint":
+        dc_ids = [dc.datacenter_id for dc in per_dc]
         if len(set(dc_ids)) != len(dc_ids):
             raise UnitError(f"per_dc repeats a datacenter_id: {dc_ids}")
         scope1 = scope2 = scope3 = energy = green = rec = gross = net = 0.0
         components = dict.fromkeys(SCOPE2_COMPONENTS, 0.0)
-        for dc in self.per_dc:
+        for dc in per_dc:
             scope1 += dc.scope1
             scope2 += dc.scope2
             scope3 += dc.scope3
@@ -279,19 +318,18 @@ class Footprint:
             rec += dc.rec_offset
             gross += dc.gross
             net += dc.net
-        set_field = object.__setattr__
-        set_field(self, "gross_total", check_emissions(gross))
-        set_field(self, "net_total", check_emissions(net, allow_negative=True))
-        set_field(self, "scope2_energy", check_energy(energy))
-        set_field(self, "green_offset", check_emissions(green))
-        set_field(self, "rec_offset", check_emissions(rec))
-        set_field(self, "scope1", scope1)
-        set_field(self, "scope2", scope2)
-        set_field(self, "scope3", scope3)
-        set_field(self, "component_emissions", components)
-        set_field(self, "per_agent", gross / self.agent_count)
-        if len(self.history) > 2:
+        check_emissions(gross)
+        check_emissions(net, allow_negative=True)
+        check_energy(energy)
+        check_emissions(green)
+        check_emissions(rec)
+        per_agent = gross / agent_count
+        if len(history) > 2:
             raise UnitError("history holds at most the two prior periods")
+        return super().__new__(
+            cls, tenant_id, display_name, agent_count, period, per_dc, scope1,
+            scope2, scope3, energy, components, green, rec, gross, net,
+            per_agent, history)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +611,7 @@ def compute_footprints(raw: RawData,
     Output order is deterministic (tenant id ascending, data center id
     ascending within each tenant). The result depends on ``raw`` and
     ``models`` alone, so every footprint's ``history`` is empty; callers
-    attach prior months with ``dataclasses.replace``.
+    attach prior months with ``Footprint._replace``.
 
     Offsets scale by the tenant's responsibility ratio, so no tenant's net
     changes when another tenant's figures do. Net may be negative when a data

@@ -25,7 +25,6 @@ import gc
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -152,8 +151,7 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
         return EXIT_AUDIT_MISMATCH
 
     history = HistoryStore(history_dir)
-    footprints = [replace(fp, history=history.prior_entries(fp.tenant_id,
-                                                            fp.period))
+    footprints = [fp._replace(history=history.prior_entries(fp.tenant_id, fp.period))
                   for fp in footprints]
     _write_reports(footprints, factors, out_dir, trend_thresholds, history)
 
@@ -188,7 +186,7 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
     except UnknownTenant:
         raise UnknownTenant(tenant_id, (str(report_file),)) from None
     if history_dir is not None:
-        fp = replace(fp, history=HistoryStore(history_dir).prior_entries(
+        fp = fp._replace(history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
 
     differences = report_differences(render_json(fp, factors).content, content)

@@ -41,9 +41,9 @@ class HistoryStore:
         corrupt, not converted.
         """
         path = self.path_for(tenant_id, period)
-        if not path.is_file():
-            return None
         try:
+            if not path.is_file():  # a stat: a FIFO here is never opened
+                return None
             doc = load_doc(path.read_bytes())
             held = report_identity(doc)
             if held != (tenant_id, period):

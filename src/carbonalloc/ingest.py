@@ -59,7 +59,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -329,19 +328,16 @@ class _Row:
         return text
 
 
-@dataclass(frozen=True, slots=True)
-class _Table:
-    """A table's data records: each one's stripped cells and first line.
-
-    Iterating a table yields its records as :class:`_Row`, in file order.
-    """
+class _Table(NamedTuple):
+    """A table's data records: each one's stripped cells and first line."""
 
     source: str
     index: dict[str, int]
     line_nos: list[int]
     records: list[list[str]]
 
-    def __iter__(self) -> Iterator[_Row]:
+    def rows(self) -> Iterator[_Row]:
+        """The records as :class:`_Row`, in file order."""
         source, index = self.source, self.index
         for line_no, cells in zip(self.line_nos, self.records):
             yield _Row(source, line_no, cells, index)
@@ -559,7 +555,7 @@ def read_servers(path: Path | str) -> tuple[ServerUsage, ...]:
                 and all(devices) and all(models) and _ids_valid(dcs, tenants)):
             return tuple(map(ServerUsage._make, zip(
                 dcs, devices, models, tenants, util, *counters, table.refs())))
-    return tuple(map(_server_from_row, table))
+    return tuple(map(_server_from_row, table.rows()))
 
 
 def read_network(path: Path | str) -> tuple[NetworkUsage, ...]:
@@ -574,7 +570,7 @@ def read_network(path: Path | str) -> tuple[NetworkUsage, ...]:
                 and all(types) and _ids_valid(dcs, tenants)):
             return tuple(map(NetworkUsage._make, zip(
                 dcs, devices, types, tenants, sent, received, table.refs())))
-    return tuple(map(_network_from_row, table))
+    return tuple(map(_network_from_row, table.rows()))
 
 
 def _entries(row: _Row, column: str, spelling: str) -> Iterator[list[str]]:
@@ -603,7 +599,7 @@ def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     out: dict[str, DataCenter] = {}
     for row in read_table(path, (
             "datacenter_id", "name", "region", "grid_intensity",
-            "cooling_devices", "other_devices", "fuel_log")):
+            "cooling_devices", "other_devices", "fuel_log")).rows():
         dc_id = row.id("datacenter_id")
         if dc_id in out:
             raise DuplicateId(row.source, row.line_no, "data center", dc_id)
@@ -666,7 +662,7 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
     for row in read_table(path, (
-            "tenant_id", "display_name", "agent_count", "datacenter_ids")):
+            "tenant_id", "display_name", "agent_count", "datacenter_ids")).rows():
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
@@ -817,8 +813,15 @@ def load_input_dir(input_dir: Path | str, period: Period) -> RawData:
     is never inferred from file contents.
     """
     input_dir = Path(input_dir)
-    missing = [name for name in INPUT_FILE_NAMES.values()
-               if not (input_dir / name).is_file()]
+    missing = []
+    for name in INPUT_FILE_NAMES.values():
+        path = input_dir / name
+        try:
+            if not path.is_file():
+                missing.append(name)
+        except OSError as exc:  # is_file raises what does not mean "absent"
+            raise MalformedRow(str(path), 0,
+                               f"cannot read file: {exc.strerror or exc}") from exc
     if missing:
         raise MalformedRow(str(input_dir), 0,
                            "missing input file(s): " + ", ".join(sorted(missing)))

@@ -252,7 +252,7 @@ def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
 def read_models(path: Path | str) -> dict[str, ServerPowerModel]:
     """Read a fitted-models CSV keyed by device model."""
     out: dict[str, ServerPowerModel] = {}
-    for row in read_table(path, _MODEL_COLUMNS):
+    for row in read_table(path, _MODEL_COLUMNS).rows():
         name = row.text("device_model")
         if name in out:
             raise row.error(f"duplicate device model {name!r}")
@@ -280,7 +280,7 @@ def read_calibration_samples(path: Path | str) -> dict[str, list[CalibrationSamp
     out: dict[str, list[CalibrationSample]] = {}
     for row in read_table(path, (
             "device_model", "cpu_utilization", "cache_moved", "dram_accessed",
-            "disk_moved", "measured_energy_wh")):
+            "disk_moved", "measured_energy_wh")).rows():
         out.setdefault(row.text("device_model"), []).append(CalibrationSample(
             cpu_utilization=row.number("cpu_utilization"),
             cache_moved=row.nonneg("cache_moved"),

@@ -31,7 +31,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
@@ -45,7 +44,7 @@ from .allocation import (
     ResponsibilityRatio,
 )
 from .errors import CarbonAllocError, UnitError
-from .units import SCOPE2_COMPONENTS, Period
+from .units import SCOPE2_COMPONENTS, CheckedRecord, Period
 
 __all__ = [
     "EquivalencyFactors",
@@ -77,20 +76,27 @@ class ReportError(CarbonAllocError):
     """A report file or equivalency config could not be parsed."""
 
 
-@dataclass(frozen=True)
-class EquivalencyFactors:
-    """Emission equivalents used to put gross figures in perspective."""
-
+class _EquivalencyFactors(NamedTuple):
     flight_ams_nyc: float
     car_km: float
     smartphone_charge: float
     source_note: str
 
-    def __post_init__(self) -> None:
-        for name in ("flight_ams_nyc", "car_km", "smartphone_charge"):
-            if not getattr(self, name) >= 1.0:  # so gross / factor stays finite
+
+class EquivalencyFactors(CheckedRecord, _EquivalencyFactors):
+    """Emission equivalents used to put gross figures in perspective."""
+
+    __slots__ = ()
+
+    def __new__(cls, flight_ams_nyc: float, car_km: float, smartphone_charge: float,
+                source_note: str) -> "EquivalencyFactors":
+        for name, value in (("flight_ams_nyc", flight_ams_nyc), ("car_km", car_km),
+                            ("smartphone_charge", smartphone_charge)):
+            if not value >= 1.0:  # so gross / factor stays finite
                 raise ReportError(f"equivalency factor {name} must be >= 1 g, "
-                                  f"got {getattr(self, name)!r}")
+                                  f"got {value!r}")
+        return super().__new__(cls, flight_ams_nyc, car_km, smartphone_charge,
+                               source_note)
 
 
 class ReportDocument(NamedTuple):

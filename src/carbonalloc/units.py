@@ -1,4 +1,6 @@
-"""Canonical units, the checks that keep figures in them, and ``Period``.
+"""Canonical units, the checks that keep figures in them, ``Period``, and
+:class:`CheckedRecord`, the base of every record that checks or derives a
+field.
 
 Every figure is a plain ``float`` (or, for counters and ``agent_count``, an
 ``int``) in one canonical unit:
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .errors import UnitError
 
@@ -80,18 +82,61 @@ def check_share(value: float) -> float:
 _PERIOD_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Period:
-    """A reporting month, formatted ``YYYY-MM``."""
+class CheckedRecord:
+    """What a NamedTuple record that checks or derives a field adds to it.
 
+    Such a record is a subclass of this class and of a private NamedTuple
+    holding every field, the ones it derives (named in ``_derived``)
+    included, so ``_fields`` lists them all. Its ``__new__`` takes the other
+    fields, its sources, in field order, checks them, derives the rest once
+    and stores them all. A record equals only a record of its own type.
+    ``_replace`` builds the copy through ``__new__`` from the sources, so
+    the copy is checked and derived again; replacing a derived field raises
+    ``ValueError``.
+    """
+
+    __slots__ = ()
+    _derived: tuple[str, ...] = ()
+
+    def _sources(self) -> dict[str, Any]:
+        return {name: value for name, value in zip(self._fields, self)
+                if name not in self._derived}
+
+    def _replace(self, /, **changes: Any) -> Any:
+        derived = [name for name in changes if name in self._derived]
+        if derived:
+            raise ValueError(f"{type(self).__name__} derives {', '.join(derived)}; "
+                             "replace the fields it is derived from")
+        return type(self)(**{**self._sources(), **changes})
+
+    def __getnewargs__(self) -> tuple[Any, ...]:  # copy and pickle
+        return tuple(self._sources().values())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class _Period(NamedTuple):
     year: int
     month: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.month <= 12):
-            raise UnitError(f"month must be 1..12, got {self.month!r}")
-        if not (1 <= self.year <= 9999):
-            raise UnitError(f"year must be 1..9999, got {self.year!r}")
+
+class Period(CheckedRecord, _Period):
+    """A reporting month, formatted ``YYYY-MM``; periods order by date."""
+
+    __slots__ = ()
+
+    def __new__(cls, year: int, month: int) -> "Period":
+        if not (1 <= month <= 12):
+            raise UnitError(f"month must be 1..12, got {month!r}")
+        if not (1 <= year <= 9999):
+            raise UnitError(f"year must be 1..9999, got {year!r}")
+        return super().__new__(cls, year, month)
 
     @classmethod
     def parse(cls, text: str) -> "Period":

@@ -9,7 +9,6 @@ the checks that use them.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import random
@@ -353,7 +352,7 @@ def test_onepage_structure(criterion, fictitious_raw, fictitious_models, factors
     """The HTML report has the five sections in a fixed one-page frame."""
     with criterion("onepage_structure"):
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
-        fp = dataclasses.replace(fp, history=(
+        fp = fp._replace(history=(
             HistoryEntry(Period(2025, 5), 2000000.0, 2000000.0),
             HistoryEntry(Period(2025, 4), 2200000.0, 2200000.0),
         ))

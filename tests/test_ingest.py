@@ -672,7 +672,7 @@ class TestColumnChecks:
             path = Path(tmp) / name
             path.write_text(text, encoding="utf-8")
             expected = outcome(lambda: map(
-                from_row, ingest.read_table(path, columns)))
+                from_row, ingest.read_table(path, columns).rows()))
             assert outcome(lambda: read(path)) == expected
 
     def test_valid_fleet_builds_no_row_for_usage_files(self, tmp_path,

@@ -1,9 +1,10 @@
 """Report rendering: canonical JSON, equivalencies, trend, one-page HTML."""
 
 import ast
-import dataclasses
+import copy
 import json
 import math
+import pickle
 import re
 from html import escape as html_escape
 from pathlib import Path
@@ -17,9 +18,11 @@ from carbonalloc.allocation import (
     Footprint,
     HistoryEntry,
     ResponsibilityRatio,
+    TenantDcScope2,
     compute_footprints,
 )
 from carbonalloc.cli import EXIT_AUDIT_MISMATCH, EXIT_VALIDATION, main
+from carbonalloc.errors import UnitError
 from carbonalloc.history import HistoryStore
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -64,7 +67,7 @@ STORED_COPIES = ("summary.grossEmissions", "summary.netEmissions",
 
 def stored_for(fp, factors, period: Period) -> bytes:
     """``fp``'s JSON report as the history store holds it for ``period``."""
-    return render_json(dataclasses.replace(fp, period=period), factors).content
+    return render_json(fp._replace(period=period), factors).content
 
 
 class TestRenderJson:
@@ -149,7 +152,7 @@ class TestRenderJson:
     def test_overflowing_pct_change_renders_as_infinity(self, fixture_footprint,
                                                         factors):
         prior = HistoryEntry(Period(2025, 5), 1e-300, 0.0)
-        fp = dataclasses.replace(fixture_footprint, history=(prior,))
+        fp = fixture_footprint._replace(history=(prior,))
         content = render_json(fp, factors).content
         assert b'"pctChange": Infinity\n' in content
         assert render_json(footprint_from_json(content), factors).content == content
@@ -255,8 +258,7 @@ class TestRenderJson:
         store.save(prior.tenant_id, prior.period,
                    render_json(prior, factors).content)
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
-        fp = dataclasses.replace(
-            fp, history=store.prior_entries(fp.tenant_id, fp.period))
+        fp = fp._replace(history=store.prior_entries(fp.tenant_id, fp.period))
         doc = json.loads(render_json(fp, factors).content)
         (entry,) = doc["summary"]["history"]
         assert entry["period"] == "2025-05"
@@ -482,9 +484,7 @@ def values(record, name=""):
     """Every (field name, value) held by ``record``, through the fields of
     :data:`RECORDS` and through tuples, lists and dicts."""
     if isinstance(record, RECORDS):
-        members = [(f, getattr(record, f)) for f in (
-            record._fields if isinstance(record, tuple) else
-            [f.name for f in dataclasses.fields(record)])]
+        members = list(zip(record._fields, record))
     elif isinstance(record, (tuple, list, dict)):
         members = [(name, member) for member in
                    (record.values() if isinstance(record, dict) else record)]
@@ -501,7 +501,7 @@ def test_every_figure_is_a_built_in_float(tmp_path, factors):
     for fp in footprints:
         store.save(fp.tenant_id, fp.period, render_json(fp, factors).content)
     # The same figures a month later, with this month read back as history.
-    later = [dataclasses.replace(fp, period=Period(2025, 2), history=(
+    later = [fp._replace(period=Period(2025, 2), history=(
         store.prior_entries(fp.tenant_id, Period(2025, 2)))) for fp in footprints]
     reread = [footprint_from_json(render_json(fp, factors).content) for fp in later]
     found = [(name, value) for name, value in
@@ -511,6 +511,42 @@ def test_every_figure_is_a_built_in_float(tmp_path, factors):
         "grid_intensity", "ratio", "scope2", "gross_total", "gross", "energy_wh"}
     for name, value in found:
         assert type(value) is (int if name in COUNTS else float), (name, value)
+
+
+class TestCheckedRecords:
+    """The records that check or derive a field: a copy made by ``_replace``
+    is checked and derived again, and a record equals only its own type."""
+
+    @pytest.fixture
+    def records(self, fixture_footprint, factors):
+        dc = fixture_footprint.per_dc[0]
+        pair = TenantDcScope2("T", "D", 1.0, 2.0, 3.0, 4.0, (), 0.5, 1.0)
+        return [fixture_footprint, dc, dc.responsibility, pair,
+                fixture_footprint.period, factors]
+
+    def test_copies_are_checked_again(self, fixture_footprint, factors):
+        entry = HistoryEntry(Period(2025, 5), 1.0, 1.0)
+        with pytest.raises(UnitError, match="month must be 1..12, got 13"):
+            Period(2025, 6)._replace(month=13)
+        with pytest.raises(ReportError,
+                           match="equivalency factor car_km must be >= 1 g"):
+            factors._replace(car_km=0.5)
+        with pytest.raises(UnitError, match="at most the two prior periods"):
+            fixture_footprint._replace(history=(entry, entry, entry))
+        with pytest.raises(ValueError, match="derives gross_total, per_agent"):
+            fixture_footprint._replace(gross_total=0.0, per_agent=0.0)
+        with pytest.raises(TypeError):
+            Footprint(**{name: getattr(fixture_footprint, name) for name in (
+                "tenant_id", "display_name", "agent_count", "period", "per_dc")},
+                gross_total=0.0)
+
+    def test_equal_only_to_their_own_type(self, records):
+        for record in records:
+            assert record == record._replace() == copy.copy(record)
+            assert record == pickle.loads(pickle.dumps(record))
+            assert record != tuple(record) and tuple(record) != record
+            assert not record == tuple(record)
+        assert hash(Period(2025, 6)) == hash(Period.parse("2025-06"))
 
 
 class TestFactors:
@@ -609,14 +645,14 @@ class TestTrend:
     def test_pct_change_against_prior(self, fixture_footprint):
         from carbonalloc.allocation import HistoryEntry
         history = (HistoryEntry(Period(2025, 5), 2000000.0, 2000000.0),)
-        fp = dataclasses.replace(fixture_footprint, history=history)
+        fp = fixture_footprint._replace(history=history)
         (delta,) = compute_trend(fp)
         assert delta.pct_change == pytest.approx(-10.0)
 
     def test_zero_prior_yields_no_percentage(self, fixture_footprint):
         from carbonalloc.allocation import HistoryEntry
         history = (HistoryEntry(Period(2025, 5), 0.0, 0.0),)
-        fp = dataclasses.replace(fixture_footprint, history=history)
+        fp = fixture_footprint._replace(history=history)
         (delta,) = compute_trend(fp)
         assert delta.pct_change is None
 
@@ -628,7 +664,7 @@ def attach_history(fp, months_and_gross):
     from carbonalloc.allocation import HistoryEntry
     entries = tuple(HistoryEntry(Period(2025, m), g, g)
                     for m, g in months_and_gross)
-    return dataclasses.replace(fp, history=entries)
+    return fp._replace(history=entries)
 
 
 class TestRenderOnepage:

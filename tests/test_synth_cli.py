@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +102,19 @@ def run_audit(ws, report: Path, extra=()):
     return main(["audit", "--report", str(report),
                  "--input-dir", str(ws["fleet"]),
                  "--models", str(ws["models"]), *extra])
+
+
+def fail_stat(monkeypatch, failing: Path) -> None:
+    """Make ``Path.stat`` of ``failing`` raise EACCES, as it does for a file
+    in a directory without search permission; file modes do not stop root."""
+    real = Path.stat
+
+    def stat(path, *args, **kwargs):
+        if path == failing:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "stat", stat)
 
 
 class TestGenerateFleet:
@@ -209,6 +221,20 @@ class TestComputeCommand:
         assert capsys.readouterr().err == (
             f"{workspace['models']}:0: cannot read file: No such file or directory\n")
 
+    def test_input_file_whose_check_fails_exits_1_naming_it(self, workspace,
+                                                             monkeypatch, capsys):
+        """An input file whose existence check fails is a file that cannot
+        be read, for ``compute`` and ``audit`` alike, not an output."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        servers = workspace["fleet"] / "servers.csv"
+        capsys.readouterr()
+        fail_stat(monkeypatch, servers)
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"{servers}:0: cannot read file: Permission denied\n" * 2)
+
     def test_missing_model_exits_1(self, workspace, capsys):
         models = workspace["models"]
         lines = models.read_text().splitlines()
@@ -281,6 +307,20 @@ class TestComputeCommand:
                   for tenant in ("TENANT_01", "TENANT_02")}
         assert trends["TENANT_01"] == []
         assert [entry["period"] for entry in trends["TENANT_02"]] == ["2025-05"]
+
+    def test_history_file_whose_check_fails_is_skipped_with_warning(
+            self, workspace, monkeypatch, caplog):
+        """A history file whose existence check fails is skipped as one that
+        cannot be read is, not reported as an output that cannot be written."""
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        unreadable = workspace["out"] / "history" / "TENANT_01" / "2025-05.json"
+        fail_stat(monkeypatch, unreadable)
+        assert run_compute(workspace, period="2025-06") == EXIT_OK
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "carbonalloc.history"] == [
+            f"unreadable history file {unreadable}: Permission denied"]
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        assert json.loads(report.read_text())["summary"]["history"] == []
 
     def test_path_escaping_tenant_id_exits_1_and_writes_nothing(self, workspace,
                                                                 capsys):
@@ -1072,9 +1112,11 @@ def test_only_calibrate_exits_2_and_main_has_one_package_handler():
 
 
 _RECORD_PROBE = """
-import dataclasses, json, sys
+import json, sys
 import carbonalloc.cli
 import carbonalloc.synth
+from carbonalloc.units import CheckedRecord
+import dataclasses
 kinds = {}
 for name, module in sorted(sys.modules.items()):
     if name != "carbonalloc" and not name.startswith("carbonalloc."):
@@ -1083,36 +1125,33 @@ for name, module in sorted(sys.modules.items()):
         if not (isinstance(cls, type) and cls.__module__ == name):
             continue
         if dataclasses.is_dataclass(cls):
-            derives = ("__post_init__" in vars(cls)
-                       or any(not f.init for f in dataclasses.fields(cls)))
-            kinds[cls.__qualname__] = "derives" if derives else "holds"
+            kinds[cls.__qualname__] = "dataclass"
         elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
-            kinds[cls.__qualname__] = "NamedTuple"
+            checked = issubclass(cls, CheckedRecord)
+            kinds[cls.__qualname__] = "checked" if checked else "NamedTuple"
 print(json.dumps(kinds))
 """
 
 
-def test_only_records_that_derive_a_field_are_dataclasses():
-    """A public record class is a dataclass only if it derives or checks a
-    field (a ``field(init=False)`` or a ``__post_init__``); every other one is
-    a NamedTuple, whose class costs a tenth of a frozen dataclass's to build
-    at start-up and whose rows are built without per-field ``__setattr__``."""
+def test_every_record_is_a_named_tuple():
+    """No class in the package is a dataclass: loading ``dataclasses`` would
+    cost every command start-up about 10 ms, and building a frozen
+    dataclass costs tens of times what a NamedTuple class does. Every record
+    is a NamedTuple; those that check or derive a field are also a
+    :class:`CheckedRecord`, whose ``_replace`` checks and derives again."""
     proc = subprocess.run([sys.executable, "-c", _RECORD_PROBE],
                           capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
     kinds = json.loads(proc.stdout.splitlines()[-1])
-    dataclasses_built = sorted(name for name, kind in kinds.items()
-                               if kind != "NamedTuple")
-    assert dataclasses_built == [
+    assert "dataclass" not in kinds.values()
+    assert sorted(name for name, kind in kinds.items() if kind == "checked") == [
         "DcFootprint", "EquivalencyFactors", "Footprint", "Period",
-        "ResponsibilityRatio", "TenantDcScope2", "_Table"]
-    assert [name for name in dataclasses_built
-            if kinds[name] == "holds" and not name.startswith("_")] == []
+        "ResponsibilityRatio", "TenantDcScope2"]
     assert {name for name, kind in kinds.items() if kind == "NamedTuple"} >= {
         "ServerUsage", "NetworkUsage", "SharedDevice", "FuelEntry", "DataCenter",
         "Tenant", "RawData", "CalibrationSample", "ServerPowerModel",
         "DeviceShare", "HistoryEntry", "FleetTotals", "AuditCheck",
-        "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet"}
+        "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet", "_Table"}
 
 
 def test_a_run_leaves_no_cyclic_garbage(tmp_path):
@@ -1131,8 +1170,8 @@ def test_a_run_leaves_no_cyclic_garbage(tmp_path):
             footprints = allocation.compute_footprints(raw, models)
             assert allocation.conservation_audit(footprints, raw, models).passed
             assert allocation.tenant_footprint(raw, models, "TENANT_02") == footprints[1]
-            footprints = [replace(fp, history=store.prior_entries(fp.tenant_id,
-                                                                  fp.period))
+            footprints = [fp._replace(history=store.prior_entries(fp.tenant_id,
+                                                                   fp.period))
                           for fp in footprints]
             for fp in footprints:
                 render_onepage(fp, factors)
@@ -1422,7 +1461,7 @@ def test_synth_default_period_is_stable():
 
 _IMPORT_PROBE = """
 import json, sys
-watched = ("carbonalloc.synth", "html", "logging", "numpy")
+watched = ("carbonalloc.synth", "dataclasses", "html", "inspect", "logging", "numpy")
 def loaded():
     return [name for name in watched if name in sys.modules]
 import carbonalloc.cli
@@ -1437,9 +1476,10 @@ print(json.dumps(steps))
 def test_only_calibrate_imports_numpy(tmp_path):
     """Each command loads only what it runs, so the others do not pay for it
     at start-up: numpy is imported to fit models and nowhere else, ``synth``
-    only by its command, and ``logging`` and ``html`` by none of them when
-    nothing is warned about. Each module appearing where expected shows the
-    probe works."""
+    only by its command, ``logging`` and ``html`` by none of them when
+    nothing is warned about, and ``dataclasses`` by none at all; ``inspect``
+    comes in only with numpy. Each module appearing where expected shows
+    the probe works."""
     fleet, out = tmp_path / "fleet", tmp_path / "out"
     report = out / "reports" / "TENANT_01" / "2025-06.json"
     samples = write_samples(tmp_path / "samples.csv")
@@ -1462,4 +1502,4 @@ def test_only_calibrate_imports_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["import", 0, []], ["synth", 0, [synth]], ["compute", 0, [synth]],
         ["audit", 0, [synth]], ["report", 0, [synth]],
-        ["calibrate", 0, [synth, "numpy"]]]
+        ["calibrate", 0, [synth, "inspect", "numpy"]]]
