@@ -62,13 +62,12 @@ footprints = compute_footprints(raw, models)
 for fp in footprints:
     print(f"{fp.tenant_id} ({fp.display_name}), {fp.agent_count} agents")
     for per_dc in fp.per_dc:
-        resp = per_dc.responsibility
         print(f"  {per_dc.datacenter_id} @ {per_dc.grid_intensity} g/Wh")
         for name in ("server", "network", "cooling", "other"):
             print(f"    {name:<8} {per_dc.component_energy[name]:>12.1f} Wh"
                   f"  -> {per_dc.component_emissions[name]:>12.1f} g")
-        print(f"    scope2 share = {resp.scope2_share:.6f},"
-              f" responsibility r = {resp.ratio:.6f}")
+        print(f"    scope2 share = {per_dc.scope2_share:.6f},"
+              f" responsibility r = {per_dc.ratio:.6f}")
         print(f"    scope1 {per_dc.scope1:.1f} g,"
               f" scope2 {per_dc.scope2:.1f} g,"
               f" scope3 {per_dc.scope3:.1f} g")

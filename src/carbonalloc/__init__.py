@@ -21,7 +21,6 @@ from .allocation import (
     FleetTotals,
     Footprint,
     HistoryEntry,
-    ResponsibilityRatio,
     TenantDcScope2,
     compute_footprints,
     compute_responsibility_ratios,

@@ -28,8 +28,8 @@ reads no files: prior months are attached by the caller.
 
 Every figure is a plain float in the units of :mod:`.units`. Figures that
 are functions of other fields of the same record are derived by the record,
-never passed in: a pair's Scope 2 ``emissions``, a ratio's ``ratio``, a data
-center footprint's ``scope2``, ``component_emissions``, ``gross`` and
+never passed in: a pair's Scope 2 ``emissions``, a data center footprint's
+responsibility ``ratio``, ``scope2``, ``component_emissions``, ``gross`` and
 ``net``, and a tenant's totals: its three scopes, Scope 2 energy, component
 emissions, two offsets, gross and net, each summed once over its data
 centers in ``per_dc`` order, and its per-agent figure. No other module adds
@@ -51,7 +51,7 @@ centers and the history length.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
 from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage
@@ -74,7 +74,6 @@ from .units import (
 __all__ = [
     "DeviceShare",
     "TenantDcScope2",
-    "ResponsibilityRatio",
     "HistoryEntry",
     "DcFootprint",
     "Footprint",
@@ -167,31 +166,6 @@ class TenantDcScope2(CheckedRecord, _TenantDcScope2):
         return self.e_server + self.e_network + self.e_cooling + self.e_other
 
 
-class _ResponsibilityRatio(NamedTuple):
-    tenant_id: str
-    datacenter_id: str
-    scope2_share: float
-    l_share: float
-    ratio: float
-
-
-class ResponsibilityRatio(CheckedRecord, _ResponsibilityRatio):
-    """A tenant's share of one data center's attributable emissions.
-
-    ``scope2_share`` is the tenant's fraction of the data center's total
-    Scope 2 emissions; ``ratio``, derived, is that fraction times the
-    tenant's load share and is what Scope 1/3 and offsets scale by.
-    """
-
-    __slots__ = ()
-    _derived = ("ratio",)
-
-    def __new__(cls, tenant_id: str, datacenter_id: str, scope2_share: float,
-                l_share: float) -> "ResponsibilityRatio":
-        return super().__new__(cls, tenant_id, datacenter_id, scope2_share,
-                               l_share, scope2_share * l_share)
-
-
 class HistoryEntry(NamedTuple):
     """A prior period's headline figures, for the two-month comparison."""
 
@@ -205,7 +179,9 @@ class _DcFootprint(NamedTuple):
     name: str
     region: str
     grid_intensity: float
-    responsibility: ResponsibilityRatio
+    scope2_share: float
+    l_share: float
+    ratio: float
     scope1: float
     scope2: float
     scope3: float
@@ -221,18 +197,20 @@ class _DcFootprint(NamedTuple):
 class DcFootprint(CheckedRecord, _DcFootprint):
     """One tenant's full footprint within a single data center.
 
-    Emissions are gCO2e and energies Wh. ``component_energy``
-    splits Scope 2 energy into the four categories of ``SCOPE2_COMPONENTS``.
-    Derived, at the grid intensity and the tenant's load share: each
-    category's ``component_emissions``, ``scope2``, ``gross`` (the scopes'
-    sum) and ``net`` (gross minus offsets), which alone may be negative.
+    Emissions are gCO2e and energies Wh. ``scope2_share`` is the tenant's
+    fraction of the data center's Scope 2 emissions, ``l_share`` its load
+    share, and ``component_energy`` splits Scope 2 energy into the four
+    categories of ``SCOPE2_COMPONENTS``. Derived: the responsibility
+    ``ratio``, the two shares' product; at the grid intensity and load share,
+    each category's ``component_emissions`` and ``scope2``; ``gross`` (the
+    scopes' sum) and ``net`` (gross minus offsets), which alone may be negative.
     """
 
     __slots__ = ()
-    _derived = ("scope2", "component_emissions", "gross", "net")
+    _derived = ("ratio", "scope2", "component_emissions", "gross", "net")
 
     def __new__(cls, datacenter_id: str, name: str, region: str,
-                grid_intensity: float, responsibility: ResponsibilityRatio,
+                grid_intensity: float, scope2_share: float, l_share: float,
                 scope1: float, scope3: float, component_energy: dict[str, float],
                 green_offset: float, rec_offset: float,
                 devices: tuple[DeviceShare, ...]) -> "DcFootprint":
@@ -240,16 +218,17 @@ class DcFootprint(CheckedRecord, _DcFootprint):
         if sorted(keys) != sorted(SCOPE2_COMPONENTS):
             raise UnitError("scope2_components must have exactly the keys "
                             f"{SCOPE2_COMPONENTS}, got {keys}")
-        c, l = grid_intensity, responsibility.l_share
+        c, l = grid_intensity, l_share
         energy = component_energy
         scope2 = (energy["server"] + energy["network"] + energy["cooling"]
                   + energy["other"]) * c * l
         emissions = {key: e * c * l for key, e in component_energy.items()}
         gross = scope1 + scope2 + scope3
         return super().__new__(
-            cls, datacenter_id, name, region, grid_intensity, responsibility,
-            scope1, scope2, scope3, component_energy, emissions, gross,
-            gross - green_offset - rec_offset, green_offset, rec_offset, devices)
+            cls, datacenter_id, name, region, grid_intensity, scope2_share, l,
+            scope2_share * l, scope1, scope2, scope3, component_energy, emissions,
+            gross, gross - green_offset - rec_offset, green_offset, rec_offset,
+            devices)
 
     @property
     def scope2_energy(self) -> float:
@@ -508,9 +487,9 @@ def compute_scope2(raw: RawData,
 # ---------------------------------------------------------------------------
 
 
-def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
-            datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
-    """The ratio of each entry against its data center's Scope 2 total.
+def _ratios(scope2: Iterable[TenantDcScope2], dc_total: Mapping[str, float],
+            datacenters: Mapping[str, DataCenter]) -> dict[tuple[str, str], float]:
+    """Each entry's share of its data center's Scope 2 total.
 
     Every data center in ``dc_total`` is checked for :class:`ZeroDcScope2`,
     whether or not ``scope2`` holds an entry for it.
@@ -522,23 +501,19 @@ def _ratios(scope2: Sequence[TenantDcScope2], dc_total: Mapping[str, float],
             if has_scope1 or dc.scope3_total > 0:
                 raise ZeroDcScope2(dc_id, dc.source_ref)
 
-    out: list[ResponsibilityRatio] = []
+    shares: dict[tuple[str, str], float] = {}
     for entry in scope2:
         total = dc_total[entry.datacenter_id]
-        lam = entry.emissions / total if total > 0.0 else 0.0
-        out.append(ResponsibilityRatio(
-            tenant_id=entry.tenant_id,
-            datacenter_id=entry.datacenter_id,
-            scope2_share=lam,
-            l_share=entry.l_share,
-        ))
-    return out
+        shares[(entry.tenant_id, entry.datacenter_id)] = (
+            entry.emissions / total if total > 0.0 else 0.0)
+    return shares
 
 
 def compute_responsibility_ratios(
         scope2: Sequence[TenantDcScope2],
-        datacenters: Mapping[str, DataCenter]) -> list[ResponsibilityRatio]:
-    """Each tenant's fraction of each data center's Scope 2, times load share.
+        datacenters: Mapping[str, DataCenter]) -> dict[tuple[str, str], float]:
+    """Each tenant's fraction of each data center's Scope 2 emissions, keyed
+    by (tenant id, data center id); times load share, its responsibility ratio.
 
     When a data center's Scope 2 total is zero the fraction is undefined; if
     that data center also has Scope 1 fuel or a Scope 3 total to distribute
@@ -559,19 +534,20 @@ def compute_responsibility_ratios(
 
 def _footprint(raw: RawData, tenant_id: str,
                scope2: Mapping[tuple[str, str], TenantDcScope2],
-               ratios: Mapping[tuple[str, str], ResponsibilityRatio]) -> Footprint:
-    """Assemble one tenant's footprint from its Scope 2 entries and ratios.
+               shares: Mapping[tuple[str, str], float]) -> Footprint:
+    """Assemble one tenant's footprint from its Scope 2 entries and shares.
 
-    A total that overflows raises the unit error prefixed with the tenant's
-    tenants.csv row.
+    Scope 1, Scope 3 and both offsets scale by ``share * l_share``, the
+    ratio :class:`DcFootprint` derives. A total that overflows raises the
+    unit error prefixed with the tenant's tenants.csv row.
     """
     tenant = raw.tenants[tenant_id]
     per_dc: list[DcFootprint] = []
     for dc_id in sorted(tenant.datacenter_ids):
         dc = raw.datacenters[dc_id]
         s2 = scope2[(tenant_id, dc_id)]
-        resp = ratios[(tenant_id, dc_id)]
-        r = resp.ratio
+        share = shares[(tenant_id, dc_id)]
+        r = share * s2.l_share
         scope1 = 0.0
         for fuel in sorted(dc.fuel_log, key=_BY_DEVICE_ID):
             scope1 += fuel.amount * fuel.emission_factor * r
@@ -580,7 +556,8 @@ def _footprint(raw: RawData, tenant_id: str,
             name=dc.name,
             region=dc.region,
             grid_intensity=dc.grid_intensity,
-            responsibility=resp,
+            scope2_share=share,
+            l_share=s2.l_share,
             scope1=scope1,
             scope3=dc.scope3_total * r,
             component_energy={"server": s2.e_server,
@@ -618,10 +595,9 @@ def compute_footprints(raw: RawData,
     center is over-offset; that is flagged, not clamped.
     """
     scope2 = compute_scope2(raw, models)
-    ratios = compute_responsibility_ratios(scope2, raw.datacenters)
+    shares = compute_responsibility_ratios(scope2, raw.datacenters)
     scope2_by_key = {(s.tenant_id, s.datacenter_id): s for s in scope2}
-    ratio_by_key = {(r.tenant_id, r.datacenter_id): r for r in ratios}
-    return [_footprint(raw, tenant_id, scope2_by_key, ratio_by_key)
+    return [_footprint(raw, tenant_id, scope2_by_key, shares)
             for tenant_id in sorted(raw.tenants)]
 
 
@@ -639,9 +615,8 @@ def tenant_footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
         raise UnknownTenant(tenant_id)
     scope2 = {(tenant_id, dc_id): _pair_scope2(raw, models, totals, tenant_id, dc_id)
               for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)}
-    ratios = _ratios(list(scope2.values()), totals.scope2, raw.datacenters)
     return _footprint(raw, tenant_id, scope2,
-                      {(r.tenant_id, r.datacenter_id): r for r in ratios})
+                      _ratios(scope2.values(), totals.scope2, raw.datacenters))
 
 
 # ---------------------------------------------------------------------------

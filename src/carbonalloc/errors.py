@@ -25,6 +25,11 @@ class IngestError(CarbonAllocError):
     """Base class for CSV parsing and cross-reference validation errors."""
 
 
+def _at(locations: tuple[str, ...]) -> str:
+    """The ``" (at a, b)"`` suffix naming an error's input rows, if any."""
+    return f" (at {', '.join(locations)})" if locations else ""
+
+
 class MalformedRow(IngestError):
     """A CSV line could not be parsed (column count, bad number, bad header)
     or written (a value the format cannot carry).
@@ -70,8 +75,7 @@ class UnknownTenant(IngestError):
     def __init__(self, tenant_id: str, locations: tuple[str, ...] = ()):
         self.tenant_id = tenant_id
         self.locations = locations
-        where = f" (at {', '.join(locations)})" if locations else ""
-        super().__init__(f"unknown tenant {tenant_id!r}{where}")
+        super().__init__(f"unknown tenant {tenant_id!r}{_at(locations)}")
 
 
 class UnknownDataCenter(IngestError):
@@ -80,8 +84,7 @@ class UnknownDataCenter(IngestError):
     def __init__(self, datacenter_id: str, locations: tuple[str, ...] = ()):
         self.datacenter_id = datacenter_id
         self.locations = locations
-        where = f" (at {', '.join(locations)})" if locations else ""
-        super().__init__(f"unknown data center {datacenter_id!r}{where}")
+        super().__init__(f"unknown data center {datacenter_id!r}{_at(locations)}")
 
 
 class OrphanUsage(IngestError):
@@ -93,10 +96,9 @@ class OrphanUsage(IngestError):
         self.tenant_id = tenant_id
         self.datacenter_id = datacenter_id
         self.locations = locations
-        where = f" (at {', '.join(locations)})" if locations else ""
         super().__init__(
             f"usage for device {device_id!r}: tenant {tenant_id!r} does not "
-            f"use data center {datacenter_id!r}{where}"
+            f"use data center {datacenter_id!r}{_at(locations)}"
         )
 
 
@@ -111,9 +113,8 @@ class DuplicateDevice(IngestError):
         self.locations = locations
         detail = ("shared between tenants " + ", ".join(sorted(set(tenant_ids)))
                   if len(set(tenant_ids)) > 1 else "listed more than once")
-        where = f" (at {', '.join(locations)})" if locations else ""
         super().__init__(
-            f"server device {device_id!r} in {datacenter_id!r} {detail}{where}"
+            f"server device {device_id!r} in {datacenter_id!r} {detail}{_at(locations)}"
         )
 
 

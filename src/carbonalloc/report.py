@@ -41,7 +41,6 @@ from .allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    ResponsibilityRatio,
 )
 from .errors import CarbonAllocError, UnitError
 from .units import SCOPE2_COMPONENTS, CheckedRecord, Period
@@ -263,9 +262,9 @@ _DATACENTER = {
     "name": (_STRING, "o.name"),
     "region": (_STRING, "o.region"),
     "gridIntensity": (_INTENSITY, "o.grid_intensity"),
-    "scope2Share": (_SHARE, "o.responsibility.scope2_share"),
-    "lShare": (_SHARE, "o.responsibility.l_share"),
-    "responsibility": (_SHARE, "o.responsibility.ratio"),
+    "scope2Share": (_SHARE, "o.scope2_share"),
+    "lShare": (_SHARE, "o.l_share"),
+    "responsibility": (_SHARE, "o.ratio"),
     "grossEmissions": (_EMISSIONS, "o.gross"),
     "netEmissions": (_NET, "o.net"),
     "overOffset": (_OVER_OFFSET, "o.net"),
@@ -501,7 +500,7 @@ def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactor
                               _stored(doc, "equivalencies", "sourceNote"))
 
 
-def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint:
+def _dc_footprint(dc_id: str, dc: dict[str, Any]) -> DcFootprint:
     """A data center entry's record, built from its independent figures,
     whose device energies must add up as the engine's do."""
     scopes = dc["scopes"]
@@ -524,9 +523,7 @@ def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint
                              f"category total is {energy[category]!r}")
     return DcFootprint(
         datacenter_id=dc_id, name=dc["name"], region=dc["region"],
-        grid_intensity=intensity,
-        responsibility=ResponsibilityRatio(
-            tenant_id, dc_id, dc["scope2Share"], l_share),
+        grid_intensity=intensity, scope2_share=dc["scope2Share"], l_share=l_share,
         scope1=scopes["scope1"]["emissions"], scope3=scopes["scope3"]["emissions"],
         component_energy=energy,
         green_offset=dc["offsets"]["greenEnergyOffset"],
@@ -606,7 +603,7 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
         fp = Footprint(
             tenant_id=tenant["tenantId"], display_name=tenant["displayName"],
             agent_count=tenant["agentCount"], period=Period.parse(doc["period"]),
-            per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
+            per_dc=tuple(_dc_footprint(dc_id, dc)
                          for dc_id, dc in doc["datacenters"].items()),
             history=tuple(HistoryEntry(Period.parse(entry["period"]),
                                        entry["grossEmissions"], entry["netEmissions"])
@@ -626,21 +623,6 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
 # ---------------------------------------------------------------------------
 # One-page rendering
 # ---------------------------------------------------------------------------
-
-_SCOPE_COLORS = {
-    "Scope 1": "#8c564b",
-    "Scope 2: servers": "#1f77b4",
-    "Scope 2: network": "#17becf",
-    "Scope 2: cooling": "#2ca02c",
-    "Scope 2: other": "#98df8a",
-    "Scope 3": "#9467bd",
-}
-
-_OFFSET_COLORS = {
-    "Green energy offset": "#2ca02c",
-    "REC offset": "#17becf",
-    "Net (not offset)": "#7f7f7f",
-}
 
 # The replacements of ``html.escape(text, quote=True)`` as one translation
 # table: importing ``html`` would also load ``html.entities`` on every start.
@@ -794,28 +776,27 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 
     components = fp.component_emissions
     scope_slices = [
-        ("Scope 1", fp.scope1, _SCOPE_COLORS["Scope 1"]),
-        ("Scope 2: servers", components["server"], _SCOPE_COLORS["Scope 2: servers"]),
-        ("Scope 2: network", components["network"], _SCOPE_COLORS["Scope 2: network"]),
-        ("Scope 2: cooling", components["cooling"], _SCOPE_COLORS["Scope 2: cooling"]),
-        ("Scope 2: other", components["other"], _SCOPE_COLORS["Scope 2: other"]),
-        ("Scope 3", fp.scope3, _SCOPE_COLORS["Scope 3"]),
+        ("Scope 1", fp.scope1, "#8c564b"),
+        ("Scope 2: servers", components["server"], "#1f77b4"),
+        ("Scope 2: network", components["network"], "#17becf"),
+        ("Scope 2: cooling", components["cooling"], "#2ca02c"),
+        ("Scope 2: other", components["other"], "#98df8a"),
+        ("Scope 3", fp.scope3, "#9467bd"),
     ]
     # The offsets chart decomposes gross into what each offset method covers
     # and what remains; an over-offset tenant has nothing remaining.
     offset_slices = [
-        ("Green energy offset", fp.green_offset, _OFFSET_COLORS["Green energy offset"]),
-        ("REC offset", fp.rec_offset, _OFFSET_COLORS["REC offset"]),
-        ("Net (not offset)", max(fp.net_total, 0.0),
-         _OFFSET_COLORS["Net (not offset)"]),
+        ("Green energy offset", fp.green_offset, "#2ca02c"),
+        ("REC offset", fp.rec_offset, "#17becf"),
+        ("Net (not offset)", max(fp.net_total, 0.0), "#7f7f7f"),
     ]
 
     methodology_dcs = "".join(
         f"<tr><td>{_escape(dc.datacenter_id)}</td>"
         f"<td>{_escape(dc.name)}</td><td>{_escape(dc.region)}</td>"
         f"<td>{dc.grid_intensity:g} g/Wh</td>"
-        f"<td>{dc.responsibility.scope2_share * 100:.2f}%</td>"
-        f"<td>{dc.responsibility.l_share * 100:.0f}%</td>"
+        f"<td>{dc.scope2_share * 100:.2f}%</td>"
+        f"<td>{dc.l_share * 100:.0f}%</td>"
         f"<td>{_fmt_grams(dc.gross)}</td></tr>"
         for dc in fp.per_dc
     )

@@ -136,11 +136,10 @@ def test_conservation_suite(criterion):
             )
             raw, models = fleet.raw, fleet.models
             scope2 = compute_scope2(raw, models)
-            ratios = compute_responsibility_ratios(scope2, raw.datacenters)
+            shares = compute_responsibility_ratios(scope2, raw.datacenters)
             share_sums: dict[str, float] = {}
-            for r in ratios:
-                share_sums[r.datacenter_id] = (share_sums.get(r.datacenter_id, 0.0)
-                                               + r.scope2_share)
+            for (_, dc_id), share in shares.items():
+                share_sums[dc_id] = share_sums.get(dc_id, 0.0) + share
             for dc_id, total in share_sums.items():
                 assert rel_close(total, 1.0, REL_TOL_CONSERVATION), \
                     f"share sum {total} in {dc_id}"
@@ -231,23 +230,22 @@ def test_scale_invariance(criterion):
         # Even byte counters keep the k=0.5 case free of integer truncation.
         assert all(row.bytes_sent % 2 == 0 and row.bytes_received % 2 == 0
                    for row in raw.network)
-        base = compute_responsibility_ratios(
-            compute_scope2(raw, models), raw.datacenters)
-        baseline = {(r.tenant_id, r.datacenter_id):
-                    (r.scope2_share, r.ratio) for r in base}
+        def shares_and_ratios(raw, models):
+            return {(fp.tenant_id, dc.datacenter_id): (dc.scope2_share, dc.ratio)
+                    for fp in compute_footprints(raw, models) for dc in fp.per_dc}
+
+        baseline = shares_and_ratios(raw, models)
         for k in (0.5, 3.0, 10.0):
-            scaled_raw, scaled_models = scale_fleet(raw, models, k)
-            scaled = compute_responsibility_ratios(
-                compute_scope2(scaled_raw, scaled_models),
-                scaled_raw.datacenters)
-            for r in scaled:
-                share0, ratio0 = baseline[(r.tenant_id, r.datacenter_id)]
-                assert math.isclose(r.scope2_share, share0,
+            scaled = shares_and_ratios(*scale_fleet(raw, models, k))
+            assert scaled.keys() == baseline.keys()
+            for key, (share, ratio) in scaled.items():
+                share0, ratio0 = baseline[key]
+                assert math.isclose(share, share0,
                                     rel_tol=REL_TOL_SCALE, abs_tol=1e-15), \
-                    f"k={k}: share {r.scope2_share} vs {share0}"
-                assert math.isclose(r.ratio, ratio0,
+                    f"k={k}: share {share} vs {share0}"
+                assert math.isclose(ratio, ratio0,
                                     rel_tol=REL_TOL_SCALE, abs_tol=1e-15), \
-                    f"k={k}: ratio {r.ratio} vs {ratio0}"
+                    f"k={k}: ratio {ratio} vs {ratio0}"
 
 
 def test_offset_monotonicity(criterion):

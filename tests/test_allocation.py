@@ -17,7 +17,6 @@ from carbonalloc.allocation import (
     DcFootprint,
     DeviceShare,
     Footprint,
-    ResponsibilityRatio,
     TenantDcScope2,
     compute_footprints,
     compute_responsibility_ratios,
@@ -169,36 +168,35 @@ class TestComputeScope2:
 class TestResponsibilityRatios:
     def test_sole_tenant_owns_everything(self, fictitious_raw, fictitious_models):
         scope2 = compute_scope2(fictitious_raw, fictitious_models)
-        (ratio,) = compute_responsibility_ratios(scope2,
-                                                 fictitious_raw.datacenters)
-        assert ratio.scope2_share == 1.0
-        assert ratio.ratio == 1.0
+        (share,) = compute_responsibility_ratios(
+            scope2, fictitious_raw.datacenters).values()
+        assert share == 1.0
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        assert fp.per_dc[0].ratio == 1.0
 
     def test_quarter_share_is_exact(self):
         raw = two_tenant_raw()  # intensity 0.5: emissions 1250 and 3750
         scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
-        ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
-            scope2, raw.datacenters)}
-        assert ratios["TENANT_A"].scope2_share == 0.25
-        assert ratios["TENANT_B"].scope2_share == 0.75
+        assert compute_responsibility_ratios(scope2, raw.datacenters) == {
+            ("TENANT_A", "DC_EU1"): 0.25, ("TENANT_B", "DC_EU1"): 0.75}
 
     def test_ratio_is_share_times_load_share(self):
         raw = two_tenant_raw()
         raw = raw._replace(tenants={
             tid: t._replace(l_share=0.5)
             for tid, t in raw.tenants.items()})
-        scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
-        ratios = {r.tenant_id: r for r in compute_responsibility_ratios(
-            scope2, raw.datacenters)}
-        assert ratios["TENANT_A"].ratio == 0.25 * 0.5
-        assert ratios["TENANT_B"].ratio == 0.75 * 0.5
+        ratios = {fp.tenant_id: fp.per_dc[0].ratio
+                  for fp in compute_footprints(raw, TWO_TENANT_MODELS)}
+        assert ratios["TENANT_A"] == 0.25 * 0.5
+        assert ratios["TENANT_B"] == 0.75 * 0.5
 
     def test_shares_sum_to_one_per_datacenter(self):
         fleet = generate_fleet(seed=5, n_tenants=9, n_dcs=2)
         scope2 = compute_scope2(fleet.raw, fleet.models)
         by_dc: dict[str, float] = {}
-        for r in compute_responsibility_ratios(scope2, fleet.raw.datacenters):
-            by_dc[r.datacenter_id] = by_dc.get(r.datacenter_id, 0.0) + r.scope2_share
+        for (_, dc_id), share in compute_responsibility_ratios(
+                scope2, fleet.raw.datacenters).items():
+            by_dc[dc_id] = by_dc.get(dc_id, 0.0) + share
         for total in by_dc.values():
             assert math.isclose(total, 1.0, rel_tol=1e-9)
 
@@ -221,22 +219,45 @@ class TestResponsibilityRatios:
             servers=(), network=(),
         )
         scope2 = compute_scope2(raw, {})
-        (ratio,) = compute_responsibility_ratios(scope2, raw.datacenters)
-        assert ratio.scope2_share == 0.0
-        assert ratio.ratio == 0.0
+        assert compute_responsibility_ratios(scope2, raw.datacenters) == {
+            ("TENANT_A", "DC_EU1"): 0.0}
+        (fp,) = compute_footprints(raw, {})
+        assert fp.per_dc[0].ratio == 0.0
 
     def test_ratio_consistency_enforced_on_construction(self):
-        """The ratio is derived from its two factors and cannot be passed in."""
-        with pytest.raises(TypeError):
-            ResponsibilityRatio(tenant_id="T", datacenter_id="D",
-                                scope2_share=0.5, l_share=0.5,
-                                ratio=0.3)
-        ratio = ResponsibilityRatio(tenant_id="T", datacenter_id="D",
-                                    scope2_share=0.5, l_share=0.5)
-        assert ratio.ratio == 0.25
+        """A data center footprint derives its ratio from the two shares;
+        the ratio cannot be replaced, and replacing a share derives it again."""
+        dc = tenant_a_dc()
+        assert (dc.scope2_share, dc.l_share, dc.ratio) == (0.25, 1.0, 0.25)
         with pytest.raises(ValueError, match="derives ratio"):
-            ratio._replace(ratio=0.3)
-        assert ratio._replace(l_share=1.0).ratio == 0.5
+            dc._replace(ratio=0.3)
+        assert dc._replace(l_share=0.5).ratio == 0.125
+
+    def test_each_dc_footprint_is_scaled_by_the_ratio_it_reports(self):
+        """Scope 1, Scope 3 and both offsets are the data center's figures
+        times the ``ratio`` its footprint derives, bit for bit, in
+        ``compute_footprints`` and in ``tenant_footprint``."""
+        fleet = generate_fleet(seed=314, n_tenants=12, n_dcs=4, l_share=0.75)
+        raw = fleet.raw
+        footprints = compute_footprints(raw, fleet.models)
+        footprints.append(tenant_footprint(raw, fleet.models, footprints[5].tenant_id))
+        per_dc = [dc for fp in footprints for dc in fp.per_dc]
+        assert all(0.0 < dc.ratio < dc.scope2_share for dc in per_dc)
+        assert any(dc.scope1 > 0.0 for dc in per_dc)
+        assert all(dc.scope3 > 0.0 and dc.green_offset > 0.0 and dc.rec_offset > 0.0
+                   for dc in per_dc)
+        for dc in per_dc:
+            source = raw.datacenters[dc.datacenter_id]
+            r = dc.ratio
+            assert r.hex() == (dc.scope2_share * dc.l_share).hex()
+            scope1 = 0.0
+            for fuel in sorted(source.fuel_log, key=lambda f: f.device_id):
+                scope1 += fuel.amount * fuel.emission_factor * r
+            assert dc.scope1.hex() == scope1.hex()
+            assert dc.scope3.hex() == (source.scope3_total * r).hex()
+            assert dc.green_offset.hex() == (
+                source.green_energy * source.grid_intensity * r).hex()
+            assert dc.rec_offset.hex() == (source.rec_offset * r).hex()
 
 
 def tenant_a_dc(**dc_kwargs) -> DcFootprint:
@@ -247,7 +268,7 @@ def tenant_a_dc(**dc_kwargs) -> DcFootprint:
     """
     fp = compute_footprints(two_tenant_raw(**dc_kwargs), TWO_TENANT_MODELS)[0]
     (dc,) = fp.per_dc
-    assert (fp.tenant_id, dc.responsibility.ratio) == ("TENANT_A", 0.25)
+    assert (fp.tenant_id, dc.ratio) == ("TENANT_A", 0.25)
     return dc
 
 
@@ -317,10 +338,10 @@ class TestDcFootprint:
             dc._replace(component_energy=components)
 
     def test_component_sum_must_match_scope2(self):
-        """Scope 2, its components, gross and net are derived and cannot be
-        passed in."""
+        """The ratio, Scope 2, its components, gross and net are derived and
+        cannot be passed in."""
         dc = tenant_a_dc()
-        derived = ("scope2", "component_emissions", "gross", "net")
+        derived = ("ratio", "scope2", "component_emissions", "gross", "net")
         arguments = {name: value for name, value in zip(dc._fields, dc)
                      if name not in derived}
         assert DcFootprint(**arguments) == dc
@@ -426,8 +447,7 @@ class TestComputeFootprints:
         for tid, fp in after.items():
             assert fp.gross_total == before[tid].gross_total
             for dc_after, dc_before in zip(fp.per_dc, before[tid].per_dc):
-                assert (dc_after.responsibility.ratio
-                        == dc_before.responsibility.ratio)
+                assert dc_after.ratio == dc_before.ratio
                 if dc_after.datacenter_id != target_dc:
                     assert dc_after.net == dc_before.net
 
@@ -507,8 +527,7 @@ class TestComputeFootprints:
         for old_fp, new_fp in zip(before, after):
             for old, new in zip(old_fp.per_dc, new_fp.per_dc, strict=True):
                 for share in ("scope2_share", "ratio"):
-                    assert (getattr(new.responsibility, share).hex()
-                            == getattr(old.responsibility, share).hex())
+                    assert getattr(new, share).hex() == getattr(old, share).hex()
                 for name in SCOPE2_COMPONENTS:
                     assert new.component_energy[name] == 2 * old.component_energy[name]
                 assert new.scope2 == 2 * old.scope2
@@ -690,9 +709,11 @@ class TestFairness:
         servers[index] = row._replace(**{counter: raised})
 
         def shares(fleet_raw):
-            return {r.tenant_id: r.scope2_share for r in compute_responsibility_ratios(
-                        compute_scope2(fleet_raw, fleet.models), fleet_raw.datacenters)
-                    if r.datacenter_id == row.datacenter_id}
+            return {tenant_id: share for (tenant_id, dc_id), share in
+                    compute_responsibility_ratios(
+                        compute_scope2(fleet_raw, fleet.models),
+                        fleet_raw.datacenters).items()
+                    if dc_id == row.datacenter_id}
 
         before = shares(raw)
         after = shares(raw._replace(servers=tuple(servers)))

@@ -18,7 +18,6 @@ from carbonalloc.allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    ResponsibilityRatio,
 )
 from carbonalloc.report import (
     EquivalencyFactors,
@@ -63,7 +62,7 @@ def devices(draw, category, intensity, l_share):
 
 
 @st.composite
-def dc_footprints(draw, tenant_id, dc_id):
+def dc_footprints(draw, dc_id):
     intensity, l_share = draw(amounts), draw(fractions)
     shares, component_energy = [], {}
     for category in SCOPE2_COMPONENTS:
@@ -75,10 +74,7 @@ def dc_footprints(draw, tenant_id, dc_id):
         component_energy[category] = sum(d.energy_wh for d in drawn)
     return DcFootprint(
         datacenter_id=dc_id, name=draw(texts), region=draw(texts),
-        grid_intensity=intensity,
-        responsibility=ResponsibilityRatio(
-            tenant_id=tenant_id, datacenter_id=dc_id,
-            scope2_share=draw(fractions), l_share=l_share),
+        grid_intensity=intensity, scope2_share=draw(fractions), l_share=l_share,
         scope1=draw(amounts), scope3=draw(amounts),
         component_energy=component_energy,
         green_offset=draw(offsets), rec_offset=draw(offsets),
@@ -94,7 +90,7 @@ prior_gross = st.one_of(st.just(0.0), st.just(1e-300), amounts)
 def footprints(draw):
     tenant_id = draw(texts)
     dc_ids = draw(st.lists(texts, max_size=2, unique=True))
-    per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
+    per_dc = tuple(draw(dc_footprints(dc_id)) for dc_id in dc_ids)
     agents = draw(st.integers(1, 10**6))
     history = draw(st.lists(
         st.builds(HistoryEntry, periods, prior_gross, st.floats(-1e15, 1e15)),

@@ -17,7 +17,6 @@ from carbonalloc.allocation import (
     DeviceShare,
     Footprint,
     HistoryEntry,
-    ResponsibilityRatio,
     TenantDcScope2,
     compute_footprints,
 )
@@ -474,8 +473,7 @@ def test_report_module_sums_nothing_over_per_dc():
 
 
 # The records a footprint is made of; anything else in them is a value.
-RECORDS = (Footprint, DcFootprint, ResponsibilityRatio, HistoryEntry, DeviceShare,
-           Period)
+RECORDS = (Footprint, DcFootprint, HistoryEntry, DeviceShare, Period)
 # Whole-number fields; every other value that is not text is a figure.
 COUNTS = {"agent_count", "bytes_sent", "bytes_received", "year", "month"}
 
@@ -521,8 +519,7 @@ class TestCheckedRecords:
     def records(self, fixture_footprint, factors):
         dc = fixture_footprint.per_dc[0]
         pair = TenantDcScope2("T", "D", 1.0, 2.0, 3.0, 4.0, (), 0.5, 1.0)
-        return [fixture_footprint, dc, dc.responsibility, pair,
-                fixture_footprint.period, factors]
+        return [fixture_footprint, dc, pair, fixture_footprint.period, factors]
 
     def test_copies_are_checked_again(self, fixture_footprint, factors):
         entry = HistoryEntry(Period(2025, 5), 1.0, 1.0)

@@ -1146,7 +1146,7 @@ def test_every_record_is_a_named_tuple():
     assert "dataclass" not in kinds.values()
     assert sorted(name for name, kind in kinds.items() if kind == "checked") == [
         "DcFootprint", "EquivalencyFactors", "Footprint", "Period",
-        "ResponsibilityRatio", "TenantDcScope2"]
+        "TenantDcScope2"]
     assert {name for name, kind in kinds.items() if kind == "NamedTuple"} >= {
         "ServerUsage", "NetworkUsage", "SharedDevice", "FuelEntry", "DataCenter",
         "Tenant", "RawData", "CalibrationSample", "ServerPowerModel",

@@ -85,5 +85,8 @@ def test_traced_compute_counts_match_the_engine(tmp_path):
     assert metrics["allocation.pairs"] == len(entries) > 0
     assert metrics["allocation.device_shares"] == sum(
         len(e.per_device) for e in entries) > 0
+    # Rows that a refactor could leave unwrapped, and so silently zero.
+    assert metrics["allocation.compute_scope2_s"] > 0
+    assert metrics["allocation.responsibility_ratios_s"] > 0
     assert traced["roundtrip_reports"] == 3
     assert metrics["report.roundtrip_mismatches"] == 0
