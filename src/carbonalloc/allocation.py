@@ -12,15 +12,14 @@ The computation is a strict pipeline with an acyclic dependency order:
 4. Gross total carbon footprint = Scope 1 + Scope 2 + Scope 3; net = gross
    minus the tenant's share of green-energy and certificate offsets.
 
-Scope 2 runs in two phases. Phase 1, :func:`fleet_totals`, sums plain floats
-over the whole fleet: each data center's direct energy, its cooling and
-other shared totals, and its Scope 2 total, which are the denominators of
-every tenant's shares. It raises the fleet's missing-model, zero-denominator
-and overflow errors. Phase 2 builds one pair's
-:class:`TenantDcScope2`, with its device shares, from those totals.
-:func:`compute_footprints` runs phase 2 for every pair; :func:`tenant_footprint`
-runs it for one tenant's pairs only, which is what checking a single report
-needs.
+Scope 2 runs in two phases. Phase 1, :func:`fleet_totals`, computes plain
+floats over the whole fleet: each pair's four energies, and each data
+center's direct energy and Scope 2 total, the denominators of every tenant's
+shares. It raises the fleet's missing-model, zero-denominator and overflow
+errors. Phase 2 builds one pair's :class:`TenantDcScope2` from its energies,
+adding its device shares. :func:`compute_footprints` runs phase 2 for every
+pair; :func:`tenant_footprint` runs it for one tenant's pairs only, which is
+what checking a single report needs.
 
 All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
@@ -161,10 +160,6 @@ class TenantDcScope2(CheckedRecord, _TenantDcScope2):
                                e_cooling, e_other, emissions, per_device, c_dc,
                                l_share)
 
-    @property
-    def total_energy(self) -> float:
-        return self.e_server + self.e_network + self.e_cooling + self.e_other
-
 
 class HistoryEntry(NamedTuple):
     """A prior period's headline figures, for the two-month comparison."""
@@ -235,10 +230,6 @@ class DcFootprint(CheckedRecord, _DcFootprint):
         """Total Scope 2 energy, summed in the fixed category order."""
         e = self.component_energy
         return e["server"] + e["network"] + e["cooling"] + e["other"]
-
-    @property
-    def over_offset(self) -> bool:
-        return self.net < 0.0
 
 
 class _Footprint(NamedTuple):
@@ -317,34 +308,36 @@ class Footprint(CheckedRecord, _Footprint):
 
 
 class FleetTotals(NamedTuple):
-    """Phase 1's result: the per-data-center sums every share is divided by.
+    """Phase 1's result: the per-data-center sums every share is divided by,
+    and each pair's figures, which phase 2 builds its records from.
 
-    Each map is keyed by data center id, covering every data center some
-    tenant declares, in the order the (tenant, data center) pairs first
-    reach it. ``rows`` holds each pair's usage rows in device-id order, for
-    phase 2 to build device detail from without regrouping the fleet.
+    ``direct`` and ``scope2`` are keyed by data center id, covering every
+    data center some tenant declares, in the order the pairs first reach it.
+    ``pairs`` maps each (tenant id, data center id), sorted, to the pair's
+    server and network usage rows in device-id order and its four Scope 2
+    energies in Wh: ``(servers, network, e_server, e_network, e_cooling,
+    e_other)``.
     """
 
     direct: dict[str, float]
-    cooling: dict[str, float]
-    other: dict[str, float]
     scope2: dict[str, float]
-    rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]]
+    pairs: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage],
+                                       float, float, float, float]]
 
 
 def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetTotals:
-    """Phase 1: direct, shared and Scope 2 totals per data center, as floats.
+    """Phase 1: every pair's four Scope 2 energies, and the direct and Scope 2
+    totals per data center, as floats.
 
     Pairs are visited sorted by tenant, then data center, and devices by id
-    within a pair, which is the order phase 2 sums in, so every float is the
-    one the per-pair detail reproduces. Raises, for the whole fleet,
-    whichever tenant is asked for afterwards: :class:`MissingModel`, naming
-    the first servers.csv row of each missing model, :class:`ZeroDenominator`,
-    and the unit error of a data center whose direct, cooling or other
-    energy, fuel total, green offset or Scope 2 total is not finite,
-    prefixed with its datacenters.csv row. Each pair's
-    figures are bounded by these totals. Negative server estimates are
-    clamped to zero silently: phase 2 warns about the devices it builds.
+    within a pair, so every float is computed once, in one fixed order.
+    Raises, for the whole fleet, whichever tenant is asked for afterwards:
+    :class:`MissingModel`, naming the first servers.csv row of each missing
+    model, :class:`ZeroDenominator`, and the unit error of a data center
+    whose direct, cooling or other energy, fuel total, green offset or
+    Scope 2 total is not finite, prefixed with its datacenters.csv row. Each
+    pair's figures are bounded by these totals. Negative server estimates
+    are clamped to zero silently: phase 2 warns about the devices it builds.
     """
     missing: dict[str, str] = {}
     for row in raw.servers:
@@ -360,14 +353,15 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     for row in raw.network:
         network_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
 
-    rows: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage]]] = {}
-    pair_direct: dict[str, list[tuple[str, float]]] = {}
+    # A pair's two shared energies are appended once its data center's direct
+    # total is known; that keeps the pairs in sorted order.
+    pairs: dict[tuple[str, str], tuple] = {}
+    pair_direct: dict[str, list[tuple[tuple[str, str], float]]] = {}
     for tenant_id in sorted(raw.tenants):
         for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids):
             key = (tenant_id, dc_id)
             servers = sorted(server_rows.get(key, ()), key=_BY_DEVICE_ID)
             network = sorted(network_rows.get(key, ()), key=_BY_DEVICE_ID)
-            rows[key] = (servers, network)
             e_server = 0.0
             for row in servers:
                 energy = server_energy_wh(models[row.device_model], row)
@@ -375,38 +369,35 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             e_network = 0.0
             for row in network:
                 e_network += network_energy_wh(row)
-            pair_direct.setdefault(dc_id, []).append((tenant_id, e_server + e_network))
+            pairs[key] = (servers, network, e_server, e_network)
+            pair_direct.setdefault(dc_id, []).append((key, e_server + e_network))
 
     direct: dict[str, float] = {}
-    cooling: dict[str, float] = {}
-    other: dict[str, float] = {}
     scope2: dict[str, float] = {}
-    for dc_id, pairs in pair_direct.items():
+    for dc_id, dc_pairs in pair_direct.items():
         dc = raw.datacenters[dc_id]
         try:
             all_direct = 0.0
-            for _, pair in pairs:
+            for _, pair in dc_pairs:
                 all_direct += pair
             direct[dc_id] = check_energy(all_direct)
-            cooling[dc_id] = shared_energy_total(dc.cooling_devices)
-            other[dc_id] = shared_energy_total(dc.other_devices)
+            cooling = shared_energy_total(dc.cooling_devices)
+            other = shared_energy_total(dc.other_devices)
             check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
             check_emissions(dc.green_energy * dc.grid_intensity)
             cooling_label = f"cooling devices of {dc_id}"
             other_label = f"other devices of {dc_id}"
             total = 0.0
-            for tenant_id, pair in pairs:
-                e_cooling = split_shared_wh(cooling[dc_id], pair, all_direct,
-                                            cooling_label)
-                e_other = split_shared_wh(other[dc_id], pair, all_direct,
-                                          other_label)
+            for key, pair in dc_pairs:
+                e_cooling = split_shared_wh(cooling, pair, all_direct, cooling_label)
+                e_other = split_shared_wh(other, pair, all_direct, other_label)
+                pairs[key] += (e_cooling, e_other)
                 total += ((pair + e_cooling + e_other) * dc.grid_intensity
-                          * raw.tenants[tenant_id].l_share)
+                          * raw.tenants[key[0]].l_share)
             scope2[dc_id] = check_emissions(total)
         except UnitError as exc:
             raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
-    return FleetTotals(direct=direct, cooling=cooling, other=other,
-                       scope2=scope2, rows=rows)
+    return FleetTotals(direct=direct, scope2=scope2, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +409,30 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
                  totals: FleetTotals, tenant_id: str, dc_id: str) -> TenantDcScope2:
     """One tenant's Scope 2 in one data center, with its device shares.
 
-    Sums in phase 1's order, so the energies and emissions equal the floats
-    phase 1 added into ``totals``, which has already raised any
-    :class:`ZeroDenominator`.
+    The four energies are phase 1's. Devices are estimated again, in phase
+    1's order, for their shares; a negative server estimate warns here.
     """
     dc = raw.datacenters[dc_id]
     c, l = dc.grid_intensity, raw.tenants[tenant_id].l_share
-    servers, network = totals.rows[(tenant_id, dc_id)]
+    key = (tenant_id, dc_id)
+    servers, network, e_server, e_network, e_cooling, e_other = totals.pairs[key]
     devices: list[DeviceShare] = []
-    e_server = 0.0
     for row in servers:
         energy = clamped_server_energy_wh(models[row.device_model], row)
-        e_server += energy
         devices.append(DeviceShare(
             row.device_id, "server", energy, energy * c * l,
             row.device_model, row.cpu_utilization, row.cache_moved,
             row.dram_accessed, row.disk_moved))
-    e_network = 0.0
     for row in network:
         energy = network_energy_wh(row)
-        e_network += energy
         devices.append(DeviceShare(
             row.device_id, "network", energy, energy * c * l,
             device_type=row.device_type, bytes_sent=row.bytes_sent,
             bytes_received=row.bytes_received))
 
-    tenant_direct = e_server + e_network
     all_direct = totals.direct[dc_id]
-    e_cooling = split_shared_wh(totals.cooling[dc_id], tenant_direct, all_direct)
-    e_other = split_shared_wh(totals.other[dc_id], tenant_direct, all_direct)
     if all_direct > 0.0:
-        ratio = tenant_direct / all_direct
+        ratio = (e_server + e_network) / all_direct
         for category, shared in (("cooling", dc.cooling_devices),
                                  ("other", dc.other_devices)):
             for dev in sorted(shared, key=_BY_DEVICE_ID):
@@ -479,7 +463,7 @@ def compute_scope2(raw: RawData,
     """
     totals = fleet_totals(raw, models)
     return [_pair_scope2(raw, models, totals, tenant_id, dc_id)
-            for tenant_id, dc_id in totals.rows]
+            for tenant_id, dc_id in totals.pairs]
 
 
 # ---------------------------------------------------------------------------

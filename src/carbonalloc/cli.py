@@ -47,6 +47,7 @@ from .power import (
 from .report import (
     DEFAULT_TREND_THRESHOLDS,
     EquivalencyFactors,
+    ReportDocument,
     ReportError,
     factors_from_json,
     footprint_from_json,
@@ -117,6 +118,17 @@ def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
     return EXIT_COMPUTATION if failures else EXIT_OK
 
 
+def _write_report_pair(out_dir: Path, fp: Footprint, json_doc: ReportDocument,
+                       html_doc: ReportDocument) -> Path:
+    """Write a tenant's two reports into ``out_dir``/reports/<tenant>/, and
+    return that directory."""
+    tenant_dir = out_dir / "reports" / fp.tenant_id
+    tenant_dir.mkdir(parents=True, exist_ok=True)
+    (tenant_dir / f"{fp.period}.json").write_bytes(json_doc.content)
+    (tenant_dir / f"{fp.period}.html").write_bytes(html_doc.content)
+    return tenant_dir
+
+
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
                    out_dir: Path, trend_thresholds: tuple[float, float],
                    history: HistoryStore) -> None:
@@ -125,12 +137,8 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
     rendered = [(render_json(fp, factors),
                  render_onepage(fp, factors, trend_thresholds=trend_thresholds))
                 for fp in footprints]
-    reports_root = out_dir / "reports"
     for fp, (json_doc, html_doc) in zip(footprints, rendered):
-        tenant_dir = reports_root / fp.tenant_id
-        tenant_dir.mkdir(parents=True, exist_ok=True)
-        (tenant_dir / f"{fp.period}.json").write_bytes(json_doc.content)
-        (tenant_dir / f"{fp.period}.html").write_bytes(html_doc.content)
+        _write_report_pair(out_dir, fp, json_doc, html_doc)
         history.save(fp.tenant_id, fp.period, json_doc.content)
 
 
@@ -229,12 +237,9 @@ def cmd_report(report_file: Path, out_dir: Path,
              "cannot name a report directory")
         return EXIT_VALIDATION
 
-    tenant_dir = out_dir / "reports" / fp.tenant_id
-    tenant_dir.mkdir(parents=True, exist_ok=True)
-    json_doc = render_json(fp, factors)
-    html_doc = render_onepage(fp, factors, trend_thresholds=trend_thresholds)
-    (tenant_dir / f"{fp.period}.json").write_bytes(json_doc.content)
-    (tenant_dir / f"{fp.period}.html").write_bytes(html_doc.content)
+    tenant_dir = _write_report_pair(
+        out_dir, fp, render_json(fp, factors),
+        render_onepage(fp, factors, trend_thresholds=trend_thresholds))
     print(f"re-rendered {fp.tenant_id} {fp.period} under {tenant_dir}")
     return EXIT_OK
 

@@ -634,22 +634,18 @@ def _escape(text: str) -> str:
     return text.translate(_HTML_ESCAPES)
 
 
-def _fmt_grams(value: float) -> str:
-    magnitude = abs(value)
-    if magnitude >= 1e6:
-        return f"{value / 1e6:,.2f} t CO₂e"
-    if magnitude >= 1e3:
-        return f"{value / 1e3:,.1f} kg CO₂e"
-    return f"{value:,.1f} g CO₂e"
+_GRAMS = ("t CO₂e", "kg CO₂e", "g CO₂e")
+_WH = ("MWh", "kWh", "Wh")
 
 
-def _fmt_wh(value: float) -> str:
+def _fmt_amount(value: float, units: tuple[str, str, str] = _GRAMS) -> str:
+    """``value`` in the largest of ``units`` (10^6, 10^3, 1) it reaches."""
     magnitude = abs(value)
     if magnitude >= 1e6:
-        return f"{value / 1e6:,.2f} MWh"
+        return f"{value / 1e6:,.2f} {units[0]}"
     if magnitude >= 1e3:
-        return f"{value / 1e3:,.1f} kWh"
-    return f"{value:,.1f} Wh"
+        return f"{value / 1e3:,.1f} {units[1]}"
+    return f"{value:,.1f} {units[2]}"
 
 
 def _pie_svg(slices: list[tuple[str, float, str]], chart_id: str) -> str:
@@ -696,7 +692,7 @@ def _legend(slices: list[tuple[str, float, str]], total: float) -> str:
         pct = f"{value / total * 100:.1f}%" if total > 0 else "-"
         rows.append(
             f'<li><span class="swatch" style="background:{color}"></span>'
-            f'{_escape(label)}: {_fmt_grams(value)} ({pct})</li>')
+            f'{_escape(label)}: {_fmt_amount(value)} ({pct})</li>')
     return '<ul class="legend">' + "".join(rows) + "</ul>"
 
 
@@ -761,8 +757,8 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
                  f'{pct:+.1f}% vs {deltas[0].period}</span>')
 
     trend_rows = "".join(
-        f"<tr><td>{delta.period}</td><td>{_fmt_grams(delta.gross)}</td>"
-        f"<td>{_fmt_grams(delta.net)}</td>"
+        f"<tr><td>{delta.period}</td><td>{_fmt_amount(delta.gross)}</td>"
+        f"<td>{_fmt_amount(delta.net)}</td>"
         f"<td>{'n/a' if delta.pct_change is None else f'{delta.pct_change:+.1f}%'}"
         f"</td></tr>"
         for delta in deltas
@@ -797,14 +793,14 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
         f"<td>{dc.grid_intensity:g} g/Wh</td>"
         f"<td>{dc.scope2_share * 100:.2f}%</td>"
         f"<td>{dc.l_share * 100:.0f}%</td>"
-        f"<td>{_fmt_grams(dc.gross)}</td></tr>"
+        f"<td>{_fmt_amount(dc.gross)}</td></tr>"
         for dc in fp.per_dc
     )
 
     over_note = ""
     if fp.net_total < 0.0:
         over_note = ("<p><strong>Offsets exceed gross emissions this period "
-                     f"(net {_fmt_grams(fp.net_total)}).</strong></p>")
+                     f"(net {_fmt_amount(fp.net_total)}).</strong></p>")
 
     doc = f"""<!DOCTYPE html>
 <html lang="en">
@@ -825,11 +821,11 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 <h2>1. Summary</h2>
 <div class="figures">
 <div class="figure"><div class="label">Gross emissions</div>
-<div class="value">{_fmt_grams(fp.gross_total)}</div></div>
+<div class="value">{_fmt_amount(fp.gross_total)}</div></div>
 <div class="figure"><div class="label">Net emissions (after offsets)</div>
-<div class="value">{_fmt_grams(fp.net_total)}</div></div>
+<div class="value">{_fmt_amount(fp.net_total)}</div></div>
 <div class="figure"><div class="label">Per agent (gross)</div>
-<div class="value" id="per-agent">{_fmt_grams(fp.per_agent)}</div></div>
+<div class="value" id="per-agent">{_fmt_amount(fp.per_agent)}</div></div>
 </div>
 {over_note}
 <div id="trend">{badge}{trend_table}</div>
@@ -878,7 +874,7 @@ emissions. Shared and indirect emissions are attributed by each tenant's
 share of data center Scope 2 emissions times its load share. Net emissions
 subtract the tenant's share of green energy and renewable energy
 certificates. Total energy attributed this period:
-{_fmt_wh(fp.scope2_energy)}.</p>
+{_fmt_amount(fp.scope2_energy, _WH)}.</p>
 <p>Equivalency factors: {_escape(factors.source_note)}</p>
 </footer>
 </section>

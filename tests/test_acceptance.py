@@ -87,7 +87,8 @@ def test_intensity_consistency(criterion, fictitious_raw, fictitious_models):
         server = next(d for d in entry.per_device if d.device_id == "SERVER_1234")
         assert server.energy_wh == 100000.0
         assert server.emissions_g == 40000.0
-        assert entry.total_energy == 4500000.0
+        assert (entry.e_server + entry.e_network + entry.e_cooling
+                + entry.e_other) == 4500000.0
         assert entry.emissions == 1800000.0
 
 

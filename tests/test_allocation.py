@@ -96,7 +96,8 @@ class TestComputeScope2:
         assert entry.e_network == 120000.0
         assert entry.e_cooling == 4000000.0
         assert entry.e_other == 280000.0
-        assert entry.total_energy == 4500000.0
+        assert (entry.e_server + entry.e_network + entry.e_cooling
+                + entry.e_other) == 4500000.0
         assert entry.emissions == 1800000.0
 
     def test_per_device_detail_carries_source_figures(self, fictitious_raw,
@@ -136,7 +137,9 @@ class TestComputeScope2:
             network=(),
         )
         entries = {e.datacenter_id: e for e in compute_scope2(raw, TWO_TENANT_MODELS)}
-        assert entries["DC_2"].total_energy == 0.0
+        dc2 = entries["DC_2"]
+        assert (dc2.e_server, dc2.e_network, dc2.e_cooling, dc2.e_other) == (
+            0.0, 0.0, 0.0, 0.0)
         assert entries["DC_2"].emissions == 0.0
         assert entries["DC_2"].per_device == ()
 
@@ -284,6 +287,24 @@ class TestScope1:
     def test_no_fuel_is_zero(self):
         assert tenant_a_dc().scope1 == 0.0
 
+    def test_fuel_log_is_summed_in_device_id_order(self):
+        """A fuel log listed out of device-id order: each tenant's Scope 1
+        is the id-order sum, which here differs from the file-order sum as a
+        float, and the conservation audit, which sums in file order, passes."""
+        fuel = (("GEN_3", 0.1, 1.0), ("GEN_2", 0.7, 1.0), ("GEN_1", 0.3, 1.0))
+        raw = two_tenant_raw(fuel=fuel)
+        footprints = compute_footprints(raw, TWO_TENANT_MODELS)
+        for fp in footprints:
+            (dc,) = fp.per_dc
+            in_file_order = in_id_order = 0.0
+            for _, amount, factor in fuel:
+                in_file_order += amount * factor * dc.ratio
+            for _, amount, factor in sorted(fuel):
+                in_id_order += amount * factor * dc.ratio
+            assert in_file_order != in_id_order
+            assert dc.scope1.hex() == in_id_order.hex()
+        assert conservation_audit(footprints, raw, TWO_TENANT_MODELS).passed
+
 
 class TestScope3:
     def test_share_of_total_is_exact(self):
@@ -307,7 +328,6 @@ class TestGrossAndNet:
         assert dc.green_offset == 400000.0
         assert dc.rec_offset == 200000.0
         assert dc.net == 1200000.0
-        assert not dc.over_offset
 
     def test_offsets_scale_by_responsibility(self):
         dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 4490000.0),),
@@ -320,13 +340,15 @@ class TestGrossAndNet:
     def test_zero_offsets_leave_gross_untouched(self):
         dc = tenant_a_dc(intensity=0.4, cooling=(("CRAC_1", 17990000.0),))
         assert dc.net == 1800000.0
-        assert not dc.over_offset
 
-    def test_over_offset_goes_negative_and_is_flagged(self):
+    def test_over_offset_goes_negative_and_is_flagged(self, factors):
         dc = tenant_a_dc(intensity=0.04, rec=2000.0)
         assert dc.gross == 100.0
         assert dc.net == -400.0
-        assert dc.over_offset
+        fp = compute_footprints(two_tenant_raw(intensity=0.04, rec=2000.0),
+                                TWO_TENANT_MODELS)[0]
+        doc = json.loads(render_json(fp, factors).content)
+        assert doc["datacenters"]["DC_EU1"]["overOffset"] is True
 
 
 class TestDcFootprint:
@@ -753,7 +775,7 @@ class TestTenantFootprint:
         raw = fleet.raw if transform is None else transform(fleet.raw)
         footprints = compute_footprints(raw, fleet.models)
         if transform is _over_offset:
-            assert any(dc.over_offset for fp in footprints for dc in fp.per_dc)
+            assert any(dc.net < 0.0 for fp in footprints for dc in fp.per_dc)
         for fp in footprints:
             scoped = tenant_footprint(raw, fleet.models, fp.tenant_id)
             assert (render_json(scoped, factors).content
@@ -761,9 +783,10 @@ class TestTenantFootprint:
 
     def test_fleet_totals_match_scope2_bit_for_bit(self):
         fleet = generate_fleet(seed=15, n_tenants=9, n_dcs=4)
+        entries = compute_scope2(fleet.raw, fleet.models)
         scope2_total: dict[str, float] = {}
         direct: dict[str, float] = {}
-        for entry in compute_scope2(fleet.raw, fleet.models):
+        for entry in entries:
             dc_id = entry.datacenter_id
             scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + entry.emissions
             direct[dc_id] = (direct.get(dc_id, 0.0)
@@ -771,6 +794,32 @@ class TestTenantFootprint:
         totals = fleet_totals(fleet.raw, fleet.models)
         assert totals.scope2 == scope2_total
         assert totals.direct == direct
+        assert list(totals.pairs) == [(e.tenant_id, e.datacenter_id)
+                                      for e in entries]
+        for entry in entries:
+            _, _, *energies = totals.pairs[(entry.tenant_id, entry.datacenter_id)]
+            assert [e.hex() for e in energies] == [
+                entry.e_server.hex(), entry.e_network.hex(),
+                entry.e_cooling.hex(), entry.e_other.hex()]
+
+    def test_only_phase_1_splits_shared_energy(self, monkeypatch):
+        """Phase 2 takes each pair's cooling and other energy from phase 1,
+        so building every tenant or one splits twice per declared pair."""
+        fleet = generate_fleet(seed=16, n_tenants=9, n_dcs=4)
+        n_pairs = sum(len(t.datacenter_ids) for t in fleet.raw.tenants.values())
+        calls = []
+        split = allocation.split_shared_wh
+
+        def counted(*args):
+            calls.append(args)
+            return split(*args)
+
+        monkeypatch.setattr(allocation, "split_shared_wh", counted)
+        compute_footprints(fleet.raw, fleet.models)
+        assert len(calls) == 2 * n_pairs
+        calls.clear()
+        tenant_footprint(fleet.raw, fleet.models, min(fleet.raw.tenants))
+        assert len(calls) == 2 * n_pairs
 
     def test_unknown_tenant_raises_after_checking_the_fleet(self):
         raw = two_tenant_raw()

@@ -22,7 +22,8 @@ from carbonalloc.allocation import (
 from carbonalloc.report import (
     EquivalencyFactors,
     ReportError,
-    _fmt_wh,
+    _WH,
+    _fmt_amount,
     factors_from_json,
     footprint_from_json,
     render_json,
@@ -155,8 +156,8 @@ def test_reports_show_the_tenant_totals_the_footprint_sums(fp, factors):
                 value = value[key]
             assert value == repr(getattr(built, name)), path
         page = render_onepage(built, factors).content.decode("utf-8")
-        assert (f"Total energy attributed this period:\n{_fmt_wh(built.scope2_energy)}."
-                in page)
+        assert (f"Total energy attributed this period:\n"
+                f"{_fmt_amount(built.scope2_energy, _WH)}." in page)
 
 
 def fixed_key_objects(node, path="", keys=()):

@@ -909,6 +909,19 @@ class TestReportCommand:
         assert copy.read_bytes() == original.read_bytes()
         assert (rerender_dir / "reports" / "TENANT_03" / "2025-06.html").exists()
 
+    def test_render_failure_creates_no_directory(self, workspace, monkeypatch):
+        assert run_compute(workspace) == EXIT_OK
+        original = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+
+        def fail(*args, **kwargs):
+            raise ReportError("rendering failed")
+
+        monkeypatch.setattr(cli, "render_onepage", fail)
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(original),
+                     "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
+        assert not rerender_dir.exists()
+
     def test_path_escaping_tenant_id_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
