@@ -13,8 +13,9 @@ import random
 from carbonalloc import CalibrationSample, fit_server_weights
 
 # Ground truth for a fictitious device model. The weights span ten orders
-# of magnitude (Wh per utilization point vs Wh per byte), which is exactly
-# the regime the fitter's column normalization exists for.
+# of magnitude (Wh per utilization point vs Wh per byte). The fit is exact,
+# so that spread costs it no accuracy: each weight below is the exact
+# least-squares solution, rounded once, and the same on every machine.
 INTERCEPT = 10.0     # idle draw, Wh
 W_CPU = 500.0        # Wh per utilization point
 W_CACHE = 1e-6       # Wh per cache byte

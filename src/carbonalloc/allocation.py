@@ -53,7 +53,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
-from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage
+from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage, SharedDevice
 from .power import (
     ServerPowerModel,
     clamped_server_energy_wh,
@@ -316,13 +316,15 @@ class FleetTotals(NamedTuple):
     ``pairs`` maps each (tenant id, data center id), sorted, to the pair's
     server and network usage rows in device-id order and its four Scope 2
     energies in Wh: ``(servers, network, e_server, e_network, e_cooling,
-    e_other)``.
+    e_other)``. ``shared`` holds each of those data centers' cooling, then
+    other, devices in device-id order, each with its category.
     """
 
     direct: dict[str, float]
     scope2: dict[str, float]
     pairs: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage],
                                        float, float, float, float]]
+    shared: dict[str, list[tuple[str, SharedDevice]]]
 
 
 def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetTotals:
@@ -374,8 +376,12 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
 
     direct: dict[str, float] = {}
     scope2: dict[str, float] = {}
+    shared: dict[str, list[tuple[str, SharedDevice]]] = {}
     for dc_id, dc_pairs in pair_direct.items():
         dc = raw.datacenters[dc_id]
+        shared[dc_id] = [(category, dev) for category, devices in (
+            ("cooling", dc.cooling_devices), ("other", dc.other_devices))
+            for dev in sorted(devices, key=_BY_DEVICE_ID)]
         try:
             all_direct = 0.0
             for _, pair in dc_pairs:
@@ -397,7 +403,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             scope2[dc_id] = check_emissions(total)
         except UnitError as exc:
             raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
-    return FleetTotals(direct=direct, scope2=scope2, pairs=pairs)
+    return FleetTotals(direct=direct, scope2=scope2, pairs=pairs, shared=shared)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +418,7 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     The four energies are phase 1's. Devices are estimated again, in phase
     1's order, for their shares; a negative server estimate warns here.
     """
-    dc = raw.datacenters[dc_id]
-    c, l = dc.grid_intensity, raw.tenants[tenant_id].l_share
+    c, l = raw.datacenters[dc_id].grid_intensity, raw.tenants[tenant_id].l_share
     key = (tenant_id, dc_id)
     servers, network, e_server, e_network, e_cooling, e_other = totals.pairs[key]
     devices: list[DeviceShare] = []
@@ -433,12 +438,10 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     all_direct = totals.direct[dc_id]
     if all_direct > 0.0:
         ratio = (e_server + e_network) / all_direct
-        for category, shared in (("cooling", dc.cooling_devices),
-                                 ("other", dc.other_devices)):
-            for dev in sorted(shared, key=_BY_DEVICE_ID):
-                energy = dev.energy * ratio
-                devices.append(DeviceShare(dev.device_id, category, energy,
-                                           energy * c * l))
+        for category, dev in totals.shared[dc_id]:
+            energy = dev.energy * ratio
+            devices.append(DeviceShare(dev.device_id, category, energy,
+                                       energy * c * l))
 
     return TenantDcScope2(
         tenant_id=tenant_id,
@@ -516,14 +519,20 @@ def compute_responsibility_ratios(
 # ---------------------------------------------------------------------------
 
 
+def _fuel_emissions(dc: DataCenter) -> list[float]:
+    """Each of a data center's fuel log entries' emissions, in device-id order."""
+    return [f.amount * f.emission_factor for f in sorted(dc.fuel_log, key=_BY_DEVICE_ID)]
+
+
 def _footprint(raw: RawData, tenant_id: str,
                scope2: Mapping[tuple[str, str], TenantDcScope2],
-               shares: Mapping[tuple[str, str], float]) -> Footprint:
+               shares: Mapping[tuple[str, str], float],
+               fuel: Mapping[str, list[float]]) -> Footprint:
     """Assemble one tenant's footprint from its Scope 2 entries and shares.
 
-    Scope 1, Scope 3 and both offsets scale by ``share * l_share``, the
-    ratio :class:`DcFootprint` derives. A total that overflows raises the
-    unit error prefixed with the tenant's tenants.csv row.
+    Scope 1 (``fuel``'s :func:`_fuel_emissions`), Scope 3 and both offsets
+    scale by ``share * l_share``, the ratio :class:`DcFootprint` derives. A
+    total that overflows raises the unit error prefixed with its tenants.csv row.
     """
     tenant = raw.tenants[tenant_id]
     per_dc: list[DcFootprint] = []
@@ -533,8 +542,8 @@ def _footprint(raw: RawData, tenant_id: str,
         share = shares[(tenant_id, dc_id)]
         r = share * s2.l_share
         scope1 = 0.0
-        for fuel in sorted(dc.fuel_log, key=_BY_DEVICE_ID):
-            scope1 += fuel.amount * fuel.emission_factor * r
+        for emissions in fuel[dc_id]:
+            scope1 += emissions * r
         per_dc.append(DcFootprint(
             datacenter_id=dc_id,
             name=dc.name,
@@ -581,7 +590,8 @@ def compute_footprints(raw: RawData,
     scope2 = compute_scope2(raw, models)
     shares = compute_responsibility_ratios(scope2, raw.datacenters)
     scope2_by_key = {(s.tenant_id, s.datacenter_id): s for s in scope2}
-    return [_footprint(raw, tenant_id, scope2_by_key, shares)
+    fuel = {dc_id: _fuel_emissions(dc) for dc_id, dc in raw.datacenters.items()}
+    return [_footprint(raw, tenant_id, scope2_by_key, shares, fuel)
             for tenant_id in sorted(raw.tenants)]
 
 
@@ -599,8 +609,9 @@ def tenant_footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
         raise UnknownTenant(tenant_id)
     scope2 = {(tenant_id, dc_id): _pair_scope2(raw, models, totals, tenant_id, dc_id)
               for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)}
+    fuel = {dc_id: _fuel_emissions(raw.datacenters[dc_id]) for _, dc_id in scope2}
     return _footprint(raw, tenant_id, scope2,
-                      _ratios(scope2.values(), totals.scope2, raw.datacenters))
+                      _ratios(scope2.values(), totals.scope2, raw.datacenters), fuel)
 
 
 # ---------------------------------------------------------------------------

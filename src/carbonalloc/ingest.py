@@ -277,6 +277,12 @@ class _Row:
     def nonneg(self, column: str, default: str | None = None) -> float:
         return self.parse_nonneg(self.text(column, default), column)
 
+    def share(self, column: str, default: str | None = None) -> float:
+        value = self.number(column, default)
+        if not 0.0 <= value <= 1.0:
+            raise self.out_of_range(column, value, "[0, 1]")
+        return value
+
     def id(self, column: str) -> str:
         return self.parse_id(self.text(column), column)
 
@@ -478,9 +484,7 @@ _NETWORK_COLUMNS = ("datacenter_id", "device_id", "device_type", "tenant_id",
 def _server_from_row(row: _Row) -> ServerUsage:
     """One servers.csv record, checked cell by cell: the reference that
     :func:`read_servers`'s column checks must agree with."""
-    util = row.number("cpu_utilization")
-    if not 0.0 <= util <= 1.0:
-        raise row.out_of_range("cpu_utilization", util, "[0, 1]")
+    util = row.share("cpu_utilization")
     return ServerUsage(
         datacenter_id=row.id("datacenter_id"),
         device_id=row.text("device_id"),
@@ -667,9 +671,7 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
         agents = _agent_count(row)
-        l_share = row.number("l_share", default="1.0")
-        if not 0.0 <= l_share <= 1.0:
-            raise row.out_of_range("l_share", l_share, "[0, 1]")
+        l_share = row.share("l_share", default="1.0")
         dc_ids = tuple(row.parse_id(part.strip(), "datacenter_ids")
                        for part in row.text("datacenter_ids").split(";")
                        if part.strip())

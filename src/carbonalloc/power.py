@@ -2,8 +2,8 @@
 
 Server energy is a linear function of four usage counters (CPU utilization,
 cache bytes moved, DRAM bytes accessed, disk bytes moved) plus an intercept
-covering idle draw. Weights are calibrated per device model with ordinary
-least squares against metered energy readings.
+covering idle draw. Weights are calibrated per device model with exact
+ordinary least squares against metered energy readings.
 
 Network device energy uses a fixed per-byte cost: 6e-8 Wh for every byte
 sent or received.
@@ -11,12 +11,17 @@ sent or received.
 
 from __future__ import annotations
 
-import math
-from operator import attrgetter
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import InsufficientSamples, SingularDesign, ZeroDenominator, warn
+from .errors import (
+    InsufficientSamples,
+    PowerModelError,
+    SingularDesign,
+    ZeroDenominator,
+    warn,
+)
 from .ingest import (
     NetworkUsage,
     ServerUsage,
@@ -81,74 +86,70 @@ class ServerPowerModel(NamedTuple):
     adjusted_r2: float
 
 
+def _eliminate(a: list[list], steps: int) -> int:
+    """Eliminate the first ``steps`` columns of the symmetric ``a`` in place, up
+    to a pivot (LDLᵀ's) that is not positive: return its index, or ``steps``."""
+    for k in range(steps):
+        if a[k][k] <= 0:
+            return k
+        for j, row in enumerate(a):
+            if j != k:
+                factor = row[k] / a[k][k]
+                a[j] = [x - factor * y for x, y in zip(row, a[k])]
+    return steps
+
+
 def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSample, ...],
                        device_model: str = "") -> ServerPowerModel:
-    """Fit the five linear coefficients for one device model with OLS.
-
-    Columns are scaled to unit max-abs before solving; byte counters sit ten
-    orders of magnitude above CPU utilization and would otherwise dominate
-    the normal equations' conditioning.
-
-    Raises :class:`InsufficientSamples` below six samples and
-    :class:`SingularDesign` when a regressor is constant or collinear.
+    """Fit the five linear coefficients for one device model by least squares,
+    exactly, so every machine gives the same bits: each float is a dyadic
+    rational, so the normal equations are formed in integers and solved in
+    fractions, and each weight is rounded once. Raises :class:`InsufficientSamples`
+    below six samples, :class:`SingularDesign` for a constant or collinear
+    design, and :class:`PowerModelError` for a weight beyond float range.
     """
-    # Only calibration needs numpy; importing it here keeps it out of start-up.
-    import numpy as np
+    # Imported here: fractions loads decimal, which no other command needs.
+    from fractions import Fraction
 
     n = len(samples)
     if n < MIN_CALIBRATION_SAMPLES:
         raise InsufficientSamples(n, MIN_CALIBRATION_SAMPLES)
-
-    y = np.array([s.measured_energy for s in samples], dtype=np.float64)
-    design = np.column_stack([
-        np.ones(n),
-        np.array([s.cpu_utilization for s in samples], dtype=np.float64),
-        np.array([s.cache_moved for s in samples], dtype=np.float64),
-        np.array([s.dram_accessed for s in samples], dtype=np.float64),
-        np.array([s.disk_moved for s in samples], dtype=np.float64),
-    ])
-
-    scales = np.max(np.abs(design), axis=0)
-    zero_cols = [REGRESSOR_NAMES[i - 1] for i in range(1, 5) if scales[i] == 0.0]
+    # Each column as integers over its largest power-of-two denominator.
+    ratios = [[x.as_integer_ratio() for x in values]
+              for values in ([1.0] * n, *zip(*samples))]
+    denominators = [max(q for _, q in column) for column in ratios]
+    columns = [[p * (d // q) for p, q in column] for column, d in zip(ratios, denominators)]
+    top = [max(map(abs, column)) for column in columns[:5]] + [1]
+    zero_cols = [REGRESSOR_NAMES[i - 1] for i in range(1, 5) if top[i] == 0]
     if zero_cols:
         raise SingularDesign(
             "regressor(s) identically zero across all samples: " + ", ".join(zero_cols))
-    normalized = design / scales
 
-    singular_values = np.linalg.svd(normalized, compute_uv=False)
-    if singular_values[-1] <= 1e-10 * singular_values[0]:
-        _, _, vt = np.linalg.svd(normalized)
-        null_vec = np.abs(vt[-1])
-        involved = [
-            ("intercept", *REGRESSOR_NAMES)[i]
-            for i in range(5) if null_vec[i] > 0.1 * null_vec.max()
-        ]
-        raise SingularDesign(
-            "collinear column(s): " + ", ".join(involved)
-            + f" (singular value ratio {singular_values[-1] / singular_values[0]:.2e})")
+    # [X y]ᵀ[X y], with the columns of X scaled to unit max-abs.
+    dots = {(j, k): sum(map(mul, columns[j], columns[k]))
+            for j in range(6) for k in range(j, 6)}
+    gram = [[Fraction(dots[min(j, k), max(j, k)], top[j] * top[k]) for k in range(6)]
+            for j in range(6)]
+    trace = sum(gram[j][j] for j in range(5))
+    shifted = [[g - trace / 10**20 if j == k else g for k, g in enumerate(row[:5])]
+               for j, row in enumerate(gram[:5])]
+    if (k := _eliminate(shifted, 5)) < 5:
+        # v, with v[k] = 1, spans the near-null direction: vᵀ(gram - shift)v <= 0.
+        v = [-row[k] / row[j] for j, row in enumerate(shifted[:k])] + [1]
+        names = [name for name, c in zip(("intercept", *REGRESSOR_NAMES), v)
+                 if abs(c) > max(map(abs, v)) / 10]
+        raise SingularDesign(f"collinear column(s): {', '.join(names)} (normalized "
+                             "Gram matrix has an eigenvalue <= 1e-20 x trace)")
 
-    coef_scaled, _, _, _ = np.linalg.lstsq(normalized, y, rcond=None)
-    coef = coef_scaled / scales
-
-    fitted = design @ coef
-    ssr = float(np.sum((y - fitted) ** 2))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - ssr / tss
-    p = len(REGRESSOR_NAMES)
-    adjusted_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-
-    return ServerPowerModel(
-        device_model=device_model,
-        intercept=float(coef[0]),
-        w_cpu=float(coef[1]),
-        w_cache=float(coef[2]),
-        w_dram=float(coef[3]),
-        w_disk=float(coef[4]),
-        adjusted_r2=adjusted_r2,
-    )
+    tss = gram[5][5] - gram[0][5] ** 2 / n
+    _eliminate(gram, 5)  # leaves the residual yᵀy - γᵀXᵀy in gram[5][5]
+    try:
+        weights = [float(row[5] / row[j] * d / (t * denominators[5]))
+                   for j, (row, d, t) in enumerate(zip(gram[:5], denominators, top))]
+    except OverflowError:
+        raise PowerModelError(f"weight beyond float range for {device_model!r}") from None
+    adjusted_r2 = 1 - gram[5][5] / tss * (n - 1) / (n - 5) if tss else 1
+    return ServerPowerModel(device_model, *weights, float(adjusted_r2))
 
 
 def server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
@@ -257,7 +258,7 @@ def read_models(path: Path | str) -> dict[str, ServerPowerModel]:
         if name in out:
             raise row.error(f"duplicate device model {name!r}")
         r2 = row.number("adjusted_r2")
-        if r2 > 1.0 or math.isnan(r2):
+        if r2 > 1.0:
             raise row.error(f"adjusted_r2 must be <= 1, got {r2!r}")
         out[name] = ServerPowerModel(
             device_model=name,
@@ -282,7 +283,7 @@ def read_calibration_samples(path: Path | str) -> dict[str, list[CalibrationSamp
             "device_model", "cpu_utilization", "cache_moved", "dram_accessed",
             "disk_moved", "measured_energy_wh")).rows():
         out.setdefault(row.text("device_model"), []).append(CalibrationSample(
-            cpu_utilization=row.number("cpu_utilization"),
+            cpu_utilization=row.share("cpu_utilization"),
             cache_moved=row.nonneg("cache_moved"),
             dram_accessed=row.nonneg("dram_accessed"),
             disk_moved=row.nonneg("disk_moved"),

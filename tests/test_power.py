@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from carbonalloc.errors import (
     IngestError,
     InsufficientSamples,
+    PowerModelError,
     SingularDesign,
     UnitError,
     ZeroDenominator,
@@ -35,6 +36,30 @@ from carbonalloc.units import check_energy
 
 TRUE_WEIGHTS = (10.0, 500.0, 1e-6, 2e-9, 5e-10)  # intercept, cpu, cache, dram, disk
 
+# Five device models' generating weights, and the models.csv that 400 noisy
+# samples of each (golden_samples) fit to, byte for byte.
+GOLDEN_WEIGHTS = {
+    "M_1": (10.0, 500.0, 1e-6, 2e-9, 5e-10),
+    "M_2": (42.5, 317.0, 2.25e-6, 3.5e-9, 6.25e-10),
+    "M_3": (3.0, 120.0, 4e-7, 1e-9, 2e-10),
+    "M_4": (75.0, 900.0, 3e-6, 5e-9, 1e-9),
+    "M_5": (20.0, 250.0, 8e-7, 1.5e-9, 3e-10),
+}
+GOLDEN_MODELS = """\
+# schema_version=1
+device_model,intercept,w_cpu,w_cache,w_dram,w_disk,adjusted_r2
+M_1,6.820233738689073,510.6238524401803,1.0460357888137209e-06,1.4667876885801187e-09,\
+5.038396221927772e-10,0.9751208473136027
+M_2,36.60200406863878,319.2639309764791,2.109398786463546e-06,3.095123258629617e-09,\
+1.0063234966058918e-09,0.9452117557611514
+M_3,5.21009010515225,111.4313733050214,4.336687666787072e-07,8.521150472538142e-10,\
+2.403934156385782e-10,0.6435850540605498
+M_4,75.84651454365611,901.5853925121594,2.8983212993687475e-06,4.4988934374169445e-09,\
+1.1039310478573554e-09,0.9916705963496291
+M_5,21.06835416950576,250.12003847555437,7.980395046962527e-07,1.099403067120738e-09,\
+3.670005951199685e-10,0.8966433698127666
+"""
+
 
 def synth_samples(n: int, weights=TRUE_WEIGHTS, seed: int = 7,
                   noise: float = 0.0) -> list[CalibrationSample]:
@@ -53,6 +78,22 @@ def synth_samples(n: int, weights=TRUE_WEIGHTS, seed: int = 7,
         out.append(CalibrationSample(u, cache, dram, disk,
                                      max(energy, 0.0)))
     return out
+
+
+def golden_samples(path):
+    """Write 400 samples per GOLDEN_WEIGHTS model, with 25 Wh of noise."""
+    rng = random.Random(11)
+    lines = ["# schema_version=1", "device_model,cpu_utilization,cache_moved,"
+             "dram_accessed,disk_moved,measured_energy_wh"]
+    for name, (b0, b1, b2, b3, b4) in GOLDEN_WEIGHTS.items():
+        for _ in range(400):
+            u, cache = rng.uniform(0.0, 1.0), rng.uniform(0.0, 5e7)
+            dram, disk = rng.uniform(0.0, 1e10), rng.uniform(0.0, 5e10)
+            energy = max(b0 + b1 * u + b2 * cache + b3 * dram + b4 * disk
+                         + rng.gauss(0.0, 25.0), 0.0)
+            lines.append(f"{name},{u!r},{cache!r},{dram!r},{disk!r},{energy!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def server_row(util=0.10, cache=2e7, dram=5e9, disk=2e10,
@@ -129,6 +170,34 @@ class TestFitServerWeights:
         model = fit_server_weights(samples)
         assert math.isclose(model.intercept, 75.0, rel_tol=1e-9)
         assert model.adjusted_r2 == 1.0
+
+    def test_exact_linear_combinations_fit_bit_for_bit(self):
+        """Power-of-two weights and small whole counters make every product
+        and sum exact, so the fit returns the weights themselves."""
+        weights = (8.0, 256.0, 2.0 ** -20, 2.0 ** -30, 2.0 ** -32)
+        for seed in range(5):
+            rng = random.Random(seed)
+            samples = []
+            for _ in range(40):
+                usage = (rng.randint(0, 64) / 64, float(rng.randint(0, 10**6)),
+                         float(rng.randint(0, 10**9)), float(rng.randint(0, 10**9)))
+                energy = weights[0]
+                for weight, counter in zip(weights[1:], usage):
+                    energy += weight * counter
+                samples.append(CalibrationSample(*usage, energy))
+            model = fit_server_weights(samples)
+            assert model[1:6] == weights
+            assert model.adjusted_r2 == 1.0
+
+    def test_weight_beyond_float_range_names_the_model(self):
+        rng = random.Random(5)
+        samples = [CalibrationSample(rng.uniform(1e-4, 1e-3), rng.uniform(0.0, 5e7),
+                                     rng.uniform(0.0, 1e10), rng.uniform(0.0, 5e10),
+                                     rng.uniform(1e307, 1.7e308))
+                   for _ in range(20)]
+        with pytest.raises(PowerModelError,
+                           match="^weight beyond float range for 'BIG'$"):
+            fit_server_weights(samples, device_model="BIG")
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(
@@ -248,6 +317,15 @@ class TestModelFiles:
         loaded = read_models(path)
         assert loaded["ABC_987"] == model
         assert loaded["XYZ_123"] == other
+
+    def test_golden_models_file_is_pinned_byte_for_byte(self, tmp_path):
+        """The fit is exact, so a samples file gives one models.csv on every
+        machine."""
+        grouped = read_calibration_samples(golden_samples(tmp_path / "samples.csv"))
+        path = tmp_path / "models.csv"
+        write_models(path, {name: fit_server_weights(samples, device_model=name)
+                            for name, samples in grouped.items()})
+        assert path.read_text(encoding="utf-8") == GOLDEN_MODELS
 
     def test_duplicate_model_rows_rejected(self, tmp_path):
         path = tmp_path / "models.csv"

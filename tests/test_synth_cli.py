@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -430,6 +431,17 @@ class TestMalformedInputs:
         doc = json.loads((workspace["out"] / "reports" / "TENANT_01" /
                           "2025-06.json").read_text(encoding="utf-8"))
         assert doc["tenant"]["displayName"] == name
+
+    @pytest.mark.parametrize("util", ["-0.5", "3.0"])
+    def test_sample_utilization_outside_unit_interval_exits_1(self, tmp_path, capsys,
+                                                              util):
+        path = tmp_path / "samples.csv"
+        path.write_text(self.SAMPLES.replace(",0.1,", f",{util},"), encoding="utf-8")
+        assert main(["calibrate", "--samples", str(path),
+                     "--models-out", str(tmp_path / "m.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"samples.csv:3: cpu_utilization={float(util)!r} outside [0, 1]\n")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_non_utf8_equivalencies_exits_1(self, workspace, capsys):
         workspace["factors"].write_bytes(b"\xff")
@@ -1101,6 +1113,31 @@ class TestCalibrateCommand:
         assert (tmp_path / "m.csv").exists()
 
 
+def test_calibrate_writes_only_models_read_models_reads(tmp_path, capsys):
+    """Near the top of float range the exact fit still gives a finite
+    adjusted R-squared, and a weight beyond it fails only its own model with
+    exit 2; whatever calibrate writes, read_models reads back."""
+    rng = random.Random(5)
+    rows = []
+    for _ in range(20):
+        u, cache = rng.uniform(0.0, 1.0), rng.uniform(0.0, 5e7)
+        dram, disk = rng.uniform(0.0, 1e10), rng.uniform(0.0, 5e10)
+        energy = (10 + 500 * u + 1e-6 * cache + 2e-9 * dram + 5e-10 * disk
+                  + rng.gauss(0.0, 5.0)) * 1e305
+        rows.append(f"HUGE,{u!r},{cache!r},{dram!r},{disk!r},{energy!r}")
+        rows.append(f"OVER,{rng.uniform(1e-4, 1e-3)!r},{cache!r},{dram!r},{disk!r},"
+                    f"{rng.uniform(1e307, 1.7e308)!r}")
+    samples = TestCalibrateCommand()._write_samples(tmp_path / "samples.csv", rows)
+    out = tmp_path / "models.csv"
+    assert main(["calibrate", "--samples", str(samples),
+                 "--models-out", str(out)]) == EXIT_COMPUTATION
+    assert capsys.readouterr().err == (
+        "calibration failed for OVER: weight beyond float range for 'OVER'\n")
+    (model,) = read_models(out).values()
+    assert model.device_model == "HUGE"
+    assert 0.9 < model.adjusted_r2 <= 1.0
+
+
 def test_only_calibrate_exits_2_and_main_has_one_package_handler():
     """Exit 2 means only that a power model could not be fitted: no function
     but ``cmd_calibrate`` reads ``EXIT_COMPUTATION``, and every package error
@@ -1474,7 +1511,8 @@ def test_synth_default_period_is_stable():
 
 _IMPORT_PROBE = """
 import json, sys
-watched = ("carbonalloc.synth", "dataclasses", "html", "inspect", "logging", "numpy")
+watched = ("carbonalloc.synth", "dataclasses", "decimal", "fractions", "html",
+           "inspect", "logging", "numpy")
 def loaded():
     return [name for name in watched if name in sys.modules]
 import carbonalloc.cli
@@ -1485,18 +1523,21 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(steps))
 """
 
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import carbonalloc.cli
+print(json.dumps([carbonalloc.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
 
-def test_only_calibrate_imports_numpy(tmp_path):
-    """Each command loads only what it runs, so the others do not pay for it
-    at start-up: numpy is imported to fit models and nowhere else, ``synth``
-    only by its command, ``logging`` and ``html`` by none of them when
-    nothing is warned about, and ``dataclasses`` by none at all; ``inspect``
-    comes in only with numpy. Each module appearing where expected shows
-    the probe works."""
+
+def _every_command(tmp_path: Path) -> list[list[str]]:
+    """One successful run of each of the five commands, in an order that
+    makes each one's inputs before it runs."""
     fleet, out = tmp_path / "fleet", tmp_path / "out"
     report = out / "reports" / "TENANT_01" / "2025-06.json"
     samples = write_samples(tmp_path / "samples.csv")
-    commands = [
+    return [
         ["synth", "--seed", "42", "--tenants", "3", "--dcs", "2",
          "--out-dir", str(fleet)],
         ["compute", "--period", "2025-06", "--input-dir", str(fleet),
@@ -1508,6 +1549,16 @@ def test_only_calibrate_imports_numpy(tmp_path):
         ["calibrate", "--samples", str(samples),
          "--models-out", str(tmp_path / "fitted.csv")],
     ]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """Each command loads only what it runs, so the others do not pay for it
+    at start-up: no command loads numpy or ``inspect``, ``fractions`` and the
+    ``decimal`` it imports are loaded to fit models and nowhere else,
+    ``synth`` only by its command, ``logging`` and ``html`` by none of them
+    when nothing is warned about, and ``dataclasses`` by none at all. Each
+    module appearing where expected shows the probe works."""
+    commands = _every_command(tmp_path)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
@@ -1515,4 +1566,13 @@ def test_only_calibrate_imports_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["import", 0, []], ["synth", 0, [synth]], ["compute", 0, [synth]],
         ["audit", 0, [synth]], ["report", 0, [synth]],
-        ["calibrate", 0, [synth, "inspect", "numpy"]]]
+        ["calibrate", 0, [synth, "decimal", "fractions"]]]
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    """With numpy made unimportable, all five commands still succeed."""
+    commands = _every_command(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 5
