@@ -12,14 +12,18 @@ The computation is a strict pipeline with an acyclic dependency order:
 4. Gross total carbon footprint = Scope 1 + Scope 2 + Scope 3; net = gross
    minus the tenant's share of green-energy and certificate offsets.
 
-Scope 2 runs in two phases. Phase 1, :func:`fleet_totals`, computes plain
-floats over the whole fleet: each pair's four energies, and each data
-center's direct energy and Scope 2 total, the denominators of every tenant's
-shares. It raises the fleet's missing-model, zero-denominator and overflow
-errors. Phase 2 builds one pair's :class:`TenantDcScope2` from its energies,
-adding its device shares. :func:`compute_footprints` runs phase 2 for every
-pair; :func:`tenant_footprint` runs it for one tenant's pairs only, which is
-what checking a single report needs.
+The engine runs in two phases. Phase 1, :func:`fleet_totals`, computes and
+checks every per-data-center figure once, as plain floats over the whole
+fleet: each pair's four energies, and each data center's direct energy,
+Scope 2 total and fuel emissions. It raises every error of the fleet:
+missing models, zero denominators, overflows and a zero Scope 2 total with
+Scope 1 or 3 to distribute. Phase 2 builds one tenant's footprint from
+those figures: :func:`compute_scope2` its pairs' :class:`TenantDcScope2`
+records with their device shares, :func:`compute_responsibility_ratios`
+their shares of phase 1's Scope 2 totals, then the other scopes.
+:func:`compute_footprints` runs phase 2 for every tenant;
+:func:`tenant_footprint` runs it for one, which is what checking a single
+report needs, and so reports a fleet error before an unknown tenant.
 
 All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
@@ -36,7 +40,8 @@ figures across data centers, so both reports show the floats checked here.
 
 Figures are checked in two places. Phase 1 bounds each data center's totals,
 naming its datacenters.csv row: direct, cooling and other energy, the fuel
-total, the green offset and Scope 2. :class:`Footprint` checks a tenant's
+total, the green offset and Scope 2, and it refuses a zero Scope 2 total
+with Scope 1 or 3 to distribute. :class:`Footprint` checks a tenant's
 ``gross_total`` and ``net_total``, and the three sums over its data
 centers that these do not bound: its Scope 2 energy, at a grid intensity
 below 1 g/Wh, and its two offsets, whose sums a finite net does not bound
@@ -50,16 +55,15 @@ centers and the history length.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
-from .ingest import DataCenter, NetworkUsage, RawData, ServerUsage, SharedDevice
+from .ingest import NetworkUsage, RawData, ServerUsage, SharedDevice
 from .power import (
     ServerPowerModel,
     clamped_server_energy_wh,
     network_energy_wh,
     server_energy_wh,
-    shared_energy_total,
     split_shared_wh,
 )
 from .units import (
@@ -209,10 +213,9 @@ class DcFootprint(CheckedRecord, _DcFootprint):
                 scope1: float, scope3: float, component_energy: dict[str, float],
                 green_offset: float, rec_offset: float,
                 devices: tuple[DeviceShare, ...]) -> "DcFootprint":
-        keys = tuple(component_energy)
-        if sorted(keys) != sorted(SCOPE2_COMPONENTS):
+        if component_energy.keys() != set(SCOPE2_COMPONENTS):
             raise UnitError("scope2_components must have exactly the keys "
-                            f"{SCOPE2_COMPONENTS}, got {keys}")
+                            f"{SCOPE2_COMPONENTS}, got {tuple(component_energy)}")
         c, l = grid_intensity, l_share
         energy = component_energy
         scope2 = (energy["server"] + energy["network"] + energy["cooling"]
@@ -308,16 +311,17 @@ class Footprint(CheckedRecord, _Footprint):
 
 
 class FleetTotals(NamedTuple):
-    """Phase 1's result: the per-data-center sums every share is divided by,
-    and each pair's figures, which phase 2 builds its records from.
+    """Phase 1's result: every per-data-center figure, and each pair's
+    figures, which phase 2 builds its records from.
 
-    ``direct`` and ``scope2`` are keyed by data center id, covering every
-    data center some tenant declares, in the order the pairs first reach it.
-    ``pairs`` maps each (tenant id, data center id), sorted, to the pair's
-    server and network usage rows in device-id order and its four Scope 2
-    energies in Wh: ``(servers, network, e_server, e_network, e_cooling,
-    e_other)``. ``shared`` holds each of those data centers' cooling, then
-    other, devices in device-id order, each with its category.
+    ``direct``, ``scope2`` and ``fuel`` are keyed by data center id, covering
+    every data center some tenant declares, in the order the pairs first
+    reach it; ``fuel`` holds each fuel log entry's emissions in device-id
+    order. ``pairs`` maps each (tenant id, data center id), sorted, to the
+    pair's server and network usage rows in device-id order and its four
+    Scope 2 energies in Wh: ``(servers, network, e_server, e_network,
+    e_cooling, e_other)``. ``shared`` holds each of those data centers'
+    cooling, then other, devices in device-id order, each with its category.
     """
 
     direct: dict[str, float]
@@ -325,11 +329,12 @@ class FleetTotals(NamedTuple):
     pairs: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage],
                                        float, float, float, float]]
     shared: dict[str, list[tuple[str, SharedDevice]]]
+    fuel: dict[str, list[float]]
 
 
 def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetTotals:
-    """Phase 1: every pair's four Scope 2 energies, and the direct and Scope 2
-    totals per data center, as floats.
+    """Phase 1: every pair's four Scope 2 energies, and each data center's
+    direct and Scope 2 totals and fuel emissions, as floats.
 
     Pairs are visited sorted by tenant, then data center, and devices by id
     within a pair, so every float is computed once, in one fixed order.
@@ -337,9 +342,11 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     :class:`MissingModel`, naming the first servers.csv row of each missing
     model, :class:`ZeroDenominator`, and the unit error of a data center
     whose direct, cooling or other energy, fuel total, green offset or
-    Scope 2 total is not finite, prefixed with its datacenters.csv row. Each
-    pair's figures are bounded by these totals. Negative server estimates
-    are clamped to zero silently: phase 2 warns about the devices it builds.
+    Scope 2 total is not finite, prefixed with its datacenters.csv row; then,
+    by data center id, :class:`ZeroDcScope2` for a zero Scope 2 total with
+    fuel or a Scope 3 total to distribute. Each pair's figures are bounded
+    by these totals. Negative server estimates are clamped to zero silently:
+    phase 2 warns about the devices it builds.
     """
     missing: dict[str, str] = {}
     for row in raw.servers:
@@ -377,18 +384,24 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     direct: dict[str, float] = {}
     scope2: dict[str, float] = {}
     shared: dict[str, list[tuple[str, SharedDevice]]] = {}
+    fuel: dict[str, list[float]] = {}
     for dc_id, dc_pairs in pair_direct.items():
         dc = raw.datacenters[dc_id]
         shared[dc_id] = [(category, dev) for category, devices in (
             ("cooling", dc.cooling_devices), ("other", dc.other_devices))
             for dev in sorted(devices, key=_BY_DEVICE_ID)]
+        fuel[dc_id] = [f.amount * f.emission_factor
+                       for f in sorted(dc.fuel_log, key=_BY_DEVICE_ID)]
         try:
             all_direct = 0.0
             for _, pair in dc_pairs:
                 all_direct += pair
             direct[dc_id] = check_energy(all_direct)
-            cooling = shared_energy_total(dc.cooling_devices)
-            other = shared_energy_total(dc.other_devices)
+            shared_wh = {"cooling": 0.0, "other": 0.0}
+            for category, dev in shared[dc_id]:
+                shared_wh[category] += dev.energy
+            cooling = check_energy(shared_wh["cooling"])
+            other = check_energy(shared_wh["other"])
             check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
             check_emissions(dc.green_energy * dc.grid_intensity)
             cooling_label = f"cooling devices of {dc_id}"
@@ -403,11 +416,20 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
             scope2[dc_id] = check_emissions(total)
         except UnitError as exc:
             raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
-    return FleetTotals(direct=direct, scope2=scope2, pairs=pairs, shared=shared)
+
+    # With a zero Scope 2 total no share is defined, and an invented equal
+    # split of fuel or Scope 3 would be unauditable.
+    for dc_id in sorted(scope2):
+        dc = raw.datacenters[dc_id]
+        if scope2[dc_id] == 0.0 and (any(e > 0 for e in fuel[dc_id])
+                                     or dc.scope3_total > 0):
+            raise ZeroDcScope2(dc_id, dc.source_ref)
+    return FleetTotals(direct=direct, scope2=scope2, pairs=pairs, shared=shared,
+                       fuel=fuel)
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: per-pair detail
+# Phase 2: one tenant's records
 # ---------------------------------------------------------------------------
 
 
@@ -456,93 +478,53 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     )
 
 
-def compute_scope2(raw: RawData,
-                   models: Mapping[str, ServerPowerModel]) -> list[TenantDcScope2]:
-    """Per (tenant, data center): estimated energies and Scope 2 emissions.
+def compute_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
+                   totals: FleetTotals, tenant_id: str) -> list[TenantDcScope2]:
+    """One tenant's energies and Scope 2 emissions per data center, in id
+    order, from phase 1's ``totals``.
 
-    Every (tenant, data center) pair the tenant declares gets an entry, even
-    with no usage rows (all-zero), so downstream stages and reports cover the
-    tenant's whole declared infrastructure.
+    Every data center the tenant declares gets an entry, even with no usage
+    rows (all-zero), so downstream stages and reports cover the tenant's
+    whole declared infrastructure.
     """
-    totals = fleet_totals(raw, models)
     return [_pair_scope2(raw, models, totals, tenant_id, dc_id)
-            for tenant_id, dc_id in totals.pairs]
+            for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)]
 
 
-# ---------------------------------------------------------------------------
-# Responsibility ratios
-# ---------------------------------------------------------------------------
+def compute_responsibility_ratios(scope2: Sequence[TenantDcScope2],
+                                  totals: FleetTotals) -> list[float]:
+    """Each entry's fraction of its data center's Scope 2 emissions, phase
+    1's total, in ``scope2``'s order; times load share, its responsibility
+    ratio.
 
-
-def _ratios(scope2: Iterable[TenantDcScope2], dc_total: Mapping[str, float],
-            datacenters: Mapping[str, DataCenter]) -> dict[tuple[str, str], float]:
-    """Each entry's share of its data center's Scope 2 total.
-
-    Every data center in ``dc_total`` is checked for :class:`ZeroDcScope2`,
-    whether or not ``scope2`` holds an entry for it.
+    A zero total gives every tenant a zero fraction: phase 1 has already
+    refused one with fuel or a Scope 3 total to distribute.
     """
-    for dc_id, total in sorted(dc_total.items()):
-        if total == 0.0:
-            dc = datacenters[dc_id]
-            has_scope1 = any(f.amount * f.emission_factor > 0 for f in dc.fuel_log)
-            if has_scope1 or dc.scope3_total > 0:
-                raise ZeroDcScope2(dc_id, dc.source_ref)
-
-    shares: dict[tuple[str, str], float] = {}
+    shares: list[float] = []
     for entry in scope2:
-        total = dc_total[entry.datacenter_id]
-        shares[(entry.tenant_id, entry.datacenter_id)] = (
-            entry.emissions / total if total > 0.0 else 0.0)
+        total = totals.scope2[entry.datacenter_id]
+        shares.append(entry.emissions / total if total > 0.0 else 0.0)
     return shares
 
 
-def compute_responsibility_ratios(
-        scope2: Sequence[TenantDcScope2],
-        datacenters: Mapping[str, DataCenter]) -> dict[tuple[str, str], float]:
-    """Each tenant's fraction of each data center's Scope 2 emissions, keyed
-    by (tenant id, data center id); times load share, its responsibility ratio.
+def _footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
+               totals: FleetTotals, tenant_id: str) -> Footprint:
+    """Phase 2: one tenant's footprint from phase 1's ``totals``.
 
-    When a data center's Scope 2 total is zero the fraction is undefined; if
-    that data center also has Scope 1 fuel or a Scope 3 total to distribute
-    the computation fails with :class:`ZeroDcScope2` (an invented equal split
-    would be unauditable), otherwise every tenant's share is simply zero.
+    Scope 1 (phase 1's fuel emissions), Scope 3 and both offsets scale by
+    ``share * l_share``, the ratio :class:`DcFootprint` derives. A total that
+    overflows raises the unit error prefixed with its tenants.csv row.
     """
-    dc_total: dict[str, float] = {}
-    for entry in scope2:
-        dc_total[entry.datacenter_id] = (dc_total.get(entry.datacenter_id, 0.0)
-                                         + entry.emissions)
-    return _ratios(scope2, dc_total, datacenters)
-
-
-# ---------------------------------------------------------------------------
-# Scopes 1 and 3, gross and net, per tenant
-# ---------------------------------------------------------------------------
-
-
-def _fuel_emissions(dc: DataCenter) -> list[float]:
-    """Each of a data center's fuel log entries' emissions, in device-id order."""
-    return [f.amount * f.emission_factor for f in sorted(dc.fuel_log, key=_BY_DEVICE_ID)]
-
-
-def _footprint(raw: RawData, tenant_id: str,
-               scope2: Mapping[tuple[str, str], TenantDcScope2],
-               shares: Mapping[tuple[str, str], float],
-               fuel: Mapping[str, list[float]]) -> Footprint:
-    """Assemble one tenant's footprint from its Scope 2 entries and shares.
-
-    Scope 1 (``fuel``'s :func:`_fuel_emissions`), Scope 3 and both offsets
-    scale by ``share * l_share``, the ratio :class:`DcFootprint` derives. A
-    total that overflows raises the unit error prefixed with its tenants.csv row.
-    """
+    scope2 = compute_scope2(raw, models, totals, tenant_id)
+    shares = compute_responsibility_ratios(scope2, totals)
     tenant = raw.tenants[tenant_id]
     per_dc: list[DcFootprint] = []
-    for dc_id in sorted(tenant.datacenter_ids):
+    for s2, share in zip(scope2, shares):
+        dc_id = s2.datacenter_id
         dc = raw.datacenters[dc_id]
-        s2 = scope2[(tenant_id, dc_id)]
-        share = shares[(tenant_id, dc_id)]
         r = share * s2.l_share
         scope1 = 0.0
-        for emissions in fuel[dc_id]:
+        for emissions in totals.fuel[dc_id]:
             scope1 += emissions * r
         per_dc.append(DcFootprint(
             datacenter_id=dc_id,
@@ -587,11 +569,8 @@ def compute_footprints(raw: RawData,
     changes when another tenant's figures do. Net may be negative when a data
     center is over-offset; that is flagged, not clamped.
     """
-    scope2 = compute_scope2(raw, models)
-    shares = compute_responsibility_ratios(scope2, raw.datacenters)
-    scope2_by_key = {(s.tenant_id, s.datacenter_id): s for s in scope2}
-    fuel = {dc_id: _fuel_emissions(dc) for dc_id, dc in raw.datacenters.items()}
-    return [_footprint(raw, tenant_id, scope2_by_key, shares, fuel)
+    totals = fleet_totals(raw, models)
+    return [_footprint(raw, models, totals, tenant_id)
             for tenant_id in sorted(raw.tenants)]
 
 
@@ -600,18 +579,14 @@ def tenant_footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
     """One tenant's footprint, equal to its entry in :func:`compute_footprints`.
 
     Runs phase 1 for the whole fleet, so a data center anywhere in it fails
-    with the error :func:`compute_footprints` would raise, then builds device
-    detail for this tenant's pairs only. Raises :class:`UnknownTenant` when
-    the inputs do not declare ``tenant_id``.
+    with the error :func:`compute_footprints` would raise, then phase 2 for
+    this tenant only. Raises :class:`UnknownTenant`, after any fleet error,
+    when the inputs do not declare ``tenant_id``.
     """
     totals = fleet_totals(raw, models)
     if tenant_id not in raw.tenants:
         raise UnknownTenant(tenant_id)
-    scope2 = {(tenant_id, dc_id): _pair_scope2(raw, models, totals, tenant_id, dc_id)
-              for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids)}
-    fuel = {dc_id: _fuel_emissions(raw.datacenters[dc_id]) for _, dc_id in scope2}
-    return _footprint(raw, tenant_id, scope2,
-                      _ratios(scope2.values(), totals.scope2, raw.datacenters), fuel)
+    return _footprint(raw, models, totals, tenant_id)
 
 
 # ---------------------------------------------------------------------------

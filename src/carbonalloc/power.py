@@ -11,7 +11,7 @@ sent or received.
 
 from __future__ import annotations
 
-from operator import attrgetter, mul
+from operator import mul
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -25,7 +25,6 @@ from .errors import (
 from .ingest import (
     NetworkUsage,
     ServerUsage,
-    SharedDevice,
     read_table,
     write_table,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "estimate_server_energy",
     "network_energy_wh",
     "estimate_network_energy",
-    "shared_energy_total",
     "split_shared_wh",
     "read_models",
     "write_models",
@@ -199,18 +197,6 @@ def network_energy_wh(row: NetworkUsage) -> float:
 def estimate_network_energy(row: NetworkUsage) -> float:
     """:func:`network_energy_wh`, checked as an energy."""
     return check_energy(network_energy_wh(row))
-
-
-def shared_energy_total(devices: tuple[SharedDevice, ...] | list[SharedDevice]) -> float:
-    """Sum metered shared-device energies in device-id order.
-
-    The order is fixed so reruns over the same inputs sum in the same
-    sequence and reproduce identical floats.
-    """
-    total = 0.0
-    for dev in sorted(devices, key=attrgetter("device_id")):
-        total += dev.energy
-    return check_energy(total)
 
 
 def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: float,

@@ -18,12 +18,7 @@ import time
 
 import pytest
 
-from carbonalloc.allocation import (
-    HistoryEntry,
-    compute_footprints,
-    compute_responsibility_ratios,
-    compute_scope2,
-)
+from carbonalloc.allocation import HistoryEntry, compute_footprints
 from carbonalloc.ingest import NetworkUsage, RawData
 from carbonalloc.power import (
     CalibrationSample,
@@ -83,13 +78,15 @@ def test_intensity_consistency(criterion, fictitious_raw, fictitious_models):
         assert 100000.0 * c == 40000.0
         assert 4500000.0 * c == 1800000.0
         # The same figures through the full pipeline, not just the product.
-        (entry,) = compute_scope2(fictitious_raw, fictitious_models)
-        server = next(d for d in entry.per_device if d.device_id == "SERVER_1234")
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        (dc,) = fp.per_dc
+        server = next(d for d in dc.devices if d.device_id == "SERVER_1234")
         assert server.energy_wh == 100000.0
         assert server.emissions_g == 40000.0
-        assert (entry.e_server + entry.e_network + entry.e_cooling
-                + entry.e_other) == 4500000.0
-        assert entry.emissions == 1800000.0
+        energy = dc.component_energy
+        assert (energy["server"] + energy["network"] + energy["cooling"]
+                + energy["other"]) == 4500000.0
+        assert dc.scope2 == 1800000.0
 
 
 def oracle_dc_totals(raw: RawData, models) -> dict[str, dict[str, float]]:
@@ -136,16 +133,16 @@ def test_conservation_suite(criterion):
                 l_share=1.0,
             )
             raw, models = fleet.raw, fleet.models
-            scope2 = compute_scope2(raw, models)
-            shares = compute_responsibility_ratios(scope2, raw.datacenters)
+            footprints = compute_footprints(raw, models)
             share_sums: dict[str, float] = {}
-            for (_, dc_id), share in shares.items():
-                share_sums[dc_id] = share_sums.get(dc_id, 0.0) + share
+            for fp in footprints:
+                for dc in fp.per_dc:
+                    share_sums[dc.datacenter_id] = (
+                        share_sums.get(dc.datacenter_id, 0.0) + dc.scope2_share)
             for dc_id, total in share_sums.items():
                 assert rel_close(total, 1.0, REL_TOL_CONSERVATION), \
                     f"share sum {total} in {dc_id}"
 
-            footprints = compute_footprints(raw, models)
             oracle = oracle_dc_totals(raw, models)
             got: dict[str, dict[str, float]] = {
                 dc_id: {"cooling": 0.0, "other": 0.0, "gross": 0.0}

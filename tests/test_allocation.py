@@ -19,8 +19,6 @@ from carbonalloc.allocation import (
     Footprint,
     TenantDcScope2,
     compute_footprints,
-    compute_responsibility_ratios,
-    compute_scope2,
     conservation_audit,
     fleet_totals,
     tenant_footprint,
@@ -88,22 +86,29 @@ TWO_TENANT_MODELS = {"M_2500": intercept_model("M_2500", 2500.0),
                      "M_7500": intercept_model("M_7500", 7500.0)}
 
 
+def idle_raw(**dc_kwargs) -> RawData:
+    """TENANT_A on one DC with no usage rows: a zero Scope 2 total."""
+    return assemble_raw_data(
+        period=PERIOD, datacenters={"DC_EU1": make_dc(**dc_kwargs)},
+        tenants={"TENANT_A": make_tenant("TENANT_A", ["DC_EU1"])},
+        servers=(), network=(),
+    )
+
+
 class TestComputeScope2:
     def test_fixture_figures_are_exact(self, fictitious_raw, fictitious_models):
-        (entry,) = compute_scope2(fictitious_raw, fictitious_models)
-        assert entry.tenant_id == "TENANT_X"
-        assert entry.e_server == 100000.0
-        assert entry.e_network == 120000.0
-        assert entry.e_cooling == 4000000.0
-        assert entry.e_other == 280000.0
-        assert (entry.e_server + entry.e_network + entry.e_cooling
-                + entry.e_other) == 4500000.0
-        assert entry.emissions == 1800000.0
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        assert fp.tenant_id == "TENANT_X"
+        (dc,) = fp.per_dc
+        assert dc.component_energy == {"server": 100000.0, "network": 120000.0,
+                                       "cooling": 4000000.0, "other": 280000.0}
+        assert dc.scope2_energy == 4500000.0
+        assert dc.scope2 == 1800000.0
 
     def test_per_device_detail_carries_source_figures(self, fictitious_raw,
                                                       fictitious_models):
-        (entry,) = compute_scope2(fictitious_raw, fictitious_models)
-        by_id = {d.device_id: d for d in entry.per_device}
+        (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        by_id = {d.device_id: d for d in fp.per_dc[0].devices}
         srv = by_id["SERVER_1234"]
         assert isinstance(srv, DeviceShare)
         assert srv.category == "server"
@@ -121,11 +126,12 @@ class TestComputeScope2:
     def test_shared_energy_splits_by_direct_ratio(self):
         raw = two_tenant_raw(cooling=(("CRAC_1", 10000.0),),
                              other=(("PDU_1", 400.0),))
-        entries = {e.tenant_id: e for e in compute_scope2(raw, TWO_TENANT_MODELS)}
-        assert entries["TENANT_A"].e_cooling == 2500.0
-        assert entries["TENANT_B"].e_cooling == 7500.0
-        assert entries["TENANT_A"].e_other == 100.0
-        assert entries["TENANT_B"].e_other == 300.0
+        energy = {fp.tenant_id: fp.per_dc[0].component_energy
+                  for fp in compute_footprints(raw, TWO_TENANT_MODELS)}
+        assert energy["TENANT_A"]["cooling"] == 2500.0
+        assert energy["TENANT_B"]["cooling"] == 7500.0
+        assert energy["TENANT_A"]["other"] == 100.0
+        assert energy["TENANT_B"]["other"] == 300.0
 
     def test_declared_dc_without_usage_gets_zero_entry(self):
         dc1, dc2 = make_dc("DC_1"), make_dc("DC_2")
@@ -136,17 +142,16 @@ class TestComputeScope2:
             servers=(server("DC_1", "SRV_A", "M_2500", "TENANT_A"),),
             network=(),
         )
-        entries = {e.datacenter_id: e for e in compute_scope2(raw, TWO_TENANT_MODELS)}
-        dc2 = entries["DC_2"]
-        assert (dc2.e_server, dc2.e_network, dc2.e_cooling, dc2.e_other) == (
-            0.0, 0.0, 0.0, 0.0)
-        assert entries["DC_2"].emissions == 0.0
-        assert entries["DC_2"].per_device == ()
+        (fp,) = compute_footprints(raw, TWO_TENANT_MODELS)
+        dc2 = {dc.datacenter_id: dc for dc in fp.per_dc}["DC_2"]
+        assert dc2.component_energy == dict.fromkeys(SCOPE2_COMPONENTS, 0.0)
+        assert dc2.scope2 == 0.0
+        assert dc2.devices == ()
 
     def test_missing_model_fails_before_any_estimation(self):
         raw = two_tenant_raw()
         with pytest.raises(MissingModel) as exc:
-            compute_scope2(raw, {"M_2500": TWO_TENANT_MODELS["M_2500"]})
+            compute_footprints(raw, {"M_2500": TWO_TENANT_MODELS["M_2500"]})
         assert "M_7500" in str(exc.value)
 
     def test_emissions_product_invariant_enforced_on_construction(self):
@@ -170,18 +175,15 @@ class TestComputeScope2:
 
 class TestResponsibilityRatios:
     def test_sole_tenant_owns_everything(self, fictitious_raw, fictitious_models):
-        scope2 = compute_scope2(fictitious_raw, fictitious_models)
-        (share,) = compute_responsibility_ratios(
-            scope2, fictitious_raw.datacenters).values()
-        assert share == 1.0
         (fp,) = compute_footprints(fictitious_raw, fictitious_models)
+        assert fp.per_dc[0].scope2_share == 1.0
         assert fp.per_dc[0].ratio == 1.0
 
     def test_quarter_share_is_exact(self):
         raw = two_tenant_raw()  # intensity 0.5: emissions 1250 and 3750
-        scope2 = compute_scope2(raw, TWO_TENANT_MODELS)
-        assert compute_responsibility_ratios(scope2, raw.datacenters) == {
-            ("TENANT_A", "DC_EU1"): 0.25, ("TENANT_B", "DC_EU1"): 0.75}
+        assert {fp.tenant_id: fp.per_dc[0].scope2_share
+                for fp in compute_footprints(raw, TWO_TENANT_MODELS)} == {
+            "TENANT_A": 0.25, "TENANT_B": 0.75}
 
     def test_ratio_is_share_times_load_share(self):
         raw = two_tenant_raw()
@@ -195,36 +197,21 @@ class TestResponsibilityRatios:
 
     def test_shares_sum_to_one_per_datacenter(self):
         fleet = generate_fleet(seed=5, n_tenants=9, n_dcs=2)
-        scope2 = compute_scope2(fleet.raw, fleet.models)
         by_dc: dict[str, float] = {}
-        for (_, dc_id), share in compute_responsibility_ratios(
-                scope2, fleet.raw.datacenters).items():
-            by_dc[dc_id] = by_dc.get(dc_id, 0.0) + share
+        for fp in compute_footprints(fleet.raw, fleet.models):
+            for dc in fp.per_dc:
+                by_dc[dc.datacenter_id] = (by_dc.get(dc.datacenter_id, 0.0)
+                                           + dc.scope2_share)
         for total in by_dc.values():
             assert math.isclose(total, 1.0, rel_tol=1e-9)
 
     def test_zero_scope2_with_fuel_to_distribute_raises(self):
-        dc = make_dc(fuel=(("GEN_1", 1000.0, 2.5),))
-        raw = assemble_raw_data(
-            period=PERIOD, datacenters={"DC_EU1": dc},
-            tenants={"TENANT_A": make_tenant("TENANT_A", ["DC_EU1"])},
-            servers=(), network=(),
-        )
-        scope2 = compute_scope2(raw, {})
         with pytest.raises(ZeroDcScope2):
-            compute_responsibility_ratios(scope2, raw.datacenters)
+            fleet_totals(idle_raw(fuel=(("GEN_1", 1000.0, 2.5),)), {})
 
     def test_zero_scope2_with_nothing_to_distribute_is_all_zero(self):
-        dc = make_dc()
-        raw = assemble_raw_data(
-            period=PERIOD, datacenters={"DC_EU1": dc},
-            tenants={"TENANT_A": make_tenant("TENANT_A", ["DC_EU1"])},
-            servers=(), network=(),
-        )
-        scope2 = compute_scope2(raw, {})
-        assert compute_responsibility_ratios(scope2, raw.datacenters) == {
-            ("TENANT_A", "DC_EU1"): 0.0}
-        (fp,) = compute_footprints(raw, {})
+        (fp,) = compute_footprints(idle_raw(), {})
+        assert fp.per_dc[0].scope2_share == 0.0
         assert fp.per_dc[0].ratio == 0.0
 
     def test_ratio_consistency_enforced_on_construction(self):
@@ -731,11 +718,9 @@ class TestFairness:
         servers[index] = row._replace(**{counter: raised})
 
         def shares(fleet_raw):
-            return {tenant_id: share for (tenant_id, dc_id), share in
-                    compute_responsibility_ratios(
-                        compute_scope2(fleet_raw, fleet.models),
-                        fleet_raw.datacenters).items()
-                    if dc_id == row.datacenter_id}
+            return {fp.tenant_id: dc.scope2_share
+                    for fp in compute_footprints(fleet_raw, fleet.models)
+                    for dc in fp.per_dc if dc.datacenter_id == row.datacenter_id}
 
         before = shares(raw)
         after = shares(raw._replace(servers=tuple(servers)))
@@ -783,24 +768,26 @@ class TestTenantFootprint:
 
     def test_fleet_totals_match_scope2_bit_for_bit(self):
         fleet = generate_fleet(seed=15, n_tenants=9, n_dcs=4)
-        entries = compute_scope2(fleet.raw, fleet.models)
+        per_dc = [(fp.tenant_id, dc)
+                  for fp in compute_footprints(fleet.raw, fleet.models)
+                  for dc in fp.per_dc]
         scope2_total: dict[str, float] = {}
         direct: dict[str, float] = {}
-        for entry in entries:
-            dc_id = entry.datacenter_id
-            scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + entry.emissions
+        for _, dc in per_dc:
+            dc_id, energy = dc.datacenter_id, dc.component_energy
+            scope2_total[dc_id] = scope2_total.get(dc_id, 0.0) + dc.scope2
             direct[dc_id] = (direct.get(dc_id, 0.0)
-                             + (entry.e_server + entry.e_network))
+                             + (energy["server"] + energy["network"]))
         totals = fleet_totals(fleet.raw, fleet.models)
         assert totals.scope2 == scope2_total
         assert totals.direct == direct
-        assert list(totals.pairs) == [(e.tenant_id, e.datacenter_id)
-                                      for e in entries]
-        for entry in entries:
-            _, _, *energies = totals.pairs[(entry.tenant_id, entry.datacenter_id)]
+        assert totals.fuel.keys() == totals.scope2.keys()
+        assert list(totals.pairs) == [(tenant_id, dc.datacenter_id)
+                                      for tenant_id, dc in per_dc]
+        for tenant_id, dc in per_dc:
+            _, _, *energies = totals.pairs[(tenant_id, dc.datacenter_id)]
             assert [e.hex() for e in energies] == [
-                entry.e_server.hex(), entry.e_network.hex(),
-                entry.e_cooling.hex(), entry.e_other.hex()]
+                dc.component_energy[name].hex() for name in SCOPE2_COMPONENTS]
 
     def test_only_phase_1_splits_shared_energy(self, monkeypatch):
         """Phase 2 takes each pair's cooling and other energy from phase 1,
@@ -827,6 +814,9 @@ class TestTenantFootprint:
             tenant_footprint(raw, TWO_TENANT_MODELS, "TENANT_Z")
         with pytest.raises(MissingModel):
             tenant_footprint(raw, {"M_2500": TWO_TENANT_MODELS["M_2500"]},
+                             "TENANT_Z")
+        with pytest.raises(ZeroDcScope2):
+            tenant_footprint(idle_raw(fuel=(("GEN_1", 1000.0, 2.5),)), {},
                              "TENANT_Z")
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbonalloc.allocation import fleet_totals
 from carbonalloc.errors import (
     IngestError,
     InsufficientSamples,
@@ -28,11 +29,11 @@ from carbonalloc.power import (
     fit_server_weights,
     read_calibration_samples,
     read_models,
-    shared_energy_total,
     split_shared_wh,
     write_models,
 )
 from carbonalloc.units import check_energy
+from conftest import intercept_model
 
 TRUE_WEIGHTS = (10.0, 500.0, 1e-6, 2e-9, 5e-10)  # intercept, cpu, cache, dram, disk
 
@@ -270,40 +271,44 @@ class TestEstimateNetworkEnergy:
 
 
 class TestAllocateSharedEnergy:
-    COOLING = (SharedDevice("CRAC_1", 10000.0),)
+    COOLING_WH = 10000.0
 
     def test_quarter_share_is_exact(self):
-        got = split_shared_wh(shared_energy_total(self.COOLING), 2500.0, 10000.0)
+        got = split_shared_wh(self.COOLING_WH, 2500.0, 10000.0)
         assert got == 2500.0
 
     def test_sole_tenant_takes_all(self):
-        got = split_shared_wh(shared_energy_total(self.COOLING), 123.0, 123.0)
+        got = split_shared_wh(self.COOLING_WH, 123.0, 123.0)
         assert got == 10000.0
 
     def test_no_shared_devices_is_zero_even_with_zero_direct(self):
-        got = split_shared_wh(shared_energy_total(()), 0.0, 0.0)
+        got = split_shared_wh(0.0, 0.0, 0.0)
         assert got == 0.0
 
     def test_zero_direct_total_with_shared_energy_raises(self):
         with pytest.raises(ZeroDenominator):
-            split_shared_wh(shared_energy_total(self.COOLING), 0.0, 0.0,
-                            context="DC_EU1 cooling")
+            split_shared_wh(self.COOLING_WH, 0.0, 0.0, context="DC_EU1 cooling")
 
-    def test_sum_order_is_device_id_order(self):
-        devices = [SharedDevice("B", 0.1), SharedDevice("A", 0.2)]
-        got = split_shared_wh(shared_energy_total(devices), 1.0, 1.0)
-        assert got == 0.2 + 0.1  # sorted ids: A then B
+    def test_sum_order_is_device_id_order(self, fictitious_raw):
+        """Phase 1 sums a data center's shared devices in id order, A, B, C,
+        to 1.0; in file order the two small energies would round it up."""
+        dc = fictitious_raw.datacenters["DC_EU1"]._replace(other_devices=(
+            SharedDevice("B", 1e-16), SharedDevice("C", 1e-16),
+            SharedDevice("A", 1.0)))
+        raw = fictitious_raw._replace(datacenters={"DC_EU1": dc}, network=())
+        totals = fleet_totals(raw, {"ABC_987": intercept_model("ABC_987", 1.0)})
+        *_, e_other = totals.pairs[("TENANT_X", "DC_EU1")]
+        assert e_other == 1.0  # the sole tenant's split: 1.0 * 1 Wh / 1 Wh
+        assert 1e-16 + 1e-16 + 1.0 != 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=0.01, max_value=1e9), min_size=2,
                     max_size=50),
            st.floats(min_value=0.0, max_value=1e9))
     def test_allocations_conserve_shared_total(self, directs, shared_wh):
-        devices = (SharedDevice("CRAC_1", shared_wh),)
         total_direct = math.fsum(directs)
         allocated = math.fsum(
-            split_shared_wh(shared_energy_total(devices), d, total_direct)
-            for d in directs)
+            split_shared_wh(shared_wh, d, total_direct) for d in directs)
         assert math.isclose(allocated, shared_wh, rel_tol=1e-9, abs_tol=1e-9)
 
 

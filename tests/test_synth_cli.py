@@ -5,9 +5,11 @@ import ast
 import contextlib
 import errno
 import gc
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -1202,6 +1204,22 @@ def test_every_record_is_a_named_tuple():
         "Tenant", "RawData", "CalibrationSample", "ServerPowerModel",
         "DeviceShare", "HistoryEntry", "FleetTotals", "AuditCheck",
         "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet", "_Table"}
+
+
+def test_every_exported_name_resolves():
+    """Each name in a module's ``__all__``, and each name the package
+    ``__init__`` imports, exists: a deleted function cannot stay exported."""
+    import carbonalloc
+    tree = ast.parse(Path(carbonalloc.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "compute_footprints" in imported
+    missing = [name for name in imported if not hasattr(carbonalloc, name)]
+    for info in pkgutil.iter_modules(carbonalloc.__path__):
+        module = importlib.import_module(f"carbonalloc.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_a_run_leaves_no_cyclic_garbage(tmp_path):

@@ -4,8 +4,9 @@
 identity wherever the package binds it. A renamed or unbound function would
 make ``--trace 1`` fail or silently report zero for its layer, so one test
 loads the harness from its path and checks that every wrapped function was
-found and patched. Another runs it as the benchmark does, on a small fleet,
-and checks the counts performance claims rest on against the engine.
+found and patched. Two more run it as the benchmark does, on a small fleet,
+one over ``compute`` and one over ``audit``, and check the counts
+performance claims rest on against the engine.
 """
 
 import importlib.util
@@ -13,6 +14,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from carbonalloc import allocation, cli, history, ingest, power, report
 from carbonalloc.units import Period
@@ -64,29 +67,66 @@ def test_install_patches_every_wrapped_function():
         assert getattr(owner, attr) is original
 
 
-def test_traced_compute_counts_match_the_engine(tmp_path):
-    fleet, out = tmp_path / "fleet", tmp_path / "out"
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    fleet = tmp_path_factory.mktemp("fleet")
     assert cli.main(["synth", "--seed", "42", "--tenants", "3", "--dcs", "2",
                      "--out-dir", str(fleet)]) == 0
+    return fleet
+
+
+def compute_args(fleet: Path, out: Path) -> list[str]:
+    return ["compute", "--period", "2025-06", "--input-dir", str(fleet),
+            "--models", str(fleet / "models.csv"),
+            "--equivalencies", str(ROOT / "configs" / "equivalencies.sample.json"),
+            "--out-dir", str(out)]
+
+
+def run_traced(tmp_path: Path, roundtrip: Path, cli_args: list[str]) -> dict:
+    """Run the harness as the benchmark does; its result JSON."""
     result = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, str(TRACED), str(result), str(out / "reports"), "--",
-         "compute", "--period", "2025-06", "--input-dir", str(fleet),
-         "--models", str(fleet / "models.csv"),
-         "--equivalencies", str(ROOT / "configs" / "equivalencies.sample.json"),
-         "--out-dir", str(out)],
+        [sys.executable, str(TRACED), str(result), str(roundtrip), "--", *cli_args],
         capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    traced = json.loads(result.read_text(encoding="utf-8"))
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def test_traced_compute_counts_match_the_engine(tmp_path, fleet):
+    out = tmp_path / "out"
+    traced = run_traced(tmp_path, out / "reports", compute_args(fleet, out))
     metrics = traced["metrics"]
 
     raw = ingest.load_input_dir(fleet, Period(2025, 6))
-    entries = allocation.compute_scope2(raw, power.read_models(fleet / "models.csv"))
-    assert metrics["allocation.pairs"] == len(entries) > 0
+    models = power.read_models(fleet / "models.csv")
+    assert metrics["allocation.pairs"] == len(
+        allocation.fleet_totals(raw, models).pairs) > 0
     assert metrics["allocation.device_shares"] == sum(
-        len(e.per_device) for e in entries) > 0
+        len(dc.devices) for fp in allocation.compute_footprints(raw, models)
+        for dc in fp.per_dc) > 0
     # Rows that a refactor could leave unwrapped, and so silently zero.
     assert metrics["allocation.compute_scope2_s"] > 0
     assert metrics["allocation.responsibility_ratios_s"] > 0
     assert traced["roundtrip_reports"] == 3
+    assert metrics["report.roundtrip_mismatches"] == 0
+
+
+def test_traced_audit_counts_the_audited_tenants_pairs(tmp_path, fleet):
+    """``audit`` runs the same phase 2 as ``compute``, for one tenant, so the
+    harness times its stages and counts only that tenant's pairs."""
+    out = tmp_path / "out"
+    assert cli.main(compute_args(fleet, out)) == 0
+    report = out / "reports" / "TENANT_02" / "2025-06.json"
+    traced = run_traced(tmp_path, report, [
+        "audit", "--report", str(report), "--input-dir", str(fleet),
+        "--models", str(fleet / "models.csv"),
+        "--history-dir", str(out / "history")])
+    metrics = traced["metrics"]
+
+    raw = ingest.load_input_dir(fleet, Period(2025, 6))
+    assert metrics["allocation.pairs"] == len(
+        raw.tenants["TENANT_02"].datacenter_ids) > 0
+    assert metrics["allocation.compute_scope2_s"] > 0
+    assert metrics["allocation.responsibility_ratios_s"] > 0
+    assert traced["roundtrip_reports"] == 1
     assert metrics["report.roundtrip_mismatches"] == 0
