@@ -48,8 +48,8 @@ below 1 g/Wh, and its two offsets, whose sums a finite net does not bound
 either. Every other figure is derived from non-negative inputs by monotone
 float operations, as a sum of bounded terms or as a ratio r <= 1 times a
 bounded figure, so one that overflows makes a tenant total inf or nan. The
-records check only their structure: the component keys, unique data
-centers and the history length.
+records check only their structure: the component keys, unique devices
+and data centers, and the history length.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .units import (
     Period,
     check_emissions,
     check_energy,
+    sum_in_order,
 )
 
 __all__ = [
@@ -107,24 +108,16 @@ class DeviceShare(NamedTuple):
     """One device's contribution to a tenant's Scope 2 in one data center.
 
     ``energy_wh`` and ``emissions_g`` are bounded by their pair's totals
-    (see the module docstring). A server keeps the usage counters its
-    estimate came from, a network device its byte counters; the other kind's
-    counters stay at their defaults, and a cooling or other share carries
-    none.
+    (see the module docstring). ``usage`` is the ingest row a server's or
+    network device's estimate came from, its counters and ``source_ref``
+    included; a cooling or other share has none.
     """
 
     device_id: str
     category: str
     energy_wh: float
     emissions_g: float
-    device_model: str = ""
-    utilization: float = 0.0
-    cache_moved: float = 0.0
-    dram_accessed: float = 0.0
-    disk_moved: float = 0.0
-    device_type: str = ""
-    bytes_sent: int = 0
-    bytes_received: int = 0
+    usage: ServerUsage | NetworkUsage | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +209,10 @@ class DcFootprint(CheckedRecord, _DcFootprint):
         if component_energy.keys() != set(SCOPE2_COMPONENTS):
             raise UnitError("scope2_components must have exactly the keys "
                             f"{SCOPE2_COMPONENTS}, got {tuple(component_energy)}")
+        keys = [(d.category, d.device_id) for d in devices]
+        if len(set(keys)) != len(keys):
+            category, device_id = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise UnitError(f"devices repeat the {category} device {device_id!r}")
         c, l = grid_intensity, l_share
         energy = component_energy
         scope2 = (energy["server"] + energy["network"] + energy["cooling"]
@@ -341,8 +338,9 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     Raises, for the whole fleet, whichever tenant is asked for afterwards:
     :class:`MissingModel`, naming the first servers.csv row of each missing
     model, :class:`ZeroDenominator`, and the unit error of a data center
-    whose direct, cooling or other energy, fuel total, green offset or
-    Scope 2 total is not finite, prefixed with its datacenters.csv row; then,
+    whose direct, cooling or other energy, fuel total (added in the device-id
+    order of each tenant's Scope 1), green offset or Scope 2 total is not
+    finite, prefixed with its datacenters.csv row; then,
     by data center id, :class:`ZeroDcScope2` for a zero Scope 2 total with
     fuel or a Scope 3 total to distribute. Each pair's figures are bounded
     by these totals. Negative server estimates are clamped to zero silently:
@@ -402,7 +400,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
                 shared_wh[category] += dev.energy
             cooling = check_energy(shared_wh["cooling"])
             other = check_energy(shared_wh["other"])
-            check_emissions(sum(f.amount * f.emission_factor for f in dc.fuel_log))
+            check_emissions(sum_in_order(fuel[dc_id]))
             check_emissions(dc.green_energy * dc.grid_intensity)
             cooling_label = f"cooling devices of {dc_id}"
             other_label = f"other devices of {dc_id}"
@@ -446,16 +444,12 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     devices: list[DeviceShare] = []
     for row in servers:
         energy = clamped_server_energy_wh(models[row.device_model], row)
-        devices.append(DeviceShare(
-            row.device_id, "server", energy, energy * c * l,
-            row.device_model, row.cpu_utilization, row.cache_moved,
-            row.dram_accessed, row.disk_moved))
+        devices.append(DeviceShare(row.device_id, "server", energy,
+                                   energy * c * l, row))
     for row in network:
         energy = network_energy_wh(row)
-        devices.append(DeviceShare(
-            row.device_id, "network", energy, energy * c * l,
-            device_type=row.device_type, bytes_sent=row.bytes_sent,
-            bytes_received=row.bytes_received))
+        devices.append(DeviceShare(row.device_id, "network", energy,
+                                   energy * c * l, row))
 
     all_direct = totals.direct[dc_id]
     if all_direct > 0.0:
@@ -671,9 +665,9 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
                             if dc_id in raw.tenants[t].datacenter_ids)
         if not tenant_ids:
             continue
-        all_direct = sum(direct.get((t, dc_id), 0.0) for t in tenant_ids)
-        cooling_total = sum(d.energy for d in dc.cooling_devices)
-        other_total = sum(d.energy for d in dc.other_devices)
+        all_direct = sum_in_order(direct.get((t, dc_id), 0.0) for t in tenant_ids)
+        cooling_total = sum_in_order(d.energy for d in dc.cooling_devices)
+        other_total = sum_in_order(d.energy for d in dc.other_devices)
 
         # Expected per-tenant Scope 2 emissions, recomputed independently.
         expected_scope2: dict[str, float] = {}
@@ -684,7 +678,7 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
                 shared = (cooling_total + other_total) * d / all_direct
             expected_scope2[t] = ((d + shared) * dc.grid_intensity
                                   * raw.tenants[t].l_share)
-        dc_scope2_total = sum(expected_scope2.values())
+        dc_scope2_total = sum_in_order(expected_scope2.values())
 
         def stored_sum(value_of) -> float:
             total = 0.0
@@ -719,11 +713,13 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
         # of ratios is one and the full totals are distributed).
         ratio_sum = 0.0
         if dc_scope2_total > 0.0:
-            ratio_sum = sum(
+            ratio_sum = sum_in_order(
                 (expected_scope2[t] / dc_scope2_total)
                 * raw.tenants[t].l_share
                 for t in tenant_ids)
-        fuel_total = sum(f.amount * f.emission_factor for f in dc.fuel_log)
+        # In device-id order, as each tenant's Scope 1 adds the entries.
+        fuel_total = sum_in_order(f.amount * f.emission_factor for f in
+                                  sorted(dc.fuel_log, key=_BY_DEVICE_ID))
         stored_scope1 = stored_sum(lambda e: e.scope1)
         stored_scope3 = stored_sum(lambda e: e.scope3)
         checks.append(AuditCheck("scope1_total", dc_id,

@@ -43,7 +43,8 @@ from .allocation import (
     HistoryEntry,
 )
 from .errors import CarbonAllocError, UnitError
-from .units import SCOPE2_COMPONENTS, CheckedRecord, Period
+from .ingest import NetworkUsage, ServerUsage
+from .units import SCOPE2_COMPONENTS, CheckedRecord, Period, sum_in_order
 
 __all__ = [
     "EquivalencyFactors",
@@ -236,26 +237,29 @@ def _device(type_name: str, *label: tuple, **counters: tuple) -> dict[str, Any]:
             "emissions": (_EMISSIONS, "o.emissions_g"), **counters}
 
 
-# Each device map's category and entry. An entry is read back as the
-# DeviceShare whose fields are the attributes its members are written from,
-# but for its emissions, which the parser derives from its energy.
+# Each device map's category, usage row type (None for shared devices) and
+# entry. An entry is read back as a DeviceShare of its energy, whose
+# emissions the parser derives, and of the row its other members are
+# written from.
 _DEVICES = {
-    "servers": ("server", _device(
-        "ServerDevice", ("deviceModel", (_STRING, "o.device_model")),
-        utilization=(_COUNTER, "o.utilization"),
-        cacheMoved=(_COUNTER, "o.cache_moved"),
-        dramAccessed=(_COUNTER, "o.dram_accessed"),
-        diskMoved=(_COUNTER, "o.disk_moved"))),
-    "network": ("network", _device(
-        "NetworkDevice", ("deviceType", (_STRING, "o.device_type")),
-        bytesSent=(_COUNTER, "o.bytes_sent"),
-        bytesReceived=(_COUNTER, "o.bytes_received"))),
-    "cooling": ("cooling", _device("SharedDevice")),
-    "other": ("other", _device("SharedDevice")),
+    "servers": ("server", ServerUsage, _device(
+        "ServerDevice", ("deviceModel", (_STRING, "o.usage.device_model")),
+        utilization=(_COUNTER, "o.usage.cpu_utilization"),
+        cacheMoved=(_COUNTER, "o.usage.cache_moved"),
+        dramAccessed=(_COUNTER, "o.usage.dram_accessed"),
+        diskMoved=(_COUNTER, "o.usage.disk_moved"))),
+    "network": ("network", NetworkUsage, _device(
+        "NetworkDevice", ("deviceType", (_STRING, "o.usage.device_type")),
+        bytesSent=(_COUNTER, "o.usage.bytes_sent"),
+        bytesReceived=(_COUNTER, "o.usage.bytes_received"))),
+    "cooling": ("cooling", None, _device("SharedDevice")),
+    "other": ("other", None, _device("SharedDevice")),
 }
-_DEVICE_FIELDS = {name: [(key, accessor[2:]) for key, (_, accessor) in item.items()
-                         if accessor and key != "emissions"]
-                  for name, (_, item) in _DEVICES.items()}
+# Each map's entry keys and the usage row fields they are read back into.
+_USAGE_FIELDS = {name: [(key, accessor[len("o.usage."):])
+                        for key, (_, accessor) in item.items()
+                        if accessor and accessor.startswith("o.usage.")]
+                 for name, (_, _, item) in _DEVICES.items()}
 
 _ZERO = _const(0.0)
 _DATACENTER = {
@@ -279,7 +283,7 @@ _DATACENTER = {
                 "emissions": (_EMISSIONS, f'o.component_emissions["{name}"]')}
                 for name in SCOPE2_COMPONENTS},
             devices={name: (_Items(item, True), f'_by_id(o, "{category}")')
-                     for name, (category, item) in _DEVICES.items()}),
+                     for name, (category, _, item) in _DEVICES.items()}),
         "scope3": _scope("Scope3", False, _ZERO, (_EMISSIONS, "o.scope3"))},
 }
 
@@ -338,7 +342,8 @@ def _number(value: float | None) -> str:
 
 
 def _by_id(dc: DcFootprint, category: str) -> list[tuple[str, DeviceShare]]:
-    return sorted({d.device_id: d for d in dc.devices if d.category == category}.items())
+    """A category's shares by id, which ``DcFootprint`` keeps unique."""
+    return sorted([(d.device_id, d) for d in dc.devices if d.category == category])
 
 
 def _join(items: list, write: Callable[..., str], depth: int, keyed: bool) -> str:
@@ -500,17 +505,20 @@ def factors_from_json(source: bytes | str | dict[str, Any]) -> EquivalencyFactor
                               _stored(doc, "equivalencies", "sourceNote"))
 
 
-def _dc_footprint(dc_id: str, dc: dict[str, Any]) -> DcFootprint:
+def _dc_footprint(tenant_id: str, dc_id: str, dc: dict[str, Any]) -> DcFootprint:
     """A data center entry's record, built from its independent figures,
-    whose device energies must add up as the engine's do."""
+    whose device energies must add up as the engine's do. A device's usage
+    row is rebuilt from its entry, with no ``source_ref``."""
     scopes = dc["scopes"]
     scope2 = scopes["scope2"]
     energy = {name: c["energy"] for name, c in scope2["components"].items()}
     intensity, l_share = dc["gridIntensity"], dc["lShare"]
     devices = tuple(
-        DeviceShare(k, category, emissions_g=entry["energy"] * intensity * l_share,
-                    **{attr: entry[key] for key, attr in _DEVICE_FIELDS[name]})
-        for name, (category, _) in _DEVICES.items()
+        DeviceShare(k, category, entry["energy"], entry["energy"] * intensity * l_share,
+                    None if row is None else row(
+                        datacenter_id=dc_id, device_id=k, tenant_id=tenant_id,
+                        **{attr: entry[key] for key, attr in _USAGE_FIELDS[name]}))
+        for name, (category, row, _) in _DEVICES.items()
         for k, entry in scope2["devices"][name].items())
     by_category = dict.fromkeys(SCOPE2_COMPONENTS, 0.0)
     for device in devices:
@@ -603,7 +611,7 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
         fp = Footprint(
             tenant_id=tenant["tenantId"], display_name=tenant["displayName"],
             agent_count=tenant["agentCount"], period=Period.parse(doc["period"]),
-            per_dc=tuple(_dc_footprint(dc_id, dc)
+            per_dc=tuple(_dc_footprint(tenant["tenantId"], dc_id, dc)
                          for dc_id, dc in doc["datacenters"].items()),
             history=tuple(HistoryEntry(Period.parse(entry["period"]),
                                        entry["grossEmissions"], entry["netEmissions"])
@@ -658,7 +666,7 @@ def _pie_svg(slices: list[tuple[str, float, str]], chart_id: str) -> str:
     cx = cy = size / 2
     r = size / 2 - 2
     visible = [(label, value, color) for label, value, color in slices if value > 0]
-    total = sum(value for _, value, _ in visible)
+    total = sum_in_order(value for _, value, _ in visible)
 
     parts = [f'<svg class="pie" id="{chart_id}" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}" role="img">']
@@ -855,7 +863,7 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
 <h2>4. Offsets</h2>
 <div class="charts"><div class="chart">
 {_pie_svg(offset_slices, "offset-pie")}
-{_legend(offset_slices, sum(v for _, v, _ in offset_slices))}
+{_legend(offset_slices, sum_in_order(v for _, v, _ in offset_slices))}
 </div></div>
 </section>
 

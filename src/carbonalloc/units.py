@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .errors import UnitError
 
@@ -35,6 +35,7 @@ __all__ = [
     "check_energy",
     "check_emissions",
     "check_share",
+    "sum_in_order",
     "SCOPE2_COMPONENTS",
 ]
 
@@ -77,6 +78,20 @@ def check_share(value: float) -> float:
     if not 0.0 <= _finite(value, "share") <= 1.0:
         raise UnitError(f"share must be within [0, 1], got {value!r}")
     return value
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right, one rounding per term.
+
+    From Python 3.12 on, ``sum`` compensates float rounding and can differ
+    from this in the last bits. Every float sum that reaches a report or
+    stdout adds left to right, here or in a loop of its own, so each
+    supported Python writes the same bytes.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 _PERIOD_RE = re.compile(r"([0-9]{4})-([0-9]{2})")

@@ -28,6 +28,7 @@ from carbonalloc.history import HistoryStore
 from carbonalloc.ingest import (
     DataCenter,
     FuelEntry,
+    NetworkUsage,
     RawData,
     ServerUsage,
     SharedDevice,
@@ -35,7 +36,12 @@ from carbonalloc.ingest import (
     assemble_raw_data,
     load_input_dir,
 )
-from carbonalloc.report import EquivalencyFactors, ReportError, render_json
+from carbonalloc.report import (
+    EquivalencyFactors,
+    ReportError,
+    footprint_from_json,
+    render_json,
+)
 from carbonalloc.synth import generate_fleet, write_fleet
 from carbonalloc.units import SCOPE2_COMPONENTS, Period
 from conftest import intercept_model
@@ -112,16 +118,48 @@ class TestComputeScope2:
         srv = by_id["SERVER_1234"]
         assert isinstance(srv, DeviceShare)
         assert srv.category == "server"
-        assert srv.device_model == "ABC_987"
-        assert (srv.utilization, srv.cache_moved) == (0.10, 2e7)
+        assert srv.usage is fictitious_raw.servers[0]
+        assert srv.usage.device_model == "ABC_987"
+        assert (srv.usage.cpu_utilization, srv.usage.cache_moved) == (0.10, 2e7)
         assert srv.emissions_g == 40000.0
         net = by_id["NETWORK_DEVICE_1234"]
         assert isinstance(net, DeviceShare)
         assert net.category == "network"
-        assert net.bytes_sent == 10**12
+        assert net.usage is fictitious_raw.network[0]
+        assert net.usage.bytes_sent == 10**12
         assert net.emissions_g == 48000.0  # 120000 Wh x 0.4 g/Wh
         assert by_id["CRAC_1"].category == "cooling"
         assert by_id["PDU_1"].category == "other"
+        assert by_id["CRAC_1"].usage is by_id["PDU_1"].usage is None
+
+    def test_each_device_share_holds_its_usage_row(self, tmp_path, factors):
+        """Every server and network share holds the very row ingest read,
+        with its ``file:line``; a shared device holds none. The report's
+        parser rebuilds each row without its ``source_ref``, which rows
+        ignore when compared, so the re-parsed footprint equals the
+        engine's."""
+        fleet = generate_fleet(seed=1, n_tenants=4, n_dcs=2)
+        write_fleet(fleet, tmp_path)
+        raw = load_input_dir(tmp_path, PERIOD)
+        rows = {(row.tenant_id, row.datacenter_id, row.device_id): row
+                for row in (*raw.servers, *raw.network)}
+        seen = Counter()
+        for fp in compute_footprints(raw, fleet.models):
+            for dc in fp.per_dc:
+                for share in dc.devices:
+                    seen[share.category] += 1
+                    if share.category in ("cooling", "other"):
+                        assert share.usage is None
+                        continue
+                    row = rows[(fp.tenant_id, dc.datacenter_id, share.device_id)]
+                    assert share.usage is row
+                    assert type(row) is {"server": ServerUsage,
+                                         "network": NetworkUsage}[share.category]
+                    assert re.fullmatch(r"(servers|network)\.csv:\d+",
+                                        row.source_ref)
+            assert footprint_from_json(render_json(fp, factors).content) == fp
+        assert min(seen[c] for c in SCOPE2_COMPONENTS) > 0
+        assert seen["server"] + seen["network"] == len(rows)
 
     def test_shared_energy_splits_by_direct_ratio(self):
         raw = two_tenant_raw(cooling=(("CRAC_1", 10000.0),),
@@ -277,7 +315,8 @@ class TestScope1:
     def test_fuel_log_is_summed_in_device_id_order(self):
         """A fuel log listed out of device-id order: each tenant's Scope 1
         is the id-order sum, which here differs from the file-order sum as a
-        float, and the conservation audit, which sums in file order, passes."""
+        float, and the conservation audit, which sums in the same order,
+        passes."""
         fuel = (("GEN_3", 0.1, 1.0), ("GEN_2", 0.7, 1.0), ("GEN_1", 0.3, 1.0))
         raw = two_tenant_raw(fuel=fuel)
         footprints = compute_footprints(raw, TWO_TENANT_MODELS)
@@ -359,6 +398,20 @@ class TestDcFootprint:
         for name in derived:
             with pytest.raises(ValueError, match=f"derives {name}"):
                 dc._replace(**{name: getattr(dc, name)})
+
+    def test_repeated_device_rejected(self):
+        """A report keys each category's devices by id, so a second share of
+        the same category and id would be dropped from it; one id in two
+        categories is two devices."""
+        dc = tenant_a_dc()
+        twice = (DeviceShare("S1", "server", 10.0, 5.0),
+                 DeviceShare("S1", "server", 20.0, 10.0))
+        energy = {**dc.component_energy, "server": 30.0}
+        with pytest.raises(UnitError, match="repeat the server device 'S1'"):
+            dc._replace(component_energy=energy, devices=twice)
+        apart = dc._replace(devices=(DeviceShare("S1", "server", 10.0, 5.0),
+                                     DeviceShare("S1", "network", 20.0, 10.0)))
+        assert len(apart.devices) == 2
 
     def test_component_name_order_is_canonical(self):
         assert SCOPE2_COMPONENTS == ("server", "network", "cooling", "other")

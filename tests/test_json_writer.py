@@ -19,6 +19,7 @@ from carbonalloc.allocation import (
     Footprint,
     HistoryEntry,
 )
+from carbonalloc.ingest import NetworkUsage, ServerUsage
 from carbonalloc.report import (
     EquivalencyFactors,
     ReportError,
@@ -45,32 +46,32 @@ periods = st.builds(Period, st.integers(1, 9999), st.integers(1, 12))
 
 
 @st.composite
-def devices(draw, category, intensity, l_share):
+def devices(draw, category, intensity, l_share, tenant_id, dc_id):
     device_id = draw(texts)
     energy = draw(amounts)
     emissions = energy * intensity * l_share
+    usage = None
     if category == "server":
-        return DeviceShare(
-            device_id, category, energy, emissions, device_model=draw(texts),
-            utilization=draw(fractions), cache_moved=draw(counters),
-            dram_accessed=draw(counters), disk_moved=draw(counters))
-    if category == "network":
-        return DeviceShare(
-            device_id, category, energy, emissions, device_type=draw(texts),
-            bytes_sent=draw(st.integers(0, 2**64)),
-            bytes_received=draw(st.integers(0, 2**64)))
-    return DeviceShare(device_id, category, energy, emissions)
+        usage = ServerUsage(
+            dc_id, device_id, draw(texts), tenant_id, draw(fractions),
+            draw(counters), draw(counters), draw(counters))
+    elif category == "network":
+        usage = NetworkUsage(
+            dc_id, device_id, draw(texts), tenant_id,
+            draw(st.integers(0, 2**64)), draw(st.integers(0, 2**64)))
+    return DeviceShare(device_id, category, energy, emissions, usage)
 
 
 @st.composite
-def dc_footprints(draw, dc_id):
+def dc_footprints(draw, tenant_id, dc_id):
     intensity, l_share = draw(amounts), draw(fractions)
     shares, component_energy = [], {}
     for category in SCOPE2_COMPONENTS:
         # Unique ids within a map; an empty map is a common draw. A
         # category's energy is what its devices add up to, as in the engine.
-        drawn = draw(st.lists(devices(category, intensity, l_share), max_size=2,
-                              unique_by=lambda d: d.device_id))
+        drawn = draw(st.lists(
+            devices(category, intensity, l_share, tenant_id, dc_id), max_size=2,
+            unique_by=lambda d: d.device_id))
         shares += drawn
         component_energy[category] = sum(d.energy_wh for d in drawn)
     return DcFootprint(
@@ -91,7 +92,7 @@ prior_gross = st.one_of(st.just(0.0), st.just(1e-300), amounts)
 def footprints(draw):
     tenant_id = draw(texts)
     dc_ids = draw(st.lists(texts, max_size=2, unique=True))
-    per_dc = tuple(draw(dc_footprints(dc_id)) for dc_id in dc_ids)
+    per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
     agents = draw(st.integers(1, 10**6))
     history = draw(st.lists(
         st.builds(HistoryEntry, periods, prior_gross, st.floats(-1e15, 1e15)),

@@ -23,6 +23,7 @@ from carbonalloc.allocation import (
 from carbonalloc.cli import EXIT_AUDIT_MISMATCH, EXIT_VALIDATION, main
 from carbonalloc.errors import UnitError
 from carbonalloc.history import HistoryStore
+from carbonalloc.ingest import NetworkUsage, ServerUsage
 from carbonalloc.report import (
     EquivalencyFactors,
     ReportError,
@@ -473,8 +474,10 @@ def test_report_module_sums_nothing_over_per_dc():
 
 
 # The records a footprint is made of; anything else in them is a value.
-RECORDS = (Footprint, DcFootprint, HistoryEntry, DeviceShare, Period)
-# Whole-number fields; every other value that is not text is a figure.
+RECORDS = (Footprint, DcFootprint, HistoryEntry, DeviceShare, ServerUsage,
+           NetworkUsage, Period)
+# Whole-number fields; every other value that is not text is a figure. A
+# shared device's absent usage row holds no value.
 COUNTS = {"agent_count", "bytes_sent", "bytes_received", "year", "month"}
 
 
@@ -486,6 +489,8 @@ def values(record, name=""):
     elif isinstance(record, (tuple, list, dict)):
         members = [(name, member) for member in
                    (record.values() if isinstance(record, dict) else record)]
+    elif record is None:
+        return []
     else:
         return [(name, record)]
     return [found for key, member in members for found in values(member, key)]

@@ -1492,6 +1492,34 @@ def test_summed_figure_overflow_names_the_tenants_row(tmp_path, capsys, intensit
     assert not ws["out"].exists()
 
 
+# GEN_1 and GEN_2 emit 2**969 g each and GEN_3 the largest float. Added in
+# device-id order, as each tenant's Scope 1 adds them, the first log
+# overflows and the second does not; in file order it is the other way round.
+@pytest.mark.parametrize("fuel_log, code, err", [
+    ("GEN_3:1.7976931348623157e+308:1;GEN_1:4.9896007738368e+291:1;"
+     "GEN_2:4.9896007738368e+291:1", EXIT_VALIDATION,
+     "datacenters.csv:3: emissions (gCO2e) must be finite, got inf\n"),
+    ("GEN_2:4.9896007738368e+291:1;GEN_3:4.9896007738368e+291:1;"
+     "GEN_1:1.7976931348623157e+308:1", EXIT_OK, ""),
+], ids=["overflows", "finite"])
+def test_fuel_total_is_bounded_in_the_order_scope1_adds_it(tmp_path, capsys,
+                                                           fuel_log, code, err):
+    ws = write_inputs(
+        tmp_path, servers=["DC_1,S1,M,TENANT_1,0.5,0,0,0"],
+        datacenters=[f"DC_1,One,eu,0.3,,,{fuel_log}"],
+        tenants=["TENANT_1,One,1,DC_1"], models=["M,10.0,1.0,0,0,0,1.0"])
+    assert run_compute(ws) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code != EXIT_OK:
+        assert not ws["out"].exists()
+        return
+    assert "conservation audit: PASS" in captured.out
+    report = ws["out"] / "reports" / "TENANT_1" / "2025-06.json"
+    assert run_audit(ws, report) == EXIT_OK
+    assert "audit PASS" in capsys.readouterr().out
+
+
 def test_each_subcommand_has_its_pinned_options():
     """Adding an option is a decision that this list records."""
     parser = cli.build_parser()
