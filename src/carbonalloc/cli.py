@@ -37,7 +37,7 @@ from .allocation import (
 )
 from .errors import CarbonAllocError, PowerModelError, UnknownTenant
 from .history import HistoryStore
-from .ingest import ID_PATTERN, RawData, load_input_dir
+from .ingest import ID_PATTERN, load_input_dir
 from .power import (
     fit_server_weights,
     read_calibration_samples,
@@ -58,7 +58,7 @@ from .report import (
     report_differences,
     report_identity,
 )
-from .units import Period, UnitError, check_share
+from .units import Period, UnitError
 
 __all__ = ["main", "entrypoint"]
 
@@ -70,13 +70,6 @@ EXIT_AUDIT_MISMATCH = 3
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _apply_l_share(raw: RawData, override: float | None) -> RawData:
-    if override is None:
-        return raw
-    tenants = {tid: t._replace(l_share=override) for tid, t in raw.tenants.items()}
-    return raw._replace(tenants=tenants)
 
 
 def _print_audit_summary(audit: AuditReport) -> None:
@@ -144,10 +137,9 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
 
 def cmd_compute(period: Period, input_dir: Path, models_file: Path,
                 equivalency_file: Path, out_dir: Path, history_dir: Path,
-                l_share_override: float | None,
                 trend_thresholds: tuple[float, float]) -> int:
     """Run the full monthly pipeline: ingest, compute, audit, render."""
-    raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
+    raw = load_input_dir(input_dir, period)
     models = read_models(models_file)
     factors = load_equivalency_factors(equivalency_file)
     footprints = compute_footprints(raw, models)
@@ -173,8 +165,7 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
 
 
 def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
-              equivalency_file: Path | None, history_dir: Path | None,
-              l_share_override: float | None) -> int:
+              equivalency_file: Path | None, history_dir: Path | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
         content = report_file.read_bytes()
@@ -185,7 +176,7 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
              f"{getattr(exc, 'strerror', None) or exc}")
         return EXIT_VALIDATION
 
-    raw = _apply_l_share(load_input_dir(input_dir, period), l_share_override)
+    raw = load_input_dir(input_dir, period)
     models = read_models(models_file)
     factors = (load_equivalency_factors(equivalency_file)
                if equivalency_file is not None else factors_from_json(stored_doc))
@@ -273,13 +264,6 @@ def _parse_period(text: str) -> Period:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_share(text: str) -> float:
-    try:
-        return check_share(float(text))
-    except (ValueError, UnitError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _parse_thresholds(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -322,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (reports/ is created inside)")
     p.add_argument("--history-dir", type=Path, default=None,
                    help="history store root (default: <out-dir>/history)")
-    p.add_argument("--l-share", type=_parse_share, default=None,
-                   help="override every tenant's load share (0..1)")
     p.add_argument("--trend-thresholds", type=_parse_thresholds,
                    default=DEFAULT_TREND_THRESHOLDS, metavar="IMP,WRS",
                    help="improving/worsening badge cutoffs in percent "
@@ -350,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factors config; defaults to those embedded in the report")
     p.add_argument("--history-dir", type=Path, default=None,
                    help="history store used when the report was computed")
-    p.add_argument("--l-share", type=_parse_share, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic test fleet")
     p.add_argument("--seed", type=int, required=True)
@@ -373,13 +354,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_compute(args.period, args.input_dir, args.models,
                                args.equivalencies, args.out_dir,
                                args.history_dir or args.out_dir / "history",
-                               args.l_share, args.trend_thresholds)
+                               args.trend_thresholds)
         if args.command == "report":
             return cmd_report(args.report, args.out_dir, args.equivalencies,
                               args.trend_thresholds)
         if args.command == "audit":
             return cmd_audit(args.report, args.input_dir, args.models,
-                             args.equivalencies, args.history_dir, args.l_share)
+                             args.equivalencies, args.history_dir)
         if args.command == "synth":
             return cmd_synth(args.seed, args.tenants, args.dcs, args.out_dir,
                              with_offsets=not args.no_offsets,

@@ -25,19 +25,15 @@ to raise the error for the first bad row.
 
 :func:`format_table` formats the same text and refuses a value it cannot
 carry (a first cell starting with ``#``, or surrounding whitespace);
-:func:`write_table` writes it.
+:func:`format_inputs` formats the four input files of a :class:`RawData`.
 
-Files and their required columns:
-
-* ``servers.csv``: datacenter_id, device_id, device_model, tenant_id,
-  cpu_utilization, cache_moved, dram_accessed, disk_moved
-* ``network.csv``: datacenter_id, device_id, device_type, tenant_id,
-  bytes_sent, bytes_received
-* ``datacenters.csv``: datacenter_id, name, region, grid_intensity,
-  cooling_devices, other_devices, fuel_log; optional scope3_total,
-  green_energy, rec_offset (default 0)
-* ``tenants.csv``: tenant_id, display_name, agent_count, datacenter_ids;
-  optional l_share (default 1.0)
+Each file's columns are listed once, in the tables above :func:`read_servers`:
+``_SERVER_USAGE`` and ``_NETWORK_USAGE`` give each usage column, in
+record-field order, with how it is read, checked and written;
+``_DATACENTER_COLUMNS`` and ``_TENANT_COLUMNS`` are the required columns of
+``datacenters.csv`` and ``tenants.csv``, whose optional ones (``scope3_total``,
+``green_energy`` and ``rec_offset``, default 0; ``l_share``, default 1.0)
+follow them.
 
 Multi-value cells use ``;`` between entries and ``:`` within an entry:
 cooling/other devices are ``DEVICE_ID:ENERGY_WH`` pairs
@@ -61,7 +57,7 @@ import re
 import sys
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateDevice,
@@ -90,11 +86,11 @@ __all__ = [
     "read_tenants",
     "assemble_raw_data",
     "load_input_dir",
+    "format_inputs",
     "INPUT_FILE_NAMES",
     "ID_PATTERN",
     "read_table",
     "format_table",
-    "write_table",
 ]
 
 SCHEMA_LINE = "# schema_version=1"
@@ -463,59 +459,19 @@ def format_table(name: str, header: Sequence[str],
     return "\n".join(lines) + "\n"
 
 
-def write_table(path: Path | str, header: Sequence[str],
-                rows: Iterable[Sequence[str]]) -> None:
-    """Write :func:`format_table`'s text; a value it refuses writes nothing."""
-    path = Path(path)
-    path.write_text(format_table(path.name, header, rows), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # File readers
 # ---------------------------------------------------------------------------
 
 
-_SERVER_COLUMNS = ("datacenter_id", "device_id", "device_model", "tenant_id",
-                   "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved")
-_NETWORK_COLUMNS = ("datacenter_id", "device_id", "device_type", "tenant_id",
-                    "bytes_sent", "bytes_received")
+def _ids(column: list[str]) -> list[str] | None:
+    """The column if every distinct cell is a valid id, else None."""
+    return column if all(map(ID_PATTERN.fullmatch, set(column))) else None
 
 
-def _server_from_row(row: _Row) -> ServerUsage:
-    """One servers.csv record, checked cell by cell: the reference that
-    :func:`read_servers`'s column checks must agree with."""
-    util = row.share("cpu_utilization")
-    return ServerUsage(
-        datacenter_id=row.id("datacenter_id"),
-        device_id=row.text("device_id"),
-        device_model=row.text("device_model"),
-        tenant_id=row.id("tenant_id"),
-        cpu_utilization=util,
-        cache_moved=row.nonneg("cache_moved"),
-        dram_accessed=row.nonneg("dram_accessed"),
-        disk_moved=row.nonneg("disk_moved"),
-        source_ref=row.ref,
-    )
-
-
-def _network_from_row(row: _Row) -> NetworkUsage:
-    """One network.csv record, checked cell by cell: the reference that
-    :func:`read_network`'s column checks must agree with."""
-    return NetworkUsage(
-        datacenter_id=row.id("datacenter_id"),
-        device_id=row.text("device_id"),
-        device_type=row.text("device_type"),
-        tenant_id=row.id("tenant_id"),
-        bytes_sent=row.byte_count("bytes_sent"),
-        bytes_received=row.byte_count("bytes_received"),
-        source_ref=row.ref,
-    )
-
-
-def _ids_valid(*columns: list[str]) -> bool:
-    """Whether every cell of the id columns is a valid id, checking each
-    distinct id once."""
-    return all(map(ID_PATTERN.fullmatch, set().union(*columns)))
+def _texts(column: list[str]) -> list[str] | None:
+    """The column when no cell is empty, else None."""
+    return column if all(column) else None
 
 
 def _nonneg_floats(column: list[str]) -> list[float] | None:
@@ -533,6 +489,12 @@ def _nonneg_floats(column: list[str]) -> list[float] | None:
     return None
 
 
+def _shares(column: list[str]) -> list[float] | None:
+    """The column as floats in [0, 1], or None if any cell is not one."""
+    values = _nonneg_floats(column)
+    return values if values is not None and max(values) <= 1.0 else None
+
+
 def _byte_counts(column: list[str]) -> list[int] | None:
     """The column as whole counts in [0, 2**64) when every cell is plain
     digits, else None: other spellings are checked row by row."""
@@ -546,35 +508,74 @@ def _byte_counts(column: list[str]) -> list[int] | None:
     return values if max(values) < _BYTE_COUNT_LIMIT else None
 
 
+def _float_text(value: float) -> str:
+    return repr(float(value))  # the shortest spelling that reads back the same
+
+
+def _float_texts(column: Iterable[float]) -> Iterator[str]:
+    return map(repr, map(float, column))
+
+
+def _int_texts(column: Iterable[int]) -> Iterator[str]:
+    return map(str, column)
+
+
+class _Kind(NamedTuple):
+    """How a usage-file column is read and written: the :class:`_Row`
+    getter that parses one cell (the row-by-row reference), the check that
+    converts a whole column (None if any cell fails it), and the spelling
+    the writer gives a whole column (text as it is)."""
+
+    getter: Callable[[_Row, str], object]
+    check: Callable[[list[str]], list | None]
+    spell: Callable[[Iterable], Iterator[str]]
+
+
+_ID = _Kind(_Row.id, _ids, iter)
+_TEXT = _Kind(_Row.text, _texts, iter)
+_SHARE = _Kind(_Row.share, _shares, _float_texts)
+_NONNEG = _Kind(_Row.nonneg, _nonneg_floats, _float_texts)
+_BYTES = _Kind(_Row.byte_count, _byte_counts, _int_texts)
+
+# Each usage file's columns, in record-field order, with their kinds.
+_SERVER_USAGE = {"datacenter_id": _ID, "device_id": _TEXT, "device_model": _TEXT,
+                 "tenant_id": _ID, "cpu_utilization": _SHARE, "cache_moved": _NONNEG,
+                 "dram_accessed": _NONNEG, "disk_moved": _NONNEG}
+_NETWORK_USAGE = {"datacenter_id": _ID, "device_id": _TEXT, "device_type": _TEXT,
+                  "tenant_id": _ID, "bytes_sent": _BYTES, "bytes_received": _BYTES}
+
+# The required columns of the two small files; the optional ones follow them
+# in the record: three offsets that default to 0, and l_share (1.0).
+_DATACENTER_COLUMNS = ("datacenter_id", "name", "region", "grid_intensity",
+                       "cooling_devices", "other_devices", "fuel_log")
+_DATACENTER_OFFSETS = ("scope3_total", "green_energy", "rec_offset")
+_TENANT_COLUMNS = ("tenant_id", "display_name", "agent_count", "datacenter_ids")
+
+
+def _read_usage(path: Path | str, record: type, columns: dict[str, _Kind]) -> tuple:
+    """Parse a usage file into records, a column at a time; if any column
+    fails its check, row by row through the getters, raising the first bad
+    row's error."""
+    names = tuple(columns)
+    table = read_table(path, names)
+    cells = table.columns(names)
+    if cells is not None:
+        checked = [kind.check(column) for kind, column in zip(columns.values(), cells)]
+        if None not in checked:
+            return tuple(map(record._make, zip(*checked, table.refs())))
+    return tuple(record._make([*(kind.getter(row, name)
+                                 for name, kind in columns.items()), row.ref])
+                 for row in table.rows())
+
+
 def read_servers(path: Path | str) -> tuple[ServerUsage, ...]:
-    """Parse servers.csv into usage records, a column at a time; if any
-    check fails, row by row, raising the first bad row's error."""
-    table = read_table(path, _SERVER_COLUMNS)
-    columns = table.columns(_SERVER_COLUMNS)
-    if columns is not None:
-        dcs, devices, models, tenants, util, *counters = columns
-        util = _nonneg_floats(util)
-        counters = [*map(_nonneg_floats, counters)]
-        if (util is not None and max(util) <= 1.0 and None not in counters
-                and all(devices) and all(models) and _ids_valid(dcs, tenants)):
-            return tuple(map(ServerUsage._make, zip(
-                dcs, devices, models, tenants, util, *counters, table.refs())))
-    return tuple(map(_server_from_row, table.rows()))
+    """Parse servers.csv into usage records (see :func:`_read_usage`)."""
+    return _read_usage(path, ServerUsage, _SERVER_USAGE)
 
 
 def read_network(path: Path | str) -> tuple[NetworkUsage, ...]:
-    """Parse network.csv into per-tenant traffic records, checked as
-    :func:`read_servers` checks its table."""
-    table = read_table(path, _NETWORK_COLUMNS)
-    columns = table.columns(_NETWORK_COLUMNS)
-    if columns is not None:
-        dcs, devices, types, tenants, sent, received = columns
-        sent, received = _byte_counts(sent), _byte_counts(received)
-        if (sent is not None and received is not None and all(devices)
-                and all(types) and _ids_valid(dcs, tenants)):
-            return tuple(map(NetworkUsage._make, zip(
-                dcs, devices, types, tenants, sent, received, table.refs())))
-    return tuple(map(_network_from_row, table.rows()))
+    """Parse network.csv into per-tenant traffic records (see :func:`_read_usage`)."""
+    return _read_usage(path, NetworkUsage, _NETWORK_USAGE)
 
 
 def _entries(row: _Row, column: str, spelling: str) -> Iterator[list[str]]:
@@ -601,9 +602,7 @@ def _shared_devices(row: _Row, column: str) -> tuple[SharedDevice, ...]:
 def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     """Parse datacenters.csv keyed by datacenter_id."""
     out: dict[str, DataCenter] = {}
-    for row in read_table(path, (
-            "datacenter_id", "name", "region", "grid_intensity",
-            "cooling_devices", "other_devices", "fuel_log")).rows():
+    for row in read_table(path, _DATACENTER_COLUMNS).rows():
         dc_id = row.id("datacenter_id")
         if dc_id in out:
             raise DuplicateId(row.source, row.line_no, "data center", dc_id)
@@ -628,9 +627,7 @@ def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
                           row.parse_nonneg(factor, "fuel_log emission_factor"))
                 for device_id, amount, factor in _entries(
                     row, "fuel_log", "DEVICE_ID:AMOUNT:EMISSION_FACTOR")),
-            scope3_total=row.nonneg("scope3_total", default="0"),
-            green_energy=row.nonneg("green_energy", default="0"),
-            rec_offset=row.nonneg("rec_offset", default="0"),
+            **{name: row.nonneg(name, default="0") for name in _DATACENTER_OFFSETS},
             source_ref=row.ref,
         )
     return out
@@ -665,8 +662,7 @@ def _agent_count(row: _Row) -> int:
 def read_tenants(path: Path | str) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
-    for row in read_table(path, (
-            "tenant_id", "display_name", "agent_count", "datacenter_ids")).rows():
+    for row in read_table(path, _TENANT_COLUMNS).rows():
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
@@ -834,3 +830,49 @@ def load_input_dir(input_dir: Path | str, period: Period) -> RawData:
         servers=read_servers(input_dir / INPUT_FILE_NAMES["servers"]),
         network=read_network(input_dir / INPUT_FILE_NAMES["network"]),
     )
+
+
+def _entries_text(name: str, line_no: int, column: str,
+                  entries: tuple[SharedDevice, ...] | tuple[FuelEntry, ...]) -> str:
+    """A multi-value cell that :func:`_entries` reads back entry for entry,
+    refusing a device id that it would split, strip or find empty."""
+    for device_id, *_ in entries:
+        if not device_id or device_id != device_id.strip() or {";", ":"} & {*device_id}:
+            raise MalformedRow(name, line_no, f"{column}: {device_id!r} cannot be "
+                               "written: a device id must be non-empty, without "
+                               "';', ':' or surrounding whitespace")
+    return ";".join(":".join([device_id, *map(_float_text, values)])
+                    for device_id, *values in entries)
+
+
+def _usage_table(columns: dict[str, _Kind], records: Iterable[tuple]
+                 ) -> tuple[tuple[str, ...], Iterator[tuple[str, ...]]]:
+    """A usage file's header and rows, each column spelled by its kind."""
+    return tuple(columns), zip(*(kind.spell(column) for kind, column
+                                 in zip(columns.values(), zip(*records))))
+
+
+def format_inputs(raw: RawData) -> dict[str, str]:
+    """The text of each input file, by name, that :func:`load_input_dir`
+    reads back as ``raw``: usage rows in order, data centers and tenants by
+    id, floats in shortest round-trip spelling. A value the format cannot
+    carry raises :class:`MalformedRow`."""
+    names = INPUT_FILE_NAMES
+    dc_file = names["datacenters"]
+    tables = {
+        names["servers"]: _usage_table(_SERVER_USAGE, raw.servers),
+        names["network"]: _usage_table(_NETWORK_USAGE, raw.network),
+        dc_file: ((*_DATACENTER_COLUMNS, *_DATACENTER_OFFSETS), (
+            [dc.datacenter_id, dc.name, dc.region, _float_text(dc.grid_intensity),
+             *(_entries_text(dc_file, line_no, column, getattr(dc, column))
+               for column in ("cooling_devices", "other_devices", "fuel_log")),
+             *(_float_text(getattr(dc, column)) for column in _DATACENTER_OFFSETS)]
+            for line_no, (_, dc) in enumerate(sorted(raw.datacenters.items()),
+                                              start=3))),
+        names["tenants"]: ((*_TENANT_COLUMNS, "l_share"), (
+            [t.tenant_id, t.display_name, str(t.agent_count),
+             ";".join(t.datacenter_ids), _float_text(t.l_share)]
+            for _, t in sorted(raw.tenants.items()))),
+    }
+    return {name: format_table(name, header, rows)
+            for name, (header, rows) in tables.items()}

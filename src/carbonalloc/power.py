@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import mul
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     InsufficientSamples,
@@ -25,8 +25,8 @@ from .errors import (
 from .ingest import (
     NetworkUsage,
     ServerUsage,
+    format_table,
     read_table,
-    write_table,
 )
 from .units import check_energy
 
@@ -42,6 +42,7 @@ __all__ = [
     "split_shared_wh",
     "read_models",
     "write_models",
+    "format_models",
     "read_calibration_samples",
     "NETWORK_WH_PER_BYTE",
     "MIN_CALIBRATION_SAMPLES",
@@ -218,22 +219,25 @@ def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: floa
 # Model and calibration file I/O
 # ---------------------------------------------------------------------------
 
+MODELS_FILE_NAME = "models.csv"  # what synth names the models file it writes
 _MODEL_COLUMNS = ("device_model", "intercept", "w_cpu", "w_cache", "w_dram",
                   "w_disk", "adjusted_r2")
 
 
-def _models_table(models: dict[str, ServerPowerModel]
-                  ) -> tuple[tuple[str, ...], Iterator[list[str]]]:
-    """The header and rows of a models file, one row per model, by name."""
-    return _MODEL_COLUMNS, (
+def format_models(models: dict[str, ServerPowerModel],
+                  name: str = MODELS_FILE_NAME) -> str:
+    """The text of a models file, one row per model, sorted by name; a value
+    the format refuses raises :class:`MalformedRow` naming file ``name``."""
+    return format_table(name, _MODEL_COLUMNS, (
         [m.device_model, repr(m.intercept), repr(m.w_cpu), repr(m.w_cache),
          repr(m.w_dram), repr(m.w_disk), repr(m.adjusted_r2)]
-        for _, m in sorted(models.items()))
+        for _, m in sorted(models.items())))
 
 
 def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
-    """Write fitted models as CSV, one row per device model, sorted by name."""
-    write_table(path, *_models_table(models))
+    """Write :func:`format_models`'s text; a value it refuses writes nothing."""
+    path = Path(path)
+    path.write_text(format_models(models, path.name), encoding="utf-8")
 
 
 def read_models(path: Path | str) -> dict[str, ServerPowerModel]:

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ingest import (
-    INPUT_FILE_NAMES,
     DataCenter,
     FuelEntry,
     NetworkUsage,
@@ -25,14 +24,12 @@ from .ingest import (
     SharedDevice,
     Tenant,
     assemble_raw_data,
-    format_table,
+    format_inputs,
 )
-from .power import ServerPowerModel, _models_table
+from .power import MODELS_FILE_NAME, ServerPowerModel, format_models
 from .units import Period, check_share
 
 __all__ = ["SynthFleet", "generate_fleet", "write_fleet", "MODELS_FILE_NAME"]
-
-MODELS_FILE_NAME = "models.csv"
 
 _REGIONS = ("eu-west", "us-east", "ap-south", "eu-north", "sa-east")
 
@@ -168,10 +165,6 @@ def generate_fleet(seed: int,
     return SynthFleet(raw=raw, models=models)
 
 
-def _num(value: float) -> str:
-    return repr(float(value))
-
-
 def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
     """Write the fleet as the four input CSVs plus a models file.
 
@@ -180,45 +173,8 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
     one seed always produces byte-identical files. Every file is formatted
     before the first is written, so a value the format refuses writes none.
     """
-    raw = fleet.raw
-    tables = {
-        INPUT_FILE_NAMES["servers"]: (
-            ("datacenter_id", "device_id", "device_model", "tenant_id",
-             "cpu_utilization", "cache_moved", "dram_accessed", "disk_moved"),
-            ([row.datacenter_id, row.device_id, row.device_model, row.tenant_id,
-              _num(row.cpu_utilization), _num(row.cache_moved),
-              _num(row.dram_accessed), _num(row.disk_moved)]
-             for row in raw.servers)),
-        INPUT_FILE_NAMES["network"]: (
-            ("datacenter_id", "device_id", "device_type", "tenant_id",
-             "bytes_sent", "bytes_received"),
-            ([row.datacenter_id, row.device_id, row.device_type, row.tenant_id,
-              str(row.bytes_sent), str(row.bytes_received)]
-             for row in raw.network)),
-        INPUT_FILE_NAMES["datacenters"]: (
-            ("datacenter_id", "name", "region", "grid_intensity",
-             "cooling_devices", "other_devices", "fuel_log", "scope3_total",
-             "green_energy", "rec_offset"),
-            ([dc.datacenter_id, dc.name, dc.region, _num(dc.grid_intensity),
-              ";".join(f"{d.device_id}:{_num(d.energy)}"
-                       for d in dc.cooling_devices),
-              ";".join(f"{d.device_id}:{_num(d.energy)}"
-                       for d in dc.other_devices),
-              ";".join(f"{f.device_id}:{_num(f.amount)}:{_num(f.emission_factor)}"
-                       for f in dc.fuel_log),
-              _num(dc.scope3_total), _num(dc.green_energy),
-              _num(dc.rec_offset)]
-             for _, dc in sorted(raw.datacenters.items()))),
-        INPUT_FILE_NAMES["tenants"]: (
-            ("tenant_id", "display_name", "agent_count", "datacenter_ids",
-             "l_share"),
-            ([t.tenant_id, t.display_name, str(t.agent_count),
-              ";".join(t.datacenter_ids), _num(t.l_share)]
-             for _, t in sorted(raw.tenants.items()))),
-        MODELS_FILE_NAME: _models_table(fleet.models),
-    }
-    texts = {name: format_table(name, header, rows)
-             for name, (header, rows) in tables.items()}
+    texts = {**format_inputs(fleet.raw),
+             MODELS_FILE_NAME: format_models(fleet.models)}
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

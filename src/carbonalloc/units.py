@@ -17,7 +17,7 @@ the figures it derives in two places only: phase 1 bounds each data
 center's totals, and a tenant's ``Footprint`` its two totals and the sums
 its report writes that these do not bound (see :mod:`.allocation`). The
 checks below return a figure unchanged or raise :class:`UnitError`; the
-``power`` helpers, ``--l-share`` and ``generate_fleet`` use them too. A
+``power`` helpers and ``generate_fleet`` use them too. A
 number is finite when it lies within float range, so an int too large to
 convert to a float is not.
 """

@@ -1,6 +1,8 @@
 """CSV ingestion: parsing, row-level failures, and cross-reference checks."""
 
+import ast
 import collections
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonalloc import ingest
+from carbonalloc import ingest, synth
 from carbonalloc.errors import (
     DuplicateDevice,
     DuplicateId,
@@ -23,6 +25,10 @@ from carbonalloc.errors import (
 )
 from carbonalloc.ingest import (
     SCHEMA_LINE,
+    FuelEntry,
+    NetworkUsage,
+    ServerUsage,
+    SharedDevice,
     assemble_raw_data,
     load_input_dir,
     read_datacenters,
@@ -653,27 +659,43 @@ def outcome(read):
         return type(exc), str(exc)
 
 
+USAGE_FILES = {"servers.csv": (read_servers, ServerUsage, ingest._SERVER_USAGE),
+               "network.csv": (read_network, NetworkUsage, ingest._NETWORK_USAGE)}
+
+
 class TestColumnChecks:
-    """read_servers and read_network check a column at a time; the _Row
-    getters, run row by row, are the reference they must agree with."""
+    """read_servers and read_network check a column at a time; each column's
+    _Row getter, run row by row, is the reference they must agree with."""
 
     @pytest.mark.parametrize("name", ["servers.csv", "network.csv"])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_row_getters(self, data, name):
         text = data.draw(usage_tables(name))
-        read, from_row, columns = {
-            "servers.csv": (read_servers, ingest._server_from_row,
-                            ingest._SERVER_COLUMNS),
-            "network.csv": (read_network, ingest._network_from_row,
-                            ingest._NETWORK_COLUMNS),
-        }[name]
+        read, record, columns = USAGE_FILES[name]
+
+        def from_row(row):
+            return record(**{column: kind.getter(row, column)
+                             for column, kind in columns.items()},
+                          source_ref=row.ref)
+
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / name
             path.write_text(text, encoding="utf-8")
             expected = outcome(lambda: map(
-                from_row, ingest.read_table(path, columns).rows()))
+                from_row, ingest.read_table(path, tuple(columns)).rows()))
             assert outcome(lambda: read(path)) == expected
+
+    @pytest.mark.parametrize("name", ["servers.csv", "network.csv"])
+    def test_columns_are_the_record_fields(self, name):
+        _, record, columns = USAGE_FILES[name]
+        assert (*columns, "source_ref") == record._fields
+
+    def test_first_bad_cell_in_column_order_is_named(self, tmp_path):
+        bad = GOOD_SERVER.replace("DC_EU1", "DC/1").replace(",0.10,", ",1.5,")
+        path = csv_file(tmp_path, "servers.csv", SERVER_HEADER, bad)
+        with pytest.raises(MalformedRow, match=r"^servers\.csv:3: datacenter_id: "):
+            read_servers(path)
 
     def test_valid_fleet_builds_no_row_for_usage_files(self, tmp_path,
                                                        monkeypatch):
@@ -706,21 +728,43 @@ def unwritable(value: str, first_cell: bool = False) -> bool:
     return value != value.strip() or (first_cell and value.startswith("#"))
 
 
+def unwritable_device_id(value: str) -> bool:
+    """Whether a multi-value cell's reader would split, strip or drop it."""
+    return unwritable(value) or not value or ";" in value or ":" in value
+
+
+DEVICE_COLUMNS = ("cooling_devices", "other_devices", "fuel_log")
+
+
 @st.composite
 def text_fleets(draw) -> SynthFleet:
-    """A synthetic fleet whose free-text cells hold drawn text.
+    """A synthetic fleet whose free-text cells and device ids hold drawn text.
 
-    The first tenant's display name is drawn as is; every other text is
-    wrapped in letters, so it is writable whatever it holds inside.
+    The first tenant's display name and one drawn shared-device or fuel id
+    are drawn as is; every other text is wrapped in letters, so it is
+    writable whatever it holds inside, and every other device id is its
+    generated id followed by drawn text without ';' or ':'.
     """
     fleet = generate_fleet(draw(st.integers(0, 2**16)), draw(st.integers(1, 3)),
                            draw(st.integers(1, 2)))
     raw = fleet.raw
     wrapped = cell_texts.map("x{}x".format)
+    suffixes = cell_texts.map(lambda text: text.replace(";", "").replace(":", "") + "x")
+    as_is = draw(st.sampled_from([
+        (dc_id, column, i) for dc_id, dc in raw.datacenters.items()
+        for column in DEVICE_COLUMNS for i in range(len(getattr(dc, column)))]))
+
+    def device_ids(dc_id, dc):
+        return {column: tuple(
+            entry._replace(device_id=draw(cell_texts) if (dc_id, column, i) == as_is
+                           else entry.device_id + draw(suffixes))
+            for i, entry in enumerate(getattr(dc, column)))
+            for column in DEVICE_COLUMNS}
+
     return SynthFleet(raw=assemble_raw_data(
         period=raw.period,
-        datacenters={k: dc._replace(name=draw(wrapped),
-                                    region=draw(wrapped))
+        datacenters={k: dc._replace(name=draw(wrapped), region=draw(wrapped),
+                                    **device_ids(k, dc))
                      for k, dc in raw.datacenters.items()},
         tenants={k: t._replace(
                      display_name=draw(cell_texts if i == 0 else wrapped))
@@ -734,18 +778,52 @@ def text_fleets(draw) -> SynthFleet:
     ), models=fleet.models)
 
 
+def test_synth_spells_no_input_column():
+    """The input files' format lives in ingest: synth.py names none of the
+    columns they are written with as a string literal."""
+    texts = ingest.format_inputs(generate_fleet(1, 2, 2).raw)
+    columns = {column for text in texts.values()
+               for column in text.splitlines()[1].split(",")}
+    assert len(columns) == 24
+    spelled = [node.value
+               for node in ast.walk(ast.parse(Path(synth.__file__).read_text(
+                   encoding="utf-8")))
+               if isinstance(node, ast.Constant) and node.value in columns]
+    assert spelled == []
+
+
 class TestTableRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(fleet=text_fleets())
     def test_write_fleet_then_load_returns_the_fleet(self, fleet):
         raw = fleet.raw
         with tempfile.TemporaryDirectory() as tmp:
-            if unwritable(raw.tenants["TENANT_01"].display_name):
+            device_ids = [entry.device_id for dc in raw.datacenters.values()
+                          for column in DEVICE_COLUMNS for entry in getattr(dc, column)]
+            if (unwritable(raw.tenants["TENANT_01"].display_name)
+                    or any(map(unwritable_device_id, device_ids))):
                 with pytest.raises(MalformedRow, match="cannot be written"):
                     write_fleet(fleet, tmp)
+                assert not any(Path(tmp).iterdir())
                 return
             write_fleet(fleet, tmp)
             assert load_input_dir(tmp, raw.period) == raw
+
+    @pytest.mark.parametrize("column", DEVICE_COLUMNS)
+    @pytest.mark.parametrize("device_id", ["X:5.0;Y", "X;Y", "", " X", "X\u2028"])
+    def test_writer_refuses_a_device_id_the_reader_would_split(
+            self, tmp_path, column, device_id):
+        fleet = generate_fleet(3, 3, 2)
+        dc = fleet.raw.datacenters["DC_01"]
+        entry = (SharedDevice(device_id, 7.0) if column != "fuel_log"
+                 else FuelEntry(device_id, 7.0, 2.0))
+        raw = fleet.raw._replace(datacenters={
+            **fleet.raw.datacenters, "DC_01": dc._replace(**{column: (entry,)})})
+        with pytest.raises(MalformedRow, match=(
+                f"^datacenters\\.csv:3: {column}: {re.escape(repr(device_id))} "
+                "cannot be written: ")):
+            write_fleet(fleet._replace(raw=raw), tmp_path)
+        assert not any(tmp_path.iterdir())
 
     @settings(max_examples=60, deadline=None)
     @given(names=st.lists(st.one_of(cell_texts, cell_texts.map("#".__add__)),

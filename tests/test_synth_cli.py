@@ -357,18 +357,17 @@ class TestComputeCommand:
         assert not (workspace["out"] / "reports").exists()
         assert not (workspace["out"] / "history").exists()
 
-    def test_l_share_override_scales_scope2(self, workspace):
+    def test_l_share_from_tenants_csv_scales_scope2(self, workspace):
         assert run_compute(workspace) == EXIT_OK
         full = json.loads((workspace["out"] / "reports" / "TENANT_01" /
                            "2025-06.json").read_text())
-        workspace["out2"] = workspace["root"] / "out2"
-        assert main(["compute", "--period", "2025-06",
-                     "--input-dir", str(workspace["fleet"]),
-                     "--models", str(workspace["models"]),
-                     "--equivalencies", str(workspace["factors"]),
-                     "--out-dir", str(workspace["out2"]),
-                     "--l-share", "0.5"]) == EXIT_OK
-        halved = json.loads((workspace["out2"] / "reports" / "TENANT_01" /
+        # The same fleet, but tenants.csv gives every tenant a load share of 0.5.
+        halved_fleet = workspace["root"] / "halved"
+        assert main(["synth", "--seed", "42", "--tenants", "4", "--dcs", "2",
+                     "--out-dir", str(halved_fleet), "--l-share", "0.5"]) == EXIT_OK
+        assert run_compute({**workspace, "fleet": halved_fleet,
+                            "out": workspace["root"] / "out2"}) == EXIT_OK
+        halved = json.loads((workspace["root"] / "out2" / "reports" / "TENANT_01" /
                              "2025-06.json").read_text())
         dc_id = sorted(halved["datacenters"])[0]
         assert halved["datacenters"][dc_id]["lShare"] == 0.5
@@ -613,8 +612,13 @@ class TestAuditCommand:
     def test_l_share_mismatch_detected(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
         report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
-        assert run_audit(workspace, report,
-                         extra=["--l-share", "0.5"]) == EXIT_AUDIT_MISMATCH
+        tenants = workspace["fleet"] / "tenants.csv"
+        lines = tenants.read_text(encoding="utf-8").splitlines(keepends=True)
+        (at,) = [i for i, line in enumerate(lines) if line.startswith("TENANT_02,")]
+        assert lines[at].endswith(",1.0\n")
+        lines[at] = lines[at].removesuffix("1.0\n") + "0.5\n"
+        tenants.write_text("".join(lines), encoding="utf-8")
+        assert run_audit(workspace, report) == EXIT_AUDIT_MISMATCH
         captured = capsys.readouterr()
         assert "lShare" in captured.out + captured.err
 
@@ -1530,10 +1534,10 @@ def test_each_subcommand_has_its_pinned_options():
             for name, command in commands.items()} == {
         "calibrate": ["--samples", "--models-out"],
         "compute": ["--period", "--input-dir", "--models", "--equivalencies",
-                    "--out-dir", "--history-dir", "--l-share", "--trend-thresholds"],
+                    "--out-dir", "--history-dir", "--trend-thresholds"],
         "report": ["--report", "--out-dir", "--equivalencies", "--trend-thresholds"],
         "audit": ["--report", "--input-dir", "--models", "--equivalencies",
-                  "--history-dir", "--l-share"],
+                  "--history-dir"],
         "synth": ["--seed", "--tenants", "--dcs", "--out-dir", "--no-offsets",
                   "--l-share"],
     }
