@@ -108,7 +108,7 @@ INPUT_FILE_NAMES = {
 ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 # Device byte counters are 64-bit; the bound also keeps network energy finite.
-_BYTE_COUNT_LIMIT = 2**64
+_BYTE_COUNT_MAX = 2**64 - 1
 
 # Every whole number below 2**53 is exactly representable as a float.
 _FLOAT_EXACT_LIMIT = 2**53
@@ -282,11 +282,13 @@ class _Row:
     def id(self, column: str) -> str:
         return self.parse_id(self.text(column), column)
 
-    def byte_count(self, column: str) -> int:
-        """A whole byte count in [0, 2**64), never rounded.
+    def whole(self, column: str, low: int, high: float, bounds: str) -> int:
+        """A whole number in [low, high], never rounded.
 
-        Digit-only cells are parsed as int. Other spellings (``1e12``,
-        ``5.0``) go through float, so they must stay below 2**53 to be exact.
+        Digit-only cells are parsed as int, and refused as outside ``bounds``
+        beyond [low, high]. Other spellings (``1e3``, ``5.0``) go through
+        float, so they must stay below 2**53, which ``high`` is at least, to
+        be exact.
         """
         text = self.text(column)
         if text.isascii() and text.isdigit():
@@ -294,15 +296,15 @@ class _Row:
                 value = int(text)
             except ValueError:  # more digits than int() converts
                 value = math.inf
-            if value >= _BYTE_COUNT_LIMIT:
-                raise self.out_of_range(column, value, "[0, 2**64)")
+            if not low <= value <= high:
+                raise self.out_of_range(column, value, bounds)
             return value
-        number = self.parse_nonneg(text, column)
-        if number != int(number):
-            raise self.out_of_range(column, number, "whole numbers")
+        number = self.parse_number(text, column)
+        if number != int(number) or number < low:
+            raise self.out_of_range(column, number, f"whole numbers >= {low}")
         if number >= _FLOAT_EXACT_LIMIT:
             raise self.out_of_range(column, number,
-                                    "[0, 2**53) unless written as plain digits")
+                                    f"[{low}, 2**53) unless written as plain digits")
         return int(number)
 
     # Parsers for the parts of a multi-value cell, labelled by the caller.
@@ -505,7 +507,7 @@ def _byte_counts(column: list[str]) -> list[int] | None:
         values = [*map(int, column)]
     except ValueError:  # an empty cell, or more digits than int() converts
         return None
-    return values if max(values) < _BYTE_COUNT_LIMIT else None
+    return values if max(values) <= _BYTE_COUNT_MAX else None
 
 
 def _float_text(value: float) -> str:
@@ -535,7 +537,8 @@ _ID = _Kind(_Row.id, _ids, iter)
 _TEXT = _Kind(_Row.text, _texts, iter)
 _SHARE = _Kind(_Row.share, _shares, _float_texts)
 _NONNEG = _Kind(_Row.nonneg, _nonneg_floats, _float_texts)
-_BYTES = _Kind(_Row.byte_count, _byte_counts, _int_texts)
+_BYTES = _Kind(lambda row, column: row.whole(column, 0, _BYTE_COUNT_MAX, "[0, 2**64)"),
+               _byte_counts, _int_texts)
 
 # Each usage file's columns, in record-field order, with their kinds.
 _SERVER_USAGE = {"datacenter_id": _ID, "device_id": _TEXT, "device_model": _TEXT,
@@ -633,32 +636,6 @@ def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     return out
 
 
-def _agent_count(row: _Row) -> int:
-    """A whole agent count >= 1, never rounded.
-
-    Digit-only cells are parsed as int and may run up to the largest float,
-    which a per-agent figure divides by. Other spellings (``1e3``, ``250.0``)
-    go through float, so they must stay below 2**53 to be exact.
-    """
-    text = row.text("agent_count")
-    if text.isascii() and text.isdigit():
-        try:
-            value = int(text)
-        except ValueError:  # more digits than int() converts
-            value = math.inf
-        if not 1 <= value <= sys.float_info.max:
-            raise row.out_of_range("agent_count", value,
-                                   "whole numbers >= 1 within float range")
-        return value
-    number = row.parse_number(text, "agent_count")
-    if number != int(number) or number < 1:
-        raise row.out_of_range("agent_count", number, "whole numbers >= 1")
-    if number >= _FLOAT_EXACT_LIMIT:
-        raise row.out_of_range("agent_count", number,
-                               "[1, 2**53) unless written as plain digits")
-    return int(number)
-
-
 def read_tenants(path: Path | str) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
@@ -666,7 +643,8 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
-        agents = _agent_count(row)
+        # A per-agent figure divides by the count, so it stays within float range.
+        agents = row.whole("agent_count", 1, sys.float_info.max, "[1, float max]")
         l_share = row.share("l_share", default="1.0")
         dc_ids = tuple(row.parse_id(part.strip(), "datacenter_ids")
                        for part in row.text("datacenter_ids").split(";")
@@ -691,27 +669,6 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
 # ---------------------------------------------------------------------------
 
 
-def _references_hold(datacenters: dict[str, DataCenter],
-                     tenants: dict[str, Tenant],
-                     servers: tuple[ServerUsage, ...],
-                     network: tuple[NetworkUsage, ...]) -> bool:
-    """Whether :func:`_reference_errors` would find nothing, by set algebra:
-    every usage row's (tenant, data center) pair is one the tenants declare,
-    every declared data center is known, and no server (dc, device) pair or
-    network (dc, device, tenant) triple repeats."""
-    declared = {(tenant_id, dc_id) for tenant_id, tenant in tenants.items()
-                for dc_id in tenant.datacenter_ids}
-    pair = attrgetter("tenant_id", "datacenter_id")
-    used = set(map(pair, servers))
-    used.update(map(pair, network))
-    return (used <= declared
-            and {dc_id for _, dc_id in declared} <= datacenters.keys()
-            and len(set(map(attrgetter("datacenter_id", "device_id"), servers)))
-            == len(servers)
-            and len(set(map(attrgetter("datacenter_id", "device_id", "tenant_id"),
-                            network))) == len(network))
-
-
 def _split_ref(ref: str) -> tuple[str, int]:
     """The file and line of a ``file:line`` source ref (the file may itself
     hold ``:``); line 0 when the ref has no line."""
@@ -725,8 +682,21 @@ def _reference_errors(datacenters: dict[str, DataCenter],
                       tenants: dict[str, Tenant],
                       servers: tuple[ServerUsage, ...],
                       network: tuple[NetworkUsage, ...]) -> list[IngestError]:
-    """Every reference error, in a fixed order, each with its rows' refs."""
+    """Every reference error, in a fixed order, each with its rows' refs.
+
+    A usage file's rows are walked only when the file fails a set test:
+    a (tenant, data center) pair that no tenant declares at a known data
+    center, or a repeated key. A file that passes holds no error, so a valid
+    fleet walks no usage row.
+    """
     errors: list[IngestError] = []
+    declared = {(dc_id, tenant_id) for tenant_id, tenant in tenants.items()
+                for dc_id in tenant.datacenter_ids if dc_id in datacenters}
+    pair = attrgetter("datacenter_id", "tenant_id")
+
+    def fails(rows: tuple, key: Callable[[tuple], tuple]) -> bool:
+        return (len(set(map(key, rows))) < len(rows)
+                or not declared.issuperset(map(pair, rows)))
 
     unknown_tenants: dict[str, list[str]] = {}
     unknown_dcs: dict[str, list[str]] = {}
@@ -743,33 +713,34 @@ def _reference_errors(datacenters: dict[str, DataCenter],
 
     # A server is attributed whole to one tenant: the same device appearing
     # twice (same or different tenant) would double-count its energy.
-    server_rows: dict[tuple[str, str], list[ServerUsage]] = {}
-    for row in servers:
-        server_rows.setdefault((row.datacenter_id, row.device_id), []).append(row)
-        check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
-    for (dc_id, device_id), rows in sorted(server_rows.items()):
-        if len(rows) > 1:
-            errors.append(DuplicateDevice(
-                dc_id, device_id,
-                tuple(r.tenant_id for r in rows),
-                tuple(r.source_ref for r in rows),
-            ))
+    if fails(servers, attrgetter("datacenter_id", "device_id")):
+        server_rows: dict[tuple[str, str], list[ServerUsage]] = {}
+        for row in servers:
+            server_rows.setdefault((row.datacenter_id, row.device_id), []).append(row)
+            check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
+        for (dc_id, device_id), rows in sorted(server_rows.items()):
+            if len(rows) > 1:
+                errors.append(DuplicateDevice(
+                    dc_id, device_id,
+                    tuple(r.tenant_id for r in rows),
+                    tuple(r.source_ref for r in rows),
+                ))
 
     # Network devices are shared: one row per (device, tenant) is expected,
     # but the same triple twice would double-count that tenant's traffic.
-    seen_network: dict[tuple[str, str, str], str] = {}
-    for row in network:
-        key = (row.datacenter_id, row.device_id, row.tenant_id)
-        if key in seen_network:
-            source, line_no = _split_ref(row.source_ref)
-            errors.append(DuplicateId(
-                source or "network", line_no,
-                "network usage (device, tenant) pair",
-                f"{row.device_id}/{row.tenant_id}",
-            ))
-        else:
-            seen_network[key] = row.source_ref
-        check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
+    triple = attrgetter("datacenter_id", "device_id", "tenant_id")
+    if fails(network, triple):
+        seen_network: set[tuple[str, str, str]] = set()
+        for row in network:
+            if triple(row) in seen_network:
+                source, line_no = _split_ref(row.source_ref)
+                errors.append(DuplicateId(
+                    source or "network", line_no,
+                    "network usage (device, tenant) pair",
+                    f"{row.device_id}/{row.tenant_id}",
+                ))
+            seen_network.add(triple(row))
+            check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
 
     for tenant in tenants.values():
         for dc_id in tenant.datacenter_ids:
@@ -793,11 +764,10 @@ def assemble_raw_data(period: Period,
 
     All reference errors are collected and raised together as one
     :class:`ValidationFailure`; nothing short-circuits, so operators get the
-    complete fix list in a single run. Set operations tell first whether
-    there is any error; only then are the rows walked to collect them.
+    complete fix list in a single run. Set operations tell which usage
+    files hold an error; only their rows are walked to collect them.
     """
-    errors = ([] if _references_hold(datacenters, tenants, servers, network)
-              else _reference_errors(datacenters, tenants, servers, network))
+    errors = _reference_errors(datacenters, tenants, servers, network)
     if errors:
         raise ValidationFailure(errors)
     return RawData(period=period, servers=servers, network=network,

@@ -100,10 +100,8 @@ class EquivalencyFactors(CheckedRecord, _EquivalencyFactors):
 
 
 class ReportDocument(NamedTuple):
-    """A rendered report: tenant, period, and the bytes."""
+    """A rendered report's bytes."""
 
-    tenant_id: str
-    period: Period
     content: bytes
 
 
@@ -398,8 +396,7 @@ def render_json(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
     floats, as the engine and ``footprint_from_json`` produce them.
     """
     text = _write_report(fp, factors, compute_equivalencies(fp.gross_total, factors))
-    return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
-                          content=text.encode("utf-8"))
+    return ReportDocument(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -890,5 +887,4 @@ certificates. Total energy attributed this period:
 </body>
 </html>
 """
-    return ReportDocument(tenant_id=fp.tenant_id, period=fp.period,
-                          content=doc.encode("utf-8"))
+    return ReportDocument(doc.encode("utf-8"))

@@ -3,6 +3,7 @@
 import ast
 import collections
 import re
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -403,6 +404,76 @@ class TestReadTenants:
             read_tenants(path)
 
 
+# Each whole-number column's range, and the bounds a digit-only cell
+# outside it is refused with.
+WHOLE_NUMBERS = {"bytes_sent": (0, 2**64 - 1, "[0, 2**64)"),
+                 "agent_count": (1, int(sys.float_info.max), "[1, float max]")}
+
+
+def read_whole(tmp_path: Path, column: str, cell: str) -> int:
+    """``cell`` read as network.csv's bytes_sent or tenants.csv's agent_count."""
+    if column == "bytes_sent":
+        row = GOOD_NETWORK.replace("1000000000000,1000000000000", f"{cell},0")
+        (parsed,) = read_network(csv_file(tmp_path, "network.csv", NETWORK_HEADER, row))
+        return parsed.bytes_sent
+    row = GOOD_TENANT.replace(",250,", f",{cell},")
+    return read_tenants(csv_file(tmp_path, "tenants.csv", TENANT_HEADER,
+                                 row))["TENANT_X"].agent_count
+
+
+@pytest.mark.parametrize("column", WHOLE_NUMBERS)
+class TestWholeNumbers:
+    """Byte counts and agent counts are read by one rule: digits exactly,
+    up to the column's top; other spellings through float, below 2**53."""
+
+    def test_digits_read_exactly_at_both_ends(self, tmp_path, column):
+        low, high, _ = WHOLE_NUMBERS[column]
+        for value in (low, high):
+            read = read_whole(tmp_path, column, str(value))
+            assert read == value and type(read) is int
+
+    def test_digits_outside_the_range_refused(self, tmp_path, column):
+        low, high, bounds = WHOLE_NUMBERS[column]
+        for value in (high + 1, low - 1) if low else (high + 1,):
+            with pytest.raises(RangeError) as exc:
+                read_whole(tmp_path, column, str(value))
+            assert str(exc.value).endswith(f":3: {column}={value} outside {bounds}")
+
+    @pytest.mark.parametrize("cell, value", [("1e3", 1000), ("5.0", 5)])
+    def test_float_spelled_whole_numbers_accepted(self, tmp_path, column, cell,
+                                                  value):
+        read = read_whole(tmp_path, column, cell)
+        assert read == value and type(read) is int
+
+    @pytest.mark.parametrize("cell, shown", [("1e20", "1e+20"),
+                                             ("9007199254740993.0",
+                                              "9007199254740992.0")])
+    def test_float_spellings_from_2_53_refused(self, tmp_path, column, cell, shown):
+        low = WHOLE_NUMBERS[column][0]
+        with pytest.raises(RangeError) as exc:
+            read_whole(tmp_path, column, cell)
+        assert str(exc.value).endswith(
+            f":3: {column}={shown} outside [{low}, 2**53) unless written as "
+            "plain digits")
+
+    @pytest.mark.parametrize("cell", ["2.5", "-1", "-1e3"])
+    def test_fraction_or_negative_refused(self, tmp_path, column, cell):
+        low = WHOLE_NUMBERS[column][0]
+        with pytest.raises(RangeError) as exc:
+            read_whole(tmp_path, column, cell)
+        assert str(exc.value).endswith(
+            f":3: {column}={float(cell)!r} outside whole numbers >= {low}")
+
+    def test_negative_zero_reads_as_zero(self, tmp_path, column):
+        if WHOLE_NUMBERS[column][0] == 0:
+            read = read_whole(tmp_path, column, "-0")
+            assert read == 0 and type(read) is int
+        else:
+            with pytest.raises(RangeError, match=f"{column}=-0.0 outside "
+                                                 "whole numbers >= 1$"):
+                read_whole(tmp_path, column, "-0")
+
+
 class TestAssemble:
     def _load(self, tmp_path, **overrides):
         parts = dict(servers=[GOOD_SERVER], network=[GOOD_NETWORK],
@@ -513,6 +584,43 @@ class TestAssemble:
                        network=[GOOD_NETWORK, bad_network])
         kinds = {type(e) for e in exc.value.errors}
         assert UnknownTenant in kinds and UnknownDataCenter in kinds
+
+    def test_reference_errors_come_in_a_fixed_order(self, tmp_path):
+        """Every kind of cross-file fault at once: server orphans, then
+        devices claimed twice, then network repeats and orphans in row
+        order, then unknown tenants and data centers by id, each naming its
+        usage rows before its tenants.csv rows."""
+        tenant2 = 'TENANT_Y,Other Co,10,"DC_EU1;DC_MARS",1.0'
+        servers = [GOOD_SERVER,
+                   GOOD_SERVER.replace("SERVER_1234", "SERVER_2")
+                   .replace("TENANT_X", "TENANT_GHOST"),
+                   GOOD_SERVER.replace("DC_EU1", "DC_US2")
+                   .replace("SERVER_1234", "SERVER_3"),
+                   GOOD_SERVER.replace("TENANT_X", "TENANT_Y")]
+        network = [GOOD_NETWORK, GOOD_NETWORK,
+                   GOOD_NETWORK.replace("DC_EU1", "DC_NOWHERE"),
+                   GOOD_NETWORK.replace("DC_EU1", "DC_US2")
+                   .replace("NETWORK_DEVICE_1234", "NET_2"),
+                   GOOD_NETWORK.replace("TENANT_X", "TENANT_GHOST"),
+                   GOOD_NETWORK.replace("DC_EU1", "DC_MARS")
+                   .replace("TENANT_X", "TENANT_Y")]
+        with pytest.raises(ValidationFailure) as exc:
+            self._load(tmp_path, servers=servers, network=network,
+                       datacenters=[GOOD_DC, GOOD_DC.replace("DC_EU1", "DC_US2")],
+                       tenants=[GOOD_TENANT, tenant2])
+        assert str(exc.value) == (
+            "7 validation error(s):\n"
+            "  usage for device 'SERVER_3': tenant 'TENANT_X' does not use data "
+            "center 'DC_US2' (at servers.csv:5)\n"
+            "  server device 'SERVER_1234' in 'DC_EU1' shared between tenants "
+            "TENANT_X, TENANT_Y (at servers.csv:3, servers.csv:6)\n"
+            "  network.csv:4: duplicate network usage (device, tenant) pair "
+            "'NETWORK_DEVICE_1234/TENANT_X'\n"
+            "  usage for device 'NET_2': tenant 'TENANT_X' does not use data "
+            "center 'DC_US2' (at network.csv:6)\n"
+            "  unknown tenant 'TENANT_GHOST' (at servers.csv:4, network.csv:7)\n"
+            "  unknown data center 'DC_MARS' (at network.csv:8, tenants.csv:4)\n"
+            "  unknown data center 'DC_NOWHERE' (at network.csv:5)")
 
     def test_assemble_accepts_empty_usage(self, tmp_path):
         raw = self._load(tmp_path, servers=[], network=[])

@@ -32,7 +32,7 @@ from carbonalloc.cli import (
 )
 from carbonalloc.errors import CarbonAllocError, MalformedRow
 from carbonalloc.history import HistoryStore
-from carbonalloc.ingest import load_input_dir
+from carbonalloc.ingest import format_inputs, load_input_dir
 from carbonalloc.power import read_models
 from carbonalloc.report import (
     ReportError,
@@ -926,6 +926,30 @@ class TestReportCommand:
         copy = rerender_dir / "reports" / "TENANT_03" / "2025-06.json"
         assert copy.read_bytes() == original.read_bytes()
         assert (rerender_dir / "reports" / "TENANT_03" / "2025-06.html").exists()
+
+    def test_rerender_reproduces_both_files_with_a_trend(self, workspace):
+        """June has April and May in history, and TENANT_02's traffic doubled
+        since May, as in demo 03, so its badge is not flat."""
+        assert run_compute(workspace, period="2025-04") == EXIT_OK
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        raw = load_input_dir(workspace["fleet"], Period(2025, 6))
+        raw = raw._replace(network=tuple(
+            row._replace(bytes_sent=row.bytes_sent * 2,
+                         bytes_received=row.bytes_received * 2)
+            if row.tenant_id == "TENANT_02" else row for row in raw.network))
+        for name, text in format_inputs(raw).items():
+            (workspace["fleet"] / name).write_text(text, encoding="utf-8")
+        assert run_compute(workspace, period="2025-06") == EXIT_OK
+        original = workspace["out"] / "reports" / "TENANT_02"
+        assert 'data-trend="worsening"' in (original / "2025-06.html").read_text(
+            encoding="utf-8")
+        assert "2025-04" in (original / "2025-06.json").read_text(encoding="utf-8")
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(original / "2025-06.json"),
+                     "--out-dir", str(rerender_dir)]) == EXIT_OK
+        copy = rerender_dir / "reports" / "TENANT_02"
+        for name in ("2025-06.json", "2025-06.html"):
+            assert (copy / name).read_bytes() == (original / name).read_bytes()
 
     def test_render_failure_creates_no_directory(self, workspace, monkeypatch):
         assert run_compute(workspace) == EXIT_OK
