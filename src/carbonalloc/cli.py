@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,7 @@ from .allocation import (
 )
 from .errors import CarbonAllocError, PowerModelError, UnknownTenant
 from .history import HistoryStore
-from .ingest import ID_PATTERN, load_input_dir
+from .ingest import load_input_dir
 from .power import (
     fit_server_weights,
     read_calibration_samples,
@@ -45,7 +44,6 @@ from .power import (
     write_models,
 )
 from .report import (
-    DEFAULT_TREND_THRESHOLDS,
     EquivalencyFactors,
     ReportDocument,
     ReportError,
@@ -123,12 +121,10 @@ def _write_report_pair(out_dir: Path, fp: Footprint, json_doc: ReportDocument,
 
 
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
-                   out_dir: Path, trend_thresholds: tuple[float, float],
-                   history: HistoryStore) -> None:
+                   out_dir: Path, history: HistoryStore) -> None:
     """Render every report, then write them in deterministic order, so a
     render failure writes nothing."""
-    rendered = [(render_json(fp, factors),
-                 render_onepage(fp, factors, trend_thresholds=trend_thresholds))
+    rendered = [(render_json(fp, factors), render_onepage(fp, factors))
                 for fp in footprints]
     for fp, (json_doc, html_doc) in zip(footprints, rendered):
         _write_report_pair(out_dir, fp, json_doc, html_doc)
@@ -136,8 +132,7 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
 
 
 def cmd_compute(period: Period, input_dir: Path, models_file: Path,
-                equivalency_file: Path, out_dir: Path, history_dir: Path,
-                trend_thresholds: tuple[float, float]) -> int:
+                equivalency_file: Path, out_dir: Path, history_dir: Path) -> int:
     """Run the full monthly pipeline: ingest, compute, audit, render."""
     raw = load_input_dir(input_dir, period)
     models = read_models(models_file)
@@ -153,7 +148,7 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
     history = HistoryStore(history_dir)
     footprints = [fp._replace(history=history.prior_entries(fp.tenant_id, fp.period))
                   for fp in footprints]
-    _write_reports(footprints, factors, out_dir, trend_thresholds, history)
+    _write_reports(footprints, factors, out_dir, history)
 
     print(f"{'tenant':<16} {'gross_g':>18} {'net_g':>18} {'per_agent_g':>14}")
     for fp in footprints:
@@ -206,8 +201,7 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
 
 
 def cmd_report(report_file: Path, out_dir: Path,
-               equivalency_file: Path | None,
-               trend_thresholds: tuple[float, float]) -> int:
+               equivalency_file: Path | None) -> int:
     """Re-render both formats from an existing report JSON.
 
     The file must be exactly what the writer writes for the figures it
@@ -223,26 +217,20 @@ def cmd_report(report_file: Path, out_dir: Path,
     except (OSError, ReportError, UnitError) as exc:
         _err(f"cannot re-render {report_file}: {exc}")
         return EXIT_VALIDATION
-    if ID_PATTERN.fullmatch(fp.tenant_id) is None:
-        _err(f"cannot re-render {report_file}: tenant id {fp.tenant_id!r} "
-             "cannot name a report directory")
-        return EXIT_VALIDATION
 
-    tenant_dir = _write_report_pair(
-        out_dir, fp, render_json(fp, factors),
-        render_onepage(fp, factors, trend_thresholds=trend_thresholds))
+    tenant_dir = _write_report_pair(out_dir, fp, render_json(fp, factors),
+                                    render_onepage(fp, factors))
     print(f"re-rendered {fp.tenant_id} {fp.period} under {tenant_dir}")
     return EXIT_OK
 
 
 def cmd_synth(seed: int, n_tenants: int, n_dcs: int, out_dir: Path,
-              with_offsets: bool, l_share: float) -> int:
+              l_share: float) -> int:
     """Write a deterministic synthetic fleet plus its models file."""
     from .synth import generate_fleet, write_fleet
 
     try:
-        fleet = generate_fleet(seed, n_tenants, n_dcs,
-                               with_offsets=with_offsets, l_share=l_share)
+        fleet = generate_fleet(seed, n_tenants, n_dcs, l_share=l_share)
     except (ValueError, UnitError) as exc:
         _err(f"cannot generate fleet: {exc}")
         return EXIT_VALIDATION
@@ -262,20 +250,6 @@ def _parse_period(text: str) -> Period:
         return Period.parse(text)
     except UnitError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_thresholds(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            "expected two comma-separated percentages, e.g. 5,5")
-    try:
-        improve, worsen = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not (0 <= improve < math.inf and 0 <= worsen < math.inf):
-        raise argparse.ArgumentTypeError("thresholds must be finite and >= 0")
-    return improve, worsen
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (reports/ is created inside)")
     p.add_argument("--history-dir", type=Path, default=None,
                    help="history store root (default: <out-dir>/history)")
-    p.add_argument("--trend-thresholds", type=_parse_thresholds,
-                   default=DEFAULT_TREND_THRESHOLDS, metavar="IMP,WRS",
-                   help="improving/worsening badge cutoffs in percent "
-                        "(default: 5,5)")
 
     p = sub.add_parser("report",
                        help="re-render reports from an existing report JSON")
@@ -318,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--equivalencies", type=Path, default=None,
                    help="override the factors embedded in the report")
-    p.add_argument("--trend-thresholds", type=_parse_thresholds,
-                   default=DEFAULT_TREND_THRESHOLDS, metavar="IMP,WRS")
 
     p = sub.add_parser("audit",
                        help="recompute a report from inputs and diff it")
@@ -338,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants", type=int, default=5)
     p.add_argument("--dcs", type=int, default=3)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--no-offsets", action="store_true",
-                   help="zero out fuel, scope 3, and offsets")
     p.add_argument("--l-share", type=float, default=1.0)
 
     return parser
@@ -353,17 +319,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compute":
             return cmd_compute(args.period, args.input_dir, args.models,
                                args.equivalencies, args.out_dir,
-                               args.history_dir or args.out_dir / "history",
-                               args.trend_thresholds)
+                               args.history_dir or args.out_dir / "history")
         if args.command == "report":
-            return cmd_report(args.report, args.out_dir, args.equivalencies,
-                              args.trend_thresholds)
+            return cmd_report(args.report, args.out_dir, args.equivalencies)
         if args.command == "audit":
             return cmd_audit(args.report, args.input_dir, args.models,
                              args.equivalencies, args.history_dir)
         if args.command == "synth":
             return cmd_synth(args.seed, args.tenants, args.dcs, args.out_dir,
-                             with_offsets=not args.no_offsets,
                              l_share=args.l_share)
         raise AssertionError(f"unhandled command {args.command!r}")
     except CarbonAllocError as exc:

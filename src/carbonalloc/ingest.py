@@ -277,7 +277,7 @@ class _Row:
         value = self.number(column, default)
         if not 0.0 <= value <= 1.0:
             raise self.out_of_range(column, value, "[0, 1]")
-        return value
+        return abs(value)  # -0.0 reads as 0.0
 
     def id(self, column: str) -> str:
         return self.parse_id(self.text(column), column)
@@ -322,7 +322,7 @@ class _Row:
         value = self.parse_number(text, label)
         if value < 0:
             raise self.out_of_range(label, value, "[0, inf)")
-        return value
+        return abs(value)  # -0.0 reads as 0.0
 
     def parse_id(self, text: str, label: str) -> str:
         if ID_PATTERN.fullmatch(text) is None:
@@ -477,7 +477,8 @@ def _texts(column: list[str]) -> list[str] | None:
 
 
 def _nonneg_floats(column: list[str]) -> list[float] | None:
-    """The column as finite floats >= 0, or None if any cell is not one.
+    """The column as finite floats >= 0, -0.0 read as 0.0, or None if any
+    cell is not one.
 
     A NaN or infinity makes the sum non-finite; a sum that overflows from
     finite cells only sends the table to the row-by-row check.
@@ -487,7 +488,7 @@ def _nonneg_floats(column: list[str]) -> list[float] | None:
     except ValueError:
         return None
     if math.isfinite(sum(values)) and min(values) >= 0.0:
-        return values
+        return [*map(abs, values)]
     return None
 
 

@@ -43,7 +43,7 @@ from .allocation import (
     HistoryEntry,
 )
 from .errors import CarbonAllocError, UnitError
-from .ingest import NetworkUsage, ServerUsage
+from .ingest import ID_PATTERN, NetworkUsage, ServerUsage
 from .units import SCOPE2_COMPONENTS, CheckedRecord, Period, sum_in_order
 
 __all__ = [
@@ -63,13 +63,13 @@ __all__ = [
     "report_headline",
     "render_onepage",
     "JSON_SCHEMA_VERSION",
-    "DEFAULT_TREND_THRESHOLDS",
 ]
 
 JSON_SCHEMA_VERSION = 1
 
-# Improving/worsening cutoffs for the trend badge, in percent.
-DEFAULT_TREND_THRESHOLDS = (5.0, 5.0)
+# The change against the latest prior month, in percent either way, from
+# which the trend badge reads improving or worsening rather than flat.
+_TREND_CUTOFF = 5.0
 
 
 class ReportError(CarbonAllocError):
@@ -204,6 +204,9 @@ _MAX = sys.float_info.max
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a str that UTF-8 cannot encode
 _STRING = _Kind("{_string(@)}", lambda v: type(v) is str and not _SURROGATE.search(v),
                 "a string UTF-8 can encode")
+_ID = _Kind("{_string(@)}",
+            lambda v: type(v) is str and ID_PATTERN.fullmatch(v) is not None,
+            "an id (letters, digits, '_', '.' and '-', starting with a letter or digit)")
 _PERIOD = _Kind('"{@}"', lambda v: type(v) is str and _is_period(v), "a YYYY-MM period")
 _ENERGY = _EMISSIONS = _INTENSITY = _range(0.0, _MAX, "a finite number >= 0")
 _NET = _COUNTER = _range(-_MAX, _MAX, "a finite number")
@@ -290,7 +293,7 @@ _DATACENTER = {
 # equivalencies ``eq`` are written from as well.
 _REPORT = {
     "schemaVersion": _const(JSON_SCHEMA_VERSION),
-    "tenant": {"tenantId": (_STRING, "o.tenant_id"),
+    "tenant": {"tenantId": (_ID, "o.tenant_id"),
                "displayName": (_STRING, "o.display_name"),
                "agentCount": (_AGENTS, "o.agent_count")},
     "period": (_PERIOD, "o.period"),
@@ -732,9 +735,7 @@ footer.methodology-note { font-size: 7.5pt; color: #555; margin-top: 2mm; }
 """
 
 
-def render_onepage(fp: Footprint, factors: EquivalencyFactors,
-                   trend_thresholds: tuple[float, float] = DEFAULT_TREND_THRESHOLDS,
-                   ) -> ReportDocument:
+def render_onepage(fp: Footprint, factors: EquivalencyFactors) -> ReportDocument:
     """Render the single-page document with the five report sections.
 
     Sections: summary (gross/net/per-agent plus up to two months of trend),
@@ -742,9 +743,9 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     categories), offsets pie, and a methodology footer listing every data
     center and the model parameters used. The page box is fixed to A4 content
     size with overflow hidden, so the document cannot spill onto a second
-    printed page.
+    printed page. Like the JSON report, it depends on ``fp`` and ``factors``
+    alone, so the JSON report is enough to render it again.
     """
-    improve_at, worsen_at = trend_thresholds
     deltas = compute_trend(fp)
     equivalents = compute_equivalencies(fp.gross_total, factors)
 
@@ -752,13 +753,9 @@ def render_onepage(fp: Footprint, factors: EquivalencyFactors,
     badge = ""
     if deltas and deltas[0].pct_change is not None:
         pct = deltas[0].pct_change
-        if pct <= -improve_at:
-            cls, word = "improving", "improving"
-        elif pct >= worsen_at:
-            cls, word = "worsening", "worsening"
-        else:
-            cls, word = "flat", "flat"
-        badge = (f'<span class="badge {cls}" data-trend="{word}">{word}: '
+        word = ("improving" if pct <= -_TREND_CUTOFF else
+                "worsening" if pct >= _TREND_CUTOFF else "flat")
+        badge = (f'<span class="badge {word}" data-trend="{word}">{word}: '
                  f'{pct:+.1f}% vs {deltas[0].period}</span>')
 
     trend_rows = "".join(

@@ -19,7 +19,7 @@ from carbonalloc.allocation import (
     Footprint,
     HistoryEntry,
 )
-from carbonalloc.ingest import NetworkUsage, ServerUsage
+from carbonalloc.ingest import ID_PATTERN, NetworkUsage, ServerUsage
 from carbonalloc.report import (
     EquivalencyFactors,
     ReportError,
@@ -35,6 +35,8 @@ from carbonalloc.units import SCOPE2_COMPONENTS, Period
 texts = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀'),
                           st.characters(exclude_categories=("Cs",))),
                 max_size=10)
+# A report's tenant id names its directory, so the parser takes ids alone.
+ids = st.from_regex(ID_PATTERN, fullmatch=True)
 amounts = st.one_of(st.floats(min_value=0.0, max_value=1e15),
                     st.integers(min_value=0, max_value=10**6))
 fractions = st.floats(min_value=0.0, max_value=1.0)
@@ -90,7 +92,7 @@ prior_gross = st.one_of(st.just(0.0), st.just(1e-300), amounts)
 
 @st.composite
 def footprints(draw):
-    tenant_id = draw(texts)
+    tenant_id = draw(ids)
     dc_ids = draw(st.lists(texts, max_size=2, unique=True))
     per_dc = tuple(draw(dc_footprints(tenant_id, dc_id)) for dc_id in dc_ids)
     agents = draw(st.integers(1, 10**6))

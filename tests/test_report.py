@@ -717,12 +717,6 @@ class TestRenderOnepage:
         html = render_onepage(fp, factors).content.decode("utf-8")
         assert 'class="badge flat"' in html
 
-    def test_custom_thresholds_change_badge(self, fixture_footprint, factors):
-        fp = attach_history(fixture_footprint, [(5, 2000000.0)])  # -10%
-        html = render_onepage(fp, factors,
-                              trend_thresholds=(15.0, 5.0)).content.decode("utf-8")
-        assert 'class="badge flat"' in html
-
     def test_two_months_of_trend_rows(self, fixture_footprint, factors):
         fp = attach_history(fixture_footprint, [(5, 2000000.0), (4, 2200000.0)])
         html = render_onepage(fp, factors).content.decode("utf-8")

@@ -973,9 +973,16 @@ class TestReportCommand:
         rerender_dir = workspace["root"] / "rerender"
         assert main(["report", "--report", str(report),
                      "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
-        assert "'../../escape'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'../../escape'" in err and "tenant.tenantId" in err
         assert not rerender_dir.exists()
         assert not (workspace["root"] / "escape").exists()
+        # audit refuses the id where it reads the report, by the same check.
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot read report under audit: {report}: malformed report JSON: "
+            "tenant.tenantId: must be an id (letters, digits, '_', '.' and '-', "
+            "starting with a letter or digit), got '../../escape'\n")
 
     def test_duplicate_key_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
@@ -1423,14 +1430,19 @@ def test_output_is_independent_of_input_row_order(tmp_path):
     assert trees[0] == trees[1]
 
 
-@pytest.mark.parametrize("value", ["nan,5", "5,inf", "-1,5"])
-def test_trend_thresholds_must_be_finite_and_non_negative(tmp_path, capsys,
-                                                           value):
+@pytest.mark.parametrize("argv", [
+    ["compute", "--period", "2025-06", "--input-dir", "in", "--models", "m.csv",
+     "--equivalencies", "f.json", "--out-dir", "out", "--trend-thresholds=5,5"],
+    ["report", "--report", "r.json", "--out-dir", "out", "--trend-thresholds=5,5"],
+    ["synth", "--seed", "1", "--out-dir", "fleet", "--no-offsets"],
+], ids=["compute", "report", "synth"])
+def test_removed_options_are_usage_errors(capsys, argv):
+    """The badge cutoff is fixed, so the one-page report is a function of
+    the JSON report alone; synth always writes offsets."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["report", "--report", str(tmp_path / "r.json"),
-              "--out-dir", str(tmp_path / "out"), f"--trend-thresholds={value}"])
+        main(argv)
     assert exit_info.value.code == 2
-    assert "thresholds must be finite and >= 0" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compute", "audit"])
@@ -1548,25 +1560,42 @@ def test_fuel_total_is_bounded_in_the_order_scope1_adds_it(tmp_path, capsys,
     assert "audit PASS" in capsys.readouterr().out
 
 
+def subcommand_options() -> dict[str, list[str]]:
+    """Each subcommand's options in the order it declares them, less --help."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {name: [option for action in command._actions if action.dest != "help"
+                   for option in action.option_strings]
+            for name, command in commands.items()}
+
+
 def test_each_subcommand_has_its_pinned_options():
     """Adding an option is a decision that this list records."""
-    parser = cli.build_parser()
-    (commands,) = [action.choices for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    assert {name: [option for action in command._actions if action.dest != "help"
-                   for option in action.option_strings]
-            for name, command in commands.items()} == {
+    assert subcommand_options() == {
         "calibrate": ["--samples", "--models-out"],
         "compute": ["--period", "--input-dir", "--models", "--equivalencies",
-                    "--out-dir", "--history-dir", "--trend-thresholds"],
-        "report": ["--report", "--out-dir", "--equivalencies", "--trend-thresholds"],
+                    "--out-dir", "--history-dir"],
+        "report": ["--report", "--out-dir", "--equivalencies"],
         "audit": ["--report", "--input-dir", "--models", "--equivalencies",
                   "--history-dir"],
-        "synth": ["--seed", "--tenants", "--dcs", "--out-dir", "--no-offsets",
-                  "--l-share"],
+        "synth": ["--seed", "--tenants", "--dcs", "--out-dir", "--l-share"],
     }
-    assert [action.dest for action in parser._actions
+    assert [action.dest for action in cli.build_parser()._actions
             if action.option_strings] == ["help"]
+
+
+def test_readme_synopsis_lists_each_commands_options():
+    """The README's "Command line" block names every subcommand once, with
+    the options the parser declares, in the same order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for usage in re.split(r"\n(?=carbonalloc )", block.strip()):
+        command = usage.split()[1]
+        assert command not in synopsis
+        synopsis[command] = re.findall(r"--[a-z][a-z-]*", usage)
+    assert synopsis == subcommand_options()
 
 
 def test_synth_refuses_l_share_out_of_range(tmp_path, capsys):
