@@ -14,16 +14,18 @@ The computation is a strict pipeline with an acyclic dependency order:
 
 The engine runs in two phases. Phase 1, :func:`fleet_totals`, computes and
 checks every per-data-center figure once, as plain floats over the whole
-fleet: each pair's four energies, and each data center's direct energy,
-Scope 2 total and fuel emissions. It raises every error of the fleet:
-missing models, zero denominators, overflows and a zero Scope 2 total with
-Scope 1 or 3 to distribute. Phase 2 builds one tenant's footprint from
-those figures: :func:`compute_scope2` its pairs' :class:`TenantDcScope2`
-records with their device shares, :func:`compute_responsibility_ratios`
-their shares of phase 1's Scope 2 totals, then the other scopes.
-:func:`compute_footprints` runs phase 2 for every tenant;
-:func:`tenant_footprint` runs it for one, which is what checking a single
-report needs, and so reports a fleet error before an unknown tenant.
+fleet: each pair's four energies, one mapping keyed in ``SCOPE2_COMPONENTS``
+order that the pair's :class:`TenantDcScope2` and :class:`DcFootprint` then
+share, and each data center's direct energy, Scope 2 total and fuel
+emissions. It raises every error of the fleet: missing models, zero
+denominators, overflows and a zero Scope 2 total with Scope 1 or 3 to
+distribute. Phase 2 builds one tenant's footprint from those figures:
+:func:`compute_scope2` its pairs' :class:`TenantDcScope2` records with their
+device shares, :func:`compute_responsibility_ratios` their shares of phase
+1's Scope 2 totals, then the other scopes. :func:`compute_footprints` runs
+phase 2 for every tenant; :func:`tenant_footprint` runs it for one, which is
+what checking a single report needs, and so reports a fleet error before an
+unknown tenant.
 
 All sums iterate in sorted key order so identical inputs reproduce identical
 floats, which the conservation audit and report auditing rely on. The engine
@@ -54,7 +56,7 @@ and data centers, and the history length.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
@@ -97,6 +99,13 @@ __all__ = [
 AUDIT_TOLERANCE = 1e-9
 
 _BY_DEVICE_ID = attrgetter("device_id")
+_COMPONENTS = itemgetter(*SCOPE2_COMPONENTS)
+
+
+def _scope2_energy(energy: Mapping[str, float]) -> float:
+    """A pair's four energies added in ``SCOPE2_COMPONENTS`` order."""
+    server, network, cooling, other = _COMPONENTS(energy)
+    return server + network + cooling + other
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +137,7 @@ class DeviceShare(NamedTuple):
 class _TenantDcScope2(NamedTuple):
     tenant_id: str
     datacenter_id: str
-    e_server: float
-    e_network: float
-    e_cooling: float
-    e_other: float
+    component_energy: dict[str, float]
     emissions: float
     per_device: tuple[DeviceShare, ...]
     c_dc: float
@@ -141,21 +147,20 @@ class _TenantDcScope2(NamedTuple):
 class TenantDcScope2(CheckedRecord, _TenantDcScope2):
     """One tenant's Scope 2 in one data center, split into energy categories.
 
-    ``emissions`` is derived: (e_server + e_network + e_cooling + e_other)
-    x grid intensity x load share.
+    ``component_energy`` is phase 1's mapping of the pair's four energies in
+    Wh, keyed in ``SCOPE2_COMPONENTS`` order. ``emissions`` is derived: their
+    sum x grid intensity x load share.
     """
 
     __slots__ = ()
     _derived = ("emissions",)
 
-    def __new__(cls, tenant_id: str, datacenter_id: str, e_server: float,
-                e_network: float, e_cooling: float, e_other: float,
-                per_device: tuple[DeviceShare, ...], c_dc: float,
-                l_share: float) -> "TenantDcScope2":
-        emissions = (e_server + e_network + e_cooling + e_other) * c_dc * l_share
-        return super().__new__(cls, tenant_id, datacenter_id, e_server, e_network,
-                               e_cooling, e_other, emissions, per_device, c_dc,
-                               l_share)
+    def __new__(cls, tenant_id: str, datacenter_id: str,
+                component_energy: dict[str, float], per_device: tuple[DeviceShare, ...],
+                c_dc: float, l_share: float) -> "TenantDcScope2":
+        emissions = _scope2_energy(component_energy) * c_dc * l_share
+        return super().__new__(cls, tenant_id, datacenter_id, component_energy,
+                               emissions, per_device, c_dc, l_share)
 
 
 class HistoryEntry(NamedTuple):
@@ -214,9 +219,7 @@ class DcFootprint(CheckedRecord, _DcFootprint):
             category, device_id = next(k for i, k in enumerate(keys) if k in keys[:i])
             raise UnitError(f"devices repeat the {category} device {device_id!r}")
         c, l = grid_intensity, l_share
-        energy = component_energy
-        scope2 = (energy["server"] + energy["network"] + energy["cooling"]
-                  + energy["other"]) * c * l
+        scope2 = _scope2_energy(component_energy) * c * l
         emissions = {key: e * c * l for key, e in component_energy.items()}
         gross = scope1 + scope2 + scope3
         return super().__new__(
@@ -228,8 +231,7 @@ class DcFootprint(CheckedRecord, _DcFootprint):
     @property
     def scope2_energy(self) -> float:
         """Total Scope 2 energy, summed in the fixed category order."""
-        e = self.component_energy
-        return e["server"] + e["network"] + e["cooling"] + e["other"]
+        return _scope2_energy(self.component_energy)
 
 
 class _Footprint(NamedTuple):
@@ -312,19 +314,19 @@ class FleetTotals(NamedTuple):
     figures, which phase 2 builds its records from.
 
     ``direct``, ``scope2`` and ``fuel`` are keyed by data center id, covering
-    every data center some tenant declares, in the order the pairs first
-    reach it; ``fuel`` holds each fuel log entry's emissions in device-id
-    order. ``pairs`` maps each (tenant id, data center id), sorted, to the
-    pair's server and network usage rows in device-id order and its four
-    Scope 2 energies in Wh: ``(servers, network, e_server, e_network,
-    e_cooling, e_other)``. ``shared`` holds each of those data centers'
+    every data center some tenant declares, in the order the pairs first reach
+    it; ``fuel`` holds each fuel log entry's emissions in device-id order.
+    ``pairs`` maps each (tenant id, data center id), sorted, to ``(servers,
+    network, component_energy)``: the pair's server and network usage rows in
+    device-id order and its four Scope 2 energies in Wh, keyed in
+    ``SCOPE2_COMPONENTS`` order. ``shared`` holds each of those data centers'
     cooling, then other, devices in device-id order, each with its category.
     """
 
     direct: dict[str, float]
     scope2: dict[str, float]
     pairs: dict[tuple[str, str], tuple[list[ServerUsage], list[NetworkUsage],
-                                       float, float, float, float]]
+                                       dict[str, float]]]
     shared: dict[str, list[tuple[str, SharedDevice]]]
     fuel: dict[str, list[float]]
 
@@ -360,57 +362,54 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     for row in raw.network:
         network_rows.setdefault((row.tenant_id, row.datacenter_id), []).append(row)
 
-    # A pair's two shared energies are appended once its data center's direct
-    # total is known; that keeps the pairs in sorted order.
+    # A pair's two shared energies join its mapping once its data center's
+    # direct total is known; that keeps the pairs in sorted order.
     pairs: dict[tuple[str, str], tuple] = {}
-    pair_direct: dict[str, list[tuple[tuple[str, str], float]]] = {}
+    by_dc: dict[str, list[tuple[float, dict[str, float], float]]] = {}
     for tenant_id in sorted(raw.tenants):
+        l_share = raw.tenants[tenant_id].l_share
         for dc_id in sorted(raw.tenants[tenant_id].datacenter_ids):
             key = (tenant_id, dc_id)
             servers = sorted(server_rows.get(key, ()), key=_BY_DEVICE_ID)
             network = sorted(network_rows.get(key, ()), key=_BY_DEVICE_ID)
             e_server = 0.0
             for row in servers:
-                energy = server_energy_wh(models[row.device_model], row)
-                e_server += 0.0 if energy < 0.0 else energy
+                wh = server_energy_wh(models[row.device_model], row)
+                e_server += 0.0 if wh < 0.0 else wh
             e_network = 0.0
             for row in network:
                 e_network += network_energy_wh(row)
-            pairs[key] = (servers, network, e_server, e_network)
-            pair_direct.setdefault(dc_id, []).append((key, e_server + e_network))
+            energy = {"server": e_server, "network": e_network}
+            pairs[key] = (servers, network, energy)
+            by_dc.setdefault(dc_id, []).append((l_share, energy, e_server + e_network))
 
     direct: dict[str, float] = {}
     scope2: dict[str, float] = {}
     shared: dict[str, list[tuple[str, SharedDevice]]] = {}
     fuel: dict[str, list[float]] = {}
-    for dc_id, dc_pairs in pair_direct.items():
+    for dc_id, dc_pairs in by_dc.items():
         dc = raw.datacenters[dc_id]
-        shared[dc_id] = [(category, dev) for category, devices in (
-            ("cooling", dc.cooling_devices), ("other", dc.other_devices))
-            for dev in sorted(devices, key=_BY_DEVICE_ID)]
+        shared[dc_id] = []
         fuel[dc_id] = [f.amount * f.emission_factor
                        for f in sorted(dc.fuel_log, key=_BY_DEVICE_ID)]
         try:
-            all_direct = 0.0
-            for _, pair in dc_pairs:
-                all_direct += pair
+            all_direct = sum_in_order(wh for _, _, wh in dc_pairs)
             direct[dc_id] = check_energy(all_direct)
-            shared_wh = {"cooling": 0.0, "other": 0.0}
-            for category, dev in shared[dc_id]:
-                shared_wh[category] += dev.energy
-            cooling = check_energy(shared_wh["cooling"])
-            other = check_energy(shared_wh["other"])
+            shared_wh: dict[str, float] = {}
+            for category, devices in (("cooling", dc.cooling_devices),
+                                      ("other", dc.other_devices)):
+                devices = sorted(devices, key=_BY_DEVICE_ID)
+                shared[dc_id] += [(category, dev) for dev in devices]
+                shared_wh[category] = check_energy(
+                    sum_in_order(dev.energy for dev in devices))
             check_emissions(sum_in_order(fuel[dc_id]))
             check_emissions(dc.green_energy * dc.grid_intensity)
-            cooling_label = f"cooling devices of {dc_id}"
-            other_label = f"other devices of {dc_id}"
             total = 0.0
-            for key, pair in dc_pairs:
-                e_cooling = split_shared_wh(cooling, pair, all_direct, cooling_label)
-                e_other = split_shared_wh(other, pair, all_direct, other_label)
-                pairs[key] += (e_cooling, e_other)
-                total += ((pair + e_cooling + e_other) * dc.grid_intensity
-                          * raw.tenants[key[0]].l_share)
+            for l_share, energy, direct_wh in dc_pairs:
+                for category, wh in shared_wh.items():
+                    energy[category] = split_shared_wh(
+                        wh, direct_wh, all_direct, f"{category} devices of {dc_id}")
+                total += _scope2_energy(energy) * dc.grid_intensity * l_share
             scope2[dc_id] = check_emissions(total)
         except UnitError as exc:
             raise UnitError(f"{dc.source_ref or 'datacenters:' + dc_id}: {exc}") from exc
@@ -439,8 +438,7 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     1's order, for their shares; a negative server estimate warns here.
     """
     c, l = raw.datacenters[dc_id].grid_intensity, raw.tenants[tenant_id].l_share
-    key = (tenant_id, dc_id)
-    servers, network, e_server, e_network, e_cooling, e_other = totals.pairs[key]
+    servers, network, pair_wh = totals.pairs[(tenant_id, dc_id)]
     devices: list[DeviceShare] = []
     for row in servers:
         energy = clamped_server_energy_wh(models[row.device_model], row)
@@ -453,23 +451,15 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
 
     all_direct = totals.direct[dc_id]
     if all_direct > 0.0:
-        ratio = (e_server + e_network) / all_direct
+        ratio = (pair_wh["server"] + pair_wh["network"]) / all_direct
         for category, dev in totals.shared[dc_id]:
             energy = dev.energy * ratio
             devices.append(DeviceShare(dev.device_id, category, energy,
                                        energy * c * l))
 
-    return TenantDcScope2(
-        tenant_id=tenant_id,
-        datacenter_id=dc_id,
-        e_server=e_server,
-        e_network=e_network,
-        e_cooling=e_cooling,
-        e_other=e_other,
-        per_device=tuple(devices),
-        c_dc=c,
-        l_share=l,
-    )
+    return TenantDcScope2(tenant_id=tenant_id, datacenter_id=dc_id,
+                          component_energy=pair_wh, per_device=tuple(devices),
+                          c_dc=c, l_share=l)
 
 
 def compute_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
@@ -529,10 +519,7 @@ def _footprint(raw: RawData, models: Mapping[str, ServerPowerModel],
             l_share=s2.l_share,
             scope1=scope1,
             scope3=dc.scope3_total * r,
-            component_energy={"server": s2.e_server,
-                              "network": s2.e_network,
-                              "cooling": s2.e_cooling,
-                              "other": s2.e_other},
+            component_energy=s2.component_energy,
             green_offset=dc.green_energy * dc.grid_intensity * r,
             rec_offset=dc.rec_offset * r,
             devices=s2.per_device,
@@ -699,14 +686,10 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
 
         # Shared-energy conservation: tenant cooling/other allocations must
         # reproduce the metered totals.
-        stored_cooling = stored_sum(lambda e: e.component_energy["cooling"])
-        stored_other = stored_sum(lambda e: e.component_energy["other"])
-        checks.append(AuditCheck("cooling_energy_total", dc_id,
-                                 cooling_total if all_direct > 0 else 0.0,
-                                 stored_cooling))
-        checks.append(AuditCheck("other_energy_total", dc_id,
-                                 other_total if all_direct > 0 else 0.0,
-                                 stored_other))
+        for category, total in (("cooling", cooling_total), ("other", other_total)):
+            checks.append(AuditCheck(
+                f"{category}_energy_total", dc_id, total if all_direct > 0 else 0.0,
+                stored_sum(lambda e: e.component_energy[category])))
 
         # Scope 1/3 conservation: stored sums must equal the DC totals scaled
         # by the summed responsibility ratios (with full load shares the sum

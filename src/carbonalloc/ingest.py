@@ -2,8 +2,9 @@
 
 Every input file is a UTF-8 CSV whose first line must be the literal comment
 ``# schema_version=1``. Headers are matched case-insensitively and unknown
-columns are ignored, so exports may carry extra operator columns without
-breaking ingestion. :func:`read_table` reads every such file, including the
+columns, repeated or empty ones too, are ignored, so exports may carry extra
+operator columns without breaking ingestion; a column that is read may
+appear only once. :func:`read_table` reads every such file, including the
 power models and calibration samples, by these rules:
 
 * RFC 4180 quoting: a quoted cell may hold ``,``, a doubled ``"`` and line
@@ -359,12 +360,14 @@ class _Table(NamedTuple):
         return [*map(f"{self.source}:".__add__, map(str, self.line_nos))]
 
 
-def read_table(path: Path | str, required: tuple[str, ...]) -> _Table:
+def read_table(path: Path | str, required: tuple[str, ...],
+               optional: tuple[str, ...] = ()) -> _Table:
     """Read the records after a table's schema line and header.
 
     The file is decoded and parsed whole, as described in the module
-    docstring. Every ``required`` column must appear in the header; other
-    columns are ignored. Errors are :class:`MalformedRow` at the first line
+    docstring. Every ``required`` column must appear in the header, and
+    neither it nor an ``optional`` one twice; other columns, and repeats of
+    them, are ignored. Errors are :class:`MalformedRow` at the first line
     of the offending record, labelled with the file name, as every record's
     ``file:line`` ref is; a file that cannot be read is named by its path,
     at line 0.
@@ -409,10 +412,11 @@ def read_table(path: Path | str, required: tuple[str, ...]) -> _Table:
                 records.append(cells)
                 continue
             index = {}
-            for i, name in enumerate(cells):
-                if name.lower() in index:
-                    raise MalformedRow(source, line_no, f"duplicate column {name!r}")
-                index[name.lower()] = i
+            for i, name in enumerate(map(str.lower, cells)):
+                if name not in index:
+                    index[name] = i
+                elif name in required or name in optional:
+                    raise MalformedRow(source, line_no, f"duplicate column {cells[i]!r}")
             missing = [c for c in required if c not in index]
             if missing:
                 raise MalformedRow(source, line_no, "missing required column(s): "
@@ -606,7 +610,7 @@ def _shared_devices(row: _Row, column: str) -> tuple[SharedDevice, ...]:
 def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     """Parse datacenters.csv keyed by datacenter_id."""
     out: dict[str, DataCenter] = {}
-    for row in read_table(path, _DATACENTER_COLUMNS).rows():
+    for row in read_table(path, _DATACENTER_COLUMNS, _DATACENTER_OFFSETS).rows():
         dc_id = row.id("datacenter_id")
         if dc_id in out:
             raise DuplicateId(row.source, row.line_no, "data center", dc_id)
@@ -640,7 +644,7 @@ def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
 def read_tenants(path: Path | str) -> dict[str, Tenant]:
     """Parse tenants.csv keyed by tenant_id."""
     out: dict[str, Tenant] = {}
-    for row in read_table(path, _TENANT_COLUMNS).rows():
+    for row in read_table(path, _TENANT_COLUMNS, ("l_share",)).rows():
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
             raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)

@@ -194,15 +194,14 @@ class TestComputeScope2:
 
     def test_emissions_product_invariant_enforced_on_construction(self):
         """Emissions are derived from the energies and cannot be passed in."""
+        energy = dict(zip(SCOPE2_COMPONENTS, (100.0, 0.0, 0.0, 0.0)))
         with pytest.raises(TypeError):
             TenantDcScope2(
-                tenant_id="T", datacenter_id="D", e_server=100.0,
-                e_network=0.0, e_cooling=0.0, e_other=0.0, emissions=999.0,
-                per_device=(), c_dc=0.5, l_share=1.0,
+                tenant_id="T", datacenter_id="D", component_energy=energy,
+                emissions=999.0, per_device=(), c_dc=0.5, l_share=1.0,
             )
         entry = TenantDcScope2(
-            tenant_id="T", datacenter_id="D", e_server=100.0,
-            e_network=0.0, e_cooling=0.0, e_other=0.0,
+            tenant_id="T", datacenter_id="D", component_energy=energy,
             per_device=(DeviceShare("S", "server", 100.0, 50.0),),
             c_dc=0.5, l_share=1.0)
         assert entry.emissions == 50.0
@@ -838,8 +837,9 @@ class TestTenantFootprint:
         assert list(totals.pairs) == [(tenant_id, dc.datacenter_id)
                                       for tenant_id, dc in per_dc]
         for tenant_id, dc in per_dc:
-            _, _, *energies = totals.pairs[(tenant_id, dc.datacenter_id)]
-            assert [e.hex() for e in energies] == [
+            _, _, energy = totals.pairs[(tenant_id, dc.datacenter_id)]
+            assert list(energy) == list(SCOPE2_COMPONENTS)
+            assert [e.hex() for e in energy.values()] == [
                 dc.component_energy[name].hex() for name in SCOPE2_COMPONENTS]
 
     def test_only_phase_1_splits_shared_energy(self, monkeypatch):

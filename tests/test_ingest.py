@@ -4,6 +4,7 @@ import ast
 import collections
 import math
 import re
+import shutil
 import sys
 import tempfile
 from collections import Counter
@@ -202,6 +203,54 @@ class TestReadServers:
         path = csv_file(tmp_path, "servers.csv", SERVER_HEADER, "DC_EU1,SERVER_1")
         with pytest.raises(MalformedRow):
             read_servers(path)
+
+
+class TestRepeatedColumns:
+    """A column that a reader reads may appear once in a header; repeats of
+    any other column, the empty name included, are ignored like the column."""
+
+    @pytest.fixture
+    def clean(self, tmp_path):
+        write_fleet(generate_fleet(seed=3, n_tenants=2, n_dcs=1), tmp_path / "clean")
+        return tmp_path / "clean"
+
+    @staticmethod
+    def extended(clean: Path, name: str, header_cells: str, row_cells: str) -> Path:
+        """A copy of the ``clean`` input directory whose file ``name`` has
+        ``header_cells`` added to its header and ``row_cells`` to each row."""
+        copy = shutil.copytree(clean, clean.parent / "extended")
+        schema, header, *rows = (clean / name).read_text(encoding="utf-8").splitlines()
+        (copy / name).write_text("\n".join(
+            [schema, header + header_cells, *(row + row_cells for row in rows)]
+        ) + "\n", encoding="utf-8")
+        return copy
+
+    @staticmethod
+    def records(input_dir: Path) -> str:
+        # By repr, so that every record's source_ref counts.
+        return repr(load_input_dir(input_dir, PERIOD))
+
+    @pytest.mark.parametrize("name", ingest.INPUT_FILE_NAMES.values())
+    def test_trailing_empty_cells_are_ignored(self, clean, name):
+        padded = self.extended(clean, name, ",,", ",,")
+        assert self.records(padded) == self.records(clean)
+
+    @pytest.mark.parametrize("name", ingest.INPUT_FILE_NAMES.values())
+    def test_repeated_unknown_column_is_ignored(self, clean, name):
+        noted = self.extended(clean, name, ",notes,Notes", ",a,b")
+        assert self.records(noted) == self.records(clean)
+
+    @pytest.mark.parametrize("name, column", [
+        ("servers.csv", "DEVICE_ID"), ("network.csv", "bytes_sent"),
+        ("datacenters.csv", "Scope3_Total"), ("tenants.csv", "L_Share"),
+        ("tenants.csv", "tenant_id"),
+    ])
+    def test_repeated_read_column_is_refused(self, clean, name, column):
+        """Required and optional columns alike, in any case."""
+        repeated = self.extended(clean, name, "," + column, ",0")
+        with pytest.raises(MalformedRow, match=(
+                rf"^{re.escape(name)}:2: duplicate column '{column}'$")):
+            load_input_dir(repeated, PERIOD)
 
 
 class TestReadNetwork:
@@ -756,12 +805,18 @@ USAGE_FAULTS = {
 
 
 NEGATIVE_ZEROS = st.sampled_from(["-0", "-0.0"])
+PADDING = st.sampled_from(["", "", " ", "\t", " \t "])
+# An unread last column, whose quoted cells may span lines.
+BATCHES = st.sampled_from(["b", '"x,y"', '"say ""hi"""', '"two\nlines"',
+                           '"two\r\nlines"'])
 
 
 @st.composite
 def usage_tables(draw, name: str) -> str:
     """The text of a servers.csv or network.csv: valid records in a drawn
-    column order, with at most one fault of each kind."""
+    column order, with at most one fault of each kind. Unquoted cells are
+    padded with spaces and tabs, a last unread cell may be quoted and span
+    lines, and lines end in LF or CRLF."""
     header = (SERVER_HEADER if name == "servers.csv" else NETWORK_HEADER).split(",")
     records = []
     for i in range(draw(st.integers(1, 6))):
@@ -789,16 +844,22 @@ def usage_tables(draw, name: str) -> str:
         columns, values = faults[kind]
         records[draw(st.integers(0, len(records) - 1))][
             draw(st.sampled_from(columns))] = draw(st.sampled_from(values))
+
+    def padded(cell: str) -> str:
+        return draw(PADDING) + cell + draw(PADDING)
+
     order = draw(st.permutations(header))
-    lines = [",".join(order) + ",batch"]
-    lines += [",".join([*(r[c] for c in order), "b"]) for r in records]
+    lines = [",".join(map(padded, [*order, "batch"]))]
+    lines += [",".join([*(padded(r[c]) for c in order), draw(BATCHES)])
+              for r in records]
     if "short" in kinds:  # may still hold every required column
         at = draw(st.integers(1, len(lines) - 1))
         lines[at] = ",".join(lines[at].split(",")[:draw(st.integers(1, len(order)))])
     for kind, record in (("comment", "# a comment,x"), ("blank", "")):
         if kind in kinds:
             lines.insert(draw(st.integers(1, len(lines))), record)
-    return "\n".join((SCHEMA_LINE, *lines)) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join((SCHEMA_LINE, *lines)) + end
 
 
 def outcome(read):

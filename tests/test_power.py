@@ -297,8 +297,8 @@ class TestAllocateSharedEnergy:
             SharedDevice("A", 1.0)))
         raw = fictitious_raw._replace(datacenters={"DC_EU1": dc}, network=())
         totals = fleet_totals(raw, {"ABC_987": intercept_model("ABC_987", 1.0)})
-        *_, e_other = totals.pairs[("TENANT_X", "DC_EU1")]
-        assert e_other == 1.0  # the sole tenant's split: 1.0 * 1 Wh / 1 Wh
+        _, _, energy = totals.pairs[("TENANT_X", "DC_EU1")]
+        assert energy["other"] == 1.0  # the sole tenant's split: 1.0 * 1 Wh / 1 Wh
         assert 1e-16 + 1e-16 + 1.0 != 1.0
 
     @settings(max_examples=50, deadline=None)

@@ -523,7 +523,8 @@ class TestCheckedRecords:
     @pytest.fixture
     def records(self, fixture_footprint, factors):
         dc = fixture_footprint.per_dc[0]
-        pair = TenantDcScope2("T", "D", 1.0, 2.0, 3.0, 4.0, (), 0.5, 1.0)
+        energy = dict(zip(SCOPE2_COMPONENTS, (1.0, 2.0, 3.0, 4.0)))
+        pair = TenantDcScope2("T", "D", energy, (), 0.5, 1.0)
         return [fixture_footprint, dc, pair, fixture_footprint.period, factors]
 
     def test_copies_are_checked_again(self, fixture_footprint, factors):

@@ -218,6 +218,17 @@ class TestComputeCommand:
         assert run_compute(workspace) == EXIT_VALIDATION
         assert "schema_version" in capsys.readouterr().err
 
+    def test_repeated_read_column_exits_1_naming_the_header(self, workspace, capsys):
+        """An optional column given twice, once in another case, is refused."""
+        path = workspace["fleet"] / "datacenters.csv"
+        schema, header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([schema, header + ",Scope3_Total",
+                                   *(row + ",0" for row in rows)]) + "\n",
+                        encoding="utf-8")
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "datacenters.csv:2: duplicate column 'Scope3_Total'\n")
+
     def test_missing_models_file_exits_1(self, workspace, capsys):
         workspace["models"].unlink()
         assert run_compute(workspace) == EXIT_VALIDATION

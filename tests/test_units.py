@@ -1,12 +1,35 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from carbonalloc import units
 from carbonalloc.errors import UnitError
 from carbonalloc.units import (
+    SCOPE2_COMPONENTS,
     Period,
     check_emissions,
     check_energy,
     check_share,
 )
+
+
+def test_only_units_lists_the_scope2_components():
+    """The four Scope 2 categories are listed in one place: no module but
+    units.py holds all four names in a tuple, list, set or dict display."""
+    listed = []
+    for path in sorted(Path(units.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                members = node.elts
+            elif isinstance(node, ast.Dict):
+                members = node.keys
+            else:
+                continue
+            names = {m.value for m in members if isinstance(m, ast.Constant)}
+            if names >= set(SCOPE2_COMPONENTS):
+                listed.append((path.name, node.lineno))
+    assert [name for name, _ in listed] == ["units.py"], listed
 
 
 class TestEnergyWh:
