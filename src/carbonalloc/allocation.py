@@ -28,8 +28,10 @@ what checking a single report needs, and so reports a fleet error before an
 unknown tenant.
 
 All sums iterate in sorted key order so identical inputs reproduce identical
-floats, which the conservation audit and report auditing rely on. The engine
-reads no files: prior months are attached by the caller.
+floats, which report auditing relies on. The engine reads no files: prior
+months are attached by the caller. :func:`conservation_audit` checks six
+sums per data center against :mod:`.reference`, which states the model
+again as plain loops and shares no code with the engine.
 
 Every figure is a plain float in the units of :mod:`.units`. Figures that
 are functions of other fields of the same record are derived by the record,
@@ -615,106 +617,44 @@ def conservation_audit(footprints: Sequence[Footprint], raw: RawData,
                        models: Mapping[str, ServerPowerModel]) -> AuditReport:
     """Verify that per-tenant figures add back up to data center totals.
 
-    Expected values are recomputed from the raw inputs with plain loops (no
-    engine code paths): per-device energies from the model weights and the
-    per-byte network cost, proportional shares from the direct-energy
-    ratios, fuel and Scope 3 totals straight from the data center records.
-    Failures are returned as data, never raised: an audit's job is to report.
+    The expected values come from :mod:`.reference`, which states the model
+    again as plain loops over the raw inputs and shares no code with the
+    engine. Each data center that some tenant declares gets six checks, in
+    this order: ``scope2_share_sum`` (only when its Scope 2 total is not
+    zero), ``cooling_energy_total``, ``other_energy_total``,
+    ``scope1_total``, ``scope3_total`` and ``gross_total``. Failures are
+    returned as data, never raised: an audit's job is to report.
     """
-    stored: dict[tuple[str, str], DcFootprint] = {}
-    for fp in footprints:
-        for dc_fp in fp.per_dc:
-            stored[(fp.tenant_id, dc_fp.datacenter_id)] = dc_fp
+    # Imported here: only `compute` runs this audit.
+    from .reference import expected_figures
 
-    # Brute-force recomputation of direct energy per (tenant, DC), with the
-    # terms in the engine's order so the floats match. A negative estimate
-    # is clamped to zero silently: the engine has already warned about it.
-    direct: dict[tuple[str, str], float] = {}
-    for row in raw.servers:
-        model = models[row.device_model]
-        energy = (model.intercept
-                  + model.w_cpu * row.cpu_utilization
-                  + model.w_cache * row.cache_moved
-                  + model.w_dram * row.dram_accessed
-                  + model.w_disk * row.disk_moved)
-        direct[(row.tenant_id, row.datacenter_id)] = (
-            direct.get((row.tenant_id, row.datacenter_id), 0.0)
-            + (0.0 if energy < 0.0 else energy))
-    for row in raw.network:
-        direct[(row.tenant_id, row.datacenter_id)] = (
-            direct.get((row.tenant_id, row.datacenter_id), 0.0)
-            + 6 * (row.bytes_sent + row.bytes_received) / 100_000_000)
+    stored = {(fp.tenant_id, dc.datacenter_id): dc
+              for fp in footprints for dc in fp.per_dc}
 
     checks: list[AuditCheck] = []
-    for dc_id in sorted(raw.datacenters):
-        dc = raw.datacenters[dc_id]
-        tenant_ids = sorted(t for t in raw.tenants
-                            if dc_id in raw.tenants[t].datacenter_ids)
-        if not tenant_ids:
+    for dc_id, expected in expected_figures(raw, models).items():
+        if not expected.pairs:
             continue
-        all_direct = sum_in_order(direct.get((t, dc_id), 0.0) for t in tenant_ids)
-        cooling_total = sum_in_order(d.energy for d in dc.cooling_devices)
-        other_total = sum_in_order(d.energy for d in dc.other_devices)
+        entries = [stored[(t, dc_id)] for t in expected.pairs if (t, dc_id) in stored]
 
-        # Expected per-tenant Scope 2 emissions, recomputed independently.
-        expected_scope2: dict[str, float] = {}
-        for t in tenant_ids:
-            d = direct.get((t, dc_id), 0.0)
-            shared = 0.0
-            if all_direct > 0.0:
-                shared = (cooling_total + other_total) * d / all_direct
-            expected_scope2[t] = ((d + shared) * dc.grid_intensity
-                                  * raw.tenants[t].l_share)
-        dc_scope2_total = sum_in_order(expected_scope2.values())
+        # Stored per-tenant Scope 2 over the expected total must sum to one.
+        # A corrupted tenant figure shifts the sum away from one even though
+        # each stored/total ratio alone would look plausible.
+        if expected.scope2 > 0.0:
+            checks.append(AuditCheck("scope2_share_sum", dc_id, 1.0, sum_in_order(
+                e.scope2 / expected.scope2 for e in entries)))
 
-        def stored_sum(value_of) -> float:
-            total = 0.0
-            for t in tenant_ids:
-                entry = stored.get((t, dc_id))
-                if entry is not None:
-                    total += value_of(entry)
-            return total
-
-        # Scope 2 share conservation: stored per-tenant Scope 2 over the
-        # recomputed DC total must sum to one. A corrupted tenant figure
-        # shifts the sum away from one even though each stored/total ratio
-        # alone would look plausible.
-        if dc_scope2_total > 0.0:
-            share_sum = stored_sum(
-                lambda e: e.scope2 / dc_scope2_total)
-            checks.append(AuditCheck("scope2_share_sum", dc_id, 1.0, share_sum))
-
-        # Shared-energy conservation: tenant cooling/other allocations must
-        # reproduce the metered totals.
-        for category, total in (("cooling", cooling_total), ("other", other_total)):
+        # Tenant cooling/other allocations must reproduce the metered totals.
+        for category in ("cooling", "other"):
             checks.append(AuditCheck(
-                f"{category}_energy_total", dc_id, total if all_direct > 0 else 0.0,
-                stored_sum(lambda e: e.component_energy[category])))
+                f"{category}_energy_total", dc_id,
+                getattr(expected, category) if expected.direct > 0.0 else 0.0,
+                sum_in_order(e.component_energy[category] for e in entries)))
 
-        # Scope 1/3 conservation: stored sums must equal the DC totals scaled
-        # by the summed responsibility ratios (with full load shares the sum
-        # of ratios is one and the full totals are distributed).
-        ratio_sum = 0.0
-        if dc_scope2_total > 0.0:
-            ratio_sum = sum_in_order(
-                (expected_scope2[t] / dc_scope2_total)
-                * raw.tenants[t].l_share
-                for t in tenant_ids)
-        # In device-id order, as each tenant's Scope 1 adds the entries.
-        fuel_total = sum_in_order(f.amount * f.emission_factor for f in
-                                  sorted(dc.fuel_log, key=_BY_DEVICE_ID))
-        stored_scope1 = stored_sum(lambda e: e.scope1)
-        stored_scope3 = stored_sum(lambda e: e.scope3)
-        checks.append(AuditCheck("scope1_total", dc_id,
-                                 fuel_total * ratio_sum, stored_scope1))
-        checks.append(AuditCheck("scope3_total", dc_id,
-                                 dc.scope3_total * ratio_sum, stored_scope3))
-
-        # Gross conservation: stored per-tenant gross must add up to the
-        # independently recomputed data center footprint.
-        expected_gross = (fuel_total * ratio_sum + dc_scope2_total
-                          + dc.scope3_total * ratio_sum)
-        stored_gross = stored_sum(lambda e: e.gross)
-        checks.append(AuditCheck("gross_total", dc_id, expected_gross, stored_gross))
+        for name in ("scope1", "scope3", "gross"):
+            checks.append(AuditCheck(
+                f"{name}_total", dc_id,
+                sum_in_order(getattr(p, name) for p in expected.pairs.values()),
+                sum_in_order(getattr(e, name) for e in entries)))
 
     return AuditReport(checks=tuple(checks))

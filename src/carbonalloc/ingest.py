@@ -1,11 +1,12 @@
 """CSV ingestion: the table format of every CSV, and the four period input files.
 
 Every input file is a UTF-8 CSV whose first line must be the literal comment
-``# schema_version=1``. Headers are matched case-insensitively and unknown
-columns, repeated or empty ones too, are ignored, so exports may carry extra
-operator columns without breaking ingestion; a column that is read may
-appear only once. :func:`read_table` reads every such file, including the
-power models and calibration samples, by these rules:
+``# schema_version=1``, trailing empty cells aside. Headers are matched
+case-insensitively and unknown columns, repeated or empty ones too, are
+ignored, so exports may carry extra operator columns without breaking
+ingestion; a column that is read may appear only once. :func:`read_table`
+reads every such file, including the power models and calibration samples,
+by these rules:
 
 * RFC 4180 quoting: a quoted cell may hold ``,``, a doubled ``"`` and line
   breaks. Only CR and LF end a line (U+2028 and the like are cell text).
@@ -398,7 +399,9 @@ def read_table(path: Path | str, required: tuple[str, ...],
             raise MalformedRow(source, 1, "empty file; expected schema comment "
                                           f"{SCHEMA_LINE!r}")
         schema = ",".join(first).strip()
-        if schema.replace(" ", "") != SCHEMA_LINE.replace(" ", ""):
+        while first and not first[-1].strip():  # a spreadsheet's padding
+            del first[-1]
+        if ",".join(first).strip().replace(" ", "") != SCHEMA_LINE.replace(" ", ""):
             raise MalformedRow(
                 source, 1, f"first line must be {SCHEMA_LINE!r}, got {schema!r}")
         end = reader.line_num

@@ -51,6 +51,28 @@ def intercept_model(name: str, wh: float) -> ServerPowerModel:
                             w_cache=0.0, w_dram=0.0, w_disk=0.0, adjusted_r2=1.0)
 
 
+def scale_fleet(raw: RawData, models: dict[str, ServerPowerModel],
+                k: float) -> tuple[RawData, dict[str, ServerPowerModel]]:
+    """``raw`` and ``models`` with every device energy times ``k``: each
+    model's intercept and weights, each byte counter (kept an int) and each
+    metered cooling and other energy. Grid intensities are unchanged. With
+    ``k = 2`` every scaled figure is exactly twice the old one."""
+    def scaled(devices):
+        return tuple(d._replace(energy=d.energy * k) for d in devices)
+
+    scaled_raw = raw._replace(
+        network=tuple(r._replace(bytes_sent=int(r.bytes_sent * k),
+                                 bytes_received=int(r.bytes_received * k))
+                      for r in raw.network),
+        datacenters={dc_id: dc._replace(cooling_devices=scaled(dc.cooling_devices),
+                                        other_devices=scaled(dc.other_devices))
+                     for dc_id, dc in raw.datacenters.items()})
+    scaled_models = {name: m._replace(
+        intercept=m.intercept * k, w_cpu=m.w_cpu * k, w_cache=m.w_cache * k,
+        w_dram=m.w_dram * k, w_disk=m.w_disk * k) for name, m in models.items()}
+    return scaled_raw, scaled_models
+
+
 @pytest.fixture
 def fictitious_models() -> dict[str, ServerPowerModel]:
     return {"ABC_987": intercept_model("ABC_987", 100000.0)}

@@ -18,18 +18,18 @@ import time
 
 import pytest
 
+from carbonalloc import reference
 from carbonalloc.allocation import HistoryEntry, compute_footprints
-from carbonalloc.ingest import NetworkUsage, RawData
+from carbonalloc.ingest import NetworkUsage
 from carbonalloc.power import (
     CalibrationSample,
-    ServerPowerModel,
     estimate_network_energy,
     fit_server_weights,
 )
 from carbonalloc.report import footprint_from_json, render_json, render_onepage
 from carbonalloc.synth import generate_fleet
 from carbonalloc.units import Period
-from conftest import src_env
+from conftest import scale_fleet, src_env
 
 REL_TOL_CONSERVATION = 1e-9   # residual bound for all conservation sums
 REL_TOL_WEIGHTS = 1e-6        # OLS weight recovery
@@ -89,37 +89,6 @@ def test_intensity_consistency(criterion, fictitious_raw, fictitious_models):
         assert dc.scope2 == 1800000.0
 
 
-def oracle_dc_totals(raw: RawData, models) -> dict[str, dict[str, float]]:
-    """Independent plain-loop recomputation of per-DC attributable totals."""
-    direct: dict[tuple[str, str], float] = {}
-    for row in raw.servers:
-        m = models[row.device_model]
-        e = (m.intercept + m.w_cpu * row.cpu_utilization
-             + m.w_cache * row.cache_moved + m.w_dram * row.dram_accessed
-             + m.w_disk * row.disk_moved)
-        key = (row.tenant_id, row.datacenter_id)
-        direct[key] = direct.get(key, 0.0) + max(e, 0.0)
-    for row in raw.network:
-        key = (row.tenant_id, row.datacenter_id)
-        direct[key] = direct.get(key, 0.0) + 6.0 * (row.bytes_sent
-                                                    + row.bytes_received) / 1e8
-    totals: dict[str, dict[str, float]] = {}
-    for dc_id, dc in raw.datacenters.items():
-        members = [t for t, ten in raw.tenants.items()
-                   if dc_id in ten.datacenter_ids]
-        dc_direct = math.fsum(direct.get((t, dc_id), 0.0) for t in members)
-        cooling = math.fsum(d.energy for d in dc.cooling_devices)
-        other = math.fsum(d.energy for d in dc.other_devices)
-        scope2 = (dc_direct + cooling + other) * dc.grid_intensity
-        fuel = math.fsum(f.amount * f.emission_factor for f in dc.fuel_log)
-        totals[dc_id] = {
-            "cooling": cooling,
-            "other": other,
-            "gross": fuel + scope2 + dc.scope3_total,
-        }
-    return totals
-
-
 def test_conservation_suite(criterion):
     """100 randomized fleets: shares sum to 1 and nothing is lost or invented."""
     with criterion("conservation_suite"):
@@ -134,32 +103,28 @@ def test_conservation_suite(criterion):
             )
             raw, models = fleet.raw, fleet.models
             footprints = compute_footprints(raw, models)
-            share_sums: dict[str, float] = {}
-            for fp in footprints:
-                for dc in fp.per_dc:
-                    share_sums[dc.datacenter_id] = (
-                        share_sums.get(dc.datacenter_id, 0.0) + dc.scope2_share)
-            for dc_id, total in share_sums.items():
-                assert rel_close(total, 1.0, REL_TOL_CONSERVATION), \
-                    f"share sum {total} in {dc_id}"
-
-            oracle = oracle_dc_totals(raw, models)
             got: dict[str, dict[str, float]] = {
-                dc_id: {"cooling": 0.0, "other": 0.0, "gross": 0.0}
+                dc_id: {"share": 0.0, "cooling": 0.0, "other": 0.0, "gross": 0.0}
                 for dc_id in raw.datacenters
             }
             for fp in footprints:
                 for dc in fp.per_dc:
                     bucket = got[dc.datacenter_id]
-                    comps = dc.component_energy
-                    bucket["cooling"] += comps["cooling"]
-                    bucket["other"] += comps["other"]
+                    bucket["share"] += dc.scope2_share
+                    bucket["cooling"] += dc.component_energy["cooling"]
+                    bucket["other"] += dc.component_energy["other"]
                     bucket["gross"] += dc.gross
-            for dc_id, expected in oracle.items():
-                for key in ("cooling", "other", "gross"):
-                    assert rel_close(got[dc_id][key], expected[key],
-                                     REL_TOL_CONSERVATION), \
-                        f"{key} in {dc_id}: {got[dc_id][key]} vs {expected[key]}"
+            # At full load shares each data center's whole footprint is
+            # attributed: its Scope 2 shares sum to one, and its metered shared
+            # energy and its fuel, Scope 2 and Scope 3 emissions add back up.
+            for dc_id, dc in reference.expected_figures(raw, models).items():
+                expected = {"share": 1.0 if dc.pairs else 0.0,
+                            "cooling": dc.cooling, "other": dc.other,
+                            "gross": (dc.fuel + dc.scope2
+                                      + raw.datacenters[dc_id].scope3_total)}
+                for key, value in expected.items():
+                    assert rel_close(got[dc_id][key], value, REL_TOL_CONSERVATION), \
+                        f"{key} in {dc_id}: {got[dc_id][key]} vs {value}"
         elapsed = time.perf_counter() - started
         assert elapsed < CONSERVATION_BUDGET_S, f"took {elapsed:.2f}s"
 
@@ -189,35 +154,6 @@ def test_ols_recovery(criterion):
                 f"{got} vs {want}"
         assert abs(model.adjusted_r2 - 1.0) <= ABS_TOL_R2
         assert elapsed < OLS_BUDGET_S, f"took {elapsed:.3f}s"
-
-
-def scale_fleet(raw: RawData, models, k: float):
-    """Scale every per-device energy in every DC by k; intensities unchanged."""
-    scaled_models = {
-        name: ServerPowerModel(name, m.intercept * k, m.w_cpu * k,
-                               m.w_cache * k, m.w_dram * k, m.w_disk * k,
-                               m.adjusted_r2)
-        for name, m in models.items()
-    }
-    scaled_network = tuple(
-        row._replace(bytes_sent=int(row.bytes_sent * k),
-                     bytes_received=int(row.bytes_received * k))
-        for row in raw.network
-    )
-    scaled_dcs = {
-        dc_id: dc._replace(
-            cooling_devices=tuple(
-                d._replace(energy=d.energy * k)
-                for d in dc.cooling_devices),
-            other_devices=tuple(
-                d._replace(energy=d.energy * k)
-                for d in dc.other_devices),
-        )
-        for dc_id, dc in raw.datacenters.items()
-    }
-    scaled_raw = raw._replace(network=scaled_network,
-                              datacenters=scaled_dcs)
-    return scaled_raw, scaled_models
 
 
 def test_scale_invariance(criterion):

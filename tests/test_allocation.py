@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from carbonalloc import allocation
+from carbonalloc import allocation, reference
 from carbonalloc.allocation import (
     DcFootprint,
     DeviceShare,
@@ -43,8 +43,8 @@ from carbonalloc.report import (
     render_json,
 )
 from carbonalloc.synth import generate_fleet, write_fleet
-from carbonalloc.units import SCOPE2_COMPONENTS, Period
-from conftest import intercept_model
+from carbonalloc.units import SCOPE2_COMPONENTS, Period, sum_in_order
+from conftest import intercept_model, scale_fleet
 
 PERIOD = Period(2025, 6)
 
@@ -440,57 +440,16 @@ class TestComputeFootprints:
             assert dc_ids == sorted(dc_ids)
 
     def test_matches_independent_reimplementation(self):
-        """Plain-loop oracle recomputes every figure from raw inputs."""
+        """The plain-loop reference recomputes every tenant's gross and net."""
         fleet = generate_fleet(seed=123, n_tenants=8, n_dcs=3)
         raw, models = fleet.raw, fleet.models
-
-        direct: dict[tuple[str, str], float] = {}
-        for row in sorted(raw.servers, key=lambda r: r.device_id):
-            m = models[row.device_model]
-            e = (m.intercept + m.w_cpu * row.cpu_utilization
-                 + m.w_cache * row.cache_moved + m.w_dram * row.dram_accessed
-                 + m.w_disk * row.disk_moved)
-            key = (row.tenant_id, row.datacenter_id)
-            direct[key] = direct.get(key, 0.0) + max(e, 0.0)
-        for row in sorted(raw.network, key=lambda r: r.device_id):
-            key = (row.tenant_id, row.datacenter_id)
-            e = 6.0 * (row.bytes_sent + row.bytes_received) / 1e8
-            direct[key] = direct.get(key, 0.0) + e
-
-        expected_gross: dict[str, float] = {}
-        expected_net: dict[str, float] = {}
-        scope2_emissions: dict[tuple[str, str], float] = {}
-        for dc_id, dc in raw.datacenters.items():
-            members = [t for t, ten in raw.tenants.items()
-                       if dc_id in ten.datacenter_ids]
-            dc_direct = sum(direct.get((t, dc_id), 0.0) for t in members)
-            shared = (sum(d.energy for d in dc.cooling_devices)
-                      + sum(d.energy for d in dc.other_devices))
-            for t in members:
-                mine = direct.get((t, dc_id), 0.0)
-                e_total = mine + (shared * mine / dc_direct if dc_direct else 0.0)
-                scope2_emissions[(t, dc_id)] = (
-                    e_total * dc.grid_intensity
-                    * raw.tenants[t].l_share)
-        for dc_id, dc in raw.datacenters.items():
-            members = [t for t, ten in raw.tenants.items()
-                       if dc_id in ten.datacenter_ids]
-            dc_scope2 = sum(scope2_emissions[(t, dc_id)] for t in members)
-            fuel = sum(f.amount * f.emission_factor for f in dc.fuel_log)
-            for t in members:
-                lam = scope2_emissions[(t, dc_id)] / dc_scope2 if dc_scope2 else 0.0
-                r = lam * raw.tenants[t].l_share
-                gross = (fuel * r + scope2_emissions[(t, dc_id)]
-                         + dc.scope3_total * r)
-                offsets = (dc.green_energy * dc.grid_intensity * r
-                           + dc.rec_offset * r)
-                expected_gross[t] = expected_gross.get(t, 0.0) + gross
-                expected_net[t] = expected_net.get(t, 0.0) + gross - offsets
-
+        expected = reference.expected_figures(raw, models)
         for fp in compute_footprints(raw, models):
-            assert math.isclose(fp.gross_total, expected_gross[fp.tenant_id],
+            pairs = [expected[dc_id].pairs[fp.tenant_id]
+                     for dc_id in raw.tenants[fp.tenant_id].datacenter_ids]
+            assert math.isclose(fp.gross_total, sum_in_order(p.gross for p in pairs),
                                 rel_tol=1e-9)
-            assert math.isclose(fp.net_total, expected_net[fp.tenant_id],
+            assert math.isclose(fp.net_total, sum_in_order(p.net for p in pairs),
                                 rel_tol=1e-9)
 
     def test_changing_rec_offset_leaves_gross_and_shares_alone(self):
@@ -565,25 +524,8 @@ class TestComputeFootprints:
         so Scope 1 and Scope 3, bit for bit as they were. Doubling is exact
         in binary floating point, so no tolerance is needed."""
         fleet = generate_fleet(seed, n_tenants, n_dcs, l_share=l_share)
-        raw = fleet.raw
-
-        def doubled(devices):
-            return tuple(d._replace(energy=2 * d.energy) for d in devices)
-
-        scaled_raw = raw._replace(
-            network=tuple(r._replace(bytes_sent=r.bytes_sent * 2,
-                                     bytes_received=r.bytes_received * 2)
-                          for r in raw.network),
-            datacenters={dc_id: dc._replace(
-                cooling_devices=doubled(dc.cooling_devices),
-                other_devices=doubled(dc.other_devices))
-                for dc_id, dc in raw.datacenters.items()})
-        scaled_models = {name: m._replace(
-            intercept=2 * m.intercept, w_cpu=2 * m.w_cpu, w_cache=2 * m.w_cache,
-            w_dram=2 * m.w_dram, w_disk=2 * m.w_disk)
-            for name, m in fleet.models.items()}
-        before = compute_footprints(raw, fleet.models)
-        after = compute_footprints(scaled_raw, scaled_models)
+        before = compute_footprints(fleet.raw, fleet.models)
+        after = compute_footprints(*scale_fleet(fleet.raw, fleet.models, 2))
         assert [fp.tenant_id for fp in after] == [fp.tenant_id for fp in before]
         for old_fp, new_fp in zip(before, after):
             for old, new in zip(old_fp.per_dc, new_fp.per_dc, strict=True):
@@ -897,6 +839,31 @@ class TestConservationAudit:
         report = conservation_audit([], raw, {})
         assert report.passed
         assert len(report.checks) == 0
+
+
+def test_only_power_and_reference_state_the_device_formulas():
+    """The server and network formulas are written in power.py, for the
+    engine, and in reference.py, for the audit, and nowhere else in the
+    package: no other module reads a model's intercept or weights, or does
+    arithmetic on a byte counter. reference.py imports nothing from the
+    engine's modules, so a fault there cannot leak into what it expects."""
+    weights = {"intercept", "w_cpu", "w_cache", "w_dram", "w_disk"}
+    found, imported = set(), set()
+    for path in sorted(Path(allocation.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in weights:
+                found.add((path.name, "weights"))
+            if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)) and any(
+                    getattr(sub, "attr", None) in ("bytes_sent", "bytes_received")
+                    for sub in ast.walk(node)):
+                found.add((path.name, "bytes"))
+            if path.name == "reference.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                imported.update(part for name in names for part in name.split("."))
+    assert sorted(found) == [("power.py", "bytes"), ("power.py", "weights"),
+                             ("reference.py", "bytes"), ("reference.py", "weights")]
+    assert "units" in imported
+    assert not imported & {"allocation", "power"}
 
 
 # Figures for an in-memory fleet, from 1 up to the largest float's order.

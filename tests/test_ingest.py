@@ -95,10 +95,11 @@ class TestSchemaLine:
                         schema="#  schema_version = 1")
         assert len(read_servers(path)) == 1
 
-    def test_wrong_version_rejected(self, tmp_path):
-        path = csv_file(tmp_path, "servers.csv", SERVER_HEADER,
-                        schema="# schema_version=2")
-        with pytest.raises(MalformedRow):
+    @pytest.mark.parametrize("schema", ["# schema_version=2", "# schema_version=2,,"])
+    def test_wrong_version_rejected(self, tmp_path, schema):
+        """Named as written, trailing empty cells included."""
+        path = csv_file(tmp_path, "servers.csv", SERVER_HEADER, schema=schema)
+        with pytest.raises(MalformedRow, match=re.escape(f", got {schema!r}")):
             read_servers(path)
 
 
@@ -215,13 +216,16 @@ class TestRepeatedColumns:
         return tmp_path / "clean"
 
     @staticmethod
-    def extended(clean: Path, name: str, header_cells: str, row_cells: str) -> Path:
+    def extended(clean: Path, name: str, header_cells: str, row_cells: str,
+                 schema_cells: str = "") -> Path:
         """A copy of the ``clean`` input directory whose file ``name`` has
-        ``header_cells`` added to its header and ``row_cells`` to each row."""
+        ``schema_cells`` added to its schema line, ``header_cells`` to its
+        header and ``row_cells`` to each row."""
         copy = shutil.copytree(clean, clean.parent / "extended")
         schema, header, *rows = (clean / name).read_text(encoding="utf-8").splitlines()
         (copy / name).write_text("\n".join(
-            [schema, header + header_cells, *(row + row_cells for row in rows)]
+            [schema + schema_cells, header + header_cells,
+             *(row + row_cells for row in rows)]
         ) + "\n", encoding="utf-8")
         return copy
 
@@ -232,7 +236,8 @@ class TestRepeatedColumns:
 
     @pytest.mark.parametrize("name", ingest.INPUT_FILE_NAMES.values())
     def test_trailing_empty_cells_are_ignored(self, clean, name):
-        padded = self.extended(clean, name, ",,", ",,")
+        """On every line, the schema line's too, as a spreadsheet pads them."""
+        padded = self.extended(clean, name, ",,", ",,", schema_cells=",,")
         assert self.records(padded) == self.records(clean)
 
     @pytest.mark.parametrize("name", ingest.INPUT_FILE_NAMES.values())
