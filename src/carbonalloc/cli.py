@@ -35,7 +35,7 @@ from .allocation import (
     tenant_footprint,
 )
 from .errors import CarbonAllocError, PowerModelError, UnknownTenant
-from .history import HistoryStore
+from .history import HistoryStore, write_below
 from .ingest import load_input_dir
 from .power import (
     fit_server_weights,
@@ -113,11 +113,10 @@ def _write_report_pair(out_dir: Path, fp: Footprint, json_doc: ReportDocument,
                        html_doc: ReportDocument) -> Path:
     """Write a tenant's two reports into ``out_dir``/reports/<tenant>/, and
     return that directory."""
-    tenant_dir = out_dir / "reports" / fp.tenant_id
-    tenant_dir.mkdir(parents=True, exist_ok=True)
-    (tenant_dir / f"{fp.period}.json").write_bytes(json_doc.content)
-    (tenant_dir / f"{fp.period}.html").write_bytes(html_doc.content)
-    return tenant_dir
+    json_path, _ = write_below(out_dir, ("reports", fp.tenant_id),
+                               {f"{fp.period}.json": json_doc.content,
+                                f"{fp.period}.html": html_doc.content})
+    return json_path.parent
 
 
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
@@ -132,8 +131,13 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
 
 
 def cmd_compute(period: Period, input_dir: Path, models_file: Path,
-                equivalency_file: Path, out_dir: Path, history_dir: Path) -> int:
-    """Run the full monthly pipeline: ingest, compute, audit, render."""
+                equivalency_file: Path, out_dir: Path,
+                history_dir: Path | None) -> int:
+    """Run the full monthly pipeline: ingest, compute, audit, render.
+
+    Without ``history_dir`` the history store is ``out_dir``/history, whose
+    directory is checked for links as ``reports`` is.
+    """
     raw = load_input_dir(input_dir, period)
     models = read_models(models_file)
     factors = load_equivalency_factors(equivalency_file)
@@ -145,7 +149,8 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
         _err("conservation audit failed; no reports written")
         return EXIT_AUDIT_MISMATCH
 
-    history = HistoryStore(history_dir)
+    history = (HistoryStore(history_dir) if history_dir is not None
+               else HistoryStore(out_dir, "history"))
     footprints = [fp._replace(history=history.prior_entries(fp.tenant_id, fp.period))
                   for fp in footprints]
     _write_reports(footprints, factors, out_dir, history)
@@ -319,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compute":
             return cmd_compute(args.period, args.input_dir, args.models,
                                args.equivalencies, args.out_dir,
-                               args.history_dir or args.out_dir / "history")
+                               args.history_dir)
         if args.command == "report":
             return cmd_report(args.report, args.out_dir, args.equivalencies)
         if args.command == "audit":

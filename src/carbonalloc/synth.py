@@ -15,6 +15,7 @@ import random
 from pathlib import Path
 from typing import NamedTuple
 
+from .history import write_below
 from .ingest import (
     DataCenter,
     FuelEntry,
@@ -175,12 +176,5 @@ def write_fleet(fleet: SynthFleet, out_dir: Path | str) -> list[Path]:
     """
     texts = {**format_inputs(fleet.raw),
              MODELS_FILE_NAME: format_models(fleet.models)}
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, text in texts.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    return write_below(out_dir, (), {name: text.encode("utf-8")
+                                     for name, text in texts.items()})

@@ -400,19 +400,6 @@ class TestReadTenants:
         path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
         assert read_tenants(path)["TENANT_X"].datacenter_ids == ("DC_EU1", "DC_US2")
 
-    @pytest.mark.parametrize("count", ["0", "2.5", "-3"])
-    def test_agent_count_must_be_whole_and_positive(self, tmp_path, count):
-        row = GOOD_TENANT.replace(",250,", f",{count},")
-        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
-        with pytest.raises(RangeError):
-            read_tenants(path)
-
-    def test_digit_only_agent_count_is_exact_above_2_53(self, tmp_path):
-        row = GOOD_TENANT.replace(",250,", ",12345678901234567890,")
-        path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, row)
-        agents = read_tenants(path)["TENANT_X"].agent_count
-        assert agents == 12345678901234567890 and type(agents) is int
-
     def test_duplicate_tenant_id(self, tmp_path):
         path = csv_file(tmp_path, "tenants.csv", TENANT_HEADER, GOOD_TENANT, GOOD_TENANT)
         with pytest.raises(DuplicateId):

@@ -12,6 +12,7 @@ import os
 import pkgutil
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -577,6 +578,11 @@ class TestUnwritableOutputs:
         if case == "compute-history-dir":
             return ([*compute, "--out-dir", str(ws["out"]),
                      "--history-dir", str(blocker)], blocker)
+        if case == "compute-tenant-dir":
+            tenant_dir = ws["out"] / "reports" / "TENANT_01"
+            tenant_dir.parent.mkdir(parents=True)
+            tenant_dir.write_text("not a directory\n")
+            return ([*compute, "--out-dir", str(ws["out"])], tenant_dir)
         samples = write_samples(ws["root"] / "samples.csv")
         missing = ws["root"] / "missing" / "models.csv"
         return (["calibrate", "--samples", str(samples),
@@ -584,7 +590,7 @@ class TestUnwritableOutputs:
 
     @pytest.mark.parametrize("case", ["synth-out-dir", "report-out-dir",
                                       "compute-out-dir", "compute-history-dir",
-                                      "calibrate-models-out"])
+                                      "calibrate-models-out", "compute-tenant-dir"])
     def test_exits_1_naming_the_path(self, workspace, capsys, case):
         argv, path = self._argv(workspace, case)
         capsys.readouterr()
@@ -592,6 +598,139 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert f"cannot write {path}" in err
         assert "Traceback" not in err
+
+
+def snapshot(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes and None for anything
+    else."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+def test_one_function_creates_every_output():
+    """Reports, history and synthetic fleets are written by
+    ``history.write_below`` and the two helpers it opens directories with;
+    the only other writer in the package is ``power.write_models``, which
+    writes one named file and creates no directory."""
+    calls = {"mkdir", "makedirs", "open", "touch", "write_bytes", "write_text"}
+    writers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and calls & {
+                        getattr(call.func, "attr", None), getattr(call.func, "id", None)}
+                    for call in ast.walk(node)):
+                writers.add((path.name, node.name))
+    assert sorted(writers) == [("history.py", "_open_dir"),
+                               ("history.py", "_open_root"),
+                               ("history.py", "write_below"),
+                               ("power.py", "write_models")]
+
+
+class TestLinksBelowTheRoots:
+    """``--out-dir`` and ``--history-dir`` may be links. Nothing that
+    ``compute``, ``report`` or ``synth`` creates below them may be one: a
+    link planted there exits 1 naming it, and what it points into keeps its
+    files and bytes. Reading history still follows links."""
+
+    REFUSED = ": is a symbolic link, which is not followed\n"
+
+    @staticmethod
+    def outside(root: Path) -> Path:
+        """A directory outside every output root, holding one file."""
+        outside = root / "outside"
+        outside.mkdir()
+        (outside / "held.json").write_text("held\n")
+        return outside
+
+    @staticmethod
+    def plant(link: Path, outside: Path) -> None:
+        """A link at ``link``: to the held file where a file belongs, else
+        to the outside directory."""
+        link.parent.mkdir(parents=True, exist_ok=True)
+        link.symlink_to(outside / "held.json" if link.suffix else outside)
+
+    @pytest.mark.parametrize("below", [
+        "reports", "reports/TENANT_01", "reports/TENANT_01/2025-06.json",
+        "reports/TENANT_01/2025-06.html", "history", "history/TENANT_01",
+        "history/TENANT_01/2025-06.json"])
+    def test_compute_refuses_a_link(self, workspace, capsys, below):
+        outside = self.outside(workspace["root"])
+        link = workspace["out"] / below
+        self.plant(link, outside)
+        before = snapshot(outside)
+        capsys.readouterr()
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"cannot write {link}{self.REFUSED}"
+        assert snapshot(outside) == before
+
+    def test_report_refuses_a_link(self, workspace, capsys):
+        assert run_compute(workspace) == EXIT_OK
+        outside = self.outside(workspace["root"])
+        rerender = workspace["root"] / "rerender"
+        link = rerender / "reports" / "TENANT_01"
+        self.plant(link, outside)
+        before = snapshot(outside)
+        capsys.readouterr()
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(rerender)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"cannot write {link}{self.REFUSED}"
+        assert snapshot(outside) == before
+
+    def test_synth_refuses_a_link(self, tmp_path, capsys):
+        outside = self.outside(tmp_path)
+        link = tmp_path / "fleet" / "network.csv"
+        self.plant(link, outside)
+        before = snapshot(outside)
+        assert main(["synth", "--seed", "1", "--out-dir",
+                     str(tmp_path / "fleet")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"cannot write {link}{self.REFUSED}"
+        assert snapshot(outside) == before
+
+    def test_roots_may_be_links(self, workspace):
+        """Both roots as links write what plain directories get."""
+        assert run_compute(workspace) == EXIT_OK
+        linked = workspace["root"] / "linked"
+        linked.mkdir()
+        for name in ("out", "history"):
+            (linked / f"real-{name}").mkdir()
+            (linked / name).symlink_to(linked / f"real-{name}")
+        assert main(["compute", "--period", "2025-06",
+                     "--input-dir", str(workspace["fleet"]),
+                     "--models", str(workspace["models"]),
+                     "--equivalencies", str(workspace["factors"]),
+                     "--out-dir", str(linked / "out"),
+                     "--history-dir", str(linked / "history")]) == EXIT_OK
+        plain = workspace["out"]
+        assert [path.name for path in (linked / "real-out").iterdir()] == ["reports"]
+        assert snapshot(linked / "real-out" / "reports") == snapshot(plain / "reports")
+        assert snapshot(linked / "real-history") == snapshot(plain / "history")
+
+    def test_reading_history_follows_links(self, workspace, capsys):
+        """Month 1's history file as a link to a copy elsewhere gives month
+        2 the same report bytes and trend, and its audit passes."""
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        plain = workspace["root"] / "plain"
+        shutil.copytree(workspace["out"], plain)
+        held = workspace["out"] / "history" / "TENANT_01" / "2025-05.json"
+        copy = self.outside(workspace["root"]) / "2025-05.json"
+        shutil.copyfile(held, copy)
+        held.unlink()
+        held.symlink_to(copy)
+
+        assert run_compute(workspace) == EXIT_OK
+        assert run_compute({**workspace, "out": plain}) == EXIT_OK
+        linked_reports = snapshot(workspace["out"] / "reports")
+        assert linked_reports == snapshot(plain / "reports")
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        trend = json.loads(report.read_bytes())["summary"]["history"]
+        assert [entry["period"] for entry in trend] == ["2025-05"]
+        for history in (workspace["out"] / "history", plain / "history"):
+            capsys.readouterr()
+            assert run_audit(workspace, report,
+                             extra=["--history-dir", str(history)]) == EXIT_OK
+            assert "audit PASS" in capsys.readouterr().out
 
 
 class TestAuditCommand:
