@@ -11,82 +11,18 @@ per-tenant reports. The pipeline:
    ratios, Scopes 1 and 3, gross and net footprints, plus a conservation
    audit.
 4. report: deterministic JSON plus a one-page human-readable document.
+
+Each module's ``__all__`` is the one list of its public names, and every
+name in it is re-exported here; a stale entry fails this import.
 """
 
-from .allocation import (
-    AuditCheck,
-    AuditReport,
-    DcFootprint,
-    DeviceShare,
-    FleetTotals,
-    Footprint,
-    HistoryEntry,
-    TenantDcScope2,
-    compute_footprints,
-    compute_responsibility_ratios,
-    compute_scope2,
-    conservation_audit,
-    fleet_totals,
-    tenant_footprint,
-)
-from .errors import (
-    CarbonAllocError,
-    DuplicateDevice,
-    DuplicateId,
-    IngestError,
-    InsufficientSamples,
-    MalformedRow,
-    MissingModel,
-    OrphanUsage,
-    PowerModelError,
-    RangeError,
-    SingularDesign,
-    UnitError,
-    UnknownDataCenter,
-    UnknownTenant,
-    ValidationFailure,
-    ZeroDcScope2,
-    ZeroDenominator,
-)
-from .history import HistoryStore
-from .ingest import (
-    DataCenter,
-    FuelEntry,
-    NetworkUsage,
-    RawData,
-    ServerUsage,
-    SharedDevice,
-    Tenant,
-    assemble_raw_data,
-    load_input_dir,
-    read_datacenters,
-    read_network,
-    read_servers,
-    read_tenants,
-)
-from .power import (
-    CalibrationSample,
-    ServerPowerModel,
-    estimate_network_energy,
-    estimate_server_energy,
-    fit_server_weights,
-    read_calibration_samples,
-    read_models,
-    write_models,
-)
-from .report import (
-    EquivalencyFactors,
-    ReportDocument,
-    TrendDelta,
-    compute_equivalencies,
-    compute_trend,
-    factors_from_json,
-    footprint_from_json,
-    load_equivalency_factors,
-    render_json,
-    render_onepage,
-)
-from .units import Period
+from .allocation import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .history import *  # noqa: F401,F403
+from .ingest import *  # noqa: F401,F403
+from .power import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
+from .units import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 

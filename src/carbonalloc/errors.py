@@ -7,6 +7,26 @@ datacenters.csv or tenants.csv row of the record they occurred in.
 
 from __future__ import annotations
 
+__all__ = [
+    "CarbonAllocError",
+    "UnitError",
+    "IngestError",
+    "MalformedRow",
+    "RangeError",
+    "DuplicateId",
+    "UnknownTenant",
+    "UnknownDataCenter",
+    "OrphanUsage",
+    "DuplicateDevice",
+    "MissingModel",
+    "ValidationFailure",
+    "PowerModelError",
+    "InsufficientSamples",
+    "SingularDesign",
+    "ZeroDenominator",
+    "ZeroDcScope2",
+]
+
 
 class CarbonAllocError(Exception):
     """Base class for all errors raised by this package."""

@@ -121,9 +121,9 @@ def load_equivalency_factors(path: Path | str) -> EquivalencyFactors:
     path = Path(path)
     keys = ("flight_ams_nyc_g", "car_km_g", "smartphone_charge_g", "source_note")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         values = [doc[key] for key in keys]
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ReportError) as exc:
         raise ReportError(f"cannot read equivalency config {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ReportError(f"equivalency config {path} needs {', '.join(keys)}: "
@@ -413,7 +413,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise ReportError(f"report JSON repeats the key {key!r}")
+                raise ReportError(f"JSON repeats the key {key!r}")
             seen.add(key)
     return doc
 
@@ -632,14 +632,11 @@ def footprint_from_json(source: bytes | str | dict[str, Any]) -> Footprint:
 # One-page rendering
 # ---------------------------------------------------------------------------
 
-# The replacements of ``html.escape(text, quote=True)`` as one translation
-# table: importing ``html`` would also load ``html.entities`` on every start.
-_HTML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
-                               '"': "&quot;", "'": "&#x27;"})
-
-
 def _escape(text: str) -> str:
-    return text.translate(_HTML_ESCAPES)
+    # ``html.escape(text, quote=True)``'s replacements, in its order, without
+    # importing ``html``, which would also load ``html.entities`` on every start.
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
 _GRAMS = ("t CO₂e", "kg CO₂e", "g CO₂e")

@@ -618,6 +618,25 @@ class TestFactors:
         assert capsys.readouterr().err == f"equivalency config {path}: {problem}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_key_refused_by_compute(self, tmp_path, capsys):
+        """A repeated key is refused as in a report, not settled by the last
+        value: the run exits 1 naming the file and the key, writing nothing."""
+        fleet = tmp_path / "fleet"
+        assert main(["synth", "--seed", "3", "--tenants", "2", "--dcs", "1",
+                     "--out-dir", str(fleet)]) == 0
+        path = tmp_path / "eq.json"
+        path.write_text('{"flight_ams_nyc_g": 500000, "car_km_g": 0.5, '
+                        '"car_km_g": 150, "smartphone_charge_g": 8.22, '
+                        '"source_note": "test factors"}', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                     "--models", str(fleet / "models.csv"), "--equivalencies",
+                     str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot read equivalency config {path}: "
+            "JSON repeats the key 'car_km_g'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_integer_too_long_to_parse_refused(self, tmp_path):
         path = tmp_path / "eq.json"
         path.write_text('{"flight_ams_nyc_g": 1' + "0" * 5000 + "}", encoding="utf-8")

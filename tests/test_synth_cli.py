@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -1391,20 +1392,54 @@ def test_every_record_is_a_named_tuple():
         "AuditReport", "ReportDocument", "TrendDelta", "SynthFleet", "_Table"}
 
 
+# The modules whose ``__all__`` the package re-exports, in import order.
+_API_MODULES = ("allocation", "errors", "history", "ingest", "power", "report",
+                "units")
+
+
 def test_every_exported_name_resolves():
-    """Each name in a module's ``__all__``, and each name the package
-    ``__init__`` imports, exists: a deleted function cannot stay exported."""
+    """Each name in a module's ``__all__`` exists: a deleted function cannot
+    stay exported. The package ``__init__`` names none of them; it star-imports
+    each API module, which fails at import on a stale ``__all__`` entry."""
     import carbonalloc
     tree = ast.parse(Path(carbonalloc.__file__).read_text(encoding="utf-8"))
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert "compute_footprints" in imported
-    missing = [name for name in imported if not hasattr(carbonalloc, name)]
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imports == [(name, "*") for name in _API_MODULES]
+    missing = []
     for info in pkgutil.iter_modules(carbonalloc.__path__):
         module = importlib.import_module(f"carbonalloc.{info.name}")
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_package_names_are_the_api_modules_all():
+    """A name in an API module's ``__all__`` is package API, the same object,
+    and the package has no other public name but ``__version__`` and the
+    three synth names it loads on first use."""
+    import carbonalloc
+    from carbonalloc import synth
+    expected = {}
+    for name in _API_MODULES:
+        module = importlib.import_module(f"carbonalloc.{name}")
+        expected.update((n, getattr(module, n)) for n in module.__all__)
+    public = {name: value for name, value in vars(carbonalloc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public) == sorted(expected)
+    assert [name for name in expected if public[name] is not expected[name]] == []
+    assert carbonalloc.__version__ == "0.1.0"
+    for name in ("SynthFleet", "generate_fleet", "write_fleet"):
+        assert getattr(carbonalloc, name) is getattr(synth, name)
+
+
+def test_every_error_class_is_exported():
+    """Each class ``errors.py`` defines is in its ``__all__``, and so package
+    API; its helpers are not."""
+    from carbonalloc import errors
+    tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert sorted(errors.__all__) == sorted(classes)
 
 
 def test_a_run_leaves_no_cyclic_garbage(tmp_path):
