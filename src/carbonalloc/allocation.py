@@ -65,8 +65,8 @@ from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
 from .ingest import NetworkUsage, RawData, ServerUsage, SharedDevice
 from .power import (
     ServerPowerModel,
-    clamped_server_energy_wh,
-    network_energy_wh,
+    estimate_network_energy,
+    estimate_server_energy,
     server_energy_wh,
     split_shared_wh,
 )
@@ -380,7 +380,7 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
                 e_server += 0.0 if wh < 0.0 else wh
             e_network = 0.0
             for row in network:
-                e_network += network_energy_wh(row)
+                e_network += estimate_network_energy(row)
             energy = {"server": e_server, "network": e_network}
             pairs[key] = (servers, network, energy)
             by_dc.setdefault(dc_id, []).append((l_share, energy, e_server + e_network))
@@ -443,11 +443,11 @@ def _pair_scope2(raw: RawData, models: Mapping[str, ServerPowerModel],
     servers, network, pair_wh = totals.pairs[(tenant_id, dc_id)]
     devices: list[DeviceShare] = []
     for row in servers:
-        energy = clamped_server_energy_wh(models[row.device_model], row)
+        energy = estimate_server_energy(models[row.device_model], row)
         devices.append(DeviceShare(row.device_id, "server", energy,
                                    energy * c * l, row))
     for row in network:
-        energy = network_energy_wh(row)
+        energy = estimate_network_energy(row)
         devices.append(DeviceShare(row.device_id, "network", energy,
                                    energy * c * l, row))
 

@@ -85,11 +85,11 @@ def _print_audit_summary(audit: AuditReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_calibrate(samples_file: Path, models_out: Path) -> int:
+def cmd_calibrate(samples: Path, models_out: Path) -> int:
     """Fit one power model per device model and write the models file."""
-    grouped = read_calibration_samples(samples_file)
+    grouped = read_calibration_samples(samples)
     if not grouped:
-        _err(f"calibration samples file {samples_file} has no rows")
+        _err(f"calibration samples file {samples} has no rows")
         return EXIT_VALIDATION
 
     models = {}
@@ -130,8 +130,8 @@ def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
         history.save(fp.tenant_id, fp.period, json_doc.content)
 
 
-def cmd_compute(period: Period, input_dir: Path, models_file: Path,
-                equivalency_file: Path, out_dir: Path,
+def cmd_compute(period: Period, input_dir: Path, models: Path,
+                equivalencies: Path, out_dir: Path,
                 history_dir: Path | None) -> int:
     """Run the full monthly pipeline: ingest, compute, audit, render.
 
@@ -139,11 +139,11 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
     directory is checked for links as ``reports`` is.
     """
     raw = load_input_dir(input_dir, period)
-    models = read_models(models_file)
-    factors = load_equivalency_factors(equivalency_file)
-    footprints = compute_footprints(raw, models)
+    fitted = read_models(models)
+    factors = load_equivalency_factors(equivalencies)
+    footprints = compute_footprints(raw, fitted)
 
-    audit = conservation_audit(footprints, raw, models)
+    audit = conservation_audit(footprints, raw, fitted)
     _print_audit_summary(audit)
     if not audit.passed:
         _err("conservation audit failed; no reports written")
@@ -164,26 +164,26 @@ def cmd_compute(period: Period, input_dir: Path, models_file: Path,
     return EXIT_OK
 
 
-def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
-              equivalency_file: Path | None, history_dir: Path | None) -> int:
+def cmd_audit(report: Path, input_dir: Path, models: Path,
+              equivalencies: Path | None, history_dir: Path | None) -> int:
     """Recompute a report from its inputs and compare byte for byte."""
     try:
-        content = report_file.read_bytes()
+        content = report.read_bytes()
         stored_doc = load_doc(content)
         tenant_id, period = report_identity(stored_doc)
     except (OSError, ReportError) as exc:
-        _err(f"cannot read report under audit: {report_file}: "
+        _err(f"cannot read report under audit: {report}: "
              f"{getattr(exc, 'strerror', None) or exc}")
         return EXIT_VALIDATION
 
     raw = load_input_dir(input_dir, period)
-    models = read_models(models_file)
-    factors = (load_equivalency_factors(equivalency_file)
-               if equivalency_file is not None else factors_from_json(stored_doc))
+    fitted = read_models(models)
+    factors = (load_equivalency_factors(equivalencies)
+               if equivalencies is not None else factors_from_json(stored_doc))
     try:
-        fp = tenant_footprint(raw, models, tenant_id)
+        fp = tenant_footprint(raw, fitted, tenant_id)
     except UnknownTenant:
-        raise UnknownTenant(tenant_id, (str(report_file),)) from None
+        raise UnknownTenant(tenant_id, (str(report),)) from None
     if history_dir is not None:
         fp = fp._replace(history=HistoryStore(history_dir).prior_entries(
             tenant_id, period))
@@ -191,22 +191,21 @@ def cmd_audit(report_file: Path, input_dir: Path, models_file: Path,
     differences = report_differences(render_json(fp, factors).content, content)
     values = [d for d in differences if not d.key_order]
     if values:
-        _err(f"audit FAIL: {report_file} differs from recomputation in "
+        _err(f"audit FAIL: {report} differs from recomputation in "
              f"{len(values)} field(s):")
         for d in values:
             _err(f"  {d.path}: recomputed {d.written!r}, report has {d.stored!r}")
         return EXIT_AUDIT_MISMATCH
     if differences:
-        _err(f"audit FAIL: {report_file} has the recomputed values, but its "
+        _err(f"audit FAIL: {report} has the recomputed values, but its "
              "key order differs from the canonical report")
         return EXIT_AUDIT_MISMATCH
-    print(f"audit PASS: {report_file} matches recomputation "
+    print(f"audit PASS: {report} matches recomputation "
           f"({tenant_id}, {period})")
     return EXIT_OK
 
 
-def cmd_report(report_file: Path, out_dir: Path,
-               equivalency_file: Path | None) -> int:
+def cmd_report(report: Path, out_dir: Path, equivalencies: Path | None) -> int:
     """Re-render both formats from an existing report JSON.
 
     The file must be exactly what the writer writes for the figures it
@@ -215,13 +214,13 @@ def cmd_report(report_file: Path, out_dir: Path,
     field, and nothing is written.
     """
     try:
-        content = report_file.read_bytes()
+        content = report.read_bytes()
         fp = footprint_from_json(content)
-        factors = (load_equivalency_factors(equivalency_file)
-                   if equivalency_file is not None else factors_from_json(content))
     except (OSError, ReportError, UnitError) as exc:
-        _err(f"cannot re-render {report_file}: {exc}")
+        _err(f"cannot re-render {report}: {getattr(exc, 'strerror', None) or exc}")
         return EXIT_VALIDATION
+    factors = (load_equivalency_factors(equivalencies)
+               if equivalencies is not None else factors_from_json(content))
 
     tenant_dir = _write_report_pair(out_dir, fp, render_json(fp, factors),
                                     render_onepage(fp, factors))
@@ -229,19 +228,19 @@ def cmd_report(report_file: Path, out_dir: Path,
     return EXIT_OK
 
 
-def cmd_synth(seed: int, n_tenants: int, n_dcs: int, out_dir: Path,
+def cmd_synth(seed: int, tenants: int, dcs: int, out_dir: Path,
               l_share: float) -> int:
     """Write a deterministic synthetic fleet plus its models file."""
     from .synth import generate_fleet, write_fleet
 
     try:
-        fleet = generate_fleet(seed, n_tenants, n_dcs, l_share=l_share)
+        fleet = generate_fleet(seed, tenants, dcs, l_share=l_share)
     except (ValueError, UnitError) as exc:
         _err(f"cannot generate fleet: {exc}")
         return EXIT_VALIDATION
     written = write_fleet(fleet, out_dir)
     print(f"wrote {len(written)} file(s) to {out_dir} "
-          f"(seed {seed}, {n_tenants} tenant(s), {n_dcs} data center(s))")
+          f"(seed {seed}, {tenants} tenant(s), {dcs} data center(s))")
     return EXIT_OK
 
 
@@ -270,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibration samples CSV")
     p.add_argument("--models-out", type=Path, required=True,
                    help="where to write the fitted models CSV")
+    p.set_defaults(run=cmd_calibrate)
 
     p = sub.add_parser("compute",
                        help="compute footprints and write reports for one period")
@@ -285,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (reports/ is created inside)")
     p.add_argument("--history-dir", type=Path, default=None,
                    help="history store root (default: <out-dir>/history)")
+    p.set_defaults(run=cmd_compute)
 
     p = sub.add_parser("report",
                        help="re-render reports from an existing report JSON")
@@ -293,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--equivalencies", type=Path, default=None,
                    help="override the factors embedded in the report")
+    p.set_defaults(run=cmd_report)
 
     p = sub.add_parser("audit",
                        help="recompute a report from inputs and diff it")
@@ -305,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factors config; defaults to those embedded in the report")
     p.add_argument("--history-dir", type=Path, default=None,
                    help="history store used when the report was computed")
+    p.set_defaults(run=cmd_audit)
 
     p = sub.add_parser("synth", help="generate a synthetic test fleet")
     p.add_argument("--seed", type=int, required=True)
@@ -312,28 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dcs", type=int, default=3)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--l-share", type=float, default=1.0)
+    p.set_defaults(run=cmd_synth)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    del options["command"]
+    run = options.pop("run")
     try:
-        if args.command == "calibrate":
-            return cmd_calibrate(args.samples, args.models_out)
-        if args.command == "compute":
-            return cmd_compute(args.period, args.input_dir, args.models,
-                               args.equivalencies, args.out_dir,
-                               args.history_dir)
-        if args.command == "report":
-            return cmd_report(args.report, args.out_dir, args.equivalencies)
-        if args.command == "audit":
-            return cmd_audit(args.report, args.input_dir, args.models,
-                             args.equivalencies, args.history_dir)
-        if args.command == "synth":
-            return cmd_synth(args.seed, args.tenants, args.dcs, args.out_dir,
-                             l_share=args.l_share)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return run(**options)
     except CarbonAllocError as exc:
         _err(str(exc))
         return EXIT_VALIDATION

@@ -28,16 +28,13 @@ from .ingest import (
     format_table,
     read_table,
 )
-from .units import check_energy
 
 __all__ = [
     "CalibrationSample",
     "ServerPowerModel",
     "fit_server_weights",
     "server_energy_wh",
-    "clamped_server_energy_wh",
     "estimate_server_energy",
-    "network_energy_wh",
     "estimate_network_energy",
     "split_shared_wh",
     "read_models",
@@ -164,7 +161,7 @@ def server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
             + model.w_disk * usage.disk_moved)
 
 
-def clamped_server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> float:
+def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> float:
     """A fitted model's estimate for one usage row, in Wh, never negative.
 
     A fit against noisy data can produce slightly negative estimates near
@@ -179,12 +176,7 @@ def clamped_server_energy_wh(model: ServerPowerModel, usage: ServerUsage) -> flo
     return value
 
 
-def estimate_server_energy(model: ServerPowerModel, usage: ServerUsage) -> float:
-    """:func:`clamped_server_energy_wh`, checked as an energy."""
-    return check_energy(clamped_server_energy_wh(model, usage))
-
-
-def network_energy_wh(row: NetworkUsage) -> float:
+def estimate_network_energy(row: NetworkUsage) -> float:
     """Energy for traffic through a network device at 6e-8 Wh per byte.
 
     Computed as ``6 * total / 100_000_000`` rather than ``6e-8 * total``: the
@@ -193,11 +185,6 @@ def network_energy_wh(row: NetworkUsage) -> float:
     multiplying by the rounded literal 6e-8 introduces one ulp of error.
     """
     return 6 * (row.bytes_sent + row.bytes_received) / 100_000_000
-
-
-def estimate_network_energy(row: NetworkUsage) -> float:
-    """:func:`network_energy_wh`, checked as an energy."""
-    return check_energy(network_energy_wh(row))
 
 
 def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: float,

@@ -462,6 +462,20 @@ class TestMalformedInputs:
         assert run_compute(workspace) == EXIT_VALIDATION
         assert "cannot read equivalency config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, column, cell, message", [
+        ("datacenters.csv", "cooling_devices", ":1000",
+         "cooling_devices: empty device id in ':1000'"),
+        ("tenants.csv", "datacenter_ids", ";", "datacenter_ids: empty list"),
+        ("models.csv", "adjusted_r2", "1.5", "adjusted_r2 must be <= 1, got 1.5"),
+    ], ids=["cooling-device-without-id", "no-datacenter-ids", "r2-above-1"])
+    def test_refused_cell_exits_1_naming_its_row(self, workspace, capsys, name,
+                                                 column, cell, message):
+        path = workspace["fleet"] / name
+        _set_cell(path, column, 3, cell)
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"{name}:3: {message}\n"
+        assert not workspace["out"].exists()
+
 
 def _set_cell(path: Path, column: str, line: int, value: str) -> None:
     """Set one cell of a synth CSV, whose cells hold no quotes or commas."""
@@ -781,7 +795,8 @@ class TestAuditCommand:
     @pytest.mark.parametrize("content, detail", [
         (None, "No such file or directory"),
         ("{", "report is not valid JSON: "),
-    ], ids=["missing", "not-json"])
+        ("[]", "report JSON must be an object"),
+    ], ids=["missing", "not-json", "array"])
     def test_unreadable_report_names_it_and_the_fault(self, workspace, tmp_path,
                                                       capsys, content, detail):
         report = tmp_path / "report.json"
@@ -805,6 +820,24 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("cannot read report under audit")
         assert "period" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("tenant", 5, "tenant: must be an object"),
+        ("period", "2025-13", "period: must be a YYYY-MM period, got '2025-13'"),
+        ("period", "0000-01", "period: must be a YYYY-MM period, got '0000-01'"),
+    ], ids=["number-tenant", "month-13", "year-0"])
+    def test_identity_the_writer_cannot_have_written_exits_1(self, workspace, capsys,
+                                                             key, value, problem):
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc[key] = value
+        report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot read report under audit: {report}: malformed report JSON: "
+            f"{problem}\n")
 
     def test_non_utf8_report_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1114,6 +1147,35 @@ class TestReportCommand:
         assert main(["report", "--report", str(original),
                      "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
         assert not rerender_dir.exists()
+
+    def test_missing_report_names_it_and_the_fault_once(self, workspace, capsys):
+        report = workspace["root"] / "nope.json"
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(report),
+                     "--out-dir", str(rerender_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot re-render {report}: No such file or directory\n")
+        assert not rerender_dir.exists()
+
+    def test_bad_equivalency_config_is_blamed_on_the_config(self, workspace,
+                                                            capsys):
+        """As ``audit`` does, ``report`` names the config alone: the report
+        it re-renders is sound."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_03" / "2025-06.json"
+        config = workspace["root"] / "bad.json"
+        config.write_text('{"car_km_g": 250}', encoding="utf-8")
+        message = (f"equivalency config {config} needs flight_ams_nyc_g, car_km_g, "
+                   "smartphone_charge_g, source_note: 'flight_ams_nyc_g'\n")
+        capsys.readouterr()
+        rerender_dir = workspace["root"] / "rerender"
+        assert main(["report", "--report", str(report), "--out-dir",
+                     str(rerender_dir), "--equivalencies", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == message
+        assert not rerender_dir.exists()
+        assert run_audit(workspace, report,
+                         ["--equivalencies", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == message
 
     def test_path_escaping_tenant_id_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
@@ -1789,6 +1851,16 @@ def test_synth_refuses_l_share_out_of_range(tmp_path, capsys):
                  "--out-dir", str(out), "--l-share", "1.5"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == ("cannot generate fleet: share must be "
                                        "within [0, 1], got 1.5\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--tenants", "--dcs"])
+def test_synth_refuses_an_empty_fleet(tmp_path, capsys, option):
+    out = tmp_path / "fleet"
+    assert main(["synth", "--seed", "3", option, "0",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("cannot generate fleet: need at least one "
+                                       "tenant and one data center\n")
     assert not out.exists()
 
 
