@@ -62,12 +62,12 @@ print(f"  adjusted R^2 = {noisy_model.adjusted_r2:.4f}")
 
 # A benchmark sweep that never varies one counter cannot identify its
 # weight; the fitter refuses instead of returning garbage.
-from carbonalloc.errors import SingularDesign
+from carbonalloc.errors import PowerModelError
 
 degenerate = [CalibrationSample(0.5, s.cache_moved, s.dram_accessed,
                                 s.disk_moved, s.measured_energy)
               for s in samples]
 try:
     fit_server_weights(degenerate, device_model="ABC_987")
-except SingularDesign as exc:
+except PowerModelError as exc:
     print(f"\nconstant-CPU sweep rejected: {exc}")

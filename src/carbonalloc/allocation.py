@@ -61,7 +61,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import MissingModel, UnitError, UnknownTenant, ZeroDcScope2
+from .errors import CarbonAllocError, IngestError, UnitError, UnknownTenant
 from .ingest import NetworkUsage, RawData, ServerUsage, SharedDevice
 from .power import (
     ServerPowerModel,
@@ -340,22 +340,25 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
     Pairs are visited sorted by tenant, then data center, and devices by id
     within a pair, so every float is computed once, in one fixed order.
     Raises, for the whole fleet, whichever tenant is asked for afterwards:
-    :class:`MissingModel`, naming the first servers.csv row of each missing
-    model, :class:`ZeroDenominator`, and the unit error of a data center
-    whose direct, cooling or other energy, fuel total (added in the device-id
-    order of each tenant's Scope 1), green offset or Scope 2 total is not
-    finite, prefixed with its datacenters.csv row; then,
-    by data center id, :class:`ZeroDcScope2` for a zero Scope 2 total with
-    fuel or a Scope 3 total to distribute. Each pair's figures are bounded
-    by these totals. Negative server estimates are clamped to zero silently:
-    phase 2 warns about the devices it builds.
+    an :class:`IngestError` naming the first servers.csv row of each device
+    model without a power model; a :class:`UnitError`, prefixed with its
+    datacenters.csv row, for a data center with shared energy but no direct
+    energy, or whose direct, cooling or other energy, fuel total (added in
+    the device-id order of each tenant's Scope 1), green offset or Scope 2
+    total is not finite; then, by data center id, a :class:`CarbonAllocError`
+    for a zero Scope 2 total with fuel or a Scope 3 total to distribute.
+    Each pair's figures are bounded by these totals. Negative server
+    estimates are clamped to zero silently: phase 2 warns about the devices
+    it builds.
     """
     missing: dict[str, str] = {}
     for row in raw.servers:
         if row.device_model not in models:
             missing.setdefault(row.device_model, row.source_ref)
     if missing:
-        raise MissingModel(missing)
+        raise IngestError("no calibrated power model for device model(s): " + ", ".join(
+            f"{name} ({missing[name]})" if missing[name] else name
+            for name in sorted(missing)))
 
     server_rows: dict[tuple[str, str], list[ServerUsage]] = {}
     for row in raw.servers:
@@ -422,7 +425,11 @@ def fleet_totals(raw: RawData, models: Mapping[str, ServerPowerModel]) -> FleetT
         dc = raw.datacenters[dc_id]
         if scope2[dc_id] == 0.0 and (any(e > 0 for e in fuel[dc_id])
                                      or dc.scope3_total > 0):
-            raise ZeroDcScope2(dc_id, dc.source_ref)
+            where = f"{dc.source_ref}: " if dc.source_ref else ""
+            raise CarbonAllocError(
+                f"{where}data center {dc_id!r} has Scope 1 or Scope 3 emissions to "
+                "distribute but zero Scope 2 emissions; responsibility shares are "
+                "undefined")
     return FleetTotals(direct=direct, scope2=scope2, pairs=pairs, shared=shared,
                        fuel=fuel)
 

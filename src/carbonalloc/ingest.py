@@ -43,8 +43,8 @@ cooling/other devices are ``DEVICE_ID:ENERGY_WH`` pairs
 ``DEVICE_ID:AMOUNT:EMISSION_FACTOR`` triples (``GEN_1:1000:2.5``, yielding
 1000 * 2.5 gCO2e of Scope 1).
 
-Parsers fail fast on syntax problems (:class:`MalformedRow`,
-:class:`RangeError`, :class:`DuplicateId`); cross-file reference problems are
+Parsers fail fast on syntax problems, values out of range and duplicate
+ids, each a :class:`MalformedRow`; cross-file reference problems are
 collected in bulk by :func:`assemble_raw_data` and raised together as one
 :class:`ValidationFailure` so a single run surfaces every broken reference.
 """
@@ -61,17 +61,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    DuplicateDevice,
-    DuplicateId,
-    IngestError,
-    MalformedRow,
-    OrphanUsage,
-    RangeError,
-    UnknownDataCenter,
-    UnknownTenant,
-    ValidationFailure,
-)
+from .errors import IngestError, MalformedRow, UnknownTenant, ValidationFailure
 from .units import Period
 
 __all__ = [
@@ -106,8 +96,9 @@ INPUT_FILE_NAMES = {
 }
 
 # Tenant and data center ids name report and history paths, so they may not
-# contain a path separator or be "." or "..".
-ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+# contain a path separator, be "." or "..", or be longer than a file name
+# may be (NAME_MAX, 255 bytes on common file systems).
+ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,254}")
 
 # Device byte counters are 64-bit; the bound also keeps network energy finite.
 _BYTE_COUNT_MAX = 2**64 - 1
@@ -252,8 +243,8 @@ class _Row:
     def error(self, reason: str) -> MalformedRow:
         return MalformedRow(self.source, self.line_no, reason)
 
-    def out_of_range(self, label: str, value: float, bounds: str) -> RangeError:
-        return RangeError(self.source, self.line_no, label, value, bounds)
+    def out_of_range(self, label: str, value: float, bounds: str) -> MalformedRow:
+        return self.error(f"{label}={value!r} outside {bounds}")
 
     def text(self, column: str, default: str | None = None) -> str:
         """The stripped cell; ``default`` stands in for an absent or empty one."""
@@ -330,7 +321,7 @@ class _Row:
         if ID_PATTERN.fullmatch(text) is None:
             raise self.error(
                 f"{label}: {text!r} is not a valid id (letters, digits, '_', '.' "
-                "and '-', starting with a letter or digit)")
+                "and '-', starting with a letter or digit, at most 255 characters)")
         return text
 
 
@@ -616,14 +607,13 @@ def read_datacenters(path: Path | str) -> dict[str, DataCenter]:
     for row in read_table(path, _DATACENTER_COLUMNS, _DATACENTER_OFFSETS).rows():
         dc_id = row.id("datacenter_id")
         if dc_id in out:
-            raise DuplicateId(row.source, row.line_no, "data center", dc_id)
+            raise row.error(f"duplicate data center {dc_id!r}")
         cooling = _shared_devices(row, "cooling_devices")
         other = _shared_devices(row, "other_devices")
         seen: set[str] = set()
         for dev in (*cooling, *other):
             if dev.device_id in seen:
-                raise DuplicateId(row.source, row.line_no, "shared device",
-                                  dev.device_id)
+                raise row.error(f"duplicate shared device {dev.device_id!r}")
             seen.add(dev.device_id)
         out[dc_id] = DataCenter(
             datacenter_id=dc_id,
@@ -650,7 +640,7 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
     for row in read_table(path, _TENANT_COLUMNS, ("l_share",)).rows():
         tenant_id = row.id("tenant_id")
         if tenant_id in out:
-            raise DuplicateId(row.source, row.line_no, "tenant", tenant_id)
+            raise row.error(f"duplicate tenant {tenant_id!r}")
         # A per-agent figure divides by the count, so it stays within float range.
         agents = row.whole("agent_count", 1, sys.float_info.max, "[1, float max]")
         l_share = row.share("l_share", default="1.0")
@@ -677,20 +667,13 @@ def read_tenants(path: Path | str) -> dict[str, Tenant]:
 # ---------------------------------------------------------------------------
 
 
-def _split_ref(ref: str) -> tuple[str, int]:
-    """The file and line of a ``file:line`` source ref (the file may itself
-    hold ``:``); line 0 when the ref has no line."""
-    source, sep, line = ref.rpartition(":")
-    if sep and line.isascii() and line.isdigit():
-        return source, int(line)
-    return ref, 0
-
-
 def _reference_errors(datacenters: dict[str, DataCenter],
                       tenants: dict[str, Tenant],
                       servers: tuple[ServerUsage, ...],
                       network: tuple[NetworkUsage, ...]) -> list[IngestError]:
-    """Every reference error, in a fixed order, each with its rows' refs.
+    """Every reference error, in a fixed order, each an :class:`IngestError`
+    whose message names its rows' refs; an unknown tenant is an
+    :class:`UnknownTenant`.
 
     A usage file's rows are walked only when the file fails a set test:
     a (tenant, data center) pair that no tenant declares at a known data
@@ -717,7 +700,9 @@ def _reference_errors(datacenters: dict[str, DataCenter],
         if not known_dc:
             unknown_dcs.setdefault(dc_id, []).append(ref)
         if known_tenant and known_dc and dc_id not in tenants[tenant_id].datacenter_ids:
-            errors.append(OrphanUsage(device_id, tenant_id, dc_id, (ref,)))
+            errors.append(IngestError(
+                f"usage for device {device_id!r}: tenant {tenant_id!r} does not "
+                f"use data center {dc_id!r} (at {ref})"))
 
     # A server is attributed whole to one tenant: the same device appearing
     # twice (same or different tenant) would double-count its energy.
@@ -728,11 +713,12 @@ def _reference_errors(datacenters: dict[str, DataCenter],
             check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
         for (dc_id, device_id), rows in sorted(server_rows.items()):
             if len(rows) > 1:
-                errors.append(DuplicateDevice(
-                    dc_id, device_id,
-                    tuple(r.tenant_id for r in rows),
-                    tuple(r.source_ref for r in rows),
-                ))
+                tenant_ids = sorted({r.tenant_id for r in rows})
+                detail = ("shared between tenants " + ", ".join(tenant_ids)
+                          if len(tenant_ids) > 1 else "listed more than once")
+                errors.append(IngestError(
+                    f"server device {device_id!r} in {dc_id!r} {detail} "
+                    f"(at {', '.join(r.source_ref for r in rows)})"))
 
     # Network devices are shared: one row per (device, tenant) is expected,
     # but the same triple twice would double-count that tenant's traffic.
@@ -741,12 +727,10 @@ def _reference_errors(datacenters: dict[str, DataCenter],
         seen_network: set[tuple[str, str, str]] = set()
         for row in network:
             if triple(row) in seen_network:
-                source, line_no = _split_ref(row.source_ref)
-                errors.append(DuplicateId(
-                    source or "network", line_no,
-                    "network usage (device, tenant) pair",
-                    f"{row.device_id}/{row.tenant_id}",
-                ))
+                device_tenant = f"{row.device_id}/{row.tenant_id}"
+                errors.append(IngestError(
+                    f"{row.source_ref or 'network:0'}: duplicate network usage "
+                    f"(device, tenant) pair {device_tenant!r}"))
             seen_network.add(triple(row))
             check_refs(row.datacenter_id, row.tenant_id, row.device_id, row.source_ref)
 
@@ -759,7 +743,8 @@ def _reference_errors(datacenters: dict[str, DataCenter],
     for tenant_id in sorted(unknown_tenants):
         errors.append(UnknownTenant(tenant_id, tuple(unknown_tenants[tenant_id])))
     for dc_id in sorted(unknown_dcs):
-        errors.append(UnknownDataCenter(dc_id, tuple(unknown_dcs[dc_id])))
+        errors.append(IngestError(
+            f"unknown data center {dc_id!r} (at {', '.join(unknown_dcs[dc_id])})"))
     return errors
 
 

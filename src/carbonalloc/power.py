@@ -15,13 +15,7 @@ from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    InsufficientSamples,
-    PowerModelError,
-    SingularDesign,
-    ZeroDenominator,
-    warn,
-)
+from .errors import PowerModelError, UnitError, warn
 from .ingest import (
     NetworkUsage,
     ServerUsage,
@@ -100,16 +94,17 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
     """Fit the five linear coefficients for one device model by least squares,
     exactly, so every machine gives the same bits: each float is a dyadic
     rational, so the normal equations are formed in integers and solved in
-    fractions, and each weight is rounded once. Raises :class:`InsufficientSamples`
-    below six samples, :class:`SingularDesign` for a constant or collinear
-    design, and :class:`PowerModelError` for a weight beyond float range.
+    fractions, and each weight is rounded once. Raises :class:`PowerModelError`
+    below six samples, for a constant or collinear design (a ``singular
+    calibration design`` message) and for a weight beyond float range.
     """
     # Imported here: fractions loads decimal, which no other command needs.
     from fractions import Fraction
 
     n = len(samples)
     if n < MIN_CALIBRATION_SAMPLES:
-        raise InsufficientSamples(n, MIN_CALIBRATION_SAMPLES)
+        raise PowerModelError(f"{n} calibration sample(s); at least "
+                              f"{MIN_CALIBRATION_SAMPLES} required")
     # Each column as integers over its largest power-of-two denominator.
     ratios = [[x.as_integer_ratio() for x in values]
               for values in ([1.0] * n, *zip(*samples))]
@@ -118,8 +113,8 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
     top = [max(map(abs, column)) for column in columns[:5]] + [1]
     zero_cols = [REGRESSOR_NAMES[i - 1] for i in range(1, 5) if top[i] == 0]
     if zero_cols:
-        raise SingularDesign(
-            "regressor(s) identically zero across all samples: " + ", ".join(zero_cols))
+        raise PowerModelError("singular calibration design: regressor(s) identically "
+                              "zero across all samples: " + ", ".join(zero_cols))
 
     # [X y]ᵀ[X y], with the columns of X scaled to unit max-abs.
     dots = {(j, k): sum(map(mul, columns[j], columns[k]))
@@ -134,8 +129,9 @@ def fit_server_weights(samples: list[CalibrationSample] | tuple[CalibrationSampl
         v = [-row[k] / row[j] for j, row in enumerate(shifted[:k])] + [1]
         names = [name for name, c in zip(("intercept", *REGRESSOR_NAMES), v)
                  if abs(c) > max(map(abs, v)) / 10]
-        raise SingularDesign(f"collinear column(s): {', '.join(names)} (normalized "
-                             "Gram matrix has an eigenvalue <= 1e-20 x trace)")
+        raise PowerModelError(
+            f"singular calibration design: collinear column(s): {', '.join(names)} "
+            "(normalized Gram matrix has an eigenvalue <= 1e-20 x trace)")
 
     tss = gram[5][5] - gram[0][5] ** 2 / n
     _eliminate(gram, 5)  # leaves the residual yᵀy - γᵀXᵀy in gram[5][5]
@@ -192,13 +188,15 @@ def split_shared_wh(total: float, tenant_direct: float, all_tenants_direct: floa
     """A tenant's slice of a shared energy total, by direct-energy ratio.
 
     With no shared energy the answer is zero regardless of the denominator;
-    shared energy with a zero denominator is unallocatable and raises
-    :class:`ZeroDenominator`.
+    shared energy with a zero denominator is unallocatable and raises a
+    :class:`UnitError` that names ``context``, if given.
     """
     if total == 0.0:
         return 0.0
     if all_tenants_direct == 0.0:
-        raise ZeroDenominator(context)
+        detail = f" in {context}" if context else ""
+        raise UnitError(f"shared energy cannot be allocated{detail}: "
+                        "total direct tenant energy is zero")
     return total * tenant_direct / all_tenants_direct
 
 

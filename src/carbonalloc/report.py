@@ -206,7 +206,8 @@ _STRING = _Kind("{_string(@)}", lambda v: type(v) is str and not _SURROGATE.sear
                 "a string UTF-8 can encode")
 _ID = _Kind("{_string(@)}",
             lambda v: type(v) is str and ID_PATTERN.fullmatch(v) is not None,
-            "an id (letters, digits, '_', '.' and '-', starting with a letter or digit)")
+            "an id (letters, digits, '_', '.' and '-', starting with a letter or digit, "
+            "at most 255 characters)")
 _PERIOD = _Kind('"{@}"', lambda v: type(v) is str and _is_period(v), "a YYYY-MM period")
 _ENERGY = _EMISSIONS = _INTENSITY = _range(0.0, _MAX, "a finite number >= 0")
 _NET = _COUNTER = _range(-_MAX, _MAX, "a finite number")

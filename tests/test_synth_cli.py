@@ -24,7 +24,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from carbonalloc import allocation, cli
+from carbonalloc import allocation, cli, history
 from carbonalloc.cli import (
     EXIT_AUDIT_MISMATCH,
     EXIT_COMPUTATION,
@@ -348,6 +348,51 @@ class TestComputeCommand:
         assert not workspace["out"].exists()
         assert not (workspace["root"] / "escape").exists()
 
+    @pytest.mark.parametrize("length", [255, 256])
+    def test_id_longer_than_a_file_name_exits_1_and_writes_nothing(
+            self, workspace, capsys, length):
+        """An id names a report directory, so one longer than a file name
+        may be is refused where it is read, before anything is written."""
+        long_id = "T" * length
+        for name in ("tenants.csv", "servers.csv", "network.csv"):
+            path = workspace["fleet"] / name
+            path.write_text(path.read_text().replace("TENANT_01", long_id))
+        if length == 255:
+            assert run_compute(workspace) == EXIT_OK
+            assert (workspace["out"] / "reports" / long_id / "2025-06.json").is_file()
+            return
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"tenants.csv:3: tenant_id: {long_id!r} is not a valid id (letters, "
+            "digits, '_', '.' and '-', starting with a letter or digit, at most "
+            "255 characters)\n")
+        assert not workspace["out"].exists()
+
+    def test_datacenter_no_tenant_declares_changes_no_report(self, tmp_path, capsys):
+        """The conservation audit skips a data center without tenants: it
+        adds no check, and the reports are those of the fleet without it."""
+        fleet = tmp_path / "fleet"
+        assert main(["synth", "--seed", "5", "--tenants", "3", "--dcs", "2",
+                     "--out-dir", str(fleet)]) == EXIT_OK
+        factors = write_factors(tmp_path)
+
+        def compute(out: Path) -> dict[str, bytes | None]:
+            capsys.readouterr()
+            assert main(["compute", "--period", "2025-06", "--input-dir", str(fleet),
+                         "--models", str(fleet / "models.csv"),
+                         "--equivalencies", str(factors),
+                         "--out-dir", str(out)]) == EXIT_OK
+            assert capsys.readouterr().out.startswith(
+                "conservation audit: PASS (12 checks, ")
+            return snapshot(out)
+
+        without = compute(tmp_path / "without")
+        datacenters = fleet / "datacenters.csv"
+        dc_01 = next(line for line in datacenters.read_text().splitlines()
+                     if line.startswith("DC_01,"))
+        append_rows(datacenters, dc_01.replace("DC_01", "DC_09"))
+        assert compute(tmp_path / "with") == without
+
     def test_earliest_period_has_no_lookback(self, workspace):
         assert run_compute(workspace, period="0001-01") == EXIT_OK
         doc = json.loads((workspace["out"] / "reports" / "TENANT_01" /
@@ -598,6 +643,11 @@ class TestUnwritableOutputs:
             tenant_dir.parent.mkdir(parents=True)
             tenant_dir.write_text("not a directory\n")
             return ([*compute, "--out-dir", str(ws["out"])], tenant_dir)
+        if case in ("compute-report-file", "compute-history-file"):
+            below = "reports" if case == "compute-report-file" else "history"
+            report_dir = ws["out"] / below / "TENANT_01" / "2025-06.json"
+            report_dir.mkdir(parents=True)
+            return ([*compute, "--out-dir", str(ws["out"])], report_dir)
         samples = write_samples(ws["root"] / "samples.csv")
         missing = ws["root"] / "missing" / "models.csv"
         return (["calibrate", "--samples", str(samples),
@@ -605,7 +655,8 @@ class TestUnwritableOutputs:
 
     @pytest.mark.parametrize("case", ["synth-out-dir", "report-out-dir",
                                       "compute-out-dir", "compute-history-dir",
-                                      "calibrate-models-out", "compute-tenant-dir"])
+                                      "calibrate-models-out", "compute-tenant-dir",
+                                      "compute-report-file", "compute-history-file"])
     def test_exits_1_naming_the_path(self, workspace, capsys, case):
         argv, path = self._argv(workspace, case)
         capsys.readouterr()
@@ -613,6 +664,20 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert f"cannot write {path}" in err
         assert "Traceback" not in err
+        if case in ("compute-report-file", "compute-history-file"):
+            assert err == f"cannot write {path}: {os.strerror(errno.EISDIR)}\n"
+
+    def test_directory_that_cannot_be_made_exits_1_naming_it(self, workspace, capsys,
+                                                             monkeypatch):
+        def mkdir(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        workspace["out"].mkdir()
+        monkeypatch.setattr(history.os, "mkdir", mkdir)
+        assert run_compute(workspace) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot write {workspace['out'] / 'reports'}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def snapshot(root: Path) -> dict[str, bytes | None]:
@@ -823,9 +888,10 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("key, value, problem", [
         ("tenant", 5, "tenant: must be an object"),
+        ("tenant", {}, "tenant.tenantId: missing key"),
         ("period", "2025-13", "period: must be a YYYY-MM period, got '2025-13'"),
         ("period", "0000-01", "period: must be a YYYY-MM period, got '0000-01'"),
-    ], ids=["number-tenant", "month-13", "year-0"])
+    ], ids=["number-tenant", "empty-tenant", "month-13", "year-0"])
     def test_identity_the_writer_cannot_have_written_exits_1(self, workspace, capsys,
                                                              key, value, problem):
         assert run_compute(workspace) == EXIT_OK
@@ -868,6 +934,29 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert "key order differs from the canonical report" in err
         assert "0 field(s)" not in err
+
+    @pytest.mark.parametrize("stored", ["extra-entry", "emptied"])
+    def test_history_of_another_length_fails_naming_the_entry(self, workspace,
+                                                              capsys, stored):
+        """A stored history one entry longer, or shorter, than the recomputed
+        one fails on the entry only one side has."""
+        assert run_compute(workspace, period="2025-05") == EXIT_OK
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_02" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        (entry,) = doc["summary"]["history"]
+        if stored == "extra-entry":  # recomputed without history
+            extra, recomputed, has = (), "<absent>", entry
+        else:
+            doc["summary"]["history"] = []
+            report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+            extra = ["--history-dir", str(workspace["out"] / "history")]
+            recomputed, has = entry, "<absent>"
+        capsys.readouterr()
+        assert run_audit(workspace, report, extra) == EXIT_AUDIT_MISMATCH
+        assert capsys.readouterr().err == (
+            f"audit FAIL: {report} differs from recomputation in 1 field(s):\n"
+            f"  summary.history[0]: recomputed {recomputed!r}, report has {has!r}\n")
 
     def test_missing_model_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
@@ -1195,7 +1284,8 @@ class TestReportCommand:
         assert capsys.readouterr().err == (
             f"cannot read report under audit: {report}: malformed report JSON: "
             "tenant.tenantId: must be an id (letters, digits, '_', '.' and '-', "
-            "starting with a letter or digit), got '../../escape'\n")
+            "starting with a letter or digit, at most 255 characters), got "
+            "'../../escape'\n")
 
     def test_duplicate_key_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
@@ -1226,6 +1316,12 @@ class TestReportCommand:
         "key-order": ("key order differs",
                       lambda doc, dc: doc.update(
                           tenant=dict(reversed(doc["tenant"].items())))),
+        "number-tenant": ("malformed report JSON: tenant: must be an object",
+                          lambda doc, dc: doc.update(tenant=5)),
+        "list-datacenters": ("malformed report JSON: datacenters: must be an object",
+                             lambda doc, dc: doc.update(datacenters=[])),
+        "object-history": ("malformed report JSON: summary.history: must be a list",
+                           lambda doc, dc: doc["summary"].update(history={})),
     }
 
     @pytest.mark.parametrize("case", sorted(FORGED))
