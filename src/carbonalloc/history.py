@@ -32,54 +32,18 @@ _DIR_FLAGS = _ROOT_FLAGS | os.O_NOFOLLOW
 _FILE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
 
 
-def _link(path: Path) -> OSError:
-    return OSError(errno.ELOOP, "is a symbolic link, which is not followed",
-                   str(path))
-
-
-def _open_root(root: Path, leaf: Path) -> int:
-    """A descriptor of ``root``, created with its parents if missing.
-
-    ``root`` is the operator's own path and may be a link. When it or a
-    directory above it is not a directory, the error names ``leaf`` as
-    ``mkdir -p`` of ``leaf`` would.
-    """
+def _failed(exc: OSError, parent: int, name: str, path: Path) -> OSError:
+    """``exc``, raised opening ``name`` in the directory ``parent``, naming
+    ``path``; or, when ``name`` is a link, the refusal to follow it."""
     try:
-        return os.open(root, _ROOT_FLAGS)
-    except NotADirectoryError as exc:
-        if leaf != root:
-            exc.filename = str(leaf)
-            raise
-    except FileNotFoundError:
-        pass
-    root.mkdir(parents=True, exist_ok=True)
-    return os.open(root, _ROOT_FLAGS)
-
-
-def _open_dir(parent: int, name: str, path: Path, leaf: Path) -> int:
-    """A descriptor of directory ``name`` in ``parent``, created if missing.
-
-    A link there is refused. Anything else that is not a directory fails as
-    ``mkdir -p`` of ``leaf`` would: "File exists" when it is ``leaf``
-    itself, "Not a directory" naming ``leaf`` when it is above it.
-    """
-    try:
-        try:
-            return os.open(name, _DIR_FLAGS, dir_fd=parent)
-        except FileNotFoundError:
-            os.mkdir(name, dir_fd=parent)
-            return os.open(name, _DIR_FLAGS, dir_fd=parent)
-    except NotADirectoryError:
-        if stat.S_ISLNK(os.lstat(name, dir_fd=parent).st_mode):
-            raise _link(path) from None
-        if path == leaf:
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST),
-                                  str(path)) from None
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
-                                 str(leaf)) from None
-    except OSError as exc:
-        exc.filename = str(path)
-        raise
+        link = stat.S_ISLNK(os.lstat(name, dir_fd=parent).st_mode)
+    except OSError:
+        link = False
+    if link:
+        return OSError(errno.ELOOP, "is a symbolic link, which is not followed",
+                       str(path))
+    exc.filename = str(path)
+    return exc
 
 
 def write_below(root: Path | str, parts: Sequence[str],
@@ -91,33 +55,38 @@ def write_below(root: Path | str, parts: Sequence[str],
     link. Below it nothing is followed: each directory of ``parts`` is
     created or opened relative to its parent's descriptor, and each file is
     opened in the last one, with ``O_NOFOLLOW``. A link at any of them
-    raises an OSError naming it, so no write lands outside ``root``. Other
-    failures raise the OSError, naming the same path, that ``mkdir -p`` of
-    the directory and ``open(path, "wb")`` of each file would.
+    raises an OSError naming it, so no write lands outside ``root``. Any
+    other failure raises its OSError naming the path where the failing call
+    was made: ``root`` as given, a directory of ``parts``, or the file.
     """
-    root = Path(root)
-    leaf = root.joinpath(*parts)
-    fd = _open_root(root, leaf)
+    path = Path(root)
     try:
-        path = root
+        fd = os.open(path, _ROOT_FLAGS)
+    except FileNotFoundError:
+        path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _ROOT_FLAGS)
+    try:
         for name in parts:
             path = path / name
-            below = _open_dir(fd, name, path, leaf)
+            try:
+                try:
+                    below = os.open(name, _DIR_FLAGS, dir_fd=fd)
+                except FileNotFoundError:
+                    os.mkdir(name, dir_fd=fd)
+                    below = os.open(name, _DIR_FLAGS, dir_fd=fd)
+            except OSError as exc:
+                raise _failed(exc, fd, name, path) from None
             os.close(fd)
             fd = below
         written = []
         for name, content in files.items():
-            path = leaf / name
             try:
                 file_fd = os.open(name, _FILE_FLAGS, 0o666, dir_fd=fd)
             except OSError as exc:
-                if exc.errno == errno.ELOOP:
-                    raise _link(path) from None
-                exc.filename = str(path)
-                raise
+                raise _failed(exc, fd, name, path / name) from None
             with open(file_fd, "wb") as stream:
                 stream.write(content)
-            written.append(path)
+            written.append(path / name)
         return written
     finally:
         os.close(fd)

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import src_env
 
-CANDIDATES = tuple(f"python3.{minor}" for minor in range(10, 14))
+CANDIDATES = tuple(f"python3.{minor}" for minor in range(10, 15))
 SUPPORTED = (3, 10)
 PERIOD = "2025-06"
 FACTORS = Path(__file__).resolve().parents[1] / "configs" / "equivalencies.sample.json"

@@ -619,53 +619,58 @@ class TestUnwritableOutputs:
     """An output path that cannot be written exits 1 naming it, never a traceback."""
 
     @staticmethod
-    def _argv(ws, case: str) -> tuple[list[str], Path]:
-        """The command line for ``case`` and the path its error must name."""
+    def _argv(ws, case: str) -> tuple[list[str], Path, int]:
+        """The command line for ``case``, the path its error must name and
+        the errno it must give."""
         blocker = ws["root"] / "a-file"
         blocker.write_text("not a directory\n")
         compute = ["compute", "--period", "2025-06", "--input-dir", str(ws["fleet"]),
                    "--models", str(ws["models"]),
                    "--equivalencies", str(ws["factors"])]
         if case == "synth-out-dir":
-            return (["synth", "--seed", "1", "--out-dir", str(blocker)], blocker)
+            return (["synth", "--seed", "1", "--out-dir", str(blocker)], blocker,
+                    errno.ENOTDIR)
         if case == "report-out-dir":
             assert run_compute(ws) == EXIT_OK
             report = ws["out"] / "reports" / "TENANT_01" / "2025-06.json"
             return (["report", "--report", str(report), "--out-dir", str(blocker)],
-                    blocker)
+                    blocker, errno.ENOTDIR)
         if case == "compute-out-dir":
-            return ([*compute, "--out-dir", str(blocker)], blocker)
+            return ([*compute, "--out-dir", str(blocker)], blocker, errno.ENOTDIR)
+        if case == "compute-below-a-file":
+            return ([*compute, "--out-dir", str(blocker / "sub")], blocker / "sub",
+                    errno.ENOTDIR)
         if case == "compute-history-dir":
             return ([*compute, "--out-dir", str(ws["out"]),
-                     "--history-dir", str(blocker)], blocker)
-        if case == "compute-tenant-dir":
-            tenant_dir = ws["out"] / "reports" / "TENANT_01"
-            tenant_dir.parent.mkdir(parents=True)
-            tenant_dir.write_text("not a directory\n")
-            return ([*compute, "--out-dir", str(ws["out"])], tenant_dir)
+                     "--history-dir", str(blocker)], blocker, errno.ENOTDIR)
+        if case in ("compute-reports-dir", "compute-tenant-dir"):
+            file = ws["out"] / "reports"
+            if case == "compute-tenant-dir":
+                file = file / "TENANT_01"
+            file.parent.mkdir(parents=True)
+            file.write_text("not a directory\n")
+            return ([*compute, "--out-dir", str(ws["out"])], file, errno.ENOTDIR)
         if case in ("compute-report-file", "compute-history-file"):
             below = "reports" if case == "compute-report-file" else "history"
             report_dir = ws["out"] / below / "TENANT_01" / "2025-06.json"
             report_dir.mkdir(parents=True)
-            return ([*compute, "--out-dir", str(ws["out"])], report_dir)
+            return ([*compute, "--out-dir", str(ws["out"])], report_dir,
+                    errno.EISDIR)
         samples = write_samples(ws["root"] / "samples.csv")
         missing = ws["root"] / "missing" / "models.csv"
         return (["calibrate", "--samples", str(samples),
-                 "--models-out", str(missing)], missing)
+                 "--models-out", str(missing)], missing, errno.ENOENT)
 
     @pytest.mark.parametrize("case", ["synth-out-dir", "report-out-dir",
-                                      "compute-out-dir", "compute-history-dir",
-                                      "calibrate-models-out", "compute-tenant-dir",
+                                      "compute-out-dir", "compute-below-a-file",
+                                      "compute-history-dir", "calibrate-models-out",
+                                      "compute-reports-dir", "compute-tenant-dir",
                                       "compute-report-file", "compute-history-file"])
     def test_exits_1_naming_the_path(self, workspace, capsys, case):
-        argv, path = self._argv(workspace, case)
+        argv, path, code = self._argv(workspace, case)
         capsys.readouterr()
         assert main(argv) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert f"cannot write {path}" in err
-        assert "Traceback" not in err
-        if case in ("compute-report-file", "compute-history-file"):
-            assert err == f"cannot write {path}: {os.strerror(errno.EISDIR)}\n"
+        assert capsys.readouterr().err == f"cannot write {path}: {os.strerror(code)}\n"
 
     def test_directory_that_cannot_be_made_exits_1_naming_it(self, workspace, capsys,
                                                              monkeypatch):
@@ -689,9 +694,9 @@ def snapshot(root: Path) -> dict[str, bytes | None]:
 
 def test_one_function_creates_every_output():
     """Reports, history and synthetic fleets are written by
-    ``history.write_below`` and the two helpers it opens directories with;
-    the only other writer in the package is ``power.write_models``, which
-    writes one named file and creates no directory."""
+    ``history.write_below``; the only other writer in the package is
+    ``power.write_models``, which writes one named file and creates no
+    directory."""
     calls = {"mkdir", "makedirs", "open", "touch", "write_bytes", "write_text"}
     writers = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
@@ -701,9 +706,7 @@ def test_one_function_creates_every_output():
                         getattr(call.func, "attr", None), getattr(call.func, "id", None)}
                     for call in ast.walk(node)):
                 writers.add((path.name, node.name))
-    assert sorted(writers) == [("history.py", "_open_dir"),
-                               ("history.py", "_open_root"),
-                               ("history.py", "write_below"),
+    assert sorted(writers) == [("history.py", "write_below"),
                                ("power.py", "write_models")]
 
 
@@ -957,6 +960,21 @@ class TestAuditCommand:
         assert capsys.readouterr().err == (
             f"audit FAIL: {report} differs from recomputation in 1 field(s):\n"
             f"  summary.history[0]: recomputed {recomputed!r}, report has {has!r}\n")
+
+    def test_key_the_report_lacks_fails_naming_it(self, workspace, capsys):
+        """A stored report without a key the recomputed one has fails on
+        that key, which it names as absent."""
+        assert run_compute(workspace) == EXIT_OK
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        recomputed = doc["summary"].pop("perAgentEmissions")
+        report.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        capsys.readouterr()
+        assert run_audit(workspace, report) == EXIT_AUDIT_MISMATCH
+        assert capsys.readouterr().err == (
+            f"audit FAIL: {report} differs from recomputation in 1 field(s):\n"
+            f"  summary.perAgentEmissions: recomputed {recomputed!r}, "
+            "report has '<absent>'\n")
 
     def test_missing_model_exits_1(self, workspace, capsys):
         assert run_compute(workspace) == EXIT_OK
@@ -1636,6 +1654,51 @@ def test_a_run_leaves_no_cyclic_garbage(tmp_path):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_console_script_exits_1_when_stdout_and_stderr_both_fail(tmp_path,
+                                                                monkeypatch):
+    """When the final flush of standard output fails and standard error
+    cannot take the message either, the console script still reaches
+    ``os._exit(1)``, and no exception escapes it."""
+    class Stream(io.StringIO):
+        def __init__(self, *failing: str):
+            super().__init__()
+            self.failing = failing
+
+        def fail(self, call: str) -> None:
+            if call in self.failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def write(self, text: str) -> int:
+            self.fail("write")
+            return super().write(text)
+
+        def flush(self) -> None:
+            self.fail("flush")
+
+    class Exited(BaseException):
+        pass
+
+    codes = []
+
+    def exit_(code: int) -> None:
+        codes.append(code)
+        raise Exited
+
+    monkeypatch.setattr(sys, "argv", ["carbonalloc", "synth", "--seed", "1",
+                                      "--out-dir", str(tmp_path / "fleet")])
+    monkeypatch.setattr(sys, "stdout", Stream("flush"))
+    monkeypatch.setattr(sys, "stderr", Stream("write", "flush"))
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    try:
+        with pytest.raises(Exited):
+            cli.entrypoint()
+    finally:
+        gc.enable()
+    assert codes == [EXIT_VALIDATION]
+    assert sys.stdout.getvalue().startswith("wrote ")
+    assert sys.stderr.getvalue() == ""
 
 
 def test_console_script_is_wired():

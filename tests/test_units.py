@@ -36,6 +36,8 @@ class TestEnergyWh:
     def test_accepts_zero_and_positive(self):
         assert check_energy(0.0) == 0.0
         assert check_energy(120000.0) == 120000.0
+        wh = 10**308  # an int inside float range passes unchanged
+        assert check_energy(wh) is wh
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf"), True])
     def test_rejects(self, bad):
@@ -86,9 +88,9 @@ class TestEmissionsG:
 
 
 class TestShare:
-    @pytest.mark.parametrize("ok", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("ok", [0.0, 0.25, 1.0, 1])
     def test_bounds_inclusive(self, ok):
-        assert check_share(ok) == ok
+        assert check_share(ok) is ok
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0000001, float("nan")])
     def test_out_of_range(self, bad):
