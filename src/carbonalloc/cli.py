@@ -39,9 +39,9 @@ from .history import HistoryStore, write_below
 from .ingest import load_input_dir
 from .power import (
     fit_server_weights,
+    format_models,
     read_calibration_samples,
     read_models,
-    write_models,
 )
 from .report import (
     EquivalencyFactors,
@@ -104,7 +104,9 @@ def cmd_calibrate(samples: Path, models_out: Path) -> int:
     for name, exc in failures:
         _err(f"calibration failed for {name}: {exc}")
     if models:
-        write_models(models_out, models)
+        file_name = models_out.name or "."  # "." or "/": the directory itself
+        write_below(models_out.parent, (), {
+            file_name: format_models(models, file_name).encode("utf-8")})
         print(f"wrote {len(models)} model(s) to {models_out}")
     return EXIT_COMPUTATION if failures else EXIT_OK
 
@@ -121,8 +123,9 @@ def _write_report_pair(out_dir: Path, fp: Footprint, json_doc: ReportDocument,
 
 def _write_reports(footprints: Sequence[Footprint], factors: EquivalencyFactors,
                    out_dir: Path, history: HistoryStore) -> None:
-    """Render every report, then write them in deterministic order, so a
-    render failure writes nothing."""
+    """Render every report, then write them in deterministic order: a render
+    failure writes nothing, and rendering and writing one tenant at a time,
+    which interleaves file creation, measured slower (ROADMAP item 1)."""
     rendered = [(render_json(fp, factors), render_onepage(fp, factors))
                 for fp in footprints]
     for fp, (json_doc, html_doc) in zip(footprints, rendered):

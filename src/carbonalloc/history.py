@@ -6,8 +6,9 @@ figures are read back, through ``report.report_identity`` and
 ``report.report_headline``; the rest of the file is carried for
 auditability.
 
-``write_below`` creates every output directory and every report, history
-and synthetic fleet file; ``power.write_models`` writes the only other file.
+``write_below`` writes every output file, ``calibrate``'s models included,
+by one rule: the directory given may be a link and is created if missing,
+nothing below it may be a link, and any failure names its path.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def write_below(root: Path | str, parts: Sequence[str],
     opened in the last one, with ``O_NOFOLLOW``. A link at any of them
     raises an OSError naming it, so no write lands outside ``root``. Any
     other failure raises its OSError naming the path where the failing call
-    was made: ``root`` as given, a directory of ``parts``, or the file.
+    was made: ``root`` as given, a directory of ``parts``, or the file
+    (its open, a write or its close).
     """
     path = Path(root)
     try:
@@ -81,11 +83,11 @@ def write_below(root: Path | str, parts: Sequence[str],
         written = []
         for name, content in files.items():
             try:
-                file_fd = os.open(name, _FILE_FLAGS, 0o666, dir_fd=fd)
+                with open(os.open(name, _FILE_FLAGS, 0o666, dir_fd=fd),
+                          "wb") as stream:
+                    stream.write(content)
             except OSError as exc:
                 raise _failed(exc, fd, name, path / name) from None
-            with open(file_fd, "wb") as stream:
-                stream.write(content)
             written.append(path / name)
         return written
     finally:

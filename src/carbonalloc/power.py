@@ -32,7 +32,6 @@ __all__ = [
     "estimate_network_energy",
     "split_shared_wh",
     "read_models",
-    "write_models",
     "format_models",
     "read_calibration_samples",
     "NETWORK_WH_PER_BYTE",
@@ -217,12 +216,6 @@ def format_models(models: dict[str, ServerPowerModel],
         [m.device_model, repr(m.intercept), repr(m.w_cpu), repr(m.w_cache),
          repr(m.w_dram), repr(m.w_disk), repr(m.adjusted_r2)]
         for _, m in sorted(models.items())))
-
-
-def write_models(path: Path | str, models: dict[str, ServerPowerModel]) -> None:
-    """Write :func:`format_models`'s text; a value it refuses writes nothing."""
-    path = Path(path)
-    path.write_text(format_models(models, path.name), encoding="utf-8")
 
 
 def read_models(path: Path | str) -> dict[str, ServerPowerModel]:

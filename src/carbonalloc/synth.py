@@ -30,7 +30,7 @@ from .ingest import (
 from .power import MODELS_FILE_NAME, ServerPowerModel, format_models
 from .units import Period, check_share
 
-__all__ = ["SynthFleet", "generate_fleet", "write_fleet", "MODELS_FILE_NAME"]
+__all__ = ["SynthFleet", "generate_fleet", "write_fleet"]
 
 _REGIONS = ("eu-west", "us-east", "ap-south", "eu-north", "sa-east")
 
@@ -45,11 +45,10 @@ class SynthFleet(NamedTuple):
 def generate_fleet(seed: int,
                    n_tenants: int,
                    n_dcs: int,
-                   period: Period = Period(2025, 1),
                    with_offsets: bool = True,
                    l_share: float = 1.0) -> SynthFleet:
-    """Generate a valid fleet: every data center hosts at least one tenant,
-    every (tenant, data center) pair has at least one server row.
+    """Generate a valid fleet for 2025-01: every data center hosts at least
+    one tenant, every (tenant, data center) pair has at least one server row.
 
     ``with_offsets=False`` zeroes fuel, Scope 3, and both offset columns,
     which makes net equal gross exactly.
@@ -157,7 +156,7 @@ def generate_fleet(seed: int,
                 ))
 
     raw = assemble_raw_data(
-        period=period,
+        period=Period(2025, 1),
         datacenters=datacenters,
         tenants=tenants,
         servers=tuple(servers),

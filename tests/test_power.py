@@ -21,10 +21,10 @@ from carbonalloc.power import (
     estimate_network_energy,
     estimate_server_energy,
     fit_server_weights,
+    format_models,
     read_calibration_samples,
     read_models,
     split_shared_wh,
-    write_models,
 )
 from carbonalloc.units import check_energy
 from conftest import intercept_model
@@ -318,7 +318,8 @@ class TestModelFiles:
         other = ServerPowerModel("XYZ_123", 42.5, 317.0, 2.25e-6, 3.5e-9,
                                  6.25e-10, adjusted_r2=0.9921875)
         path = tmp_path / "models.csv"
-        write_models(path, {"ABC_987": model, "XYZ_123": other})
+        path.write_text(format_models({"ABC_987": model, "XYZ_123": other}),
+                        encoding="utf-8")
         loaded = read_models(path)
         assert loaded["ABC_987"] == model
         assert loaded["XYZ_123"] == other
@@ -328,14 +329,15 @@ class TestModelFiles:
         machine."""
         grouped = read_calibration_samples(golden_samples(tmp_path / "samples.csv"))
         path = tmp_path / "models.csv"
-        write_models(path, {name: fit_server_weights(samples, device_model=name)
-                            for name, samples in grouped.items()})
+        path.write_text(format_models({
+            name: fit_server_weights(samples, device_model=name)
+            for name, samples in grouped.items()}), encoding="utf-8")
         assert path.read_text(encoding="utf-8") == GOLDEN_MODELS
 
     def test_duplicate_model_rows_rejected(self, tmp_path):
         path = tmp_path / "models.csv"
         model = ServerPowerModel("ABC_987", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        write_models(path, {"ABC_987": model})
+        path.write_text(format_models({"ABC_987": model}), encoding="utf-8")
         line = path.read_text().splitlines()[-1]
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(Exception, match="duplicate"):

@@ -207,6 +207,28 @@ class TestComputeCommand:
         assert run_compute(workspace) == EXIT_OK
         assert report.read_bytes() == first
 
+    def test_rendering_failure_writes_nothing(self, tmp_path, monkeypatch):
+        """Every report is rendered before the first is written: a render
+        that fails for the second tenant propagates, and no ``--out-dir``
+        is made."""
+        fleet, out = tmp_path / "fleet", tmp_path / "out"
+        assert main(["synth", "--seed", "1", "--tenants", "2", "--dcs", "2",
+                     "--out-dir", str(fleet)]) == EXIT_OK
+        real = cli.render_onepage
+
+        def render_onepage(fp, factors):
+            if fp.tenant_id == "TENANT_02":
+                raise RuntimeError("rendering failed")
+            return real(fp, factors)
+
+        monkeypatch.setattr(cli, "render_onepage", render_onepage)
+        with pytest.raises(RuntimeError, match="^rendering failed$"):
+            main(["compute", "--period", "2025-01", "--input-dir", str(fleet),
+                  "--models", str(fleet / "models.csv"),
+                  "--equivalencies", str(write_factors(tmp_path)),
+                  "--out-dir", str(out)])
+        assert not out.exists()
+
     def test_validation_error_exits_1(self, workspace, capsys):
         servers = workspace["fleet"] / "servers.csv"
         bad = servers.read_text() + "DC_01,SRV_X,MODEL_A,TENANT_GHOST,0.5,0,0,0\n"
@@ -656,21 +678,47 @@ class TestUnwritableOutputs:
             report_dir.mkdir(parents=True)
             return ([*compute, "--out-dir", str(ws["out"])], report_dir,
                     errno.EISDIR)
-        samples = write_samples(ws["root"] / "samples.csv")
-        missing = ws["root"] / "missing" / "models.csv"
-        return (["calibrate", "--samples", str(samples),
-                 "--models-out", str(missing)], missing, errno.ENOENT)
+        calibrate = ["calibrate", "--samples",
+                     str(write_samples(ws["root"] / "samples.csv")), "--models-out"]
+        if case == "calibrate-below-a-file":
+            return ([*calibrate, str(blocker / "models.csv")], blocker,
+                    errno.ENOTDIR)
+        directory = {"calibrate-dir": ws["fleet"], "calibrate-dot": Path("."),
+                     "calibrate-root": Path("/")}[case]
+        return ([*calibrate, str(directory)], directory, errno.EISDIR)
 
     @pytest.mark.parametrize("case", ["synth-out-dir", "report-out-dir",
                                       "compute-out-dir", "compute-below-a-file",
-                                      "compute-history-dir", "calibrate-models-out",
-                                      "compute-reports-dir", "compute-tenant-dir",
-                                      "compute-report-file", "compute-history-file"])
+                                      "compute-history-dir", "compute-reports-dir",
+                                      "compute-tenant-dir", "compute-report-file",
+                                      "compute-history-file", "calibrate-below-a-file",
+                                      "calibrate-dir", "calibrate-dot",
+                                      "calibrate-root"])
     def test_exits_1_naming_the_path(self, workspace, capsys, case):
         argv, path, code = self._argv(workspace, case)
         capsys.readouterr()
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"cannot write {path}: {os.strerror(code)}\n"
+
+    def test_failed_write_names_its_file(self, workspace, capsys, monkeypatch):
+        """A write that fails after its file was opened names that file, as a
+        failed open does, for a report and for the models file alike."""
+        class FullDisk(io.FileIO):
+            def write(self, content):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        samples = write_samples(workspace["root"] / "samples.csv")
+        models_out = workspace["root"] / "fitted.csv"
+        monkeypatch.setattr(history, "open", FullDisk, raising=False)
+        capsys.readouterr()
+        assert run_compute(workspace) == EXIT_VALIDATION
+        report = workspace["out"] / "reports" / "TENANT_01" / "2025-06.json"
+        assert capsys.readouterr().err == (
+            f"cannot write {report}: {os.strerror(errno.ENOSPC)}\n")
+        assert main(["calibrate", "--samples", str(samples),
+                     "--models-out", str(models_out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"cannot write {models_out}: {os.strerror(errno.ENOSPC)}\n")
 
     def test_directory_that_cannot_be_made_exits_1_naming_it(self, workspace, capsys,
                                                              monkeypatch):
@@ -693,10 +741,8 @@ def snapshot(root: Path) -> dict[str, bytes | None]:
 
 
 def test_one_function_creates_every_output():
-    """Reports, history and synthetic fleets are written by
-    ``history.write_below``; the only other writer in the package is
-    ``power.write_models``, which writes one named file and creates no
-    directory."""
+    """Reports, history, synthetic fleets and the models file are all
+    written by ``history.write_below``, the only writer in the package."""
     calls = {"mkdir", "makedirs", "open", "touch", "write_bytes", "write_text"}
     writers = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
@@ -706,13 +752,12 @@ def test_one_function_creates_every_output():
                         getattr(call.func, "attr", None), getattr(call.func, "id", None)}
                     for call in ast.walk(node)):
                 writers.add((path.name, node.name))
-    assert sorted(writers) == [("history.py", "write_below"),
-                               ("power.py", "write_models")]
+    assert sorted(writers) == [("history.py", "write_below")]
 
 
 class TestLinksBelowTheRoots:
-    """``--out-dir`` and ``--history-dir`` may be links. Nothing that
-    ``compute``, ``report`` or ``synth`` creates below them may be one: a
+    """``--out-dir``, ``--history-dir`` and the directory of ``--models-out``
+    may be links. Nothing that a command creates below them may be one: a
     link planted there exits 1 naming it, and what it points into keeps its
     files and bytes. Reading history still follows links."""
 
@@ -768,6 +813,17 @@ class TestLinksBelowTheRoots:
         before = snapshot(outside)
         assert main(["synth", "--seed", "1", "--out-dir",
                      str(tmp_path / "fleet")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"cannot write {link}{self.REFUSED}"
+        assert snapshot(outside) == before
+
+    def test_calibrate_refuses_a_link(self, tmp_path, capsys):
+        outside = self.outside(tmp_path)
+        link = tmp_path / "models.csv"
+        self.plant(link, outside)
+        before = snapshot(outside)
+        samples = write_samples(tmp_path / "samples.csv")
+        assert main(["calibrate", "--samples", str(samples),
+                     "--models-out", str(link)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"cannot write {link}{self.REFUSED}"
         assert snapshot(outside) == before
 
@@ -1463,6 +1519,14 @@ class TestCalibrateCommand:
                      "--models-out", str(tmp_path / "m.csv")]) == EXIT_COMPUTATION
         assert "3" in capsys.readouterr().err
 
+    def test_missing_directory_is_created(self, tmp_path):
+        samples = self._write_samples(tmp_path / "samples.csv",
+                                      self._noiseless_rows("ABC_987", 20))
+        out = tmp_path / "missing" / "below" / "models.csv"
+        assert main(["calibrate", "--samples", str(samples),
+                     "--models-out", str(out)]) == EXIT_OK
+        assert list(read_models(out)) == ["ABC_987"]
+
     def test_closed_stdout_keeps_exit_2(self, tmp_path):
         """A run that already failed keeps its code when its standard output
         cannot be written either, and nothing names the closed pipe."""
@@ -1593,7 +1657,7 @@ def test_every_exported_name_resolves():
 def test_package_names_are_the_api_modules_all():
     """A name in an API module's ``__all__`` is package API, the same object,
     and the package has no other public name but ``__version__`` and the
-    three synth names it loads on first use."""
+    names of ``synth.__all__``, which it loads on first use."""
     import carbonalloc
     from carbonalloc import synth
     expected = {}
@@ -1605,7 +1669,10 @@ def test_package_names_are_the_api_modules_all():
     assert sorted(public) == sorted(expected)
     assert [name for name in expected if public[name] is not expected[name]] == []
     assert carbonalloc.__version__ == "0.1.0"
-    for name in ("SynthFleet", "generate_fleet", "write_fleet"):
+    served = {name for name in vars(synth) if not name.startswith("_")
+              and name not in expected and hasattr(carbonalloc, name)}
+    assert sorted(served) == sorted(synth.__all__)
+    for name in synth.__all__:
         assert getattr(carbonalloc, name) is getattr(synth, name)
 
 
